@@ -1,9 +1,6 @@
 GO ?= go
-# Extra flags for `make bench` (CI passes BENCHARGS=-short to emit the
-# artifact at fast scale).
-BENCHARGS ?=
 
-.PHONY: all build vet lint lint-escape test race alloc-check ci obs-demo bench fuzz-smoke
+.PHONY: all build vet lint lint-escape test race alloc-check ci obs-demo fuzz-smoke
 
 # Seconds of coverage-guided fuzzing per codec target in fuzz-smoke.
 FUZZTIME ?= 5s
@@ -48,21 +45,6 @@ alloc-check:
 # exports (DESIGN.md §9). Both files are deterministic for a fixed seed.
 obs-demo:
 	$(GO) run ./cmd/searchsim -fast -trace fleetprof-trace.json -metrics fleetprof-metrics.json fleetprof
-
-# bench runs the sweep-engine before/after benchmarks (serial vs parallel,
-# DESIGN.md §10) and the batched-kernel microbenchmarks (DESIGN.md §11),
-# publishing them as BENCH_sweep.json / BENCH_kernel.json via cmd/benchjson.
-# Compare a fresh run against a saved artifact with
-# `go run ./cmd/benchjson -compare BENCH_kernel.json bench_kernel.out`.
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSweep' -benchtime 1x -timeout 45m $(BENCHARGS) . | tee bench_sweep.out
-	$(GO) run ./cmd/benchjson -o BENCH_sweep.json bench_sweep.out
-	$(GO) test -run '^$$' -bench 'BenchmarkSharedReplay|BenchmarkCompressedDecode|BenchmarkHierarchyAccess|BenchmarkMultiSim|BenchmarkReplayerReplay' -timeout 30m $(BENCHARGS) . | tee bench_kernel.out
-	$(GO) run ./cmd/benchjson -o BENCH_kernel.json bench_kernel.out
-	$(GO) test -run '^$$' -bench 'BenchmarkMemSystem' -timeout 30m $(BENCHARGS) . | tee bench_mem.out
-	$(GO) run ./cmd/benchjson -o BENCH_mem.json bench_mem.out
-	$(GO) test -run '^$$' -bench 'BenchmarkRunLoadEngine|BenchmarkFleetMillionUsers' -benchtime 1x -timeout 30m $(BENCHARGS) . | tee bench_serve.out
-	$(GO) run ./cmd/benchjson -o BENCH_serve.json bench_serve.out
 
 # fuzz-smoke runs each trace-codec fuzz target briefly (seed corpus plus
 # $(FUZZTIME) of coverage-guided exploration per target). The contract under

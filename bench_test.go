@@ -415,57 +415,6 @@ func BenchmarkReplayerReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiSim measures a 8-configuration capacity sweep over one
-// shared trace: draining each hierarchy independently (the trace streams
-// from memory once per configuration) vs the single-pass MultiSim driver
-// (once total). Both produce bit-identical stats; ns/op is per simulated
-// access per configuration.
-func BenchmarkMultiSim(b *testing.B) {
-	tr := benchLeafTrace(b)
-	sh := trace.NewShared(tr)
-	const nConfigs = 8
-	mkHierarchies := func() []*cache.Hierarchy {
-		hs := make([]*cache.Hierarchy, nConfigs)
-		for i := range hs {
-			cfg := benchHierarchyConfig()
-			cfg.L3.Size = int64(1+i) << 19 // 512 KiB .. 4 MiB sweep
-			hs[i] = cache.NewHierarchy(cfg)
-		}
-		return hs
-	}
-	b.Run("independent", func(b *testing.B) {
-		hs := mkHierarchies()
-		b.ResetTimer()
-		for done := 0; done < b.N; {
-			n := len(tr) * nConfigs
-			if rem := b.N - done; rem < n {
-				n = rem
-			}
-			per := n / nConfigs
-			if per == 0 {
-				per = 1
-			}
-			for _, h := range hs {
-				h.DrainBatch(sh.View())
-				_ = per
-			}
-			done += n
-		}
-	})
-	b.Run("multisim", func(b *testing.B) {
-		ms := cache.NewMultiSim(mkHierarchies()...)
-		b.ResetTimer()
-		for done := 0; done < b.N; {
-			n := len(tr) * nConfigs
-			if rem := b.N - done; rem < n {
-				n = rem
-			}
-			ms.Drain(sh.View())
-			done += n
-		}
-	})
-}
-
 // --- tiered main-memory kernel benchmarks (DESIGN.md §14) ---
 
 // benchMemSystem drains the memoized leaf trace through one tiered memory
@@ -787,40 +736,26 @@ func BenchmarkAblationPredictorTournament(b *testing.B) {
 
 // --- fleet load-engine benchmarks (DESIGN.md §16) ---
 
-// BenchmarkRunLoadEngine measures the closed-loop load drivers in
-// events/sec: the event-heap engine (RunLoad, O(log n) per issued query on
-// the pooled serial serve path) against the retained linear-scan reference
-// (RunLoadScan, O(n) per query through the concurrent Serve path). The scan
-// side stops at 10k clients — beyond that the quadratic term dominates the
-// benchmark budget, which is the point.
+// BenchmarkRunLoadEngine measures the closed-loop load driver in events/sec
+// across client counts: O(log n) heap work per issued query on top of the
+// zero-allocation serve kernel.
 func BenchmarkRunLoadEngine(b *testing.B) {
 	type size struct{ clients, qpc int }
-	heap := []size{{1000, 20}, {10_000, 5}, {100_000, 2}, {1_000_000, 1}}
-	scan := []size{{1000, 20}, {10_000, 5}}
+	sizes := []size{{1000, 20}, {10_000, 5}, {100_000, 2}, {1_000_000, 1}}
 	if testing.Short() {
-		heap = []size{{1000, 5}, {10_000, 2}, {50_000, 1}}
-		scan = []size{{1000, 5}, {10_000, 1}}
+		sizes = []size{{1000, 5}, {10_000, 2}, {50_000, 1}}
 	}
-	run := func(sizes []size, name string, drive func(c *serving.Cluster, clients, qpc int)) {
-		for _, s := range sizes {
-			s := s
-			b.Run(fmt.Sprintf("%s/%d", name, s.clients), func(b *testing.B) {
-				c := serving.NewCluster(serving.DefaultConfig(), nil)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					drive(c, s.clients, s.qpc)
-				}
-				queries := float64(s.clients) * float64(s.qpc) * float64(b.N)
-				b.ReportMetric(queries/b.Elapsed().Seconds(), "events/sec")
-			})
-		}
+	for _, s := range sizes {
+		b.Run(fmt.Sprint(s.clients), func(b *testing.B) {
+			c := serving.NewCluster(serving.DefaultConfig(), nil)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serving.RunLoad(c, s.clients, s.qpc, 400, 1.1, 9)
+			}
+			queries := float64(s.clients) * float64(s.qpc) * float64(b.N)
+			b.ReportMetric(queries/b.Elapsed().Seconds(), "events/sec")
+		})
 	}
-	run(heap, "heap", func(c *serving.Cluster, clients, qpc int) {
-		serving.RunLoad(c, clients, qpc, 400, 1.1, 9)
-	})
-	run(scan, "scan", func(c *serving.Cluster, clients, qpc int) {
-		serving.RunLoadScan(c, clients, qpc, 400, 1.1, 9)
-	})
 }
 
 // BenchmarkFleetMillionUsers drives the headline fleet scenario: a million

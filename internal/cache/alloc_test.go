@@ -71,18 +71,16 @@ func TestHierarchyAccessBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMultiSimDrainZeroAlloc pins the sweep driver end to end: one shared
-// flat recording decoded once per batch, replayed through several
-// hierarchies per batch.
-func TestMultiSimDrainZeroAlloc(t *testing.T) {
-	shared := trace.NewShared(batchEquivTrace(13, 20_000, 2))
-	m := NewMultiSim(
-		NewHierarchy(tinyHierarchy(2, nil)),
-		NewHierarchy(tinyHierarchy(2, &Config{Size: 32 << 10, BlockSize: 64, Assoc: 4})),
-	)
-	v := shared.View()
-	requireZeroAllocs(t, "multisim", func() {
-		v.Rewind()
-		m.Drain(v)
-	})
+// TestHierarchyDrainBatchZeroAlloc pins the drain loop end to end: a shared
+// flat recording handed out window by window and replayed through a
+// hierarchy, with and without an L4.
+func TestHierarchyDrainBatchZeroAlloc(t *testing.T) {
+	v := trace.NewShared(batchEquivTrace(13, 20_000, 2)).View()
+	for name, l4 := range map[string]*Config{"no-l4": nil, "l4": {Size: 32 << 10, BlockSize: 64, Assoc: 4}} {
+		h := NewHierarchy(tinyHierarchy(2, l4))
+		requireZeroAllocs(t, "drain/"+name, func() {
+			v.Rewind()
+			h.DrainBatch(v)
+		})
+	}
 }

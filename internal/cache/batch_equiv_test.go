@@ -1,11 +1,11 @@
 package cache
 
-// Equivalence tests for the batched replay kernels: AccessBatch /
-// DrainBatch / MultiSim must be observationally identical to the scalar
-// per-access path — same stats, same HitLevel per access, and bit-identical
-// internal cache state (tag/stamp/meta arrays, occupancy, recency clock,
-// line buffer, FA list order) regardless of policy, partitioning, batch
-// size, or how many hierarchies share one decode pass.
+// Batch-split invariance tests for the replay kernel: how a stream is cut
+// into AccessBatch / DrainBatch calls — one access at a time (Hierarchy.Access
+// is a one-element batch), window-sized, or whole-trace — must not show in the
+// outcome: same stats, same HitLevel per access, and bit-identical internal
+// cache state (tag/stamp/meta arrays, occupancy, recency clock, line buffer,
+// FA list order) regardless of policy, partitioning or batch size.
 
 import (
 	"reflect"
@@ -310,44 +310,5 @@ func TestCacheAccessBatchEquivalence(t *testing.T) {
 				t.Fatal("degenerate trace: want both hits and misses")
 			}
 		})
-	}
-}
-
-// TestMultiSimEquivalence drives N differently-shaped hierarchies through
-// one MultiSim pass and requires each to end bit-identical to draining it
-// alone — the single-decode sweep must not change any result.
-func TestMultiSimEquivalence(t *testing.T) {
-	tr := batchEquivTrace(1234, 15000, 4)
-	sh := trace.NewShared(tr)
-
-	cfgs := make([]HierarchyConfig, 0, 6)
-	for i := 0; i < 6; i++ {
-		cfg := tinyHierarchy(2, nil)
-		cfg.L3.Size = int64(8+4*i) << 10
-		if i%2 == 1 {
-			cfg.L3.Policy = FIFO
-		}
-		if i == 3 {
-			cfg.L3.AllocWays = 3
-		}
-		cfgs = append(cfgs, cfg)
-	}
-
-	refs := make([]map[string]any, len(cfgs))
-	for i, cfg := range cfgs {
-		h := NewHierarchy(cfg)
-		h.DrainBatch(sh.View())
-		refs[i] = snapHierarchy(h)
-	}
-
-	hs := make([]*Hierarchy, len(cfgs))
-	for i, cfg := range cfgs {
-		hs[i] = NewHierarchy(cfg)
-	}
-	NewMultiSim(hs...).Drain(sh.View())
-	for i, h := range hs {
-		if !reflect.DeepEqual(snapHierarchy(h), refs[i]) {
-			t.Fatalf("config %d: MultiSim result diverges from independent drain", i)
-		}
 	}
 }

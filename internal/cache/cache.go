@@ -624,7 +624,7 @@ func (c *Cache) fillAbsent(block uint64, seg trace.Segment, dirty bool) (evicted
 // vote against its policy). A dead-block-predicted address overrides to
 // "distant" so it is the set's first victim. Every fill path (demand and
 // writeback) goes through here, keeping the RNG consumption — and so the
-// whole simulation — identical between scalar and batched replay.
+// whole simulation — independent of how the stream is cut into batches.
 func (c *Cache) rripInsert(set int, block uint64) uint64 {
 	bimodal := false
 	switch c.cfg.Policy {

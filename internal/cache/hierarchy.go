@@ -286,30 +286,12 @@ func (h *Hierarchy) coreFor(thread uint8) int {
 }
 
 // Access runs one trace access through the hierarchy and returns the
-// deepest level that had to service it. Accesses that span multiple L1
-// blocks are split (each covered block is one probe, matching a banked
-// cache servicing an unaligned reference).
+// deepest level that had to service it: AccessBatch over a one-element
+// batch.
 func (h *Hierarchy) Access(a trace.Access) HitLevel {
-	l1, l2 := h.dataL1[a.Thread], h.dataL2[a.Thread]
-	if a.Kind == trace.Fetch {
-		l1, l2 = h.fetchL1[a.Thread], h.fetchL2[a.Thread]
-	}
-	size := uint64(a.Size)
-	if size == 0 {
-		size = 1
-	}
-	first := a.Addr >> h.l1Shift
-	last := (a.Addr + size - 1) >> h.l1Shift
-	if h.trackFetch && a.Kind == trace.Fetch {
-		h.lastFetch[a.Thread] = first
-	}
-	deepest := HitL1
-	for b := first; b <= last; b++ {
-		if lvl := h.accessBlock(l1, l2, a.Thread, b<<h.l1Shift, a.Seg, a.Kind); lvl > deepest {
-			deepest = lvl
-		}
-	}
-	return deepest
+	batch := [1]trace.Access{a}
+	var level [1]HitLevel
+	return h.AccessBatch(batch[:], level[:0])[0]
 }
 
 // Drain runs an entire stream through the hierarchy. Streams that also
@@ -341,9 +323,11 @@ func (h *Hierarchy) DrainBatch(bs trace.BatchStream) {
 	}
 }
 
-// AccessBatch runs every access of batch through the hierarchy — the
-// batched replay kernel. It is observationally identical to calling Access
-// per element (same probe order, same stats, same fills and evictions), but
+// AccessBatch runs every access of batch through the hierarchy — the one
+// replay kernel. Accesses that span multiple L1 blocks are split (each
+// covered block is one probe, matching a banked cache servicing an unaligned
+// reference). How a stream is cut into batches never shows in the outcome
+// (same probe order, stats, fills and evictions for any split); batching
 // hoists the block shift and the thread-to-cache routing out of the loop and
 // inlines the L1 probe over the SoA tag array, so the dominant L1-hit case
 // costs a table load, one set scan, and two counter increments.
@@ -440,18 +424,6 @@ func (h *Hierarchy) AccessBatch(batch []trace.Access, levels []HitLevel) []HitLe
 		}
 	}
 	return levels
-}
-
-// accessBlock probes the levels in order and performs the fill cascade,
-// returning the servicing level.
-func (h *Hierarchy) accessBlock(l1, l2 *Cache, thread uint8, byteAddr uint64, seg trace.Segment, kind trace.Kind) HitLevel {
-	if l1.Access(l1.BlockAddr(byteAddr), seg, kind) {
-		return HitL1
-	}
-	if h.pred != nil {
-		return h.predictPath(l1, l2, thread, byteAddr, seg, kind)
-	}
-	return h.missPath(l1, l2, byteAddr, seg, kind)
 }
 
 // missPath services an access that already missed (and recorded its miss)

@@ -23,9 +23,8 @@ import (
 // predictor-on and predictor-off, byte for byte — and the predictor overlays
 // *probe accounting* on top: which serial probes a verified prediction
 // avoided, and what failed verifications cost. That is also the determinism
-// argument: the overlay adds no randomness and no state the batched kernel
-// orders differently, and both the scalar and batched kernels share this one
-// path. See DESIGN.md §15.
+// argument: the overlay adds no randomness and no state that depends on how
+// the stream is cut into batches. See DESIGN.md §15.
 
 // PredictorConfig configures the hierarchy's cache-level predictor.
 type PredictorConfig struct {
@@ -276,8 +275,7 @@ func (h *Hierarchy) chainProbes(lvl HitLevel) int64 {
 // prediction wasted its verification probe and then walked the full chain
 // (one extra probe); a memory prediction was caught by the parallel check at
 // no extra serial cost. The predictor is trained with the actual servicing
-// level on every access. Shared by the scalar and batched kernels, which is
-// what makes predictor-on replay scalar ≡ batched by construction.
+// level on every access.
 //
 //lint:hot
 func (h *Hierarchy) predictPath(l1, l2 *Cache, thread uint8, byteAddr uint64, seg trace.Segment, kind trace.Kind) HitLevel {

@@ -3,7 +3,7 @@
 // Allocation-regression oracles for the fleet load engine's per-event path
 // (DESIGN.md §16). The searchlint hotalloc analyzer proves the //lint:hot
 // kernels allocation-free statically; these tests pin the full event step —
-// heap pop, Zipf draw, term synthesis, the pooled serial serve (cache probe,
+// heap pop, Zipf draw, term synthesis, Cluster.serve untraced (cache probe,
 // fan-out, hedging, merges, cache put with eviction), histogram add, heap
 // push — at zero allocations dynamically. Excluded under -race because race
 // instrumentation inserts allocations of its own.
@@ -34,12 +34,11 @@ func eventStep(t *testing.T, c *Cluster, clients int) func() {
 	t.Helper()
 	c.driveMu.Lock()
 	t.Cleanup(c.driveMu.Unlock)
-	c.ensureScratch()
 	e := newLoadEngine(clients, 4000, 0.9, 42)
 	hist := stats.NewHistogram(8)
 	step := func() {
 		cl := e.popMin()
-		r := c.serveSerial(e.drawTerms(cl))
+		r := c.serve(e.drawTerms(cl), clients-1)
 		hist.Add(r.LatencyNS)
 		e.next[cl] += r.LatencyNS
 		e.push(cl)
@@ -86,9 +85,8 @@ func TestCachePutChurnZeroAlloc(t *testing.T) {
 		s.put(tag, docs, scores)
 		tag++
 	})
-	var gd []uint32
-	var gs []float32
-	requireZeroAllocs(t, "cache getInto", func() {
-		s.getInto(tag-1, &gd, &gs)
+	gd, gs := make([]uint32, 4), make([]float32, 4)
+	requireZeroAllocs(t, "cache get", func() {
+		s.get(tag-1, gd, gs)
 	})
 }

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -11,10 +12,9 @@ import (
 // state lives in preallocated struct-of-arrays (~36 bytes per client, so a
 // million modeled users fit in ~36 MB), and pending issue events sit in an
 // indexed binary min-heap of client ids keyed by (next issue time, id).
-// Pop and push are O(log n) against the old driver's O(n) linear min-scan,
-// and the whole per-event path — pop, Zipf draw, term synthesis, histogram
-// add, push — is allocation-free (//lint:hot kernels plus the ZeroAlloc
-// oracle in alloc_test.go).
+// Pop and push are O(log n), and the whole per-event path — pop, Zipf draw,
+// term synthesis, Cluster.serve, histogram add, push — is allocation-free
+// (//lint:hot kernels plus the ZeroAlloc oracles in alloc_test.go).
 type loadEngine struct {
 	next   []float64   // virtual time of each client's next issue event
 	rng    []stats.RNG // per-client random stream (query popularity, think time)
@@ -26,9 +26,9 @@ type loadEngine struct {
 	terms  [2]uint32 // scratch for the current query's term tuple
 }
 
-// newLoadEngine seeds per-client state exactly as the scan driver did:
-// client cl's popularity stream is NewRNG(seed+cl*977).Split(), reproduced
-// here through a stack RNG so construction allocates only the four arrays.
+// newLoadEngine seeds per-client state: client cl's popularity stream is
+// NewRNG(seed+cl*977).Split(), reproduced here through a stack RNG so
+// construction allocates only the four arrays.
 func newLoadEngine(clients, vocabSize int, skew float64, seed uint64) *loadEngine {
 	e := &loadEngine{
 		next:   make([]float64, clients),
@@ -50,10 +50,9 @@ func newLoadEngine(clients, vocabSize int, skew float64, seed uint64) *loadEngin
 	return e
 }
 
-// less orders pending events by (issue time, client id). The id tie-break
-// reproduces the scan driver's "first strictly smaller wins" rule — on
-// equal times the lowest-indexed client goes first — so the heap pops the
-// exact issue sequence the linear scan produced.
+// less orders pending events by (issue time, client id): on equal times the
+// lowest-indexed client goes first, which makes the issue sequence a total
+// order independent of heap layout.
 //
 //lint:hot
 func (e *loadEngine) less(a, b int32) bool {
@@ -128,7 +127,7 @@ func (e *loadEngine) heapify() {
 }
 
 // drawTerms synthesizes the client's next query: a Zipf-popular query id
-// expanded into the same two-term tuple the scan driver used.
+// expanded into a two-term tuple.
 //
 //lint:hot
 func (e *loadEngine) drawTerms(cl int32) []uint32 {
@@ -143,15 +142,11 @@ func (e *loadEngine) drawTerms(cl int32) []uint32 {
 // is what makes the cache tier effective). The closed loop runs in virtual
 // time: every client always has exactly one query in flight (zero think
 // time), so queries are issued one at a time in virtual-completion order
-// and the cluster is told the standing occupancy is `clients`. The query
-// interleaving — and with it every executor's service-jitter RNG draw
-// sequence — is therefore a pure function of the seed, never of goroutine
-// scheduling, for any client count (DESIGN.md §8).
-//
-// Since PR 10 the driver is the event-heap engine (DESIGN.md §16): results
-// are bit-identical to the original linear-scan driver, retained as
-// RunLoadScan and pinned equal by TestRunLoadMatchesScanEngine, at
-// O(log n) instead of O(n) per issued query.
+// and each query is served against a standing occupancy of the other
+// clients-1. The query interleaving — and with it every executor's
+// service-jitter RNG draw sequence — is therefore a pure function of the
+// seed for any client count (DESIGN.md §16). RunLoad is the closed-loop
+// special case of RunScenario.
 func RunLoad(c *Cluster, clients, queriesPerClient, vocabSize int, skew float64, seed uint64) LoadStats {
 	if clients <= 0 || queriesPerClient <= 0 || vocabSize <= 0 {
 		panic("serving: load parameters must be positive")
@@ -164,76 +159,6 @@ func RunLoad(c *Cluster, clients, queriesPerClient, vocabSize int, skew float64,
 		Seed:             seed,
 	})
 	return fs.LoadStats
-}
-
-// RunLoadScan is the pre-PR-10 reference driver: a per-query O(clients)
-// linear min-scan over client completion times, issuing through the
-// concurrent Serve path. It is retained as the equivalence baseline for
-// the event-heap engine (TestRunLoadMatchesScanEngine pins RunLoad ==
-// RunLoadScan bit-exactly) and as the benchmark's before side; new code
-// should call RunLoad.
-func RunLoadScan(c *Cluster, clients, queriesPerClient, vocabSize int, skew float64, seed uint64) LoadStats {
-	if clients <= 0 || queriesPerClient <= 0 || vocabSize <= 0 {
-		panic("serving: load parameters must be positive")
-	}
-	hist := stats.NewHistogram(8)
-	var partials int64
-	type client struct {
-		qsel   *stats.Zipf
-		nextNS float64 // virtual time at which the client's next query issues
-		issued int
-	}
-	cls := make([]client, clients)
-	for cl := range cls {
-		rng := stats.NewRNG(seed + uint64(cl)*977)
-		// Query popularity: a Zipf over "canned" query ids expanded
-		// into term tuples, modeling repeated popular queries.
-		cls[cl].qsel = stats.NewZipf(rng.Split(), uint64(vocabSize), skew)
-	}
-	// Serve charges congestion from the live in-flight count; park the
-	// other clients' standing queries there so each sequential call sees
-	// the full closed-loop occupancy.
-	c.mu.Lock()
-	c.inflight = int64(clients) - 1
-	c.mu.Unlock()
-	for done := 0; done < clients*queriesPerClient; done++ {
-		cl := -1
-		for i := range cls {
-			if cls[i].issued >= queriesPerClient {
-				continue
-			}
-			if cl < 0 || cls[i].nextNS < cls[cl].nextNS {
-				cl = i
-			}
-		}
-		qid := cls[cl].qsel.Next()
-		terms := []uint32{uint32(qid), uint32(qid>>3) % uint32(vocabSize)}
-		r := c.Serve(Query{Terms: terms})
-		hist.Add(r.LatencyNS)
-		if r.Partial {
-			partials++
-		}
-		cls[cl].nextNS += r.LatencyNS
-		cls[cl].issued++
-	}
-	c.mu.Lock()
-	c.inflight = 0
-	c.mu.Unlock()
-
-	mean := hist.Mean()
-	st := LoadStats{
-		Queries:        c.Queries,
-		CacheHits:      c.CacheHits,
-		PartialResults: partials,
-		MeanLatencyNS:  mean,
-		P50NS:          hist.Quantile(0.50),
-		P95NS:          hist.Quantile(0.95),
-		P99NS:          hist.Quantile(0.99),
-	}
-	if mean > 0 {
-		st.QPS = float64(clients) / (mean * 1e-9)
-	}
-	return st
 }
 
 // Burst multiplies a RateCurve's arrival rate by Factor inside
@@ -286,9 +211,10 @@ type FleetEvent struct {
 	FlushCache bool
 	// OutageLeaves > 0 marks leaves [OutageLeaf, OutageLeaf+OutageLeaves)
 	// administratively down for OutageDurationNS — a correlated failure
-	// such as a rack or a whole parent going dark. Executors must support
-	// outage injection (OutageExecutor, e.g. FaultyExecutor); others are
-	// skipped silently.
+	// such as a rack or a whole parent going dark. The range must lie
+	// inside the cluster and the duration be positive. Executors must
+	// support outage injection (OutageExecutor, e.g. FaultyExecutor);
+	// others are skipped silently.
 	OutageLeaf, OutageLeaves int
 	OutageDurationNS         float64
 }
@@ -356,14 +282,27 @@ const (
 	actDown
 )
 
-// buildTimeline expands and deterministically orders the scenario events.
-func buildTimeline(events []FleetEvent) []action {
+// buildTimeline expands and deterministically orders the scenario events
+// for a cluster of the given leaf count. It panics on events the ordering
+// below cannot represent: a time that does not sort, an outage outside the
+// cluster, or a window whose recovery would not come after its start.
+func buildTimeline(events []FleetEvent, leaves int) []action {
 	var acts []action
 	for _, ev := range events {
+		if math.IsNaN(ev.AtNS) || math.IsInf(ev.AtNS, 0) {
+			panic("serving: scenario event time must be finite")
+		}
 		if ev.FlushCache {
 			acts = append(acts, action{at: ev.AtNS, kind: actFlush})
 		}
-		if ev.OutageLeaves > 0 {
+		if ev.OutageLeaves != 0 {
+			if ev.OutageLeaves < 0 || ev.OutageLeaf < 0 || ev.OutageLeaves > leaves-ev.OutageLeaf {
+				panic(fmt.Sprintf("serving: scenario outage of %d leaves from leaf %d lies outside the cluster's %d leaves",
+					ev.OutageLeaves, ev.OutageLeaf, leaves))
+			}
+			if !(ev.OutageDurationNS > 0) {
+				panic("serving: scenario outage requires a positive duration")
+			}
 			acts = append(acts, action{at: ev.AtNS, kind: actDown, leaf: ev.OutageLeaf, count: ev.OutageLeaves})
 			acts = append(acts, action{at: ev.AtNS + ev.OutageDurationNS, kind: actUp, leaf: ev.OutageLeaf, count: ev.OutageLeaves})
 		}
@@ -452,15 +391,18 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 		panic("serving: closed-loop scenario requires QueriesPerClient > 0")
 	}
 
+	acts := buildTimeline(sc.Events, c.cfg.Leaves)
+
 	c.driveMu.Lock()
 	defer c.driveMu.Unlock()
-	c.ensureScratch()
 
 	e := newLoadEngine(sc.Clients, sc.VocabSize, sc.Skew, sc.Seed)
-	acts := buildTimeline(sc.Events)
 	hist := stats.NewHistogram(8)
 	var partials, events, served, peak int64
 	var lastNS float64
+	// inflight is the occupancy each query is served against: the live
+	// count of issued-but-uncompleted queries in the open loop, the other
+	// clients' standing queries in the closed loop.
 	inflight := 0
 	var comp []float64
 
@@ -475,11 +417,7 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 		// Sized for the under-capacity steady state; overload grows it.
 		comp = make([]float64, 0, sc.Clients)
 	} else {
-		// Closed loop: park the other clients' standing queries in the
-		// congestion signal, as RunLoad always did.
-		c.mu.Lock()
-		c.inflight = int64(sc.Clients) - 1
-		c.mu.Unlock()
+		inflight = sc.Clients - 1
 		peak = int64(sc.Clients)
 	}
 
@@ -501,11 +439,8 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 				inflight--
 				events++
 			}
-			c.mu.Lock()
-			c.inflight = int64(inflight)
-			c.mu.Unlock()
 		}
-		r := c.serveSerial(e.drawTerms(cl))
+		r := c.serve(e.drawTerms(cl), inflight)
 		events++
 		served++
 		hist.Add(r.LatencyNS)
@@ -533,7 +468,6 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 
 	c.mu.Lock()
 	queries, hits := c.Queries, c.CacheHits
-	c.inflight = 0
 	c.mu.Unlock()
 
 	mean := hist.Mean()

@@ -1,9 +1,13 @@
 package serving
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
+	"searchmem/internal/obs"
 	"searchmem/internal/stats"
 )
 
@@ -22,92 +26,83 @@ func healthyFaultFree(cfg Config, n int, seed uint64) *Cluster {
 	return NewCluster(cfg, execs)
 }
 
-// TestRunLoadMatchesScanEngine is the event-heap engine's acceptance test:
-// RunLoad (heap + serial serve path) must be bit-exact with RunLoadScan
-// (linear min-scan + concurrent Serve) — same LoadStats and the same
-// Metrics snapshot, per config, per client count.
-func TestRunLoadMatchesScanEngine(t *testing.T) {
+// The digests below were captured at the last commit that still carried
+// three serve paths (a goroutine fan-out Serve, a pooled serial path and a
+// linear-scan load driver), where equivalence tests proved all three
+// bit-equal. They pin the one surviving kernel to that behaviour; the
+// hand-computed fixedExec tests in robust_test.go are the oracle that shares
+// no code with it.
+
+// TestRunLoadGolden pins LoadStats and the Metrics snapshot of closed-loop
+// runs over a healthy cached cluster and a faulty hedged one.
+func TestRunLoadGolden(t *testing.T) {
 	hedged := DefaultConfig()
 	hedged.LeafDeadlineNS = 8e6
 	hedged.HedgeDelayNS = 4e6
+	healthy := func() *Cluster { return testCluster(4096) }
+	faulty := func() *Cluster { return faultyCluster(hedged, 12, 7) }
 	cases := []struct {
-		name string
-		mk   func() *Cluster
+		name         string
+		mk           func() *Cluster
+		clients, qpc int
+		want         string
 	}{
-		{"healthy-cached", func() *Cluster { return testCluster(4096) }},
-		{"faulty-hedged", func() *Cluster { return faultyCluster(hedged, 12, 7) }},
+		{"healthy-cached", healthy, 1, 50, "6eb0be191324ebad0c7041a45e740839b7a17ac870d406558c011cef779ea6a9"},
+		{"healthy-cached", healthy, 8, 50, "30fb1239c71c38b468a9f427ccb2eef1fab0d842d4ee38a52b002d8040fca6e9"},
+		{"healthy-cached", healthy, 97, 4, "43f19cc629fa7f0c3d0f227f0a8813683ee37dda4ee5e0d1731f65c2f3b3d8ab"},
+		{"faulty-hedged", faulty, 1, 50, "e2cac68406f4ceec786cbe4d04dcbf0431c25552998ab94033260b97443a4092"},
+		{"faulty-hedged", faulty, 8, 50, "7226a5b12d145001d6d77a06dfd07f467947a9a6821956efaf26ee83d8cfc2dc"},
+		{"faulty-hedged", faulty, 97, 4, "f7e05cebe12171c2779d3b8cf4611aed8cde2165fb8b9abc90506f89898674c1"},
 	}
-	clientCounts := []int{1, 8, 97}
-	if !testing.Short() && !raceDetectorOn {
-		clientCounts = append(clientCounts, 10000)
-	}
-	for _, cc := range cases {
-		for _, clients := range clientCounts {
-			qpc := 50
-			switch {
-			case clients >= 10000:
-				qpc = 2
-			case clients >= 97:
-				qpc = 4
-			}
-			ca := cc.mk()
-			a := RunLoad(ca, clients, qpc, 400, 1.1, 9)
-			cb := cc.mk()
-			b := RunLoadScan(cb, clients, qpc, 400, 1.1, 9)
-			if a != b {
-				t.Fatalf("%s clients=%d: heap engine %+v != scan engine %+v", cc.name, clients, a, b)
-			}
-			if ma, mb := ca.Metrics(), cb.Metrics(); ma != mb {
-				t.Fatalf("%s clients=%d: heap metrics %+v != scan metrics %+v", cc.name, clients, ma, mb)
-			}
+	for _, tc := range cases {
+		c := tc.mk()
+		st := RunLoad(c, tc.clients, tc.qpc, 400, 1.1, 9)
+		got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v|%+v", st, c.Metrics()))))
+		if got != tc.want {
+			t.Errorf("%s clients=%d: digest %s, want %s\n%+v", tc.name, tc.clients, got, tc.want, st)
 		}
 	}
 }
 
-// TestServeSerialMatchesServe pins the pooled serial serve path against the
-// concurrent Serve query by query: same docs, scores, latency, and flags
-// for the same cluster state, including cache hits, hedges, and dedup.
-func TestServeSerialMatchesServe(t *testing.T) {
+// zipfStream serves the 400-query Zipf stream of TestServeGoldenStream on a
+// faulty, hedged, congestion-modelled cluster with a small cache.
+func zipfStream(tracer *obs.Tracer) ([]Result, Metrics) {
 	cfg := DefaultConfig()
 	cfg.CacheSlots = 64
 	cfg.LeafDeadlineNS = 8e6
 	cfg.HedgeDelayNS = 4e6
 	cfg.LeafCapacity = 32
-	ca := faultyCluster(cfg, 12, 3)
-	cb := faultyCluster(cfg, 12, 3)
-	cb.driveMu.Lock()
-	defer cb.driveMu.Unlock()
-	cb.ensureScratch()
-
+	cfg.Tracer = tracer
+	c := faultyCluster(cfg, 12, 3)
 	rng := stats.NewRNG(41)
 	zipf := stats.NewZipf(rng.Split(), 300, 1.1)
-	for q := 0; q < 400; q++ {
+	out := make([]Result, 400)
+	for q := range out {
 		qid := zipf.Next()
-		terms := []uint32{uint32(qid), uint32(qid>>3) % 300}
-		ra := ca.Serve(Query{Terms: terms})
-		rb := cb.serveSerial(terms)
-		if ra.LatencyNS != rb.LatencyNS || ra.Partial != rb.Partial ||
-			ra.FromCache != rb.FromCache || ra.LeavesAnswered != rb.LeavesAnswered {
-			t.Fatalf("query %d: Serve %+v != serveSerial %+v", q, ra, rb)
-		}
-		if len(ra.Docs) != len(rb.Docs) {
-			t.Fatalf("query %d: result sizes %d != %d", q, len(ra.Docs), len(rb.Docs))
-		}
-		for i := range ra.Docs {
-			if ra.Docs[i] != rb.Docs[i] || ra.Scores[i] != rb.Scores[i] {
-				t.Fatalf("query %d result %d: (%d,%v) != (%d,%v)",
-					q, i, ra.Docs[i], ra.Scores[i], rb.Docs[i], rb.Scores[i])
-			}
-		}
+		out[q] = c.Serve(Query{Terms: []uint32{uint32(qid), uint32(qid>>3) % 300}})
 	}
-	if ma, mb := ca.Metrics(), cb.Metrics(); ma != mb {
-		t.Fatalf("metrics diverged: %+v != %+v", ma, mb)
+	return out, c.Metrics()
+}
+
+// TestServeGoldenStream pins every Result of the stream (docs, scores,
+// latency, flags — cache hits, hedges and dedup included) and the final
+// Metrics.
+func TestServeGoldenStream(t *testing.T) {
+	const want = "36c0f70612477e6b8686b9215bb73c00c0a15d28ef0808b967be500c253179e7"
+	results, m := zipfStream(nil)
+	h := sha256.New()
+	for _, r := range results {
+		fmt.Fprintf(h, "%+v\n", r)
+	}
+	fmt.Fprintf(h, "%+v\n", m)
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("stream digest %s, want %s", got, want)
 	}
 }
 
 // TestRunLoadDeterministicAtScale re-runs the determinism pin at a client
-// count where the old scan driver would be quadratic: two fresh runs at 10k
-// clients must produce identical stats.
+// count that stresses the event heap: two fresh runs at 10k clients must
+// produce identical stats.
 func TestRunLoadDeterministicAtScale(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LeafDeadlineNS = 8e6
@@ -288,6 +283,61 @@ func TestOutageWindowDegrades(t *testing.T) {
 	}
 }
 
+// TestOutageWindowOneNanosecondRecovers is the positive side of the outage
+// validation: the shortest legal window does end. (A zero-length window
+// used to schedule its recovery before its start and leave the leaves dark
+// for the rest of the run; it is now rejected — TestRunScenarioPanics.)
+func TestOutageWindowOneNanosecondRecovers(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CacheSlots = 0
+	c := healthyFaultFree(cfg, 12, 1)
+	fs := RunScenario(c, Scenario{
+		Clients: 20, QueriesPerClient: 50, VocabSize: 200, Skew: 1.1, Seed: 7,
+		Events: []FleetEvent{{AtNS: 2e7, OutageLeaf: 0, OutageLeaves: 6, OutageDurationNS: 1}},
+	})
+	if fs.EventsProcessed != fs.Served+2 {
+		t.Fatalf("timeline did not run both outage actions: %+v", fs)
+	}
+	if fs.PartialResults > 1 {
+		t.Fatalf("1 ns outage degraded %d of %d queries", fs.PartialResults, fs.Served)
+	}
+	if r := c.Serve(Query{Terms: []uint32{1, 2}}); r.Partial || r.LeavesAnswered != 12 {
+		t.Fatalf("leaves still down after the window: %+v", r)
+	}
+}
+
+// TestServeDuringRunLoad is the regression test for the shared in-flight
+// counter: Serve calls overlapping a load run on the same cluster used to
+// read the driver's standing occupancy and could leave the count negative
+// when the driver zeroed it at exit. Occupancy is now an argument of the
+// kernel and all serving is serialized, so the counters add up and a later
+// lone Serve is charged exactly the idle-tier congestion.
+func TestServeDuringRunLoad(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.LeafCapacity = 2
+	c := fixedCluster(cfg, fourFixed([4]float64{1e6, 3e6, 2e6, 2.5e6}))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				c.Serve(Query{Terms: []uint32{uint32(g), uint32(i)}})
+			}
+		}(g)
+	}
+	st := RunLoad(c, 8, 100, 500, 1.1, 3)
+	wg.Wait()
+	if c.Queries != 800+800 || c.Metrics().Queries != 1600 {
+		t.Fatalf("queries = %d (metrics %d), want 1600; RunLoad saw %d", c.Queries, c.Metrics().Queries, st.Queries)
+	}
+	// One query on a capacity-2 tier: rho = 1/2, service times double.
+	want := cfg.FrontendOverheadNS + cfg.RootOverheadNS + 2*3e6 + 4*cfg.NetworkHopNS
+	if r := c.Serve(Query{Terms: []uint32{1, 2}}); r.LatencyNS != want {
+		t.Fatalf("latency after the run = %v, want %v", r.LatencyNS, want)
+	}
+}
+
 // TestSetLeafDown covers the administrative hook's edges: only
 // outage-capable executors accept it, out-of-range leaves are rejected.
 func TestSetLeafDown(t *testing.T) {
@@ -385,6 +435,13 @@ func TestBufferedExecutorMatchesSearch(t *testing.T) {
 	}
 }
 
+// cacheGet is cacheServer.get into fresh buffers.
+func cacheGet(s *cacheServer, tag uint64) ([]uint32, []float32, bool) {
+	docs, scores := make([]uint32, 16), make([]float32, 16)
+	n, ok := s.get(tag, docs, scores)
+	return docs[:n], scores[:n], ok
+}
+
 // TestCacheRingEviction covers the FIFO ring across wrap-around: oldest
 // entries evict in insertion order and live count never exceeds slots.
 func TestCacheRingEviction(t *testing.T) {
@@ -397,12 +454,12 @@ func TestCacheRingEviction(t *testing.T) {
 	s.put(5, one, sc) // evicts 1
 	s.put(6, one, sc) // evicts 2
 	for _, tag := range []uint64{3, 4, 5, 6} {
-		if _, _, ok := s.get(tag); !ok {
+		if _, _, ok := cacheGet(s, tag); !ok {
 			t.Fatalf("tag %d missing after wrap-around", tag)
 		}
 	}
 	for _, tag := range []uint64{1, 2} {
-		if _, _, ok := s.get(tag); ok {
+		if _, _, ok := cacheGet(s, tag); ok {
 			t.Fatalf("tag %d should have been evicted", tag)
 		}
 	}
@@ -428,7 +485,7 @@ func TestCacheRingBoundedUnderChurn(t *testing.T) {
 		t.Fatalf("count=%d len(data)=%d, want 8/8", s.count, len(s.data))
 	}
 	for tag := uint64(100000 - 8); tag < 100000; tag++ {
-		if _, _, ok := s.get(tag); !ok {
+		if _, _, ok := cacheGet(s, tag); !ok {
 			t.Fatalf("recent tag %d missing", tag)
 		}
 	}
@@ -441,14 +498,14 @@ func TestCacheOverwriteKeepsPosition(t *testing.T) {
 	s.put(10, []uint32{1}, []float32{1})
 	s.put(20, []uint32{2}, []float32{2})
 	s.put(10, []uint32{9}, []float32{9}) // overwrite, still the oldest
-	if d, _, ok := s.get(10); !ok || d[0] != 9 {
+	if d, _, ok := cacheGet(s, 10); !ok || d[0] != 9 {
 		t.Fatalf("overwrite not visible: %v %v", d, ok)
 	}
 	s.put(30, []uint32{3}, []float32{3}) // evicts 10, the oldest
-	if _, _, ok := s.get(10); ok {
+	if _, _, ok := cacheGet(s, 10); ok {
 		t.Fatal("overwritten tag should still evict first")
 	}
-	if _, _, ok := s.get(20); !ok {
+	if _, _, ok := cacheGet(s, 20); !ok {
 		t.Fatal("tag 20 evicted out of order")
 	}
 	if s.count != 2 || len(s.data) != 2 {
@@ -466,17 +523,20 @@ func TestCacheFlush(t *testing.T) {
 	if s.count != 0 || len(s.data) != 0 {
 		t.Fatalf("flush left count=%d len(data)=%d", s.count, len(s.data))
 	}
-	if _, _, ok := s.get(2); ok {
+	if _, _, ok := cacheGet(s, 2); ok {
 		t.Fatal("entry survived flush")
 	}
 	s.put(7, []uint32{7}, []float32{7})
-	if d, _, ok := s.get(7); !ok || d[0] != 7 {
+	if d, _, ok := cacheGet(s, 7); !ok || d[0] != 7 {
 		t.Fatal("cache unusable after flush")
 	}
 }
 
 // TestRunScenarioPanics pins the validation contract.
 func TestRunScenarioPanics(t *testing.T) {
+	closed := func(ev FleetEvent) Scenario {
+		return Scenario{Clients: 1, VocabSize: 10, Skew: 1.1, QueriesPerClient: 1, Events: []FleetEvent{ev}}
+	}
 	cases := []struct {
 		name string
 		sc   Scenario
@@ -487,6 +547,14 @@ func TestRunScenarioPanics(t *testing.T) {
 		{"closed no budget", Scenario{Clients: 1, VocabSize: 10, Skew: 1.1}},
 		{"open no horizon", Scenario{Clients: 1, VocabSize: 10, Skew: 1.1, Arrival: &RateCurve{BaseQPS: 10}}},
 		{"open no rate", Scenario{Clients: 1, VocabSize: 10, Skew: 1.1, Arrival: &RateCurve{}, DurationNS: 1e9}},
+		{"outage without duration", closed(FleetEvent{AtNS: 1e6, OutageLeaves: 2})},
+		{"outage with negative duration", closed(FleetEvent{AtNS: 1e6, OutageLeaves: 2, OutageDurationNS: -1})},
+		{"outage with NaN duration", closed(FleetEvent{AtNS: 1e6, OutageLeaves: 2, OutageDurationNS: math.NaN()})},
+		{"outage past the last leaf", closed(FleetEvent{AtNS: 1e6, OutageLeaf: 11, OutageLeaves: 2, OutageDurationNS: 1e6})},
+		{"outage before the first leaf", closed(FleetEvent{AtNS: 1e6, OutageLeaf: -1, OutageLeaves: 2, OutageDurationNS: 1e6})},
+		{"negative outage width", closed(FleetEvent{AtNS: 1e6, OutageLeaves: -2, OutageDurationNS: 1e6})},
+		{"NaN event time", closed(FleetEvent{AtNS: math.NaN(), FlushCache: true})},
+		{"infinite event time", closed(FleetEvent{AtNS: math.Inf(1), FlushCache: true})},
 	}
 	for _, tc := range cases {
 		func() {

@@ -278,10 +278,10 @@ func faultyCluster(cfg Config, n int, seed uint64) *Cluster {
 	return NewCluster(cfg, execs)
 }
 
-// TestRaceFaultInjectedLoad is the -race stress test: the closed-loop load
-// drives the concurrent per-query leaf fan-out with fault injection,
-// deadlines and hedging all enabled (client concurrency is modeled in
-// virtual time; TestConcurrentServe covers truly concurrent Serve calls).
+// TestRaceFaultInjectedLoad runs a closed-loop load with fault injection,
+// deadlines and hedging all enabled; under -race it checks the kernel's
+// locking (client concurrency is modeled in virtual time; TestConcurrentServe
+// and TestServeDuringRunLoad cover truly concurrent callers).
 func TestRaceFaultInjectedLoad(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LeafDeadlineNS = 8e6

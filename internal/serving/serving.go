@@ -6,8 +6,9 @@
 // Time is virtual: every component charges modeled latency to the query and
 // parallel fan-out costs the maximum over children, which keeps simulations
 // deterministic and fast while producing realistic latency distributions.
-// Leaves within a parent execute on real goroutines, so the cluster is safe
-// for concurrent use and exercisable under `go test -race`.
+// One function, Cluster.serve, computes a served query; Serve, RunLoad and
+// RunScenario all reach it, serialized per cluster, traced or not
+// (DESIGN.md §16). No goroutine is started anywhere in the package.
 //
 // The tier is fault tolerant: each leaf call carries a virtual-time deadline
 // with one hedged retry to a sibling shard, and parents merge whatever
@@ -71,9 +72,9 @@ type FallibleExecutor interface {
 // serving: SearchBuf evaluates the query into the caller's buffers (whose
 // lengths must be at least the executor's result size) and returns the
 // result count. Results, latencies, and any internal RNG draw sequence must
-// be identical to Search/SearchErr on the same call sequence. The fleet
-// load engine (RunLoad / RunScenario) uses it on the serial serve path;
-// executors without it are called through Search and their results copied.
+// be identical to Search/SearchErr on the same call sequence. The cluster
+// prefers it on every query; executors without it are called through
+// SearchErr or Search and their result slices used as returned.
 type BufferedExecutor interface {
 	SearchBuf(terms []uint32, docs []uint32, scores []float32) (n int, latencyNS float64, err error)
 }
@@ -83,27 +84,6 @@ type BufferedExecutor interface {
 // windows (rack loss, rolling restarts). See FaultyExecutor.SetDown.
 type OutageExecutor interface {
 	SetDown(down bool)
-}
-
-// searchLeaf dispatches to the fallible interface when available.
-func searchLeaf(exec Executor, terms []uint32) ([]uint32, []float32, float64, error) {
-	if fe, ok := exec.(FallibleExecutor); ok {
-		return fe.SearchErr(terms)
-	}
-	docs, scores, lat := exec.Search(terms)
-	return docs, scores, lat, nil
-}
-
-// searchLeafBuf is searchLeaf for the pooled serial path: buffered
-// executors write straight into the caller's arrays, others fall back to
-// the allocating interfaces (their result slices are returned as-is; the
-// caller's buffers are then unused).
-func searchLeafBuf(exec Executor, terms []uint32, docs []uint32, scores []float32) ([]uint32, []float32, float64, error) {
-	if be, ok := exec.(BufferedExecutor); ok {
-		n, lat, err := be.SearchBuf(terms, docs, scores)
-		return docs[:n], scores[:n], lat, err
-	}
-	return searchLeaf(exec, terms)
 }
 
 // SyntheticExecutor is a deterministic stand-in for a real leaf engine:
@@ -244,11 +224,11 @@ type Config struct {
 	// Registry receives the cluster's metrics; nil gets a private registry
 	// (Cluster.Metrics works either way).
 	Registry *obs.Registry
-	// Tracer, when non-nil, records one distributed trace per served query.
-	// The span tree is reconstructed from the deterministic fan-out
-	// outcomes after the concurrent phase resolves, so span identity and
-	// timestamps are scheduling-independent; trace IDs follow Serve order
-	// (deterministic for single-driver runs).
+	// Tracer, when non-nil, records one distributed trace per served query
+	// — from Serve, RunLoad and RunScenario alike — without changing the
+	// code path or any result. The span tree is reconstructed from the
+	// fan-out outcomes the query left in the cluster's scratch; trace IDs
+	// follow serve order (deterministic for single-driver runs).
 	Tracer *obs.Tracer
 }
 
@@ -304,16 +284,17 @@ type Cluster struct {
 	metrics *clusterMetrics
 	reg     *obs.Registry
 
-	// driveMu serializes the single-driver loops (RunLoad, RunScenario),
-	// which share the preallocated scratch below; the concurrent Serve path
-	// never touches either.
+	// driveMu serializes everything that serves queries — Serve calls and
+	// whole RunLoad / RunScenario runs — so one query at a time owns the
+	// preallocated scratch, and a load run's occupancy model and virtual
+	// timeline cannot be perturbed by another driver.
 	driveMu sync.Mutex
 	scratch *serveScratch
 
+	// mu guards the counters below against readers outside driveMu.
 	mu sync.Mutex
 	// Queries and CacheHits count served requests.
 	Queries, CacheHits int64
-	inflight           int64
 }
 
 // NewCluster wires a tree with the given executors (one per leaf; missing
@@ -330,7 +311,7 @@ func NewCluster(cfg Config, executors []Executor) *Cluster {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	c := &Cluster{cfg: cfg, metrics: newClusterMetrics(reg, name), reg: reg}
+	c := &Cluster{cfg: cfg, metrics: newClusterMetrics(reg, name), reg: reg, scratch: newServeScratch(cfg)}
 	if cfg.CacheSlots > 0 {
 		c.cache = newCacheServer(cfg.CacheSlots)
 	}
@@ -389,9 +370,6 @@ type leafOutcome struct {
 	// srcLeaf is the shard that produced the answer (the hedge sibling
 	// when the hedge won).
 	srcLeaf int
-	// arrivalNS is when the answer reached the parent (virtual time from
-	// fan-out start, congestion applied).
-	arrivalNS float64
 	// waitNS is how long the parent waited on this leaf before answering,
 	// giving up, or hitting the deadline.
 	waitNS float64
@@ -416,341 +394,6 @@ type leafOutcome struct {
 	hedgeLeaf                     int
 }
 
-// attempt is one executor call's raw outcome.
-type attempt struct {
-	docs   []uint32
-	scores []float32
-	lat    float64
-	err    error
-}
-
-// fanOutLeaves runs the parent's leaf calls with deadline and hedging
-// semantics in virtual time. Primaries run as one parallel phase, hedged
-// retries (to the next sibling shard, a stand-in for a replica) as a
-// second: within each phase every executor is called at most once, so
-// executors with internal RNG state draw in a deterministic order no
-// matter how the goroutines are scheduled.
-func (c *Cluster) fanOutLeaves(p *parent, terms []uint32, congestion float64) []leafOutcome {
-	deadline, hedgeDelay := c.cfg.LeafDeadlineNS, c.cfg.HedgeDelayNS
-	n := len(p.leaves)
-
-	prim := make([]attempt, n)
-	var wg sync.WaitGroup
-	for li := range p.leaves {
-		wg.Add(1)
-		go func(li int) {
-			defer wg.Done()
-			a := &prim[li]
-			a.docs, a.scores, a.lat, a.err = searchLeaf(p.leaves[li].exec, terms)
-		}(li)
-	}
-	wg.Wait()
-
-	// One hedged retry per leaf: issued at the hedge delay while the
-	// primary is still pending, or immediately when the primary fails
-	// first. Skipped when it could not possibly beat the deadline.
-	hedgeAt := make([]float64, n)
-	hedges := make([]attempt, n)
-	for li := range p.leaves {
-		hedgeAt[li] = -1
-		if hedgeDelay <= 0 || n < 2 {
-			continue
-		}
-		arrival := prim[li].lat * congestion
-		issueAt := -1.0
-		if prim[li].err != nil {
-			issueAt = arrival
-		} else if arrival > hedgeDelay {
-			issueAt = hedgeDelay
-		}
-		if issueAt >= 0 && (deadline == 0 || issueAt < deadline) {
-			hedgeAt[li] = issueAt
-			wg.Add(1)
-			go func(li int) {
-				defer wg.Done()
-				a := &hedges[li]
-				a.docs, a.scores, a.lat, a.err = searchLeaf(p.leaves[(li+1)%n].exec, terms)
-			}(li)
-		}
-	}
-	wg.Wait()
-
-	outs := make([]leafOutcome, n)
-	resolveOutcomes(p, prim, hedges, hedgeAt, congestion, deadline, outs)
-	return outs
-}
-
-// resolveOutcomes turns raw primary/hedge attempts into per-leaf outcomes
-// in virtual time. outs is caller-owned scratch, fully overwritten. The
-// logic is shared verbatim by the concurrent fan-out (Serve) and the serial
-// fan-out (serveSerial) so the two paths cannot drift.
-func resolveOutcomes(p *parent, prim, hedges []attempt, hedgeAt []float64, congestion, deadline float64, outs []leafOutcome) {
-	n := len(p.leaves)
-	for li := range p.leaves {
-		out := &outs[li]
-		*out = leafOutcome{}
-		out.srcLeaf = p.leaves[li].id
-		out.attemptLatNS[0] = prim[li].lat
-		out.attempts = 1
-		docs, scores := prim[li].docs, prim[li].scores
-		arrival := prim[li].lat * congestion
-		ok := prim[li].err == nil
-		out.failed = !ok
-		out.primaryArrivalNS = arrival
-		out.hedgeIssuedNS = -1
-
-		out.primaryLeaf = p.leaves[li].id
-
-		if hedgeAt[li] >= 0 {
-			h := hedges[li]
-			out.attemptLatNS[1] = h.lat
-			out.attempts = 2
-			out.hedged = true
-			hArrival := hedgeAt[li] + h.lat*congestion
-			out.hedgeIssuedNS = hedgeAt[li]
-			out.hedgeArrivalNS = hArrival
-			out.hedgeLeaf = p.leaves[(li+1)%n].id
-			if h.err == nil && (!ok || hArrival < arrival) {
-				docs, scores, arrival, ok = h.docs, h.scores, hArrival, true
-				out.srcLeaf = p.leaves[(li+1)%n].id
-				out.hedgeWon = true
-			} else if !ok && hArrival > arrival {
-				// Both attempts failed; the parent learns at the later one.
-				arrival = hArrival
-			}
-		}
-
-		switch {
-		case !ok:
-			out.waitNS = arrival
-			if deadline > 0 && out.waitNS > deadline {
-				out.waitNS = deadline
-			}
-		case deadline > 0 && arrival > deadline:
-			out.timedOut = true
-			out.waitNS = deadline
-		default:
-			out.answered = true
-			out.docs, out.scores = docs, scores
-			out.arrivalNS, out.waitNS = arrival, arrival
-		}
-	}
-}
-
-// Serve runs one query through the full tree and returns the merged result
-// with its modeled latency. Leaves execute on real goroutines; merging is
-// deterministic (leaf order) regardless of scheduling.
-func (c *Cluster) Serve(q Query) Result {
-	c.mu.Lock()
-	c.Queries++
-	c.inflight++
-	congestion := 1.0
-	if c.cfg.LeafCapacity > 0 {
-		rho := float64(c.inflight) / float64(c.cfg.LeafCapacity)
-		if rho > 0.95 {
-			rho = 0.95
-		}
-		congestion = 1 / (1 - rho)
-	}
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.inflight--
-		c.mu.Unlock()
-	}()
-
-	tb := c.cfg.Tracer.Begin("query")
-	traced := tb != nil
-
-	lat := c.cfg.FrontendOverheadNS
-	tag := cacheTag(q.Terms)
-	probed := false
-	if c.cache != nil {
-		probed = true
-		if docs, scores, ok := c.cache.get(tag); ok {
-			c.mu.Lock()
-			c.CacheHits++
-			c.mu.Unlock()
-			c.metrics.recordCacheHit(c.cfg.FrontendOverheadNS, c.cfg.NetworkHopNS)
-			res := Result{Docs: docs, Scores: scores, FromCache: true, LatencyNS: lat + c.cfg.NetworkHopNS}
-			if traced {
-				c.emitCacheHitTrace(tb, res)
-			}
-			return res
-		}
-		lat += c.cfg.NetworkHopNS // cache miss probe
-	}
-	lat += c.cfg.RootOverheadNS
-
-	// Root fans out to parents, parents to leaves; parallel hops cost the
-	// slowest child, parents give up on a leaf at the deadline.
-	results := make([]branchResult, len(c.parents))
-	var wg sync.WaitGroup
-	for pi, p := range c.parents {
-		wg.Add(1)
-		go func(pi int, p *parent) {
-			defer wg.Done()
-			outs := c.fanOutLeaves(p, q.Terms, congestion)
-
-			// Merge in leaf order so results are deterministic no matter
-			// how the goroutines above were scheduled. A winning hedge
-			// returns the sibling shard's docs, which duplicate the
-			// sibling's own answer — dedupe only then, keeping the
-			// no-hedging path allocation-free.
-			var seen map[uint32]struct{}
-			for _, o := range outs {
-				if o.hedgeWon {
-					seen = make(map[uint32]struct{}, len(p.leaves)*c.cfg.TopK)
-					break
-				}
-			}
-			tk := search.NewTopK(c.cfg.TopK)
-			b := branchResult{}
-			if traced {
-				b.outs = outs
-			}
-			var wait float64
-			for _, o := range outs {
-				if o.waitNS > wait {
-					wait = o.waitNS
-				}
-				b.events.observe(&o)
-				if !o.answered {
-					b.partial = true
-					continue
-				}
-				b.answered++
-				for i := range o.docs {
-					// Disambiguate doc ids across shards.
-					id := o.docs[i]*uint32(c.cfg.Leaves) + uint32(o.srcLeaf)
-					if seen != nil {
-						if _, dup := seen[id]; dup {
-							continue
-						}
-						seen[id] = struct{}{}
-					}
-					tk.Push(id, o.scores[i])
-				}
-			}
-			b.docs, b.scores = tk.Results()
-			b.lat = wait + 2*c.cfg.NetworkHopNS
-			results[pi] = b
-		}(pi, p)
-	}
-	wg.Wait()
-
-	tk := search.NewTopK(c.cfg.TopK)
-	var worst float64
-	partial := false
-	answered := 0
-	var events mergeEvents
-	for _, b := range results {
-		if b.lat > worst {
-			worst = b.lat
-		}
-		partial = partial || b.partial
-		answered += b.answered
-		events.add(b.events)
-		for i := range b.docs {
-			tk.Push(b.docs[i], b.scores[i])
-		}
-	}
-	docs, scores := tk.Results()
-	lat += worst + 2*c.cfg.NetworkHopNS
-
-	// Degraded merges are never cached: a later identical query should get
-	// another chance at a full answer, not a pinned partial one.
-	if c.cache != nil && !partial {
-		c.cache.put(tag, docs, scores)
-	}
-	c.metrics.recordServe(c.cfg.FrontendOverheadNS, probed, c.cfg.NetworkHopNS,
-		worst+2*c.cfg.NetworkHopNS, events, partial)
-	res := Result{Docs: docs, Scores: scores, LatencyNS: lat, Partial: partial, LeavesAnswered: answered}
-	if traced {
-		c.emitServeTrace(tb, probed, congestion, results, res)
-	}
-	return res
-}
-
-// branchResult is one parent subtree's contribution to the root merge.
-type branchResult struct {
-	docs     []uint32
-	scores   []float32
-	lat      float64
-	partial  bool
-	answered int
-	events   mergeEvents
-	// outs is retained only when tracing, to reconstruct leaf spans.
-	outs []leafOutcome
-}
-
-// emitCacheHitTrace records the two-span trace of a cache-served query.
-func (c *Cluster) emitCacheHitTrace(tb *obs.TraceBuilder, res Result) {
-	fe := c.cfg.FrontendOverheadNS
-	root := tb.Span(0, "query", 0, res.LatencyNS,
-		obs.Bool("from_cache", true), obs.Bool("partial", false))
-	tb.Span(root, "frontend", 0, fe)
-	tb.Span(root, "cache-probe", fe, fe+c.cfg.NetworkHopNS, obs.Bool("hit", true))
-	tb.Finish()
-}
-
-// emitServeTrace reconstructs a full tree traversal's span tree from the
-// resolved fan-out outcomes. The virtual timeline mirrors the latency
-// model exactly: frontend, optional cache probe, root preprocessing, one
-// hop down to each parent, one hop down to each leaf, congested leaf
-// service, and the return hops; the root merge itself is free in the
-// model, so its span is an instant marking where the result assembled.
-// Because outcomes are resolved deterministically before any span exists,
-// the emitted tree is identical no matter how the fan-out goroutines were
-// scheduled.
-func (c *Cluster) emitServeTrace(tb *obs.TraceBuilder, probed bool, congestion float64, branches []branchResult, res Result) {
-	hop := c.cfg.NetworkHopNS
-	fe := c.cfg.FrontendOverheadNS
-	root := tb.Span(0, "query", 0, res.LatencyNS,
-		obs.Bool("from_cache", false),
-		obs.Bool("partial", res.Partial),
-		obs.Int("leaves_answered", int64(res.LeavesAnswered)),
-		obs.Float("congestion", congestion))
-	tb.Span(root, "frontend", 0, fe)
-	rootStart := fe
-	if probed {
-		tb.Span(root, "cache-probe", fe, fe+hop, obs.Bool("hit", false))
-		rootStart += hop
-	}
-	fanStart := rootStart + c.cfg.RootOverheadNS
-	tb.Span(root, "root", rootStart, fanStart)
-	fan := tb.Span(root, "fanout", fanStart, res.LatencyNS,
-		obs.Int("parents", int64(len(branches))))
-	for pi := range branches {
-		b := &branches[pi]
-		pStart := fanStart + hop
-		ps := tb.Span(fan, fmt.Sprintf("parent[%d]", pi), pStart, pStart+b.lat,
-			obs.Int("leaves", int64(len(b.outs))),
-			obs.Int("answered", int64(b.answered)),
-			obs.Bool("partial", b.partial))
-		leafStart := pStart + hop
-		for li := range b.outs {
-			o := &b.outs[li]
-			tb.Span(ps, fmt.Sprintf("leaf[%d]/primary", o.primaryLeaf),
-				leafStart, leafStart+o.primaryArrivalNS,
-				obs.Int("shard", int64(o.primaryLeaf)),
-				obs.Bool("failed", o.failed),
-				obs.Bool("timed_out", o.timedOut),
-				obs.Bool("answered", o.answered && !o.hedgeWon))
-			if o.hedged {
-				tb.Span(ps, fmt.Sprintf("leaf[%d]/hedge", o.primaryLeaf),
-					leafStart+o.hedgeIssuedNS, leafStart+o.hedgeArrivalNS,
-					obs.Int("shard", int64(o.hedgeLeaf)),
-					obs.Bool("won", o.hedgeWon))
-			}
-		}
-	}
-	tb.Span(fan, "merge", res.LatencyNS, res.LatencyNS,
-		obs.Int("results", int64(len(res.Docs))),
-		obs.Bool("partial", res.Partial))
-	tb.Finish()
-}
-
 // CacheHitRate returns the fraction of queries served by the cache tier.
 func (c *Cluster) CacheHitRate() float64 {
 	c.mu.Lock()
@@ -772,9 +415,9 @@ func cacheTag(terms []uint32) uint64 {
 }
 
 // cacheServer is the cache tier: a sharded LRU map keyed by query tag.
-// Entries are defensively copied on both put and get: callers own the
-// slices in a Result and may mutate them, and a cached entry must survive
-// that (see TestCacheEntriesImmuneToCallerMutation).
+// Entries are copied on both put and get, never shared: the slices of a
+// Result end up owned by the caller of Serve, who may mutate them, and a
+// cached entry must survive that (TestCacheEntriesImmuneToCallerMutation).
 //
 // Eviction order lives in a fixed-capacity ring buffer (head/count over a
 // slots-sized array). The previous slice queue — `order = order[1:]` plus
@@ -805,29 +448,17 @@ func newCacheServer(slots int) *cacheServer {
 	}
 }
 
-func (s *cacheServer) get(tag uint64) ([]uint32, []float32, bool) {
+// get copies the entry for tag into the caller's buffers (at least as long
+// as any entry, i.e. TopK) and returns its length and whether it was present.
+func (s *cacheServer) get(tag uint64, docs []uint32, scores []float32) (int, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.data[tag]
 	if !ok {
-		return nil, nil, false
+		return 0, false
 	}
-	return append([]uint32(nil), e.docs...), append([]float32(nil), e.scores...), true
-}
-
-// getInto copies the entry for tag into the caller's buffers (reusing their
-// capacity) and reports whether it was present — the zero-allocation
-// counterpart of get, used by the pooled serial serve path.
-func (s *cacheServer) getInto(tag uint64, docs *[]uint32, scores *[]float32) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.data[tag]
-	if !ok {
-		return false
-	}
-	*docs = append((*docs)[:0], e.docs...)
-	*scores = append((*scores)[:0], e.scores...)
-	return true
+	copy(scores, e.scores)
+	return copy(docs, e.docs), true
 }
 
 func (s *cacheServer) put(tag uint64, docs []uint32, scores []float32) {

@@ -1,6 +1,8 @@
 package serving
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"strconv"
 	"testing"
@@ -116,6 +118,70 @@ func TestServeTraceDeterministic(t *testing.T) {
 	b, _ := serveTracedQueries(t)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same-seed single-driver runs produced different traces")
+	}
+}
+
+// TestServeTraceGolden pins the span trees of the seven traced queries
+// byte for byte to the digest captured before tracing moved onto the
+// scratch-backed kernel (see the note above TestRunLoadGolden).
+func TestServeTraceGolden(t *testing.T) {
+	const want = "2aa707603286eb2dcdfa938af722b2191d22e2b6257b8702c07e04999f4b9bc0"
+	traces, _ := serveTracedQueries(t)
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", traces)))); got != want {
+		t.Fatalf("trace digest %s, want %s", got, want)
+	}
+}
+
+// TestTracingObservesWithoutChanging is the observation law: a tracer
+// records exactly one trace per served query on every entry point and moves
+// no Result, LoadStats, FleetStats or Metrics field.
+func TestTracingObservesWithoutChanging(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CacheSlots = 128
+	cfg.LeafDeadlineNS = 8e6
+	cfg.HedgeDelayNS = 4e6
+	cfg.LeafCapacity = 64
+	open := Scenario{
+		Clients: 200, VocabSize: 400, Skew: 1.1, Seed: 17,
+		Arrival:    &RateCurve{BaseQPS: 2000, Bursts: []Burst{{StartNS: 1e8, EndNS: 1.5e8, Factor: 3}}},
+		DurationNS: 3e8,
+		Events: []FleetEvent{
+			{AtNS: 1e8, FlushCache: true},
+			{AtNS: 2e8, OutageLeaf: 0, OutageLeaves: 4, OutageDurationNS: 5e7},
+		},
+	}
+	run := func(tracer *obs.Tracer) (LoadStats, Metrics, FleetStats, Metrics, []int) {
+		cfg := cfg
+		cfg.Tracer = tracer
+		var traces []int
+		c := faultyCluster(cfg, 12, 3)
+		st := RunLoad(c, 8, 40, 400, 1.1, 9)
+		traces = append(traces, len(tracer.Take()))
+		cs := faultyCluster(cfg, 12, 3)
+		fs := RunScenario(cs, open)
+		traces = append(traces, len(tracer.Take()))
+		return st, c.Metrics(), fs, cs.Metrics(), traces
+	}
+	st0, m0, fs0, fm0, _ := run(nil)
+	st1, m1, fs1, fm1, traces := run(obs.NewTracer())
+	if st0 != st1 || m0 != m1 {
+		t.Errorf("tracing changed RunLoad:\n%+v %+v\n%+v %+v", st0, m0, st1, m1)
+	}
+	if fs0 != fs1 || fm0 != fm1 {
+		t.Errorf("tracing changed RunScenario:\n%+v %+v\n%+v %+v", fs0, fm0, fs1, fm1)
+	}
+	if int64(traces[0]) != st1.Queries || int64(traces[1]) != fs1.Served || fs1.Served == 0 {
+		t.Errorf("traces per run = %v, want %d and %d", traces, st1.Queries, fs1.Served)
+	}
+
+	tracer := obs.NewTracer()
+	plain, pm := zipfStream(nil)
+	traced, tm := zipfStream(tracer)
+	if !reflect.DeepEqual(plain, traced) || pm != tm {
+		t.Error("tracing changed Serve results or metrics")
+	}
+	if n := len(tracer.Traces()); n != len(traced) {
+		t.Errorf("%d traces for %d served queries", n, len(traced))
 	}
 }
 

@@ -128,7 +128,7 @@ type BatchStream interface {
 // DefaultBatchSize is the batch length handed out by the package's
 // BatchStream implementations: large enough to amortize dispatch, small
 // enough that a batch (128 KiB of Access values) stays cache-resident while
-// several simulated hierarchies consume it (cache.MultiSim).
+// several simulated hierarchies consume it (workload.MeasureMulti).
 const DefaultBatchSize = 8192
 
 // Batched adapts a Stream to the batched interface. Streams that already

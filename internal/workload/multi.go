@@ -9,25 +9,6 @@ import (
 	"searchmem/internal/trace"
 )
 
-// MeasureMulti measures many hierarchy configurations against one workload
-// run in a single pass: the access stream is decoded once per batch and
-// replayed through every hierarchy via cache.MultiSim, instead of once per
-// configuration. Results are identical to calling Measure per config (the
-// per-hierarchy access sequence is unchanged — see DESIGN.md §11); only
-// the trace decode and sink dispatch are shared. Capacity sweeps over
-// dozens of points are memory-bandwidth-bound on the recorded trace, so
-// sharing the decode is where the wall-clock goes.
-//
-// All configs must agree on Threads, Budget, Seed and WarmupFraction (they
-// share the run), and none may attach Prefetchers or observers (those need
-// the per-access scalar path); MeasureMulti panics otherwise. The runner
-// must reproduce the same event streams for the same (threads, budget,
-// seed) — in practice, wrap it in a Replayer.
-//
-// Branch predictors are deterministic functions of the branch stream, so
-// configs sharing a (PredictorBits, Cores, SMTWays) shape share one
-// predictor group: each distinct shape observes the stream once, however
-// many configurations use it.
 // PreRecord records the replay keys a Measure or MeasureMulti call with mc
 // will request — the warmup run first, then the measured run — without
 // replaying them. Parallel sweeps call this serially before fanning out, so
@@ -41,6 +22,26 @@ func PreRecord(r *Replayer, mc MeasureConfig) {
 	r.Record(mc.Threads, mc.Budget, mc.Seed)
 }
 
+// MeasureMulti measures many hierarchy configurations against one workload
+// run in a single pass: the access stream is decoded once per batch and each
+// batch replayed through every hierarchy in turn, instead of one decode per
+// configuration. Results are identical to calling Measure per config (each
+// hierarchy is an independent state machine that sees the same access
+// sequence — see DESIGN.md §11); only the trace decode and sink dispatch
+// are shared. Capacity sweeps over dozens of points are
+// memory-bandwidth-bound on the recorded trace, so sharing the decode is
+// where the wall-clock goes.
+//
+// All configs must agree on Threads, Budget, Seed and WarmupFraction (they
+// share the run), and none may attach Prefetchers or observers (those need
+// per-access delivery); MeasureMulti panics otherwise. The runner
+// must reproduce the same event streams for the same (threads, budget,
+// seed) — in practice, wrap it in a Replayer.
+//
+// Branch predictors are deterministic functions of the branch stream, so
+// configs sharing a (PredictorBits, Cores, SMTWays) shape share one
+// predictor group: each distinct shape observes the stream once, however
+// many configurations use it.
 func MeasureMulti(r Runner, mcs []MeasureConfig) []Metrics {
 	if len(mcs) == 0 {
 		return nil
@@ -73,7 +74,6 @@ func MeasureMulti(r Runner, mcs []MeasureConfig) []Metrics {
 	for i := range cfgs {
 		hs[i], sys[i], l4Hit[i], l4Pen[i] = buildHierarchy(cfgs[i])
 	}
-	ms := cache.NewMultiSim(hs...)
 
 	// One predictor group per distinct predictor shape, in config order.
 	type predKey struct {
@@ -97,10 +97,14 @@ func MeasureMulti(r Runner, mcs []MeasureConfig) []Metrics {
 	}
 
 	sinks := Sinks{
-		// Batching-aware runners (the Replayer) deliver zero-copy windows
-		// straight into the single-pass MultiSim kernel; anything else
-		// falls back to the scalar fan-out, same per-hierarchy order.
-		AccessBatch: func(b []trace.Access) { ms.DrainSlice(b) },
+		// Batching-aware runners (the Replayer) deliver zero-copy windows;
+		// anything else delivers one access at a time, same per-hierarchy
+		// order.
+		AccessBatch: func(b []trace.Access) {
+			for _, h := range hs {
+				h.AccessBatch(b, nil)
+			}
+		},
 		Access: func(a trace.Access) {
 			for _, h := range hs {
 				h.Access(a)

@@ -297,56 +297,15 @@ func (r *Replayer) record(key runKey) *recordedRun {
 
 // replay emits the recorded streams into s in their captured interleaving.
 // It only reads immutable state, so concurrent replays need no locking.
-// Consumers accepting batches get read-only windows of the recording
-// (zero-copy for flat storage, a reused decode window for compressed); the
-// rest get the scalar per-access path.
+// There is one transport: read-only windows of the recording (zero-copy for
+// flat storage, a reused decode window for compressed), split exactly at
+// recorded branch anchors so a branch fires before the access it was
+// recorded ahead of, and capped at trace.DefaultBatchSize so consumers see
+// bounded batches regardless of the store's window geometry. Consumers
+// without an AccessBatch sink get each window one access at a time.
 //
 //lint:hot
 func (rec *recordedRun) replay(s Sinks) {
-	if s.AccessBatch != nil {
-		rec.replayBatched(s)
-		return
-	}
-	cell := rec.acquireCursor()
-	defer rec.releaseCursor(cell)
-	cur := cell.cur
-	var a trace.Access
-	var pos int64
-	bi := 0
-	for cur.Next(&a) {
-		for bi < len(rec.branches) && rec.branches[bi].pos == pos {
-			b := rec.branches[bi]
-			if s.Branch != nil {
-				//lint:ignore hotalloc consumer-provided sink: the replay transport is zero-alloc, the sink's own cost belongs to the consumer (simulator sinks are //lint:hot-checked)
-				s.Branch(b.thread, b.pc, b.taken)
-			}
-			bi++
-		}
-		if s.Access != nil {
-			//lint:ignore hotalloc consumer-provided sink: the replay transport is zero-alloc, the sink's own cost belongs to the consumer (simulator sinks are //lint:hot-checked)
-			s.Access(a)
-		}
-		pos++
-	}
-	rec.checkDrained(cur, int(pos))
-	for ; bi < len(rec.branches); bi++ {
-		b := rec.branches[bi]
-		if s.Branch != nil {
-			//lint:ignore hotalloc consumer-provided sink: the replay transport is zero-alloc, the sink's own cost belongs to the consumer (simulator sinks are //lint:hot-checked)
-			s.Branch(b.thread, b.pc, b.taken)
-		}
-	}
-}
-
-// replayBatched delivers the access stream as read-only windows of the
-// recording. Windows are split exactly at recorded branch anchors, so the
-// interleaving of the two event streams is identical to the scalar replay —
-// batching changes the transport, never the observable order. Windows are
-// additionally capped at trace.DefaultBatchSize so consumers see bounded
-// batches regardless of the store's window geometry.
-//
-//lint:hot
-func (rec *recordedRun) replayBatched(s Sinks) {
 	cell := rec.acquireCursor()
 	defer rec.releaseCursor(cell)
 	cur := cell.cur
@@ -355,8 +314,7 @@ func (rec *recordedRun) replayBatched(s Sinks) {
 	var win []trace.Access
 	winStart := 0
 	for {
-		// Branches anchored at the current access position fire first,
-		// exactly as the scalar path fires them before the access at pos.
+		// Branches anchored at the current access position fire first.
 		for bi < len(rec.branches) && rec.branches[bi].pos == int64(pos) {
 			b := rec.branches[bi]
 			if s.Branch != nil {
@@ -384,8 +342,16 @@ func (rec *recordedRun) replayBatched(s Sinks) {
 		}
 		for pos < end {
 			hi := min(pos+trace.DefaultBatchSize, end)
-			//lint:ignore hotalloc consumer-provided sink: the replay transport is zero-alloc, the sink's own cost belongs to the consumer (simulator sinks are //lint:hot-checked)
-			s.AccessBatch(win[pos-winStart : hi-winStart : hi-winStart])
+			sub := win[pos-winStart : hi-winStart : hi-winStart]
+			if s.AccessBatch != nil {
+				//lint:ignore hotalloc consumer-provided sink: the replay transport is zero-alloc, the sink's own cost belongs to the consumer (simulator sinks are //lint:hot-checked)
+				s.AccessBatch(sub)
+			} else if s.Access != nil {
+				for _, a := range sub {
+					//lint:ignore hotalloc consumer-provided sink: the replay transport is zero-alloc, the sink's own cost belongs to the consumer (simulator sinks are //lint:hot-checked)
+					s.Access(a)
+				}
+			}
 			pos = hi
 		}
 	}
