@@ -7,6 +7,7 @@
 //	searchsim [-fast] [-budget N] [-threads N] [-seed N] [-v] all
 //	searchsim [-fast] table1 fig6b fig14 ...
 //	searchsim [-fast] -trace trace.json -metrics metrics.json fleetprof degraded
+//	searchsim [-fast] -cpuprofile cpu.pprof -memprofile mem.pprof figF1
 //
 // -trace exports every span recorded during the run (serving-tree queries,
 // profiler sampling windows) as Chrome trace-event JSON, loadable in
@@ -14,13 +15,21 @@
 // registry as JSON and prints a per-stage serving latency summary after the
 // experiments. Both exports are deterministic: the same seed produces
 // byte-identical files.
+//
+// -cpuprofile and -memprofile write runtime/pprof profiles of the simulator
+// itself (go tool pprof -top searchsim cpu.pprof). They observe the host
+// process only: stdout and the -trace/-metrics exports are byte-identical
+// with and without them, and both files are written however the run ends.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"searchmem/internal/det"
@@ -29,6 +38,12 @@ import (
 )
 
 func main() {
+	os.Exit(run())
+}
+
+// run is main with an exit code for a result, so that the deferred profile
+// writers run on every way out.
+func run() (code int) {
 	var (
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		fast     = flag.Bool("fast", false, "run at reduced scale (quick, uncalibrated)")
@@ -41,6 +56,9 @@ func main() {
 
 		traceOut   = flag.String("trace", "", "write Chrome trace-event JSON of recorded spans to this file")
 		metricsOut = flag.String("metrics", "", "write metrics-registry snapshot JSON to this file and print serving stage summaries")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 
 		traceCompress = flag.Bool("trace-compress", false, "store workload recordings block-compressed (bounded replay memory; output is byte-identical)")
 		traceSpill    = flag.String("trace-spill", "", "with -trace-compress, spill finished blocks to unlinked temp files in this directory (use e.g. /tmp; bounds recording RSS too)")
@@ -60,18 +78,32 @@ func main() {
 	)
 	flag.Parse()
 
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
+
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-8s %-10s %s\n", e.ID, e.PaperRef, e.Title)
 		}
-		return
+		return 0
 	}
 
 	args := flag.Args()
 	if len(args) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: searchsim [-fast] [-v] all | <experiment-id>...")
 		fmt.Fprintln(os.Stderr, "run 'searchsim -list' for available experiments")
-		os.Exit(2)
+		return 2
 	}
 
 	opts := experiments.Full()
@@ -97,11 +129,11 @@ func main() {
 	opts.TierEpochLen = *tierEpoch
 	if *tierNear != 0 && (*tierNear <= 0 || *tierNear >= 1) {
 		fmt.Fprintln(os.Stderr, "-tier-near must be in (0,1)")
-		os.Exit(2)
+		return 2
 	}
 	if *traceSpill != "" && !*traceCompress {
 		fmt.Fprintln(os.Stderr, "-trace-spill requires -trace-compress")
-		os.Exit(2)
+		return 2
 	}
 	opts.CachePolicy = *policy
 	opts.PolicyLevel = *policyLevel
@@ -111,16 +143,16 @@ func main() {
 		// Fail fast on unknown policy names rather than deep in the sweep.
 		if _, _, err := experiments.ParsePolicyVariant(*policy); err != nil {
 			fmt.Fprintf(os.Stderr, "-policy: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 	}
 	if *predBits != 0 && (*predBits < 4 || *predBits > 24) {
 		fmt.Fprintln(os.Stderr, "-pred-bits must be in 4..24")
-		os.Exit(2)
+		return 2
 	}
 	if *predConf != 0 && (*predConf < 1 || *predConf > 3) {
 		fmt.Fprintln(os.Stderr, "-pred-conf must be in 1..3")
-		os.Exit(2)
+		return 2
 	}
 	opts.FleetScenario = *fleetScenario
 	opts.FleetClients = *fleetClients
@@ -135,12 +167,12 @@ func main() {
 		}
 		if !known {
 			fmt.Fprintf(os.Stderr, "-fleet-scenario: unknown scenario %q (have %v)\n", *fleetScenario, experiments.FleetScenarios())
-			os.Exit(2)
+			return 2
 		}
 	}
 	if *fleetClients < 0 {
 		fmt.Fprintln(os.Stderr, "-fleet-clients must be non-negative")
-		os.Exit(2)
+		return 2
 	}
 	if *verbose {
 		opts.Logf = func(format string, a ...any) {
@@ -163,7 +195,7 @@ func main() {
 			e, ok := experiments.ByID(id)
 			if !ok {
 				fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", id)
-				os.Exit(2)
+				return 2
 			}
 			selected = append(selected, e)
 		}
@@ -175,7 +207,7 @@ func main() {
 		res, err := e.Run(ctx)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("=== %s (%s) — %s\n", e.ID, e.PaperRef, e.Title)
 		fmt.Println(res.Render())
@@ -194,7 +226,7 @@ func main() {
 		printServingStages(snap)
 		if err := writeMetrics(*metricsOut, snap); err != nil {
 			fmt.Fprintf(os.Stderr, "writing metrics: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "wrote metrics snapshot to %s\n", *metricsOut)
 	}
@@ -202,10 +234,11 @@ func main() {
 		traces := opts.Tracer.Take()
 		if err := writeTrace(*traceOut, traces); err != nil {
 			fmt.Fprintf(os.Stderr, "writing trace: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d traces to %s\n", len(traces), *traceOut)
 	}
+	return 0
 }
 
 // printStoreSummary reports trace-store footprints and process-memory
@@ -288,4 +321,48 @@ func writeTrace(path string, traces []obs.Trace) error {
 		return err
 	}
 	return f.Close()
+}
+
+// startProfiles begins the CPU profile (if asked for) and returns the
+// function that ends it and writes the heap profile (if asked for). Both
+// files are created up front, so a bad path fails before any experiment runs.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	stop = func() error { return nil }
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		stop = func() error {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				return fmt.Errorf("-cpuprofile: %w", err)
+			}
+			return nil
+		}
+	}
+	if memPath != "" {
+		f, err := os.Create(memPath)
+		if err != nil {
+			return nil, errors.Join(fmt.Errorf("-memprofile: %w", err), stop())
+		}
+		stopCPU := stop
+		stop = func() error {
+			cpuErr := stopCPU()
+			runtime.GC() // settle the live-heap figures the profile reports
+			err := pprof.WriteHeapProfile(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				err = fmt.Errorf("-memprofile %s: %w", memPath, err)
+			}
+			return errors.Join(cpuErr, err)
+		}
+	}
+	return stop, nil
 }

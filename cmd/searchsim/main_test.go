@@ -1,0 +1,107 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"testing"
+)
+
+// searchsimBin is the command under test, built once by TestMain.
+var searchsimBin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "searchsim-test")
+	if err != nil {
+		panic(err)
+	}
+	searchsimBin = filepath.Join(dir, "searchsim")
+	if out, err := exec.Command("go", "build", "-buildvcs=false", "-o", searchsimBin, ".").CombinedOutput(); err != nil {
+		panic("go build: " + err.Error() + "\n" + string(out))
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// TestProfileFlagMatrix runs one experiment under every combination of
+// -cpuprofile and -memprofile: each requested profile is a non-empty file,
+// and stdout and the -trace/-metrics exports are byte-identical to the run
+// without profiling.
+func TestProfileFlagMatrix(t *testing.T) {
+	var want [3][]byte // stdout, trace, metrics of the unprofiled run
+	for _, tc := range []struct {
+		name     string
+		cpu, mem bool
+	}{{"none", false, false}, {"cpu", true, false}, {"mem", false, true}, {"both", true, true}} {
+		dir := t.TempDir()
+		in := func(name string) string { return filepath.Join(dir, name) }
+		args := []string{"-fast", "-seed", "42", "-trace", in("t.json"), "-metrics", in("m.json")}
+		if tc.cpu {
+			args = append(args, "-cpuprofile", in("cpu.pprof"))
+		}
+		if tc.mem {
+			args = append(args, "-memprofile", in("mem.pprof"))
+		}
+		cmd := exec.Command(searchsimBin, append(args, "degraded")...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		stdout, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", tc.name, err, stderr.Bytes())
+		}
+		got := [3][]byte{stdout, readFile(t, in("t.json")), readFile(t, in("m.json"))}
+		if tc.name == "none" {
+			want = got
+		}
+		for i, what := range []string{"stdout", "-trace export", "-metrics export"} {
+			if len(got[i]) == 0 || !bytes.Equal(got[i], want[i]) {
+				t.Errorf("%s: %s is empty or differs from the unprofiled run", tc.name, what)
+			}
+		}
+		for _, p := range []struct {
+			name  string
+			asked bool
+		}{{"cpu.pprof", tc.cpu}, {"mem.pprof", tc.mem}} {
+			st, err := os.Stat(in(p.name))
+			if p.asked && (err != nil || st.Size() == 0) {
+				t.Errorf("%s: %s missing or empty (%v)", tc.name, p.name, err)
+			}
+			if !p.asked && err == nil {
+				t.Errorf("%s: %s written without its flag", tc.name, p.name)
+			}
+		}
+	}
+}
+
+// TestProfilesWrittenOnErrorExit checks the other ways out: a run that ends
+// in a usage error still leaves both profiles behind with its exit code
+// intact, and a profile path that cannot be created is itself an error.
+func TestProfilesWrittenOnErrorExit(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	out, err := exec.Command(searchsimBin, "-cpuprofile", cpu, "-memprofile", mem, "no-such-experiment").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("unknown experiment: err = %v, want exit status 2\n%s", err, out)
+	}
+	for _, p := range []string{cpu, mem} {
+		if len(readFile(t, p)) == 0 {
+			t.Errorf("%s is empty after an exit-2 run", filepath.Base(p))
+		}
+	}
+
+	out, err = exec.Command(searchsimBin, "-fast", "-cpuprofile", filepath.Join(dir, "missing", "cpu.pprof"), "degraded").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || !bytes.Contains(out, []byte("-cpuprofile")) {
+		t.Fatalf("uncreatable profile path: err = %v, want exit status 1 naming the flag\n%s", err, out)
+	}
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}

@@ -3,10 +3,11 @@
 // Allocation-regression oracles for the fleet load engine's per-event path
 // (DESIGN.md §16). The searchlint hotalloc analyzer proves the //lint:hot
 // kernels allocation-free statically; these tests pin the full event step —
-// heap pop, Zipf draw, term synthesis, Cluster.serve untraced (cache probe,
+// heap peek, Zipf draw, term synthesis, Cluster.serve untraced (cache probe,
 // fan-out, hedging, merges, cache put with eviction), histogram add, heap
-// push — at zero allocations dynamically. Excluded under -race because race
-// instrumentation inserts allocations of its own.
+// replace-min, and in the open loop the completion heap — at zero allocations
+// dynamically. Excluded under -race because race instrumentation inserts
+// allocations of its own.
 
 package serving
 
@@ -26,6 +27,13 @@ func requireZeroAllocs(t *testing.T, name string, f func()) {
 	}
 }
 
+// closedEngine is the engine of a closed loop at its first event.
+func closedEngine(clients int) *loadEngine {
+	e := newLoadEngine(clients, 4000, 0.9, 42)
+	e.queueAll()
+	return e
+}
+
 // eventStep builds one closed-loop event step over cluster c and warms it
 // until every pooled structure has reached steady state: the cache at
 // capacity (so each put recycles an evicted entry), the hedge-dedup map at
@@ -34,14 +42,13 @@ func eventStep(t *testing.T, c *Cluster, clients int) func() {
 	t.Helper()
 	c.driveMu.Lock()
 	t.Cleanup(c.driveMu.Unlock)
-	e := newLoadEngine(clients, 4000, 0.9, 42)
+	e := closedEngine(clients)
 	hist := stats.NewHistogram(8)
 	step := func() {
-		cl := e.popMin()
-		r := c.serve(e.drawTerms(cl), clients-1)
+		ev := e.heap[0]
+		r := c.serve(e.drawTerms(ev.id), clients-1)
 		hist.Add(r.LatencyNS)
-		e.next[cl] += r.LatencyNS
-		e.push(cl)
+		e.replaceMin(event{ev.t + r.LatencyNS, ev.id})
 	}
 	for i := 0; i < 5000; i++ {
 		step()
@@ -68,6 +75,46 @@ func TestEventStepZeroAllocFaulty(t *testing.T) {
 	cfg.LeafDeadlineNS = 8e6
 	cfg.HedgeDelayNS = 4e6
 	requireZeroAllocs(t, "closed-loop event step (faulty)", eventStep(t, faultyCluster(cfg, 12, 7), 128))
+}
+
+// TestOpenLoopStepZeroAlloc pins the open-loop step: the completion heap is
+// not reserved up front, so it must stop growing once the in-flight count
+// has peaked. Arrivals 1 ms apart against ~10 ms queries keep about ten in
+// flight, and every step retires as many completions as it adds.
+func TestOpenLoopStepZeroAlloc(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CacheSlots = 64
+	cfg.LeafCapacity = 256
+	c := NewCluster(cfg, nil)
+	c.driveMu.Lock()
+	t.Cleanup(c.driveMu.Unlock)
+	const clients = 128
+	e := closedEngine(clients)
+	for cl := range e.heap {
+		e.heap[cl].t = float64(cl) * 1e6 // ascending, so still a heap
+	}
+	hist := stats.NewHistogram(8)
+	var comp []float64
+	retired := 0
+	step := func() {
+		ev := e.heap[0]
+		for len(comp) > 0 && comp[0] <= ev.t {
+			compPop(&comp)
+			retired++
+		}
+		r := c.serve(e.drawTerms(ev.id), len(comp))
+		hist.Add(r.LatencyNS)
+		compPush(&comp, ev.t+r.LatencyNS)
+		e.replaceMin(event{ev.t + clients*1e6, ev.id})
+	}
+	for i := 0; i < 5000; i++ {
+		step()
+	}
+	retired = 0
+	requireZeroAllocs(t, "open-loop event step", step)
+	if retired == 0 || len(comp) < 2 {
+		t.Fatalf("step did not exercise the completion heap: retired %d, %d in flight", retired, len(comp))
+	}
 }
 
 // TestCachePutChurnZeroAlloc pins the ring cache alone: steady-state

@@ -8,121 +8,116 @@ import (
 	"searchmem/internal/stats"
 )
 
-// loadEngine is the event-driven core of RunLoad and RunScenario: client
-// state lives in preallocated struct-of-arrays (~36 bytes per client, so a
-// million modeled users fit in ~36 MB), and pending issue events sit in an
-// indexed binary min-heap of client ids keyed by (next issue time, id).
-// Pop and push are O(log n), and the whole per-event path — pop, Zipf draw,
-// term synthesis, Cluster.serve, histogram add, push — is allocation-free
-// (//lint:hot kernels plus the ZeroAlloc oracles in alloc_test.go).
+// loadEngine is the event-driven core of RunLoad and RunScenario. Pending
+// issue events sit in a 4-ary min-heap of {time, client id} entries ordered
+// by (time, id), so a comparison reads the two 16-byte entries it compares
+// and nothing else: the four children of a slot are one contiguous 64 bytes
+// and a million clients are 10 levels deep. The order is total (ids are
+// unique), so the pop sequence is the sorted sequence of the keys: no
+// statistic can depend on the heap's arity or on where an entry sits in the
+// array. Per-client state is struct-of-arrays beside it: 16 B of RNG, 4 B of
+// issue count when there is a budget. A closed loop queues every client
+// (36 B per client); an open loop queues only arrivals inside the horizon
+// (16 B per client plus 16 B per queued arrival). The whole per-event path —
+// peek, Zipf draw, term synthesis, Cluster.serve, histogram add, replace-min
+// — is allocation-free (//lint:hot kernels plus the ZeroAlloc oracles in
+// alloc_test.go).
 type loadEngine struct {
-	next   []float64   // virtual time of each client's next issue event
+	heap   []event     // 4-ary min-heap by (t, id); heap[0] is the next issue
 	rng    []stats.RNG // per-client random stream (query popularity, think time)
-	issued []int32     // queries issued so far per client
-	heap   []int32     // binary min-heap of client ids, keyed by next[id]
-	hn     int         // live heap size
+	issued []int32     // queries issued so far per client; nil without a budget
 	shape  *stats.ZipfShape
 	vocab  uint32
 	terms  [2]uint32 // scratch for the current query's term tuple
 }
 
+// event is one pending issue: client id is due at virtual time t.
+type event struct {
+	t  float64
+	id int32
+}
+
+// before orders events by (issue time, client id): on equal times the
+// lowest-indexed client goes first.
+func (a event) before(b event) bool {
+	return a.t < b.t || (a.t == b.t && a.id < b.id)
+}
+
 // newLoadEngine seeds per-client state: client cl's popularity stream is
 // NewRNG(seed+cl*977).Split(), reproduced here through a stack RNG so
-// construction allocates only the four arrays.
+// construction allocates only the stream array. The caller fills the heap.
 func newLoadEngine(clients, vocabSize int, skew float64, seed uint64) *loadEngine {
 	e := &loadEngine{
-		next:   make([]float64, clients),
-		rng:    make([]stats.RNG, clients),
-		issued: make([]int32, clients),
-		heap:   make([]int32, clients),
-		shape:  stats.NewZipfShape(uint64(vocabSize), skew),
-		vocab:  uint32(vocabSize),
+		rng:   make([]stats.RNG, clients),
+		shape: stats.NewZipfShape(uint64(vocabSize), skew),
+		vocab: uint32(vocabSize),
 	}
 	var seeder stats.RNG
-	for cl := 0; cl < clients; cl++ {
+	for cl := range e.rng {
 		seeder.Seed(seed + uint64(cl)*977)
 		e.rng[cl].Seed(seeder.Uint64())
-		e.heap[cl] = int32(cl)
 	}
-	// All keys are zero and ids increase slot to slot, so the array is
-	// already a valid min-heap under the (key, id) order.
-	e.hn = clients
 	return e
 }
 
-// less orders pending events by (issue time, client id): on equal times the
-// lowest-indexed client goes first, which makes the issue sequence a total
-// order independent of heap layout.
+// siftDown places ev at or below slot i, moving earlier children up.
 //
 //lint:hot
-func (e *loadEngine) less(a, b int32) bool {
-	if e.next[a] != e.next[b] {
-		return e.next[a] < e.next[b]
-	}
-	return a < b
-}
-
-// siftDown restores the heap property below slot i.
-//
-//lint:hot
-func (e *loadEngine) siftDown(i int) {
-	id := e.heap[i]
+func (e *loadEngine) siftDown(i int, ev event) {
+	h := e.heap
 	for {
-		l := 2*i + 1
-		if l >= e.hn {
+		c := 4*i + 1
+		if c >= len(h) {
 			break
 		}
-		if r := l + 1; r < e.hn && e.less(e.heap[r], e.heap[l]) {
-			l = r
+		m, first := c, h[c] // earliest child, held in registers across the scan
+		for j := c + 1; j < c+4 && j < len(h); j++ {
+			if x := h[j]; x.before(first) {
+				m, first = j, x
+			}
 		}
-		if !e.less(e.heap[l], id) {
+		if !first.before(ev) {
 			break
 		}
-		e.heap[i] = e.heap[l]
-		i = l
+		h[i] = first
+		i = m
 	}
-	e.heap[i] = id
+	h[i] = ev
 }
 
-// popMin removes and returns the client with the earliest pending event.
+// popMin removes the earliest pending event (heap[0]).
 //
 //lint:hot
-func (e *loadEngine) popMin() int32 {
-	top := e.heap[0]
-	e.hn--
-	if e.hn > 0 {
-		e.heap[0] = e.heap[e.hn]
-		e.siftDown(0)
+func (e *loadEngine) popMin() {
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap = e.heap[:n]
+	if n > 0 {
+		e.siftDown(0, last)
 	}
-	return top
 }
 
-// push re-enqueues a client after its next-event time changed.
+// replaceMin swaps the earliest pending event for ev: the pop-then-push of a
+// client that issues again, in one sift.
 //
 //lint:hot
-func (e *loadEngine) push(id int32) {
-	i := e.hn
-	e.hn++
-	for i > 0 {
-		p := (i - 1) / 2
-		if !e.less(id, e.heap[p]) {
-			break
-		}
-		e.heap[i] = e.heap[p]
-		i = p
-	}
-	e.heap[i] = id
+func (e *loadEngine) replaceMin(ev event) {
+	e.siftDown(0, ev)
 }
 
-// heapify rebuilds the heap over all clients in O(n) after their keys
-// changed wholesale (open-loop first arrivals).
+// queueAll queues every client at time zero, the start of a closed loop.
+// Equal times and ids ascending slot to slot: already a heap.
+func (e *loadEngine) queueAll() {
+	e.heap = make([]event, len(e.rng))
+	for cl := range e.heap {
+		e.heap[cl].id = int32(cl)
+	}
+}
+
+// heapify orders arbitrary heap contents in O(n).
 func (e *loadEngine) heapify() {
-	for i := range e.heap {
-		e.heap[i] = int32(i)
-	}
-	e.hn = len(e.heap)
-	for i := e.hn/2 - 1; i >= 0; i-- {
-		e.siftDown(i)
+	for i := (len(e.heap)+2)/4 - 1; i >= 0; i-- { // last slot with a child, down to the root
+		e.siftDown(i, e.heap[i])
 	}
 }
 
@@ -382,6 +377,10 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 	if sc.Clients <= 0 || sc.VocabSize <= 0 || sc.Skew <= 0 {
 		panic("serving: scenario requires positive clients, vocab size, and skew")
 	}
+	if sc.Clients > math.MaxInt32 {
+		panic(fmt.Sprintf("serving: scenario of %d clients exceeds the event queue's int32 client ids (at most %d)",
+			sc.Clients, math.MaxInt32))
+	}
 	open := sc.Arrival != nil
 	if open {
 		if sc.DurationNS <= 0 || sc.Arrival.BaseQPS <= 0 {
@@ -397,6 +396,9 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 	defer c.driveMu.Unlock()
 
 	e := newLoadEngine(sc.Clients, sc.VocabSize, sc.Skew, sc.Seed)
+	if sc.QueriesPerClient > 0 {
+		e.issued = make([]int32, sc.Clients)
+	}
 	hist := stats.NewHistogram(8)
 	var partials, events, served, peak int64
 	var lastNS float64
@@ -404,30 +406,32 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 	// count of issued-but-uncompleted queries in the open loop, the other
 	// clients' standing queries in the closed loop.
 	inflight := 0
-	var comp []float64
+	var comp []float64 // open loop: completion times of the queries in flight
 
 	if open {
 		// Stagger first arrivals by the t=0 rate; each draw comes from the
-		// owning client's stream, ahead of its popularity draws.
-		r0 := sc.Arrival.At(0)
-		for cl := range e.next {
-			e.next[cl] = e.rng[cl].Exponential(float64(sc.Clients) / r0 * 1e9)
+		// owning client's stream, ahead of its popularity draws. An arrival
+		// at or past the horizon is never issued, so it is never queued: the
+		// heap is sized for the expected in-horizon share of the population
+		// (plus four standard deviations) and only shrinks from there.
+		mean := float64(sc.Clients) / sc.Arrival.At(0) * 1e9
+		expect := float64(sc.Clients) * -math.Expm1(-sc.DurationNS/mean)
+		e.heap = make([]event, 0, min(sc.Clients, int(expect+4*math.Sqrt(expect))+1))
+		for cl := range e.rng {
+			if t := e.rng[cl].Exponential(mean); t < sc.DurationNS {
+				e.heap = append(e.heap, event{t, int32(cl)})
+			}
 		}
 		e.heapify()
-		// Sized for the under-capacity steady state; overload grows it.
-		comp = make([]float64, 0, sc.Clients)
 	} else {
+		e.queueAll()
 		inflight = sc.Clients - 1
 		peak = int64(sc.Clients)
 	}
 
 	ai := 0
-	for e.hn > 0 {
-		cl := e.popMin()
-		t := e.next[cl]
-		if open && t >= sc.DurationNS {
-			break // heap order: every remaining arrival is at or past the horizon
-		}
+	for len(e.heap) > 0 {
+		t, cl := e.heap[0].t, e.heap[0].id
 		for ai < len(acts) && acts[ai].at <= t {
 			c.applyAction(acts[ai])
 			ai++
@@ -450,19 +454,24 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 		if t+r.LatencyNS > lastNS {
 			lastNS = t + r.LatencyNS
 		}
-		e.issued[cl]++
+		next := t + r.LatencyNS
 		if open {
-			compPush(&comp, t+r.LatencyNS)
+			compPush(&comp, next)
 			inflight++
 			if int64(inflight) > peak {
 				peak = int64(inflight)
 			}
-			e.next[cl] = t + e.rng[cl].Exponential(float64(sc.Clients)/sc.Arrival.At(t)*1e9)
-		} else {
-			e.next[cl] = t + r.LatencyNS
+			next = t + e.rng[cl].Exponential(float64(sc.Clients)/sc.Arrival.At(t)*1e9)
 		}
-		if sc.QueriesPerClient <= 0 || int(e.issued[cl]) < sc.QueriesPerClient {
-			e.push(cl)
+		again := !open || next < sc.DurationNS
+		if e.issued != nil {
+			e.issued[cl]++
+			again = again && int(e.issued[cl]) < sc.QueriesPerClient
+		}
+		if again {
+			e.replaceMin(event{next, cl})
+		} else {
+			e.popMin()
 		}
 	}
 

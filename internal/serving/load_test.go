@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -60,6 +61,58 @@ func TestRunLoadGolden(t *testing.T) {
 		got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v|%+v", st, c.Metrics()))))
 		if got != tc.want {
 			t.Errorf("%s clients=%d: digest %s, want %s\n%+v", tc.name, tc.clients, got, tc.want, st)
+		}
+	}
+}
+
+// TestRunScenarioGolden is the open-loop sibling of TestRunLoadGolden:
+// FleetStats and Metrics of a diurnal + burst + flush + outage day on a
+// faulty hedged cluster, captured at the last commit whose event queue was
+// the indexed binary heap over a Clients-sized next[] array. The horizon is
+// either a fifth of the mean per-client inter-arrival (most of the
+// population never arrives and is never queued) or ten times it (almost
+// everyone is), with and without a per-client issue budget.
+func TestRunScenarioGolden(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CacheSlots = 256
+	cfg.LeafDeadlineNS = 40e6
+	cfg.HedgeDelayNS = 5e6
+	cfg.LeafCapacity = 400
+	const d = 5e8
+	cases := []struct {
+		name         string
+		clients, qpc int
+		qps          float64
+		want         string
+	}{
+		{"short-horizon", 5000, 0, 2000, "f5461b64c15aa5b61d810a9217e68ee6c4d143caf7f47c37a5ca178f1061e7bf"},
+		{"short-horizon-budget", 5000, 3, 2000, "5955cd69c5f614a186d572c98323aa4ec21bc8d8ef213506df9e53cd656f64b6"},
+		{"long-horizon", 200, 0, 4000, "56d72271bf8f3c12cc99b02adfc274106bfbdcd8377def7a0e7bff6f1721376d"},
+		{"long-horizon-budget", 200, 3, 4000, "9fd4eb79abdd0d7c7276e76025d0dbaaf59317cdaa9938a859a4f2b2f01fa20b"},
+	}
+	for _, tc := range cases {
+		c := faultyCluster(cfg, 12, 3)
+		fs := RunScenario(c, Scenario{
+			Clients:          tc.clients,
+			QueriesPerClient: tc.qpc,
+			VocabSize:        400,
+			Skew:             1.1,
+			Seed:             17,
+			Arrival: &RateCurve{
+				BaseQPS:          tc.qps,
+				DiurnalAmplitude: 0.5,
+				DiurnalPeriodNS:  0.8 * d,
+				Bursts:           []Burst{{StartNS: 0.2 * d, EndNS: 0.3 * d, Factor: 3}},
+			},
+			DurationNS: d,
+			Events: []FleetEvent{
+				{AtNS: 0.4 * d, FlushCache: true},
+				{AtNS: 0.6 * d, OutageLeaf: 0, OutageLeaves: 4, OutageDurationNS: 0.1 * d},
+			},
+		})
+		got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v|%+v", fs, c.Metrics()))))
+		if got != tc.want {
+			t.Errorf("%s: digest %s, want %s\n%+v", tc.name, got, tc.want, fs)
 		}
 	}
 }
@@ -537,11 +590,16 @@ func TestRunScenarioPanics(t *testing.T) {
 	closed := func(ev FleetEvent) Scenario {
 		return Scenario{Clients: 1, VocabSize: 10, Skew: 1.1, QueriesPerClient: 1, Events: []FleetEvent{ev}}
 	}
+	tooMany := math.MaxInt32
+	tooMany++ // wraps negative where int is 32 bits, which is rejected too
 	cases := []struct {
 		name string
 		sc   Scenario
 	}{
 		{"zero clients", Scenario{VocabSize: 10, Skew: 1.1, QueriesPerClient: 1}},
+		// Rejected before any per-client array is sized: 2^31 clients would
+		// otherwise be a 32 GiB allocation.
+		{"more clients than int32 ids", Scenario{Clients: tooMany, VocabSize: 10, Skew: 1.1, QueriesPerClient: 1}},
 		{"zero vocab", Scenario{Clients: 1, Skew: 1.1, QueriesPerClient: 1}},
 		{"zero skew", Scenario{Clients: 1, VocabSize: 10, QueriesPerClient: 1}},
 		{"closed no budget", Scenario{Clients: 1, VocabSize: 10, Skew: 1.1}},
@@ -559,8 +617,12 @@ func TestRunScenarioPanics(t *testing.T) {
 	for _, tc := range cases {
 		func() {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Fatalf("%s: RunScenario did not panic", tc.name)
+				}
+				if tc.sc.Clients == tooMany && !strings.Contains(fmt.Sprint(r), "int32 client ids") {
+					t.Fatalf("%s: panicked with %q, not the client-limit message", tc.name, r)
 				}
 			}()
 			RunScenario(testCluster(0), tc.sc)

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -82,25 +83,38 @@ func NewHistogram(sub int) *Histogram {
 	return &Histogram{subBuckets: sub, counts: make([]int64, 64*sub)}
 }
 
-// bucket maps a value to its bucket index.
+// mantBits is the width of a float64's fraction field.
+const mantBits = 52
+
+// bucket maps a value to its bucket index. The octave is v's binary exponent
+// and the sub-bucket is floor(fraction * subBuckets), both read off the bits
+// of v in integer arithmetic: nothing rounds, so a value one ulp below 2^k
+// stays in octave k-1 and bucketLow below is an exact inverse for any
+// subBuckets. Inf and NaN land in the top bucket.
 func (h *Histogram) bucket(v float64) int {
 	if v < 1 {
 		return 0
 	}
-	exp := math.Floor(math.Log2(v))
-	frac := v/math.Exp2(exp) - 1 // in [0, 1)
-	idx := int(exp)*h.subBuckets + int(frac*float64(h.subBuckets))
+	b := math.Float64bits(v)
+	octave := int(b>>mantBits) - 1023
+	sub, _ := bits.Mul64(b<<(64-mantBits), uint64(h.subBuckets)) // fraction as 0.64 fixed point
+	idx := octave*h.subBuckets + int(sub)
 	if idx >= len(h.counts) {
 		idx = len(h.counts) - 1
 	}
 	return idx
 }
 
-// bucketLow returns the lower bound of bucket i.
+// bucketLow returns the lower bound of bucket i: the smallest value bucket
+// maps to i (2^octave * (1 + j/subBuckets), rounded up to a float64 when
+// subBuckets is not a power of two).
 func (h *Histogram) bucketLow(i int) float64 {
-	exp := i / h.subBuckets
-	frac := float64(i%h.subBuckets) / float64(h.subBuckets)
-	return math.Exp2(float64(exp)) * (1 + frac)
+	octave, j := i/h.subBuckets, uint64(i%h.subBuckets)
+	frac, rem := bits.Div64(j>>(64-mantBits), j<<mantBits, uint64(h.subBuckets))
+	if rem > 0 {
+		frac++
+	}
+	return math.Float64frombits(uint64(octave+1023)<<mantBits | frac)
 }
 
 // bucketMid returns the geometric mean of bucket i's bounds: the unbiased

@@ -164,3 +164,43 @@ func TestExactQuantile(t *testing.T) {
 		t.Fatal("ExactQuantile mutated its input")
 	}
 }
+
+// TestHistogramBucketBounds checks bucket against bucketLow — the inverse it
+// must agree with — on every bucket boundary of every octave, one ulp either
+// side of it, below 1 and past the top: each value lies inside the bucket it
+// is counted in. The logarithm the bucket index used to be computed from
+// rounded the last double below 2^k up into the next octave.
+func TestHistogramBucketBounds(t *testing.T) {
+	for _, sub := range []int{1, 3, 4, 5, 8} {
+		h := NewHistogram(sub)
+		check := func(v float64) {
+			t.Helper()
+			b := h.bucket(v)
+			if lo, hi := h.bucketLow(b), h.bucketLow(b+1); v < lo || v >= hi {
+				t.Fatalf("sub=%d: bucket(%v) = %d, which spans [%v, %v)", sub, v, b, lo, hi)
+			}
+		}
+		for i := 0; i < 64*sub; i++ {
+			low := h.bucketLow(i)
+			if got := h.bucket(low); got != i {
+				t.Fatalf("sub=%d: bucket(bucketLow(%d) = %v) = %d", sub, i, low, got)
+			}
+			check(low)
+			check(math.Nextafter(low, math.Inf(1)))
+			if i > 0 {
+				check(math.Nextafter(low, 0))
+			}
+		}
+		for _, v := range []float64{0, 0.5, math.Nextafter(1, 0), -3} {
+			if got := h.bucket(v); got != 0 {
+				t.Fatalf("sub=%d: bucket(%v) = %d, want 0", sub, v, got)
+			}
+		}
+		top := 64*sub - 1
+		for _, v := range []float64{math.Nextafter(math.Exp2(64), 0), math.Exp2(64), math.Exp2(70), math.MaxFloat64, math.Inf(1)} {
+			if got := h.bucket(v); got != top {
+				t.Fatalf("sub=%d: bucket(%v) = %d, want the top bucket %d", sub, v, got, top)
+			}
+		}
+	}
+}
