@@ -46,13 +46,15 @@ alloc-check:
 obs-demo:
 	$(GO) run ./cmd/searchsim -fast -trace fleetprof-trace.json -metrics fleetprof-metrics.json fleetprof
 
-# fuzz-smoke runs each trace-codec fuzz target briefly (seed corpus plus
+# fuzz-smoke runs each fuzz target briefly (seed corpus plus
 # $(FUZZTIME) of coverage-guided exploration per target). The contract under
 # test: decoders never panic and fail only with ErrBadTrace; valid streams
-# round-trip identically through the file and block codecs.
+# round-trip identically through the file and block codecs. FuzzInverter
+# differential-fuzzes the index inverter against its map-based reference.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzFileCodecDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzBlockDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzInverter$$' -fuzztime $(FUZZTIME)
 
 ci: build lint test race alloc-check fuzz-smoke

@@ -17,6 +17,7 @@ import (
 	"searchmem/internal/det"
 	"searchmem/internal/obs"
 	"searchmem/internal/platform"
+	"searchmem/internal/search"
 	"searchmem/internal/workload"
 )
 
@@ -167,11 +168,29 @@ type Context struct {
 
 // runnerCache memoizes built workloads, each wrapped in a recording Replayer
 // so sweep points can re-run the same (threads, budget, seed) key without
-// re-executing the stateful workload. The cache can be shared across
-// Contexts via Sharing.
+// re-executing the stateful workload, and the search index images those
+// workloads (and the per-point runners of fig4/fig5) are built from. The
+// cache can be shared across Contexts via Sharing.
 type runnerCache struct {
 	mu sync.Mutex
 	m  map[string]*workload.Replayer
+
+	idxMu   sync.Mutex
+	indexes map[indexKey]*indexEntry
+}
+
+// indexKey is everything a search index image depends on.
+type indexKey struct {
+	corpus       search.CorpusConfig
+	featureBytes int
+}
+
+// indexEntry is one memoized image; once lets concurrent sweep workers that
+// want the same image wait for a single build while other images build.
+type indexEntry struct {
+	once sync.Once
+	idx  *search.Index
+	err  error
 }
 
 // curveKey identifies one memoized derived profile (hit curve, perf model,
@@ -195,7 +214,7 @@ func NewContext(opts Options) *Context {
 	}
 	return &Context{
 		Opts:   opts,
-		rc:     &runnerCache{m: make(map[string]*workload.Replayer)},
+		rc:     &runnerCache{m: make(map[string]*workload.Replayer), indexes: make(map[indexKey]*indexEntry)},
 		curves: make(map[curveKey]any),
 	}
 }
@@ -213,16 +232,45 @@ func (c *Context) Sharing(opts Options) *Context {
 	return nc
 }
 
+// buildRunner builds a private runner for wl on the context's memoized
+// index image for wl's corpus, building the image on first use. The image
+// is immutable and outlives the runner; a Context is the only thing that
+// retains one, which is what lets every runner over one corpus — Leaf(),
+// fig4's points, Sharing contexts — pay for a single index build.
+func (c *Context) buildRunner(wl workload.SearchWorkload) *workload.SearchRunner {
+	rc := c.rc
+	key := indexKey{corpus: wl.Engine.Corpus, featureBytes: wl.Engine.FeatureBytes}
+	rc.idxMu.Lock()
+	e := rc.indexes[key]
+	if e == nil {
+		e = &indexEntry{}
+		rc.indexes[key] = e
+	}
+	rc.idxMu.Unlock()
+	e.once.Do(func() {
+		c.Opts.logf("building index for %s (shrink %d)...", wl.WLName, c.Opts.Shrink)
+		e.idx, e.err = search.BuildIndex(wl.Engine)
+	})
+	if e.err != nil {
+		panic(e.err)
+	}
+	r, err := wl.BuildFrom(e.idx)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // runner builds (or returns the cached) replay-wrapped runner for a search
 // profile.
-func (c *Context) runner(key string, build func() workload.SearchWorkload) *workload.Replayer {
+func (c *Context) runner(key string, wl workload.SearchWorkload) *workload.Replayer {
 	c.rc.mu.Lock()
 	defer c.rc.mu.Unlock()
 	if r, ok := c.rc.m[key]; ok {
 		return r
 	}
 	c.Opts.logf("building workload %s (shrink %d)...", key, c.Opts.Shrink)
-	r := workload.NewReplayer(build().Build())
+	r := workload.NewReplayer(c.buildRunner(wl))
 	if c.Opts.TraceCompress {
 		r.SetStore(workload.StoreConfig{
 			Compress: true,
@@ -286,12 +334,12 @@ func MemGauges(reg *obs.Registry) {
 // Leaf returns the cached S1-leaf micro runner (replay-wrapped: repeated
 // measurements with the same key replay one recording).
 func (c *Context) Leaf() *workload.Replayer {
-	return c.runner("s1-leaf", func() workload.SearchWorkload { return workload.S1Leaf(c.Opts.Shrink) })
+	return c.runner("s1-leaf", workload.S1Leaf(c.Opts.Shrink))
 }
 
 // Sweep returns the cached S1-leaf capacity-sweep runner (replay-wrapped).
 func (c *Context) Sweep() *workload.Replayer {
-	return c.runner("s1-leaf-sweep", func() workload.SearchWorkload { return workload.S1LeafSweep(c.Opts.Shrink) })
+	return c.runner("s1-leaf-sweep", workload.S1LeafSweep(c.Opts.Shrink))
 }
 
 // PLT1 returns the PLT1 platform (full scale: experiments on micro profiles

@@ -72,14 +72,16 @@ func runFig4(c *Context) (Result, error) {
 		Note: "shard (not shown) dominates at 100s of GiB-equivalent; heap ~10x code/stack and sublinear",
 	}
 	coreCounts := []int{6, 16, 26, 36}
-	// Each point builds and drives a private workload instance, so points are
-	// independent; the worker cap bounds peak memory from concurrent builds.
+	// Each point drives a private engine, so points are independent. They
+	// differ only in MaxSessions, so all of them (and Leaf()) copy one
+	// memoized index image; the worker cap bounds how many points' arenas
+	// are allocated at once.
 	spaces := runPoints(c, 2, len(coreCounts), func(i int) *memsim.Space {
 		cores := coreCounts[i]
 		// A fresh workload instance sized for this many sessions.
 		wl := workload.S1Leaf(o.Shrink)
 		wl.Engine.MaxSessions = cores + 1
-		r := wl.Build()
+		r := c.buildRunner(wl)
 		// Activate one session per core (warm run binds them).
 		r.Run(cores, int64(cores)*20_000, o.Seed, workload.Sinks{})
 		return r.Space()
@@ -109,10 +111,11 @@ func runFig5(c *Context) (Result, error) {
 		}
 		threadCounts = append(threadCounts, threads)
 	}
+	// Each point drives a private engine copied from the image Sweep() uses;
+	// the worker cap bounds how many points' arenas are allocated at once.
 	sets := runPoints(c, 2, len(threadCounts), func(i int) *trace.WorkingSet {
 		threads := threadCounts[i]
-		wl := workload.S1LeafSweep(o.Shrink)
-		r := wl.Build()
+		r := c.buildRunner(workload.S1LeafSweep(o.Shrink))
 		ws := trace.NewWorkingSet(64)
 		budget := o.Budget / 2 * int64(threads)
 		r.Run(threads, budget, o.Seed, workload.Sinks{Access: ws.Observe})

@@ -44,8 +44,16 @@ func init() {
 }
 
 // catSweep measures (hit rate, AMAT, IPC) at each CAT way allocation on a
-// loaded multi-threaded system, as the paper's CAT experiments are.
+// loaded multi-threaded system, as the paper's CAT experiments are. Figures
+// 8a and 8b plot the same sweep, so it is cached in the context.
 func catSweep(c *Context) (xsHit, xsAMAT, ysIPC []float64) {
+	c.curveMu.Lock()
+	defer c.curveMu.Unlock()
+	key := curveKey{kind: "catsweep"}
+	if cached, ok := c.curves[key]; ok {
+		s := cached.([3][]float64)
+		return s[0], s[1], s[2]
+	}
 	o := c.Opts
 	threads := min(o.Threads, 16)
 	cores := (threads + 1) / 2
@@ -69,6 +77,7 @@ func catSweep(c *Context) (xsHit, xsAMAT, ysIPC []float64) {
 		xsAMAT = append(xsAMAT, m.AMATNS)
 		ysIPC = append(ysIPC, m.IPC)
 	}
+	c.curves[key] = [3][]float64{xsHit, xsAMAT, ysIPC}
 	return
 }
 

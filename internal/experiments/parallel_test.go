@@ -76,8 +76,10 @@ func TestSharingContextsConcurrent(t *testing.T) {
 	}
 	opts := Fast()
 	opts.Seed = 7
+	builds := countIndexBuilds(&opts)
 	ctx1 := NewContext(opts)
 	ctx2 := ctx1.Sharing(opts)
+	ctx3 := ctx1.Sharing(opts)
 
 	var wg sync.WaitGroup
 	for _, job := range []struct {
@@ -86,6 +88,9 @@ func TestSharingContextsConcurrent(t *testing.T) {
 	}{
 		{ctx1, "fig6b"},
 		{ctx2, "fig13"},
+		// fig5 builds private runners on sweep workers: together with the
+		// two Sweep() users above, every context wants the same image at once.
+		{ctx3, "fig5"},
 	} {
 		wg.Add(1)
 		go func(ctx *Context, id string) {
@@ -106,6 +111,72 @@ func TestSharingContextsConcurrent(t *testing.T) {
 		}(job.ctx, job.id)
 	}
 	wg.Wait()
+	if n := builds(); n != 1 {
+		t.Errorf("%d index builds across three sharing contexts on one corpus, want 1", n)
+	}
+}
+
+// countIndexBuilds hooks opts.Logf and returns a reader of how many index
+// images contexts made from opts have built so far.
+func countIndexBuilds(opts *Options) func() int {
+	var mu sync.Mutex
+	n := 0
+	opts.Logf = func(format string, _ ...any) {
+		if strings.HasPrefix(format, "building index") {
+			mu.Lock()
+			n++
+			mu.Unlock()
+		}
+	}
+	return func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return n
+	}
+}
+
+// TestOneIndexBuildPerCorpus: within one context the experiments that build
+// private runners (fig4, fig5) and the ones that go through Leaf()/Sweep()
+// share one image per distinct corpus, and fig8a/fig8b share one CAT sweep.
+func TestOneIndexBuildPerCorpus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-experiment run is slow in -short mode")
+	}
+	opts := Fast()
+	builds := countIndexBuilds(&opts)
+	c := NewContext(opts)
+	run := func(id string) Result {
+		t.Helper()
+		e, _ := ByID(id)
+		res, err := e.Run(c)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		return res
+	}
+	run("fig4")
+	run("fig5")
+	run("fig8a")
+	// fig4's four points and fig8a's Leaf() use the S1-leaf corpus; fig5's
+	// points use the S1-leaf-sweep corpus.
+	if n := builds(); n != 2 {
+		t.Errorf("%d index builds across fig4 fig5 fig8a, want 2", n)
+	}
+
+	// fig8a left its sweep in the context; fig8b must plot that, not measure
+	// again — shown by planting a sweep no measurement could produce.
+	key := curveKey{kind: "catsweep"}
+	if sw, ok := c.curves[key].([3][]float64); !ok || len(sw[0]) != 10 {
+		t.Fatalf("fig8a left no 10-point catSweep in Context.curves: %v", c.curves[key])
+	}
+	c.curves[key] = [3][]float64{{0.5}, {123}, {-7}}
+	ipc := run("fig8b").(*Figure).Get("IPC")
+	if len(ipc.X) != 1 || ipc.X[0] != 123 || ipc.Y[0] != -7 {
+		t.Errorf("fig8b re-ran the CAT sweep instead of using the context's: x=%v y=%v", ipc.X, ipc.Y)
+	}
+	if n := builds(); n != 2 {
+		t.Errorf("%d index builds after fig8b, want 2", n)
+	}
 }
 
 // TestMibAdaptiveUnits pins the adaptive rendering that replaced the old

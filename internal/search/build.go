@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"searchmem/internal/codegen"
 	"searchmem/internal/memsim"
@@ -34,8 +35,9 @@ type Config struct {
 	MaxPostingsPerTerm int
 	// TopK is the number of results returned per query.
 	TopK int
-	// FeatureBytes is the per-document ranking-feature blob size; blobs
-	// live in the heap and are read for final scoring of top candidates.
+	// FeatureBytes is the per-document ranking-feature blob size (a
+	// multiple of 8); blobs live in the heap and are read for final scoring
+	// of top candidates.
 	FeatureBytes int
 	// AccumSlots is the per-session score-accumulator table size (a power
 	// of two).
@@ -94,6 +96,9 @@ func (c Config) Validate() error {
 	if c.MaxPostingsPerTerm <= 0 || c.TopK <= 0 || c.FeatureBytes <= 0 {
 		return fmt.Errorf("search: limits must be positive")
 	}
+	if c.FeatureBytes%8 != 0 {
+		return fmt.Errorf("search: FeatureBytes must be a multiple of 8 (blobs are whole words)")
+	}
 	if c.AccumSlots <= 0 || c.AccumSlots&(c.AccumSlots-1) != 0 {
 		return fmt.Errorf("search: AccumSlots must be a positive power of two")
 	}
@@ -115,8 +120,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Engine is a built, immutable (post-construction) search index bound to an
-// instrumented address space. Query execution happens through Sessions.
+// Engine is one serving instance: a private copy of an Index laid out in an
+// instrumented address space, plus the query cache and accumulator tables
+// its queries write. Query execution happens through Sessions.
 type Engine struct {
 	cfg   Config
 	space *memsim.Space
@@ -141,143 +147,189 @@ type Engine struct {
 	prog *codegen.Program
 }
 
-// Build generates a corpus, indexes it, and serializes everything into
-// arenas carved from space. prog may be nil to skip instruction-side
-// modeling. It returns the engine and the generated corpus (kept only for
-// verification; the serving path never touches it).
-func Build(cfg Config, space *memsim.Space, prog *codegen.Program) (*Engine, *Corpus) {
+// Index is the immutable serialized image of one indexed corpus: every
+// byte an Engine serves from that no query ever writes. It is a pure
+// function of Config.Corpus and Config.FeatureBytes, holds no reference to
+// the corpus it was built from, and may back any number of engines, built
+// concurrently: NewEngine only reads it.
+type Index struct {
+	corpus       CorpusConfig
+	featureBytes int
+	avgDocLen    float64
+
+	// Shard arena contents.
+	postings []byte // per term: (docDelta, tf) uvarint pairs
+	content  []byte // per document: term-id uvarints
+	// Heap arena contents, in layout order.
+	dict    []byte // dictRecBytes per term
+	skips   []byte // skipRecBytes per SkipInterval postings of each term
+	norms   []byte // one quantized length byte per document
+	statics []byte // staticRecBytes per document
+	meta    []byte // metaRecBytes per document
+	feats   []byte // featureBytes per document
+}
+
+// uvarintLen returns the encoded size of v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// BuildIndex generates cfg.Corpus, inverts it and serializes the result.
+// Only cfg.Corpus and cfg.FeatureBytes shape the image; the rest of cfg is
+// validated and otherwise unused, so one Index serves every engine
+// configuration that agrees on those two.
+func BuildIndex(cfg Config) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
-		panic(err)
+		return nil, err
 	}
+	numDocs, vocab := cfg.Corpus.NumDocs, cfg.Corpus.VocabSize
 	corpus := GenerateCorpus(cfg.Corpus)
 	lists := buildPostings(corpus)
+	x := &Index{corpus: cfg.Corpus, featureBytes: cfg.FeatureBytes, avgDocLen: corpus.AvgDocLen()}
+
+	// Size the variable-length sections exactly, so each is one allocation
+	// with no slack for a retained image to carry.
+	postingBytes, skipRecs := 0, 0
+	for _, list := range lists {
+		prev := uint32(0)
+		for _, p := range list {
+			postingBytes += uvarintLen(uint64(p.doc-prev)) + uvarintLen(uint64(p.tf))
+			prev = p.doc
+		}
+		skipRecs += (len(list) + SkipInterval - 1) / SkipInterval
+	}
+	contentBytes := 0
+	for _, term := range corpus.tokens {
+		contentBytes += uvarintLen(uint64(term))
+	}
 
 	// Serialize posting lists: per list, (docDelta, tf) uvarint pairs,
 	// with a skip entry every SkipInterval postings recording the byte
 	// offset and the restart document (the previous posting's doc, so
 	// delta decoding can resume mid-list).
-	var postings []byte
-	var skips []byte
-	dictRecs := make([]byte, cfg.Corpus.VocabSize*dictRecBytes)
-	var tmp [2 * binary.MaxVarintLen64]byte
-	var skipTmp [skipRecBytes]byte
+	x.postings = make([]byte, 0, postingBytes)
+	x.skips = make([]byte, 0, skipRecs*skipRecBytes)
+	x.dict = make([]byte, vocab*dictRecBytes)
 	for t, list := range lists {
-		off := uint64(len(postings))
-		skipOff := uint64(len(skips))
+		off := uint64(len(x.postings))
+		skipOff := uint64(len(x.skips))
 		prev := uint32(0)
 		for i, p := range list {
 			if i%SkipInterval == 0 {
-				binary.LittleEndian.PutUint64(skipTmp[:], uint64(len(postings))-off)
-				binary.LittleEndian.PutUint32(skipTmp[8:], prev)
-				binary.LittleEndian.PutUint32(skipTmp[12:], 0)
-				skips = append(skips, skipTmp[:]...)
+				x.skips = binary.LittleEndian.AppendUint64(x.skips, uint64(len(x.postings))-off)
+				x.skips = binary.LittleEndian.AppendUint32(x.skips, prev)
+				x.skips = binary.LittleEndian.AppendUint32(x.skips, 0)
 			}
-			n := binary.PutUvarint(tmp[:], uint64(p.doc-prev))
-			n += binary.PutUvarint(tmp[n:], uint64(p.tf))
-			postings = append(postings, tmp[:n]...)
+			x.postings = binary.AppendUvarint(x.postings, uint64(p.doc-prev))
+			x.postings = binary.AppendUvarint(x.postings, uint64(p.tf))
 			prev = p.doc
 		}
-		rec := dictRecs[t*dictRecBytes:]
+		rec := x.dict[t*dictRecBytes:]
 		binary.LittleEndian.PutUint64(rec, off)
 		binary.LittleEndian.PutUint32(rec[8:], uint32(len(list)))
-		binary.LittleEndian.PutUint32(rec[12:], uint32(uint64(len(postings))-off))
+		binary.LittleEndian.PutUint32(rec[12:], uint32(uint64(len(x.postings))-off))
 		binary.LittleEndian.PutUint64(rec[16:], skipOff)
 	}
 
-	// Serialize document content (term-id uvarints) and metadata.
-	var content []byte
-	metaRecs := make([]byte, cfg.Corpus.NumDocs*metaRecBytes)
-	for d, doc := range corpus.Docs {
-		off := uint64(len(content))
-		for _, term := range doc {
-			n := binary.PutUvarint(tmp[:], uint64(term))
-			content = append(content, tmp[:n]...)
-		}
-		rec := metaRecs[d*metaRecBytes:]
-		binary.LittleEndian.PutUint64(rec, off)
-		binary.LittleEndian.PutUint32(rec[8:], uint32(uint64(len(content))-off))
-		binary.LittleEndian.PutUint32(rec[12:], uint32(len(doc)))
-	}
-
-	// Lay out the shard arena: postings then content.
-	shard := space.NewArena("shard", trace.Shard, len(postings)+len(content))
-	e := &Engine{
-		cfg:       cfg,
-		space:     space,
-		shard:     shard,
-		numDocs:   uint32(cfg.Corpus.NumDocs),
-		avgDocLen: corpus.AvgDocLen(),
-		prog:      prog,
-	}
-	e.postingsBase = shard.Alloc(len(postings), 0)
-	shard.WriteRaw(e.postingsBase, postings)
-	e.contentBase = shard.Alloc(len(content), 0)
-	shard.WriteRaw(e.contentBase, content)
-
-	// Lay out the heap arena: dictionary, doc metadata, features, query
-	// cache, then per-session accumulator tables.
-	cacheBytes := 0
-	if cfg.QueryCacheSlots > 0 {
-		cacheBytes = cfg.QueryCacheSlots * e.cacheSlotBytes()
-	}
-	heapBytes := len(dictRecs) + len(skips) + len(metaRecs) + cfg.Corpus.NumDocs + cfg.Corpus.NumDocs*staticRecBytes +
-		cfg.Corpus.NumDocs*cfg.FeatureBytes + cacheBytes +
-		cfg.MaxSessions*cfg.AccumSlots*accumSlot + 64*cfg.MaxSessions
-	heap := space.NewArena("heap", trace.Heap, heapBytes)
-	e.heap = heap
-
-	e.dictBase = heap.Alloc(len(dictRecs), 8)
-	heap.WriteRaw(e.dictBase, dictRecs)
-	e.skipBase = heap.Alloc(len(skips), 8)
-	heap.WriteRaw(e.skipBase, skips)
-
-	// Quantized document-length norms: one byte per document, read on
+	// Serialize document content (term-id uvarints), metadata, and the
+	// quantized document-length norms: one byte per document, read on
 	// every posting scored (so it must stay cache-resident, as real
 	// engines arrange). dl is reconstructed as norm << 2.
-	norms := make([]byte, cfg.Corpus.NumDocs)
-	for d, doc := range corpus.Docs {
-		n := (len(doc) + 2) >> 2
-		if n > 255 {
-			n = 255
+	x.content = make([]byte, 0, contentBytes)
+	x.meta = make([]byte, numDocs*metaRecBytes)
+	x.norms = make([]byte, numDocs)
+	for d := 0; d < numDocs; d++ {
+		doc := corpus.Doc(d)
+		off := uint64(len(x.content))
+		for _, term := range doc {
+			x.content = binary.AppendUvarint(x.content, uint64(term))
 		}
-		norms[d] = byte(n)
+		rec := x.meta[d*metaRecBytes:]
+		binary.LittleEndian.PutUint64(rec, off)
+		binary.LittleEndian.PutUint32(rec[8:], uint32(uint64(len(x.content))-off))
+		binary.LittleEndian.PutUint32(rec[12:], uint32(len(doc)))
+		x.norms[d] = byte(QuantizedDocLen(len(doc)) >> 2)
 	}
-	e.normsBase = heap.Alloc(len(norms), 8)
-	heap.WriteRaw(e.normsBase, norms)
 
 	// Static document-rank records (pagerank-class signals): read for
 	// every posting scored. This table is the bulk of the hot shared heap
 	// working set whose reuse the paper finds is only capturable by
 	// GiB-scale caches (§III-B).
 	srng := stats.NewRNG(cfg.Corpus.Seed ^ 0x57a71c)
-	statics := make([]byte, cfg.Corpus.NumDocs*staticRecBytes)
-	for d := 0; d < cfg.Corpus.NumDocs; d++ {
-		binary.LittleEndian.PutUint64(statics[d*staticRecBytes:], srng.Uint64())
-		binary.LittleEndian.PutUint64(statics[d*staticRecBytes+8:], srng.Uint64())
+	x.statics = make([]byte, numDocs*staticRecBytes)
+	for i := 0; i < len(x.statics); i += 8 {
+		binary.LittleEndian.PutUint64(x.statics[i:], srng.Uint64())
 	}
-	e.staticBase = heap.Alloc(len(statics), 8)
-	heap.WriteRaw(e.staticBase, statics)
 
-	e.metaBase = heap.Alloc(len(metaRecs), 8)
-	heap.WriteRaw(e.metaBase, metaRecs)
-
-	// Ranking features: deterministic pseudo-random blobs.
-	featBytes := cfg.Corpus.NumDocs * cfg.FeatureBytes
-	e.featBase = heap.Alloc(featBytes, 8)
+	// Ranking features: deterministic pseudo-random blobs of whole words.
 	frng := stats.NewRNG(cfg.Corpus.Seed ^ 0xfea7)
-	blob := make([]byte, cfg.FeatureBytes)
-	for d := 0; d < cfg.Corpus.NumDocs; d++ {
-		for i := 0; i < len(blob); i += 8 {
-			binary.LittleEndian.PutUint64(blob[i:], frng.Uint64())
-		}
-		heap.WriteRaw(e.featBase+uint64(d*cfg.FeatureBytes), blob)
+	x.feats = make([]byte, numDocs*cfg.FeatureBytes)
+	for i := 0; i < len(x.feats); i += 8 {
+		binary.LittleEndian.PutUint64(x.feats[i:], frng.Uint64())
+	}
+	return x, nil
+}
+
+// NewEngine lays out an engine's arenas in space and copies idx into them.
+// Nothing mutable is shared with idx or with other engines built from it:
+// the query cache and the per-session accumulator tables are private
+// regions of this engine's heap arena. prog may be nil to skip
+// instruction-side modeling. idx must have been built for cfg's Corpus and
+// FeatureBytes.
+func NewEngine(cfg Config, idx *Index, space *memsim.Space, prog *codegen.Program) (*Engine, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if idx.corpus != cfg.Corpus || idx.featureBytes != cfg.FeatureBytes {
+		return nil, fmt.Errorf("search: index built for corpus %+v with %d feature bytes, engine wants %+v with %d",
+			idx.corpus, idx.featureBytes, cfg.Corpus, cfg.FeatureBytes)
+	}
+	e := &Engine{
+		cfg:       cfg,
+		space:     space,
+		numDocs:   uint32(cfg.Corpus.NumDocs),
+		avgDocLen: idx.avgDocLen,
+		prog:      prog,
+	}
+	// place copies one section of the image to the arena's next free bytes.
+	place := func(a *memsim.Arena, data []byte, align int) uint64 {
+		addr := a.Alloc(len(data), align)
+		a.WriteRaw(addr, data)
+		return addr
 	}
 
+	// Lay out the shard arena: postings then content.
+	e.shard = space.NewArena("shard", trace.Shard, len(idx.postings)+len(idx.content))
+	e.postingsBase = place(e.shard, idx.postings, 0)
+	e.contentBase = place(e.shard, idx.content, 0)
+
+	// Lay out the heap arena: dictionary, skip table, norms, static ranks,
+	// doc metadata, features, query cache, then per-session accumulator
+	// tables.
+	cacheBytes := cfg.QueryCacheSlots * e.cacheSlotBytes()
+	accumBytes := cfg.MaxSessions * cfg.AccumSlots * accumSlot
+	heapBytes := len(idx.dict) + len(idx.skips) + len(idx.meta) + len(idx.norms) + len(idx.statics) +
+		len(idx.feats) + cacheBytes + accumBytes + 64*cfg.MaxSessions
+	e.heap = space.NewArena("heap", trace.Heap, heapBytes)
+	e.dictBase = place(e.heap, idx.dict, 8)
+	e.skipBase = place(e.heap, idx.skips, 8)
+	e.normsBase = place(e.heap, idx.norms, 8)
+	e.staticBase = place(e.heap, idx.statics, 8)
+	e.metaBase = place(e.heap, idx.meta, 8)
+	e.featBase = place(e.heap, idx.feats, 8)
 	if cacheBytes > 0 {
-		e.cacheBase = heap.Alloc(cacheBytes, 8)
+		e.cacheBase = e.heap.Alloc(cacheBytes, 8)
 	}
-	e.accumBase = heap.Alloc(cfg.MaxSessions*cfg.AccumSlots*accumSlot, 64)
-	return e, corpus
+	e.accumBase = e.heap.Alloc(accumBytes, 64)
+	return e, nil
+}
+
+// Build is BuildIndex followed by NewEngine, for callers that want one
+// engine and no retained image.
+func Build(cfg Config, space *memsim.Space, prog *codegen.Program) (*Engine, error) {
+	idx, err := BuildIndex(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return NewEngine(cfg, idx, space, prog)
 }
 
 // cacheSlotBytes returns the query-cache slot size: tag u64 | count u32 |

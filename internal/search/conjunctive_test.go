@@ -19,9 +19,9 @@ func oracleConjunctive(e *Engine, c *Corpus, terms []uint32) []uint32 {
 	df := make([]uint32, len(terms))
 	for i, term := range terms {
 		tf[i] = map[uint32]uint32{}
-		for d, doc := range c.Docs {
+		for d := 0; d < c.NumDocs(); d++ {
 			count := uint32(0)
-			for _, w := range doc {
+			for _, w := range c.Doc(d) {
 				if w == term {
 					count++
 				}
@@ -63,7 +63,7 @@ func oracleConjunctive(e *Engine, c *Corpus, terms []uint32) []uint32 {
 		if !inAll {
 			continue
 		}
-		dl := QuantizedDocLen(len(c.Docs[doc]))
+		dl := QuantizedDocLen(len(c.Doc(int(doc))))
 		boost := 1 + float32(e.StaticWord(doc)%64)/256
 		var score float32
 		for i := range terms {
@@ -135,7 +135,7 @@ func TestConjunctiveSubsetOfDisjunctive(t *testing.T) {
 	for _, doc := range and.Docs {
 		for _, term := range terms {
 			found := false
-			for _, w := range corpus.Docs[doc] {
+			for _, w := range corpus.Doc(int(doc)) {
 				if w == term {
 					found = true
 					break

@@ -63,10 +63,10 @@ func (c CorpusConfig) Validate() error {
 // a batch pipeline distinct from the serving system under study).
 type Corpus struct {
 	cfg CorpusConfig
-	// Docs[d] is the term sequence of document d.
-	Docs [][]uint32
-	// TotalTerms is the summed document length.
-	TotalTerms int64
+	// tokens holds every document's term sequence back to back; document d
+	// is tokens[offs[d]:offs[d+1]].
+	tokens []uint32
+	offs   []int
 }
 
 // GenerateCorpus synthesizes a corpus from cfg.
@@ -76,19 +76,23 @@ func GenerateCorpus(cfg CorpusConfig) *Corpus {
 	}
 	rng := stats.NewRNG(cfg.Seed)
 	termDist := stats.NewZipf(rng.Split(), uint64(cfg.VocabSize), cfg.TermZipfSkew)
-	c := &Corpus{cfg: cfg, Docs: make([][]uint32, cfg.NumDocs)}
+	c := &Corpus{
+		cfg: cfg,
+		// The truncated bounded-Pareto lengths below average about 0.7 of
+		// AvgDocLen, so this is one allocation that append never regrows.
+		tokens: make([]uint32, 0, cfg.NumDocs*cfg.AvgDocLen),
+		offs:   make([]int, 1, cfg.NumDocs+1),
+	}
 	minLen := float64(cfg.AvgDocLen) / 3
 	maxLen := float64(cfg.AvgDocLen) * 12
-	for d := range c.Docs {
+	for d := 0; d < cfg.NumDocs; d++ {
 		// Bounded Pareto with alpha tuned so the mean lands near
 		// AvgDocLen for these bounds.
 		n := int(rng.Pareto(minLen, maxLen, 1.75))
-		doc := make([]uint32, n)
-		for i := range doc {
-			doc[i] = uint32(termDist.Next())
+		for i := 0; i < n; i++ {
+			c.tokens = append(c.tokens, uint32(termDist.Next()))
 		}
-		c.Docs[d] = doc
-		c.TotalTerms += int64(n)
+		c.offs = append(c.offs, len(c.tokens))
 	}
 	return c
 }
@@ -96,12 +100,21 @@ func GenerateCorpus(cfg CorpusConfig) *Corpus {
 // Config returns the corpus configuration.
 func (c *Corpus) Config() CorpusConfig { return c.cfg }
 
+// NumDocs returns the number of documents.
+func (c *Corpus) NumDocs() int { return len(c.offs) - 1 }
+
+// Doc returns the term sequence of document d (a view; do not modify).
+func (c *Corpus) Doc(d int) []uint32 { return c.tokens[c.offs[d]:c.offs[d+1]] }
+
+// TotalTerms returns the summed document length.
+func (c *Corpus) TotalTerms() int64 { return int64(len(c.tokens)) }
+
 // AvgDocLen returns the realized mean document length.
 func (c *Corpus) AvgDocLen() float64 {
-	if len(c.Docs) == 0 {
+	if c.NumDocs() == 0 {
 		return 0
 	}
-	return float64(c.TotalTerms) / float64(len(c.Docs))
+	return float64(c.TotalTerms()) / float64(c.NumDocs())
 }
 
 // posting is one (document, term-frequency) pair during construction.
@@ -110,33 +123,63 @@ type posting struct {
 	tf  uint32
 }
 
-// buildPostings inverts the corpus into per-term posting lists, sorted by
-// document id (documents are processed in id order, so lists sort
-// naturally).
+// buildPostings inverts the corpus into per-term posting lists sorted by
+// document id. Term frequencies are counted per document in a dense
+// per-term counter, with a list of the terms the document touched so only
+// those are visited and reset. A first pass over the corpus gives each
+// term's exact document frequency, which carves one flat array into per-term
+// lists, and a second pass fills them; documents are visited in id order,
+// so every list comes out doc-sorted.
 func buildPostings(c *Corpus) [][]posting {
-	lists := make([][]posting, c.cfg.VocabSize)
-	// Count term frequencies per document with a reusable scratch map.
-	tfs := make(map[uint32]uint32, c.cfg.AvgDocLen)
-	for d, doc := range c.Docs {
-		for k := range tfs {
-			delete(tfs, k)
+	count := make([]uint32, c.cfg.VocabSize)
+	touched := make([]uint32, 0, 12*c.cfg.AvgDocLen)
+	// distinct counts document d's terms into count and returns the
+	// distinct ones; the caller zeroes their counters before the next call.
+	distinct := func(d int) []uint32 {
+		touched = touched[:0]
+		for _, t := range c.Doc(d) {
+			if count[t] == 0 {
+				touched = append(touched, t)
+			}
+			count[t]++
 		}
-		for _, t := range doc {
-			tfs[t]++
-		}
-		//lint:ignore maporder each lists[t] gains one posting per document and documents are visited in id order, so every list stays doc-sorted regardless of term order (panic-checked below)
-		for t, tf := range tfs {
-			lists[t] = append(lists[t], posting{doc: uint32(d), tf: tf})
+		return touched
+	}
+
+	// Pass 1: document frequencies, then turned in place into each term's
+	// first slot of the flat array.
+	next := make([]int, c.cfg.VocabSize)
+	for d := 0; d < c.NumDocs(); d++ {
+		for _, t := range distinct(d) {
+			next[t]++
+			count[t] = 0
 		}
 	}
-	// Map iteration above randomizes intra-document term order, but lists
-	// stay sorted by doc because docs are visited in order; verify cheaply.
-	for t, list := range lists {
+	total := 0
+	for t, df := range next {
+		next[t] = total
+		total += df
+	}
+
+	// Pass 2: fill. Afterwards next[t] is one past term t's last slot.
+	flat := make([]posting, total)
+	for d := 0; d < c.NumDocs(); d++ {
+		for _, t := range distinct(d) {
+			flat[next[t]] = posting{doc: uint32(d), tf: count[t]}
+			next[t]++
+			count[t] = 0
+		}
+	}
+	lists := make([][]posting, c.cfg.VocabSize)
+	begin := 0
+	for t, end := range next {
+		list := flat[begin:end]
 		for i := 1; i < len(list); i++ {
 			if list[i].doc < list[i-1].doc {
 				panic(fmt.Sprintf("search: posting list %d not sorted", t))
 			}
 		}
+		lists[t], begin = list, end
 	}
 	return lists
 }

@@ -24,10 +24,20 @@ func testEngineConfig() Config {
 	return cfg
 }
 
+// mustBuild builds an engine in space and regenerates its corpus (the
+// index does not retain it) for the verification oracles.
+func mustBuild(t *testing.T, cfg Config, space *memsim.Space) (*Engine, *Corpus) {
+	t.Helper()
+	eng, err := Build(cfg, space, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, GenerateCorpus(cfg.Corpus)
+}
+
 func buildTestEngine(t *testing.T, rec memsim.Recorder) (*Engine, *Corpus) {
 	t.Helper()
-	space := memsim.NewSpace(rec)
-	return Build(testEngineConfig(), space, nil)
+	return mustBuild(t, testEngineConfig(), memsim.NewSpace(rec))
 }
 
 // oracleSearch recomputes the expected result independently from the corpus.
@@ -39,7 +49,8 @@ func oracleSearch(e *Engine, c *Corpus, terms []uint32) []uint32 {
 	scores := map[uint32]float32{}
 	for _, term := range terms {
 		var list []hit
-		for d, doc := range c.Docs {
+		for d := 0; d < c.NumDocs(); d++ {
+			doc := c.Doc(d)
 			tf := uint32(0)
 			for _, w := range doc {
 				if w == term {
@@ -67,7 +78,7 @@ func oracleSearch(e *Engine, c *Corpus, terms []uint32) []uint32 {
 		idf := e.idf(df)
 		for _, h := range list {
 			boost := 1 + float32(e.StaticWord(h.doc)%64)/256
-			scores[h.doc] += e.bm25(idf, h.tf, QuantizedDocLen(len(c.Docs[h.doc]))) * boost
+			scores[h.doc] += e.bm25(idf, h.tf, QuantizedDocLen(len(c.Doc(int(h.doc))))) * boost
 		}
 	}
 	type cand struct {
@@ -162,7 +173,7 @@ func TestCacheDisabled(t *testing.T) {
 	cfg := testEngineConfig()
 	cfg.QueryCacheSlots = 0
 	space := memsim.NewSpace(nil)
-	eng, _ := Build(cfg, space, nil)
+	eng, _ := mustBuild(t, cfg, space)
 	sess := eng.NewSession(0, nil)
 	terms := []uint32{5, 17}
 	sess.Execute(terms)
@@ -252,7 +263,7 @@ func TestSessionLimit(t *testing.T) {
 	cfg := testEngineConfig()
 	cfg.MaxSessions = 2
 	space := memsim.NewSpace(nil)
-	eng, _ := Build(cfg, space, nil)
+	eng, _ := mustBuild(t, cfg, space)
 	eng.NewSession(0, nil)
 	eng.NewSession(1, nil)
 	defer func() {
@@ -303,8 +314,8 @@ func TestFootprintsPopulated(t *testing.T) {
 	}
 	// The serialized shard must hold at least ~1 byte per corpus term
 	// (postings + content).
-	if int64(eng.ShardBytes()) < corpus.TotalTerms {
-		t.Fatalf("shard %d bytes too small for %d corpus terms", eng.ShardBytes(), corpus.TotalTerms)
+	if int64(eng.ShardBytes()) < corpus.TotalTerms() {
+		t.Fatalf("shard %d bytes too small for %d corpus terms", eng.ShardBytes(), corpus.TotalTerms())
 	}
 }
 
@@ -342,8 +353,8 @@ func TestConfigValidateEngine(t *testing.T) {
 
 func TestCorpusStats(t *testing.T) {
 	c := GenerateCorpus(CorpusConfig{NumDocs: 500, VocabSize: 1000, AvgDocLen: 60, TermZipfSkew: 1, Seed: 9})
-	if len(c.Docs) != 500 {
-		t.Fatalf("doc count %d", len(c.Docs))
+	if c.NumDocs() != 500 {
+		t.Fatalf("doc count %d", c.NumDocs())
 	}
 	avg := c.AvgDocLen()
 	if avg < 20 || avg > 200 {
@@ -377,7 +388,7 @@ func TestSkipListEntry(t *testing.T) {
 	cfg.MaxPostingsPerTerm = 256
 	cfg.AccumSlots = 1 << 12
 	space := memsim.NewSpace(nil)
-	eng, corpus := Build(cfg, space, nil)
+	eng, corpus := mustBuild(t, cfg, space)
 
 	// Find a term with df > SkipInterval (term 0 is the most popular).
 	var longTerm uint32 = 0

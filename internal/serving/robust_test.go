@@ -215,7 +215,10 @@ func TestEngineLeafScoresStableAcrossRepeats(t *testing.T) {
 	cfg.Corpus.VocabSize = 3000
 	cfg.Corpus.AvgDocLen = 30
 	space := memsim.NewSpace(nil)
-	eng, _ := search.Build(cfg, space, nil)
+	eng, err := search.Build(cfg, space, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	exec := &EngineExecutor{Session: eng.NewSession(0, nil), NSPerInstr: 0.3}
 
 	cc := DefaultConfig()
@@ -248,7 +251,10 @@ func TestEngineExecutorScoresAreReal(t *testing.T) {
 	cfg.Corpus.VocabSize = 3000
 	cfg.Corpus.AvgDocLen = 30
 	space := memsim.NewSpace(nil)
-	eng, _ := search.Build(cfg, space, nil)
+	eng, err := search.Build(cfg, space, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	exec := &EngineExecutor{Session: eng.NewSession(0, nil), NSPerInstr: 0.3}
 
 	_, s1, _ := exec.Search([]uint32{1, 2})

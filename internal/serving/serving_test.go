@@ -187,7 +187,10 @@ func TestEngineExecutor(t *testing.T) {
 	cfg.Corpus.VocabSize = 3000
 	cfg.Corpus.AvgDocLen = 30
 	space := memsim.NewSpace(nil)
-	eng, _ := search.Build(cfg, space, nil)
+	eng, err := search.Build(cfg, space, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	exec := &EngineExecutor{Session: eng.NewSession(0, nil), NSPerInstr: 0.3}
 	docs, scores, lat := exec.Search([]uint32{1, 2})
 	if len(docs) != len(scores) {

@@ -78,17 +78,40 @@ type SearchRunner struct {
 	curTid   uint8
 }
 
-// Build constructs the runner: generates and indexes the corpus, lays out
-// the code segment, and warms the engine.
+// Build constructs the runner on an index image of its own, dropped once
+// the engine holds its copy. It panics on an invalid profile.
 func (w SearchWorkload) Build() *SearchRunner {
 	if err := w.Validate(); err != nil {
 		panic(err)
+	}
+	idx, err := search.BuildIndex(w.Engine)
+	if err != nil {
+		panic(err)
+	}
+	r, err := w.BuildFrom(idx)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// BuildFrom constructs the runner from an already built index image: it
+// lays out the code segment, copies idx into a fresh engine, and warms it.
+// idx is only read, so any number of runners — built concurrently or not —
+// may come from one image; it must have been built for this profile's
+// corpus and feature size.
+func (w SearchWorkload) BuildFrom(idx *search.Index) (*SearchRunner, error) {
+	if err := w.Validate(); err != nil {
+		return nil, err
 	}
 	r := &SearchRunner{wl: w}
 	r.space = memsim.NewSpace(nil)
 	code := r.space.NewArena("code", trace.Code, w.Code.CodeBytes())
 	r.prog = codegen.New(w.Code, code)
-	r.eng, _ = search.Build(w.Engine, r.space, r.prog)
+	var err error
+	if r.eng, err = search.NewEngine(w.Engine, idx, r.space, r.prog); err != nil {
+		return nil, fmt.Errorf("workload %s: %w", w.WLName, err)
+	}
 
 	// Warm the engine into steady state, unrecorded.
 	warm := r.session(0)
@@ -97,7 +120,7 @@ func (w SearchWorkload) Build() *SearchRunner {
 	for i := 0; i < w.WarmQueries; i++ {
 		warm.Execute(r.genTerms(qrng, tsel, nil))
 	}
-	return r
+	return r, nil
 }
 
 // Name implements Runner.

@@ -6,6 +6,7 @@ import (
 
 	"searchmem/internal/cache"
 	"searchmem/internal/platform"
+	"searchmem/internal/search"
 	"searchmem/internal/trace"
 )
 
@@ -120,6 +121,47 @@ func TestSearchRunnerDeterministicWithSameSeed(t *testing.T) {
 	}
 	if run() != run() {
 		t.Fatal("same seed produced different traces")
+	}
+}
+
+// TestBuildFromSharedIndex: runners built from one image — one of them
+// after another has already run and mutated its engine — emit exactly the
+// stream of a runner from Build(), and an image of another corpus is an
+// error.
+func TestBuildFromSharedIndex(t *testing.T) {
+	record := func(r *SearchRunner) []trace.Access {
+		var out []trace.Access
+		r.Run(2, 150_000, 5, Sinks{Access: func(a trace.Access) { out = append(out, a) }})
+		return out
+	}
+	want := record(tinyLeaf().Build())
+
+	idx, err := search.BuildIndex(tinyLeaf().Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		r, err := tinyLeaf().BuildFrom(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := record(r); len(got) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("runner %d from the shared index: %d accesses differ from Build()'s %d", i, len(got), len(want))
+		}
+	}
+
+	wide := tinyLeaf()
+	wide.Engine.MaxSessions = 40 // not part of the image
+	if _, err := wide.BuildFrom(idx); err != nil {
+		t.Errorf("profile differing only in MaxSessions rejected: %v", err)
+	}
+	if _, err := S2Leaf(32).BuildFrom(idx); err == nil {
+		t.Error("S2-leaf built from an S1-leaf index")
+	}
+	bad := tinyLeaf()
+	bad.MinTerms = 0
+	if _, err := bad.BuildFrom(idx); err == nil {
+		t.Error("invalid profile accepted")
 	}
 }
 

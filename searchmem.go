@@ -168,14 +168,18 @@ type Session = search.Session
 func DefaultEngineConfig() EngineConfig { return search.DefaultConfig() }
 
 // BuildEngine generates a corpus, indexes it into space, and returns the
-// engine. codeCfg may be nil to skip instruction-side modeling.
+// engine. codeCfg may be nil to skip instruction-side modeling. It panics
+// on an invalid cfg.
 func BuildEngine(cfg EngineConfig, space *Space, codeCfg *codegen.Config) *Engine {
 	var prog *codegen.Program
 	if codeCfg != nil {
 		arena := space.NewArena("code", trace.Code, codeCfg.CodeBytes())
 		prog = codegen.New(*codeCfg, arena)
 	}
-	eng, _ := search.Build(cfg, space, prog)
+	eng, err := search.Build(cfg, space, prog)
+	if err != nil {
+		panic(err)
+	}
 	return eng
 }
 
