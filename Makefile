@@ -50,11 +50,14 @@ obs-demo:
 # $(FUZZTIME) of coverage-guided exploration per target). The contract under
 # test: decoders never panic and fail only with ErrBadTrace; valid streams
 # round-trip identically through the file and block codecs. FuzzInverter
-# differential-fuzzes the index inverter against its map-based reference.
+# differential-fuzzes the index inverter against its map-based reference;
+# FuzzOwnerFilter does the same for the inclusive L3's core-valid filter
+# against probe-every-core back-invalidation.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzFileCodecDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzBlockDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzInverter$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzOwnerFilter$$' -fuzztime $(FUZZTIME)
 
 ci: build lint test race alloc-check fuzz-smoke

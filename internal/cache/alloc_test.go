@@ -53,9 +53,16 @@ func TestCacheAccessBatchZeroAlloc(t *testing.T) {
 // across every equivalence-suite configuration (policies, L4 variants, split
 // L2s, fully-associative levels), both with nil levels and with a
 // caller-provided cap-sized levels slice (the documented no-growth contract).
+// The "owners" point is four cores over an inclusive L3 smaller than their
+// private caches together, so the steady state evicts from the L3 and
+// back-invalidates through the core-valid filter (owner byte read, set and
+// cleared).
 func TestHierarchyAccessBatchZeroAlloc(t *testing.T) {
-	batch := batchEquivTrace(12, 4096, 2)
+	batch := batchEquivTrace(12, 4096, 4)
 	cfgs := equivConfigs()
+	own := tinyHierarchy(4, nil)
+	own.L3.Size = 8 << 10
+	cfgs["owners"] = own
 	for _, name := range det.SortedKeys(cfgs) {
 		h := NewHierarchy(cfgs[name])
 		requireZeroAllocs(t, name+"/nil-levels", func() {
@@ -67,6 +74,9 @@ func TestHierarchyAccessBatchZeroAlloc(t *testing.T) {
 		})
 		if len(levels) != len(batch) {
 			t.Fatalf("%s: %d levels for %d accesses", name, len(levels), len(batch))
+		}
+		if bi := h.L1Stats().BackInvalidations + h.L2Stats().BackInvalidations; name == "owners" && (h.l3.owners == nil || bi == 0) {
+			t.Errorf("owners: filter on = %v, %d back-invalidations; the point must exercise both", h.l3.owners != nil, bi)
 		}
 	}
 }

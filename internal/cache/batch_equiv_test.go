@@ -51,6 +51,7 @@ type cacheSnap struct {
 	Stamps []uint64
 	Meta   []uint8
 	Occ    []uint16
+	Owners []uint8
 	Clock  uint64
 	Last   uint64
 	PSEL   int32
@@ -70,6 +71,7 @@ func snapCache(c *Cache) cacheSnap {
 	}
 	s.Stamps = append([]uint64(nil), c.stamps...)
 	s.Meta = append([]uint8(nil), c.meta...)
+	s.Owners = append([]uint8(nil), c.owners...)
 	if c.assoc == 0 {
 		for idx := c.faHead; idx >= 0; idx = c.faNodes[idx].next {
 			s.FAList = append(s.FAList, c.faNodes[idx].line)

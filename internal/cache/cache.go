@@ -171,7 +171,16 @@ type Line struct {
 	Dirty bool
 	// Seg is the segment of the access that installed the block.
 	Seg trace.Segment
+	// Owners is the line's core-valid byte (bit core&7 set for every core
+	// that fetched the line since its fill) when the cache tracks owners —
+	// the hierarchy's inclusive set-associative L3 — and allOwners otherwise,
+	// so "probe every core" is what an untracked line asks for.
+	Owners uint8
 }
+
+// allOwners is the core-valid byte of a line whose cache does not track
+// owners: every core may hold it.
+const allOwners = ^uint8(0)
 
 // The set-associative store is split structure-of-arrays style: the tags
 // and stamps the hot probe loop scans live in their own dense arrays (one
@@ -233,6 +242,15 @@ func packMeta(seg trace.Segment, dirty bool) uint8 {
 // metaSeg extracts the installing segment from a meta byte.
 func metaSeg(m uint8) trace.Segment { return trace.Segment(m >> metaSegShift & 3) }
 
+// lineAt describes the valid line in slot i of the set-associative store.
+func (c *Cache) lineAt(i int) Line {
+	l := Line{BlockAddr: c.tags[i], Dirty: c.meta[i]&metaDirty != 0, Seg: metaSeg(c.meta[i]), Owners: allOwners}
+	if c.owners != nil {
+		l.Owners = c.owners[i]
+	}
+	return l
+}
+
 // faNode is one entry of the fully-associative store's intrusive LRU list.
 type faNode struct {
 	line       Line
@@ -257,6 +275,13 @@ type Cache struct {
 	isLRU  bool // cfg.Policy == LRU, hoisted out of the hot probe
 	isRRIP bool // cfg.Policy.RRIP(), hoisted out of the hot probe
 	isDB   bool // cfg.DeadBlock, hoisted out of the hot probe
+
+	// owners is the core-valid byte per way (see Line.Owners); nil unless the
+	// hierarchy enabled tracking on this cache (its inclusive L3).
+	owners []uint8
+	// ownerBit, on a private cache of a hierarchy, is its core's bit in the
+	// L3's owner bytes.
+	ownerBit uint8
 
 	// DRRIP set-dueling state: PSEL counts SRRIP-leader misses up and
 	// BRRIP-leader misses down; followers insert BRRIP-style while it sits
@@ -581,7 +606,7 @@ func (c *Cache) fillAbsent(block uint64, seg trace.Segment, dirty bool) (evicted
 			}
 		}
 		i := base + victim
-		evicted = Line{BlockAddr: c.tags[i], Dirty: c.meta[i]&metaDirty != 0, Seg: metaSeg(c.meta[i])}
+		evicted = c.lineAt(i)
 		ok = true
 		if c.isDB {
 			// Train the dead-block predictor on the evicted line's fate:
@@ -609,6 +634,9 @@ func (c *Cache) fillAbsent(block uint64, seg trace.Segment, dirty bool) (evicted
 		c.stamps[i] = c.clock
 	}
 	c.meta[i] = packMeta(seg, dirty)
+	if c.owners != nil {
+		c.owners[i] = 0 // the hierarchy sets the fetching core's bit
+	}
 	c.lastBlock, c.lastIdx = block, int32(i)
 	if ok && c.OnEvict != nil {
 		//lint:ignore hotalloc eviction hook: the hierarchy's handlers (back-invalidation, L4 victim fill) run on preallocated stores, pinned by the AllocsPerRun oracle
@@ -671,10 +699,13 @@ func (c *Cache) Invalidate(block uint64) (line Line, present bool) {
 	base := set * c.assoc
 	if w := c.findWay(base, block); w >= 0 {
 		i := base + w
-		line = Line{BlockAddr: c.tags[i], Dirty: c.meta[i]&metaDirty != 0, Seg: metaSeg(c.meta[i])}
+		line = c.lineAt(i)
 		c.tags[i] = invalidTag
 		c.stamps[i] = 0
 		c.meta[i] = 0
+		if c.owners != nil {
+			c.owners[i] = 0
+		}
 		c.occ[set]--
 		if block == c.lastBlock {
 			c.lastBlock = invalidTag
@@ -740,6 +771,9 @@ func (c *Cache) Reset() {
 	for i := range c.occ {
 		c.occ[i] = 0
 	}
+	for i := range c.owners {
+		c.owners[i] = 0
+	}
 }
 
 // invalidTag marks an empty way in the tags array, so the hot probe loop can
@@ -787,14 +821,15 @@ func (c *Cache) faFill(block uint64, seg trace.Segment, dirty bool) (evicted Lin
 		ok = true
 		c.faRemove(victim)
 	}
+	node := faNode{line: Line{BlockAddr: block, Dirty: dirty, Seg: seg, Owners: allOwners}}
 	var idx int32
 	if n := len(c.faFree); n > 0 {
 		idx = c.faFree[n-1]
 		c.faFree = c.faFree[:n-1]
-		c.faNodes[idx] = faNode{line: Line{BlockAddr: block, Dirty: dirty, Seg: seg}}
+		c.faNodes[idx] = node
 	} else {
 		idx = int32(len(c.faNodes))
-		c.faNodes = append(c.faNodes, faNode{line: Line{BlockAddr: block, Dirty: dirty, Seg: seg}})
+		c.faNodes = append(c.faNodes, node)
 	}
 	c.faPushFront(idx)
 	c.faIndex[block] = idx

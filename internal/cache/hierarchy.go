@@ -180,7 +180,9 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 		mk := func(t Config, kind string) *Cache {
 			t.Name = fmt.Sprintf("%s[core%d]", kind, c)
 			t.Seed ^= uint64(c+1) * 0x9e3779b9
-			return New(t)
+			pc := New(t)
+			pc.ownerBit = 1 << (c & 7)
+			return pc
 		}
 		h.l1i = append(h.l1i, mk(cfg.L1I, "L1-I"))
 		h.l1d = append(h.l1d, mk(cfg.L1D, "L1-D"))
@@ -199,6 +201,16 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 		}
 	}
 	h.l3 = New(cfg.L3)
+	if cfg.L3Inclusive && h.l3.assoc != 0 {
+		// Core-valid bits: a private cache of core c holds a block only if the
+		// L3 holds its covering line with bit c&7 set — every private fill
+		// goes through missPath or InstallPrefetch on that core, which set it,
+		// and it is cleared only when the line leaves the L3 — so onL3Evict
+		// probes only the cores whose bit is set. Above 8 cores bits alias to
+		// a superset, which is still exact: invalidating an absent block does
+		// nothing.
+		h.l3.owners = make([]uint8, len(h.l3.tags))
+	}
 	if cfg.L4 != nil {
 		h.l4 = New(*cfg.L4)
 		h.l4.OnEvict = func(l Line) {
@@ -243,14 +255,19 @@ func (h *Hierarchy) onL3Evict(l Line) {
 	dirty := l.Dirty
 	byteAddr := l.BlockAddr << h.l3.BlockShift()
 	if h.cfg.L3Inclusive {
-		// Invalidate every covered upper-level block; fold any dirty
-		// upper copy into the evicted line so the data is not lost.
+		// Invalidate every covered upper-level block of every core that
+		// can hold one; fold any dirty upper copy into the evicted line so
+		// the data is not lost.
+		span := int64(h.cfg.L3.BlockSize)
 		for c := 0; c < h.cfg.Cores; c++ {
-			dirty = h.backInvalidate(h.l1i[c], byteAddr, int64(h.cfg.L3.BlockSize)) || dirty
-			dirty = h.backInvalidate(h.l1d[c], byteAddr, int64(h.cfg.L3.BlockSize)) || dirty
-			dirty = h.backInvalidate(h.l2[c], byteAddr, int64(h.cfg.L3.BlockSize)) || dirty
+			if l.Owners>>(c&7)&1 == 0 {
+				continue
+			}
+			dirty = h.backInvalidate(h.l1i[c], byteAddr, span) || dirty
+			dirty = h.backInvalidate(h.l1d[c], byteAddr, span) || dirty
+			dirty = h.backInvalidate(h.l2[c], byteAddr, span) || dirty
 			if h.cfg.SplitL2 {
-				dirty = h.backInvalidate(h.l2i[c], byteAddr, int64(h.cfg.L3.BlockSize)) || dirty
+				dirty = h.backInvalidate(h.l2i[c], byteAddr, span) || dirty
 			}
 		}
 	}
@@ -270,7 +287,7 @@ func (h *Hierarchy) onL3Evict(l Line) {
 // byteAddr+span) and reports whether any removed line was dirty.
 func (h *Hierarchy) backInvalidate(c *Cache, byteAddr uint64, span int64) bool {
 	dirty := false
-	step := uint64(c.Config().BlockSize)
+	step := uint64(1) << c.blockShift
 	for off := uint64(0); off < uint64(span); off += step {
 		if line, present := c.Invalidate(c.BlockAddr(byteAddr + off)); present {
 			c.Stats.BackInvalidations++
@@ -466,6 +483,10 @@ func (h *Hierarchy) missPath(l1, l2 *Cache, byteAddr uint64, seg trace.Segment, 
 			// take the no-rescan path.
 			h.l3.fillAbsent(h.l3.BlockAddr(byteAddr), seg, false)
 		}
+		if own := h.l3.owners; own != nil {
+			// The hit or the fill above left the line in the L3's line buffer.
+			own[h.l3.lastIdx] |= l2.ownerBit
+		}
 		// Fill the L2; dirty victims write back into the L3.
 		if ev, ok := l2.fillAbsent(l2.BlockAddr(byteAddr), seg, false); ok && ev.Dirty {
 			h.writeback(h.l3, ev.BlockAddr<<l2.BlockShift(), ev.Seg)
@@ -491,7 +512,8 @@ func (h *Hierarchy) InstallPrefetch(core int, byteAddr uint64, seg trace.Segment
 		return
 	}
 	h.PrefetchFills++
-	inL3 := h.l3.Contains(h.l3.BlockAddr(byteAddr))
+	l3Block := h.l3.BlockAddr(byteAddr)
+	inL3 := h.l3.Contains(l3Block)
 	inL4 := h.l4 != nil && h.l4.Contains(h.l4.BlockAddr(byteAddr))
 	if !inL3 {
 		if !inL4 {
@@ -501,7 +523,11 @@ func (h *Hierarchy) InstallPrefetch(core int, byteAddr uint64, seg trace.Segment
 				h.mem.MemRead(byteAddr, seg)
 			}
 		}
-		h.l3.fillAbsent(h.l3.BlockAddr(byteAddr), seg, false)
+		h.l3.fillAbsent(l3Block, seg, false)
+	}
+	if own := h.l3.owners; own != nil {
+		base := h.l3.setBase(l3Block)
+		own[base+h.l3.findWay(base, l3Block)] |= l2.ownerBit
 	}
 	if ev, ok := l2.fillAbsent(l2.BlockAddr(byteAddr), seg, false); ok && ev.Dirty {
 		h.writeback(h.l3, ev.BlockAddr<<l2.BlockShift(), ev.Seg)

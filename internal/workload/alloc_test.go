@@ -14,6 +14,7 @@ package workload
 import (
 	"testing"
 
+	"searchmem/internal/platform"
 	"searchmem/internal/trace"
 )
 
@@ -61,5 +62,33 @@ func TestBatchedReplayZeroAlloc(t *testing.T) {
 					accesses, branches, want.Accesses, want.Branches)
 			}
 		})
+	}
+}
+
+// TestMeasureReplaySteadyStateZeroAllocPerAccess pins the memoized Measure
+// path: once a Replayer holds the recordings and the branch memo, a Measure
+// allocates its hierarchy and result and nothing that scales with the trace —
+// an 8x longer recording costs the same allocations.
+func TestMeasureReplaySteadyStateZeroAllocPerAccess(t *testing.T) {
+	rep := NewReplayer(&scriptedRunner{})
+	allocs := func(budget int64) float64 {
+		mc := MeasureConfig{
+			Platform: platform.PLT1().ScaleCaches(16),
+			Cores:    2, SMTWays: 1, Threads: 2,
+			Budget: budget, Seed: 9,
+		}
+		Measure(rep, mc) // records both keys and fills the memo
+		passes := rep.branchPasses.Load()
+		avg := testing.AllocsPerRun(5, func() { Measure(rep, mc) })
+		if rep.branchPasses.Load() != passes {
+			t.Fatal("steady-state Measure re-ran the predictors")
+		}
+		return avg
+	}
+	// AllocsPerRun counts the whole process, so allow the runtime's own
+	// background allocations a few; anything per access, per branch or per
+	// sub-window would add thousands.
+	if short, long := allocs(2_000), allocs(16_000); long > short+4 {
+		t.Errorf("Measure allocations grow with the trace: %.0f for 2k accesses, %.0f for 16k", short, long)
 	}
 }

@@ -1,0 +1,183 @@
+package workload
+
+import (
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"searchmem/internal/platform"
+	"searchmem/internal/trace"
+)
+
+// plainRunner replays a Replayer's recordings one access at a time but is
+// not a *Replayer, so Measure and MeasureMulti see a raw runner and take the
+// live Branch sink.
+type plainRunner struct{ rep *Replayer }
+
+func (p plainRunner) Name() string        { return p.rep.Name() }
+func (p plainRunner) MemOverlap() float64 { return p.rep.MemOverlap() }
+func (p plainRunner) Run(threads int, budget int64, seed uint64, s Sinks) Stats {
+	return p.rep.Run(threads, budget, seed, Sinks{Access: s.Access, Branch: s.Branch})
+}
+
+// storeCases is the three recording transports, for tests that must hold on
+// each.
+func storeCases(t *testing.T) map[string]StoreConfig {
+	return map[string]StoreConfig{
+		"flat":       {},
+		"compressed": {Compress: true, BlockLen: 128},
+		"spilled":    {Compress: true, BlockLen: 128, SpillDir: t.TempDir()},
+	}
+}
+
+// TestBranchMemoMatchesLive requires the memoized branch counts to be the
+// live ones: Measure on a Replayer equals Measure with a no-op BranchObserver
+// (which forces the live sink on the same Replayer) and equals Measure on the
+// same recordings behind a raw runner, across predictor shapes, warm-up modes
+// and recording transports.
+func TestBranchMemoMatchesLive(t *testing.T) {
+	for name, store := range storeCases(t) {
+		t.Run(name, func(t *testing.T) {
+			rep := NewReplayer(SPECPerlbench().Build())
+			rep.SetStore(store)
+			var passes int64
+			for _, bits := range []uint{10, 14} {
+				for _, cores := range []int{1, 4} {
+					for _, smt := range []int{1, 2} {
+						for _, warmup := range []float64{0, NoWarmup} {
+							mc := MeasureConfig{
+								Platform: platform.PLT1().ScaleCaches(16),
+								Cores:    cores, SMTWays: smt, Threads: cores * smt,
+								Budget: 40_000, Seed: 5,
+								PredictorBits: bits, WarmupFraction: warmup,
+							}
+							memo := Measure(rep, mc)
+							passes++
+							if got := rep.branchPasses.Load(); got != passes {
+								t.Fatalf("%d predictor passes after %d distinct keys", got, passes)
+							}
+							if memo.BranchMPKI == 0 {
+								t.Fatal("degenerate stream: no mispredicted branches")
+							}
+							observed := mc
+							observed.BranchObserver = func(uint8, bool) {}
+							if live := Measure(rep, observed); !reflect.DeepEqual(live, memo) {
+								t.Errorf("bits %d cores %d smt %d warm-up %v: live sink on the Replayer diverges from the memo\n got: %+v\nwant: %+v",
+									bits, cores, smt, warmup, memo, live)
+							}
+							if raw := Measure(plainRunner{rep}, mc); !reflect.DeepEqual(raw, memo) {
+								t.Errorf("bits %d cores %d smt %d warm-up %v: raw runner diverges from the memo\n got: %+v\nwant: %+v",
+									bits, cores, smt, warmup, memo, raw)
+							}
+							if got := rep.branchPasses.Load(); got != passes {
+								t.Fatalf("live measurements ran the memo: %d passes, want %d", got, passes)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestBranchMemoOncePerKey hammers one Replayer from 8 goroutines with two
+// predictor shapes through both Measure and MeasureMulti: each (recording
+// pair, shape) runs its predictors exactly once, and the recordings — their
+// number and, because the inner runner's state evolves, their warm-up-first
+// order — are what a serial run on a fresh runner leaves, witnessed by equal
+// Metrics. Meaningful under -race.
+func TestBranchMemoOncePerKey(t *testing.T) {
+	shapes := make([]MeasureConfig, 2)
+	for i := range shapes {
+		shapes[i] = MeasureConfig{
+			Platform: platform.PLT1().ScaleCaches(16),
+			Cores:    2, SMTWays: 1, Threads: 2,
+			Budget: 100_000, Seed: 11,
+			PredictorBits: uint(12 + 2*i),
+		}
+	}
+	serial := NewReplayer(tinyLeaf().Build())
+	want := []Metrics{Measure(serial, shapes[0]), Measure(serial, shapes[1])}
+
+	rep := NewReplayer(tinyLeaf().Build())
+	var wg sync.WaitGroup
+	got := make([][]Metrics, 8)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%2 == 0 {
+				got[g] = MeasureMulti(rep, shapes)
+			} else {
+				got[g] = []Metrics{Measure(rep, shapes[0]), Measure(rep, shapes[1])}
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if !reflect.DeepEqual(got[g], want) {
+			t.Errorf("goroutine %d diverges from the serial run", g)
+		}
+	}
+	if n := rep.branchPasses.Load(); n != 2 {
+		t.Errorf("%d predictor passes for 2 shapes over one recording pair, want 2", n)
+	}
+	if rep.Recordings() != serial.Recordings() || rep.Recordings() != 2 {
+		t.Errorf("Recordings = %d (serial %d), want 2", rep.Recordings(), serial.Recordings())
+	}
+}
+
+// TestMemoRecordsWarmupFirst pins the order in which the memo itself asks for
+// recordings when it is the first to need them.
+func TestMemoRecordsWarmupFirst(t *testing.T) {
+	inner := &scriptedRunner{}
+	rep := NewReplayer(inner)
+	mc := MeasureConfig{Cores: 1, SMTWays: 1, Threads: 1, Budget: 400, Seed: 3}
+	mc.normalize()
+	warm, main := measureKeys(&mc)
+	rep.branchCounts(branchKey{warm: warm, main: main, shape: shapeOf(&mc)})
+	if want := []int64{100, 400}; !reflect.DeepEqual(inner.budgets, want) {
+		t.Fatalf("memo recorded budgets %v, want %v (warm-up first)", inner.budgets, want)
+	}
+}
+
+// TestNilBranchSinkSameAccesses checks that dropping the Branch sink — what
+// every memoized measurement now does — leaves the delivered access sequence
+// exactly the recorded one.
+func TestNilBranchSinkSameAccesses(t *testing.T) {
+	for name, store := range storeCases(t) {
+		t.Run(name, func(t *testing.T) {
+			rep := NewReplayer(&scriptedRunner{})
+			rep.SetStore(store)
+			collect := func(branch func(uint8, uint64, bool)) []string {
+				var out []string
+				rep.Run(3, 1000, 7, Sinks{
+					AccessBatch: func(b []trace.Access) {
+						for _, a := range b {
+							out = append(out, fmt.Sprint(a))
+						}
+					},
+					Branch: branch,
+				})
+				return out
+			}
+			var recorded []string
+			rec, _ := rep.Trace(3, 1000, 7)
+			cur := rec.Cursor()
+			var a trace.Access
+			for cur.Next(&a) {
+				recorded = append(recorded, fmt.Sprint(a))
+			}
+			if len(recorded) != 1000 {
+				t.Fatalf("recording holds %d accesses, want 1000", len(recorded))
+			}
+			if got := collect(nil); !reflect.DeepEqual(got, recorded) {
+				t.Error("nil Branch sink: delivered accesses differ from the recording")
+			}
+			if got := collect(func(uint8, uint64, bool) {}); !reflect.DeepEqual(got, recorded) {
+				t.Error("with a Branch sink: delivered accesses differ from the recording")
+			}
+		})
+	}
+}

@@ -217,12 +217,7 @@ func Measure(r Runner, mc MeasureConfig) Metrics {
 		engine = cpu.NewEngine(h, mc.Cores, mc.Prefetchers)
 	}
 
-	// Per-core branch predictors (SMT threads share their core's tables).
-	preds := make([]*cpu.PredictorStats, mc.Cores)
-	for i := range preds {
-		preds[i] = &cpu.PredictorStats{P: cpu.NewGshare(mc.PredictorBits)}
-	}
-	coreFor := func(t uint8) int { return int(t) / mc.SMTWays % mc.Cores }
+	bt := newBranchTally(r, []MeasureConfig{mc}, mc.BranchObserver)
 	measuring := false // observers only see the post-warmup phase
 	sinks := Sinks{
 		Access: func(a trace.Access) {
@@ -236,12 +231,7 @@ func Measure(r Runner, mc MeasureConfig) Metrics {
 				mc.AccessObserver(a, lvl)
 			}
 		},
-		Branch: func(t uint8, pc uint64, taken bool) {
-			mis := preds[coreFor(t)].Observe(cpu.Branch{PC: pc, Taken: taken})
-			if measuring && mc.BranchObserver != nil {
-				mc.BranchObserver(t, mis)
-			}
-		},
+		Branch: bt.sink(),
 	}
 	// Without a prefetch engine or per-access observer, the hierarchy can
 	// consume the access stream through the batched kernel: bit-identical
@@ -252,25 +242,22 @@ func Measure(r Runner, mc MeasureConfig) Metrics {
 	}
 
 	// Warmup, then reset statistics and measure.
-	warm := int64(float64(mc.Budget) * mc.WarmupFraction)
-	if warm > 0 {
-		r.Run(mc.Threads, warm, mc.Seed^0xbeef, sinks)
+	if bt.warm.budget > 0 {
+		r.Run(mc.Threads, bt.warm.budget, bt.warm.seed, sinks)
 		h.ResetStats()
 		if sys != nil {
 			sys.ResetStats() // residency and row state stay warm; counters restart
 		}
-		for i := range preds {
-			preds[i].Predictions, preds[i].Mispredicts = 0, 0
-		}
 	}
 	measuring = true
+	bt.beginMeasured()
 	run := r.Run(mc.Threads, mc.Budget, mc.Seed, sinks)
 
-	return reduce(r, mc, h, sys, preds, run, l4Hit, l4Pen)
+	return reduce(r, mc, h, sys, bt.mispredicts(0), run, l4Hit, l4Pen)
 }
 
 // reduce turns raw simulation counters into Metrics via the core model.
-func reduce(r Runner, mc MeasureConfig, h *cache.Hierarchy, sys *mem.System, preds []*cpu.PredictorStats, run Stats, l4Hit, l4Pen float64) Metrics {
+func reduce(r Runner, mc MeasureConfig, h *cache.Hierarchy, sys *mem.System, mispred int64, run Stats, l4Hit, l4Pen float64) Metrics {
 	m := Metrics{
 		Instructions: run.Instructions,
 		Run:          run,
@@ -288,10 +275,6 @@ func reduce(r Runner, mc MeasureConfig, h *cache.Hierarchy, sys *mem.System, pre
 	}
 	ki := float64(instr) / 1000
 
-	var mispred int64
-	for _, p := range preds {
-		mispred += p.Mispredicts
-	}
 	m.BranchMPKI = float64(mispred) / ki
 
 	l1i, l1d := h.L1IStats(), h.L1DStats()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"searchmem/internal/cache"
-	"searchmem/internal/cpu"
 	"searchmem/internal/mem"
 	"searchmem/internal/trace"
 )
@@ -16,10 +15,11 @@ import (
 // serial engine's regardless of worker scheduling.
 func PreRecord(r *Replayer, mc MeasureConfig) {
 	mc.normalize()
-	if warm := int64(float64(mc.Budget) * mc.WarmupFraction); warm > 0 {
-		r.Record(mc.Threads, warm, mc.Seed^0xbeef)
+	warm, main := measureKeys(&mc)
+	if warm.budget > 0 {
+		r.record(warm)
 	}
-	r.Record(mc.Threads, mc.Budget, mc.Seed)
+	r.record(main)
 }
 
 // MeasureMulti measures many hierarchy configurations against one workload
@@ -40,8 +40,9 @@ func PreRecord(r *Replayer, mc MeasureConfig) {
 //
 // Branch predictors are deterministic functions of the branch stream, so
 // configs sharing a (PredictorBits, Cores, SMTWays) shape share one
-// predictor group: each distinct shape observes the stream once, however
-// many configurations use it.
+// predictor pass (see branchTally): each distinct shape observes the stream
+// once, however many configurations use it — and on a Replayer, once for
+// every call that replays the same recordings.
 func MeasureMulti(r Runner, mcs []MeasureConfig) []Metrics {
 	if len(mcs) == 0 {
 		return nil
@@ -75,26 +76,7 @@ func MeasureMulti(r Runner, mcs []MeasureConfig) []Metrics {
 		hs[i], sys[i], l4Hit[i], l4Pen[i] = buildHierarchy(cfgs[i])
 	}
 
-	// One predictor group per distinct predictor shape, in config order.
-	type predKey struct {
-		bits       uint
-		cores, smt int
-	}
-	groups := make(map[predKey][]*cpu.PredictorStats)
-	order := make([]predKey, 0, n)
-	groupOf := make([]predKey, n)
-	for i, mc := range cfgs {
-		k := predKey{bits: mc.PredictorBits, cores: mc.Cores, smt: mc.SMTWays}
-		if _, ok := groups[k]; !ok {
-			preds := make([]*cpu.PredictorStats, mc.Cores)
-			for j := range preds {
-				preds[j] = &cpu.PredictorStats{P: cpu.NewGshare(mc.PredictorBits)}
-			}
-			groups[k] = preds
-			order = append(order, k)
-		}
-		groupOf[i] = k
-	}
+	bt := newBranchTally(r, cfgs, nil)
 
 	sinks := Sinks{
 		// Batching-aware runners (the Replayer) deliver zero-copy windows;
@@ -110,19 +92,13 @@ func MeasureMulti(r Runner, mcs []MeasureConfig) []Metrics {
 				h.Access(a)
 			}
 		},
-		Branch: func(t uint8, pc uint64, taken bool) {
-			for _, k := range order {
-				preds := groups[k]
-				preds[int(t)/k.smt%k.cores].Observe(cpu.Branch{PC: pc, Taken: taken})
-			}
-		},
+		Branch: bt.sink(),
 	}
 
 	// Warmup once, reset everything, then the measured run — the same
 	// phases Measure performs, shared across all configurations.
-	warm := int64(float64(base.Budget) * base.WarmupFraction)
-	if warm > 0 {
-		r.Run(base.Threads, warm, base.Seed^0xbeef, sinks)
+	if bt.warm.budget > 0 {
+		r.Run(base.Threads, bt.warm.budget, bt.warm.seed, sinks)
 		for _, h := range hs {
 			h.ResetStats()
 		}
@@ -131,17 +107,13 @@ func MeasureMulti(r Runner, mcs []MeasureConfig) []Metrics {
 				s.ResetStats()
 			}
 		}
-		for _, k := range order {
-			for _, p := range groups[k] {
-				p.Predictions, p.Mispredicts = 0, 0
-			}
-		}
 	}
+	bt.beginMeasured()
 	run := r.Run(base.Threads, base.Budget, base.Seed, sinks)
 
 	out := make([]Metrics, n)
 	for i := range cfgs {
-		out[i] = reduce(r, cfgs[i], hs[i], sys[i], groups[groupOf[i]], run, l4Hit[i], l4Pen[i])
+		out[i] = reduce(r, cfgs[i], hs[i], sys[i], bt.mispredicts(i), run, l4Hit[i], l4Pen[i])
 	}
 	return out
 }

@@ -11,8 +11,8 @@ import (
 // TestMeasureMultiMatchesMeasure requires MeasureMulti's single-pass sweep
 // to reproduce per-config Measure results exactly — every float, every
 // counter — across capacity, partitioning, L4, split-L2 and predictor-shape
-// variation. Both run against one Replayer so they replay the identical
-// recording.
+// (bits, cores x SMT) variation. Both run against one Replayer so they
+// replay the identical recording.
 func TestMeasureMultiMatchesMeasure(t *testing.T) {
 	r := NewReplayer(tinyLeaf().Build())
 	base := MeasureConfig{
@@ -39,6 +39,9 @@ func TestMeasureMultiMatchesMeasure(t *testing.T) {
 	pred := base
 	pred.PredictorBits = 12
 	mcs = append(mcs, pred)
+	smt := base // same threads on one SMT-2 core: another predictor shape
+	smt.Cores, smt.SMTWays = 1, 2
+	mcs = append(mcs, smt)
 
 	refs := make([]Metrics, len(mcs))
 	for i, mc := range mcs {
@@ -48,10 +51,20 @@ func TestMeasureMultiMatchesMeasure(t *testing.T) {
 	if len(got) != len(refs) {
 		t.Fatalf("MeasureMulti returned %d metrics, want %d", len(got), len(refs))
 	}
+	// A raw runner has no recording to memoize branch outcomes on, so the
+	// same sweep through plainRunner runs each distinct shape's predictors
+	// live; it must agree too.
+	live := MeasureMulti(plainRunner{r}, mcs)
 	for i := range refs {
 		if !reflect.DeepEqual(got[i], refs[i]) {
 			t.Errorf("config %d: MeasureMulti diverges from Measure\n got: %+v\nwant: %+v", i, got[i], refs[i])
 		}
+		if !reflect.DeepEqual(live[i], refs[i]) {
+			t.Errorf("config %d: MeasureMulti on a raw runner diverges from Measure\n got: %+v\nwant: %+v", i, live[i], refs[i])
+		}
+	}
+	if n := r.branchPasses.Load(); n != 3 {
+		t.Errorf("%d predictor passes for 3 distinct shapes, want 3", n)
 	}
 }
 

@@ -50,6 +50,11 @@ type Replayer struct {
 	runs   map[runKey]*recordedRun
 	store  StoreConfig
 	spills []*os.File
+
+	// branches memoizes predictor passes over the recordings (branch.go);
+	// branchPasses counts the passes actually run (test hook).
+	branches     map[branchKey]*branchMemo
+	branchPasses atomic.Int64
 }
 
 // StoreConfig selects how a Replayer stores its recordings.
@@ -123,7 +128,7 @@ type recordedBranch struct {
 // NewReplayer wraps inner with a memoizing replay layer (flat storage; call
 // SetStore before the first recording to compress).
 func NewReplayer(inner Runner) *Replayer {
-	return &Replayer{inner: inner, runs: make(map[runKey]*recordedRun)}
+	return &Replayer{inner: inner, runs: make(map[runKey]*recordedRun), branches: make(map[branchKey]*branchMemo)}
 }
 
 // SetStore selects the recording storage. It must be called before the
