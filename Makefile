@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-escape test race alloc-check ci obs-demo fuzz-smoke
+.PHONY: all build vet fmt lint lint-escape test race alloc-check ci obs-demo fuzz-smoke
 
 # Seconds of coverage-guided fuzzing per codec target in fuzz-smoke.
 FUZZTIME ?= 5s
@@ -13,9 +13,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint enforces the determinism & aliasing invariants (DESIGN.md §8):
-# go vet plus the repo's own stdlib-only analyzer suite.
-lint: vet
+# fmt fails when any file outside the analyzer fixtures is not gofmt-clean.
+fmt:
+	@test -z "$$(gofmt -l . | grep -v testdata)" || { gofmt -l . | grep -v testdata; exit 1; }
+
+# lint enforces formatting and the determinism & aliasing invariants
+# (DESIGN.md §8): gofmt, go vet, and the repo's own stdlib-only analyzer
+# suite.
+lint: fmt vet
 	$(GO) run ./cmd/searchlint ./...
 
 # lint-escape cross-checks the hotalloc analyzer against the compiler's

@@ -41,6 +41,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: cachesim -trace <file> [flags]")
 		os.Exit(2)
 	}
+	// Reject numbers the capacity arithmetic below cannot take (it divides
+	// by -scale and -block) before doing any of it.
+	need := func(ok bool, flag, want string, got int64) {
+		if !ok {
+			fmt.Fprintf(os.Stderr, "cachesim: %s must be %s, got %d\n", flag, want, got)
+			os.Exit(2)
+		}
+	}
+	need(*scale >= 1, "-scale", "at least 1", *scale)
+	need(*block >= 8 && *block&(*block-1) == 0, "-block", "a power of two, at least 8", int64(*block))
+	need(*l1 > 0, "-l1", "positive", *l1)
+	need(*l2 > 0, "-l2", "positive", *l2)
+	need(*l3 > 0, "-l3", "positive", *l3)
+	need(*l4 >= 0, "-l4", "non-negative", *l4)
+	need(*cores >= 1 && *cores <= 256, "-cores", "in 1..256", int64(*cores))
+	need(*smt >= 1 && *smt <= 256, "-smt", "in 1..256", int64(*smt))
+	need(*cores**smt <= 256, "-cores x -smt", "at most 256 hardware threads", int64(*cores**smt))
+	need(*instrKI >= 0, "-instructions", "non-negative", *instrKI)
 
 	div := func(v int64) int64 {
 		out := v / *scale

@@ -45,6 +45,16 @@ func main() {
 		list    = flag.Bool("list", false, "list profiles and exit")
 	)
 	flag.Parse()
+	need := func(ok bool, flag, want string, got int64) {
+		if !ok {
+			fmt.Fprintf(os.Stderr, "tracegen: %s must be %s, got %d\n", flag, want, got)
+			os.Exit(2)
+		}
+	}
+	need(*instrs > 0, "-instructions", "positive", *instrs)
+	// The trace file format packs the thread id into 4 bits.
+	need(*threads >= 1 && *threads <= 16, "-threads", "in 1..16", int64(*threads))
+	need(*shrink >= 1, "-shrink", "at least 1", int64(*shrink))
 
 	ps := profiles(*shrink)
 	if *list {

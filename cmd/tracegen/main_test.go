@@ -38,9 +38,9 @@ func TestListProfiles(t *testing.T) {
 	}
 }
 
-// TestBadInvocationsFail: an unknown profile or flag exits 2 with a message
-// naming the problem and writes no trace; an output path that cannot be
-// created exits 1.
+// TestBadInvocationsFail: an unknown profile or flag, or a number the
+// workload builder cannot take, exits 2 with a message naming the problem
+// and writes no trace; an output path that cannot be created exits 1.
 func TestBadInvocationsFail(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "t.smtr")
@@ -53,6 +53,11 @@ func TestBadInvocationsFail(t *testing.T) {
 		{"unknown profile", []string{"-profile", "s9-leaf", "-o", out}, 2, `unknown profile "s9-leaf" (try -list)`},
 		{"unknown flag", []string{"-no-such-flag", "-o", out}, 2, "flag provided but not defined: -no-such-flag"},
 		{"malformed value", []string{"-threads", "many", "-o", out}, 2, "invalid value"},
+		{"zero threads", []string{"-threads", "0", "-o", out}, 2, "tracegen: -threads must be in 1..16, got 0"},
+		{"threads past the codec's 4 bits", []string{"-threads", "17", "-o", out}, 2, "tracegen: -threads must be in 1..16, got 17"},
+		{"threads past uint8", []string{"-threads", "300", "-o", out}, 2, "tracegen: -threads must be in 1..16, got 300"},
+		{"zero shrink", []string{"-shrink", "0", "-o", out}, 2, "tracegen: -shrink must be at least 1, got 0"},
+		{"zero instructions", []string{"-instructions", "0", "-o", out}, 2, "tracegen: -instructions must be positive, got 0"},
 		{"uncreatable output", []string{"-shrink", "64", "-o", filepath.Join(dir, "missing", "t.smtr")}, 1, "no such file or directory"},
 	} {
 		got, err := exec.Command(tracegenBin, tc.args...).CombinedOutput()

@@ -26,29 +26,6 @@ func requireZeroAllocs(t *testing.T, name string, f func()) {
 	}
 }
 
-// TestCacheAccessBatchZeroAlloc pins the standalone single-level kernel,
-// including the fully-associative path whose free/node arrays are
-// preallocated in New precisely so this holds.
-func TestCacheAccessBatchZeroAlloc(t *testing.T) {
-	batch := batchEquivTrace(11, 4096, 2)
-	configs := map[string]Config{
-		"setassoc": {Size: 8 << 10, BlockSize: 64, Assoc: 4},
-		"fifo":     {Size: 8 << 10, BlockSize: 64, Assoc: 4, Policy: FIFO},
-		"random":   {Size: 8 << 10, BlockSize: 64, Assoc: 4, Policy: Random, Seed: 3},
-		"srrip":    {Size: 8 << 10, BlockSize: 64, Assoc: 4, Policy: SRRIP},
-		"brrip":    {Size: 8 << 10, BlockSize: 64, Assoc: 4, Policy: BRRIP, Seed: 5},
-		"drrip":    {Size: 8 << 10, BlockSize: 64, Assoc: 4, Policy: DRRIP, Seed: 6},
-		"srrip+db": {Size: 8 << 10, BlockSize: 64, Assoc: 4, Policy: SRRIP, DeadBlock: true},
-		"fa":       {Size: 4 << 10, BlockSize: 64, Assoc: 0},
-	}
-	for _, name := range det.SortedKeys(configs) {
-		c := New(configs[name])
-		requireZeroAllocs(t, name, func() {
-			c.AccessBatch(batch)
-		})
-	}
-}
-
 // TestHierarchyAccessBatchZeroAlloc drives the full-hierarchy batched kernel
 // across every equivalence-suite configuration (policies, L4 variants, split
 // L2s, fully-associative levels), both with nil levels and with a
@@ -90,7 +67,7 @@ func TestHierarchyDrainBatchZeroAlloc(t *testing.T) {
 		h := NewHierarchy(tinyHierarchy(2, l4))
 		requireZeroAllocs(t, "drain/"+name, func() {
 			v.Rewind()
-			h.DrainBatch(v)
+			drainBatch(h, v)
 		})
 	}
 }

@@ -1,8 +1,8 @@
 package cache
 
 // Batch-split invariance tests for the replay kernel: how a stream is cut
-// into AccessBatch / DrainBatch calls — one access at a time (Hierarchy.Access
-// is a one-element batch), window-sized, or whole-trace — must not show in the
+// into AccessBatch calls — one access at a time (Hierarchy.Access is a
+// one-element batch), window-sized, or whole-trace — must not show in the
 // outcome: same stats, same HitLevel per access, and bit-identical internal
 // cache state (tag/stamp/meta arrays, occupancy, recency clock, line buffer,
 // FA list order) regardless of policy, partitioning or batch size.
@@ -15,7 +15,19 @@ import (
 	"searchmem/internal/trace"
 )
 
-// equivTrace generates a seeded access pattern with hot, warm and cold
+// drainBatch runs an entire batched stream through h, consuming each batch
+// before the next NextBatch call (the trace.BatchStream lifetime contract).
+func drainBatch(h *Hierarchy, bs trace.BatchStream) {
+	for {
+		b := bs.NextBatch()
+		if len(b) == 0 {
+			return
+		}
+		h.AccessBatch(b, nil)
+	}
+}
+
+// batchEquivTrace generates a seeded access pattern with hot, warm and cold
 // regions so the hierarchy sees hits at every level, evictions, dirty
 // writebacks, instruction fetches and unaligned multi-block accesses.
 func batchEquivTrace(seed uint64, n, threads int) []trace.Access {
@@ -118,8 +130,8 @@ func snapHierarchy(h *Hierarchy) map[string]any {
 
 // equivConfigs is the hierarchy matrix the batched kernels must match the
 // scalar path on: every policy (including the RRIP family and dead-block
-// insertion), way-partitioning, a fully-associative level, split L2s, both
-// L4 victim modes, and the level predictor in both indexing modes.
+// insertion), way-partitioning, a fully-associative level, split L2s, the
+// L4 victim cache, and the level predictor in both indexing modes.
 func equivConfigs() map[string]HierarchyConfig {
 	withPolicy := func(p Policy) HierarchyConfig {
 		cfg := tinyHierarchy(2, nil)
@@ -151,9 +163,6 @@ func equivConfigs() map[string]HierarchyConfig {
 	sp := tinyHierarchy(2, l4)
 	sp.SplitL2 = true
 	cfgs["splitl2"] = sp
-	fm := tinyHierarchy(1, l4)
-	fm.L4FillOnMiss = true
-	cfgs["l4fillonmiss"] = fm
 	// Level predictor, per-PC keys, with an L4 (jump-to-L4 + bypass paths).
 	// A tiny low-confidence table maximizes acted-on predictions — and so
 	// mispredict-fallback coverage — on the small equivalence trace.
@@ -198,118 +207,6 @@ func TestBatchedHierarchyEquivalence(t *testing.T) {
 				if got := snapHierarchy(h); !reflect.DeepEqual(got, refSnap) {
 					t.Fatalf("batch size %d: internal state diverges from scalar", bs)
 				}
-			}
-		})
-	}
-}
-
-// TestDrainBatchedAdapterEquivalence checks Drain's two entry points: a
-// zero-copy Shared view (BatchStream fast path) and a scalar generator
-// wrapped by trace.Batched both match the per-access reference.
-func TestDrainBatchedAdapterEquivalence(t *testing.T) {
-	tr := batchEquivTrace(7, 8000, 2)
-	cfg := tinyHierarchy(2, &Config{Size: 32 << 10, BlockSize: 64, Assoc: 4})
-
-	ref := NewHierarchy(cfg)
-	for _, a := range tr {
-		ref.Access(a)
-	}
-	refSnap := snapHierarchy(ref)
-
-	viaView := NewHierarchy(cfg)
-	viaView.Drain(trace.NewShared(tr).View())
-	if !reflect.DeepEqual(snapHierarchy(viaView), refSnap) {
-		t.Fatal("Drain(Shared view) diverges from scalar replay")
-	}
-
-	viaAdapter := NewHierarchy(cfg)
-	i := 0
-	gen := trace.FuncStream(func(a *trace.Access) bool {
-		if i >= len(tr) {
-			return false
-		}
-		*a = tr[i]
-		i++
-		return true
-	})
-	viaAdapter.DrainBatch(trace.Batched(gen))
-	if !reflect.DeepEqual(snapHierarchy(viaAdapter), refSnap) {
-		t.Fatal("DrainBatch(Batched adapter) diverges from scalar replay")
-	}
-}
-
-// TestCacheAccessBatchEquivalence checks the single-cache kernel against
-// Access per covered block, including the returned hit count.
-func TestCacheAccessBatchEquivalence(t *testing.T) {
-	tr := batchEquivTrace(99, 12000, 1)
-	cfgs := map[string]Config{
-		"lru":       {Size: 8 << 10, BlockSize: 64, Assoc: 4},
-		"fifo":      {Size: 8 << 10, BlockSize: 64, Assoc: 4, Policy: FIFO},
-		"random":    {Size: 8 << 10, BlockSize: 64, Assoc: 4, Policy: Random, Seed: 3},
-		"srrip":     {Size: 8 << 10, BlockSize: 64, Assoc: 4, Policy: SRRIP},
-		"brrip":     {Size: 8 << 10, BlockSize: 64, Assoc: 4, Policy: BRRIP, Seed: 4},
-		"drrip":     {Size: 8 << 10, BlockSize: 64, Assoc: 4, Policy: DRRIP, Seed: 5},
-		"srrip+db":  {Size: 8 << 10, BlockSize: 64, Assoc: 4, Policy: SRRIP, DeadBlock: true},
-		"allocways": {Size: 8 << 10, BlockSize: 64, Assoc: 8, AllocWays: 5},
-		"fa":        {Size: 8 << 10, BlockSize: 64, Assoc: 0},
-	}
-	// Both sides probe a chunk and then fill its missing blocks through the
-	// identical helper, so the only difference under test is the probe
-	// kernel itself (AccessBatch vs an Access loop).
-	fillChunk := func(c *Cache, chunk []trace.Access) {
-		for _, a := range chunk {
-			size := uint64(a.Size)
-			if size == 0 {
-				size = 1
-			}
-			first := c.BlockAddr(a.Addr)
-			last := c.BlockAddr(a.Addr + size - 1)
-			for b := first; b <= last; b++ {
-				if !c.Contains(b) {
-					c.Fill(b, a.Seg, a.Kind == trace.Write)
-				}
-			}
-		}
-	}
-	const chunk = 512
-	for name, cfg := range cfgs {
-		t.Run(name, func(t *testing.T) {
-			ref := New(cfg)
-			var refHits int64
-			for lo := 0; lo < len(tr); lo += chunk {
-				hi := min(lo+chunk, len(tr))
-				for _, a := range tr[lo:hi] {
-					size := uint64(a.Size)
-					if size == 0 {
-						size = 1
-					}
-					first := ref.BlockAddr(a.Addr)
-					last := ref.BlockAddr(a.Addr + size - 1)
-					for b := first; b <= last; b++ {
-						if ref.Access(b, a.Seg, a.Kind) {
-							refHits++
-						}
-					}
-				}
-				fillChunk(ref, tr[lo:hi])
-			}
-
-			got := New(cfg)
-			var gotHits int64
-			for lo := 0; lo < len(tr); lo += chunk {
-				hi := min(lo+chunk, len(tr))
-				gotHits += got.AccessBatch(tr[lo:hi])
-				fillChunk(got, tr[lo:hi])
-			}
-
-			if gotHits != refHits {
-				t.Fatalf("hit count: batched %d, scalar %d", gotHits, refHits)
-			}
-			if !reflect.DeepEqual(snapCache(got), snapCache(ref)) {
-				t.Fatal("internal state diverges from scalar probing")
-			}
-			if ref.Stats.TotalHits() == 0 || ref.Stats.TotalMisses() == 0 {
-				t.Fatal("degenerate trace: want both hits and misses")
 			}
 		})
 	}

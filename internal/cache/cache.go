@@ -382,23 +382,11 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // BlockAddr converts a byte address to this cache's block address.
 func (c *Cache) BlockAddr(addr uint64) uint64 { return addr >> c.blockShift }
 
 // BlockShift returns log2(block size).
 func (c *Cache) BlockShift() uint { return c.blockShift }
-
-// EffectiveSize returns the allocatable capacity in bytes (reduced when
-// way-partitioning is active).
-func (c *Cache) EffectiveSize() int64 {
-	if c.assoc == 0 {
-		return c.cfg.Size
-	}
-	return c.cfg.Size * int64(c.allocWays) / int64(c.assoc)
-}
 
 // Access probes for block; on a hit it updates recency (and dirtiness for
 // writes) and returns true. On a miss it records the miss and returns false
@@ -408,64 +396,6 @@ func (c *Cache) Access(block uint64, seg trace.Segment, kind trace.Kind) bool {
 	hit := c.touch(block, kind == trace.Write)
 	c.Stats.record(seg, kind, hit)
 	return hit
-}
-
-// AccessBatch probes every access of batch (splitting unaligned references
-// across covered blocks exactly like Hierarchy.Access does) and returns the
-// number of block probes that hit. It is observationally identical to
-// calling Access per covered block but hoists the block shift and the policy
-// check out of the loop and inlines the set scan over the SoA tag array.
-// Fully-associative caches take the generic per-block path. The batch is
-// read-only (it may alias a shared immutable trace).
-//
-//lint:hot
-func (c *Cache) AccessBatch(batch []trace.Access) int64 {
-	shift := c.blockShift
-	var hits int64
-	for i := range batch {
-		a := &batch[i]
-		size := uint64(a.Size)
-		if size == 0 {
-			size = 1
-		}
-		first := a.Addr >> shift
-		last := (a.Addr + size - 1) >> shift
-		for b := first; b <= last; b++ {
-			hit := false
-			if b == c.lastBlock {
-				idx := c.lastIdx
-				if a.Kind == trace.Write {
-					c.meta[idx] |= metaDirty
-				}
-				c.promote(int(idx))
-				hit = true
-			} else if c.assoc != 0 {
-				base := c.setBase(b)
-				tags := c.tags[base : base+c.assoc]
-				for w := range tags {
-					if tags[w] == b {
-						idx := base + w
-						if a.Kind == trace.Write {
-							c.meta[idx] |= metaDirty
-						}
-						c.promote(idx)
-						c.lastBlock, c.lastIdx = b, int32(idx)
-						hit = true
-						break
-					}
-				}
-			} else {
-				hit = c.touch(b, a.Kind == trace.Write)
-			}
-			if hit {
-				c.Stats.Hits[a.Seg][a.Kind]++
-				hits++
-			} else {
-				c.Stats.Misses[a.Seg][a.Kind]++
-			}
-		}
-	}
-	return hits
 }
 
 // promote updates replacement state for a hit on slot idx: LRU bumps the
@@ -731,20 +661,6 @@ func (c *Cache) MarkDirty(block uint64) bool {
 		return true
 	}
 	return false
-}
-
-// Occupancy returns the number of valid lines.
-func (c *Cache) Occupancy() int {
-	if c.assoc == 0 {
-		return len(c.faIndex)
-	}
-	n := 0
-	for i := range c.meta {
-		if c.meta[i]&metaValid != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Reset clears contents and statistics.

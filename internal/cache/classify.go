@@ -113,14 +113,6 @@ func (cl *Classifier) observeBlock(block uint64, seg trace.Segment, kind trace.K
 	}
 }
 
-// Drain consumes an entire stream.
-func (cl *Classifier) Drain(s trace.Stream) {
-	var a trace.Access
-	for s.Next(&a) {
-		cl.Observe(a)
-	}
-}
-
 // Misses returns total misses for seg across classes.
 func (cl *Classifier) Misses(seg trace.Segment) int64 {
 	var t int64

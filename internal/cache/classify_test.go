@@ -81,7 +81,7 @@ func TestClassifierCATShadow(t *testing.T) {
 	// With way partitioning the shadow must shrink too: a 4-of-16-way
 	// partition on a 1 KiB cache behaves like a 256 B cache.
 	cl := NewClassifier(Config{Name: "c", Size: 1 << 10, BlockSize: 64, Assoc: 16, AllocWays: 4})
-	if got := cl.shadow.Config().Size; got != 256 {
+	if got := cl.shadow.cfg.Size; got != 256 {
 		t.Fatalf("shadow size %d, want 256", got)
 	}
 }
@@ -97,10 +97,12 @@ func TestMissClassString(t *testing.T) {
 
 func TestClassifierDrain(t *testing.T) {
 	cl := NewClassifier(Config{Name: "c", Size: 1 << 10, BlockSize: 64, Assoc: 4})
-	cl.Drain(trace.NewSliceStream([]trace.Access{
+	for _, a := range []trace.Access{
 		{Addr: 0, Size: 8, Seg: trace.Heap, Kind: trace.Read},
 		{Addr: 0, Size: 8, Seg: trace.Heap, Kind: trace.Read},
-	}))
+	} {
+		cl.Observe(a)
+	}
 	if cl.Hits[trace.Heap] != 1 || cl.Counts[trace.Heap][MissCold] != 1 {
 		t.Fatal("drain miscounted")
 	}
@@ -129,13 +131,7 @@ func TestAccessStatsHelpers(t *testing.T) {
 	if s.MPKI(1000) != 2 {
 		t.Fatalf("MPKI %v", s.MPKI(1000))
 	}
-	if s.SegMPKI(trace.Code, 1000) != 1 {
-		t.Fatalf("seg MPKI %v", s.SegMPKI(trace.Code, 1000))
-	}
-	if s.KindMPKI(trace.Fetch, 1000) != 1 {
-		t.Fatalf("kind MPKI %v", s.KindMPKI(trace.Fetch, 1000))
-	}
-	if s.MPKI(0) != 0 || s.SegMPKI(trace.Code, 0) != 0 || s.KindMPKI(trace.Fetch, 0) != 0 {
+	if s.MPKI(0) != 0 {
 		t.Fatal("zero-instruction MPKI must be 0")
 	}
 	var other AccessStats

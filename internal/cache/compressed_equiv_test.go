@@ -56,16 +56,9 @@ func TestCompressedDrainEquivalence(t *testing.T) {
 			for _, bl := range []int{1, 3, 64, 1000, trace.DefaultBlockLen, len(tr) + 1} {
 				c := compressTrace(t, tr, bl, "")
 				h := NewHierarchy(cfg)
-				h.DrainBatch(c.View())
+				drainBatch(h, c.View())
 				if !reflect.DeepEqual(snapHierarchy(h), refSnap) {
-					t.Fatalf("block len %d: DrainBatch(CompressedView) diverges from scalar", bl)
-				}
-
-				// Scalar decode path over the same store.
-				hs := NewHierarchy(cfg)
-				hs.Drain(c.View())
-				if !reflect.DeepEqual(snapHierarchy(hs), refSnap) {
-					t.Fatalf("block len %d: Drain(CompressedView) diverges from scalar", bl)
+					t.Fatalf("block len %d: CompressedView replay diverges from scalar", bl)
 				}
 			}
 
@@ -74,9 +67,9 @@ func TestCompressedDrainEquivalence(t *testing.T) {
 				t.Fatal("spill store not marked spilled")
 			}
 			h := NewHierarchy(cfg)
-			h.DrainBatch(spilled.View())
+			drainBatch(h, spilled.View())
 			if !reflect.DeepEqual(snapHierarchy(h), refSnap) {
-				t.Fatal("DrainBatch over spilled store diverges from scalar")
+				t.Fatal("replay over spilled store diverges from scalar")
 			}
 		})
 	}

@@ -31,9 +31,6 @@ type HierarchyConfig struct {
 	// block size as the L3 (the paper keeps them equal to simplify the
 	// victim path).
 	L4 *Config
-	// L4FillOnMiss fills the L4 on memory fetches instead of on L3
-	// evictions (ablation of the victim-fill design choice).
-	L4FillOnMiss bool
 	// Predictor, when non-nil, attaches a cache-level predictor to the
 	// post-L1 path: confident predictions jump straight to the predicted
 	// level (or bypass to memory) and verify there, skipping the
@@ -80,8 +77,8 @@ func (hc HierarchyConfig) Validate() error {
 }
 
 // Hierarchy is a functional multi-level cache simulator. It is not safe for
-// concurrent use; the trace interleaving (trace.Interleave) models
-// multi-threaded execution instead.
+// concurrent use; multi-threaded execution is modeled by the recording,
+// whose accesses arrive already interleaved across hardware threads.
 type Hierarchy struct {
 	cfg HierarchyConfig
 
@@ -271,7 +268,7 @@ func (h *Hierarchy) onL3Evict(l Line) {
 			}
 		}
 	}
-	if h.l4 != nil && !h.cfg.L4FillOnMiss {
+	if h.l4 != nil {
 		h.l4.Fill(h.l4.BlockAddr(byteAddr), l.Seg, dirty)
 		return // a dirty line now lives in the L4; written back on L4 eviction
 	}
@@ -309,35 +306,6 @@ func (h *Hierarchy) Access(a trace.Access) HitLevel {
 	batch := [1]trace.Access{a}
 	var level [1]HitLevel
 	return h.AccessBatch(batch[:], level[:0])[0]
-}
-
-// Drain runs an entire stream through the hierarchy. Streams that also
-// implement trace.BatchStream (Shared views, slice streams) are drained
-// through the batched kernel.
-func (h *Hierarchy) Drain(s trace.Stream) {
-	if bs, ok := s.(trace.BatchStream); ok {
-		h.DrainBatch(bs)
-		return
-	}
-	var a trace.Access
-	for s.Next(&a) {
-		h.Access(a)
-	}
-}
-
-// DrainBatch runs an entire batched stream through the hierarchy. Each
-// batch is consumed before the next NextBatch call, honoring the
-// trace.BatchStream subslice lifetime contract.
-//
-//lint:hot
-func (h *Hierarchy) DrainBatch(bs trace.BatchStream) {
-	for {
-		b := bs.NextBatch()
-		if len(b) == 0 {
-			return
-		}
-		h.AccessBatch(b, nil)
-	}
 }
 
 // AccessBatch runs every access of batch through the hierarchy — the one
@@ -474,9 +442,6 @@ func (h *Hierarchy) missPath(l1, l2 *Cache, byteAddr uint64, seg trace.Segment, 
 					//lint:ignore hotalloc memory-model sink: internal/mem's kernels are independently //lint:hot-enforced and AllocsPerRun-pinned
 					h.mem.MemRead(byteAddr, seg)
 				}
-				if h.l4 != nil && h.cfg.L4FillOnMiss {
-					h.l4.Fill(h.l4.BlockAddr(byteAddr), seg, false)
-				}
 			}
 			// Fill the L3 (evictions flow to the L4 victim path). The
 			// probe above just established absence, so the fills below
@@ -602,12 +567,6 @@ func (h *Hierarchy) PredictorStats() PredictorStats {
 	}
 	return h.pred.Stats
 }
-
-// L3 exposes the shared L3 cache (read-only use intended).
-func (h *Hierarchy) L3() *Cache { return h.l3 }
-
-// L4 exposes the L4 cache, or nil.
-func (h *Hierarchy) L4() *Cache { return h.l4 }
 
 // DRAMAccesses returns total main-memory transactions (reads + writebacks).
 func (h *Hierarchy) DRAMAccesses() int64 { return h.MemReads + h.MemWrites }

@@ -138,7 +138,7 @@ func TestInclusionBackInvalidation(t *testing.T) {
 	hot := trace.Access{Addr: 0, Size: 8, Seg: trace.Heap, Kind: trace.Read}
 	h.Access(hot)
 	h.Access(trace.Access{Addr: 16 * 64, Size: 8, Seg: trace.Heap, Kind: trace.Read})
-	if h.L3().Contains(0) {
+	if h.l3.Contains(0) {
 		t.Fatal("direct-mapped L3 kept both colliding blocks")
 	}
 	before := h.MemReads
@@ -204,22 +204,6 @@ func TestL4VictimFill(t *testing.T) {
 	// Memory reads must be well below 2 passes' worth.
 	if h.MemReads >= 2*blocks {
 		t.Fatalf("L4 filtered nothing: MemReads=%d", h.MemReads)
-	}
-}
-
-func TestL4FillOnMissAblation(t *testing.T) {
-	l4 := &Config{Name: "L4", Size: 1 << 20, BlockSize: 64, Assoc: 1}
-	cfg := tinyHierarchy(1, l4)
-	cfg.L4FillOnMiss = true
-	h := NewHierarchy(cfg)
-	const blocks = 2048
-	for pass := 0; pass < 2; pass++ {
-		for i := uint64(0); i < blocks; i++ {
-			h.Access(trace.Access{Addr: i * 64, Size: 8, Seg: trace.Heap, Kind: trace.Read})
-		}
-	}
-	if h.L4Stats().TotalHits() == 0 {
-		t.Fatal("fill-on-miss L4 never hit")
 	}
 }
 
@@ -296,7 +280,7 @@ func TestHierarchyDrain(t *testing.T) {
 		{Addr: 0, Size: 8, Seg: trace.Heap, Kind: trace.Read},
 		{Addr: 0, Size: 8, Seg: trace.Heap, Kind: trace.Read},
 	}
-	h.Drain(trace.NewSliceStream(accs))
+	drainBatch(h, trace.NewShared(accs).View())
 	if h.L1DStats().Accesses() != 2 {
 		t.Fatal("drain did not process all accesses")
 	}
@@ -373,7 +357,7 @@ func TestInstallPrefetchDirect(t *testing.T) {
 func TestAggregateL1StatsAndL4Accessors(t *testing.T) {
 	l4 := &Config{Size: 64 << 10, BlockSize: 64, Assoc: 1}
 	h := NewHierarchy(tinyHierarchy(2, l4))
-	if !h.HasL4() || h.L4() == nil || h.L3() == nil {
+	if !h.HasL4() || h.l4 == nil || h.l3 == nil {
 		t.Fatal("accessors broken")
 	}
 	h.Access(trace.Access{Addr: 0, Size: 4, Seg: trace.Code, Kind: trace.Fetch})
@@ -386,7 +370,7 @@ func TestAggregateL1StatsAndL4Accessors(t *testing.T) {
 		t.Fatal("Config accessor broken")
 	}
 	noL4 := NewHierarchy(tinyHierarchy(1, nil))
-	if noL4.HasL4() || noL4.L4() != nil {
+	if noL4.HasL4() || noL4.l4 != nil {
 		t.Fatal("phantom L4")
 	}
 	if noL4.L4Stats().Accesses() != 0 {
@@ -427,10 +411,10 @@ func TestSplitL2HalvesCapacity(t *testing.T) {
 	cfg := tinyHierarchy(1, nil)
 	cfg.SplitL2 = true
 	h := NewHierarchy(cfg)
-	if got := h.l2[0].Config().Size; got != cfg.L2.Size/2 {
+	if got := h.l2[0].cfg.Size; got != cfg.L2.Size/2 {
 		t.Fatalf("L2-D size %d, want half of %d", got, cfg.L2.Size)
 	}
-	if got := h.l2i[0].Config().Size; got != cfg.L2.Size/2 {
+	if got := h.l2i[0].cfg.Size; got != cfg.L2.Size/2 {
 		t.Fatalf("L2-I size %d", got)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // ownerShape decodes a fuzzed bit pattern into a hierarchy configuration:
 // bits 0-1 cores {1, 4, 9, 18} (9 and 18 alias owner bits), bit 2 SMT 2,
 // bit 3 SplitL2, bit 4 a 128 B L3 block over 64 B L1/L2 blocks, bits 5-7 the
-// L3 policy, bit 8 an L4, bit 9 L4FillOnMiss, bit 10 a level predictor.
+// L3 policy, bit 8 an L4, bit 10 a level predictor (bit 9 is unused).
 func ownerShape(shape uint16) HierarchyConfig {
 	cfg := HierarchyConfig{
 		Cores:          []int{1, 4, 9, 18}[shape&3],
@@ -38,7 +38,6 @@ func ownerShape(shape uint16) HierarchyConfig {
 	}
 	if shape>>8&1 != 0 {
 		cfg.L4 = &Config{Size: 32 << 10, BlockSize: cfg.L3.BlockSize, Assoc: 1}
-		cfg.L4FillOnMiss = shape>>9&1 != 0
 	}
 	if shape>>10&1 != 0 {
 		cfg.Predictor = &PredictorConfig{TableBits: 8, ConfThreshold: 1, Seed: 5}
@@ -231,7 +230,7 @@ func TestOwnerFilterOnlyWhereItApplies(t *testing.T) {
 func FuzzOwnerFilter(f *testing.F) {
 	f.Add(uint64(1), uint16(0x001), uint16(800))  // 4 cores, plain
 	f.Add(uint64(2), uint16(0x11f), uint16(1200)) // 18 cores, SMT, split L2, 128 B L3 blocks, L4
-	f.Add(uint64(3), uint16(0x7a6), uint16(600))  // 9 cores, SMT, predictor, fill-on-miss L4
+	f.Add(uint64(3), uint16(0x7a6), uint16(600))  // 9 cores, SMT, predictor, L4
 	f.Fuzz(func(t *testing.T, seed uint64, shape uint16, n uint16) {
 		runOwnerDiff(t, seed, shape&(1<<11-1), int(n%4096))
 	})

@@ -343,17 +343,9 @@ func TestZeroAccessStatsGuards(t *testing.T) {
 		if r := s.SegHitRate(trace.Segment(seg)); r != 0 {
 			t.Errorf("empty SegHitRate(%d) = %v, want 0", seg, r)
 		}
-		if r := s.SegMPKI(trace.Segment(seg), 0); r != 0 {
-			t.Errorf("empty SegMPKI(%d) = %v, want 0", seg, r)
-		}
 	}
 	if r := s.MPKI(0); r != 0 {
 		t.Errorf("empty MPKI = %v, want 0", r)
-	}
-	for k := 0; k < trace.NumKinds; k++ {
-		if r := s.KindMPKI(trace.Kind(k), 0); r != 0 {
-			t.Errorf("empty KindMPKI(%d) = %v, want 0", k, r)
-		}
 	}
 	var p PredictorStats
 	for name, r := range map[string]float64{

@@ -102,17 +102,6 @@ type PredictorStats struct {
 	ProbesPerformed, ProbesBaseline int64
 }
 
-// Add accumulates other into s.
-func (s *PredictorStats) Add(other *PredictorStats) {
-	s.Lookups += other.Lookups
-	s.Jumps += other.Jumps
-	s.Bypasses += other.Bypasses
-	s.Verified += other.Verified
-	s.Mispredicts += other.Mispredicts
-	s.ProbesPerformed += other.ProbesPerformed
-	s.ProbesBaseline += other.ProbesBaseline
-}
-
 // CoverageRate is the fraction of lookups that produced a confident,
 // actionable prediction, or 0 with no lookups.
 func (s PredictorStats) CoverageRate() float64 {

@@ -146,8 +146,8 @@ func TestPredictorBypassMatchesChain(t *testing.T) {
 				l4 != nil, h.MemReads, h.MemWrites, ref.MemReads, ref.MemWrites)
 		}
 		// Contents equivalence at the bottom: same blocks resident.
-		if h.l3.Occupancy() != ref.l3.Occupancy() {
-			t.Fatalf("l4=%v: L3 occupancy diverged: %d vs %d", l4 != nil, h.l3.Occupancy(), ref.l3.Occupancy())
+		if occupancy(h.l3) != occupancy(ref.l3) {
+			t.Fatalf("l4=%v: L3 occupancy diverged: %d vs %d", l4 != nil, occupancy(h.l3), occupancy(ref.l3))
 		}
 	}
 }

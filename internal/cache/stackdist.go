@@ -23,7 +23,6 @@ type StackDist struct {
 	blockShift uint
 	time       uint64
 	last       map[uint64]uint64 // block -> last access time
-	stride     int64             // sampling stride of the observed stream (1 = exhaustive)
 
 	tree ostree
 
@@ -39,26 +38,12 @@ func NewStackDist(blockSize int) *StackDist {
 	if blockSize <= 0 || blockSize&(blockSize-1) != 0 {
 		panic("cache: stack distance block size must be a positive power of two")
 	}
-	s := &StackDist{last: make(map[uint64]uint64), stride: 1}
+	s := &StackDist{last: make(map[uint64]uint64)}
 	for bs := blockSize; bs > 1; bs >>= 1 {
 		s.blockShift++
 	}
 	s.tree.init()
 	return s
-}
-
-// SetStride declares that the observed stream was systematically thinned to
-// every nth access (trace.Sample with the same n), so count-derived metrics
-// (Accesses, Hits, Misses, ColdMisses and the MPKIs built on them) are
-// rescaled by the stride and stay comparable against per-instruction
-// denominators from the *exhaustive* run. Ratios (HitRate, CombinedHitRate)
-// are unaffected. Footprint is NOT rescaled — sampling genuinely observes
-// fewer distinct blocks. n < 1 resets to exhaustive.
-func (s *StackDist) SetStride(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.stride = int64(n)
 }
 
 // Observe records one access (block-aligned; spans count each block).
@@ -101,50 +86,18 @@ func distBucket(d int64) int {
 	return b
 }
 
-// Drain consumes an entire stream. Streams that also implement
-// trace.BatchStream (Shared views, slice streams) are consumed in batches,
-// skipping the per-access interface dispatch; the observation sequence is
-// identical either way.
-func (s *StackDist) Drain(st trace.Stream) {
-	if bs, ok := st.(trace.BatchStream); ok {
-		for {
-			b := bs.NextBatch()
-			if len(b) == 0 {
-				return
-			}
-			for i := range b {
-				s.Observe(b[i])
-			}
-		}
-	}
-	var a trace.Access
-	for st.Next(&a) {
-		s.Observe(a)
-	}
-}
-
-// Accesses returns the number of block probes observed for seg, rescaled by
-// the sampling stride (SetStride) to estimate the exhaustive count.
+// Accesses returns the number of block probes observed for seg.
 func (s *StackDist) Accesses(seg trace.Segment) int64 {
 	t := s.cold[seg]
 	for _, c := range s.counts[seg] {
 		t += c
 	}
-	return t * s.stride
-}
-
-// TotalAccesses returns block probes across all segments.
-func (s *StackDist) TotalAccesses() int64 {
-	var t int64
-	for seg := trace.Segment(0); seg < trace.NumSegments; seg++ {
-		t += s.Accesses(seg)
-	}
 	return t
 }
 
-// ColdMisses returns first-touch accesses for seg (stride-rescaled): these
-// miss in a cache of any capacity.
-func (s *StackDist) ColdMisses(seg trace.Segment) int64 { return s.cold[seg] * s.stride }
+// ColdMisses returns first-touch accesses for seg: these miss in a cache of
+// any capacity.
+func (s *StackDist) ColdMisses(seg trace.Segment) int64 { return s.cold[seg] }
 
 // Hits returns how many of seg's accesses would hit in a fully-associative
 // LRU cache of capBytes capacity. Exact for power-of-two capacities (in
@@ -165,34 +118,12 @@ func (s *StackDist) Hits(seg trace.Segment, capBytes int64) float64 {
 	if frac > 0 && whole+1 < len(s.counts[seg]) {
 		hits += frac * float64(s.counts[seg][whole+1])
 	}
-	return hits * float64(s.stride)
-}
-
-// HitRate returns seg's hit rate at capBytes, or 0 with no accesses.
-func (s *StackDist) HitRate(seg trace.Segment, capBytes int64) float64 {
-	a := s.Accesses(seg)
-	if a == 0 {
-		return 0
-	}
-	return s.Hits(seg, capBytes) / float64(a)
+	return hits
 }
 
 // Misses returns seg's miss count at capBytes.
 func (s *StackDist) Misses(seg trace.Segment, capBytes int64) float64 {
 	return float64(s.Accesses(seg)) - s.Hits(seg, capBytes)
-}
-
-// CombinedHitRate returns the hit rate across all segments at capBytes.
-func (s *StackDist) CombinedHitRate(capBytes int64) float64 {
-	total := s.TotalAccesses()
-	if total == 0 {
-		return 0
-	}
-	var hits float64
-	for seg := trace.Segment(0); seg < trace.NumSegments; seg++ {
-		hits += s.Hits(seg, capBytes)
-	}
-	return hits / float64(total)
 }
 
 // SegMPKI returns seg's misses per kilo-instruction at capBytes.
@@ -201,23 +132,6 @@ func (s *StackDist) SegMPKI(seg trace.Segment, capBytes int64, instructions int6
 		return 0
 	}
 	return s.Misses(seg, capBytes) / float64(instructions) * 1000
-}
-
-// CombinedMPKI returns total misses per kilo-instruction at capBytes.
-func (s *StackDist) CombinedMPKI(capBytes int64, instructions int64) float64 {
-	if instructions == 0 {
-		return 0
-	}
-	var m float64
-	for seg := trace.Segment(0); seg < trace.NumSegments; seg++ {
-		m += s.Misses(seg, capBytes)
-	}
-	return m / float64(instructions) * 1000
-}
-
-// Footprint returns the distinct blocks observed, in bytes.
-func (s *StackDist) Footprint() int64 {
-	return int64(len(s.last)) << s.blockShift
 }
 
 // --- order-statistic treap over access times ---
@@ -330,6 +244,3 @@ func (t *ostree) countGreater(key uint64) int64 {
 	}
 	return count
 }
-
-// count returns the total number of keys.
-func (t *ostree) count() int64 { return int64(t.sz(t.root)) }

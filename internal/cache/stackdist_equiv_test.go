@@ -69,75 +69,3 @@ func TestStackDistMatchesFAReplay(t *testing.T) {
 		}
 	}
 }
-
-// sampledTrace builds an aperiodic bimodal stream: a 16-block hot loop whose
-// reuse distances survive systematic thinning, plus a never-reused cold
-// scan. On such a stream, sampled and exhaustive profiles must agree once
-// counts are stride-rescaled.
-func sampledTrace(n int) []trace.Access {
-	rng := stats.NewRNG(0x5a11)
-	var out []trace.Access
-	var scan, hot uint64
-	for i := 0; i < n; i++ {
-		if rng.Bool(0.5) {
-			hot++
-			out = append(out, trace.Access{Addr: (hot % 16) * 64, Size: 1, Seg: trace.Heap, Kind: trace.Read})
-		} else {
-			scan += 64
-			out = append(out, trace.Access{Addr: 1<<30 + scan, Size: 1, Seg: trace.Shard, Kind: trace.Read})
-		}
-	}
-	return out
-}
-
-// TestSampledMPKIRescaled pins the trace.Sample contract: metrics computed
-// from a stride-n thinned stream must rescale their counts by n (StackDist
-// SetStride) before dividing by the EXHAUSTIVE run's instruction count —
-// otherwise MPKI comes out ~n times too low. Sampled-and-rescaled MPKI must
-// land within a few percent of the exhaustive value on a stream whose reuse
-// structure survives thinning.
-func TestSampledMPKIRescaled(t *testing.T) {
-	const n = 40_000
-	const stride = 4
-	const instructions = int64(n) * 3 // the same denominator for both profiles
-	tr := sampledTrace(n)
-
-	exhaustive := NewStackDist(64)
-	exhaustive.Drain(trace.NewSliceStream(tr))
-
-	sampled := NewStackDist(64)
-	sampled.Drain(trace.Sample(trace.NewSliceStream(tr), stride))
-
-	const capBytes = 64 * 64 // 64 blocks: hot loop hits, cold scan misses
-	full := exhaustive.SegMPKI(trace.Shard, capBytes, instructions) +
-		exhaustive.SegMPKI(trace.Heap, capBytes, instructions)
-
-	// Without rescaling, the thinned numerator is ~stride times too small.
-	raw := sampled.SegMPKI(trace.Shard, capBytes, instructions) +
-		sampled.SegMPKI(trace.Heap, capBytes, instructions)
-	if raw > full*0.5 {
-		t.Fatalf("unscaled sampled MPKI %.3f vs exhaustive %.3f: expected ~%dx undercount", raw, full, stride)
-	}
-
-	sampled.SetStride(stride)
-	scaled := sampled.SegMPKI(trace.Shard, capBytes, instructions) +
-		sampled.SegMPKI(trace.Heap, capBytes, instructions)
-	if full <= 0 {
-		t.Fatal("exhaustive MPKI is zero; test trace broken")
-	}
-	if rel := math.Abs(scaled-full) / full; rel > 0.05 {
-		t.Errorf("stride-rescaled MPKI %.3f vs exhaustive %.3f: relative error %.3f > 0.05", scaled, full, rel)
-	}
-
-	// Hit RATES are ratios and must be stride-invariant (close, not exact:
-	// thinning shortens distances slightly).
-	hf := exhaustive.HitRate(trace.Heap, capBytes)
-	hs := sampled.HitRate(trace.Heap, capBytes)
-	if math.Abs(hf-hs) > 0.05 {
-		t.Errorf("heap hit rate drifted under sampling: %.3f vs %.3f", hs, hf)
-	}
-	// And SetStride must not change a profile's own hit rate.
-	if got := sampled.HitRate(trace.Heap, capBytes); math.Abs(got-hs) > 1e-12 {
-		t.Errorf("SetStride changed HitRate: %v vs %v", got, hs)
-	}
-}

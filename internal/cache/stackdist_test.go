@@ -94,19 +94,6 @@ func TestStackDistPerSegmentSeparation(t *testing.T) {
 	if sd.Accesses(trace.Heap) != 1 || sd.Accesses(trace.Shard) != 1 {
 		t.Fatal("per-segment access counts wrong")
 	}
-	if sd.TotalAccesses() != 2 {
-		t.Fatal("total accesses wrong")
-	}
-}
-
-func TestStackDistFootprint(t *testing.T) {
-	sd := NewStackDist(64)
-	for i := uint64(0); i < 100; i++ {
-		sd.Observe(trace.Access{Addr: i * 64, Size: 1, Seg: trace.Heap})
-	}
-	if sd.Footprint() != 100*64 {
-		t.Fatalf("footprint %d, want %d", sd.Footprint(), 100*64)
-	}
 }
 
 func TestStackDistMPKI(t *testing.T) {
@@ -119,7 +106,7 @@ func TestStackDistMPKI(t *testing.T) {
 	if math.Abs(mpki-100) > 1e-9 {
 		t.Fatalf("MPKI = %v, want 100", mpki)
 	}
-	if sd.CombinedMPKI(1<<20, 0) != 0 {
+	if sd.SegMPKI(trace.Heap, 1<<20, 0) != 0 {
 		t.Fatal("zero instructions must give 0 MPKI")
 	}
 }
@@ -148,8 +135,8 @@ func TestOstreeBasics(t *testing.T) {
 	for i := uint64(1); i <= 100; i++ {
 		tr.insertMax(i)
 	}
-	if tr.count() != 100 {
-		t.Fatalf("count = %d", tr.count())
+	if tr.sz(tr.root) != 100 {
+		t.Fatalf("count = %d", tr.sz(tr.root))
 	}
 	if got := tr.countGreater(50); got != 50 {
 		t.Fatalf("countGreater(50) = %d", got)
@@ -158,8 +145,8 @@ func TestOstreeBasics(t *testing.T) {
 	if got := tr.countGreater(50); got != 49 {
 		t.Fatalf("after remove: countGreater(50) = %d", got)
 	}
-	if tr.count() != 99 {
-		t.Fatalf("count after remove = %d", tr.count())
+	if tr.sz(tr.root) != 99 {
+		t.Fatalf("count after remove = %d", tr.sz(tr.root))
 	}
 }
 
@@ -189,8 +176,8 @@ func TestOstreeRandomOps(t *testing.T) {
 			delete(live, k)
 		}
 	}
-	if int(tr.count()) != len(live) {
-		t.Fatalf("tree count %d != live %d", tr.count(), len(live))
+	if int(tr.sz(tr.root)) != len(live) {
+		t.Fatalf("tree count %d != live %d", tr.sz(tr.root), len(live))
 	}
 	// Verify a few rank queries against brute force.
 	for probe := uint64(0); probe <= next; probe += next/7 + 1 {
@@ -213,21 +200,19 @@ func TestStackDistDrainAndRates(t *testing.T) {
 		{Addr: 64, Size: 8, Seg: trace.Shard},
 		{Addr: 0, Size: 8, Seg: trace.Heap},
 	}
-	sd.Drain(trace.NewSliceStream(accs))
-	if sd.TotalAccesses() != 3 {
-		t.Fatalf("drained %d", sd.TotalAccesses())
+	for _, a := range accs {
+		sd.Observe(a)
 	}
-	if hr := sd.HitRate(trace.Heap, 1<<20); hr != 0.5 {
-		t.Fatalf("heap hit rate %v", hr)
+	if sd.Accesses(trace.Heap) != 2 || sd.Accesses(trace.Shard) != 1 {
+		t.Fatalf("observed %d heap / %d shard", sd.Accesses(trace.Heap), sd.Accesses(trace.Shard))
 	}
-	if hr := sd.HitRate(trace.Stack, 1<<20); hr != 0 {
-		t.Fatalf("empty-segment hit rate %v", hr)
+	if h := sd.Hits(trace.Heap, 1<<20); h != 1 {
+		t.Fatalf("heap hits %v, want 1 of 2", h)
 	}
-	chr := sd.CombinedHitRate(1 << 20)
-	if chr <= 0.3 || chr >= 0.4 {
-		t.Fatalf("combined hit rate %v, want 1/3", chr)
+	if h := sd.Hits(trace.Stack, 1<<20); h != 0 {
+		t.Fatalf("empty-segment hits %v", h)
 	}
-	if sd.CombinedHitRate(0) != 0 {
+	if sd.Hits(trace.Heap, 0) != 0 {
 		// capacity below one block: no hits
 		t.Fatal("zero capacity should hit nothing")
 	}

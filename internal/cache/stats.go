@@ -125,14 +125,6 @@ func (s AccessStats) MPKI(instructions int64) float64 {
 	return float64(s.TotalMisses()) / float64(instructions) * 1000
 }
 
-// SegMPKI returns one segment's misses per kilo-instruction.
-func (s AccessStats) SegMPKI(seg trace.Segment, instructions int64) float64 {
-	if instructions == 0 {
-		return 0
-	}
-	return float64(s.SegMisses(seg)) / float64(instructions) * 1000
-}
-
 // KindMisses returns total misses for one access kind across segments.
 func (s AccessStats) KindMisses(kind trace.Kind) int64 {
 	var t int64
@@ -140,15 +132,6 @@ func (s AccessStats) KindMisses(kind trace.Kind) int64 {
 		t += s.Misses[seg][kind]
 	}
 	return t
-}
-
-// KindMPKI returns one kind's misses per kilo-instruction (e.g. the paper's
-// "L2 instruction MPKI" is KindMPKI(trace.Fetch, instrs)).
-func (s AccessStats) KindMPKI(kind trace.Kind, instructions int64) float64 {
-	if instructions == 0 {
-		return 0
-	}
-	return float64(s.KindMisses(kind)) / float64(instructions) * 1000
 }
 
 // String implements fmt.Stringer with a compact per-segment summary.

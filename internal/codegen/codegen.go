@@ -185,12 +185,6 @@ func min(a, b int) int {
 	return b
 }
 
-// Config returns the program's configuration.
-func (p *Program) Config() Config { return p.cfg }
-
-// NumFuncs returns the function count.
-func (p *Program) NumFuncs() int { return len(p.funcs) }
-
 // BranchSink receives resolved dynamic branches (pc, taken).
 type BranchSink func(pc uint64, taken bool)
 

@@ -105,7 +105,7 @@ func TestBranchStreamIsImperfectlyPredictable(t *testing.T) {
 		pred.Observe(cpu.Branch{PC: pc, Taken: taken})
 	})
 	w.Run(200000)
-	acc := pred.Accuracy()
+	acc := 1 - float64(pred.Mispredicts)/float64(pred.Predictions)
 	if acc < 0.7 {
 		t.Fatalf("predictor accuracy %v: branch stream too random", acc)
 	}
@@ -183,7 +183,7 @@ func TestCodeWorkingSetOverflowsL2ButFitsL3(t *testing.T) {
 	w := prog.NewWalker(0, 7, nil, nil)
 	w.Run(400000)
 
-	l2Rate := sd.HitRate(trace.Code, 256<<10)
+	l2Rate := sd.Hits(trace.Code, 256<<10) / float64(sd.Accesses(trace.Code))
 	if l2Rate > 0.995 {
 		t.Fatalf("L2-sized cache captures the code working set (hit %v); want overflow", l2Rate)
 	}

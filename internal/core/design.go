@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 
-	"searchmem/internal/dram"
 	"searchmem/internal/model"
 )
 
@@ -22,7 +21,7 @@ type Design struct {
 	// L3MiB is the total shared L3 capacity.
 	L3MiB float64
 	// L4 is the optional on-package eDRAM cache (nil = none).
-	L4 *dram.L4Design
+	L4 *model.L4Design
 	// SMTWays is the SMT configuration (throughput multiplier via the
 	// platform's SMT model).
 	SMTWays int
@@ -198,7 +197,7 @@ func (e Evaluator) Explore(baseline Design, cons Constraint, l4Sizes []int64) (b
 		}
 		candidates := []Design{{Cores: n, L3MiB: l3, SMTWays: baseline.SMTWays}}
 		for _, l4MiB := range l4Sizes {
-			l4 := dram.BaselineL4(l4MiB << 20)
+			l4 := model.BaselineL4(l4MiB << 20)
 			candidates = append(candidates, Design{
 				Cores: n, L3MiB: l3, SMTWays: baseline.SMTWays, L4: &l4,
 			})

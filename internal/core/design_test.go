@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"searchmem/internal/dram"
 	"searchmem/internal/model"
 )
 
@@ -68,7 +67,7 @@ func TestDesignValidate(t *testing.T) {
 		{Cores: 18, L3MiB: 45},            // SMT missing
 		{Cores: 18, SMTWays: 2},           // L3 missing
 		{Cores: 0, L3MiB: 45, SMTWays: 2}, // cores missing
-		{Cores: 18, L3MiB: 45, SMTWays: 2, L4: &dram.L4Design{}}, // invalid L4
+		{Cores: 18, L3MiB: 45, SMTWays: 2, L4: &model.L4Design{}}, // invalid L4
 	}
 	for i, d := range bad {
 		if err := d.Validate(); err == nil {
@@ -85,7 +84,7 @@ func TestDesignString(t *testing.T) {
 	if !strings.Contains(d.String(), "18 cores") {
 		t.Fatalf("string: %s", d.String())
 	}
-	l4 := dram.BaselineL4(1 << 30)
+	l4 := model.BaselineL4(1 << 30)
 	d.L4 = &l4
 	if !strings.Contains(d.String(), "1024 MiB L4") {
 		t.Fatalf("string with L4: %s", d.String())
@@ -113,7 +112,7 @@ func TestL4ImprovesDesign(t *testing.T) {
 	e := testEvaluator()
 	rebalanced := Design{Cores: 23, L3MiB: 23, SMTWays: 2}
 	noL4 := e.Evaluate(rebalanced)
-	l4 := dram.BaselineL4(1 << 30)
+	l4 := model.BaselineL4(1 << 30)
 	withL4 := rebalanced
 	withL4.L4 = &l4
 	got := e.Evaluate(withL4)

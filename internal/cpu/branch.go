@@ -18,20 +18,10 @@ type Branch struct {
 	Taken bool
 }
 
-// Predictor is a conditional branch direction predictor.
-type Predictor interface {
-	// Predict returns the predicted direction for the branch at pc.
-	Predict(pc uint64) bool
-	// Update trains the predictor with the resolved direction.
-	Update(pc uint64, taken bool)
-	// Name identifies the predictor in reports.
-	Name() string
-}
-
 // PredictorStats drives a predictor over a branch stream and accumulates
 // accuracy statistics.
 type PredictorStats struct {
-	P                        Predictor
+	P                        *Gshare
 	Predictions, Mispredicts int64
 }
 
@@ -57,14 +47,6 @@ func (s *PredictorStats) MPKI(instructions int64) float64 {
 	return float64(s.Mispredicts) / float64(instructions) * 1000
 }
 
-// Accuracy returns the fraction of correct predictions.
-func (s *PredictorStats) Accuracy() float64 {
-	if s.Predictions == 0 {
-		return 0
-	}
-	return 1 - float64(s.Mispredicts)/float64(s.Predictions)
-}
-
 // counter2 is a saturating 2-bit counter: 0-1 predict not-taken, 2-3 taken.
 type counter2 = uint8
 
@@ -81,39 +63,6 @@ func counterUpdate(c counter2, taken bool) counter2 {
 		return c - 1
 	}
 	return c
-}
-
-// Bimodal is a classic per-PC 2-bit counter table.
-type Bimodal struct {
-	table []counter2
-	mask  uint64
-}
-
-// NewBimodal returns a bimodal predictor with 2^bits entries.
-func NewBimodal(bits uint) *Bimodal {
-	if bits == 0 || bits > 24 {
-		panic(fmt.Sprintf("cpu: bimodal bits %d out of range (1-24)", bits))
-	}
-	n := uint64(1) << bits
-	t := make([]counter2, n)
-	for i := range t {
-		t[i] = 2 // weakly taken, the conventional reset state
-	}
-	return &Bimodal{table: t, mask: n - 1}
-}
-
-// Name implements Predictor.
-func (b *Bimodal) Name() string { return "bimodal" }
-
-// Predict implements Predictor.
-func (b *Bimodal) Predict(pc uint64) bool {
-	return counterPredict(b.table[(pc>>2)&b.mask])
-}
-
-// Update implements Predictor.
-func (b *Bimodal) Update(pc uint64, taken bool) {
-	idx := (pc >> 2) & b.mask
-	b.table[idx] = counterUpdate(b.table[idx], taken)
 }
 
 // Gshare XORs global branch history with the PC to index a shared 2-bit
@@ -139,19 +88,16 @@ func NewGshare(bits uint) *Gshare {
 	return &Gshare{table: t, mask: n - 1}
 }
 
-// Name implements Predictor.
-func (g *Gshare) Name() string { return "gshare" }
-
 func (g *Gshare) index(pc uint64) uint64 {
 	return ((pc >> 2) ^ g.history) & g.mask
 }
 
-// Predict implements Predictor.
+// Predict returns the predicted direction for the branch at pc.
 func (g *Gshare) Predict(pc uint64) bool {
 	return counterPredict(g.table[g.index(pc)])
 }
 
-// Update implements Predictor.
+// Update trains the predictor with the resolved direction.
 func (g *Gshare) Update(pc uint64, taken bool) {
 	idx := g.index(pc)
 	g.table[idx] = counterUpdate(g.table[idx], taken)
@@ -161,65 +107,3 @@ func (g *Gshare) Update(pc uint64, taken bool) {
 	}
 	g.history &= g.mask
 }
-
-// Tournament combines a bimodal and a gshare predictor with a per-PC
-// chooser, as in Alpha 21264-class designs.
-type Tournament struct {
-	bimodal *Bimodal
-	gshare  *Gshare
-	chooser []counter2 // >= 2 selects gshare
-	mask    uint64
-}
-
-// NewTournament returns a tournament predictor; each component table has
-// 2^bits entries.
-func NewTournament(bits uint) *Tournament {
-	n := uint64(1) << bits
-	ch := make([]counter2, n)
-	for i := range ch {
-		ch[i] = 2
-	}
-	return &Tournament{
-		bimodal: NewBimodal(bits),
-		gshare:  NewGshare(bits),
-		chooser: ch,
-		mask:    n - 1,
-	}
-}
-
-// Name implements Predictor.
-func (t *Tournament) Name() string { return "tournament" }
-
-// Predict implements Predictor.
-func (t *Tournament) Predict(pc uint64) bool {
-	if counterPredict(t.chooser[(pc>>2)&t.mask]) {
-		return t.gshare.Predict(pc)
-	}
-	return t.bimodal.Predict(pc)
-}
-
-// Update implements Predictor.
-func (t *Tournament) Update(pc uint64, taken bool) {
-	bp := t.bimodal.Predict(pc)
-	gp := t.gshare.Predict(pc)
-	idx := (pc >> 2) & t.mask
-	// Train the chooser toward whichever component was right.
-	if bp != gp {
-		t.chooser[idx] = counterUpdate(t.chooser[idx], gp == taken)
-	}
-	t.bimodal.Update(pc, taken)
-	t.gshare.Update(pc, taken)
-}
-
-// StaticTaken always predicts taken; a lower bound useful in tests and
-// ablations.
-type StaticTaken struct{}
-
-// Name implements Predictor.
-func (StaticTaken) Name() string { return "static-taken" }
-
-// Predict implements Predictor.
-func (StaticTaken) Predict(uint64) bool { return true }
-
-// Update implements Predictor.
-func (StaticTaken) Update(uint64, bool) {}

@@ -201,11 +201,3 @@ func (e *Engine) Access(a trace.Access) cache.HitLevel {
 	}
 	return lvl
 }
-
-// Drain runs an entire stream through the engine.
-func (e *Engine) Drain(s trace.Stream) {
-	var a trace.Access
-	for s.Next(&a) {
-		e.Access(a)
-	}
-}

@@ -107,14 +107,16 @@ func TestEngineImprovesSequentialScan(t *testing.T) {
 	}
 
 	base := mkHier()
-	base.Drain(trace.NewSliceStream(scan()))
+	base.AccessBatch(scan(), nil)
 	baseMemStalls := base.MemReads
 
 	pfH := mkHier()
 	eng := NewEngine(pfH, 1, func() []Prefetcher {
 		return []Prefetcher{NewStream(64, 4)}
 	})
-	eng.Drain(trace.NewSliceStream(scan()))
+	for _, a := range scan() {
+		eng.Access(a)
+	}
 
 	// Demand misses reaching memory must drop sharply: most lines arrive
 	// via prefetch before the demand access.
@@ -149,7 +151,9 @@ func TestEnginePollutionOnRandom(t *testing.T) {
 	}
 	h := mkHier()
 	eng := NewEngine(h, 1, func() []Prefetcher { return []Prefetcher{NextLine{BlockSize: 64}} })
-	eng.Drain(trace.NewSliceStream(randTrace()))
+	for _, a := range randTrace() {
+		eng.Access(a)
+	}
 	if h.PrefetchMemReads == 0 {
 		t.Fatal("random stream issued no wasted prefetch bandwidth")
 	}

@@ -71,9 +71,6 @@ func NewTLB(cfg TLBConfig) *TLB {
 	}
 }
 
-// Config returns the TLB's configuration.
-func (t *TLB) Config() TLBConfig { return t.cfg }
-
 // Translate looks up vaddr and returns the translation latency in
 // nanoseconds (0 for an L1 hit).
 func (t *TLB) Translate(vaddr uint64) float64 {
@@ -95,15 +92,6 @@ func (t *TLB) Translate(vaddr uint64) float64 {
 
 // Translations returns the total number of lookups.
 func (t *TLB) Translations() int64 { return t.L1Hits + t.L2Hits + t.Walks }
-
-// WalkRate returns the fraction of translations requiring a page walk.
-func (t *TLB) WalkRate() float64 {
-	n := t.Translations()
-	if n == 0 {
-		return 0
-	}
-	return float64(t.Walks) / float64(n)
-}
 
 // AvgLatencyNS returns the mean translation overhead per lookup.
 func (t *TLB) AvgLatencyNS() float64 {

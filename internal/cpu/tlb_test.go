@@ -76,7 +76,7 @@ func TestHugePagesCutWalks(t *testing.T) {
 		for i := 0; i < 100000; i++ {
 			tlb.Translate(rng.Uint64n(footprint))
 		}
-		return tlb.WalkRate()
+		return float64(tlb.Walks) / float64(tlb.Translations())
 	}
 	small, huge := run(4<<10), run(2<<20)
 	if huge >= small {
@@ -107,7 +107,7 @@ func TestTLBReset(t *testing.T) {
 	tlb := NewTLB(tlb4K())
 	tlb.Translate(0)
 	tlb.Reset()
-	if tlb.Translations() != 0 || tlb.WalkRate() != 0 || tlb.AvgLatencyNS() != 0 {
+	if tlb.Translations() != 0 || tlb.Walks != 0 || tlb.AvgLatencyNS() != 0 {
 		t.Fatal("reset incomplete")
 	}
 	if lat := tlb.Translate(0); lat != 30 {

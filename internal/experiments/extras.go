@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"searchmem/internal/cache"
-	"searchmem/internal/dram"
 	"searchmem/internal/serving"
 	"searchmem/internal/trace"
 	"searchmem/internal/workload"
@@ -92,7 +91,7 @@ func runBandwidth(c *Context) (Result, error) {
 		instrPerSec := m.IPC * plat.Core.FreqGHz * 1e9 * float64(plat.CoresPerSocket) * plat.SMT.Speedup(2)
 		transPerSec := m.DRAMPerKI / 1000 * instrPerSec
 		gbs = transPerSec * float64(plat.CacheBlock) / 1e9
-		return dram.Utilization(gbs, dram.DDR4), gbs
+		return gbs / plat.MemPeakGBs, gbs
 	}
 	sUtil, sGBs := measure(c.Leaf())
 	cUtil, cGBs := measure(workload.CloudSuiteWebSearch().Build())

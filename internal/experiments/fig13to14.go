@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"searchmem/internal/dram"
 	"searchmem/internal/model"
 	"searchmem/internal/trace"
 	"searchmem/internal/workload"
@@ -30,14 +29,13 @@ var fig13Capacities = []int64{64, 128, 256, 512, 1024, 2048, 4096, 8192}
 
 // l4Point is one simulated L4 size.
 type l4Point struct {
-	capMiB  int64
+	capMiB int64
+	// hitRate is the L4 demand hit rate — equally the fraction of post-L3
+	// reads the L4 keeps from DRAM (the paper's ~50% energy argument).
 	hitRate float64
 	segHits [trace.NumSegments]int64
 	segMiss [trace.NumSegments]int64
 	instr   int64
-	// dramFilter is the fraction of post-L3 reads absorbed (the paper's
-	// ~50% energy argument).
-	dramFilter float64
 }
 
 // sweepL4 simulates the direct-mapped victim L4 at each capacity behind a
@@ -78,12 +76,7 @@ func sweepL4(c *Context, assoc int) []l4Point {
 			p.segHits[seg] = m.L4.SegHits(seg)
 			p.segMiss[seg] = m.L4.SegMisses(seg)
 		}
-		tr := dram.Traffic{
-			L4Hits:   m.L4.TotalHits(),
-			L4Misses: m.L4.TotalMisses(),
-		}
-		p.dramFilter = tr.DRAMFilterRate()
-		o.logf("fig13: L4 %d MiB-paper: hit %.2f filter %.2f", mb, p.hitRate, p.dramFilter)
+		o.logf("fig13: L4 %d MiB-paper: hit %.2f", mb, p.hitRate)
 		out[i] = p
 	}
 	c.curves[key] = out
@@ -109,7 +102,7 @@ func runFig13(c *Context) (Result, error) {
 					float64(m)/float64(p.instr)*1000)
 			}
 		}
-		fig.Add("DRAM-read filter", float64(p.capMiB), p.dramFilter)
+		fig.Add("DRAM-read filter", float64(p.capMiB), p.hitRate)
 	}
 	return fig, nil
 }
@@ -156,17 +149,17 @@ func runFig14(c *Context) (Result, error) {
 
 	for _, mb := range fig14Sizes {
 		// Baseline L4: 40 ns hit, parallel lookup.
-		d := dram.BaselineL4(mb << 20)
+		d := model.BaselineL4(mb << 20)
 		q := pm.qpsWithL4(23, l3Rebalanced, smt, l4HitAt(direct, mb), d.HitLatencyNS, d.MissPenaltyNS)
 		fig.Add("Baseline", float64(mb), model.Improvement(base, q))
 
 		// Pessimistic: 60 ns hit + 5 ns serialized miss penalty.
-		p := dram.PessimisticL4(mb << 20)
+		p := model.PessimisticL4(mb << 20)
 		q = pm.qpsWithL4(23, l3Rebalanced, smt, l4HitAt(direct, mb), p.HitLatencyNS, p.MissPenaltyNS)
 		fig.Add("Pessimistic", float64(mb), model.Improvement(base, q))
 
 		// Associative: fully-associative functional sim, baseline timing.
-		a := dram.AssociativeL4(mb << 20)
+		a := model.AssociativeL4(mb << 20)
 		q = pm.qpsWithL4(23, l3Rebalanced, smt, l4HitAt(assoc, mb), a.HitLatencyNS, a.MissPenaltyNS)
 		fig.Add("Associative", float64(mb), model.Improvement(base, q))
 

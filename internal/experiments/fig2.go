@@ -212,19 +212,11 @@ type l3Curve struct {
 	sd *cacheStackDist
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func (l *l3Curve) Observe(a trace.Access) { l.sd.Observe(a) }
 
 // combinedHitRate returns the modeled L3 hit rate at the given capacity.
 func (l *l3Curve) combinedHitRate(capacity int64) float64 {
-	l2eff := int64(16 * 256 << 10)
-	base := l.sd.TotalMisses(l2eff)
+	base := l.sd.TotalMisses(l.sd.l2eff())
 	if base <= 0 {
 		return 1
 	}
@@ -233,10 +225,6 @@ func (l *l3Curve) combinedHitRate(capacity int64) float64 {
 		return 0
 	}
 	return h
-}
-
-func (l *l3Curve) segHitRate(seg trace.Segment, capacity int64, excludeCold bool) float64 {
-	return l.sd.SegHitRate(seg, capacity, excludeCold)
 }
 
 // dataHitRate returns the post-L2 hit rate of all data segments combined.

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"searchmem/internal/dram"
+	"searchmem/internal/model"
 	"searchmem/internal/obs"
 	"searchmem/internal/serving"
 )
@@ -132,7 +132,7 @@ func runFleetQPS(c *Context) (Result, error) {
 	// 23 at 1 MiB/core); the headline +27% adds the 1 GiB direct-mapped L4
 	// (Figure 14's operating point, reusing the memoized fig13 sweep).
 	pm := newPerfModel(c)
-	l4 := dram.BaselineL4(1024 << 20)
+	l4 := model.BaselineL4(1024 << 20)
 	hL4 := l4HitAt(sweepL4(c, 0), 1024)
 	designs := []struct {
 		name  string

@@ -25,10 +25,6 @@ func init() {
 // estimator fed every event.
 var fleetProfRates = []float64{1.00, 0.50, 0.10, 0.02}
 
-// fleetProfDefaultRate is the always-on fleet rate the acceptance bound
-// (Top-Down within 2 pp of exact) is checked at.
-const fleetProfDefaultRate = 0.10
-
 // fleetProfResult carries the numeric estimates for the table and tests.
 type fleetProfResult struct {
 	rates []float64

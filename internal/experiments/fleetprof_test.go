@@ -2,6 +2,10 @@ package experiments
 
 import "testing"
 
+// fleetProfDefaultRate is the always-on fleet rate the acceptance bound
+// (Top-Down within 2 pp of exact) is checked at.
+const fleetProfDefaultRate = 0.10
+
 // TestFleetProfSamplingConverges checks the experiment's headline claims:
 // the rate-1.0 estimate is exactly the exhaustive profile (error zero by
 // construction), estimator error shrinks monotonically as the sampling rate

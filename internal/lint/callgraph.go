@@ -116,9 +116,6 @@ func (g *CallGraph) Nodes() []*CallNode {
 	return g.order
 }
 
-// Fset returns the file set positioning the graph's syntax.
-func (g *CallGraph) Fset() *token.FileSet { return g.fset }
-
 // hotDirective marks a function whose call tree must stay allocation-free.
 const hotDirective = "//lint:hot"
 

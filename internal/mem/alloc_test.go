@@ -47,10 +47,10 @@ func requireZeroAllocs(t *testing.T, name string, f func()) {
 	}
 }
 
-// TestAccessBatchZeroAlloc pins the batched kernel for a near-only system
+// TestMemReadWriteZeroAlloc pins MemRead/MemWrite for a near-only system
 // (row-buffer model alone) and for each placement policy with a tight near
 // tier and short epochs, so rebalances run inside the measured window.
-func TestAccessBatchZeroAlloc(t *testing.T) {
+func TestMemReadWriteZeroAlloc(t *testing.T) {
 	batch := allocTrace(7, 8192)
 	cfgs := []struct {
 		name string
@@ -63,22 +63,9 @@ func TestAccessBatchZeroAlloc(t *testing.T) {
 	}
 	for _, c := range cfgs {
 		s := NewSystem(c.cfg)
-		s.AccessBatch(batch) // touch every page: table growth happens here
+		replay(s, batch) // touch every page: table growth happens here
 		requireZeroAllocs(t, c.name, func() {
-			s.AccessBatch(batch)
+			replay(s, batch)
 		})
 	}
-}
-
-// TestDrainBatchZeroAlloc pins the stream-draining kernel over a zero-copy
-// shared view, the shape the workload replayer delivers.
-func TestDrainBatchZeroAlloc(t *testing.T) {
-	shared := trace.NewShared(allocTrace(11, 20_000))
-	s := NewSystem(Config{Far: &FarConfig{NearPages: 1024, Policy: PolicyLRUEpoch, EpochLen: 4096}})
-	v := shared.View()
-	s.DrainBatch(v) // warm the page table
-	requireZeroAllocs(t, "drain", func() {
-		v.Rewind()
-		s.DrainBatch(v)
-	})
 }

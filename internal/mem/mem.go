@@ -1,6 +1,6 @@
 // Package mem models the main-memory system below the cache hierarchy as a
-// trace-driven tiered subsystem, replacing the flat AccessLatencyNS constant
-// of internal/dram for post-L4 traffic.
+// trace-driven tiered subsystem, replacing the platform's flat MemLatencyNS
+// constant for post-L4 traffic. It is the only model of DRAM device timing.
 //
 // The paper stops its hierarchy at the on-package eDRAM L4 and treats DRAM
 // as a single 65 ns device; its central question — where should the search
@@ -275,14 +275,6 @@ func (s Stats) RowHitRate() float64 {
 		return 0
 	}
 	return float64(s.RowHits) / float64(total)
-}
-
-// AvgReadNS returns mean read latency over both tiers.
-func (s Stats) AvgReadNS() float64 {
-	if s.Reads == 0 {
-		return 0
-	}
-	return s.ReadNSSum / float64(s.Reads)
 }
 
 // EffectiveReadNS is the tMEM the AMAT model should use: mean read latency

@@ -55,7 +55,7 @@ func TestRowConflictTiming(t *testing.T) {
 	}
 	// Conflict latency: base 30 + precharge 14 + activate 14 + CAS 14 +
 	// burst 4 = 76 ns, plus queueing.
-	if avg := st.AvgReadNS(); avg < 76 {
+	if avg := st.ReadNSSum / float64(st.Reads); avg < 76 {
 		t.Fatalf("conflict-bound average read latency %.1f ns, want >= 76", avg)
 	}
 }
@@ -102,8 +102,8 @@ func TestStaticPlacementFirstTouch(t *testing.T) {
 		t.Fatalf("shard far page frac = %v, want 0.75", got)
 	}
 	// Far reads at 150 ns must pull the mean above the near-only band.
-	if st.AvgReadNS() < 100 {
-		t.Fatalf("avg read %.1f ns too low for a 75%%-far system", st.AvgReadNS())
+	if avg := st.ReadNSSum / float64(st.Reads); avg < 100 {
+		t.Fatalf("avg read %.1f ns too low for a 75%%-far system", avg)
 	}
 	if st.Migrations != 0 {
 		t.Fatalf("static policy migrated %d pages", st.Migrations)
@@ -166,6 +166,18 @@ func TestLRUEpochDemotesIdlePages(t *testing.T) {
 	}
 }
 
+// replay issues batch against s the way cache.Hierarchy does as a MemSink:
+// writes as MemWrite, everything else as MemRead.
+func replay(s *System, batch []trace.Access) {
+	for _, a := range batch {
+		if a.Kind == trace.Write {
+			s.MemWrite(a.Addr, a.Seg)
+		} else {
+			s.MemRead(a.Addr, a.Seg)
+		}
+	}
+}
+
 func TestDeterministicReplay(t *testing.T) {
 	mk := func() []trace.Access {
 		// A fixed pseudo-random access mix (LCG, no global rand).
@@ -185,7 +197,7 @@ func TestDeterministicReplay(t *testing.T) {
 	run := func() Stats {
 		cfg := farConfig(PolicyFreqThreshold, 64, 512)
 		s := NewSystem(cfg)
-		s.AccessBatch(mk())
+		replay(s, mk())
 		return s.Snapshot()
 	}
 	if a, b := run(), run(); a != b {

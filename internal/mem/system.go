@@ -64,9 +64,6 @@ func NewSystem(cfg Config) *System {
 	return s
 }
 
-// Config returns the resolved configuration (defaults applied).
-func (s *System) Config() Config { return s.cfg }
-
 // lookup returns the entry for addr's page, inserting it on first touch.
 func (s *System) lookup(addr uint64, seg trace.Segment) *pageEntry {
 	pg := addr >> s.pageShift
@@ -125,6 +122,8 @@ func (s *System) grow() {
 
 // MemRead services one post-hierarchy read (a demand or prefetch fetch that
 // reached main memory). It implements cache.MemSink.
+//
+//lint:hot
 func (s *System) MemRead(addr uint64, seg trace.Segment) {
 	e := s.lookup(addr, seg)
 	arrival := s.nowNS
@@ -145,6 +144,8 @@ func (s *System) MemRead(addr uint64, seg trace.Segment) {
 
 // MemWrite services one writeback that reached main memory. It implements
 // cache.MemSink.
+//
+//lint:hot
 func (s *System) MemWrite(addr uint64, seg trace.Segment) {
 	e := s.lookup(addr, seg)
 	arrival := s.nowNS
@@ -241,35 +242,6 @@ func (s *System) migrate() {
 	s.st.Migrations++
 	s.st.MigratedBytes += int64(s.cfg.PageBytes)
 	s.st.MigrationNS += s.cfg.Far.MigratePageNS
-}
-
-// AccessBatch replays one batch of raw trace accesses directly against the
-// system (no cache hierarchy in front): writes become MemWrite, everything
-// else MemRead. The batch is read-only per the trace.BatchStream contract.
-//
-//lint:hot
-func (s *System) AccessBatch(batch []trace.Access) {
-	for i := range batch {
-		a := batch[i]
-		if a.Kind == trace.Write {
-			s.MemWrite(a.Addr, a.Seg)
-		} else {
-			s.MemRead(a.Addr, a.Seg)
-		}
-	}
-}
-
-// DrainBatch replays an entire batched stream through the system.
-//
-//lint:hot
-func (s *System) DrainBatch(bs trace.BatchStream) {
-	for {
-		b := bs.NextBatch()
-		if len(b) == 0 {
-			return
-		}
-		s.AccessBatch(b)
-	}
 }
 
 // Snapshot drains the scheduling windows and returns the current counters

@@ -135,17 +135,6 @@ func (s *Space) FootprintBytes(seg trace.Segment) uint64 {
 	return total
 }
 
-// ReservedBytes returns the total arena capacity reserved for seg.
-func (s *Space) ReservedBytes(seg trace.Segment) uint64 {
-	var total uint64
-	for _, a := range s.arenas {
-		if a.seg == seg {
-			total += uint64(len(a.buf))
-		}
-	}
-	return total
-}
-
 // Arena is one contiguous, byte-backed, instrumented memory region.
 type Arena struct {
 	name        string
@@ -157,12 +146,6 @@ type Arena struct {
 	space       *Space
 }
 
-// Name returns the arena's name.
-func (a *Arena) Name() string { return a.name }
-
-// Segment returns the arena's segment.
-func (a *Arena) Segment() trace.Segment { return a.seg }
-
 // Base returns the arena's first virtual address.
 func (a *Arena) Base() uint64 { return a.base }
 
@@ -173,9 +156,6 @@ func (a *Arena) Size() int {
 	}
 	return len(a.buf)
 }
-
-// Phantom reports whether the arena is unbacked.
-func (a *Arena) Phantom() bool { return a.phantomSize > 0 }
 
 // Used returns the bytes handed out by Alloc.
 func (a *Arena) Used() uint64 { return a.used }
@@ -248,13 +228,6 @@ func (a *Arena) ReadU64(thread uint8, addr uint64) uint64 {
 	o := a.off(addr, 8)
 	a.space.record(trace.Access{Addr: addr, Size: 8, Seg: a.seg, Kind: trace.Read, Thread: thread})
 	return binary.LittleEndian.Uint64(a.data()[o:])
-}
-
-// WriteU8 writes one byte.
-func (a *Arena) WriteU8(thread uint8, addr uint64, v byte) {
-	o := a.off(addr, 1)
-	a.space.record(trace.Access{Addr: addr, Size: 1, Seg: a.seg, Kind: trace.Write, Thread: thread})
-	a.data()[o] = v
 }
 
 // WriteU32 writes a little-endian uint32.

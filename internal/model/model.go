@@ -145,13 +145,6 @@ func (p PowerModel) SocketPower(cores int) float64 {
 	return uncore + float64(cores)*p.CorePowerFrac*p.SocketWatts
 }
 
-// PowerIncrease returns the fractional socket power increase going from the
-// baseline to the given core count.
-func (p PowerModel) PowerIncrease(cores int) float64 {
-	base := p.SocketPower(p.BaselineCores)
-	return (p.SocketPower(cores) - base) / base
-}
-
 // EnergyPerQuery returns relative energy per query given relative power and
 // relative QPS (both normalized to a baseline of 1.0).
 func EnergyPerQuery(relPower, relQPS float64) float64 {

@@ -105,9 +105,6 @@ func NewProfiler(cfg ProfilerConfig) *Profiler {
 	}
 }
 
-// Rate returns the configured sampling rate.
-func (p *Profiler) Rate() float64 { return p.rate }
-
 // ObserveAccess feeds one memory access and the hierarchy level that served
 // it. The access always advances the cheap counters; attribution happens
 // only inside a sampling window.

@@ -39,6 +39,9 @@ type Platform struct {
 	TLB cpu.TLBConfig
 	// L3LatencyNS and MemLatencyNS feed the AMAT model (tL3 and tMEM).
 	L3LatencyNS, MemLatencyNS float64
+	// MemPeakGBs is the socket's peak DRAM bandwidth, the denominator of
+	// the §II-D bandwidth-utilization contrast.
+	MemPeakGBs float64
 	// CoreAreaL3MiB is the die area of one core plus private caches
 	// expressed in MiB of L3 (the paper measures ~4 MiB from Haswell die
 	// photos, the unit of Figure 9's x-axis).
@@ -89,6 +92,7 @@ func PLT1() Platform {
 		},
 		L3LatencyNS:   14.4, // 36 cycles at 2.5 GHz
 		MemLatencyNS:  65,
+		MemPeakGBs:    68,
 		CoreAreaL3MiB: 4,
 		CorePowerFrac: 0.0377,
 	}
@@ -131,6 +135,7 @@ func PLT2() Platform {
 		},
 		L3LatencyNS:   7.7, // 27 cycles at 3.5 GHz
 		MemLatencyNS:  80,
+		MemPeakGBs:    230, // 8 buffered memory channels per socket
 		CoreAreaL3MiB: 6,
 		CorePowerFrac: 0.05,
 	}

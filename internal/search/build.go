@@ -339,21 +339,6 @@ func (e *Engine) cacheSlotBytes() int {
 	return (n + 7) &^ 7
 }
 
-// Config returns the engine's configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
-// NumDocs returns the number of indexed documents.
-func (e *Engine) NumDocs() int { return int(e.numDocs) }
-
-// Space returns the engine's address space.
-func (e *Engine) Space() *memsim.Space { return e.space }
-
-// ShardBytes returns the serialized shard size.
-func (e *Engine) ShardBytes() int { return e.shard.Size() }
-
-// HeapBytes returns the heap arena size.
-func (e *Engine) HeapBytes() int { return e.heap.Size() }
-
 // dictEntry reads one term's dictionary record through the instrumented
 // heap (two 8-byte reads, as a real lookup would issue; the skip-table
 // offset rides in the third word, read only for long lists).

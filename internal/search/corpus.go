@@ -97,9 +97,6 @@ func GenerateCorpus(cfg CorpusConfig) *Corpus {
 	return c
 }
 
-// Config returns the corpus configuration.
-func (c *Corpus) Config() CorpusConfig { return c.cfg }
-
 // NumDocs returns the number of documents.
 func (c *Corpus) NumDocs() int { return len(c.offs) - 1 }
 

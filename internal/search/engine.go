@@ -5,8 +5,6 @@ import (
 	"math"
 
 	"searchmem/internal/codegen"
-	"searchmem/internal/memsim"
-	"searchmem/internal/trace"
 )
 
 // Hot function ids pinned per engine phase: the inner loops of posting
@@ -319,10 +317,4 @@ func (e *Engine) cacheInsert(tid uint8, tag uint64, docs []uint32) {
 	for i, d := range docs {
 		e.heap.WriteU32(tid, addr+12+uint64(i)*4, d)
 	}
-}
-
-// TouchStack emits one stack-frame access pattern for sessions without a
-// code walker (walkers emit their own stack traffic).
-func (s *Session) TouchStack(stack *memsim.Arena) {
-	stack.Touch(s.thread, stack.Base(), 64, trace.Write)
 }

@@ -65,11 +65,11 @@ func oracleSearch(e *Engine, c *Corpus, terms []uint32) []uint32 {
 		if df == 0 {
 			continue
 		}
-		if len(list) > e.Config().MaxPostingsPerTerm {
+		if len(list) > e.cfg.MaxPostingsPerTerm {
 			numBlocks := (len(list) + SkipInterval - 1) / SkipInterval
 			block := SkipBlockFor(hashTerms(terms), term, numBlocks)
 			start := block * SkipInterval
-			end := start + e.Config().MaxPostingsPerTerm
+			end := start + e.cfg.MaxPostingsPerTerm
 			if end > len(list) {
 				end = len(list)
 			}
@@ -95,8 +95,8 @@ func oracleSearch(e *Engine, c *Corpus, terms []uint32) []uint32 {
 		}
 		return cands[i].doc < cands[j].doc
 	})
-	if len(cands) > e.Config().TopK {
-		cands = cands[:e.Config().TopK]
+	if len(cands) > e.cfg.TopK {
+		cands = cands[:e.cfg.TopK]
 	}
 	// Feature boost and re-rank, as the engine does for its final stage.
 	for i := range cands {
@@ -124,7 +124,7 @@ func TestExecuteMatchesOracle(t *testing.T) {
 		nTerms := 1 + rng.Intn(3)
 		terms := make([]uint32, nTerms)
 		for i := range terms {
-			terms[i] = uint32(rng.Intn(eng.Config().Corpus.VocabSize))
+			terms[i] = uint32(rng.Intn(eng.cfg.Corpus.VocabSize))
 		}
 		got := sess.Execute(terms)
 		want := oracleSearch(eng, corpus, terms)
@@ -206,7 +206,7 @@ func TestTraceEmission(t *testing.T) {
 	var kinds [trace.NumKinds]int
 	eng, _ := buildTestEngine(t, nil)
 	var accs []trace.Access
-	eng.Space().SetRecorder(func(a trace.Access) {
+	eng.space.SetRecorder(func(a trace.Access) {
 		bySeg[a.Seg]++
 		kinds[a.Kind]++
 		accs = append(accs, a)
@@ -234,7 +234,7 @@ func TestPostingScanIsSequential(t *testing.T) {
 	// the spatial locality the paper attributes to shard accesses.
 	eng, _ := buildTestEngine(t, nil)
 	var shardReads []uint64
-	eng.Space().SetRecorder(func(a trace.Access) {
+	eng.space.SetRecorder(func(a trace.Access) {
 		if a.Seg == trace.Shard {
 			shardReads = append(shardReads, a.Addr)
 		}
@@ -254,7 +254,7 @@ func TestPostingScanIsSequential(t *testing.T) {
 			violations++
 		}
 	}
-	if violations > eng.Config().TopK+1 {
+	if violations > eng.cfg.TopK+1 {
 		t.Fatalf("%d order violations in shard stream", violations)
 	}
 }
@@ -302,20 +302,20 @@ func TestOutOfVocabTermIgnored(t *testing.T) {
 
 func TestFootprintsPopulated(t *testing.T) {
 	eng, corpus := buildTestEngine(t, nil)
-	space := eng.Space()
+	space := eng.space
 	if space.FootprintBytes(trace.Shard) == 0 {
 		t.Fatal("no shard footprint")
 	}
 	if space.FootprintBytes(trace.Heap) == 0 {
 		t.Fatal("no heap footprint")
 	}
-	if eng.ShardBytes() <= 0 || eng.HeapBytes() <= 0 {
+	if eng.shard.Size() <= 0 || eng.heap.Size() <= 0 {
 		t.Fatal("arena sizes unset")
 	}
 	// The serialized shard must hold at least ~1 byte per corpus term
 	// (postings + content).
-	if int64(eng.ShardBytes()) < corpus.TotalTerms() {
-		t.Fatalf("shard %d bytes too small for %d corpus terms", eng.ShardBytes(), corpus.TotalTerms())
+	if int64(eng.shard.Size()) < corpus.TotalTerms() {
+		t.Fatalf("shard %d bytes too small for %d corpus terms", eng.shard.Size(), corpus.TotalTerms())
 	}
 }
 
@@ -359,9 +359,6 @@ func TestCorpusStats(t *testing.T) {
 	avg := c.AvgDocLen()
 	if avg < 20 || avg > 200 {
 		t.Fatalf("avg doc len %v implausible for target 60", avg)
-	}
-	if c.Config().NumDocs != 500 {
-		t.Fatal("config not retained")
 	}
 }
 

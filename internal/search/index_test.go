@@ -155,8 +155,8 @@ func TestImageBytesPinned(t *testing.T) {
 		if got := imageDigest(eng); got != tc.want {
 			t.Errorf("%s: image digest %s, want %s", tc.name, got, tc.want)
 		}
-		if tc.shard != 0 && (eng.ShardBytes() != tc.shard || eng.HeapBytes() != tc.heap) {
-			t.Errorf("%s: shard %d heap %d bytes, want %d and %d", tc.name, eng.ShardBytes(), eng.HeapBytes(), tc.shard, tc.heap)
+		if tc.shard != 0 && (eng.shard.Size() != tc.shard || eng.heap.Size() != tc.heap) {
+			t.Errorf("%s: shard %d heap %d bytes, want %d and %d", tc.name, eng.shard.Size(), eng.heap.Size(), tc.shard, tc.heap)
 		}
 	}
 }
@@ -165,8 +165,8 @@ func TestImageBytesPinned(t *testing.T) {
 // results and the recorded access stream.
 func traceOf(eng *Engine, queries [][]uint32) ([]Result, []trace.Access) {
 	var accesses []trace.Access
-	eng.Space().SetRecorder(func(a trace.Access) { accesses = append(accesses, a) })
-	defer eng.Space().SetRecorder(nil)
+	eng.space.SetRecorder(func(a trace.Access) { accesses = append(accesses, a) })
+	defer eng.space.SetRecorder(nil)
 	sess := eng.NewSession(0, nil)
 	results := make([]Result, len(queries))
 	for i, q := range queries {

@@ -23,9 +23,6 @@ func (t *TopK) Reset() {
 	t.scores = t.scores[:0]
 }
 
-// Len returns the number of results currently held.
-func (t *TopK) Len() int { return len(t.docs) }
-
 // worse reports whether entry i ranks below entry j (lower score, or equal
 // score with higher doc id).
 func (t *TopK) worse(i, j int) bool {

@@ -86,7 +86,7 @@ func TestTopKReset(t *testing.T) {
 	tk := NewTopK(2)
 	tk.Push(1, 5)
 	tk.Reset()
-	if tk.Len() != 0 {
+	if len(tk.docs) != 0 {
 		t.Fatal("reset did not empty")
 	}
 	tk.Push(2, 1)

@@ -356,13 +356,6 @@ func (c *Cluster) FlushCache() {
 	}
 }
 
-// Config returns the cluster configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
-// Registry returns the metrics registry the cluster reports into (the one
-// from Config.Registry, or the private one created in its absence).
-func (c *Cluster) Registry() *obs.Registry { return c.reg }
-
 // leafOutcome is one leaf call's contribution as seen by its parent.
 type leafOutcome struct {
 	docs   []uint32
@@ -392,16 +385,6 @@ type leafOutcome struct {
 	primaryArrivalNS              float64
 	hedgeIssuedNS, hedgeArrivalNS float64
 	hedgeLeaf                     int
-}
-
-// CacheHitRate returns the fraction of queries served by the cache tier.
-func (c *Cluster) CacheHitRate() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.Queries == 0 {
-		return 0
-	}
-	return float64(c.CacheHits) / float64(c.Queries)
 }
 
 // cacheTag hashes query terms (FNV-1a).

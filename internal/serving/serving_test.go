@@ -51,7 +51,7 @@ func TestTreeShape(t *testing.T) {
 func TestServeBasics(t *testing.T) {
 	c := testCluster(0)
 	r := c.Serve(Query{Terms: []uint32{1, 2}})
-	if len(r.Docs) != c.Config().TopK {
+	if len(r.Docs) != c.cfg.TopK {
 		t.Fatalf("got %d results", len(r.Docs))
 	}
 	if r.LatencyNS <= 0 {
@@ -100,8 +100,8 @@ func TestCacheShortCircuit(t *testing.T) {
 			t.Fatal("cached result differs")
 		}
 	}
-	if c.CacheHitRate() != 0.5 {
-		t.Fatalf("hit rate %v", c.CacheHitRate())
+	if c.CacheHits != 1 || c.Queries != 2 {
+		t.Fatalf("cache hits %d of %d queries, want 1 of 2", c.CacheHits, c.Queries)
 	}
 }
 

@@ -147,18 +147,6 @@ func (r *RNG) Exponential(mean float64) float64 {
 	return -mean * math.Log(1-r.Float64())
 }
 
-// Geometric returns the number of failures before the first success in
-// Bernoulli(p) trials. Used for run lengths (e.g. posting-list scan lengths).
-func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("stats: Geometric requires 0 < p <= 1")
-	}
-	if p == 1 {
-		return 0
-	}
-	return int(math.Log(1-r.Float64()) / math.Log(1-p))
-}
-
 // Pareto returns a draw from a bounded Pareto distribution on [min, max]
 // with shape alpha. Used for document-length and posting-list-length models,
 // which are heavy-tailed in real corpora.
@@ -169,12 +157,4 @@ func (r *RNG) Pareto(min, max, alpha float64) float64 {
 	u := r.Float64()
 	la, ha := math.Pow(min, alpha), math.Pow(max, alpha)
 	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-}
-
-// Normal returns a draw from a normal distribution with the given mean and
-// standard deviation, via the Box-Muller transform.
-func (r *RNG) Normal(mean, stddev float64) float64 {
-	u1 := 1 - r.Float64() // avoid log(0)
-	u2 := r.Float64()
-	return mean + stddev*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
 }

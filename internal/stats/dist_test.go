@@ -105,30 +105,6 @@ func TestExponentialMean(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := NewRNG(6)
-	const p = 0.25
-	var sum float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		sum += float64(r.Geometric(p))
-	}
-	mean := sum / n
-	want := (1 - p) / p // mean of failures-before-success geometric
-	if math.Abs(mean-want) > 0.1 {
-		t.Fatalf("geometric mean %v, want ~%v", mean, want)
-	}
-}
-
-func TestGeometricOne(t *testing.T) {
-	r := NewRNG(61)
-	for i := 0; i < 100; i++ {
-		if r.Geometric(1) != 0 {
-			t.Fatal("Geometric(1) must be 0")
-		}
-	}
-}
-
 func TestParetoBounds(t *testing.T) {
 	r := NewRNG(7)
 	for i := 0; i < 10000; i++ {
@@ -151,20 +127,6 @@ func TestParetoHeavyTail(t *testing.T) {
 	}
 	if p99(0.8) <= p99(2.0) {
 		t.Fatal("lower alpha did not produce heavier tail")
-	}
-}
-
-func TestNormalMoments(t *testing.T) {
-	r := NewRNG(9)
-	var s Summary
-	for i := 0; i < 200000; i++ {
-		s.Add(r.Normal(10, 3))
-	}
-	if math.Abs(s.Mean()-10) > 0.05 {
-		t.Fatalf("normal mean %v", s.Mean())
-	}
-	if math.Abs(s.StdDev()-3) > 0.05 {
-		t.Fatalf("normal stddev %v", s.StdDev())
 	}
 }
 

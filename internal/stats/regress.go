@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // Line is a fitted simple linear model y = Intercept + Slope*x.
 //
@@ -62,30 +59,4 @@ func FitLine(xs, ys []float64) (Line, error) {
 		line.R2 = 1 - ssRes/syy
 	}
 	return line, nil
-}
-
-// PearsonR returns the Pearson correlation coefficient of the two samples,
-// or 0 when either sample has no variance.
-func PearsonR(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return 0
-	}
-	n := float64(len(xs))
-	var sx, sy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-	}
-	mx, my := sx/n, sy/n
-	var sxx, syy, sxy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		syy += dy * dy
-		sxy += dx * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }

@@ -104,23 +104,6 @@ func TestIntnPanics(t *testing.T) {
 	NewRNG(1).Intn(0)
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(9)
-	for _, n := range []int{0, 1, 2, 5, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestShuffleKeepsElements(t *testing.T) {
 	r := NewRNG(13)
 	s := []int{1, 2, 3, 4, 5, 6, 7, 8}

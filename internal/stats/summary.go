@@ -1,68 +1,10 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
 )
-
-// Summary accumulates a stream of observations with O(1) memory using
-// Welford's online algorithm. The zero value is ready to use.
-type Summary struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add records one observation.
-func (s *Summary) Add(x float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	delta := x - s.mean
-	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
-}
-
-// N returns the number of observations.
-func (s *Summary) N() int64 { return s.n }
-
-// Mean returns the arithmetic mean, or 0 with no observations.
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Variance returns the sample variance, or 0 with fewer than two observations.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the smallest observation, or 0 with no observations.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (s *Summary) Max() float64 { return s.max }
-
-// String implements fmt.Stringer.
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g stddev=%.4g min=%.4g max=%.4g",
-		s.n, s.Mean(), s.StdDev(), s.min, s.max)
-}
 
 // Histogram is a log-scaled latency/size histogram covering [1, maxValue]
 // with a configurable number of buckets per power of two. It supports
@@ -163,16 +105,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return h.bucketMid(len(h.counts) - 1)
-}
-
-// Percentiles is a convenience helper returning the given percentiles
-// (each in [0,100]) in order.
-func (h *Histogram) Percentiles(ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = h.Quantile(p / 100)
-	}
-	return out
 }
 
 // ExactQuantile returns the exact q-quantile of a sample slice (the slice is

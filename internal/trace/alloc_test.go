@@ -27,10 +27,9 @@ func requireZeroAllocs(t *testing.T, name string, f func()) {
 // count so the test can verify the whole recording was actually decoded.
 func drainAll(cur Cursor) int {
 	cur.Rewind()
-	bs := cur.(BatchStream)
 	total := 0
 	for {
-		b := bs.NextBatch()
+		b := cur.NextBatch()
 		if len(b) == 0 {
 			return total
 		}

@@ -181,12 +181,6 @@ func Compress(accesses []Access, blockLen int) (*Compressed, error) {
 // Len returns the number of accesses in the recording.
 func (c *Compressed) Len() int { return c.n }
 
-// Blocks returns the number of compressed blocks.
-func (c *Compressed) Blocks() int { return len(c.blocks) }
-
-// BlockLen returns the accesses-per-block geometry.
-func (c *Compressed) BlockLen() int { return c.blockLen }
-
 // StoredBytes implements Recording: total encoded bytes (on disk when
 // spilled, in memory otherwise).
 func (c *Compressed) StoredBytes() int64 {
@@ -211,17 +205,16 @@ func (c *Compressed) View() *CompressedView {
 }
 
 // CompressedView decodes a Compressed recording block by block into one
-// reused window. It implements both Stream and BatchStream; NextBatch hands
-// out the decode window itself, so the BatchStream lifetime contract applies
-// with teeth — the next NextBatch call physically overwrites the previous
-// batch's storage (the searchlint batchalias analyzer polices retention).
+// reused window. NextBatch hands out the decode window itself, so the
+// BatchStream lifetime contract applies with teeth — the next NextBatch call
+// physically overwrites the previous batch's storage (the searchlint
+// batchalias analyzer polices retention).
 type CompressedView struct {
-	c      *Compressed
-	block  int
-	win    []Access
-	winPos int
-	rbuf   []byte // reused spill read buffer
-	err    error
+	c     *Compressed
+	block int
+	win   []Access
+	rbuf  []byte // reused spill read buffer
+	err   error
 
 	// Decode-side delta chains, cleared per block like the writer's.
 	chain [256][NumSegments]uint64
@@ -238,37 +231,18 @@ func (v *CompressedView) Len() int { return v.c.n }
 // error is cleared; re-reading will re-detect corruption at the same block.
 func (v *CompressedView) Rewind() {
 	v.block = 0
-	v.win = v.win[:0]
-	v.winPos = 0
 	v.err = nil
 }
 
-// Next implements Stream over the decoded window.
-func (v *CompressedView) Next(a *Access) bool {
-	if v.winPos >= len(v.win) {
-		if !v.decodeNextBlock() {
-			return false
-		}
-	}
-	*a = v.win[v.winPos]
-	v.winPos++
-	return true
-}
-
-// NextBatch implements BatchStream: the not-yet-consumed remainder of the
-// current decoded window, or the next block decoded into the reused window.
-// The returned slice is only valid until the next NextBatch/Next call.
+// NextBatch implements BatchStream: the next block decoded into the reused
+// window. The returned slice is only valid until the next NextBatch call.
 //
 //lint:hot
 func (v *CompressedView) NextBatch() []Access {
-	if v.winPos >= len(v.win) {
-		if !v.decodeNextBlock() {
-			return nil
-		}
+	if !v.decodeNextBlock() {
+		return nil
 	}
-	out := v.win[v.winPos:len(v.win):len(v.win)]
-	v.winPos = len(v.win)
-	return out
+	return v.win[:len(v.win):len(v.win)]
 }
 
 // decodeNextBlock decodes the next non-empty block into the reused window.
@@ -404,7 +378,6 @@ func (v *CompressedView) decodeBlock() bool {
 		return false
 	}
 	v.win = win
-	v.winPos = 0
 	return len(win) > 0
 }
 

@@ -44,17 +44,7 @@ func blockTestTrace(seed uint64, n int) []Access {
 	return accs
 }
 
-// drainCursor collects a cursor's scalar stream.
-func drainCursor(c Cursor) []Access {
-	var out []Access
-	var a Access
-	for c.Next(&a) {
-		out = append(out, a)
-	}
-	return out
-}
-
-// drainBatched collects a cursor's batched stream (copying each window).
+// drainBatched collects a cursor's stream (copying each window).
 func drainBatched(c Cursor) []Access {
 	var out []Access
 	for {
@@ -78,9 +68,9 @@ func requireEqual(t *testing.T, got, want []Access, label string) {
 	}
 }
 
-// TestCompressedRoundTripIdentity: compress → decode must be identity, via
-// both the scalar and batched cursor paths, at block sizes that exercise
-// single-access blocks, non-dividing sizes, and whole-trace blocks.
+// TestCompressedRoundTripIdentity: compress → decode must be identity at
+// block sizes that exercise single-access blocks, non-dividing sizes, and
+// whole-trace blocks.
 func TestCompressedRoundTripIdentity(t *testing.T) {
 	in := blockTestTrace(11, 10_000)
 	for _, blockLen := range []int{1, 3, 64, 1000, 8192, 20_000} {
@@ -92,10 +82,9 @@ func TestCompressedRoundTripIdentity(t *testing.T) {
 			t.Fatalf("blockLen %d: Len = %d, want %d", blockLen, c.Len(), len(in))
 		}
 		wantBlocks := (len(in) + blockLen - 1) / blockLen
-		if c.Blocks() != wantBlocks {
-			t.Fatalf("blockLen %d: Blocks = %d, want %d", blockLen, c.Blocks(), wantBlocks)
+		if len(c.blocks) != wantBlocks {
+			t.Fatalf("blockLen %d: %d blocks, want %d", blockLen, len(c.blocks), wantBlocks)
 		}
-		requireEqual(t, drainCursor(c.Cursor()), in, fmt.Sprintf("scalar blockLen=%d", blockLen))
 		requireEqual(t, drainBatched(c.Cursor()), in, fmt.Sprintf("batched blockLen=%d", blockLen))
 
 		// Rewind must replay identically (per-block bases leave no state).
@@ -107,34 +96,6 @@ func TestCompressedRoundTripIdentity(t *testing.T) {
 			t.Fatalf("blockLen %d: Err = %v", blockLen, v.Err())
 		}
 	}
-}
-
-// TestCompressedMixedCursor interleaves scalar and batched reads on one
-// cursor: they share a position, so the union must be the whole trace.
-func TestCompressedMixedCursor(t *testing.T) {
-	in := blockTestTrace(7, 3_000)
-	c, err := Compress(in, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := c.View()
-	var out []Access
-	var a Access
-	for i := 0; ; i++ {
-		if i%2 == 0 {
-			if !v.Next(&a) {
-				break
-			}
-			out = append(out, a)
-		} else {
-			b := v.NextBatch()
-			if len(b) == 0 {
-				break
-			}
-			out = append(out, b...)
-		}
-	}
-	requireEqual(t, out, in, "mixed scalar/batched")
 }
 
 // TestCompressedSpillRoundTrip exercises the spill-to-disk path end to end
@@ -164,7 +125,6 @@ func TestCompressedSpillRoundTrip(t *testing.T) {
 		t.Fatalf("spill file size %d, StoredBytes %d (err %v)", st.Size(), c.StoredBytes(), err)
 	}
 	requireEqual(t, drainBatched(c.Cursor()), in, "spilled batched")
-	requireEqual(t, drainCursor(c.Cursor()), in, "spilled scalar")
 
 	// Two interleaved views must not disturb each other (offset reads).
 	v1, v2 := c.View(), c.View()
@@ -342,7 +302,6 @@ func TestRecordingInterfaces(t *testing.T) {
 			t.Fatalf("recording %d: Len = %d, want %d", i, r.Len(), len(in))
 		}
 		requireEqual(t, drainBatched(r.Cursor()), in, fmt.Sprintf("recording %d batched", i))
-		requireEqual(t, drainCursor(r.Cursor()), in, fmt.Sprintf("recording %d scalar", i))
 		if r.StoredBytes() <= 0 {
 			t.Fatalf("recording %d: StoredBytes = %d", i, r.StoredBytes())
 		}

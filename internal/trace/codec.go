@@ -78,7 +78,7 @@ func (w *Writer) Count() int64 { return w.n }
 // Flush flushes buffered data to the underlying writer.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// Reader decodes a binary trace file as a Stream.
+// Reader decodes a binary trace file one access at a time.
 type Reader struct {
 	r    *bufio.Reader
 	last [16][NumSegments]uint64
@@ -101,8 +101,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{r: br}, nil
 }
 
-// Next implements Stream. After it returns false, Err reports whether the
-// stream ended cleanly.
+// Next decodes the next record into a. After it returns false, Err reports
+// whether the file ended cleanly.
 func (r *Reader) Next(a *Access) bool {
 	if r.err != nil {
 		return false

@@ -32,9 +32,19 @@ func roundTrip(t *testing.T, in []Access) []Access {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := Collect(r)
+	out := readAll(r)
 	if r.Err() != nil {
 		t.Fatal(r.Err())
+	}
+	return out
+}
+
+// readAll decodes every remaining record of r.
+func readAll(r *Reader) []Access {
+	var out []Access
+	var a Access
+	for r.Next(&a) {
+		out = append(out, a)
 	}
 	return out
 }
@@ -89,7 +99,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out := Collect(r)
+		out := readAll(r)
 		if r.Err() != nil || len(out) != len(in) {
 			return false
 		}

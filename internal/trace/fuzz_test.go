@@ -131,13 +131,14 @@ func FuzzBlockDecode(f *testing.F) {
 			blockLen: DefaultBlockLen,
 		}
 		v := c.View()
-		var a Access
 		n := 0
-		for v.Next(&a) {
-			if a.Kind >= NumKinds || a.Seg >= NumSegments {
-				t.Fatalf("decoded out-of-range access %v", a)
+		for b := v.NextBatch(); len(b) > 0; b = v.NextBatch() {
+			for _, a := range b {
+				if a.Kind >= NumKinds || a.Seg >= NumSegments {
+					t.Fatalf("decoded out-of-range access %v", a)
+				}
 			}
-			n++
+			n += len(b)
 		}
 		if err := v.Err(); err != nil {
 			if !errors.Is(err, ErrBadTrace) {
@@ -190,14 +191,16 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		v := c.View()
 		for pass := 0; pass < 2; pass++ {
 			i := 0
-			for v.Next(&a) {
-				if i >= len(want) {
-					t.Fatalf("pass %d: block codec decoded extra record %v", pass, a)
+			for b := v.NextBatch(); len(b) > 0; b = v.NextBatch() {
+				for _, a := range b {
+					if i >= len(want) {
+						t.Fatalf("pass %d: block codec decoded extra record %v", pass, a)
+					}
+					if a != want[i] {
+						t.Fatalf("pass %d: block codec record %d = %v, want %v", pass, i, a, want[i])
+					}
+					i++
 				}
-				if a != want[i] {
-					t.Fatalf("pass %d: block codec record %d = %v, want %v", pass, i, a, want[i])
-				}
-				i++
 			}
 			if err := v.Err(); err != nil {
 				t.Fatalf("pass %d: block codec Err: %v", pass, err)

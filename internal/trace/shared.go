@@ -7,7 +7,8 @@ import "unsafe"
 // implement it: Shared (flat 16 B/access, zero-copy windows, fastest) and
 // Compressed (delta+varint blocks decoded into a reused window, bounded
 // memory — see block.go). The workload Replayer records into one or the
-// other; every consumer downstream sees only this interface.
+// other; every consumer downstream sees only this interface and reads it in
+// BatchStream windows.
 type Recording interface {
 	// Len returns the number of accesses in the recording.
 	Len() int
@@ -18,13 +19,11 @@ type Recording interface {
 	StoredBytes() int64
 }
 
-// Cursor reads a Recording from the beginning through either the scalar
-// Stream or the batched BatchStream interface; the two share one position,
-// so mixing them on a single cursor is coherent. Batches follow the
-// BatchStream lifetime contract. A cursor is not safe for concurrent use;
-// distinct cursors over one Recording are independent.
+// Cursor reads a Recording from the beginning, one batch at a time, and can
+// be rewound for another pass. Batches follow the BatchStream lifetime
+// contract. A cursor is not safe for concurrent use; distinct cursors over
+// one Recording are independent.
 type Cursor interface {
-	Stream
 	BatchStream
 	Rewind()
 	Len() int
@@ -53,18 +52,8 @@ func NewShared(accesses []Access) *Shared {
 // Len returns the number of accesses in the trace.
 func (s *Shared) Len() int { return len(s.accesses) }
 
-// At returns the i-th access.
-func (s *Shared) At(i int) Access { return s.accesses[i] }
-
-// Slice returns the half-open window [lo, hi) of the trace without copying.
-// The returned slice aliases the immutable recording: it must be treated as
-// read-only (mutating it would corrupt every consumer of the trace) and its
-// capacity is clamped so appends cannot scribble past hi. The batched
-// replay path (workload.Replayer) cuts the recording into such windows.
-func (s *Shared) Slice(lo, hi int) []Access { return s.accesses[lo:hi:hi] }
-
-// View returns a new rewindable Stream over the shared buffer. Creating a
-// view is allocation-cheap (no copy); each view holds its own cursor, so
+// View returns a new rewindable cursor over the shared buffer. Creating a
+// view is allocation-cheap (no copy); each view holds its own position, so
 // concurrent sweep points each take their own.
 func (s *Shared) View() *View { return &View{s: s} }
 
@@ -76,22 +65,11 @@ func (s *Shared) StoredBytes() int64 {
 	return int64(len(s.accesses)) * int64(unsafe.Sizeof(Access{}))
 }
 
-// View is a cursor over a Shared trace. It implements Stream and can be
-// rewound to the start for another pass. A View is not safe for concurrent
+// View is a cursor over a Shared trace. A View is not safe for concurrent
 // use, but distinct Views over the same Shared are independent.
 type View struct {
 	s   *Shared
 	pos int
-}
-
-// Next implements Stream.
-func (v *View) Next(a *Access) bool {
-	if v.pos >= len(v.s.accesses) {
-		return false
-	}
-	*a = v.s.accesses[v.pos]
-	v.pos++
-	return true
 }
 
 // NextBatch implements BatchStream: a zero-copy window of up to

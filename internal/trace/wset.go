@@ -6,7 +6,6 @@ package trace
 type WorkingSet struct {
 	blockShift uint
 	blocks     [NumSegments]map[uint64]struct{}
-	accesses   [NumSegments]int64
 }
 
 // NewWorkingSet returns an analyzer with the given block size (must be a
@@ -33,7 +32,6 @@ func log2(v uint64) int {
 
 // Observe records one access (all blocks it spans).
 func (w *WorkingSet) Observe(a Access) {
-	w.accesses[a.Seg]++
 	first := a.Addr >> w.blockShift
 	last := (a.Addr + uint64(a.Size) - 1) >> w.blockShift
 	if a.Size == 0 {
@@ -44,27 +42,7 @@ func (w *WorkingSet) Observe(a Access) {
 	}
 }
 
-// Drain consumes an entire stream.
-func (w *WorkingSet) Drain(s Stream) {
-	var a Access
-	for s.Next(&a) {
-		w.Observe(a)
-	}
-}
-
 // Bytes returns the distinct footprint of seg in bytes.
 func (w *WorkingSet) Bytes(seg Segment) uint64 {
 	return uint64(len(w.blocks[seg])) << w.blockShift
 }
-
-// TotalBytes returns the distinct footprint across all segments.
-func (w *WorkingSet) TotalBytes() uint64 {
-	var total uint64
-	for s := Segment(0); s < NumSegments; s++ {
-		total += w.Bytes(s)
-	}
-	return total
-}
-
-// Accesses returns the number of accesses observed for seg.
-func (w *WorkingSet) Accesses(seg Segment) int64 { return w.accesses[seg] }

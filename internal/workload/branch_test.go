@@ -123,8 +123,8 @@ func TestBranchMemoOncePerKey(t *testing.T) {
 	if n := rep.branchPasses.Load(); n != 2 {
 		t.Errorf("%d predictor passes for 2 shapes over one recording pair, want 2", n)
 	}
-	if rep.Recordings() != serial.Recordings() || rep.Recordings() != 2 {
-		t.Errorf("Recordings = %d (serial %d), want 2", rep.Recordings(), serial.Recordings())
+	if len(rep.runs) != len(serial.runs) || len(rep.runs) != 2 {
+		t.Errorf("Recordings = %d (serial %d), want 2", len(rep.runs), len(serial.runs))
 	}
 }
 
@@ -165,9 +165,10 @@ func TestNilBranchSinkSameAccesses(t *testing.T) {
 			var recorded []string
 			rec, _ := rep.Trace(3, 1000, 7)
 			cur := rec.Cursor()
-			var a trace.Access
-			for cur.Next(&a) {
-				recorded = append(recorded, fmt.Sprint(a))
+			for b := cur.NextBatch(); len(b) > 0; b = cur.NextBatch() {
+				for _, a := range b {
+					recorded = append(recorded, fmt.Sprint(a))
+				}
 			}
 			if len(recorded) != 1000 {
 				t.Fatalf("recording holds %d accesses, want 1000", len(recorded))

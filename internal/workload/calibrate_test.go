@@ -128,8 +128,8 @@ func TestCalibrationSweepWorkingSets(t *testing.T) {
 
 	// Heap working set approaches 1 GiB paper-equivalent at 16 threads
 	// (Figure 5); at 24M instructions it is still filling, so accept a
-	// wide band around it.
-	heapWS := PaperUnits(sds[trace.Heap].Footprint())
+	// wide band around it. Every distinct 64 B block is one cold miss.
+	heapWS := PaperUnits(sds[trace.Heap].ColdMisses(trace.Heap) * 64)
 	if heapWS < 256<<20 || heapWS > 4<<30 {
 		t.Errorf("heap working set %.2f GiB-paper, paper ~1 GiB", float64(heapWS)/(1<<30))
 	}

@@ -32,7 +32,7 @@ type MeasureConfig struct {
 	SplitL2 bool
 	// L3Size, when non-zero, overrides the L3 capacity.
 	L3Size int64
-	// L4, when non-nil, adds a memory-side victim L4 of this capacity
+	// L4Size, when non-zero, adds a memory-side victim L4 of this capacity
 	// (direct-mapped unless L4Assoc overrides).
 	L4Size int64
 	// L4Assoc is the L4 associativity (0 with L4Size set = direct-mapped

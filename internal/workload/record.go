@@ -15,7 +15,8 @@ import (
 // a given (threads, budget, seed) key executes the inner runner once and
 // records the full interleaved access and branch streams into an immutable
 // trace.Recording; every later Run with the same key replays the recording
-// read-only. This is the paper's own methodology made explicit — one trace
+// read-only, window by window through a trace.Cursor (the one access
+// transport). This is the paper's own methodology made explicit — one trace
 // capture, many simulator replays — and is what lets the parallel sweep
 // engine fan dozens of cache configurations across goroutines without
 // touching the stateful workload (SearchRunner sessions and engine caches
@@ -187,13 +188,6 @@ func (r *Replayer) Record(threads int, instrBudget int64, seed uint64) {
 func (r *Replayer) Trace(threads int, instrBudget int64, seed uint64) (trace.Recording, Stats) {
 	rec := r.record(runKey{threads: threads, budget: instrBudget, seed: seed})
 	return rec.store, rec.stats
-}
-
-// Recordings returns how many distinct keys have been recorded (test hook).
-func (r *Replayer) Recordings() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.runs)
 }
 
 // StoreStats summarizes recorded trace storage across all keys.

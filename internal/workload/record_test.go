@@ -75,8 +75,8 @@ func TestReplayerMemoizes(t *testing.T) {
 			t.Fatalf("event %d differs: %q vs %q", i, first[i].s, second[i].s)
 		}
 	}
-	if rep.Recordings() != 1 {
-		t.Fatalf("Recordings = %d, want 1", rep.Recordings())
+	if len(rep.runs) != 1 {
+		t.Fatalf("Recordings = %d, want 1", len(rep.runs))
 	}
 }
 
@@ -107,8 +107,8 @@ func TestReplayerDistinctKeys(t *testing.T) {
 	if inner.runs != 3 {
 		t.Fatalf("inner ran %d times, want 3", inner.runs)
 	}
-	if rep.Recordings() != 3 {
-		t.Fatalf("Recordings = %d, want 3", rep.Recordings())
+	if len(rep.runs) != 3 {
+		t.Fatalf("Recordings = %d, want 3", len(rep.runs))
 	}
 }
 
@@ -121,11 +121,10 @@ func TestReplayerTraceView(t *testing.T) {
 	// The shared trace equals what a replay emits.
 	var replayed []event
 	rep.Run(2, 8, 5, captureSinks(&replayed))
-	var v trace.Access
 	cur := sh.Cursor()
 	i := 0
-	for cur.Next(&v) {
-		i++
+	for b := cur.NextBatch(); len(b) > 0; b = cur.NextBatch() {
+		i += len(b)
 	}
 	if i != 8 {
 		t.Fatalf("cursor drained %d accesses, want 8", i)

@@ -129,9 +129,6 @@ func (r *SearchRunner) Name() string { return r.wl.WLName }
 // MemOverlap implements Runner.
 func (r *SearchRunner) MemOverlap() float64 { return r.wl.MemOverlapFactor }
 
-// Engine exposes the underlying search engine (diagnostics, examples).
-func (r *SearchRunner) Engine() *search.Engine { return r.eng }
-
 // Space exposes the underlying address space.
 func (r *SearchRunner) Space() *memsim.Space { return r.space }
 

@@ -2,8 +2,41 @@ package searchmem
 
 import (
 	"reflect"
+	"sync"
 	"testing"
+
+	"searchmem/internal/trace"
+	"searchmem/internal/workload"
 )
+
+// leafTrace materializes a reusable access trace from a shrunken leaf.
+var (
+	leafTraceOnce sync.Once
+	leafTrace     []trace.Access
+)
+
+func benchLeafTrace(b testing.TB) []trace.Access {
+	b.Helper()
+	leafTraceOnce.Do(func() {
+		r := workload.S1Leaf(16).Build()
+		r.Run(2, 1_500_000, 1, workload.Sinks{Access: func(a trace.Access) {
+			leafTrace = append(leafTrace, a)
+		}})
+	})
+	return leafTrace
+}
+
+// benchHierarchyConfig is the L1+L2+L3 configuration under the acceptance
+// test's L4.
+func benchHierarchyConfig() HierarchyConfig {
+	return HierarchyConfig{
+		Cores: 2, ThreadsPerCore: 1,
+		L1I: CacheConfig{Size: 32 << 10, BlockSize: 64, Assoc: 8},
+		L1D: CacheConfig{Size: 32 << 10, BlockSize: 64, Assoc: 8},
+		L2:  CacheConfig{Size: 256 << 10, BlockSize: 64, Assoc: 8},
+		L3:  CacheConfig{Size: 4 << 20, BlockSize: 64, Assoc: 16},
+	}
+}
 
 // predictorAcceptConfig is the kernel benchmark's hierarchy backed by the
 // paper's proposed fourth level — the shape that motivates cache-level

@@ -42,7 +42,6 @@ import (
 	"searchmem/internal/codegen"
 	"searchmem/internal/core"
 	"searchmem/internal/cpu"
-	"searchmem/internal/dram"
 	"searchmem/internal/experiments"
 	"searchmem/internal/mem"
 	"searchmem/internal/memsim"
@@ -232,10 +231,10 @@ func AMATWithL4(hL3, hL4, tL3, tL4, tMEM, missPenalty float64) float64 {
 }
 
 // L4Design describes an Alloy-style latency-optimized L4 configuration.
-type L4Design = dram.L4Design
+type L4Design = model.L4Design
 
 // BaselineL4 returns the paper's 40 ns direct-mapped parallel-lookup L4.
-func BaselineL4(capacity int64) L4Design { return dram.BaselineL4(capacity) }
+func BaselineL4(capacity int64) L4Design { return model.BaselineL4(capacity) }
 
 // TopDownBreakdown is the Top-Down slot accounting of Figure 3.
 type TopDownBreakdown = cpu.Breakdown
