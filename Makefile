@@ -24,7 +24,7 @@ lint: fmt vet
 	$(GO) run ./cmd/searchlint ./...
 
 # lint-escape cross-checks the hotalloc analyzer against the compiler's
-# escape analysis (DESIGN.md §13): compiler escapes inside //lint:hot-
+# escape analysis (DESIGN.md §17): compiler escapes inside //lint:hot-
 # reachable functions are diffed against the analyzer's verdicts.
 # Informational — disagreement is expected on cold/suppressed lines.
 lint-escape:
@@ -47,7 +47,7 @@ alloc-check:
 
 # obs-demo exercises the observability stack end to end: the fleetprof
 # experiment at fast scale with distributed-trace and metrics-registry
-# exports (DESIGN.md §9). Both files are deterministic for a fixed seed.
+# exports (DESIGN.md §16). Both files are deterministic for a fixed seed.
 obs-demo:
 	$(GO) run ./cmd/searchsim -fast -trace fleetprof-trace.json -metrics fleetprof-metrics.json fleetprof
 

@@ -48,7 +48,7 @@ func run() (code int) {
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		fast     = flag.Bool("fast", false, "run at reduced scale (quick, uncalibrated)")
 		budget   = flag.Int64("budget", 0, "override measured instruction budget per configuration")
-		threads  = flag.Int("threads", 0, "override trace thread count")
+		threads  = flag.Int("threads", 0, "override trace thread count, 1..16 (0 = the preset's)")
 		shrink   = flag.Int("shrink", 0, "override workload shrink factor")
 		seed     = flag.Uint64("seed", 1, "input-stream seed")
 		parallel = flag.Bool("parallel", true, "fan sweep points across CPUs (output is byte-identical to -parallel=false)")
@@ -62,19 +62,8 @@ func run() (code int) {
 
 		traceCompress = flag.Bool("trace-compress", false, "store workload recordings block-compressed (bounded replay memory; output is byte-identical)")
 		traceSpill    = flag.String("trace-spill", "", "with -trace-compress, spill finished blocks to unlinked temp files in this directory (use e.g. /tmp; bounds recording RSS too)")
-		traceBlock    = flag.Int("trace-block", 0, "accesses per compressed block (0 = default)")
 
-		tierNear   = flag.Float64("tier-near", 0, "restrict the tiered-memory sweeps (figT1/figT2) to one near:far split, e.g. 0.25 (0 = full grid)")
-		tierPolicy = flag.String("tier-policy", "", "restrict the tiered-memory sweeps to one placement policy: static, lru-epoch, or freq (empty = all)")
-		tierEpoch  = flag.Int64("tier-epoch", 0, "placement-epoch length in memory transactions (0 = derived from measured traffic)")
-
-		policy      = flag.String("policy", "", "restrict the replacement-policy sweep (figP1) to one policy: srrip, brrip, drrip, or srrip+db (empty = full grid; unknown names are an error)")
-		policyLevel = flag.String("policy-level", "", "restrict figP1 to one hierarchy level: L2, L3, or L4 (empty = all)")
-		predBits    = flag.Int("pred-bits", 0, "restrict the level-predictor sweep (figP2) to one table size in index bits, 4..24 (0 = full grid)")
-		predConf    = flag.Int("pred-conf", 0, "restrict figP2 to one confidence threshold, 1..3 (0 = full grid)")
-
-		fleetScenario = flag.String("fleet-scenario", "", "restrict the fleet-scale serving sweep (figF1) to one scenario: steady, diurnal, flash, reload, or outage (empty = all; unknown names are an error)")
-		fleetClients  = flag.Int("fleet-clients", 0, "modeled user population for the fleet sweeps (figF1/figF2; 0 = shrink-scaled default)")
+		fleetClients = flag.Int("fleet-clients", 0, "modeled user population for the fleet sweeps (figF1/figF2; 0 = shrink-scaled default)")
 	)
 	flag.Parse()
 
@@ -123,52 +112,14 @@ func run() (code int) {
 	opts.Parallel = *parallel
 	opts.TraceCompress = *traceCompress
 	opts.TraceSpillDir = *traceSpill
-	opts.TraceBlockLen = *traceBlock
-	opts.TierNearFrac = *tierNear
-	opts.TierPolicy = *tierPolicy
-	opts.TierEpochLen = *tierEpoch
-	if *tierNear != 0 && (*tierNear <= 0 || *tierNear >= 1) {
-		fmt.Fprintln(os.Stderr, "-tier-near must be in (0,1)")
+	opts.FleetClients = *fleetClients
+	if *threads < 0 || *threads > 16 {
+		fmt.Fprintln(os.Stderr, "-threads must be in 0..16 (0 keeps the preset)")
 		return 2
 	}
 	if *traceSpill != "" && !*traceCompress {
 		fmt.Fprintln(os.Stderr, "-trace-spill requires -trace-compress")
 		return 2
-	}
-	opts.CachePolicy = *policy
-	opts.PolicyLevel = *policyLevel
-	opts.PredBits = *predBits
-	opts.PredConf = *predConf
-	if *policy != "" {
-		// Fail fast on unknown policy names rather than deep in the sweep.
-		if _, _, err := experiments.ParsePolicyVariant(*policy); err != nil {
-			fmt.Fprintf(os.Stderr, "-policy: %v\n", err)
-			return 2
-		}
-	}
-	if *predBits != 0 && (*predBits < 4 || *predBits > 24) {
-		fmt.Fprintln(os.Stderr, "-pred-bits must be in 4..24")
-		return 2
-	}
-	if *predConf != 0 && (*predConf < 1 || *predConf > 3) {
-		fmt.Fprintln(os.Stderr, "-pred-conf must be in 1..3")
-		return 2
-	}
-	opts.FleetScenario = *fleetScenario
-	opts.FleetClients = *fleetClients
-	if *fleetScenario != "" {
-		// Fail fast on unknown scenario names rather than deep in the sweep.
-		known := false
-		for _, s := range experiments.FleetScenarios() {
-			if s == *fleetScenario {
-				known = true
-				break
-			}
-		}
-		if !known {
-			fmt.Fprintf(os.Stderr, "-fleet-scenario: unknown scenario %q (have %v)\n", *fleetScenario, experiments.FleetScenarios())
-			return 2
-		}
 	}
 	if *fleetClients < 0 {
 		fmt.Fprintln(os.Stderr, "-fleet-clients must be non-negative")

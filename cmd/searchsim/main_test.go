@@ -97,6 +97,40 @@ func TestProfilesWrittenOnErrorExit(t *testing.T) {
 	}
 }
 
+// TestBadInvocationsFail: every misuse exits 2 with a message naming what
+// was wrong, before any experiment runs. The nine grid-restricting flags
+// removed with their Options fields must stay gone.
+func TestBadInvocationsFail(t *testing.T) {
+	type badCase struct {
+		args   []string
+		stderr string
+	}
+	cases := []badCase{
+		{nil, "usage: searchsim"},
+		{[]string{"-fast", "no-such-experiment"}, `unknown experiment "no-such-experiment"`},
+		{[]string{"-fast", "-trace-spill", t.TempDir(), "table2"}, "-trace-spill requires -trace-compress"},
+		{[]string{"-fast", "-fleet-clients", "-1", "table2"}, "-fleet-clients must be non-negative"},
+		{[]string{"-fast", "-threads", "-1", "table2"}, "-threads must be in 0..16"},
+		{[]string{"-fast", "-threads", "17", "table2"}, "-threads must be in 0..16"},
+		{[]string{"-fast", "-threads", "32", "fig6b"}, "-threads must be in 0..16"},
+	}
+	for _, gone := range []string{
+		"-tier-near", "-tier-policy", "-tier-epoch", "-policy", "-policy-level",
+		"-pred-bits", "-pred-conf", "-fleet-scenario", "-trace-block",
+	} {
+		cases = append(cases, badCase{[]string{"-fast", gone, "1", "table2"}, "flag provided but not defined: " + gone})
+	}
+	for _, tc := range cases {
+		got, err := exec.Command(searchsimBin, tc.args...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("%v: err = %v, want exit status 2\n%s", tc.args, err, got)
+		}
+		if !bytes.Contains(got, []byte(tc.stderr)) || bytes.Contains(got, []byte("goroutine ")) {
+			t.Errorf("%v: want a message containing %q and no goroutine dump, got:\n%s", tc.args, tc.stderr, got)
+		}
+	}
+}
+
 func readFile(t *testing.T, path string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(path)

@@ -663,35 +663,6 @@ func (c *Cache) MarkDirty(block uint64) bool {
 	return false
 }
 
-// Reset clears contents and statistics.
-func (c *Cache) Reset() {
-	c.Stats = AccessStats{}
-	c.clock = 0
-	c.lastBlock = invalidTag
-	c.psel = pselMax / 2
-	for i := range c.db {
-		c.db[i] = 0
-	}
-	if c.assoc == 0 {
-		c.faIndex = make(map[uint64]int32, c.faCap)
-		c.faNodes = c.faNodes[:0]
-		c.faFree = c.faFree[:0]
-		c.faHead, c.faTail = -1, -1
-		return
-	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-		c.stamps[i] = 0
-		c.meta[i] = 0
-	}
-	for i := range c.occ {
-		c.occ[i] = 0
-	}
-	for i := range c.owners {
-		c.owners[i] = 0
-	}
-}
-
 // invalidTag marks an empty way in the tags array, so the hot probe loop can
 // compare tags alone without consulting the valid bit. No simulated address
 // can reach it: block addresses are byte addresses shifted right, and the

@@ -260,21 +260,6 @@ func TestFullyAssocLRUOrder(t *testing.T) {
 	}
 }
 
-func TestResetClears(t *testing.T) {
-	for _, assoc := range []int{0, 4} {
-		c := New(smallCfg(assoc))
-		c.Fill(1, trace.Heap, false)
-		c.Access(1, trace.Heap, trace.Read)
-		c.Reset()
-		if occupancy(c) != 0 || c.Stats.Accesses() != 0 {
-			t.Fatalf("assoc=%d: reset incomplete", assoc)
-		}
-		if c.Access(1, trace.Heap, trace.Read) {
-			t.Fatalf("assoc=%d: hit after reset", assoc)
-		}
-	}
-}
-
 // TestLRUInclusionProperty verifies Mattson's inclusion property: on the
 // same trace, a larger fully-associative LRU cache never has fewer hits.
 func TestLRUInclusionProperty(t *testing.T) {

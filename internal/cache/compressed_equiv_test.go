@@ -1,6 +1,6 @@
 package cache
 
-// State-deep equivalence for block-compressed replay (DESIGN.md §12): a
+// State-deep equivalence for block-compressed replay (DESIGN.md §9): a
 // hierarchy drained through a trace.CompressedView — any block geometry,
 // in-memory or spilled — must end bit-identical to the scalar per-access
 // reference, across the full policy/partitioning config matrix. This is the

@@ -36,7 +36,7 @@ type HierarchyConfig struct {
 	// level (or bypass to memory) and verify there, skipping the
 	// intermediate serial probes. Functional behaviour — contents, hit/
 	// miss statistics, memory traffic — is unchanged; the predictor
-	// overlays probe accounting (Jalili & Erez, see DESIGN.md §15).
+	// overlays probe accounting (Jalili & Erez, see DESIGN.md §11).
 	Predictor *PredictorConfig
 }
 
@@ -587,27 +587,8 @@ func (h *Hierarchy) ResetStats() {
 	h.MemReads, h.MemWrites = 0, 0
 	h.PrefetchFills, h.PrefetchMemReads = 0, 0
 	if h.pred != nil {
-		// Keep the trained table (it is cache-like warm state, reset only
-		// by Reset) but zero the counters, like every cache's Stats.
+		// Keep the trained table (it is cache-like warm state) but zero the
+		// counters, like every cache's Stats.
 		h.pred.Stats = PredictorStats{}
 	}
-}
-
-// Reset clears all cache contents and statistics.
-func (h *Hierarchy) Reset() {
-	for _, group := range [][]*Cache{h.l1i, h.l1d, h.l2, h.l2i} {
-		for _, c := range group {
-			c.Reset()
-		}
-	}
-	h.l3.Reset()
-	if h.l4 != nil {
-		h.l4.Reset()
-	}
-	h.MemReads, h.MemWrites = 0, 0
-	h.PrefetchFills, h.PrefetchMemReads = 0, 0
-	if h.pred != nil {
-		h.pred.reset()
-	}
-	h.lastFetch = [256]uint64{}
 }

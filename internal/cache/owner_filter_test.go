@@ -105,8 +105,8 @@ func checkOwnerInvariant(t *testing.T, h *Hierarchy, when string) {
 }
 
 // runOwnerDiff drives one random multi-thread trace — demand accesses in
-// varying batch sizes, interleaved InstallPrefetch calls and one mid-trace
-// Reset — through a filtered hierarchy and its probe-every-core reference,
+// varying batch sizes and interleaved InstallPrefetch calls — through a
+// filtered hierarchy and its probe-every-core reference,
 // checking the invariant on the way and equality of every observable at the
 // end.
 func runOwnerDiff(t *testing.T, seed uint64, shape uint16, n int) {
@@ -128,17 +128,8 @@ func runOwnerDiff(t *testing.T, seed uint64, shape uint16, n int) {
 
 	rng := stats.NewRNG(seed | 1)
 	threads := min(2*cfg.Cores*cfg.ThreadsPerCore, 256) // thread ids wrap onto cores
-	resetAt := -1
-	if rng.Intn(2) == 0 {
-		resetAt = rng.Intn(n + 1)
-	}
 	var gotLv, refLv []HitLevel
 	for i := 0; i < n; {
-		if i >= resetAt && resetAt >= 0 {
-			got.Reset()
-			ref.Reset()
-			resetAt = -1
-		}
 		if rng.Intn(8) == 0 {
 			core := rng.Intn(cfg.Cores)
 			addr, seg := ownerAddr(rng, core), trace.Segment(rng.Intn(trace.NumSegments))

@@ -24,7 +24,7 @@ import (
 // *probe accounting* on top: which serial probes a verified prediction
 // avoided, and what failed verifications cost. That is also the determinism
 // argument: the overlay adds no randomness and no state that depends on how
-// the stream is cut into batches. See DESIGN.md §15.
+// the stream is cut into batches. See DESIGN.md §11.
 
 // PredictorConfig configures the hierarchy's cache-level predictor.
 type PredictorConfig struct {
@@ -223,16 +223,6 @@ func (p *levelPredictor) train(key uint64, actual HitLevel) {
 		p.level[i] = uint8(actual)
 		p.conf[i] = 1
 	}
-}
-
-// reset clears the table and counters.
-func (p *levelPredictor) reset() {
-	for i := range p.tags {
-		p.tags[i] = 0
-		p.level[i] = 0
-		p.conf[i] = 0
-	}
-	p.Stats = PredictorStats{}
 }
 
 // chainProbes returns how many post-L1 probes the full chain issues for an

@@ -186,7 +186,7 @@ func TestPredictorMispredictFallsBack(t *testing.T) {
 }
 
 // TestPredictorResetSemantics: ResetStats keeps the trained table (warm
-// state, like cache contents) but zeroes counters; Reset clears both.
+// state, like cache contents) but zeroes counters.
 func TestPredictorResetSemantics(t *testing.T) {
 	h := NewHierarchy(predTestHierarchy(nil))
 	for i := uint64(0); i < 1000; i++ {
@@ -218,11 +218,5 @@ func TestPredictorResetSemantics(t *testing.T) {
 	}
 	if !trained {
 		t.Fatal("ResetStats cleared the trained table")
-	}
-	h.Reset()
-	for i, c := range h.pred.conf {
-		if c != 0 || h.pred.tags[i] != 0 || h.pred.level[i] != 0 {
-			t.Fatal("Reset left predictor table state")
-		}
 	}
 }

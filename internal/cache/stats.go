@@ -32,7 +32,7 @@ type AccessStats struct {
 	// this level serviced). PredSkips counts serial probes of this cache a
 	// verified prediction avoided. All three are overlay accounting: the
 	// Hits/Misses counters are measured by the authoritative probe chain
-	// and are identical predictor-on and predictor-off (DESIGN.md §15).
+	// and are identical predictor-on and predictor-off (DESIGN.md §11).
 	PredHits, PredMispredicts, PredSkips int64
 }
 

@@ -167,6 +167,7 @@ func (s *Stream) OnAccess(byteAddr uint64, hit bool, out []uint64) []uint64 {
 type Engine struct {
 	h       *cache.Hierarchy
 	perCore [][]Prefetcher
+	coreOf  [256]uint8 // thread id -> core, as the hierarchy routes it
 	scratch []uint64
 	// Issued counts prefetch candidates proposed (before dedup in the
 	// hierarchy install path).
@@ -180,13 +181,17 @@ func NewEngine(h *cache.Hierarchy, cores int, newPrefetchers func() []Prefetcher
 	for i := 0; i < cores; i++ {
 		e.perCore = append(e.perCore, newPrefetchers())
 	}
+	hc := h.Config()
+	for t := range e.coreOf {
+		e.coreOf[t] = uint8(t / hc.ThreadsPerCore % hc.Cores)
+	}
 	return e
 }
 
 // Access runs one access through the hierarchy with prefetching and returns
 // the demand access's servicing level.
 func (e *Engine) Access(a trace.Access) cache.HitLevel {
-	core := int(a.Thread) / e.h.Config().ThreadsPerCore % e.h.Config().Cores
+	core := int(e.coreOf[a.Thread])
 	lvl := e.h.Access(a)
 	if a.Kind == trace.Fetch {
 		return lvl // modeled prefetchers are data-side

@@ -102,10 +102,3 @@ func (t *TLB) AvgLatencyNS() float64 {
 	total := float64(t.L2Hits)*t.cfg.L2LatencyNS + float64(t.Walks)*t.cfg.WalkLatencyNS
 	return total / float64(n)
 }
-
-// Reset clears contents and statistics.
-func (t *TLB) Reset() {
-	t.l1.Reset()
-	t.l2.Reset()
-	t.L1Hits, t.L2Hits, t.Walks = 0, 0, 0
-}

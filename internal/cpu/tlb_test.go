@@ -103,18 +103,6 @@ func TestTLBAvgLatency(t *testing.T) {
 	}
 }
 
-func TestTLBReset(t *testing.T) {
-	tlb := NewTLB(tlb4K())
-	tlb.Translate(0)
-	tlb.Reset()
-	if tlb.Translations() != 0 || tlb.Walks != 0 || tlb.AvgLatencyNS() != 0 {
-		t.Fatal("reset incomplete")
-	}
-	if lat := tlb.Translate(0); lat != 30 {
-		t.Fatal("contents survived reset")
-	}
-}
-
 func TestTLBPanicsOnInvalid(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -55,7 +55,6 @@ func TestCompressedReplayByteIdentical(t *testing.T) {
 		mut  func(*Options)
 	}{
 		{"compress", func(o *Options) { o.TraceCompress = true }},
-		{"compress tiny blocks", func(o *Options) { o.TraceCompress = true; o.TraceBlockLen = 257 }},
 		{"compress+spill", func(o *Options) {
 			o.TraceCompress = true
 			o.TraceSpillDir = t.TempDir()

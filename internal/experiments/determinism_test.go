@@ -11,7 +11,7 @@ import (
 // TestSameSeedByteIdenticalOutput is the end-to-end property the searchlint
 // analyzers exist to protect: two experiment runs with the same seed must
 // render byte-identical tables — the exact stream cmd/searchsim prints —
-// whether the sweep engine runs serial or parallel (DESIGN.md §10).
+// whether the sweep engine runs serial or parallel (DESIGN.md §15).
 // Each run uses a fresh Context so nothing is shared but the seed.
 func TestSameSeedByteIdenticalOutput(t *testing.T) {
 	// A cross-section of the pipeline: measured workload characterization
@@ -77,7 +77,7 @@ func TestSameSeedByteIdenticalOutput(t *testing.T) {
 }
 
 // TestSameSeedByteIdenticalExports extends the determinism contract to the
-// observability exports (DESIGN.md §9): two same-seed fleetprof runs with a
+// observability exports (DESIGN.md §16): two same-seed fleetprof runs with a
 // tracer and metrics registry attached must render the same table AND write
 // byte-identical Chrome-trace JSON and metrics-snapshot JSON — the exact
 // files cmd/searchsim -trace/-metrics produces.

@@ -5,7 +5,7 @@
 //
 // Experiments accept an Options scale so the same code serves fast unit
 // tests (shrunken profiles, short budgets) and the full benchmark harness
-// (bench_test.go / cmd/searchsim).
+// (cmd/searchsim, bench/).
 package experiments
 
 import (
@@ -38,44 +38,12 @@ type Options struct {
 	// TraceCompress stores workload recordings block-compressed
 	// (delta+varint blocks, trace.Compressed) instead of flat, so replay
 	// memory stays bounded at paper-scale traces. Rendered output is
-	// byte-identical to flat storage (see DESIGN.md §12).
+	// byte-identical to flat storage (see DESIGN.md §9).
 	TraceCompress bool
 	// TraceSpillDir, when non-empty (and TraceCompress is set), spills
 	// finished compressed blocks to unlinked temp files in this directory,
 	// bounding even the recording phase's RSS to one encoding block.
 	TraceSpillDir string
-	// TraceBlockLen overrides the accesses-per-block geometry
-	// (0 = trace.DefaultBlockLen).
-	TraceBlockLen int
-	// TierNearFrac, when positive, restricts the tiered-memory sweeps
-	// (figT1/figT2) to one near:far capacity split instead of the default
-	// grid (cmd/searchsim -tier-near).
-	TierNearFrac float64
-	// TierPolicy, when non-empty, restricts the tiered-memory sweeps to one
-	// placement policy ("static", "lru-epoch", "freq"; cmd/searchsim
-	// -tier-policy).
-	TierPolicy string
-	// TierEpochLen overrides the placement-epoch length in memory
-	// transactions (0 = derived from the measured traffic so several epochs
-	// fit in the run; cmd/searchsim -tier-epoch).
-	TierEpochLen int64
-	// CachePolicy, when non-empty, restricts the replacement-policy sweep
-	// (figP1) to one policy ("lru", "srrip", "brrip", "drrip", or
-	// "srrip+db"; cmd/searchsim -policy).
-	CachePolicy string
-	// PolicyLevel, when non-empty, restricts figP1 to one hierarchy level
-	// ("L2", "L3", or "L4"; cmd/searchsim -policy-level).
-	PolicyLevel string
-	// PredBits, when positive, restricts the predictor sweep (figP2) to one
-	// table size in index bits (cmd/searchsim -pred-bits).
-	PredBits int
-	// PredConf, when positive, restricts figP2 to one confidence threshold
-	// in [1, 3] (cmd/searchsim -pred-conf).
-	PredConf int
-	// FleetScenario, when non-empty, restricts the fleet-scale serving
-	// sweep (figF1) to one scenario (see FleetScenarios; cmd/searchsim
-	// -fleet-scenario).
-	FleetScenario string
 	// FleetClients, when positive, overrides the modeled user population
 	// of the fleet-scale sweeps (figF1/figF2; cmd/searchsim -fleet-clients).
 	FleetClients int
@@ -274,7 +242,6 @@ func (c *Context) runner(key string, wl workload.SearchWorkload) *workload.Repla
 	if c.Opts.TraceCompress {
 		r.SetStore(workload.StoreConfig{
 			Compress: true,
-			BlockLen: c.Opts.TraceBlockLen,
 			SpillDir: c.Opts.TraceSpillDir,
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"searchmem/internal/cpu"
 	"searchmem/internal/model"
 	"searchmem/internal/stats"
-	"searchmem/internal/trace"
 	"searchmem/internal/workload"
 )
 
@@ -202,50 +201,4 @@ func prefetchGain(c *Context, plt2 bool) (float64, error) {
 		gain -= extraPerKI * perRead
 	}
 	return gain, nil
-}
-
-// --- shared helper: combined post-L2 hit-rate curve ---
-
-// l3Curve wraps a stack-distance profiler with the post-L2 normalization
-// used for L3 hit-rate curves (DESIGN.md: hits among post-L2 misses).
-type l3Curve struct {
-	sd *cacheStackDist
-}
-
-func (l *l3Curve) Observe(a trace.Access) { l.sd.Observe(a) }
-
-// combinedHitRate returns the modeled L3 hit rate at the given capacity.
-func (l *l3Curve) combinedHitRate(capacity int64) float64 {
-	base := l.sd.TotalMisses(l.sd.l2eff())
-	if base <= 0 {
-		return 1
-	}
-	h := 1 - l.sd.TotalMisses(capacity)/base
-	if h < 0 {
-		return 0
-	}
-	return h
-}
-
-// dataHitRate returns the post-L2 hit rate of all data segments combined.
-func (l *l3Curve) dataHitRate(capacity int64) float64 {
-	var miss, base float64
-	for _, seg := range []trace.Segment{trace.Heap, trace.Shard, trace.Stack} {
-		miss += l.sd.Misses(seg, capacity)
-		base += l.sd.Misses(seg, l.sd.l2eff())
-	}
-	if base <= 0 {
-		return 1
-	}
-	h := 1 - miss/base
-	if h < 0 {
-		return 0
-	}
-	return h
-}
-
-// codeHitRate returns the post-L2 instruction hit rate (cold-excluded:
-// the code working set is finite and fully amortized in steady state).
-func (l *l3Curve) codeHitRate(capacity int64) float64 {
-	return l.sd.SegHitRate(trace.Code, capacity, true)
 }

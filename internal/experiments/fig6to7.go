@@ -97,9 +97,9 @@ func segProfile(c *Context) (*segmentStackDists, int64) {
 		return r.sds, r.instr
 	}
 	o := c.Opts
-	l2eff := int64(o.Threads) * workload.SimUnits(256<<10)
-	sh, st := c.Sweep().Trace(o.Threads, o.Budget*4, o.Seed)
-	sds := newSegmentStackDists(l2eff)
+	threads := min(o.Threads, 16)
+	sh, st := c.Sweep().Trace(threads, o.Budget*4, o.Seed)
+	sds := newSegmentStackDists(int64(threads) * workload.SimUnits(256<<10))
 	v := sh.Cursor()
 	for {
 		b := v.NextBatch()
@@ -117,8 +117,6 @@ func segProfile(c *Context) (*segmentStackDists, int64) {
 // runFig6b sweeps L3 capacity (paper units) over the sweep profile's
 // per-segment reuse profiles.
 func runFig6b(c *Context) (Result, error) {
-	o := c.Opts
-	l2eff := int64(o.Threads) * workload.SimUnits(256<<10)
 	sds, _ := segProfile(c)
 	fig := &Figure{
 		Title:  "Figure 6b: working-set hit rate vs L3 capacity (paper MiB)",
@@ -134,7 +132,7 @@ func runFig6b(c *Context) (Result, error) {
 		var miss, base float64
 		for seg := trace.Segment(0); seg < trace.NumSegments; seg++ {
 			miss += sds.sds[seg].Misses(seg, capSim)
-			base += sds.sds[seg].Misses(seg, l2eff)
+			base += sds.sds[seg].Misses(seg, sds.l2eff)
 		}
 		comb := 0.0
 		if base > 0 {
@@ -181,15 +179,9 @@ func runFig7a(c *Context) (Result, error) {
 	faPlat.L1I.Assoc, faPlat.L1D.Assoc, faPlat.L2.Assoc, faPlat.L3.Assoc = 0, 0, 0, 0
 	faCfg := base
 	faCfg.Platform = faPlat
-	leaf := c.Leaf()
 	// Both variants replay the same recording (identical keys, different
-	// simulated hierarchies), so they parallelize cleanly.
-	ms := runPoints(c, 0, 2, func(i int) workload.Metrics {
-		if i == 0 {
-			return workload.Measure(leaf, base)
-		}
-		return workload.Measure(leaf, faCfg)
-	})
+	// simulated hierarchies).
+	ms := measureMultiSharded(c, c.Leaf(), []workload.MeasureConfig{base, faCfg})
 	def, fa := ms[0], ms[1]
 
 	t := &Table{
@@ -228,9 +220,8 @@ func runFig7b(c *Context) (Result, error) {
 		XFormat: func(x float64) string { return mib(int64(x)) },
 	}
 	blockSizes := []int{32, 64, 128, 256, 512, 1024}
-	leaf := c.Leaf()
-	ms := runPoints(c, 0, len(blockSizes), func(i int) workload.Metrics {
-		bs := blockSizes[i]
+	mcs := make([]workload.MeasureConfig, len(blockSizes))
+	for i, bs := range blockSizes {
 		plat := c.PLT1()
 		for _, cfg := range []*cache.Config{&plat.L1I, &plat.L1D, &plat.L2, &plat.L3} {
 			cfg.BlockSize = bs
@@ -241,15 +232,15 @@ func runFig7b(c *Context) (Result, error) {
 				cfg.Size = blocks * int64(bs)
 			}
 		}
-		return workload.Measure(leaf, workload.MeasureConfig{
+		mcs[i] = workload.MeasureConfig{
 			Platform: plat,
 			Cores:    1, SMTWays: 1, Threads: 1,
 			Budget:         o.Budget,
 			Seed:           o.Seed,
 			WarmupFraction: 1.5,
-		})
-	})
-	for i, m := range ms {
+		}
+	}
+	for i, m := range measureMultiSharded(c, c.Leaf(), mcs) {
 		bs := float64(blockSizes[i])
 		fig.Add("L1-I", bs, m.L1IMPKI)
 		fig.Add("L1-D", bs, m.L1DMPKI)

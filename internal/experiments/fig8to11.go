@@ -160,21 +160,21 @@ func newPerfModel(c *Context) *perfModel {
 
 	o := c.Opts
 	threads := min(o.Threads, 16)
-	// The model needs three recordings with *different* keys (curve run,
-	// warmup, measured run). Pin their recording order to the serial
-	// engine's before any parallel group can race replays against them.
-	c.Leaf().Record(threads, o.Budget*8, o.Seed+77)
-	c.Leaf().Record(threads, o.Budget*3, o.Seed^0xbeef)
-	c.Leaf().Record(threads, o.Budget*2, o.Seed)
-	curve := hitCurve(c, threads)
 	plat := c.PLT1()
-	base := workload.Measure(c.Leaf(), workload.MeasureConfig{
+	baseCfg := workload.MeasureConfig{
 		Platform: plat,
 		Cores:    (threads + 1) / 2, SMTWays: 2, Threads: threads,
 		Budget:         o.Budget * 2,
 		Seed:           o.Seed,
 		WarmupFraction: 1.5,
-	})
+	}
+	// The model needs three recordings with *different* keys (curve run,
+	// warmup, measured run). Pin their recording order to the serial
+	// engine's before any parallel group can race replays against them.
+	c.Leaf().Record(threads, o.Budget*8, o.Seed+77)
+	workload.PreRecord(c.Leaf(), baseCfg)
+	curve := hitCurve(c, threads)
+	base := workload.Measure(c.Leaf(), baseCfg)
 	pm := &perfModel{curve: curve, base: base, core: plat.Core, tL3: plat.L3LatencyNS, tMEM: plat.MemLatencyNS}
 	c.curveMu.Lock()
 	c.curves[pmKey] = pm

@@ -26,11 +26,8 @@ func init() {
 // fleetSLONS is the headline tail objective the capacity readouts quote.
 const fleetSLONS = 20e6
 
-// FleetScenarios lists the fleet scenario names figF1 sweeps, in run order
-// (cmd/searchsim validates -fleet-scenario against it).
-func FleetScenarios() []string {
-	return []string{"steady", "diurnal", "flash", "reload", "outage"}
-}
+// fleetScenarios lists the scenario names figF1 sweeps, in run order.
+var fleetScenarios = []string{"steady", "diurnal", "flash", "reload", "outage"}
 
 // fleetScenario builds the arrival curve and operational timeline for one
 // named scenario: every scenario offers the same mean load (rate), so P99
@@ -112,20 +109,6 @@ func fleetClients(o Options) int {
 // offered load as a fraction of the design's uncongested capacity, y = P99.
 func runFleetQPS(c *Context) (Result, error) {
 	o := c.Opts
-	scens := FleetScenarios()
-	if o.FleetScenario != "" {
-		found := false
-		for _, s := range scens {
-			if s == o.FleetScenario {
-				scens = []string{s}
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown fleet scenario %q (have %v)", o.FleetScenario, FleetScenarios())
-		}
-	}
 	// The iso-area designs of §IV-B: QPS scales with cores x IPC, so each
 	// leaf's concurrency budget scales with its core count and its service
 	// time with 1/IPC. The rebalanced processor trades L3 for cores (18 ->
@@ -167,9 +150,9 @@ func runFleetQPS(c *Context) (Result, error) {
 		frac   float64
 		fs     serving.FleetStats
 	}
-	n := len(scens) * len(designs) * len(fracs)
+	n := len(fleetScenarios) * len(designs) * len(fracs)
 	pts := runPoints(c, 0, n, func(i int) point {
-		scen := scens[i/(len(designs)*len(fracs))]
+		scen := fleetScenarios[i/(len(designs)*len(fracs))]
 		di := i / len(fracs) % len(designs)
 		frac := fracs[i%len(fracs)]
 		rate := ref[di] * frac
@@ -209,7 +192,7 @@ func runFleetQPS(c *Context) (Result, error) {
 		return best * ref[di]
 	}
 	baseQPS, rebalQPS, l4QPS := capAt(0), capAt(1), capAt(2)
-	if len(scens) == len(FleetScenarios()) && baseQPS > 0 {
+	if baseQPS > 0 {
 		fig.Note = fmt.Sprintf(
 			"paper §IV-B at fleet scale (paper: rebalance alone +14%%, with 1 GiB L4 +27%%): within the %.0f ms P99 SLO (steady), base sustains %.0f QPS, rebalanced %.0f (%+.0f%%), rebalanced+L4 %.0f (%+.0f%%); %d modeled users per point",
 			fleetSLONS/1e6, baseQPS, rebalQPS, 100*(rebalQPS/baseQPS-1), l4QPS, 100*(l4QPS/baseQPS-1), clients)

@@ -5,14 +5,13 @@ import (
 	"testing"
 )
 
-// TestFleetQPSShape runs figF1 at fast scale (restricted to the steady
-// scenario) and checks the physics the figure exists to show: with offered
-// load rising past each design's capacity knee, the open-loop P99 must
-// grow, and every point must have served queries.
+// TestFleetQPSShape runs figF1 at fast scale and checks, on the steady
+// series of the full grid, the physics the figure exists to show: with
+// offered load rising past each design's capacity knee, the open-loop P99
+// must grow, and every point must have served queries.
 func TestFleetQPSShape(t *testing.T) {
 	opts := Fast()
 	opts.Seed = 5
-	opts.FleetScenario = "steady"
 	opts.FleetClients = 2000
 	ctx := NewContext(opts)
 	res, err := runFleetQPS(ctx)
@@ -20,10 +19,14 @@ func TestFleetQPSShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	fig := res.(*Figure)
-	if len(fig.Series) != 3 {
-		t.Fatalf("want 3 series (steady x {base, rebal, rebal+l4}), got %d", len(fig.Series))
+	if want := len(fleetScenarios) * 3; len(fig.Series) != want {
+		t.Fatalf("want %d series (scenarios x {base, rebal, rebal+l4}), got %d", want, len(fig.Series))
 	}
-	for _, s := range fig.Series {
+	for _, design := range []string{"base", "rebal", "rebal+l4"} {
+		s := fig.Get("steady/" + design)
+		if s == nil {
+			t.Fatalf("no steady/%s series", design)
+		}
 		if len(s.X) != 5 {
 			t.Fatalf("series %s has %d points, want 5", s.Name, len(s.X))
 		}
@@ -39,15 +42,6 @@ func TestFleetQPSShape(t *testing.T) {
 	}
 	if !strings.Contains(fig.Note, "2000 modeled users") {
 		t.Fatalf("note does not reflect the client override: %q", fig.Note)
-	}
-}
-
-// TestFleetQPSUnknownScenario pins the fail-fast contract the CLI relies on.
-func TestFleetQPSUnknownScenario(t *testing.T) {
-	opts := Fast()
-	opts.FleetScenario = "lunch-rush"
-	if _, err := runFleetQPS(NewContext(opts)); err == nil {
-		t.Fatal("unknown scenario did not error")
 	}
 }
 

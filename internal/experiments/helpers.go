@@ -5,41 +5,34 @@ import (
 	"searchmem/internal/trace"
 )
 
-// cacheStackDist augments the one-pass stack-distance profiler with
-// cross-segment totals and the post-L2 hit-rate conventions shared by the
-// capacity-sweep experiments.
-type cacheStackDist struct {
-	*cache.StackDist
-}
+// microL2Eff is the aggregate private-cache capacity assumed in front of
+// the modeled L3 at micro scale (16 threads' worth of 256 KiB L2s).
+const microL2Eff = 16 * 256 << 10
 
-// newL3Curve returns a fresh combined-curve profiler at 64 B blocks.
-func newL3Curve() *l3Curve {
-	return &l3Curve{sd: &cacheStackDist{cache.NewStackDist(64)}}
-}
-
-// TotalMisses sums misses at a capacity across segments.
-func (s *cacheStackDist) TotalMisses(capacity int64) float64 {
+// totalMisses sums a profiler's misses at a capacity across segments.
+func totalMisses(sd *cache.StackDist, capacity int64) float64 {
 	var m float64
 	for seg := trace.Segment(0); seg < trace.NumSegments; seg++ {
-		m += s.Misses(seg, capacity)
+		m += sd.Misses(seg, capacity)
 	}
 	return m
 }
 
-// SegHitRate returns a segment's post-L2 hit rate at a capacity, optionally
-// excluding cold misses (steady-state view for finite working sets; see
-// DESIGN.md and the calibration tests).
-func (s *cacheStackDist) SegHitRate(seg trace.Segment, capacity int64, excludeCold bool) float64 {
+// postL2HitRate is the one post-L2 normalization of the capacity-sweep
+// experiments: a segment's hit rate at a capacity among the accesses that
+// miss private caches of aggregate size l2eff, optionally excluding cold
+// misses (the steady-state view for finite working sets; see DESIGN.md and
+// the calibration tests), clamped to [0, 1].
+func postL2HitRate(sd *cache.StackDist, seg trace.Segment, capacity, l2eff int64, excludeCold bool) float64 {
 	var cold float64
 	if excludeCold {
-		cold = float64(s.ColdMisses(seg))
+		cold = float64(sd.ColdMisses(seg))
 	}
-	l2eff := s.l2eff()
-	base := s.Misses(seg, l2eff) - cold
+	base := sd.Misses(seg, l2eff) - cold
 	if base <= 0 {
 		return 1
 	}
-	h := 1 - (s.Misses(seg, capacity)-cold)/base
+	h := 1 - (sd.Misses(seg, capacity)-cold)/base
 	if h < 0 {
 		return 0
 	}
@@ -49,9 +42,54 @@ func (s *cacheStackDist) SegHitRate(seg trace.Segment, capacity int64, excludeCo
 	return h
 }
 
-// l2eff is the aggregate private-cache capacity assumed in front of the
-// modeled L3 (16 threads' worth of 256 KiB L2s at micro scale).
-func (s *cacheStackDist) l2eff() int64 { return 16 * 256 << 10 }
+// l3Curve wraps a stack-distance profiler with the post-L2 normalization
+// used for L3 hit-rate curves (DESIGN.md: hits among post-L2 misses).
+type l3Curve struct {
+	sd *cache.StackDist
+}
+
+// newL3Curve returns a fresh combined-curve profiler at 64 B blocks.
+func newL3Curve() *l3Curve {
+	return &l3Curve{sd: cache.NewStackDist(64)}
+}
+
+func (l *l3Curve) Observe(a trace.Access) { l.sd.Observe(a) }
+
+// combinedHitRate returns the modeled L3 hit rate at the given capacity.
+func (l *l3Curve) combinedHitRate(capacity int64) float64 {
+	base := totalMisses(l.sd, microL2Eff)
+	if base <= 0 {
+		return 1
+	}
+	h := 1 - totalMisses(l.sd, capacity)/base
+	if h < 0 {
+		return 0
+	}
+	return h
+}
+
+// dataHitRate returns the post-L2 hit rate of all data segments combined.
+func (l *l3Curve) dataHitRate(capacity int64) float64 {
+	var miss, base float64
+	for _, seg := range []trace.Segment{trace.Heap, trace.Shard, trace.Stack} {
+		miss += l.sd.Misses(seg, capacity)
+		base += l.sd.Misses(seg, microL2Eff)
+	}
+	if base <= 0 {
+		return 1
+	}
+	h := 1 - miss/base
+	if h < 0 {
+		return 0
+	}
+	return h
+}
+
+// codeHitRate returns the post-L2 instruction hit rate (cold-excluded:
+// the code working set is finite and fully amortized in steady state).
+func (l *l3Curve) codeHitRate(capacity int64) float64 {
+	return postL2HitRate(l.sd, trace.Code, capacity, microL2Eff, true)
+}
 
 // segmentStackDists is a per-segment profiler set (segment-local reuse
 // distances; see calibration notes on why per-segment curves use local
@@ -77,23 +115,7 @@ func (s *segmentStackDists) Observe(a trace.Access) { s.sds[a.Seg].Observe(a) }
 // included for the shard (structural cold misses), matching the paper's
 // steady-state traces.
 func (s *segmentStackDists) hitRate(seg trace.Segment, capacity int64) float64 {
-	sd := s.sds[seg]
-	var cold float64
-	if seg == trace.Code || seg == trace.Heap {
-		cold = float64(sd.ColdMisses(seg))
-	}
-	base := sd.Misses(seg, s.l2eff) - cold
-	if base <= 0 {
-		return 1
-	}
-	h := 1 - (sd.Misses(seg, capacity)-cold)/base
-	if h < 0 {
-		return 0
-	}
-	if h > 1 {
-		return 1
-	}
-	return h
+	return postL2HitRate(s.sds[seg], seg, capacity, s.l2eff, seg == trace.Code || seg == trace.Heap)
 }
 
 // mpki returns a segment's misses per kilo-instruction at a capacity.

@@ -9,7 +9,7 @@ import (
 	"searchmem/internal/workload"
 )
 
-// This file is the deterministic parallel sweep engine (DESIGN.md §10).
+// This file is the deterministic parallel sweep engine (DESIGN.md §15).
 //
 // A sweep evaluates one configuration ("point") per index over a memoized
 // workload recording. Points are independent cache simulations, so they fan

@@ -56,45 +56,6 @@ var polVariants = []polVariant{
 // and tiny; policy barely moves them.)
 var polLevels = []string{"L2", "L3", "L4"}
 
-// ParsePolicyVariant resolves a figP1 grid name: a cache.Policy name or the
-// dead-block composite "srrip+db". Shared with cmd/searchsim flag
-// validation so unknown -policy values fail fast instead of running LRU.
-func ParsePolicyVariant(name string) (cache.Policy, bool, error) {
-	if name == "srrip+db" {
-		return cache.SRRIP, true, nil
-	}
-	p, err := cache.ParsePolicy(name)
-	if err != nil {
-		return 0, false, fmt.Errorf("%w (or %q)", err, "srrip+db")
-	}
-	return p, false, nil
-}
-
-// polVariantsFor resolves the policy grid, honoring Options.CachePolicy.
-func polVariantsFor(o Options) ([]polVariant, error) {
-	if o.CachePolicy == "" {
-		return polVariants, nil
-	}
-	p, db, err := ParsePolicyVariant(o.CachePolicy)
-	if err != nil {
-		return nil, err
-	}
-	return []polVariant{{name: o.CachePolicy, pol: p, db: db}}, nil
-}
-
-// polLevelsFor resolves the level grid, honoring Options.PolicyLevel.
-func polLevelsFor(o Options) ([]string, error) {
-	if o.PolicyLevel == "" {
-		return polLevels, nil
-	}
-	for _, l := range polLevels {
-		if l == o.PolicyLevel {
-			return []string{l}, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown policy level %q (want L2, L3, or L4)", o.PolicyLevel)
-}
-
 // polBase is the shared measurement shape: tierBase's rebalanced L3 +
 // 512 MiB L4 with the DRAM model attached (so AMAT uses the measured
 // effective read latency, not the flat constant), except the L4 is 8-way —
@@ -151,26 +112,17 @@ type polSweepData struct {
 
 // polSweep measures the all-LRU baseline and the level x policy grid in one
 // MeasureMulti pass over the shared sweep recording. Memoized per context.
-func polSweep(c *Context) (*polSweepData, error) {
+func polSweep(c *Context) *polSweepData {
 	c.curveMu.Lock()
 	defer c.curveMu.Unlock()
 	key := curveKey{kind: "polsweep"}
 	if cached, ok := c.curves[key]; ok {
-		return cached.(*polSweepData), nil
-	}
-	o := c.Opts
-	variants, err := polVariantsFor(o)
-	if err != nil {
-		return nil, err
-	}
-	levels, err := polLevelsFor(o)
-	if err != nil {
-		return nil, err
+		return cached.(*polSweepData)
 	}
 	mcs := []workload.MeasureConfig{polBase(c)} // index 0: all-LRU baseline
 	var pts []polPoint
-	for _, level := range levels {
-		for _, v := range variants {
+	for _, level := range polLevels {
+		for _, v := range polVariants {
 			mc := polBase(c)
 			applyLevelPolicy(&mc, level, v)
 			mcs = append(mcs, mc)
@@ -180,19 +132,16 @@ func polSweep(c *Context) (*polSweepData, error) {
 	ms := measureMultiSharded(c, c.Sweep(), mcs)
 	for i := range pts {
 		pts[i].m = ms[i+1]
-		o.logf("figP1: %s %s: MPKI %.3f, IPC %.3f",
+		c.Opts.logf("figP1: %s %s: MPKI %.3f, IPC %.3f",
 			pts[i].level, pts[i].variant.name, levelMPKI(pts[i].m, pts[i].level), pts[i].m.IPC)
 	}
 	data := &polSweepData{baseline: ms[0], points: pts}
 	c.curves[key] = data
-	return data, nil
+	return data
 }
 
 func runFigP1(c *Context) (Result, error) {
-	data, err := polSweep(c)
-	if err != nil {
-		return nil, err
-	}
+	data := polSweep(c)
 	base := data.baseline
 	t := &Table{
 		Title:   "Figure P1: replacement policy x hierarchy level (rebalanced L3 + 8-way 512 MiB L4, DRAM model attached)",
@@ -266,25 +215,17 @@ type predSweepData struct {
 // predSweep measures the predictor-off baseline and the table-size x
 // confidence grid (plus one block-indexed row at the default shape) in one
 // MeasureMulti pass. Memoized per context.
-func predSweep(c *Context) (*predSweepData, error) {
+func predSweep(c *Context) *predSweepData {
 	c.curveMu.Lock()
 	defer c.curveMu.Unlock()
 	key := curveKey{kind: "predsweep"}
 	if cached, ok := c.curves[key]; ok {
-		return cached.(*predSweepData), nil
-	}
-	o := c.Opts
-	bitsGrid, confGrid := predBitsGrid, predConfGrid
-	if o.PredBits > 0 {
-		bitsGrid = []int{o.PredBits}
-	}
-	if o.PredConf > 0 {
-		confGrid = []int{o.PredConf}
+		return cached.(*predSweepData)
 	}
 	mcs := []workload.MeasureConfig{polBase(c)} // index 0: predictor off
 	var pts []predPoint
-	for _, bits := range bitsGrid {
-		for _, conf := range confGrid {
+	for _, bits := range predBitsGrid {
+		for _, conf := range predConfGrid {
 			mc := polBase(c)
 			mc.Predictor = &cache.PredictorConfig{TableBits: uint(bits), ConfThreshold: uint8(conf)}
 			mcs = append(mcs, mc)
@@ -293,7 +234,7 @@ func predSweep(c *Context) (*predSweepData, error) {
 	}
 	// One block-indexed row at the grid's last shape, isolating the keying
 	// choice (per-PC vs block address) from table geometry.
-	lastBits, lastConf := bitsGrid[len(bitsGrid)-1], confGrid[len(confGrid)-1]
+	lastBits, lastConf := predBitsGrid[len(predBitsGrid)-1], predConfGrid[len(predConfGrid)-1]
 	mcBlock := polBase(c)
 	mcBlock.Predictor = &cache.PredictorConfig{
 		TableBits: uint(lastBits), ConfThreshold: uint8(lastConf), IndexBlock: true,
@@ -304,20 +245,17 @@ func predSweep(c *Context) (*predSweepData, error) {
 	ms := measureMultiSharded(c, c.Sweep(), mcs)
 	for i := range pts {
 		pts[i].m = ms[i+1]
-		o.logf("figP2: bits %d conf %d block=%v: skip %.1f%%, mispredict %.2f%%",
+		c.Opts.logf("figP2: bits %d conf %d block=%v: skip %.1f%%, mispredict %.2f%%",
 			pts[i].bits, pts[i].conf, pts[i].block,
 			100*pts[i].m.Pred.SkipRate(), 100*pts[i].m.Pred.MispredictRate())
 	}
 	data := &predSweepData{baseline: ms[0], points: pts}
 	c.curves[key] = data
-	return data, nil
+	return data
 }
 
 func runFigP2(c *Context) (Result, error) {
-	data, err := predSweep(c)
-	if err != nil {
-		return nil, err
-	}
+	data := predSweep(c)
 	base := data.baseline
 	baseMPKI := base.L3.MPKI(base.Instructions)
 	t := &Table{

@@ -21,21 +21,17 @@ func init() {
 // rate — should fall out of the simulated rates.
 func runSplitL2(c *Context) (Result, error) {
 	o := c.Opts
-	run := func(split bool) workload.Metrics {
-		plat := c.PLT1()
-		mc := workload.MeasureConfig{
-			Platform: plat,
-			Cores:    1, SMTWays: 1, Threads: 1,
-			Budget:         o.Budget,
-			Seed:           o.Seed + 31,
-			WarmupFraction: 1.5,
-		}
-		mc.SplitL2 = split
-		return workload.Measure(c.Leaf(), mc)
+	unifiedCfg := workload.MeasureConfig{
+		Platform: c.PLT1(),
+		Cores:    1, SMTWays: 1, Threads: 1,
+		Budget:         o.Budget,
+		Seed:           o.Seed + 31,
+		WarmupFraction: 1.5,
 	}
-	// Both variants replay the same recording — identical keys, so the pair
-	// parallelizes without perturbing recording order.
-	ms := runPoints(c, 0, 2, func(i int) workload.Metrics { return run(i == 1) })
+	splitCfg := unifiedCfg
+	splitCfg.SplitL2 = true
+	// Both variants replay the same recording (identical keys).
+	ms := measureMultiSharded(c, c.Leaf(), []workload.MeasureConfig{unifiedCfg, splitCfg})
 	unified, split := ms[0], ms[1]
 
 	t := &Table{

@@ -77,26 +77,6 @@ type tierSweepData struct {
 	points   []tierPoint
 }
 
-// tierFracsFor resolves the capacity grid, honoring Options.TierNearFrac.
-func tierFracsFor(o Options) []float64 {
-	if o.TierNearFrac > 0 {
-		return []float64{o.TierNearFrac}
-	}
-	return tierFracs
-}
-
-// tierPoliciesFor resolves the policy grid, honoring Options.TierPolicy.
-func tierPoliciesFor(o Options) ([]mem.PagePolicy, error) {
-	if o.TierPolicy == "" {
-		return tierPolicies, nil
-	}
-	p, err := mem.ParsePolicy(o.TierPolicy)
-	if err != nil {
-		return nil, err
-	}
-	return []mem.PagePolicy{p}, nil
-}
-
 // tierSweep measures the all-near baseline, derives the near-tier page
 // budgets from its touched-page population, and sweeps the capacity-split x
 // policy grid. Memoized per context; both phases ride measureMultiSharded.
@@ -108,11 +88,6 @@ func tierSweep(c *Context) (*tierSweepData, error) {
 		return cached.(*tierSweepData), nil
 	}
 	o := c.Opts
-	pols, err := tierPoliciesFor(o)
-	if err != nil {
-		return nil, err
-	}
-	fracs := tierFracsFor(o)
 
 	// Phase 1: the all-near baseline. Its page census sizes the splits and
 	// its traffic volume sizes the placement epoch.
@@ -123,27 +98,21 @@ func tierSweep(c *Context) (*tierSweepData, error) {
 		return nil, fmt.Errorf("tier sweep: baseline measured no touched pages")
 	}
 	totalPages := baseline.Mem.Pages
-	epochLen := o.TierEpochLen
-	if epochLen <= 0 {
-		// Several placement epochs per measured run, with a floor so tiny
-		// -short runs still cross at least one boundary.
-		epochLen = (baseline.Mem.Reads + baseline.Mem.Writes) / 8
-		if epochLen < 256 {
-			epochLen = 256
-		}
-	}
+	// Several placement epochs per measured run, with a floor so tiny
+	// -short runs still cross at least one boundary.
+	epochLen := max((baseline.Mem.Reads+baseline.Mem.Writes)/8, 256)
 	o.logf("figT1: baseline pages %d, AMAT %.1f ns, epoch %d", totalPages, baseline.AMATNS, epochLen)
 
 	// Phase 2: the grid. All configs share the replay keys with the
 	// baseline, so the recording is already pinned.
 	var mcs []workload.MeasureConfig
 	var pts []tierPoint
-	for _, frac := range fracs {
+	for _, frac := range tierFracs {
 		nearPages := int64(float64(totalPages) * frac)
 		if nearPages < 1 {
 			nearPages = 1
 		}
-		for _, pol := range pols {
+		for _, pol := range tierPolicies {
 			mc := tierBase(c)
 			mc.Mem = &mem.Config{
 				PageBytes: tierPageBytes,
@@ -263,27 +232,11 @@ func runFigT2(c *Context) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := c.Opts
-	pols, err := tierPoliciesFor(o)
-	if err != nil {
-		return nil, err
-	}
 	// Dynamic policies only: static never migrates, so epoch length is
 	// moot for it.
-	var dyn []mem.PagePolicy
-	for _, p := range pols {
-		if p != mem.PolicyStatic {
-			dyn = append(dyn, p)
-		}
-	}
-	if len(dyn) == 0 {
-		return nil, fmt.Errorf("figT2: no dynamic policy selected (TierPolicy %q)", o.TierPolicy)
-	}
+	dyn := []mem.PagePolicy{mem.PolicyLRUEpoch, mem.PolicyFreqThreshold}
 	base := data.baseline
-	frac := 0.25
-	if o.TierNearFrac > 0 {
-		frac = o.TierNearFrac
-	}
+	const frac = 0.25
 	nearPages := int64(float64(base.Mem.Pages) * frac)
 	if nearPages < 1 {
 		nearPages = 1

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"searchmem/internal/mem"
 	"searchmem/internal/obs"
 	"searchmem/internal/trace"
 )
@@ -95,37 +94,6 @@ func TestFigT1RendersCostColumn(t *testing.T) {
 	}
 	if !better {
 		t.Fatal("no tiered point beats the all-near baseline on QPS per memory dollar")
-	}
-}
-
-// TestTierOptionsRestrictGrid checks the cmd/searchsim knobs: TierNearFrac
-// and TierPolicy collapse the sweep to one point, and TierEpochLen overrides
-// the derived epoch.
-func TestTierOptionsRestrictGrid(t *testing.T) {
-	opts := Fast()
-	opts.TierNearFrac = 0.25
-	opts.TierPolicy = "freq"
-	opts.TierEpochLen = 512
-	c := NewContext(opts)
-	data, err := tierSweep(c)
-	if err != nil {
-		t.Fatalf("tierSweep: %v", err)
-	}
-	if len(data.points) != 1 {
-		t.Fatalf("restricted sweep has %d points, want 1", len(data.points))
-	}
-	p := data.points[0]
-	if p.nearFrac != 0.25 || p.policy != mem.PolicyFreqThreshold {
-		t.Fatalf("restricted point is near=%v policy=%v", p.nearFrac, p.policy)
-	}
-	if data.epochLen != 512 {
-		t.Fatalf("epoch length %d, want the 512 override", data.epochLen)
-	}
-
-	bad := Fast()
-	bad.TierPolicy = "hotness-oracle"
-	if _, err := tierSweep(NewContext(bad)); err == nil {
-		t.Fatal("unknown TierPolicy accepted")
 	}
 }
 

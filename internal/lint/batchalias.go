@@ -7,7 +7,7 @@ import (
 )
 
 // BatchAlias enforces the batch-lifetime contract of trace.BatchStream
-// (DESIGN.md §11): the slice returned by NextBatch is a zero-copy window
+// (DESIGN.md §9): the slice returned by NextBatch is a zero-copy window
 // into stream internals, valid only until the next NextBatch call. Reading
 // it in place — indexing, ranging, passing it down a call chain that
 // finishes before the next batch — is the intended use. *Retaining* it is

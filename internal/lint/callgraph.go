@@ -9,7 +9,7 @@ import (
 )
 
 // This file builds the interprocedural backbone of the lint suite: a static
-// call graph over the analyzed packages (DESIGN.md §13). Resolution is
+// call graph over the analyzed packages (DESIGN.md §17). Resolution is
 // CHA-style (class-hierarchy analysis): a static call has exactly its named
 // callee; an interface method call targets the matching method of *every*
 // analyzed concrete type that implements the interface; a call through a
@@ -354,7 +354,7 @@ type posRange struct{ lo, hi token.Pos }
 // The hotalloc analyzer exempts allocations and skips call edges inside
 // these ranges: a path that leaves the kernel cannot run per element. This
 // is a heuristic (a conditional return CAN be the common case); the dynamic
-// AllocsPerRun oracle backstops it (DESIGN.md §13).
+// AllocsPerRun oracle backstops it (DESIGN.md §17).
 func coldRanges(body *ast.BlockStmt) []posRange {
 	var out []posRange
 	addList := func(list []ast.Stmt) {

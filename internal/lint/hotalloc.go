@@ -7,7 +7,7 @@ import (
 )
 
 // HotAlloc enforces the zero-allocation contract of the batched hot kernels
-// (DESIGN.md §13): a function annotated //lint:hot, and everything reachable
+// (DESIGN.md §17): a function annotated //lint:hot, and everything reachable
 // from it in the call graph, must not allocate. The per-access cost figures
 // the repo reports (sub-ns to a few ns) hold only while these paths stay off
 // the garbage collector entirely; a single append or boxed argument in a

@@ -1,7 +1,7 @@
 //go:build !race
 
 // Allocation-regression oracles for the //lint:hot tier-access kernels
-// (DESIGN.md §14). The hotalloc analyzer proves these paths allocation-free
+// (DESIGN.md §12). The hotalloc analyzer proves these paths allocation-free
 // statically; these tests pin the same property dynamically with
 // testing.AllocsPerRun. The page table grows only on first touch of a page,
 // so a warm-up pass over the batch (AllocsPerRun performs one before

@@ -23,7 +23,7 @@
 // structure iterates in first-touch or slice order, never map order. Two
 // replays of the same recording therefore produce bit-identical statistics,
 // which is what lets the tier sweeps ride the parallel experiment engine
-// with byte-identical output (DESIGN.md §14).
+// with byte-identical output (DESIGN.md §12).
 package mem
 
 import (
@@ -65,20 +65,6 @@ func (p PagePolicy) String() string {
 	default:
 		return fmt.Sprintf("policy(%d)", uint8(p))
 	}
-}
-
-// ParsePolicy converts a policy name ("static", "lru-epoch", "freq") to its
-// PagePolicy value.
-func ParsePolicy(s string) (PagePolicy, error) {
-	switch s {
-	case "static":
-		return PolicyStatic, nil
-	case "lru-epoch":
-		return PolicyLRUEpoch, nil
-	case "freq":
-		return PolicyFreqThreshold, nil
-	}
-	return 0, fmt.Errorf("mem: unknown page policy %q (want static, lru-epoch, or freq)", s)
 }
 
 // DRAMConfig shapes the near-tier timing model. The zero value selects the

@@ -254,18 +254,6 @@ func TestPageTableGrowth(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for _, p := range []PagePolicy{PolicyStatic, PolicyLRUEpoch, PolicyFreqThreshold} {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Fatalf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Fatal("ParsePolicy accepted bogus input")
-	}
-}
-
 func TestInvalidConfigPanics(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"non-pow2 rows":  {DRAM: DRAMConfig{RowBytes: 3000}},

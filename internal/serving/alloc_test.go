@@ -1,7 +1,7 @@
 //go:build !race
 
 // Allocation-regression oracles for the fleet load engine's per-event path
-// (DESIGN.md §16). The searchlint hotalloc analyzer proves the //lint:hot
+// (DESIGN.md §14). The searchlint hotalloc analyzer proves the //lint:hot
 // kernels allocation-free statically; these tests pin the full event step —
 // heap peek, Zipf draw, term synthesis, Cluster.serve untraced (cache probe,
 // fan-out, hedging, merges, cache put with eviction), histogram add, heap

@@ -69,35 +69,10 @@ func (f *FaultyExecutor) flapLatency() float64 {
 	return 1e5
 }
 
-// SearchErr implements FallibleExecutor.
-func (f *FaultyExecutor) SearchErr(terms []uint32) ([]uint32, []float32, float64, error) {
-	if f.down.Load() {
-		return nil, nil, f.flapLatency(), ErrInjectedFault
-	}
-	var rng stats.RNG
-	rng.Seed(f.callSeed(terms))
-	if rng.Bool(f.FlapProb) {
-		return nil, nil, f.flapLatency(), ErrInjectedFault
-	}
-	docs, scores, lat := f.Inner.Search(terms)
-	if rng.Bool(f.SlowProb) {
-		factor := f.SlowFactor
-		if factor <= 0 {
-			factor = 4
-		}
-		lat *= factor
-	}
-	if rng.Bool(f.FailProb) {
-		return nil, nil, lat, ErrInjectedFault
-	}
-	return docs, scores, lat, nil
-}
-
-// SearchBuf implements BufferedExecutor: the same fault draws in the same
-// order as SearchErr (flap → inner call → slow → fail), with the inner
-// executor's results written into the caller's buffers when it is buffered
-// too, and copied otherwise. The fault stream derives from (Seed, terms)
-// through a stack-allocated RNG, so the call is allocation-free.
+// SearchBuf implements Executor: flap draw, inner call into the caller's
+// buffers, then the slow and fail draws, in that order. The fault stream
+// derives from (Seed, terms) through a stack-allocated RNG, so the call is
+// allocation-free.
 func (f *FaultyExecutor) SearchBuf(terms []uint32, docs []uint32, scores []float32) (int, float64, error) {
 	if f.down.Load() {
 		return 0, f.flapLatency(), ErrInjectedFault
@@ -107,24 +82,9 @@ func (f *FaultyExecutor) SearchBuf(terms []uint32, docs []uint32, scores []float
 	if rng.Bool(f.FlapProb) {
 		return 0, f.flapLatency(), ErrInjectedFault
 	}
-	var n int
-	var lat float64
-	if be, ok := f.Inner.(BufferedExecutor); ok {
-		var err error
-		n, lat, err = be.SearchBuf(terms, docs, scores)
-		if err != nil {
-			// Keep the draw order identical to SearchErr even on an inner
-			// failure (Search has no error channel, so SearchErr always
-			// draws slow and fail after the inner call).
-			rng.Bool(f.SlowProb)
-			rng.Bool(f.FailProb)
-			return 0, lat, err
-		}
-	} else {
-		d, s, l := f.Inner.Search(terms)
-		n = copy(docs, d)
-		copy(scores, s)
-		lat = l
+	n, lat, err := f.Inner.SearchBuf(terms, docs, scores)
+	if err != nil {
+		return 0, lat, err
 	}
 	if rng.Bool(f.SlowProb) {
 		factor := f.SlowFactor
@@ -137,13 +97,4 @@ func (f *FaultyExecutor) SearchBuf(terms []uint32, docs []uint32, scores []float
 		return 0, lat, ErrInjectedFault
 	}
 	return n, lat, nil
-}
-
-// Search implements Executor; failures surface as empty results.
-func (f *FaultyExecutor) Search(terms []uint32) ([]uint32, []float32, float64) {
-	docs, scores, lat, err := f.SearchErr(terms)
-	if err != nil {
-		return nil, nil, lat
-	}
-	return docs, scores, lat
 }

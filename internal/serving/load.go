@@ -140,7 +140,7 @@ func (e *loadEngine) drawTerms(cl int32) []uint32 {
 // and each query is served against a standing occupancy of the other
 // clients-1. The query interleaving — and with it every executor's
 // service-jitter RNG draw sequence — is therefore a pure function of the
-// seed for any client count (DESIGN.md §16). RunLoad is the closed-loop
+// seed for any client count (DESIGN.md §14). RunLoad is the closed-loop
 // special case of RunScenario.
 func RunLoad(c *Cluster, clients, queriesPerClient, vocabSize int, skew float64, seed uint64) LoadStats {
 	if clients <= 0 || queriesPerClient <= 0 || vocabSize <= 0 {

@@ -407,87 +407,6 @@ func TestSetLeafDown(t *testing.T) {
 	}
 }
 
-// TestBufferedExecutorMatchesSearch pins SearchBuf against Search /
-// SearchErr call by call on both executor types: identical results,
-// latencies (internal jitter RNG advancing in lockstep), and errors.
-func TestBufferedExecutorMatchesSearch(t *testing.T) {
-	mkSyn := func() *SyntheticExecutor {
-		e := NewSyntheticExecutor(3, 10)
-		e.BaseLatencyNS = 1e6
-		e.PerTermNS = 1e5
-		return e
-	}
-	a, b := mkSyn(), mkSyn()
-	docs := make([]uint32, 10)
-	scores := make([]float32, 10)
-	for q := 0; q < 200; q++ {
-		terms := []uint32{uint32(q * 31), uint32(q), uint32(q % 7)}
-		d, s, lat := a.Search(terms)
-		n, blat, err := b.SearchBuf(terms, docs, scores)
-		if err != nil || n != len(d) || lat != blat {
-			t.Fatalf("query %d: SearchBuf (n=%d lat=%v err=%v) != Search (n=%d lat=%v)", q, n, blat, err, len(d), lat)
-		}
-		for i := range d {
-			if d[i] != docs[i] || s[i] != scores[i] {
-				t.Fatalf("query %d result %d: (%d,%v) != (%d,%v)", q, i, docs[i], scores[i], d[i], s[i])
-			}
-		}
-	}
-
-	mkFaulty := func() *FaultyExecutor {
-		return &FaultyExecutor{
-			Inner:    mkSyn(),
-			SlowProb: 0.2, SlowFactor: 8,
-			FailProb: 0.1,
-			FlapProb: 0.1,
-			Seed:     99,
-		}
-	}
-	fa, fb := mkFaulty(), mkFaulty()
-	var failures int
-	for q := 0; q < 300; q++ {
-		terms := []uint32{uint32(q * 131), uint32(q)}
-		d, s, lat, errA := fa.SearchErr(terms)
-		n, blat, errB := fb.SearchBuf(terms, docs, scores)
-		if (errA == nil) != (errB == nil) || lat != blat {
-			t.Fatalf("query %d: SearchBuf (lat=%v err=%v) != SearchErr (lat=%v err=%v)", q, blat, errB, lat, errA)
-		}
-		if errA != nil {
-			failures++
-			continue
-		}
-		if n != len(d) {
-			t.Fatalf("query %d: n=%d want %d", q, n, len(d))
-		}
-		for i := range d {
-			if d[i] != docs[i] || s[i] != scores[i] {
-				t.Fatalf("query %d result %d mismatch", q, i)
-			}
-		}
-	}
-	if failures == 0 {
-		t.Fatal("fault injection never fired; test not covering error paths")
-	}
-
-	// An administratively down executor fails fast on both interfaces
-	// without consuming fault draws.
-	fa.SetDown(true)
-	fb.SetDown(true)
-	if _, _, _, err := fa.SearchErr([]uint32{1}); err == nil {
-		t.Fatal("down executor served SearchErr")
-	}
-	if _, _, err := fb.SearchBuf([]uint32{1}, docs, scores); err == nil {
-		t.Fatal("down executor served SearchBuf")
-	}
-	fa.SetDown(false)
-	fb.SetDown(false)
-	_, _, lat, errA := fa.SearchErr([]uint32{4, 5})
-	_, blat, errB := fb.SearchBuf([]uint32{4, 5}, docs, scores)
-	if lat != blat || (errA == nil) != (errB == nil) {
-		t.Fatal("streams diverged after an outage window")
-	}
-}
-
 // cacheGet is cacheServer.get into fresh buffers.
 func cacheGet(s *cacheServer, tag uint64) ([]uint32, []float32, bool) {
 	docs, scores := make([]uint32, 16), make([]float32, 16)

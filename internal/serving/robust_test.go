@@ -15,18 +15,13 @@ type fixedExec struct {
 	fail bool
 }
 
-func (f *fixedExec) Search(terms []uint32) ([]uint32, []float32, float64) {
-	docs, scores, lat, _ := f.SearchErr(terms)
-	return docs, scores, lat
-}
-
-func (f *fixedExec) SearchErr(terms []uint32) ([]uint32, []float32, float64, error) {
+func (f *fixedExec) SearchBuf(terms []uint32, docs []uint32, scores []float32) (int, float64, error) {
 	if f.fail {
-		return nil, nil, f.lat, ErrInjectedFault
+		return 0, f.lat, ErrInjectedFault
 	}
-	docs := []uint32{f.base, f.base + 1}
-	scores := []float32{float32(f.base%97) + 2, float32(f.base % 97)}
-	return docs, scores, f.lat, nil
+	n := copy(docs, []uint32{f.base, f.base + 1})
+	copy(scores, []float32{float32(f.base%97) + 2, float32(f.base % 97)})
+	return n, f.lat, nil
 }
 
 // fixedCluster wires 4 leaves under one parent with the given latencies.
@@ -257,11 +252,14 @@ func TestEngineExecutorScoresAreReal(t *testing.T) {
 	}
 	exec := &EngineExecutor{Session: eng.NewSession(0, nil), NSPerInstr: 0.3}
 
-	_, s1, _ := exec.Search([]uint32{1, 2})
-	_, s2, _ := exec.Search([]uint32{1, 2})
-	if len(s1) == 0 || len(s1) != len(s2) {
-		t.Fatalf("score lengths: %d vs %d", len(s1), len(s2))
+	s1, s2 := make([]float32, 16), make([]float32, 16)
+	docs := make([]uint32, 16)
+	n1, _, _ := exec.SearchBuf([]uint32{1, 2}, docs, s1)
+	n2, _, _ := exec.SearchBuf([]uint32{1, 2}, docs, s2)
+	if n1 == 0 || n1 != n2 {
+		t.Fatalf("score lengths: %d vs %d", n1, n2)
 	}
+	s1, s2 = s1[:n1], s2[:n2]
 	for i := range s1 {
 		if s1[i] != s2[i] {
 			t.Fatalf("scores changed between identical calls: %v vs %v", s1, s2)
@@ -432,6 +430,7 @@ func TestFaultyExecutorDeterministic(t *testing.T) {
 		}
 	}
 	a, b := mk(), mk()
+	docs, scores := make([]uint32, 2), make([]float32, 2)
 	// Drain a's stream in a different order than b's: results must match
 	// per-terms regardless.
 	terms := [][]uint32{{1}, {2}, {3}, {4}, {5}}
@@ -441,11 +440,11 @@ func TestFaultyExecutorDeterministic(t *testing.T) {
 	}
 	got := map[int]outcome{}
 	for i, tm := range terms {
-		_, _, lat, err := a.SearchErr(tm)
+		_, lat, err := a.SearchBuf(tm, docs, scores)
 		got[i] = outcome{lat, err != nil}
 	}
 	for i := len(terms) - 1; i >= 0; i-- {
-		_, _, lat, err := b.SearchErr(terms[i])
+		_, lat, err := b.SearchBuf(terms[i], docs, scores)
 		if o := got[i]; o.lat != lat || o.err != (err != nil) {
 			t.Fatalf("terms %v order-dependent: (%v,%v) vs (%v,%v)", terms[i], o.lat, o.err, lat, err != nil)
 		}
@@ -453,7 +452,7 @@ func TestFaultyExecutorDeterministic(t *testing.T) {
 	// Faults actually fire at these probabilities over a modest stream.
 	var fails int
 	for i := 0; i < 200; i++ {
-		if _, _, _, err := a.SearchErr([]uint32{uint32(i), uint32(i * 3)}); err != nil {
+		if _, _, err := a.SearchBuf([]uint32{uint32(i), uint32(i * 3)}, docs, scores); err != nil {
 			fails++
 		}
 	}

@@ -78,20 +78,10 @@ func newServeScratch(cfg Config) *serveScratch {
 	return s
 }
 
-// searchLeaf calls one executor through the richest interface it offers:
-// buffered executors write straight into the caller's arrays, the others
-// return their own slices (docs and scores are then unused).
-func searchLeaf(exec Executor, terms []uint32, docs []uint32, scores []float32) attempt {
-	switch e := exec.(type) {
-	case BufferedExecutor:
-		n, lat, err := e.SearchBuf(terms, docs, scores)
-		return attempt{docs[:n], scores[:n], lat, err}
-	case FallibleExecutor:
-		d, s, lat, err := e.SearchErr(terms)
-		return attempt{d, s, lat, err}
-	}
-	d, s, lat := exec.Search(terms)
-	return attempt{d, s, lat, nil}
+// callLeaf runs one executor call into the given scratch buffers.
+func callLeaf(exec Executor, terms []uint32, docs []uint32, scores []float32) attempt {
+	n, lat, err := exec.SearchBuf(terms, docs, scores)
+	return attempt{docs[:n], scores[:n], lat, err}
 }
 
 // fanOut runs the parent's leaf calls with deadline and hedging semantics
@@ -109,7 +99,7 @@ func (c *Cluster) fanOut(p *parent, terms []uint32, congestion float64, outs []l
 
 	prim := s.prim[:n]
 	for li, lf := range p.leaves {
-		prim[li] = searchLeaf(lf.exec, terms, s.primDocs[li], s.primScores[li])
+		prim[li] = callLeaf(lf.exec, terms, s.primDocs[li], s.primScores[li])
 	}
 
 	for li, lf := range p.leaves {
@@ -140,7 +130,7 @@ func (c *Cluster) fanOut(p *parent, terms []uint32, congestion float64, outs []l
 		}
 		if issueAt >= 0 && (deadline == 0 || issueAt < deadline) {
 			sib := p.leaves[(li+1)%n]
-			h := searchLeaf(sib.exec, terms, s.hedgeDocs[li], s.hedgeScores[li])
+			h := callLeaf(sib.exec, terms, s.hedgeDocs[li], s.hedgeScores[li])
 			hArrival := issueAt + h.lat*congestion
 			out.attemptLatNS[1] = h.lat
 			out.attempts = 2

@@ -8,7 +8,7 @@
 // deterministic and fast while producing realistic latency distributions.
 // One function, Cluster.serve, computes a served query; Serve, RunLoad and
 // RunScenario all reach it, serialized per cluster, traced or not
-// (DESIGN.md §16). No goroutine is started anywhere in the package.
+// (DESIGN.md §14). No goroutine is started anywhere in the package.
 //
 // The tier is fault tolerant: each leaf call carries a virtual-time deadline
 // with one hedged retry to a sibling shard, and parents merge whatever
@@ -49,33 +49,18 @@ type Result struct {
 	LeavesAnswered int
 }
 
-// Executor evaluates a query against one shard and reports its modeled
-// service latency.
+// Executor evaluates a query against one shard into the caller's buffers
+// and reports its modeled service latency. It is the one call shape across
+// the leaf seam: the cluster hands every executor slices from its pooled
+// scratch, so serving allocates nothing per leaf call.
 type Executor interface {
-	// Search returns the shard-local top-k with scores, plus the modeled
-	// execution latency in nanoseconds.
-	Search(terms []uint32) (docs []uint32, scores []float32, latencyNS float64)
-}
-
-// FallibleExecutor is an Executor whose calls can also fail outright
-// (crashed shard, connection refused, corrupted response). The cluster
-// treats a failed call like a missed deadline: it retries via hedging when
-// enabled and otherwise drops the leaf from the merge.
-type FallibleExecutor interface {
-	Executor
-	// SearchErr is Search with an error channel: latencyNS is still
-	// meaningful on failure (it is when the parent detects the fault).
-	SearchErr(terms []uint32) (docs []uint32, scores []float32, latencyNS float64, err error)
-}
-
-// BufferedExecutor is an optional Executor extension for allocation-free
-// serving: SearchBuf evaluates the query into the caller's buffers (whose
-// lengths must be at least the executor's result size) and returns the
-// result count. Results, latencies, and any internal RNG draw sequence must
-// be identical to Search/SearchErr on the same call sequence. The cluster
-// prefers it on every query; executors without it are called through
-// SearchErr or Search and their result slices used as returned.
-type BufferedExecutor interface {
+	// SearchBuf writes the shard-local top-k into docs and scores (whose
+	// lengths must be at least the executor's result size) and returns the
+	// result count and the modeled execution latency in nanoseconds. A call
+	// can fail outright (crashed shard, connection refused): the cluster
+	// treats that like a missed deadline — it retries via hedging when
+	// enabled and otherwise drops the leaf from the merge — and latencyNS
+	// is then when the parent detects the fault.
 	SearchBuf(terms []uint32, docs []uint32, scores []float32) (n int, latencyNS float64, err error)
 }
 
@@ -99,7 +84,7 @@ type SyntheticExecutor struct {
 
 	mu  sync.Mutex
 	rng *stats.RNG
-	tk  *search.TopK // reused by SearchBuf, guarded by mu
+	tk  *search.TopK // reused call to call, guarded by mu
 }
 
 // NewSyntheticExecutor returns an executor for the given shard.
@@ -131,22 +116,8 @@ func (e *SyntheticExecutor) fill(tk *search.TopK, terms []uint32) {
 	}
 }
 
-// Search implements Executor.
-func (e *SyntheticExecutor) Search(terms []uint32) ([]uint32, []float32, float64) {
-	tk := search.NewTopK(e.TopK)
-	e.fill(tk, terms)
-	docs, scores := tk.Results()
-
-	e.mu.Lock()
-	jitter := e.rng.Exponential(0.15 * e.BaseLatencyNS)
-	e.mu.Unlock()
-	lat := e.BaseLatencyNS + float64(len(terms))*e.PerTermNS + jitter
-	return docs, scores, lat
-}
-
-// SearchBuf implements BufferedExecutor: identical results and jitter draw
-// sequence to Search, written into the caller's buffers via an internal
-// reusable selector, with no allocation after the first call.
+// SearchBuf implements Executor through an internal reusable selector, with
+// no allocation after the first call.
 func (e *SyntheticExecutor) SearchBuf(terms []uint32, docs []uint32, scores []float32) (int, float64, error) {
 	e.mu.Lock()
 	if e.tk == nil {
@@ -173,18 +144,21 @@ type EngineExecutor struct {
 	NSPerInstr float64
 }
 
-// Search implements Executor. Tree mode bypasses the engine's query cache:
-// cache hits store ids only, and fabricated rank-order scores must never
-// merge against real BM25 scores from sibling shards — the serving tier has
-// its own result cache at the cache-server level.
-func (e *EngineExecutor) Search(terms []uint32) ([]uint32, []float32, float64) {
+// SearchBuf implements Executor by copying the session's top-k into the
+// caller's buffers. Tree mode bypasses the engine's query cache: cache hits
+// store ids only, and fabricated rank-order scores must never merge against
+// real BM25 scores from sibling shards — the serving tier has its own result
+// cache at the cache-server level.
+func (e *EngineExecutor) SearchBuf(terms []uint32, docs []uint32, scores []float32) (int, float64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.Session.SkipCache = true
 	before := e.Session.Instructions()
 	r := e.Session.Execute(terms)
 	lat := float64(e.Session.Instructions()-before) * e.NSPerInstr
-	return r.Docs, r.Scores, lat
+	n := copy(docs, r.Docs)
+	copy(scores, r.Scores)
+	return n, lat, nil
 }
 
 // Config shapes the serving tree.

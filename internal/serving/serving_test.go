@@ -130,8 +130,8 @@ func TestMergePrefersBestScores(t *testing.T) {
 	cfg.TopK = 3
 	c := NewCluster(cfg, nil)
 	r := c.Serve(Query{Terms: []uint32{11}})
-	leafDocs, leafScores, _ := NewSyntheticExecutor(0, 3).Search([]uint32{11})
-	_ = leafDocs
+	leafDocs, leafScores := make([]uint32, 3), make([]float32, 3)
+	NewSyntheticExecutor(0, 3).SearchBuf([]uint32{11}, leafDocs, leafScores)
 	if r.Scores[0] < leafScores[0] {
 		t.Fatalf("merged best %v below leaf 0 best %v", r.Scores[0], leafScores[0])
 	}
@@ -192,9 +192,10 @@ func TestEngineExecutor(t *testing.T) {
 		t.Fatal(err)
 	}
 	exec := &EngineExecutor{Session: eng.NewSession(0, nil), NSPerInstr: 0.3}
-	docs, scores, lat := exec.Search([]uint32{1, 2})
-	if len(docs) != len(scores) {
-		t.Fatal("mismatched results")
+	docs, scores := make([]uint32, 16), make([]float32, 16)
+	n, lat, err := exec.SearchBuf([]uint32{1, 2}, docs, scores)
+	if err != nil || n == 0 {
+		t.Fatalf("engine leaf: n=%d err=%v", n, err)
 	}
 	if lat <= 0 {
 		t.Fatal("no latency modeled")

@@ -204,56 +204,9 @@ func buildHierarchy(mc MeasureConfig) (h *cache.Hierarchy, sys *mem.System, l4Hi
 }
 
 // Measure runs the workload against the configured hierarchy and reduces
-// the result through the calibrated core model.
+// the result through the calibrated core model: MeasureMulti of one config.
 func Measure(r Runner, mc MeasureConfig) Metrics {
-	if mc.Threads <= 0 || mc.Cores <= 0 || mc.SMTWays <= 0 {
-		panic("workload: Measure needs positive cores/threads/SMT")
-	}
-	mc.normalize()
-	h, sys, l4Hit, l4Pen := buildHierarchy(mc)
-
-	var engine *cpu.Engine
-	if mc.Prefetchers != nil {
-		engine = cpu.NewEngine(h, mc.Cores, mc.Prefetchers)
-	}
-
-	bt := newBranchTally(r, []MeasureConfig{mc}, mc.BranchObserver)
-	measuring := false // observers only see the post-warmup phase
-	sinks := Sinks{
-		Access: func(a trace.Access) {
-			var lvl cache.HitLevel
-			if engine != nil {
-				lvl = engine.Access(a)
-			} else {
-				lvl = h.Access(a)
-			}
-			if measuring && mc.AccessObserver != nil {
-				mc.AccessObserver(a, lvl)
-			}
-		},
-		Branch: bt.sink(),
-	}
-	// Without a prefetch engine or per-access observer, the hierarchy can
-	// consume the access stream through the batched kernel: bit-identical
-	// results (see TestBatchedHierarchyEquivalence), one interface call per
-	// window instead of per access.
-	if engine == nil && mc.AccessObserver == nil {
-		sinks.AccessBatch = func(b []trace.Access) { h.AccessBatch(b, nil) }
-	}
-
-	// Warmup, then reset statistics and measure.
-	if bt.warm.budget > 0 {
-		r.Run(mc.Threads, bt.warm.budget, bt.warm.seed, sinks)
-		h.ResetStats()
-		if sys != nil {
-			sys.ResetStats() // residency and row state stay warm; counters restart
-		}
-	}
-	measuring = true
-	bt.beginMeasured()
-	run := r.Run(mc.Threads, mc.Budget, mc.Seed, sinks)
-
-	return reduce(r, mc, h, sys, bt.mispredicts(0), run, l4Hit, l4Pen)
+	return MeasureMulti(r, []MeasureConfig{mc})[0]
 }
 
 // reduce turns raw simulation counters into Metrics via the core model.

@@ -4,15 +4,19 @@ import (
 	"reflect"
 	"testing"
 
+	"searchmem/internal/cache"
+	"searchmem/internal/cpu"
 	"searchmem/internal/platform"
 	"searchmem/internal/trace"
 )
 
-// TestMeasureMultiMatchesMeasure requires MeasureMulti's single-pass sweep
-// to reproduce per-config Measure results exactly — every float, every
-// counter — across capacity, partitioning, L4, split-L2 and predictor-shape
-// (bits, cores x SMT) variation. Both run against one Replayer so they
-// replay the identical recording.
+// TestMeasureMultiMatchesMeasure pins that sharing a replay perturbs no
+// hierarchy: MeasureMulti's single-pass sweep must reproduce single-config
+// runs exactly — every float, every counter, and for observed configs the
+// whole (access, level) stream — across capacity, partitioning, L4,
+// split-L2, predictor-shape (bits, cores x SMT), AccessObserver and
+// Prefetchers variation. Both run against one Replayer so they replay the
+// identical recording.
 func TestMeasureMultiMatchesMeasure(t *testing.T) {
 	r := NewReplayer(tinyLeaf().Build())
 	base := MeasureConfig{
@@ -42,12 +46,26 @@ func TestMeasureMultiMatchesMeasure(t *testing.T) {
 	smt := base // same threads on one SMT-2 core: another predictor shape
 	smt.Cores, smt.SMTWays = 1, 2
 	mcs = append(mcs, smt)
+	// Two configs the shared loop must deliver to per access, each
+	// digesting the (access, level) stream it observes.
+	digests := make([]streamDigest, 2)
+	observed := base
+	observed.L3Size = 1 << 18
+	observed.AccessObserver = digests[0].add
+	mcs = append(mcs, observed)
+	prefetched := base
+	prefetched.Prefetchers = func() []cpu.Prefetcher { return []cpu.Prefetcher{cpu.NewStream(64, 2)} }
+	prefetched.AccessObserver = digests[1].add
+	mcs = append(mcs, prefetched)
 
 	refs := make([]Metrics, len(mcs))
 	for i, mc := range mcs {
 		refs[i] = Measure(r, mc)
 	}
+	single := [2]streamDigest{digests[0], digests[1]}
+	digests[0], digests[1] = streamDigest{}, streamDigest{}
 	got := MeasureMulti(r, mcs)
+	shared := [2]streamDigest{digests[0], digests[1]}
 	if len(got) != len(refs) {
 		t.Fatalf("MeasureMulti returned %d metrics, want %d", len(got), len(refs))
 	}
@@ -63,8 +81,30 @@ func TestMeasureMultiMatchesMeasure(t *testing.T) {
 			t.Errorf("config %d: MeasureMulti on a raw runner diverges from Measure\n got: %+v\nwant: %+v", i, live[i], refs[i])
 		}
 	}
+	for i, want := range single {
+		if want.n == 0 || want.n != refs[0].Run.Accesses {
+			t.Errorf("observer %d saw %d accesses alone, want the measured run's %d", i, want.n, refs[0].Run.Accesses)
+		}
+		if shared[i] != want {
+			t.Errorf("observer %d: (access, level) stream in a shared run %+v != alone %+v", i, shared[i], want)
+		}
+	}
 	if n := r.branchPasses.Load(); n != 3 {
 		t.Errorf("%d predictor passes for 3 distinct shapes, want 3", n)
+	}
+}
+
+// streamDigest is an order-sensitive hash of an observed (access, level)
+// stream.
+type streamDigest struct {
+	n int64
+	h uint64
+}
+
+func (d *streamDigest) add(a trace.Access, lvl cache.HitLevel) {
+	d.n++
+	for _, v := range [...]uint64{a.Addr, uint64(a.Size), uint64(a.Thread), uint64(a.Seg), uint64(a.Kind), uint64(lvl)} {
+		d.h = (d.h ^ v) * 0x100000001b3
 	}
 }
 
@@ -93,7 +133,7 @@ func TestMeasureMultiValidation(t *testing.T) {
 	mustPanic("mixed budgets", []MeasureConfig{base, diffBudget})
 	observed := base
 	observed.BranchObserver = func(uint8, bool) {}
-	mustPanic("observer attached", []MeasureConfig{observed})
+	mustPanic("BranchObserver in a shared run", []MeasureConfig{observed, base})
 	if got := MeasureMulti(r, nil); got != nil {
 		t.Errorf("empty config list: got %v, want nil", got)
 	}

@@ -39,7 +39,7 @@ import (
 //     requested. Concurrent sweep points must therefore either request an
 //     identical key sequence (every converted sweep does: same warmup key,
 //     then same measure key) or pre-record their keys in a deterministic
-//     order via Record before fanning out. See DESIGN.md §10.
+//     order via Record before fanning out. See DESIGN.md §15.
 //
 // Recorded traces live until the Replayer is garbage-collected; there is
 // deliberately no eviction, because re-recording an evicted key would

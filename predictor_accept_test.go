@@ -60,7 +60,7 @@ func predictorAcceptConfig() HierarchyConfig {
 //     error is exactly zero, far inside the ≤ 2% bound.
 //
 // The second point holds by construction (the predictor overlays probe
-// accounting on the authoritative chain; see DESIGN.md §15), and this test
+// accounting on the authoritative chain; see DESIGN.md §11), and this test
 // keeps it honest against future edits to the hot path.
 func TestPredictorProbeSkipAcceptance(t *testing.T) {
 	tr := benchLeafTrace(t)

@@ -313,7 +313,7 @@ type Query = serving.Query
 
 // NewCluster wires a serving tree (executors may be nil for synthetic
 // leaves).
-func NewCluster(cfg ClusterConfig, executors []serving.Executor) *Cluster {
+func NewCluster(cfg ClusterConfig, executors []Executor) *Cluster {
 	return serving.NewCluster(cfg, executors)
 }
 
@@ -328,9 +328,9 @@ type ClusterMetrics = serving.Metrics
 // fault injection for degradation studies.
 type FaultyExecutor = serving.FaultyExecutor
 
-// BufferedExecutor is the allocation-free leaf interface the fleet load
-// engine drives (results written into caller buffers).
-type BufferedExecutor = serving.BufferedExecutor
+// Executor is the leaf interface the serving tree drives: one call that
+// writes a shard's top-k into caller buffers.
+type Executor = serving.Executor
 
 // LoadStats summarizes a load-generation run.
 type LoadStats = serving.LoadStats
