@@ -39,11 +39,13 @@ race:
 	$(GO) test -race ./...
 
 # alloc-check runs the AllocsPerRun == 0 oracles for the //lint:hot kernels
+# and the capture path's allocation law (TestCaptureAllocLaw: a recording
+# allocates what it keeps, so no event buffer is regrown and re-copied)
 # WITHOUT -race (race instrumentation allocates, so the tests build-tag
 # themselves out of `make race`). This is the dynamic backstop for the
 # static hotalloc analyzer.
 alloc-check:
-	$(GO) test -run ZeroAlloc ./internal/cache ./internal/trace ./internal/workload ./internal/mem ./internal/serving
+	$(GO) test -run 'ZeroAlloc|AllocLaw' ./internal/cache ./internal/trace ./internal/workload ./internal/mem ./internal/serving
 
 # obs-demo exercises the observability stack end to end: the fleetprof
 # experiment at fast scale with distributed-trace and metrics-registry

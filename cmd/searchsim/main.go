@@ -205,8 +205,8 @@ func printStoreSummary(ctx *experiments.Context) {
 		if st.SpilledBytes > 0 {
 			loc = "spilled"
 		}
-		fmt.Fprintf(os.Stderr, "#   %-16s %d recordings, %d accesses, %d bytes stored (%s)\n",
-			key, st.Recordings, st.Accesses, st.StoredBytes, loc)
+		fmt.Fprintf(os.Stderr, "#   %-16s %d recordings, %d accesses, %d bytes stored (%s), %d bytes of branch log (ram)\n",
+			key, st.Recordings, st.Accesses, st.StoredBytes, loc, st.BranchBytes)
 	}
 	mem := obs.NewRegistry()
 	experiments.MemGauges(mem)

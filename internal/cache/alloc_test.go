@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"searchmem/internal/det"
-	"searchmem/internal/trace"
 )
 
 // requireZeroAllocs runs f through testing.AllocsPerRun (which performs one
@@ -62,7 +61,7 @@ func TestHierarchyAccessBatchZeroAlloc(t *testing.T) {
 // flat recording handed out window by window and replayed through a
 // hierarchy, with and without an L4.
 func TestHierarchyDrainBatchZeroAlloc(t *testing.T) {
-	v := trace.NewShared(batchEquivTrace(13, 20_000, 2)).View()
+	v := flatRecording(batchEquivTrace(13, 20_000, 2)).View()
 	for name, l4 := range map[string]*Config{"no-l4": nil, "l4": {Size: 32 << 10, BlockSize: 64, Assoc: 4}} {
 		h := NewHierarchy(tinyHierarchy(2, l4))
 		requireZeroAllocs(t, "drain/"+name, func() {

@@ -27,6 +27,16 @@ func drainBatch(h *Hierarchy, bs trace.BatchStream) {
 	}
 }
 
+// flatRecording builds the flat chunked store over accs, the way a Replayer
+// captures it.
+func flatRecording(accs []trace.Access) *trace.Shared {
+	w := trace.NewSharedWriter()
+	for _, a := range accs {
+		w.Add(a)
+	}
+	return w.Finish()
+}
+
 // batchEquivTrace generates a seeded access pattern with hot, warm and cold
 // regions so the hierarchy sees hits at every level, evictions, dirty
 // writebacks, instruction fetches and unaligned multi-block accesses.

@@ -280,7 +280,7 @@ func TestHierarchyDrain(t *testing.T) {
 		{Addr: 0, Size: 8, Seg: trace.Heap, Kind: trace.Read},
 		{Addr: 0, Size: 8, Seg: trace.Heap, Kind: trace.Read},
 	}
-	drainBatch(h, trace.NewShared(accs).View())
+	drainBatch(h, flatRecording(accs).View())
 	if h.L1DStats().Accesses() != 2 {
 		t.Fatal("drain did not process all accesses")
 	}

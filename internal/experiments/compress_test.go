@@ -96,8 +96,10 @@ func TestReportTraceStoresDeterministic(t *testing.T) {
 			t.Fatalf("export: %v", err)
 		}
 		s := b.String()
-		if !strings.Contains(s, "trace_store_bytes") {
-			t.Fatalf("snapshot missing trace_store_bytes gauge:\n%s", s)
+		for _, g := range []string{"trace_store_bytes", "trace_store_branch_bytes"} {
+			if !strings.Contains(s, g) {
+				t.Fatalf("snapshot missing %s gauge:\n%s", g, s)
+			}
 		}
 		return s
 	}

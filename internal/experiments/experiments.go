@@ -262,8 +262,10 @@ func (c *Context) TraceStores() map[string]workload.StoreStats {
 }
 
 // ReportTraceStores publishes per-runner recording-storage gauges into reg:
-// trace_store_accesses, trace_store_bytes, and trace_store_spilled_bytes,
-// labeled runner=<cache key>. The values are pure functions of the recorded
+// trace_store_accesses, trace_store_bytes, trace_store_spilled_bytes, and
+// trace_store_branch_bytes (the branch logs, resident under every store and
+// not part of trace_store_bytes), labeled runner=<cache key>. The values are
+// pure functions of the recorded
 // streams, so a registry holding only these stays byte-deterministic for a
 // fixed seed. Process-memory high-water gauges (nondeterministic) are
 // deliberately separate — see MemGauges.
@@ -278,6 +280,7 @@ func (c *Context) ReportTraceStores(reg *obs.Registry) {
 		reg.Gauge("trace_store_accesses", l).Set(float64(st.Accesses))
 		reg.Gauge("trace_store_bytes", l).Set(float64(st.StoredBytes))
 		reg.Gauge("trace_store_spilled_bytes", l).Set(float64(st.SpilledBytes))
+		reg.Gauge("trace_store_branch_bytes", l).Set(float64(st.BranchBytes))
 	}
 }
 

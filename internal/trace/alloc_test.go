@@ -40,7 +40,7 @@ func drainAll(cur Cursor) int {
 // TestViewNextBatchZeroAlloc pins the flat zero-copy window path.
 func TestViewNextBatchZeroAlloc(t *testing.T) {
 	in := blockTestTrace(31, 30_000)
-	v := NewShared(in).View()
+	v := newShared(in).View()
 	got := 0
 	requireZeroAllocs(t, "flat view", func() {
 		got = drainAll(v)

@@ -34,18 +34,25 @@ import (
 // spill-to-disk and Rewind cheap (no chain state survives a block).
 type Compressed struct {
 	blocks   []blockMeta
-	buf      []byte      // concatenated block bytes (in-memory store)
-	spill    io.ReaderAt // block bytes live here instead when spilled
+	spill    io.ReaderAt // block bytes live here when spilled, else in blocks[i].data
 	n        int
 	blockLen int
 }
 
-// blockMeta locates one independently decodable block.
+// blockMeta locates one independently decodable block: size bytes at off in
+// the spill file, or data in memory.
 type blockMeta struct {
 	off   int64
 	size  int32
 	count int32
+	data  []byte
 }
+
+// memChunkLen is the allocation unit of in-memory block bytes. A sealed
+// block is copied once into the open chunk and never straddles two, so
+// recording re-copies nothing as it lengthens and a chunk's tail wastes less
+// than one block (~2 % at DefaultBlockLen).
+const memChunkLen = 1 << 20
 
 // DefaultBlockLen is the number of accesses per compressed block: equal to
 // DefaultBatchSize so one decoded block feeds the batched kernels as one
@@ -67,13 +74,14 @@ type SpillFile interface {
 }
 
 // BlockWriter incrementally compresses an access stream into blocks. With a
-// nil spill the encoded blocks accumulate in memory (still ~4-8x smaller
-// than flat storage); with a SpillFile each finished block is written out
-// immediately and the writer's footprint is one encoding block.
+// nil spill the encoded blocks accumulate in memory, in memChunkLen chunks
+// (still ~4-8x smaller than flat storage); with a SpillFile each finished
+// block is written out immediately and the writer's footprint is one
+// encoding block.
 type BlockWriter struct {
 	blockLen int
 	spill    SpillFile
-	buf      []byte
+	mem      []byte // open chunk of sealed in-memory blocks (nil when spilling)
 	cur      []byte
 	curCount int
 	blocks   []blockMeta
@@ -136,7 +144,11 @@ func (w *BlockWriter) flushBlock() error {
 			return w.err
 		}
 	} else {
-		w.buf = append(w.buf, w.cur...)
+		if len(w.cur) > cap(w.mem)-len(w.mem) {
+			w.mem = make([]byte, 0, max(memChunkLen, len(w.cur)))
+		}
+		w.mem = append(w.mem, w.cur...)
+		bm.data = w.mem[len(w.mem)-len(w.cur) : len(w.mem) : len(w.mem)]
 	}
 	w.off += int64(len(w.cur))
 	w.blocks = append(w.blocks, bm)
@@ -157,10 +169,9 @@ func (w *BlockWriter) Finish() (*Compressed, error) {
 	if err := w.flushBlock(); err != nil {
 		return nil, err
 	}
-	c := &Compressed{blocks: w.blocks, buf: w.buf, n: w.n, blockLen: w.blockLen}
+	c := &Compressed{blocks: w.blocks, n: w.n, blockLen: w.blockLen}
 	if w.spill != nil {
 		c.spill = w.spill
-		c.buf = nil
 	}
 	return c, nil
 }
@@ -279,7 +290,7 @@ func (v *CompressedView) decodeBlock() bool {
 		}
 		data = v.rbuf
 	} else {
-		data = v.c.buf[bm.off : bm.off+int64(bm.size)]
+		data = bm.data
 	}
 	v.block++
 	for i := range v.chain {

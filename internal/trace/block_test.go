@@ -98,6 +98,31 @@ func TestCompressedRoundTripIdentity(t *testing.T) {
 	}
 }
 
+// TestCompressedMemChunkEdges records enough in-memory block bytes to fill
+// several memChunkLen chunks, and one block larger than a chunk: every block
+// decodes from its own clipped slice of a chunk, whichever chunk it landed in.
+func TestCompressedMemChunkEdges(t *testing.T) {
+	in := blockTestTrace(17, 400_000)
+	for _, blockLen := range []int{DefaultBlockLen, len(in)} {
+		c, err := Compress(in, blockLen)
+		if err != nil {
+			t.Fatalf("blockLen %d: %v", blockLen, err)
+		}
+		if blockLen == DefaultBlockLen && c.StoredBytes() < 2*memChunkLen {
+			t.Fatalf("trace encodes to %d B, too short to cross a chunk edge", c.StoredBytes())
+		}
+		if blockLen == len(in) && int(c.blocks[0].size) <= memChunkLen {
+			t.Fatalf("whole-trace block is %d B, not larger than a chunk", c.blocks[0].size)
+		}
+		for i, bm := range c.blocks {
+			if len(bm.data) != int(bm.size) || cap(bm.data) != len(bm.data) {
+				t.Fatalf("blockLen %d: block %d holds len %d cap %d for size %d", blockLen, i, len(bm.data), cap(bm.data), bm.size)
+			}
+		}
+		requireEqual(t, drainBatched(c.Cursor()), in, fmt.Sprintf("chunked blockLen=%d", blockLen))
+	}
+}
+
 // TestCompressedSpillRoundTrip exercises the spill-to-disk path end to end
 // through a real file: identity decode, concurrent-safe offset reads, and
 // bounded writer state.
@@ -158,7 +183,7 @@ func TestCompressedCompression(t *testing.T) {
 	if perAccess > 4.25 {
 		t.Fatalf("sequential trace uses %.2f bytes/access, want <= 4.25", perAccess)
 	}
-	flat := NewShared(append([]Access(nil), in...))
+	flat := newShared(append([]Access(nil), in...))
 	if float64(c.StoredBytes()) > float64(flat.StoredBytes())/3.5 {
 		t.Fatalf("compressed %d B vs flat %d B: less than 3.5x win", c.StoredBytes(), flat.StoredBytes())
 	}
@@ -202,15 +227,17 @@ func TestCompressedCorruptBlocks(t *testing.T) {
 	corrupt := func(mutate func(d *Compressed)) error {
 		d := &Compressed{
 			blocks:   append([]blockMeta(nil), c.blocks...),
-			buf:      append([]byte(nil), c.buf...),
 			n:        c.n,
 			blockLen: c.blockLen,
+		}
+		for i := range d.blocks {
+			d.blocks[i].data = append([]byte(nil), d.blocks[i].data...)
 		}
 		mutate(d)
 		return drain(d)
 	}
 
-	if err := corrupt(func(d *Compressed) { d.blocks[2].size-- }); !errors.Is(err, ErrBadTrace) {
+	if err := corrupt(func(d *Compressed) { b := &d.blocks[2]; b.data = b.data[:len(b.data)-1] }); !errors.Is(err, ErrBadTrace) {
 		t.Fatalf("truncated block: err = %v, want ErrBadTrace", err)
 	}
 	if err := corrupt(func(d *Compressed) { d.blocks[0].count++ }); !errors.Is(err, ErrBadTrace) {
@@ -220,7 +247,7 @@ func TestCompressedCorruptBlocks(t *testing.T) {
 		t.Fatalf("trailing bytes: err = %v, want ErrBadTrace", err)
 	}
 	// An invalid kind (0b11) in the first meta byte of block 0.
-	if err := corrupt(func(d *Compressed) { d.buf[d.blocks[0].off] |= 0xc0 }); !errors.Is(err, ErrBadTrace) {
+	if err := corrupt(func(d *Compressed) { d.blocks[0].data[0] |= 0xc0 }); !errors.Is(err, ErrBadTrace) {
 		t.Fatalf("invalid kind: err = %v, want ErrBadTrace", err)
 	}
 }
@@ -291,7 +318,7 @@ func TestBlockWriterRejectsInvalid(t *testing.T) {
 func TestRecordingInterfaces(t *testing.T) {
 	in := blockTestTrace(13, 2_000)
 	var recs []Recording
-	sh := NewShared(append([]Access(nil), in...))
+	sh := newShared(append([]Access(nil), in...))
 	co, err := Compress(in, 256)
 	if err != nil {
 		t.Fatal(err)

@@ -107,9 +107,10 @@ func FuzzBlockDecode(f *testing.F) {
 		{Addr: 4096, Size: 64, Seg: Heap, Kind: Read, Thread: 200},
 		{Addr: 4160, Size: 64, Seg: Heap, Kind: Read, Thread: 200},
 	}, 0); err == nil {
-		f.Add(c.buf, uint16(2))
-		f.Add(c.buf, uint16(3))                // claims one more record than present
-		f.Add(c.buf[:len(c.buf)-1], uint16(2)) // truncated
+		buf := c.blocks[0].data
+		f.Add(buf, uint16(2))
+		f.Add(buf, uint16(3))              // claims one more record than present
+		f.Add(buf[:len(buf)-1], uint16(2)) // truncated
 	}
 	f.Add([]byte{}, uint16(0))                                         // empty block (decoder must skip, not panic)
 	f.Add([]byte{0x0f}, uint16(1))                                     // escape nibble, no thread byte
@@ -125,8 +126,7 @@ func FuzzBlockDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, count uint16) {
 		c := &Compressed{
-			blocks:   []blockMeta{{off: 0, size: int32(len(data)), count: int32(count)}},
-			buf:      data,
+			blocks:   []blockMeta{{size: int32(len(data)), count: int32(count), data: data}},
 			n:        int(count),
 			blockLen: DefaultBlockLen,
 		}

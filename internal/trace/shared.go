@@ -35,24 +35,63 @@ type Cursor interface {
 // configurations over the same leaf trace (the paper's own methodology: one
 // Pin capture, many simulator replays).
 //
-// Immutability contract: NewShared takes ownership of the slice; the caller
-// must not retain or mutate it afterwards. Shared itself never mutates the
-// buffer, so any number of Views may iterate it concurrently from different
-// goroutines without synchronization.
+// The trace is a list of chunks of DefaultBatchSize accesses (the last one
+// may be short), so capture writes every access once — no buffer is regrown
+// and re-copied as the recording lengthens — and a View's window is simply
+// the next chunk. A SharedWriter builds one; once Finish has returned it,
+// nothing mutates the chunks, so any number of Views may iterate them
+// concurrently from different goroutines without synchronization.
 type Shared struct {
-	accesses []Access
+	chunks [][]Access
+	n      int
 }
 
-// NewShared wraps accesses as an immutable shared trace. Ownership of the
-// slice transfers to the Shared; callers must drop their reference.
-func NewShared(accesses []Access) *Shared {
-	return &Shared{accesses: accesses}
+// SharedWriter fills a Shared one access at a time. It has the BlockWriter
+// shape (Add, Count, Finish), so the Replayer captures into either store
+// through one body.
+type SharedWriter struct {
+	chunks [][]Access
+	cur    []Access // the open chunk; full chunks move to chunks
+	n      int
+}
+
+// NewSharedWriter returns an empty writer. The first chunk is allocated by
+// the first Add, so an empty recording holds no memory.
+func NewSharedWriter() *SharedWriter { return &SharedWriter{} }
+
+// Add appends one access to the recording. It never fails; the error result
+// is BlockWriter's shape.
+func (w *SharedWriter) Add(a Access) error {
+	if len(w.cur) == cap(w.cur) {
+		w.seal()
+		w.cur = make([]Access, 0, DefaultBatchSize)
+	}
+	w.cur = append(w.cur, a)
+	w.n++
+	return nil
+}
+
+// seal moves the open chunk, if it holds anything, to the finished list.
+func (w *SharedWriter) seal() {
+	if len(w.cur) > 0 {
+		w.chunks = append(w.chunks, w.cur[:len(w.cur):len(w.cur)])
+	}
+}
+
+// Count returns the number of accesses added so far.
+func (w *SharedWriter) Count() int { return w.n }
+
+// Finish seals the final partial chunk and returns the immutable trace. The
+// writer must not be used afterwards.
+func (w *SharedWriter) Finish() *Shared {
+	w.seal()
+	return &Shared{chunks: w.chunks, n: w.n}
 }
 
 // Len returns the number of accesses in the trace.
-func (s *Shared) Len() int { return len(s.accesses) }
+func (s *Shared) Len() int { return s.n }
 
-// View returns a new rewindable cursor over the shared buffer. Creating a
+// View returns a new rewindable cursor over the shared chunks. Creating a
 // view is allocation-cheap (no copy); each view holds its own position, so
 // concurrent sweep points each take their own.
 func (s *Shared) View() *View { return &View{s: s} }
@@ -62,37 +101,33 @@ func (s *Shared) Cursor() Cursor { return s.View() }
 
 // StoredBytes implements Recording: the flat in-memory footprint.
 func (s *Shared) StoredBytes() int64 {
-	return int64(len(s.accesses)) * int64(unsafe.Sizeof(Access{}))
+	return int64(s.n) * int64(unsafe.Sizeof(Access{}))
 }
 
 // View is a cursor over a Shared trace. A View is not safe for concurrent
 // use, but distinct Views over the same Shared are independent.
 type View struct {
-	s   *Shared
-	pos int
+	s    *Shared
+	next int // index of the chunk the next NextBatch returns
 }
 
-// NextBatch implements BatchStream: a zero-copy window of up to
-// DefaultBatchSize accesses over the shared immutable buffer. No copy is
-// made; the BatchStream lifetime contract applies (callers must not mutate
-// or retain the window past the next call).
+// NextBatch implements BatchStream: the next chunk of the shared immutable
+// trace, up to DefaultBatchSize accesses. No copy is made; the BatchStream
+// lifetime contract applies (callers must not mutate or retain the window
+// past the next call).
 //
 //lint:hot
 func (v *View) NextBatch() []Access {
-	if v.pos >= len(v.s.accesses) {
+	if v.next >= len(v.s.chunks) {
 		return nil
 	}
-	end := v.pos + DefaultBatchSize
-	if end > len(v.s.accesses) {
-		end = len(v.s.accesses)
-	}
-	out := v.s.accesses[v.pos:end:end]
-	v.pos = end
+	out := v.s.chunks[v.next]
+	v.next++
 	return out
 }
 
 // Rewind resets the cursor to the beginning of the trace.
-func (v *View) Rewind() { v.pos = 0 }
+func (v *View) Rewind() { v.next = 0 }
 
 // Len returns the total number of accesses in the underlying trace.
-func (v *View) Len() int { return len(v.s.accesses) }
+func (v *View) Len() int { return v.s.n }

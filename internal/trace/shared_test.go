@@ -6,7 +6,7 @@ import (
 )
 
 func TestSharedViewBasics(t *testing.T) {
-	sh := NewShared([]Access{{Addr: 1}, {Addr: 2}, {Addr: 3}})
+	sh := newShared([]Access{{Addr: 1}, {Addr: 2}, {Addr: 3}})
 	if sh.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", sh.Len())
 	}
@@ -14,6 +14,15 @@ func TestSharedViewBasics(t *testing.T) {
 	if len(v) != 3 || v[0] != 1 || v[2] != 3 {
 		t.Fatalf("view yielded %v", v)
 	}
+}
+
+// newShared builds the flat store over accs through its one writer.
+func newShared(accs []Access) *Shared {
+	w := NewSharedWriter()
+	for _, a := range accs {
+		w.Add(a)
+	}
+	return w.Finish()
 }
 
 func v2addrs(s BatchStream) []uint64 {
@@ -27,7 +36,7 @@ func v2addrs(s BatchStream) []uint64 {
 }
 
 func TestSharedViewRewind(t *testing.T) {
-	sh := NewShared([]Access{{Addr: 1}, {Addr: 2}})
+	sh := newShared([]Access{{Addr: 1}, {Addr: 2}})
 	v := sh.View()
 	if v.Len() != 2 {
 		t.Fatalf("view Len = %d, want 2", v.Len())
@@ -44,7 +53,7 @@ func TestSharedViewRewind(t *testing.T) {
 }
 
 func TestSharedEmpty(t *testing.T) {
-	sh := NewShared(nil)
+	sh := newShared(nil)
 	if sh.Len() != 0 {
 		t.Fatalf("empty Len = %d", sh.Len())
 	}
@@ -61,7 +70,7 @@ func TestSharedConcurrentViews(t *testing.T) {
 	for i := range accs {
 		accs[i] = Access{Addr: uint64(i), Seg: Segment(i % NumSegments)}
 	}
-	sh := NewShared(accs)
+	sh := newShared(accs)
 	var wg sync.WaitGroup
 	errs := make([]string, 8)
 	for g := 0; g < 8; g++ {
@@ -80,6 +89,62 @@ func TestSharedConcurrentViews(t *testing.T) {
 	for g, e := range errs {
 		if e != "" {
 			t.Fatalf("goroutine %d observed out-of-order access %s", g, e)
+		}
+	}
+}
+
+// TestSharedChunkBoundaries walks the chunked store across its chunk edges:
+// every window is one whole chunk (never longer than DefaultBatchSize, never
+// straddling two), the windows concatenate to the input, Rewind repeats them
+// exactly, and independent views agree.
+func TestSharedChunkBoundaries(t *testing.T) {
+	const chunk = DefaultBatchSize
+	for _, n := range []int{0, 1, chunk - 1, chunk, chunk + 1, 3*chunk + 7} {
+		in := make([]Access, n)
+		for i := range in {
+			in[i] = Access{Addr: uint64(i) * 8, Size: 8, Seg: Segment(i % NumSegments), Thread: uint8(i % 5)}
+		}
+		w := NewSharedWriter()
+		for i, a := range in {
+			if w.Count() != i {
+				t.Fatalf("n=%d: Count = %d before access %d", n, w.Count(), i)
+			}
+			w.Add(a)
+		}
+		sh := w.Finish()
+		if sh.Len() != n || sh.StoredBytes() != int64(n)*16 {
+			t.Fatalf("n=%d: Len %d, StoredBytes %d", n, sh.Len(), sh.StoredBytes())
+		}
+		if want := (n + chunk - 1) / chunk; len(sh.chunks) != want {
+			t.Fatalf("n=%d: %d chunks, want %d", n, len(sh.chunks), want)
+		}
+		v, other := sh.View(), sh.View()
+		for pass := 0; pass < 2; pass++ {
+			pos := 0
+			for i := 0; ; i++ {
+				win := v.NextBatch()
+				if len(win) == 0 {
+					break
+				}
+				if len(win) > chunk || cap(win) != len(win) || &win[0] != &sh.chunks[i][0] {
+					t.Fatalf("n=%d pass %d: window %d (len %d, cap %d) is not chunk %d", n, pass, i, len(win), cap(win), i)
+				}
+				if pos+len(win) < n && len(win) != chunk {
+					t.Fatalf("n=%d pass %d: interior window %d holds %d accesses", n, pass, i, len(win))
+				}
+				ow := other.NextBatch()
+				for j, a := range win {
+					if a != in[pos+j] || ow[j] != a {
+						t.Fatalf("n=%d pass %d: access %d = %v / %v, want %v", n, pass, pos+j, a, ow[j], in[pos+j])
+					}
+				}
+				pos += len(win)
+			}
+			if pos != n || len(other.NextBatch()) != 0 {
+				t.Fatalf("n=%d pass %d: drained %d accesses", n, pass, pos)
+			}
+			v.Rewind()
+			other.Rewind()
 		}
 	}
 }

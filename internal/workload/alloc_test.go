@@ -12,6 +12,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 
 	"searchmem/internal/platform"
@@ -90,5 +91,56 @@ func TestMeasureReplaySteadyStateZeroAllocPerAccess(t *testing.T) {
 	// sub-window would add thousands.
 	if short, long := allocs(2_000), allocs(16_000); long > short+4 {
 		t.Errorf("Measure allocations grow with the trace: %.0f for 2k accesses, %.0f for 16k", short, long)
+	}
+}
+
+// bulkRunner emits accesses and a branch after every second one without
+// allocating, so what a Record of it allocates is the capture path's own.
+type bulkRunner struct{}
+
+func (bulkRunner) Name() string        { return "bulk" }
+func (bulkRunner) MemOverlap() float64 { return 0 }
+func (bulkRunner) Run(threads int, budget int64, seed uint64, sk Sinks) Stats {
+	for i := int64(0); i < budget; i++ {
+		sk.Access(trace.Access{Addr: seed<<40 + uint64(i)*64, Size: 8, Seg: trace.Heap, Kind: trace.Read, Thread: uint8(i % int64(threads))})
+		if i%2 == 1 {
+			sk.Branch(uint8(i%int64(threads)), uint64(i)*4, i%4 == 1)
+		}
+	}
+	return Stats{Instructions: budget * 3, Accesses: budget, Branches: budget / 2}
+}
+
+// TestCaptureAllocLaw is the allocation law of the capture path: recording
+// writes every event once, so the bytes a Record allocates are the bytes it
+// keeps in memory — within 10 %, plus one open chunk of each store — under
+// the flat, compressed and spilled stores. A store, branch log or block
+// buffer regrown by append copies itself ~5x over and fails this by a wide
+// margin.
+func TestCaptureAllocLaw(t *testing.T) {
+	const accesses = 1 << 20
+	for name, store := range storeCases(t) {
+		t.Run(name, func(t *testing.T) {
+			store.BlockLen = 0 // the deployed geometry
+			rep := NewReplayer(bulkRunner{})
+			rep.SetStore(store)
+			defer rep.Close()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rep.Record(4, accesses, 3)
+			runtime.ReadMemStats(&after)
+
+			st := rep.StoreStats()
+			if st.Accesses != accesses || st.BranchBytes != accesses/2*16 {
+				t.Fatalf("StoreStats = %+v", st)
+			}
+			resident := st.StoredBytes - st.SpilledBytes + st.BranchBytes
+			// One open chunk each: a flat chunk or the in-memory block chunk
+			// (the larger), and a branch-log chunk.
+			const chunks = 1<<20 + branchChunkLen*16
+			limit := resident + resident/10 + chunks
+			if got := int64(after.TotalAlloc - before.TotalAlloc); got > limit {
+				t.Errorf("recording allocated %d B to keep %d B resident (limit %d): an event buffer is being re-copied", got, resident, limit)
+			}
+		})
 	}
 }

@@ -82,10 +82,11 @@ type branchMemo struct {
 // predictors.
 //
 //lint:hot
-func observeBranches(preds []cpu.PredictorStats, coreOf *[256]uint8, branches []recordedBranch) {
-	for i := range branches {
-		b := &branches[i]
-		preds[coreOf[b.thread]].Observe(cpu.Branch{PC: b.pc, Taken: b.taken})
+func observeBranches(preds []cpu.PredictorStats, coreOf *[256]uint8, log *branchLog) {
+	for _, chunk := range log.chunks {
+		for _, b := range chunk {
+			preds[coreOf[b.thread()]].Observe(cpu.Branch{PC: b.pc, Taken: b.taken()})
+		}
 	}
 }
 
@@ -109,10 +110,10 @@ func (r *Replayer) branchCounts(k branchKey) []branchCounts {
 		preds := k.shape.newPredictors()
 		coreOf := k.shape.coreTable()
 		if k.warm.budget > 0 {
-			observeBranches(preds, &coreOf, r.record(k.warm).branches)
+			observeBranches(preds, &coreOf, &r.record(k.warm).branches)
 		}
 		zeroCounts(preds)
-		observeBranches(preds, &coreOf, r.record(k.main).branches)
+		observeBranches(preds, &coreOf, &r.record(k.main).branches)
 		m.counts = make([]branchCounts, len(preds))
 		for i, p := range preds {
 			m.counts[i] = branchCounts{Predictions: p.Predictions, Mispredicts: p.Mispredicts}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"searchmem/internal/cache"
 	"searchmem/internal/platform"
 	"searchmem/internal/trace"
 )
@@ -142,42 +143,82 @@ func TestMemoRecordsWarmupFirst(t *testing.T) {
 	}
 }
 
-// TestNilBranchSinkSameAccesses checks that dropping the Branch sink — what
-// every memoized measurement now does — leaves the delivered access sequence
-// exactly the recorded one.
+// TestNilBranchSinkSameAccesses checks that a replay nobody listens to for
+// branches — what every memoized measurement is, and the one that skips the
+// branch log and hands out the store's windows whole — is the replay with a
+// no-op Branch sink: the same access sequence, exactly the recorded one, in
+// batches of at most trace.DefaultBatchSize (block length 100000 makes the
+// store's window longer than that), and the same Measure Metrics field for
+// field, with and without an AccessObserver, which must then also see the
+// same (access, level) sequence.
 func TestNilBranchSinkSameAccesses(t *testing.T) {
-	for name, store := range storeCases(t) {
+	stores := storeCases(t)
+	for _, blockLen := range []int{1, 7, 8192, 100_000} {
+		stores[fmt.Sprintf("compressed-%d", blockLen)] = StoreConfig{Compress: true, BlockLen: blockLen}
+	}
+	const threads, budget, seed = 2, 60_000, 7
+	for name, store := range stores {
 		t.Run(name, func(t *testing.T) {
-			rep := NewReplayer(&scriptedRunner{})
+			rep := NewReplayer(SPECPerlbench().Build())
 			rep.SetStore(store)
-			collect := func(branch func(uint8, uint64, bool)) []string {
-				var out []string
-				rep.Run(3, 1000, 7, Sinks{
+			defer rep.Close()
+			collect := func(branch func(uint8, uint64, bool)) []trace.Access {
+				var out []trace.Access
+				rep.Run(threads, budget, seed, Sinks{
 					AccessBatch: func(b []trace.Access) {
-						for _, a := range b {
-							out = append(out, fmt.Sprint(a))
+						if len(b) == 0 || len(b) > trace.DefaultBatchSize {
+							t.Fatalf("batch of %d accesses", len(b))
 						}
+						out = append(out, b...)
 					},
 					Branch: branch,
 				})
 				return out
 			}
-			var recorded []string
-			rec, _ := rep.Trace(3, 1000, 7)
+			var recorded []trace.Access
+			rec, _ := rep.Trace(threads, budget, seed)
 			cur := rec.Cursor()
 			for b := cur.NextBatch(); len(b) > 0; b = cur.NextBatch() {
-				for _, a := range b {
-					recorded = append(recorded, fmt.Sprint(a))
-				}
+				recorded = append(recorded, b...)
 			}
-			if len(recorded) != 1000 {
-				t.Fatalf("recording holds %d accesses, want 1000", len(recorded))
+			if len(recorded) <= 2*trace.DefaultBatchSize {
+				t.Fatalf("recording holds %d accesses, too few to exercise the batch cap", len(recorded))
 			}
 			if got := collect(nil); !reflect.DeepEqual(got, recorded) {
 				t.Error("nil Branch sink: delivered accesses differ from the recording")
 			}
-			if got := collect(func(uint8, uint64, bool) {}); !reflect.DeepEqual(got, recorded) {
+			fired := 0
+			if got := collect(func(uint8, uint64, bool) { fired++ }); !reflect.DeepEqual(got, recorded) {
 				t.Error("with a Branch sink: delivered accesses differ from the recording")
+			}
+			if fired == 0 {
+				t.Fatal("degenerate stream: no branches")
+			}
+
+			type seen struct {
+				a   trace.Access
+				lvl cache.HitLevel
+			}
+			for _, observe := range []bool{false, true} {
+				var nilSeen, liveSeen []seen
+				mc := MeasureConfig{
+					Platform: platform.PLT1().ScaleCaches(16),
+					Cores:    threads, SMTWays: 1, Threads: threads,
+					Budget: budget, Seed: seed,
+				}
+				live := mc
+				live.BranchObserver = func(uint8, bool) {} // forces the Branch sink
+				if observe {
+					mc.AccessObserver = func(a trace.Access, lvl cache.HitLevel) { nilSeen = append(nilSeen, seen{a, lvl}) }
+					live.AccessObserver = func(a trace.Access, lvl cache.HitLevel) { liveSeen = append(liveSeen, seen{a, lvl}) }
+				}
+				got, want := Measure(rep, mc), Measure(rep, live)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("observer=%v: Metrics differ between a nil and a no-op Branch sink\n nil: %+v\nlive: %+v", observe, got, want)
+				}
+				if observe && (len(nilSeen) != len(recorded) || !reflect.DeepEqual(nilSeen, liveSeen)) {
+					t.Errorf("AccessObserver saw %d accesses without a Branch sink, %d with; recording holds %d", len(nilSeen), len(liveSeen), len(recorded))
+				}
 			}
 		})
 	}

@@ -26,7 +26,8 @@ import (
 // block-compressed (trace.Compressed, delta+varint, ~2-4 B/access, with
 // optional spill-to-disk of finished blocks) when SetStore enables
 // compression. Replayed streams are identical either way — only the storage
-// transport changes (see TestReplayerCompressedIdentical).
+// transport changes (see TestReplayerCompressedIdentical). The branch stream
+// is kept beside either store as a resident branchLog (16 B/branch).
 //
 // Concurrency and determinism contract:
 //   - Recording is serialized under a mutex; the inner runner only ever
@@ -85,7 +86,7 @@ type runKey struct {
 // recordedRun is one immutable captured execution.
 type recordedRun struct {
 	store    trace.Recording
-	branches []recordedBranch
+	branches branchLog
 	stats    Stats
 
 	// spare caches one replay cursor between replays. Sweeps replay the
@@ -117,14 +118,46 @@ func (rec *recordedRun) releaseCursor(cell *cursorCell) {
 }
 
 // recordedBranch is a branch event anchored to its position in the access
-// stream: it replays after `pos` accesses have been emitted, preserving the
-// recorded interleaving of the two event streams.
+// stream: it replays after pos accesses have been emitted, preserving the
+// recorded interleaving of the two event streams. meta packs
+// pos<<9 | thread<<1 | taken, which leaves pos 55 bits.
 type recordedBranch struct {
-	pc     uint64
-	pos    int64
-	thread uint8
-	taken  bool
+	pc   uint64
+	meta uint64
 }
+
+func (b recordedBranch) pos() int      { return int(b.meta >> 9) }
+func (b recordedBranch) thread() uint8 { return uint8(b.meta >> 1) }
+func (b recordedBranch) taken() bool   { return b.meta&1 != 0 }
+
+// branchChunkLen is the branch log's allocation unit (128 KiB of records).
+const branchChunkLen = 8192
+
+// branchLog is a recording's branch stream in capture order: append-only
+// chunks, so capture writes each record once and never re-copies the log as
+// it grows. Every chunk in the list is non-empty.
+type branchLog struct {
+	chunks [][]recordedBranch
+	n      int
+}
+
+// add appends one branch anchored after pos accesses.
+func (l *branchLog) add(pos int, thread uint8, pc uint64, taken bool) {
+	last := len(l.chunks) - 1
+	if last < 0 || len(l.chunks[last]) == branchChunkLen {
+		l.chunks = append(l.chunks, make([]recordedBranch, 0, branchChunkLen))
+		last++
+	}
+	meta := uint64(pos)<<9 | uint64(thread)<<1
+	if taken {
+		meta |= 1
+	}
+	l.chunks[last] = append(l.chunks[last], recordedBranch{pc: pc, meta: meta})
+	l.n++
+}
+
+// bytes returns the log's resident size.
+func (l *branchLog) bytes() int64 { return int64(l.n) * 16 }
 
 // NewReplayer wraps inner with a memoizing replay layer (flat storage; call
 // SetStore before the first recording to compress).
@@ -202,6 +235,9 @@ type StoreStats struct {
 	// SpilledBytes is the subset of StoredBytes resident in spill files
 	// rather than RAM.
 	SpilledBytes int64
+	// BranchBytes is what the recordings' branch logs occupy. It is not
+	// part of StoredBytes and stays in RAM under every store.
+	BranchBytes int64
 }
 
 // StoreStats reports the current recording storage footprint. Keys are
@@ -224,6 +260,7 @@ func (r *Replayer) StoreStats() StoreStats {
 		rec := r.runs[k]
 		st.Accesses += int64(rec.store.Len())
 		st.StoredBytes += rec.store.StoredBytes()
+		st.BranchBytes += rec.branches.bytes()
 		if c, ok := rec.store.(*trace.Compressed); ok && c.Spilled() {
 			st.SpilledBytes += c.StoredBytes()
 		}
@@ -240,9 +277,13 @@ func (r *Replayer) record(key runKey) *recordedRun {
 	if rec, ok := r.runs[key]; ok {
 		return rec
 	}
-	var branches []recordedBranch
-	var store trace.Recording
-	var st Stats
+	// One capture body for both stores: w takes the accesses, finish seals
+	// the store.
+	var w interface {
+		Add(trace.Access) error
+		Count() int
+	}
+	var finish func() (trace.Recording, error)
 	if r.store.Compress {
 		var spill trace.SpillFile
 		if r.store.SpillDir != "" {
@@ -257,39 +298,34 @@ func (r *Replayer) record(key runKey) *recordedRun {
 			spill = f
 		}
 		bw := trace.NewBlockWriter(r.store.BlockLen, spill)
-		var werr error
-		st = r.inner.Run(key.threads, key.budget, key.seed, Sinks{
-			Access: func(a trace.Access) {
-				if err := bw.Add(a); err != nil && werr == nil {
-					werr = err
-				}
-			},
-			Branch: func(thread uint8, pc uint64, taken bool) {
-				branches = append(branches, recordedBranch{pc: pc, pos: int64(bw.Count()), thread: thread, taken: taken})
-			},
-		})
-		c, err := bw.Finish()
-		if werr != nil {
-			err = werr
-		}
-		if err != nil {
-			// Runner access streams are always representable (the block
-			// codec accepts any Thread), so this is spill I/O failing —
-			// an environmental error the Runner interface cannot return.
-			panic(fmt.Sprintf("workload: recording %s: %v", r.inner.Name(), err))
-		}
-		store = c
+		w, finish = bw, func() (trace.Recording, error) { return bw.Finish() }
 	} else {
-		var accesses []trace.Access
-		st = r.inner.Run(key.threads, key.budget, key.seed, Sinks{
-			Access: func(a trace.Access) { accesses = append(accesses, a) },
-			Branch: func(thread uint8, pc uint64, taken bool) {
-				branches = append(branches, recordedBranch{pc: pc, pos: int64(len(accesses)), thread: thread, taken: taken})
-			},
-		})
-		store = trace.NewShared(accesses)
+		sw := trace.NewSharedWriter()
+		w, finish = sw, func() (trace.Recording, error) { return sw.Finish(), nil }
 	}
-	rec := &recordedRun{store: store, branches: branches, stats: st}
+	rec := &recordedRun{}
+	var werr error
+	rec.stats = r.inner.Run(key.threads, key.budget, key.seed, Sinks{
+		Access: func(a trace.Access) {
+			if err := w.Add(a); err != nil && werr == nil {
+				werr = err
+			}
+		},
+		Branch: func(thread uint8, pc uint64, taken bool) {
+			rec.branches.add(w.Count(), thread, pc, taken)
+		},
+	})
+	store, err := finish()
+	if werr != nil {
+		err = werr
+	}
+	if err != nil {
+		// Runner access streams are always representable (the block codec
+		// accepts any Thread), so this is spill I/O failing — an
+		// environmental error the Runner interface cannot return.
+		panic(fmt.Sprintf("workload: recording %s: %v", r.inner.Name(), err))
+	}
+	rec.store = store
 	r.runs[key] = rec
 	return rec
 }
@@ -297,30 +333,56 @@ func (r *Replayer) record(key runKey) *recordedRun {
 // replay emits the recorded streams into s in their captured interleaving.
 // It only reads immutable state, so concurrent replays need no locking.
 // There is one transport: read-only windows of the recording (zero-copy for
-// flat storage, a reused decode window for compressed), split exactly at
-// recorded branch anchors so a branch fires before the access it was
-// recorded ahead of, and capped at trace.DefaultBatchSize so consumers see
-// bounded batches regardless of the store's window geometry. Consumers
-// without an AccessBatch sink get each window one access at a time.
+// flat storage, a reused decode window for compressed), capped at
+// trace.DefaultBatchSize so consumers see bounded batches regardless of the
+// store's window geometry. With a Branch sink the windows are split exactly
+// at recorded branch anchors, so a branch fires before the access it was
+// recorded ahead of; without one nobody can observe the interleaving, the
+// branch log is not read and the store's windows go out whole (consumers
+// are batch-split invariant — see Sinks.AccessBatch). Consumers without an
+// AccessBatch sink get each window one access at a time.
 //
 //lint:hot
 func (rec *recordedRun) replay(s Sinks) {
 	cell := rec.acquireCursor()
 	defer rec.releaseCursor(cell)
 	cur := cell.cur
+	pos := 0
+	if s.Branch == nil {
+		for {
+			win := cur.NextBatch()
+			if len(win) == 0 {
+				rec.checkDrained(cur, pos)
+				return
+			}
+			s.deliver(win)
+			pos += len(win)
+		}
+	}
+	// chunk is the unread rest of the branch log's current chunk, held in a
+	// local so an anchor test costs one load; it is empty only once the whole
+	// log has fired.
+	chunks := rec.branches.chunks
+	var chunk []recordedBranch
 	n := rec.store.Len()
-	pos, bi := 0, 0
 	var win []trace.Access
 	winStart := 0
 	for {
 		// Branches anchored at the current access position fire first.
-		for bi < len(rec.branches) && rec.branches[bi].pos == int64(pos) {
-			b := rec.branches[bi]
-			if s.Branch != nil {
-				//lint:ignore hotalloc consumer-provided sink: the replay transport is zero-alloc, the sink's own cost belongs to the consumer (simulator sinks are //lint:hot-checked)
-				s.Branch(b.thread, b.pc, b.taken)
+		for {
+			if len(chunk) == 0 {
+				if len(chunks) == 0 {
+					break
+				}
+				chunk, chunks = chunks[0], chunks[1:]
 			}
-			bi++
+			b := chunk[0]
+			if b.pos() != pos {
+				break
+			}
+			//lint:ignore hotalloc consumer-provided sink: the replay transport is zero-alloc, the sink's own cost belongs to the consumer (simulator sinks are //lint:hot-checked)
+			s.Branch(b.thread(), b.pc, b.taken())
+			chunk = chunk[1:]
 		}
 		if pos >= n {
 			return
@@ -333,25 +395,33 @@ func (rec *recordedRun) replay(s Sinks) {
 				return
 			}
 		}
-		// Emit accesses up to the next branch anchor (or the window end),
-		// in sub-windows of at most DefaultBatchSize.
+		// Emit accesses up to the next branch anchor (or the window end).
 		end := winStart + len(win)
-		if bi < len(rec.branches) && int(rec.branches[bi].pos) < end {
-			end = int(rec.branches[bi].pos)
+		if len(chunk) > 0 && chunk[0].pos() < end {
+			end = chunk[0].pos()
 		}
-		for pos < end {
-			hi := min(pos+trace.DefaultBatchSize, end)
-			sub := win[pos-winStart : hi-winStart : hi-winStart]
-			if s.AccessBatch != nil {
+		s.deliver(win[pos-winStart : end-winStart])
+		pos = end
+	}
+}
+
+// deliver hands one read-only run of accesses to the access sink in
+// sub-windows of at most trace.DefaultBatchSize.
+//
+//lint:hot
+func (s *Sinks) deliver(run []trace.Access) {
+	for len(run) > 0 {
+		hi := min(trace.DefaultBatchSize, len(run))
+		sub := run[:hi:hi]
+		run = run[hi:]
+		if s.AccessBatch != nil {
+			//lint:ignore hotalloc consumer-provided sink: the replay transport is zero-alloc, the sink's own cost belongs to the consumer (simulator sinks are //lint:hot-checked)
+			s.AccessBatch(sub)
+		} else if s.Access != nil {
+			for _, a := range sub {
 				//lint:ignore hotalloc consumer-provided sink: the replay transport is zero-alloc, the sink's own cost belongs to the consumer (simulator sinks are //lint:hot-checked)
-				s.AccessBatch(sub)
-			} else if s.Access != nil {
-				for _, a := range sub {
-					//lint:ignore hotalloc consumer-provided sink: the replay transport is zero-alloc, the sink's own cost belongs to the consumer (simulator sinks are //lint:hot-checked)
-					s.Access(a)
-				}
+				s.Access(a)
 			}
-			pos = hi
 		}
 	}
 }

@@ -184,24 +184,78 @@ func replayEvents(t *testing.T, rep *Replayer, batched bool, threads int, budget
 	return out
 }
 
-// TestReplayerCompressedIdentical is the transport-equivalence proof at the
-// replay layer: a compressed Replayer (in-memory blocks, several block
-// geometries, and the spill-to-disk path) must emit exactly the event
-// stream a flat Replayer emits — scalar and batched, including the
-// access/branch interleaving.
-func TestReplayerCompressedIdentical(t *testing.T) {
-	const threads, budget, seed = 3, 500, 21
-	flat := NewReplayer(&scriptedRunner{})
-	wantScalar := replayEvents(t, flat, false, threads, budget, seed)
-	wantBatched := replayEvents(t, flat, true, threads, budget, seed)
-	if len(wantScalar) == 0 || len(wantScalar) != len(wantBatched) {
-		t.Fatalf("degenerate reference streams: %d scalar vs %d batched", len(wantScalar), len(wantBatched))
-	}
-	for i := range wantScalar {
-		if wantScalar[i] != wantBatched[i] {
-			t.Fatalf("flat scalar/batched diverge at %d", i)
+// edgeRunner emits a stream whose branch anchors sit on every boundary the
+// stores have: two branches before the first access (pos 0), one after every
+// access — so one lands exactly on each chunk edge of the flat store, the
+// branch log crosses its own chunk edges, and the last is trailing
+// (pos == Len()). A zero budget yields only the two leading branches.
+type edgeRunner struct{}
+
+func (edgeRunner) Name() string        { return "edge" }
+func (edgeRunner) MemOverlap() float64 { return 0 }
+func (edgeRunner) Run(threads int, budget int64, seed uint64, sk Sinks) Stats {
+	branches := int64(0)
+	branch := func(i int64) {
+		branches++
+		if sk.Branch != nil {
+			sk.Branch(uint8(i%int64(threads)), uint64(branches)*4, i%3 == 0)
 		}
 	}
+	branch(0)
+	branch(1)
+	for i := int64(0); i < budget; i++ {
+		if sk.Access != nil {
+			sk.Access(trace.Access{Addr: seed<<32 | uint64(i)*8, Size: 8, Seg: trace.Heap, Thread: uint8(i % int64(threads))})
+		}
+		branch(i)
+	}
+	return Stats{Instructions: budget * 4, Accesses: budget, Branches: branches}
+}
+
+// TestReplayerCompressedIdentical is the transport-equivalence proof at the
+// replay layer: a flat Replayer must emit exactly the event stream the
+// runner emits when driven directly — every branch before the access it
+// preceded, in recorded order — and a compressed Replayer (in-memory blocks,
+// several block geometries, and the spill-to-disk path) exactly what the
+// flat one does, scalar and batched. It holds for the scripted stream and
+// for edgeRunner streams whose lengths straddle the flat store's chunk edges.
+func TestReplayerCompressedIdentical(t *testing.T) {
+	const chunk = trace.DefaultBatchSize
+	type stream struct {
+		name   string
+		fresh  func() Runner
+		budget int64
+	}
+	streams := []stream{{"scripted", func() Runner { return &scriptedRunner{} }, 500}}
+	for _, n := range []int64{0, 1, chunk - 1, chunk, chunk + 1, 3*chunk + 7} {
+		streams = append(streams, stream{fmt.Sprintf("edge-%d", n), func() Runner { return edgeRunner{} }, n})
+	}
+	for _, st := range streams {
+		t.Run(st.name, func(t *testing.T) { testStoresIdentical(t, st.fresh, st.budget) })
+	}
+}
+
+func testStoresIdentical(t *testing.T, fresh func() Runner, budget int64) {
+	const threads, seed = 3, 21
+	requireSame := func(label string, got, want []event) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d events, want %d", label, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: event %d = %q, want %q", label, i, got[i].s, want[i].s)
+			}
+		}
+	}
+	var direct []event
+	fresh().Run(threads, budget, seed, captureSinks(&direct))
+	if len(direct) == 0 {
+		t.Fatal("degenerate reference stream")
+	}
+	flat := NewReplayer(fresh())
+	requireSame("flat scalar vs direct", replayEvents(t, flat, false, threads, budget, seed), direct)
+	requireSame("flat batched vs direct", replayEvents(t, flat, true, threads, budget, seed), direct)
 
 	cases := []StoreConfig{
 		{Compress: true},
@@ -211,40 +265,31 @@ func TestReplayerCompressedIdentical(t *testing.T) {
 	}
 	for _, cfg := range cases {
 		name := fmt.Sprintf("blockLen=%d", cfg.BlockLen)
-		rep := NewReplayer(&scriptedRunner{})
+		rep := NewReplayer(fresh())
 		rep.SetStore(cfg)
 		for pass := 0; pass < 2; pass++ { // second pass replays the memo
 			for _, batched := range []bool{false, true} {
 				got := replayEvents(t, rep, batched, threads, budget, seed)
-				if len(got) != len(wantScalar) {
-					t.Fatalf("%s batched=%v pass %d: %d events, want %d", name, batched, pass, len(got), len(wantScalar))
-				}
-				for i := range got {
-					if got[i] != wantScalar[i] {
-						t.Fatalf("%s batched=%v pass %d: event %d = %q, want %q", name, batched, pass, i, got[i].s, wantScalar[i].s)
-					}
-				}
+				requireSame(fmt.Sprintf("%s batched=%v pass %d", name, batched, pass), got, direct)
 			}
 		}
 		st := rep.StoreStats()
-		if st.Recordings != 1 || st.Accesses != budget || st.StoredBytes <= 0 {
+		if st.Recordings != 1 || st.Accesses != budget || (st.StoredBytes <= 0) != (budget == 0) {
 			t.Fatalf("%s: StoreStats = %+v", name, st)
 		}
 	}
 
 	// Spill-to-disk variant: same stream, bytes resident on disk.
-	rep := NewReplayer(&scriptedRunner{})
+	rep := NewReplayer(fresh())
 	rep.SetStore(StoreConfig{Compress: true, BlockLen: 64, SpillDir: t.TempDir()})
 	defer rep.Close()
-	got := replayEvents(t, rep, true, threads, budget, seed)
-	for i := range got {
-		if got[i] != wantScalar[i] {
-			t.Fatalf("spill: event %d = %q, want %q", i, got[i].s, wantScalar[i].s)
-		}
-	}
+	requireSame("spill", replayEvents(t, rep, true, threads, budget, seed), direct)
 	st := rep.StoreStats()
-	if st.SpilledBytes == 0 || st.SpilledBytes != st.StoredBytes {
+	if st.SpilledBytes != st.StoredBytes || (st.SpilledBytes == 0) != (budget == 0) {
 		t.Fatalf("spill: StoreStats = %+v, want all bytes spilled", st)
+	}
+	if want := flat.StoreStats().BranchBytes; st.BranchBytes != want || want <= 0 {
+		t.Fatalf("spill: BranchBytes = %d, flat %d: the branch log is resident under every store", st.BranchBytes, want)
 	}
 }
 

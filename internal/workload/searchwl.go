@@ -72,8 +72,7 @@ type SearchRunner struct {
 	sessions []*search.Session
 	walkers  []*codegen.Walker
 
-	// current per-thread capture state (valid during Run only)
-	capture  []trace.Access
+	// current capture state (valid during Run only)
 	branches *Sinks
 	curTid   uint8
 }
@@ -204,19 +203,20 @@ func (r *SearchRunner) Run(threads int, instrBudget int64, seed uint64, s Sinks)
 	r.branches = &s
 	defer func() { r.branches = nil; r.space.SetRecorder(nil) }()
 
-	// Capture one query's accesses into a buffer, then interleave.
-	runQuery := func(t int) ([]trace.Access, bool) {
+	// Capture one query's accesses into its thread's drained buffer, then
+	// interleave.
+	var buf []trace.Access
+	record := func(a trace.Access) { buf = append(buf, a) }
+	runQuery := func(t int, drained []trace.Access) ([]trace.Access, bool) {
 		sess := r.sessions[t]
 		if sess.Instructions()-startInstr[t] >= perThreadBudget {
 			return nil, false
 		}
-		r.capture = r.capture[:0]
+		buf = drained
 		r.curTid = uint8(t & 0x0f)
-		r.space.SetRecorder(func(a trace.Access) { r.capture = append(r.capture, a) })
+		r.space.SetRecorder(record)
 		sess.Execute(r.genTerms(qrngs[t], tsels[t], &histories[t]))
 		r.space.SetRecorder(nil)
-		buf := make([]trace.Access, len(r.capture))
-		copy(buf, r.capture)
 		return buf, true
 	}
 

@@ -76,7 +76,6 @@ type SyntheticRunner struct {
 
 	walkers  []*codegen.Walker
 	scanPos  []uint64
-	capture  []trace.Access
 	branches *Sinks
 	curTid   uint8
 }
@@ -150,14 +149,16 @@ func (r *SyntheticRunner) Run(threads int, instrBudget int64, seed uint64, s Sin
 	r.branches = &s
 	defer func() { r.branches = nil; r.space.SetRecorder(nil) }()
 
-	runChunk := func(t int) ([]trace.Access, bool) {
+	var buf []trace.Access
+	record := func(a trace.Access) { buf = append(buf, a) }
+	runChunk := func(t int, drained []trace.Access) ([]trace.Access, bool) {
 		w := r.walkers[t]
 		if w.Instructions-startInstr[t] >= perThread {
 			return nil, false
 		}
-		r.capture = r.capture[:0]
+		buf = drained
 		r.curTid = uint8(t & 0x0f)
-		r.space.SetRecorder(func(a trace.Access) { r.capture = append(r.capture, a) })
+		r.space.SetRecorder(record)
 		executed := w.Run(chunkInstrs)
 		// Issue the data accesses this chunk implies.
 		rng := rngs[t]
@@ -182,8 +183,6 @@ func (r *SyntheticRunner) Run(threads int, instrBudget int64, seed uint64, s Sin
 			r.heap.Touch(r.curTid, addr, r.wl.AccessBytes, kind)
 		}
 		r.space.SetRecorder(nil)
-		buf := make([]trace.Access, len(r.capture))
-		copy(buf, r.capture)
 		return buf, true
 	}
 

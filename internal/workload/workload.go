@@ -23,8 +23,10 @@ type Sinks struct {
 	// set both). Slices follow the trace.BatchStream contract — they may be
 	// zero-copy windows of a shared recording, must not be mutated, and are
 	// only valid until the sink returns. The relative order of accesses and
-	// Branch events is preserved exactly: batch boundaries are split at
-	// every recorded branch position.
+	// Branch events is preserved exactly: with a Branch sink set, batch
+	// boundaries are split at every recorded branch position. Where the
+	// boundaries fall is otherwise unspecified, so a consumer's result must
+	// not depend on it.
 	AccessBatch func(batch []trace.Access)
 	// Branch receives every resolved conditional branch with its thread.
 	Branch func(thread uint8, pc uint64, taken bool)
@@ -63,7 +65,9 @@ type Runner interface {
 
 // interleaver merges per-thread access buffers round-robin in fixed bursts,
 // modeling fine-grained concurrent execution of independent threads. refill
-// is called when a thread's buffer drains; it returns false when that
+// is called when a thread's buffer drains, with that drained buffer emptied
+// for reuse — so each thread's accesses are captured once, into one buffer
+// that lives for the run, and never copied; it returns false when that
 // thread has no more work.
 type interleaver struct {
 	burst   int
@@ -71,10 +75,10 @@ type interleaver struct {
 	pos     []int
 	done    []bool
 	emit    func(trace.Access)
-	refill  func(thread int) ([]trace.Access, bool)
+	refill  func(thread int, buf []trace.Access) ([]trace.Access, bool)
 }
 
-func newInterleaver(threads, burst int, emit func(trace.Access), refill func(int) ([]trace.Access, bool)) *interleaver {
+func newInterleaver(threads, burst int, emit func(trace.Access), refill func(int, []trace.Access) ([]trace.Access, bool)) *interleaver {
 	return &interleaver{
 		burst:   burst,
 		buffers: make([][]trace.Access, threads),
@@ -96,7 +100,7 @@ func (iv *interleaver) run() int64 {
 			}
 			for b := 0; b < iv.burst; {
 				if iv.pos[t] >= len(iv.buffers[t]) {
-					buf, ok := iv.refill(t)
+					buf, ok := iv.refill(t, iv.buffers[t][:0])
 					if !ok {
 						iv.done[t] = true
 						live--

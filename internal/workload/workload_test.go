@@ -24,12 +24,16 @@ func TestInterleaverRoundRobin(t *testing.T) {
 	served := map[int]int{0: 0, 1: 0}
 	var order []uint8
 	iv := newInterleaver(2, 2, func(a trace.Access) { order = append(order, a.Thread) },
-		func(th int) ([]trace.Access, bool) {
+		func(th int, drained []trace.Access) ([]trace.Access, bool) {
+			// A refill gets the thread's own drained buffer back, emptied.
+			if len(drained) != 0 || (served[th] > 0 && (cap(drained) < 3 || drained[:1][0].Thread != uint8(th))) {
+				t.Fatalf("thread %d refill %d handed len %d cap %d", th, served[th], len(drained), cap(drained))
+			}
 			if served[th] >= 2 {
 				return nil, false
 			}
 			served[th]++
-			return mk(uint8(th), 3), true
+			return append(drained, mk(uint8(th), 3)...), true
 		})
 	n := iv.run()
 	if n != 12 {
@@ -53,7 +57,7 @@ func TestInterleaverRoundRobin(t *testing.T) {
 }
 
 func TestInterleaverEmptyThread(t *testing.T) {
-	iv := newInterleaver(2, 4, nil, func(th int) ([]trace.Access, bool) {
+	iv := newInterleaver(2, 4, nil, func(int, []trace.Access) ([]trace.Access, bool) {
 		return nil, false
 	})
 	if n := iv.run(); n != 0 {
