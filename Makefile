@@ -56,14 +56,16 @@ obs-demo:
 # fuzz-smoke runs each fuzz target briefly (seed corpus plus
 # $(FUZZTIME) of coverage-guided exploration per target). The contract under
 # test: decoders never panic and fail only with ErrBadTrace; valid streams
-# round-trip identically through the file and block codecs. FuzzInverter
-# differential-fuzzes the index inverter against its map-based reference;
-# FuzzOwnerFilter does the same for the inclusive L3's core-valid filter
-# against probe-every-core back-invalidation.
+# round-trip identically through the file and block codecs, and branch
+# streams through the branch-log codec. FuzzInverter differential-fuzzes the
+# index inverter against its map-based reference; FuzzOwnerFilter does the
+# same for the inclusive L3's core-valid filter against probe-every-core
+# back-invalidation.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzFileCodecDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzBlockDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzBranchLogRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzInverter$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzOwnerFilter$$' -fuzztime $(FUZZTIME)
 

@@ -60,8 +60,7 @@ func run() (code int) {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 
-		traceCompress = flag.Bool("trace-compress", false, "store workload recordings block-compressed (bounded replay memory; output is byte-identical)")
-		traceSpill    = flag.String("trace-spill", "", "with -trace-compress, spill finished blocks to unlinked temp files in this directory (use e.g. /tmp; bounds recording RSS too)")
+		traceSpill = flag.String("trace-spill", "", "spill the recordings' compressed blocks to unlinked temp files in this directory instead of RAM (use e.g. /tmp; output is byte-identical)")
 
 		fleetClients = flag.Int("fleet-clients", 0, "modeled user population for the fleet sweeps (figF1/figF2; 0 = shrink-scaled default)")
 	)
@@ -110,16 +109,22 @@ func run() (code int) {
 	}
 	opts.Seed = *seed
 	opts.Parallel = *parallel
-	opts.TraceCompress = *traceCompress
 	opts.TraceSpillDir = *traceSpill
 	opts.FleetClients = *fleetClients
 	if *threads < 0 || *threads > 16 {
 		fmt.Fprintln(os.Stderr, "-threads must be in 0..16 (0 keeps the preset)")
 		return 2
 	}
-	if *traceSpill != "" && !*traceCompress {
-		fmt.Fprintln(os.Stderr, "-trace-spill requires -trace-compress")
-		return 2
+	if *traceSpill != "" {
+		// Recording has no error path, so a directory that cannot hold a
+		// spill file is found here and not as a panic mid-run.
+		f, err := os.CreateTemp(*traceSpill, "searchmem-trace-*.probe")
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "-trace-spill: %v\n", err)
+			return 2
+		}
+		f.Close()
+		os.Remove(f.Name())
 	}
 	if *fleetClients < 0 {
 		fmt.Fprintln(os.Stderr, "-fleet-clients must be non-negative")
@@ -168,7 +173,7 @@ func run() (code int) {
 		}
 	}
 
-	if *traceCompress {
+	if *verbose {
 		printStoreSummary(ctx)
 	}
 	if opts.Metrics != nil {
@@ -198,15 +203,15 @@ func run() (code int) {
 // never exported — the -metrics file stays byte-identical for a fixed seed.
 func printStoreSummary(ctx *experiments.Context) {
 	stores := ctx.TraceStores()
-	fmt.Fprintln(os.Stderr, "# trace stores (compressed):")
+	fmt.Fprintln(os.Stderr, "# trace stores:")
 	for _, key := range det.SortedKeys(stores) {
 		st := stores[key]
 		loc := "ram"
 		if st.SpilledBytes > 0 {
 			loc = "spilled"
 		}
-		fmt.Fprintf(os.Stderr, "#   %-16s %d recordings, %d accesses, %d bytes stored (%s), %d bytes of branch log (ram)\n",
-			key, st.Recordings, st.Accesses, st.StoredBytes, loc, st.BranchBytes)
+		fmt.Fprintf(os.Stderr, "#   %-16s %d recordings, %d accesses in %d bytes (%s), %d branches in %d bytes (ram)\n",
+			key, st.Recordings, st.Accesses, st.StoredBytes, loc, st.Branches, st.BranchBytes)
 	}
 	mem := obs.NewRegistry()
 	experiments.MemGauges(mem)

@@ -99,7 +99,8 @@ func TestProfilesWrittenOnErrorExit(t *testing.T) {
 
 // TestBadInvocationsFail: every misuse exits 2 with a message naming what
 // was wrong, before any experiment runs. The nine grid-restricting flags
-// removed with their Options fields must stay gone.
+// removed with their Options fields, and -trace-compress (recordings are
+// always compressed), must stay gone.
 func TestBadInvocationsFail(t *testing.T) {
 	type badCase struct {
 		args   []string
@@ -108,7 +109,7 @@ func TestBadInvocationsFail(t *testing.T) {
 	cases := []badCase{
 		{nil, "usage: searchsim"},
 		{[]string{"-fast", "no-such-experiment"}, `unknown experiment "no-such-experiment"`},
-		{[]string{"-fast", "-trace-spill", t.TempDir(), "table2"}, "-trace-spill requires -trace-compress"},
+		{[]string{"-fast", "-trace-spill", filepath.Join(t.TempDir(), "missing"), "fig6a"}, "-trace-spill: "},
 		{[]string{"-fast", "-fleet-clients", "-1", "table2"}, "-fleet-clients must be non-negative"},
 		{[]string{"-fast", "-threads", "-1", "table2"}, "-threads must be in 0..16"},
 		{[]string{"-fast", "-threads", "17", "table2"}, "-threads must be in 0..16"},
@@ -116,7 +117,7 @@ func TestBadInvocationsFail(t *testing.T) {
 	}
 	for _, gone := range []string{
 		"-tier-near", "-tier-policy", "-tier-epoch", "-policy", "-policy-level",
-		"-pred-bits", "-pred-conf", "-fleet-scenario", "-trace-block",
+		"-pred-bits", "-pred-conf", "-fleet-scenario", "-trace-block", "-trace-compress",
 	} {
 		cases = append(cases, badCase{[]string{"-fast", gone, "1", "table2"}, "flag provided but not defined: " + gone})
 	}

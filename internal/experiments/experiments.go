@@ -35,14 +35,11 @@ type Options struct {
 	// Rendered output is byte-identical to a serial run; only wall-clock and
 	// the interleaving of Logf progress lines change.
 	Parallel bool
-	// TraceCompress stores workload recordings block-compressed
-	// (delta+varint blocks, trace.Compressed) instead of flat, so replay
-	// memory stays bounded at paper-scale traces. Rendered output is
-	// byte-identical to flat storage (see DESIGN.md §9).
-	TraceCompress bool
-	// TraceSpillDir, when non-empty (and TraceCompress is set), spills
-	// finished compressed blocks to unlinked temp files in this directory,
-	// bounding even the recording phase's RSS to one encoding block.
+	// TraceSpillDir, when non-empty, spills the recordings' finished
+	// compressed blocks to unlinked temp files in this directory instead of
+	// keeping them in RAM, bounding even the recording phase's RSS to one
+	// encoding block. Rendered output is byte-identical either way (see
+	// DESIGN.md §9).
 	TraceSpillDir string
 	// FleetClients, when positive, overrides the modeled user population
 	// of the fleet-scale sweeps (figF1/figF2; cmd/searchsim -fleet-clients).
@@ -230,7 +227,9 @@ func (c *Context) buildRunner(wl workload.SearchWorkload) *workload.SearchRunner
 }
 
 // runner builds (or returns the cached) replay-wrapped runner for a search
-// profile.
+// profile. A Context's recordings are always block-compressed: across a
+// session the decode costs less than the page faults of the flat store, at
+// under a quarter of the bytes.
 func (c *Context) runner(key string, wl workload.SearchWorkload) *workload.Replayer {
 	c.rc.mu.Lock()
 	defer c.rc.mu.Unlock()
@@ -239,12 +238,7 @@ func (c *Context) runner(key string, wl workload.SearchWorkload) *workload.Repla
 	}
 	c.Opts.logf("building workload %s (shrink %d)...", key, c.Opts.Shrink)
 	r := workload.NewReplayer(c.buildRunner(wl))
-	if c.Opts.TraceCompress {
-		r.SetStore(workload.StoreConfig{
-			Compress: true,
-			SpillDir: c.Opts.TraceSpillDir,
-		})
-	}
+	r.SetStore(workload.StoreConfig{Compress: true, SpillDir: c.Opts.TraceSpillDir})
 	c.rc.m[key] = r
 	return r
 }
@@ -263,12 +257,12 @@ func (c *Context) TraceStores() map[string]workload.StoreStats {
 
 // ReportTraceStores publishes per-runner recording-storage gauges into reg:
 // trace_store_accesses, trace_store_bytes, trace_store_spilled_bytes, and
-// trace_store_branch_bytes (the branch logs, resident under every store and
-// not part of trace_store_bytes), labeled runner=<cache key>. The values are
-// pure functions of the recorded
-// streams, so a registry holding only these stays byte-deterministic for a
-// fixed seed. Process-memory high-water gauges (nondeterministic) are
-// deliberately separate — see MemGauges.
+// trace_store_branch_bytes (the branch logs as encoded, resident under every
+// store and not part of trace_store_bytes), labeled runner=<cache key>. The
+// values are pure functions of the recorded streams, so a registry holding
+// only these stays byte-deterministic for a fixed seed. Process-memory
+// high-water gauges (nondeterministic) are deliberately separate — see
+// MemGauges.
 func (c *Context) ReportTraceStores(reg *obs.Registry) {
 	if reg == nil {
 		return

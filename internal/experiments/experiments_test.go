@@ -138,7 +138,11 @@ var renderDigests = map[string]string{
 // TestAllExperimentsFast runs every registered experiment at fast scale and
 // checks that it renders without error and, on amd64, to the pinned bytes
 // (other architectures may fuse multiply-adds and move low digits). This is
-// the end-to-end test of the whole reproduction pipeline.
+// the end-to-end test of the whole reproduction pipeline. It ends on the
+// session's trace-storage cost, a deterministic count standing guard for
+// what the benchmark's peak RSS measures: everything the suite recorded,
+// accesses and branch logs together, is held in at most 6 B per access
+// (5.2 when written; 24.9 with flat accesses and 16-byte branch records).
 func TestAllExperimentsFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
@@ -167,6 +171,15 @@ func TestAllExperimentsFast(t *testing.T) {
 	}
 	if len(renderDigests) != len(All()) {
 		t.Errorf("renderDigests pins %d experiments, registry has %d", len(renderDigests), len(All()))
+	}
+	var accesses, held int64
+	for _, st := range ctx.TraceStores() {
+		accesses += st.Accesses
+		held += st.StoredBytes + st.BranchBytes
+	}
+	if accesses == 0 || held > 6*accesses {
+		t.Errorf("the suite holds %d recorded accesses in %d bytes (%.1f B/access), want at most 6 B/access",
+			accesses, held, float64(held)/float64(max(accesses, 1)))
 	}
 }
 

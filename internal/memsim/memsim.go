@@ -83,11 +83,27 @@ func (s *Space) NewArena(name string, seg trace.Segment, size int) *Arena {
 	if size <= 0 {
 		panic(fmt.Sprintf("memsim: arena %q size must be positive", name))
 	}
-	base := s.next[seg]
-	s.next[seg] = base + uint64(size)
-	a := &Arena{name: name, seg: seg, base: base, buf: make([]byte, size), space: s}
+	return s.carve(&Arena{name: name, seg: seg, buf: make([]byte, size)}, uint64(size))
+}
+
+// carve places a at the next free address of its segment's region.
+func (s *Space) carve(a *Arena, size uint64) *Arena {
+	a.base, a.space = s.next[a.seg], s
+	s.next[a.seg] += size
 	s.arenas = append(s.arenas, a)
 	return a
+}
+
+// NewArenaOver carves an arena out of seg's region, at the address NewArena
+// would have given it, backed by the caller's bytes instead of a copy of
+// them. The bytes are shared — any number of arenas, in any number of spaces,
+// may lie over one buffer at once — so the arena is read-only: reads and
+// Touch record as on any arena, every write entry point panics.
+func (s *Space) NewArenaOver(name string, seg trace.Segment, buf []byte) *Arena {
+	if len(buf) == 0 {
+		panic(fmt.Sprintf("memsim: arena %q size must be positive", name))
+	}
+	return s.carve(&Arena{name: name, seg: seg, buf: buf, readOnly: true}, uint64(len(buf)))
 }
 
 // NewPhantomArena carves an arena that records accesses but has no backing
@@ -98,11 +114,7 @@ func (s *Space) NewPhantomArena(name string, seg trace.Segment, size int64) *Are
 	if size <= 0 {
 		panic(fmt.Sprintf("memsim: phantom arena %q size must be positive", name))
 	}
-	base := s.next[seg]
-	s.next[seg] = base + uint64(size)
-	a := &Arena{name: name, seg: seg, base: base, phantomSize: size, space: s}
-	s.arenas = append(s.arenas, a)
-	return a
+	return s.carve(&Arena{name: name, seg: seg, phantomSize: size}, uint64(size))
 }
 
 // ThreadStackArena returns a small backed arena inside thread's stack
@@ -143,6 +155,7 @@ type Arena struct {
 	used        uint64
 	buf         []byte
 	phantomSize int64 // non-zero for unbacked (phantom) arenas
+	readOnly    bool  // buf is the caller's (NewArenaOver): never written
 	space       *Space
 }
 
@@ -202,6 +215,15 @@ func (a *Arena) data() []byte {
 	return a.buf
 }
 
+// writable returns the backing buffer for a write, panicking for arenas laid
+// over bytes they do not own.
+func (a *Arena) writable() []byte {
+	if a.readOnly {
+		panic(fmt.Sprintf("memsim: %s: write to a read-only arena", a.name))
+	}
+	return a.data()
+}
+
 // Touch records an access without transferring data (used for modeled
 // structures whose contents are irrelevant, e.g. stack frames).
 func (a *Arena) Touch(thread uint8, addr uint64, n int, kind trace.Kind) {
@@ -233,15 +255,17 @@ func (a *Arena) ReadU64(thread uint8, addr uint64) uint64 {
 // WriteU32 writes a little-endian uint32.
 func (a *Arena) WriteU32(thread uint8, addr uint64, v uint32) {
 	o := a.off(addr, 4)
+	buf := a.writable()
 	a.space.record(trace.Access{Addr: addr, Size: 4, Seg: a.seg, Kind: trace.Write, Thread: thread})
-	binary.LittleEndian.PutUint32(a.data()[o:], v)
+	binary.LittleEndian.PutUint32(buf[o:], v)
 }
 
 // WriteU64 writes a little-endian uint64.
 func (a *Arena) WriteU64(thread uint8, addr uint64, v uint64) {
 	o := a.off(addr, 8)
+	buf := a.writable()
 	a.space.record(trace.Access{Addr: addr, Size: 8, Seg: a.seg, Kind: trace.Write, Thread: thread})
-	binary.LittleEndian.PutUint64(a.data()[o:], v)
+	binary.LittleEndian.PutUint64(buf[o:], v)
 }
 
 // ReadUvarint decodes a varint at addr, recording one access covering the
@@ -261,7 +285,7 @@ func (a *Arena) ReadUvarint(thread uint8, addr uint64) (uint64, int) {
 // serialization; steady-state reads are what get traced).
 func (a *Arena) WriteRaw(addr uint64, data []byte) {
 	o := a.off(addr, len(data))
-	copy(a.data()[o:], data)
+	copy(a.writable()[o:], data)
 }
 
 // ReadRaw returns a view of n bytes without recording.

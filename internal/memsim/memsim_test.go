@@ -1,6 +1,8 @@
 package memsim
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"searchmem/internal/trace"
@@ -215,4 +217,79 @@ func TestBadArenaPanics(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// TestArenaOverIsReadOnlyAndRecordsAlike: an arena laid over the caller's
+// bytes sits where NewArena would have put it, serves every read and Touch
+// with exactly the accesses a NewArena holding a copy of the bytes records,
+// accounts Alloc the same — and panics on every write entry point, leaving
+// the shared bytes and the recording untouched.
+func TestArenaOverIsReadOnlyAndRecordsAlike(t *testing.T) {
+	image := make([]byte, 64)
+	for i := range image {
+		image[i] = byte(i*7 + 1)
+	}
+	image[40], image[41] = 0xac, 0x02 // uvarint 300
+	pristine := append([]byte(nil), image...)
+
+	type read struct{ u8, u32, u64, uv, raw uint64 }
+	drive := func(s *Space, a *Arena) read {
+		s.NewArena("next", trace.Shard, 8) // the following arena lands after this one
+		base := a.Alloc(48, 8)
+		if base != a.Base() || a.Alloc(16, 8) != base+48 {
+			t.Fatalf("%s: Alloc does not walk the arena", a.name)
+		}
+		var r read
+		r.u8 = uint64(a.ReadU8(1, base+3))
+		r.u32 = uint64(a.ReadU32(2, base+8))
+		r.u64 = a.ReadU64(3, base+16)
+		r.uv, _ = a.ReadUvarint(4, base+40)
+		a.Touch(5, base+24, 16, trace.Read)
+		r.raw = uint64(a.ReadRaw(base+63, 1)[0])
+		return r
+	}
+
+	copySpace, copied := collectSpace()
+	ca := copySpace.NewArena("copy", trace.Shard, len(image))
+	ca.WriteRaw(ca.Base(), image)
+	want := drive(copySpace, ca)
+
+	overSpace, over := collectSpace()
+	oa := overSpace.NewArenaOver("over", trace.Shard, image)
+	if got := drive(overSpace, oa); got != want || want.uv != 300 {
+		t.Fatalf("reads over the image = %+v, from a copy %+v", got, want)
+	}
+	if oa.Base() != ca.Base() || oa.Size() != ca.Size() || oa.Used() != ca.Used() ||
+		overSpace.FootprintBytes(trace.Shard) != copySpace.FootprintBytes(trace.Shard) || overSpace.next != copySpace.next {
+		t.Fatal("an arena over the image is laid out or accounted differently from a copy")
+	}
+	if len(*over) != 5 || !slices.Equal(*over, *copied) {
+		t.Fatalf("recorded over the image: %v\nfrom a copy: %v", *over, *copied)
+	}
+
+	for name, write := range map[string]func(){
+		"WriteU32": func() { oa.WriteU32(0, oa.Base(), 1) },
+		"WriteU64": func() { oa.WriteU64(0, oa.Base(), 1) },
+		"WriteRaw": func() { oa.WriteRaw(oa.Base(), []byte{1}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on an arena over shared bytes did not panic", name)
+				}
+			}()
+			write()
+		}()
+	}
+	if !bytes.Equal(image, pristine) || len(*over) != 5 {
+		t.Fatal("a rejected write changed the shared bytes or was recorded")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("NewArenaOver accepted an empty buffer")
+			}
+		}()
+		overSpace.NewArenaOver("empty", trace.Shard, nil)
+	}()
 }

@@ -120,9 +120,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Engine is one serving instance: a private copy of an Index laid out in an
-// instrumented address space, plus the query cache and accumulator tables
-// its queries write. Query execution happens through Sessions.
+// Engine is one serving instance: an Index laid out in an instrumented
+// address space — the shard read in place, the heap sections copied beside
+// the query cache and accumulator tables its queries write. Query execution
+// happens through Sessions.
 type Engine struct {
 	cfg   Config
 	space *memsim.Space
@@ -157,9 +158,12 @@ type Index struct {
 	featureBytes int
 	avgDocLen    float64
 
-	// Shard arena contents.
-	postings []byte // per term: (docDelta, tf) uvarint pairs
-	content  []byte // per document: term-id uvarints
+	// Shard arena contents, which every engine reads in place: the posting
+	// lists (per term: (docDelta, tf) uvarint pairs) in the first
+	// postingBytes, then the document content (per document: term-id
+	// uvarints).
+	shard        []byte
+	postingBytes int
 	// Heap arena contents, in layout order.
 	dict    []byte // dictRecBytes per term
 	skips   []byte // skipRecBytes per SkipInterval postings of each term
@@ -205,27 +209,28 @@ func BuildIndex(cfg Config) (*Index, error) {
 	// with a skip entry every SkipInterval postings recording the byte
 	// offset and the restart document (the previous posting's doc, so
 	// delta decoding can resume mid-list).
-	x.postings = make([]byte, 0, postingBytes)
+	x.shard = make([]byte, 0, postingBytes+contentBytes)
+	x.postingBytes = postingBytes
 	x.skips = make([]byte, 0, skipRecs*skipRecBytes)
 	x.dict = make([]byte, vocab*dictRecBytes)
 	for t, list := range lists {
-		off := uint64(len(x.postings))
+		off := uint64(len(x.shard))
 		skipOff := uint64(len(x.skips))
 		prev := uint32(0)
 		for i, p := range list {
 			if i%SkipInterval == 0 {
-				x.skips = binary.LittleEndian.AppendUint64(x.skips, uint64(len(x.postings))-off)
+				x.skips = binary.LittleEndian.AppendUint64(x.skips, uint64(len(x.shard))-off)
 				x.skips = binary.LittleEndian.AppendUint32(x.skips, prev)
 				x.skips = binary.LittleEndian.AppendUint32(x.skips, 0)
 			}
-			x.postings = binary.AppendUvarint(x.postings, uint64(p.doc-prev))
-			x.postings = binary.AppendUvarint(x.postings, uint64(p.tf))
+			x.shard = binary.AppendUvarint(x.shard, uint64(p.doc-prev))
+			x.shard = binary.AppendUvarint(x.shard, uint64(p.tf))
 			prev = p.doc
 		}
 		rec := x.dict[t*dictRecBytes:]
 		binary.LittleEndian.PutUint64(rec, off)
 		binary.LittleEndian.PutUint32(rec[8:], uint32(len(list)))
-		binary.LittleEndian.PutUint32(rec[12:], uint32(uint64(len(x.postings))-off))
+		binary.LittleEndian.PutUint32(rec[12:], uint32(uint64(len(x.shard))-off))
 		binary.LittleEndian.PutUint64(rec[16:], skipOff)
 	}
 
@@ -233,18 +238,17 @@ func BuildIndex(cfg Config) (*Index, error) {
 	// quantized document-length norms: one byte per document, read on
 	// every posting scored (so it must stay cache-resident, as real
 	// engines arrange). dl is reconstructed as norm << 2.
-	x.content = make([]byte, 0, contentBytes)
 	x.meta = make([]byte, numDocs*metaRecBytes)
 	x.norms = make([]byte, numDocs)
 	for d := 0; d < numDocs; d++ {
 		doc := corpus.Doc(d)
-		off := uint64(len(x.content))
+		start := len(x.shard)
 		for _, term := range doc {
-			x.content = binary.AppendUvarint(x.content, uint64(term))
+			x.shard = binary.AppendUvarint(x.shard, uint64(term))
 		}
 		rec := x.meta[d*metaRecBytes:]
-		binary.LittleEndian.PutUint64(rec, off)
-		binary.LittleEndian.PutUint32(rec[8:], uint32(uint64(len(x.content))-off))
+		binary.LittleEndian.PutUint64(rec, uint64(start-postingBytes))
+		binary.LittleEndian.PutUint32(rec[8:], uint32(len(x.shard)-start))
 		binary.LittleEndian.PutUint32(rec[12:], uint32(len(doc)))
 		x.norms[d] = byte(QuantizedDocLen(len(doc)) >> 2)
 	}
@@ -268,10 +272,12 @@ func BuildIndex(cfg Config) (*Index, error) {
 	return x, nil
 }
 
-// NewEngine lays out an engine's arenas in space and copies idx into them.
-// Nothing mutable is shared with idx or with other engines built from it:
-// the query cache and the per-session accumulator tables are private
-// regions of this engine's heap arena. prog may be nil to skip
+// NewEngine lays out an engine's arenas in space. The shard arena lies over
+// idx's shard bytes, read-only, and is shared with every other engine built
+// from idx; the heap sections are copied, because the heap arena also holds
+// what queries write. Nothing mutable is shared with idx or with other
+// engines: the query cache and the per-session accumulator tables are
+// private regions of this engine's heap arena. prog may be nil to skip
 // instruction-side modeling. idx must have been built for cfg's Corpus and
 // FeatureBytes.
 func NewEngine(cfg Config, idx *Index, space *memsim.Space, prog *codegen.Program) (*Engine, error) {
@@ -289,17 +295,11 @@ func NewEngine(cfg Config, idx *Index, space *memsim.Space, prog *codegen.Progra
 		avgDocLen: idx.avgDocLen,
 		prog:      prog,
 	}
-	// place copies one section of the image to the arena's next free bytes.
-	place := func(a *memsim.Arena, data []byte, align int) uint64 {
-		addr := a.Alloc(len(data), align)
-		a.WriteRaw(addr, data)
-		return addr
-	}
-
-	// Lay out the shard arena: postings then content.
-	e.shard = space.NewArena("shard", trace.Shard, len(idx.postings)+len(idx.content))
-	e.postingsBase = place(e.shard, idx.postings, 0)
-	e.contentBase = place(e.shard, idx.content, 0)
+	// Lay out the shard arena over the image: postings then content, each
+	// still accounted as an allocation.
+	e.shard = space.NewArenaOver("shard", trace.Shard, idx.shard)
+	e.postingsBase = e.shard.Alloc(idx.postingBytes, 0)
+	e.contentBase = e.shard.Alloc(len(idx.shard)-idx.postingBytes, 0)
 
 	// Lay out the heap arena: dictionary, skip table, norms, static ranks,
 	// doc metadata, features, query cache, then per-session accumulator
@@ -309,12 +309,18 @@ func NewEngine(cfg Config, idx *Index, space *memsim.Space, prog *codegen.Progra
 	heapBytes := len(idx.dict) + len(idx.skips) + len(idx.meta) + len(idx.norms) + len(idx.statics) +
 		len(idx.feats) + cacheBytes + accumBytes + 64*cfg.MaxSessions
 	e.heap = space.NewArena("heap", trace.Heap, heapBytes)
-	e.dictBase = place(e.heap, idx.dict, 8)
-	e.skipBase = place(e.heap, idx.skips, 8)
-	e.normsBase = place(e.heap, idx.norms, 8)
-	e.staticBase = place(e.heap, idx.statics, 8)
-	e.metaBase = place(e.heap, idx.meta, 8)
-	e.featBase = place(e.heap, idx.feats, 8)
+	// place copies one section of the image to the heap's next free bytes.
+	place := func(data []byte) uint64 {
+		addr := e.heap.Alloc(len(data), 8)
+		e.heap.WriteRaw(addr, data)
+		return addr
+	}
+	e.dictBase = place(idx.dict)
+	e.skipBase = place(idx.skips)
+	e.normsBase = place(idx.norms)
+	e.staticBase = place(idx.statics)
+	e.metaBase = place(idx.meta)
+	e.featBase = place(idx.feats)
 	if cacheBytes > 0 {
 		e.cacheBase = e.heap.Alloc(cacheBytes, 8)
 	}

@@ -1,6 +1,8 @@
 package search
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -115,8 +117,9 @@ func oracleSearch(e *Engine, c *Corpus, terms []uint32) []uint32 {
 	return out
 }
 
-func TestExecuteMatchesOracle(t *testing.T) {
-	eng, corpus := buildTestEngine(t, nil)
+// oracleMismatch runs the oracle query set on a fresh session of eng and
+// describes the first disagreement with oracleSearch, "" when there is none.
+func oracleMismatch(eng *Engine, corpus *Corpus) string {
 	sess := eng.NewSession(0, nil)
 	sess.SkipCache = true
 	rng := stats.NewRNG(21)
@@ -128,19 +131,20 @@ func TestExecuteMatchesOracle(t *testing.T) {
 		}
 		got := sess.Execute(terms)
 		want := oracleSearch(eng, corpus, terms)
-		if len(got.Docs) != len(want) {
-			t.Fatalf("query %v: got %d docs, want %d\ngot:  %v\nwant: %v",
-				terms, len(got.Docs), len(want), got.Docs, want)
-		}
-		for i := range want {
-			if got.Docs[i] != want[i] {
-				t.Fatalf("query %v: rank %d: got doc %d, want %d\ngot:  %v\nwant: %v",
-					terms, i, got.Docs[i], want[i], got.Docs, want)
-			}
+		if !slices.Equal(got.Docs, want) {
+			return fmt.Sprintf("query %v:\ngot:  %v\nwant: %v", terms, got.Docs, want)
 		}
 	}
 	if sess.AccumDrops != 0 {
-		t.Fatalf("accumulator dropped %d postings in a sized test", sess.AccumDrops)
+		return fmt.Sprintf("accumulator dropped %d postings in a sized test", sess.AccumDrops)
+	}
+	return ""
+}
+
+func TestExecuteMatchesOracle(t *testing.T) {
+	eng, corpus := buildTestEngine(t, nil)
+	if msg := oracleMismatch(eng, corpus); msg != "" {
+		t.Fatal(msg)
 	}
 }
 

@@ -276,6 +276,62 @@ func TestNewEngineConcurrent(t *testing.T) {
 	}
 }
 
+// TestSharedImageNeverWritten: engines read the shard in place, so the image
+// they share must come through anything they do unchanged. Two engines on
+// one Index — one built and driven on another goroutine, so under -race a
+// write to the shared bytes is also a reported race — answer the oracle
+// query set correctly, then one fills its query cache and accumulators, and
+// the SHA-256 of every image section is what it was before either existed.
+func TestSharedImageNeverWritten(t *testing.T) {
+	cfg := testEngineConfig()
+	idx, err := BuildIndex(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := func() string {
+		h := sha256.New()
+		for _, section := range [][]byte{idx.shard, idx.dict, idx.skips, idx.norms, idx.statics, idx.meta, idx.feats} {
+			h.Write(section)
+		}
+		return fmt.Sprintf("%x", h.Sum(nil))
+	}
+	before := digest()
+	corpus := GenerateCorpus(cfg.Corpus)
+
+	concurrent := make(chan string, 1)
+	go func() {
+		eng, err := NewEngine(cfg, idx, memsim.NewSpace(nil), nil)
+		if err != nil {
+			concurrent <- err.Error()
+			return
+		}
+		concurrent <- oracleMismatch(eng, corpus)
+	}()
+	eng, err := NewEngine(cfg, idx, memsim.NewSpace(nil), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &eng.shard.ReadRaw(eng.postingsBase, 1)[0] != &idx.shard[0] {
+		t.Error("the engine's shard arena is a copy of the image, not the image")
+	}
+	if msg := oracleMismatch(eng, corpus); msg != "" {
+		t.Errorf("engine on the shared image: %s", msg)
+	}
+	if msg := <-concurrent; msg != "" {
+		t.Errorf("concurrent engine on the shared image: %s", msg)
+	}
+	sess := eng.NewSession(1, nil)
+	for _, q := range testQueries(400, 14) {
+		sess.Execute(q)
+	}
+	if sess.CacheHits == 0 || sess.PostingsDecoded == 0 {
+		t.Fatalf("the writing paths were not exercised: %d cache hits, %d postings", sess.CacheHits, sess.PostingsDecoded)
+	}
+	if after := digest(); after != before {
+		t.Fatalf("image digest %s after serving, %s before", after, before)
+	}
+}
+
 // TestNewEngineRejectsMismatchedIndex: an image built for another corpus or
 // feature size is an error, not a panic and not a silently wrong layout.
 func TestNewEngineRejectsMismatchedIndex(t *testing.T) {

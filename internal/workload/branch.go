@@ -83,7 +83,8 @@ type branchMemo struct {
 //
 //lint:hot
 func observeBranches(preds []cpu.PredictorStats, coreOf *[256]uint8, log *branchLog) {
-	for _, chunk := range log.chunks {
+	cur := branchCursor{log: log}
+	for chunk := cur.nextChunk(); len(chunk) > 0; chunk = cur.nextChunk() {
 		for _, b := range chunk {
 			preds[coreOf[b.thread()]].Observe(cpu.Branch{PC: b.pc, Taken: b.taken()})
 		}

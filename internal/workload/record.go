@@ -22,12 +22,14 @@ import (
 // touching the stateful workload (SearchRunner sessions and engine caches
 // are not concurrent-safe).
 //
-// Recordings are stored flat (trace.Shared, 16 B/access) by default, or
+// Accesses are stored flat (trace.Shared, 16 B/access) by default, or
 // block-compressed (trace.Compressed, delta+varint, ~2-4 B/access, with
 // optional spill-to-disk of finished blocks) when SetStore enables
 // compression. Replayed streams are identical either way — only the storage
 // transport changes (see TestReplayerCompressedIdentical). The branch stream
-// is kept beside either store as a resident branchLog (16 B/branch).
+// is kept beside either store as a resident branchLog: delta+varint chunks
+// (~3 B/branch, branchlog.go) read through a cursor that decodes one chunk
+// at a time.
 //
 // Concurrency and determinism contract:
 //   - Recording is serialized under a mutex; the inner runner only ever
@@ -89,26 +91,32 @@ type recordedRun struct {
 	branches branchLog
 	stats    Stats
 
-	// spare caches one replay cursor between replays. Sweeps replay the
-	// same recording thousands of times; for compressed storage a fresh
-	// cursor re-grows its decode window and read buffer every time, so
-	// reuse turns per-replay allocation into one-time warmup. A single
-	// slot suffices: concurrent replays beyond the first simply allocate
-	// a fresh cursor, and Rewind restores identical decode state.
+	// spare caches one replay's cursors between replays. Sweeps replay the
+	// same recording thousands of times; a fresh compressed-store cursor
+	// re-grows its decode window and read buffer every time, and a fresh
+	// branch cursor its window, so reuse turns per-replay allocation into
+	// one-time warmup. A single slot suffices: concurrent replays beyond
+	// the first simply allocate fresh cursors, and rewinding restores
+	// identical decode state.
 	spare atomic.Pointer[cursorCell]
 }
 
-// cursorCell wraps a cursor so the atomic slot holds one pointer.
-type cursorCell struct{ cur trace.Cursor }
+// cursorCell wraps a replay's two cursors — the store's and the branch
+// log's — so the atomic slot holds one pointer.
+type cursorCell struct {
+	cur trace.Cursor
+	br  branchCursor
+}
 
-// acquireCursor returns a rewound cursor over the recording, reusing the
-// cached one when free.
+// acquireCursor returns rewound cursors over the recording, reusing the
+// cached ones when free.
 func (rec *recordedRun) acquireCursor() *cursorCell {
 	cell := rec.spare.Swap(nil)
 	if cell == nil {
-		return &cursorCell{cur: rec.store.Cursor()}
+		return &cursorCell{cur: rec.store.Cursor(), br: branchCursor{log: &rec.branches}}
 	}
 	cell.cur.Rewind()
+	cell.br.next = 0
 	return cell
 }
 
@@ -116,48 +124,6 @@ func (rec *recordedRun) acquireCursor() *cursorCell {
 func (rec *recordedRun) releaseCursor(cell *cursorCell) {
 	rec.spare.Store(cell)
 }
-
-// recordedBranch is a branch event anchored to its position in the access
-// stream: it replays after pos accesses have been emitted, preserving the
-// recorded interleaving of the two event streams. meta packs
-// pos<<9 | thread<<1 | taken, which leaves pos 55 bits.
-type recordedBranch struct {
-	pc   uint64
-	meta uint64
-}
-
-func (b recordedBranch) pos() int      { return int(b.meta >> 9) }
-func (b recordedBranch) thread() uint8 { return uint8(b.meta >> 1) }
-func (b recordedBranch) taken() bool   { return b.meta&1 != 0 }
-
-// branchChunkLen is the branch log's allocation unit (128 KiB of records).
-const branchChunkLen = 8192
-
-// branchLog is a recording's branch stream in capture order: append-only
-// chunks, so capture writes each record once and never re-copies the log as
-// it grows. Every chunk in the list is non-empty.
-type branchLog struct {
-	chunks [][]recordedBranch
-	n      int
-}
-
-// add appends one branch anchored after pos accesses.
-func (l *branchLog) add(pos int, thread uint8, pc uint64, taken bool) {
-	last := len(l.chunks) - 1
-	if last < 0 || len(l.chunks[last]) == branchChunkLen {
-		l.chunks = append(l.chunks, make([]recordedBranch, 0, branchChunkLen))
-		last++
-	}
-	meta := uint64(pos)<<9 | uint64(thread)<<1
-	if taken {
-		meta |= 1
-	}
-	l.chunks[last] = append(l.chunks[last], recordedBranch{pc: pc, meta: meta})
-	l.n++
-}
-
-// bytes returns the log's resident size.
-func (l *branchLog) bytes() int64 { return int64(l.n) * 16 }
 
 // NewReplayer wraps inner with a memoizing replay layer (flat storage; call
 // SetStore before the first recording to compress).
@@ -235,8 +201,10 @@ type StoreStats struct {
 	// SpilledBytes is the subset of StoredBytes resident in spill files
 	// rather than RAM.
 	SpilledBytes int64
-	// BranchBytes is what the recordings' branch logs occupy. It is not
-	// part of StoredBytes and stays in RAM under every store.
+	// Branches is the total recorded branch count, and BranchBytes what the
+	// branch logs' encoding occupies. It is not part of StoredBytes and
+	// stays in RAM under every store.
+	Branches    int64
 	BranchBytes int64
 }
 
@@ -260,7 +228,8 @@ func (r *Replayer) StoreStats() StoreStats {
 		rec := r.runs[k]
 		st.Accesses += int64(rec.store.Len())
 		st.StoredBytes += rec.store.StoredBytes()
-		st.BranchBytes += rec.branches.bytes()
+		st.Branches += int64(rec.branches.n)
+		st.BranchBytes += rec.branches.size
 		if c, ok := rec.store.(*trace.Compressed); ok && c.Spilled() {
 			st.SpilledBytes += c.StoredBytes()
 		}
@@ -304,6 +273,7 @@ func (r *Replayer) record(key runKey) *recordedRun {
 		w, finish = sw, func() (trace.Recording, error) { return sw.Finish(), nil }
 	}
 	rec := &recordedRun{}
+	var bw branchWriter
 	var werr error
 	rec.stats = r.inner.Run(key.threads, key.budget, key.seed, Sinks{
 		Access: func(a trace.Access) {
@@ -312,7 +282,7 @@ func (r *Replayer) record(key runKey) *recordedRun {
 			}
 		},
 		Branch: func(thread uint8, pc uint64, taken bool) {
-			rec.branches.add(w.Count(), thread, pc, taken)
+			bw.add(w.Count(), thread, pc, taken)
 		},
 	})
 	store, err := finish()
@@ -325,7 +295,7 @@ func (r *Replayer) record(key runKey) *recordedRun {
 		// environmental error the Runner interface cannot return.
 		panic(fmt.Sprintf("workload: recording %s: %v", r.inner.Name(), err))
 	}
-	rec.store = store
+	rec.store, rec.branches = store, bw.finish()
 	r.runs[key] = rec
 	return rec
 }
@@ -359,10 +329,9 @@ func (rec *recordedRun) replay(s Sinks) {
 			pos += len(win)
 		}
 	}
-	// chunk is the unread rest of the branch log's current chunk, held in a
-	// local so an anchor test costs one load; it is empty only once the whole
-	// log has fired.
-	chunks := rec.branches.chunks
+	// chunk is the unread rest of the branch log's current decoded chunk, held
+	// in a local so an anchor test costs one load; it is empty only once the
+	// whole log has fired.
 	var chunk []recordedBranch
 	n := rec.store.Len()
 	var win []trace.Access
@@ -371,10 +340,9 @@ func (rec *recordedRun) replay(s Sinks) {
 		// Branches anchored at the current access position fire first.
 		for {
 			if len(chunk) == 0 {
-				if len(chunks) == 0 {
+				if chunk = cell.br.nextChunk(); len(chunk) == 0 {
 					break
 				}
-				chunk, chunks = chunks[0], chunks[1:]
 			}
 			b := chunk[0]
 			if b.pos() != pos {

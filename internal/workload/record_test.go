@@ -187,8 +187,9 @@ func replayEvents(t *testing.T, rep *Replayer, batched bool, threads int, budget
 // edgeRunner emits a stream whose branch anchors sit on every boundary the
 // stores have: two branches before the first access (pos 0), one after every
 // access — so one lands exactly on each chunk edge of the flat store, the
-// branch log crosses its own chunk edges, and the last is trailing
-// (pos == Len()). A zero budget yields only the two leading branches.
+// branch log (budget+2 records) crosses its own chunk edges two accesses
+// earlier, and the last is trailing (pos == Len()). A zero budget yields only
+// the two leading branches.
 type edgeRunner struct{}
 
 func (edgeRunner) Name() string        { return "edge" }
@@ -218,16 +219,20 @@ func (edgeRunner) Run(threads int, budget int64, seed uint64, sk Sinks) Stats {
 // preceded, in recorded order — and a compressed Replayer (in-memory blocks,
 // several block geometries, and the spill-to-disk path) exactly what the
 // flat one does, scalar and batched. It holds for the scripted stream and
-// for edgeRunner streams whose lengths straddle the flat store's chunk edges.
+// for edgeRunner streams whose lengths straddle the flat store's chunk edges
+// and the branch log's.
 func TestReplayerCompressedIdentical(t *testing.T) {
 	const chunk = trace.DefaultBatchSize
+	if chunk != branchChunkLen {
+		t.Fatal("the edge budgets assume one chunk length for accesses and branches")
+	}
 	type stream struct {
 		name   string
 		fresh  func() Runner
 		budget int64
 	}
 	streams := []stream{{"scripted", func() Runner { return &scriptedRunner{} }, 500}}
-	for _, n := range []int64{0, 1, chunk - 1, chunk, chunk + 1, 3*chunk + 7} {
+	for _, n := range []int64{0, 1, chunk - 3, chunk - 2, chunk - 1, chunk, chunk + 1, 2*chunk - 2, 3*chunk + 7} {
 		streams = append(streams, stream{fmt.Sprintf("edge-%d", n), func() Runner { return edgeRunner{} }, n})
 	}
 	for _, st := range streams {
@@ -288,8 +293,15 @@ func testStoresIdentical(t *testing.T, fresh func() Runner, budget int64) {
 	if st.SpilledBytes != st.StoredBytes || (st.SpilledBytes == 0) != (budget == 0) {
 		t.Fatalf("spill: StoreStats = %+v, want all bytes spilled", st)
 	}
-	if want := flat.StoreStats().BranchBytes; st.BranchBytes != want || want <= 0 {
-		t.Fatalf("spill: BranchBytes = %d, flat %d: the branch log is resident under every store", st.BranchBytes, want)
+	branches := int64(0)
+	for _, e := range direct {
+		if e.s[0] == 'B' {
+			branches++
+		}
+	}
+	if want := flat.StoreStats(); st.Branches != branches || st.BranchBytes != want.BranchBytes || st.BranchBytes < 3*branches {
+		t.Fatalf("spill: %d branches in %d bytes, flat %d in %d, stream holds %d: the branch log is resident under every store",
+			st.Branches, st.BranchBytes, want.Branches, want.BranchBytes, branches)
 	}
 }
 
