@@ -60,7 +60,8 @@ obs-demo:
 # streams through the branch-log codec. FuzzInverter differential-fuzzes the
 # index inverter against its map-based reference; FuzzOwnerFilter does the
 # same for the inclusive L3's core-valid filter against probe-every-core
-# back-invalidation.
+# back-invalidation, and FuzzStackDistMatchesNaive for the stack-distance
+# profiler's Fenwick tree against a move-to-front list, bucket for bucket.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzFileCodecDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzBlockDecode$$' -fuzztime $(FUZZTIME)
@@ -68,5 +69,6 @@ fuzz-smoke:
 	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzBranchLogRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzInverter$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzOwnerFilter$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzStackDistMatchesNaive$$' -fuzztime $(FUZZTIME)
 
 ci: build lint test race alloc-check fuzz-smoke

@@ -30,6 +30,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"syscall"
 	"time"
 
 	"searchmem/internal/det"
@@ -160,6 +161,7 @@ func run() (code int) {
 	for _, e := range selected {
 		//lint:ignore walltime CLI progress timer only; measures host elapsed time for -v output and never feeds simulation state
 		start := time.Now()
+		cpuStart := processCPU()
 		res, err := e.Run(ctx)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
@@ -168,8 +170,12 @@ func run() (code int) {
 		fmt.Printf("=== %s (%s) — %s\n", e.ID, e.PaperRef, e.Title)
 		fmt.Println(res.Render())
 		if *verbose {
+			// CPU beside wall shows a serial stretch without a profiler: an
+			// experiment at 1.00 cores left the other workers idle.
 			//lint:ignore walltime CLI progress timer only; reports host elapsed time on stderr, not part of any experiment table
-			fmt.Fprintf(os.Stderr, "# %s took %v\n", e.ID, time.Since(start).Round(time.Millisecond))
+			wall, cpu := time.Since(start), processCPU()-cpuStart
+			fmt.Fprintf(os.Stderr, "# %s took %v (cpu %v, %.2f cores)\n", e.ID,
+				wall.Round(time.Millisecond), cpu.Round(time.Millisecond), cpu.Seconds()/max(wall.Seconds(), 1e-9))
 		}
 	}
 
@@ -195,6 +201,17 @@ func run() (code int) {
 		fmt.Fprintf(os.Stderr, "wrote %d traces to %s\n", len(traces), *traceOut)
 	}
 	return 0
+}
+
+// processCPU returns the user and system CPU time the process has used so
+// far. Like the timer beside it, it is host state for -v's stderr line only
+// and never feeds simulation state or an export.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // printStoreSummary reports trace-store footprints and process-memory

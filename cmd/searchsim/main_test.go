@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"testing"
 )
 
@@ -71,6 +72,40 @@ func TestProfileFlagMatrix(t *testing.T) {
 			if !p.asked && err == nil {
 				t.Errorf("%s: %s written without its flag", tc.name, p.name)
 			}
+		}
+	}
+}
+
+// TestVerboseTimingLine: -v ends each experiment with its wall time, the
+// process CPU time it used and their ratio on stderr, and leaves stdout and
+// both exports byte-identical to the quiet run.
+func TestVerboseTimingLine(t *testing.T) {
+	var outs [2][3][]byte
+	var stderr bytes.Buffer
+	for i, v := range []bool{false, true} {
+		dir := t.TempDir()
+		args := []string{"-fast", "-seed", "42", "-trace", filepath.Join(dir, "t.json"), "-metrics", filepath.Join(dir, "m.json")}
+		if v {
+			args = append(args, "-v")
+		}
+		cmd := exec.Command(searchsimBin, append(args, "degraded", "table2")...)
+		stderr.Reset()
+		cmd.Stderr = &stderr
+		stdout, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("-v=%v: %v\n%s", v, err, stderr.Bytes())
+		}
+		outs[i] = [3][]byte{stdout, readFile(t, filepath.Join(dir, "t.json")), readFile(t, filepath.Join(dir, "m.json"))}
+	}
+	for i, what := range []string{"stdout", "-trace export", "-metrics export"} {
+		if len(outs[1][i]) == 0 || !bytes.Equal(outs[0][i], outs[1][i]) {
+			t.Errorf("%s is empty or differs between the quiet and the -v run", what)
+		}
+	}
+	for _, id := range []string{"degraded", "table2"} {
+		line := regexp.MustCompile(`(?m)^# ` + id + ` took \S+ \(cpu \S+, \d+\.\d\d cores\)$`)
+		if !line.Match(stderr.Bytes()) {
+			t.Errorf("-v stderr has no timing line for %s:\n%s", id, stderr.Bytes())
 		}
 	}
 }

@@ -15,29 +15,78 @@ import (
 // Each run uses a fresh Context so nothing is shared but the seed.
 func TestSameSeedByteIdenticalOutput(t *testing.T) {
 	// A cross-section of the pipeline: measured workload characterization
-	// (table1), MPKI curves (fig2a), the L4 headline (fig6b), the SMT
-	// model (fig13), the fault-injected serving tier (degraded), the
+	// (table1), MPKI curves (fig2a), the L4 headline (fig6b, whose segment
+	// profilers run as four legs), the SMT model (fig13), the fault-injected
+	// serving tier (degraded); then, too slow for the race job, the
 	// tiered-memory sweeps (figT1/figT2), whose DRAM bank state and
 	// page-migration engine must replay identically under the parallel
 	// engine, the policy/predictor sweeps (figP1/figP2), whose seeded
-	// BRRIP insertion and predictor tables must do the same, and the
+	// BRRIP insertion and predictor tables must do the same, the
 	// fleet-scale serving sweeps (figF1/figF2), whose open-loop event
 	// engine and shared metrics registry must render identically however
-	// the points are scheduled.
-	ids := []string{"table1", "fig2a", "fig6b", "fig13", "degraded", "figT1", "figT2", "figP1", "figP2", "figF1", "figF2"}
+	// the points are scheduled, and the experiments that run independent
+	// legs side by side (explore, fig2c, bandwidth, slo), whose recordings
+	// must come out in the serial order whichever leg gets there first.
+	ids := []string{"table1", "fig2a", "fig6b", "fig13", "degraded"}
 	if testing.Short() {
 		ids = []string{"table1", "fig13", "figP2"}
-	} else if raceDetectorOn {
-		// The tier, policy, and fleet sweeps push this package past the
-		// default race-mode time budget (the seed id list alone is ~8 min
-		// under -race). Byte-identity does not depend on instrumentation,
-		// and the sweep engines' race coverage lives in the tier tests and
-		// TestSharingContextsConcurrent.
-		ids = ids[:len(ids)-6]
+	} else if !raceDetectorOn {
+		// The rest pushes this package past the race-mode time budget (the
+		// seed id list alone was ~8 min under -race). Byte-identity does not
+		// depend on instrumentation; the sweep engines' race coverage lives
+		// in the tier tests and TestSharingContextsConcurrent, the legs' in
+		// TestLegsSerialEqualsParallel.
+		ids = append(ids, "figT1", "figT2", "figP1", "figP2", "figF1", "figF2", "explore", "fig2c", "bandwidth", "slo")
 	}
 
+	checkSerialEqualsParallel(t, Fast(), ids)
+}
+
+// TestLegsSerialEqualsParallel renders every experiment that fans out legs
+// (explore and newPerfModel's, fig2c, bandwidth, slo, degraded, fig6b's
+// segment profilers) serial and parallel at the scale bench -smoke uses,
+// small enough to run under -short and under the race detector.
+func TestLegsSerialEqualsParallel(t *testing.T) {
+	opts := Fast()
+	opts.Shrink, opts.Budget = 64, 100_000
+	checkSerialEqualsParallel(t, opts, []string{"explore", "fig2c", "bandwidth", "slo", "degraded", "fig6b"})
+}
+
+// TestPointOrderDoesNotMatter gives the legs rule teeth. The parallel engine
+// usually starts points in index order, so a leg that records a key another
+// leg replays would still pass serial ≡ parallel by luck; walking every sweep
+// and every fan-out of legs backwards, serially, makes the order it would
+// need wrong every time. Equal renders mean no point leaks recording order
+// into another.
+func TestPointOrderDoesNotMatter(t *testing.T) {
+	opts := Fast()
+	opts.Shrink, opts.Budget, opts.Seed, opts.Parallel = 64, 100_000, 42, false
+	ids := []string{"explore", "fig2c", "bandwidth", "slo", "degraded", "fig6b", "table1", "figF1"}
+	forward, backward := NewContext(opts), NewContext(opts)
+	backward.reversePoints = true
+	for _, id := range ids {
+		e, _ := ByID(id)
+		want, err := e.Run(forward)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		got, err := e.Run(backward)
+		if err != nil {
+			t.Fatalf("%s backwards: %v", id, err)
+		}
+		if got.Render() != want.Render() {
+			t.Errorf("%s renders differently with its points walked backwards:\n%s\nforwards:\n%s", id, got.Render(), want.Render())
+		}
+	}
+}
+
+// checkSerialEqualsParallel renders ids in order on a fresh Context three
+// times — serial, parallel, parallel again — framed as cmd/searchsim prints
+// them, and fails on the first line that differs from the serial render.
+func checkSerialEqualsParallel(t *testing.T, opts Options, ids []string) {
+	t.Helper()
 	render := func(parallel bool) string {
-		opts := Fast()
+		opts := opts
 		opts.Seed = 42
 		opts.Parallel = parallel
 		ctx := NewContext(opts)

@@ -128,7 +128,11 @@ type Context struct {
 	rc *runnerCache
 
 	curveMu sync.Mutex
-	curves  map[curveKey]any
+	curves  map[curveKey]*curveEntry
+
+	// reversePoints makes serial runPoints walk its points last to first:
+	// the tests' stand-in for the least favourable parallel schedule.
+	reversePoints bool
 }
 
 // runnerCache memoizes built workloads, each wrapped in a recording Replayer
@@ -166,6 +170,29 @@ type curveKey struct {
 	arg  int64
 }
 
+// curveEntry is one memoized profile; once makes every caller of a key wait
+// for a single computation.
+type curveEntry struct {
+	once sync.Once
+	v    any
+}
+
+// curve returns the context's memoized value for key, computing it on first
+// use. It is single-flight per key: concurrent callers of one key share one
+// compute, and the map lock is not held across it, so different keys compute
+// at the same time and a compute may ask for other keys.
+func (c *Context) curve(key curveKey, compute func() any) any {
+	c.curveMu.Lock()
+	e := c.curves[key]
+	if e == nil {
+		e = &curveEntry{}
+		c.curves[key] = e
+	}
+	c.curveMu.Unlock()
+	e.once.Do(func() { e.v = compute() })
+	return e.v
+}
+
 // NewContext returns a context with the given options.
 func NewContext(opts Options) *Context {
 	if opts.Shrink <= 0 {
@@ -180,7 +207,7 @@ func NewContext(opts Options) *Context {
 	return &Context{
 		Opts:   opts,
 		rc:     &runnerCache{m: make(map[string]*workload.Replayer), indexes: make(map[indexKey]*indexEntry)},
-		curves: make(map[curveKey]any),
+		curves: make(map[curveKey]*curveEntry),
 	}
 }
 

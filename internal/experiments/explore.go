@@ -58,9 +58,12 @@ func (m measuredCurve) L4HitRate(l4Cap, l3Cap int64) float64 {
 }
 
 func runExplore(c *Context) (Result, error) {
-	pm := newPerfModel(c)
-	l4Points := sweepL4(c, 0)
-	curve := measuredCurve{pm: pm, l4: l4Points}
+	// The perf model records and replays on Leaf(), the L4 sweep on Sweep().
+	var curve measuredCurve
+	runLegs(c,
+		func() { curve.pm = newPerfModel(c) },
+		func() { curve.l4 = sweepL4(c, 0) })
+	pm := curve.pm
 	plat := c.PLT1()
 
 	ev := core.Evaluator{

@@ -93,8 +93,11 @@ func runBandwidth(c *Context) (Result, error) {
 		gbs = transPerSec * float64(plat.CacheBlock) / 1e9
 		return gbs / plat.MemPeakGBs, gbs
 	}
-	sUtil, sGBs := measure(c.Leaf())
-	cUtil, cGBs := measure(workload.CloudSuiteWebSearch().Build())
+	// One leg records on Leaf(), the other on a runner of its own.
+	var sUtil, sGBs, cUtil, cGBs float64
+	runLegs(c,
+		func() { sUtil, sGBs = measure(c.Leaf()) },
+		func() { cUtil, cGBs = measure(workload.CloudSuiteWebSearch().Build()) })
 	t := &Table{
 		Title:   "Socket DRAM bandwidth at full load (modeled)",
 		Headers: []string{"workload", "GB/s", "of peak"},
@@ -123,8 +126,10 @@ func runSLO(c *Context) (Result, error) {
 		cl := serving.NewCluster(cfg, scaledExecutors(16, nsPerInstrScale))
 		return serving.RunLoad(cl, 8, 250, 3000, 0.9, seed)
 	}
-	base := run("base", 1/ipcBase, 7)
-	rebal := run("rebal", 1/ipcRebal, 7)
+	var base, rebal serving.LoadStats
+	runLegs(c,
+		func() { base = run("base", 1/ipcBase, 7) },
+		func() { rebal = run("rebal", 1/ipcRebal, 7) })
 
 	t := &Table{
 		Title:   "Per-query latency: baseline vs rebalanced (23-core) design",
@@ -184,8 +189,11 @@ func runDegraded(c *Context) (Result, error) {
 		st := serving.RunLoad(cl, 8, 250, 3000, 0.9, c.Opts.Seed+47)
 		return st, cl.Metrics()
 	}
-	healthy, hm := run(false)
-	faulty, fm := run(true)
+	var healthy, faulty serving.LoadStats
+	var hm, fm serving.Metrics
+	runLegs(c,
+		func() { healthy, hm = run(false) },
+		func() { faulty, fm = run(true) })
 
 	// Traced showcase: a fresh faulty cluster served three fixed queries,
 	// so span timestamps and trace IDs are independent of the load mix

@@ -46,41 +46,36 @@ type l4Point struct {
 // result is memoized per associativity, so Figures 13 and 14 share one
 // simulation.
 func sweepL4(c *Context, assoc int) []l4Point {
-	c.curveMu.Lock()
-	defer c.curveMu.Unlock()
-	key := curveKey{kind: "l4sweep", arg: int64(assoc)}
-	if cached, ok := c.curves[key]; ok {
-		return cached.([]l4Point)
-	}
-	o := c.Opts
-	base := workload.MeasureConfig{
-		Platform: c.PLT1().ScaleCaches(workload.SweepScale),
-		Cores:    min(o.Threads, 8), SMTWays: 2,
-		Threads:        min(o.Threads, 16),
-		L3Size:         workload.SimUnits(23 << 20),
-		L4Assoc:        assoc,
-		Budget:         o.Budget * 2,
-		Seed:           o.Seed,
-		WarmupFraction: 1.0,
-	}
-	mcs := make([]workload.MeasureConfig, len(fig13Capacities))
-	for i, mb := range fig13Capacities {
-		mcs[i] = base
-		mcs[i].L4Size = workload.SimUnits(mb << 20)
-	}
-	out := make([]l4Point, len(mcs))
-	for i, m := range measureMultiSharded(c, c.Sweep(), mcs) {
-		mb := fig13Capacities[i]
-		p := l4Point{capMiB: mb, hitRate: m.L4HitRate, instr: m.Instructions}
-		for seg := trace.Segment(0); seg < trace.NumSegments; seg++ {
-			p.segHits[seg] = m.L4.SegHits(seg)
-			p.segMiss[seg] = m.L4.SegMisses(seg)
+	return c.curve(curveKey{kind: "l4sweep", arg: int64(assoc)}, func() any {
+		o := c.Opts
+		base := workload.MeasureConfig{
+			Platform: c.PLT1().ScaleCaches(workload.SweepScale),
+			Cores:    min(o.Threads, 8), SMTWays: 2,
+			Threads:        min(o.Threads, 16),
+			L3Size:         workload.SimUnits(23 << 20),
+			L4Assoc:        assoc,
+			Budget:         o.Budget * 2,
+			Seed:           o.Seed,
+			WarmupFraction: 1.0,
 		}
-		o.logf("fig13: L4 %d MiB-paper: hit %.2f", mb, p.hitRate)
-		out[i] = p
-	}
-	c.curves[key] = out
-	return out
+		mcs := make([]workload.MeasureConfig, len(fig13Capacities))
+		for i, mb := range fig13Capacities {
+			mcs[i] = base
+			mcs[i].L4Size = workload.SimUnits(mb << 20)
+		}
+		out := make([]l4Point, len(mcs))
+		for i, m := range measureMultiSharded(c, c.Sweep(), mcs) {
+			mb := fig13Capacities[i]
+			p := l4Point{capMiB: mb, hitRate: m.L4HitRate, instr: m.Instructions}
+			for seg := trace.Segment(0); seg < trace.NumSegments; seg++ {
+				p.segHits[seg] = m.L4.SegHits(seg)
+				p.segMiss[seg] = m.L4.SegMisses(seg)
+			}
+			o.logf("fig13: L4 %d MiB-paper: hit %.2f", mb, p.hitRate)
+			out[i] = p
+		}
+		return out
+	}).([]l4Point)
 }
 
 func runFig13(c *Context) (Result, error) {

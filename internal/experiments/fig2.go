@@ -3,6 +3,7 @@ package experiments
 import (
 	"searchmem/internal/cpu"
 	"searchmem/internal/model"
+	"searchmem/internal/platform"
 	"searchmem/internal/stats"
 	"searchmem/internal/workload"
 )
@@ -82,110 +83,122 @@ func runFig2b(c *Context) (Result, error) {
 
 // runFig2c measures the huge-page benefit with the two-level TLB model at
 // paper-scale footprints, and the prefetcher benefit with the prefetch
-// engine on the simulated hierarchy.
+// engine on the simulated hierarchy. Per platform that is one TLB loop, which
+// touches no Replayer, and two measurements of one recording of Leaf(), which
+// is made before the fan-out: six independent legs.
 func runFig2c(c *Context) (Result, error) {
-	o := c.Opts
 	t := &Table{
 		Title:   "Figure 2c: QPS improvement from huge pages and hardware prefetching",
 		Headers: []string{"platform", "huge pages", "prefetching"},
 		Note:    "paper: ~+10% pages on both; +5% prefetch PLT1, slight degradation PLT2",
 	}
-	for _, platName := range []string{"PLT1", "PLT2"} {
-		plat := c.PLT1()
-		if platName == "PLT2" {
-			plat = c.PLT2()
+	plats := []platform.Platform{c.PLT1(), c.PLT2()}
+	pagesGain := make([]float64, len(plats))
+	off := make([]workload.Metrics, len(plats))
+	on := make([]workload.Metrics, len(plats))
+	var legs []func()
+	for i, plat := range plats {
+		mcOff, mcOn := prefetchConfigs(c, plat)
+		if i == 0 {
+			workload.PreRecord(c.Leaf(), mcOff) // all four configs share its keys
 		}
-		// Huge pages: drive both TLB configurations with a paper-scale
-		// address stream (sequential shard scans + random heap touches
-		// over a multi-GiB footprint).
-		small := cpu.NewTLB(plat.TLBFor(plat.SmallPage))
-		huge := cpu.NewTLB(plat.TLBFor(plat.HugePage))
-		rng := stats.NewRNG(o.Seed + 11)
-		const heapFoot = 4 << 30   // paper-scale heap region
-		const shardFoot = 64 << 30 // paper-scale shard region
-		var scan uint64
-		nAccesses := int(o.Budget / 12)
-		for i := 0; i < nAccesses; i++ {
-			var vaddr uint64
-			switch {
-			case rng.Bool(0.45): // sequential shard scan
-				scan += 48
-				if scan >= shardFoot {
-					scan = 0
-				}
-				vaddr = 1<<44 + scan
-			case rng.Bool(0.7): // heap structure access
-				vaddr = 1<<42 + rng.Uint64n(heapFoot)
-			default: // random shard jump (snippets)
-				vaddr = 1<<44 + rng.Uint64n(shardFoot)
-			}
-			small.Translate(vaddr)
-			huge.Translate(vaddr)
-		}
-		// Translation overhead per access -> added CPI -> QPS delta. The
-		// walk-overlap constant is the fraction of page-walk latency the
-		// out-of-order core cannot hide; it is calibrated per platform so
-		// the huge-page gain lands at the paper's ~10% (POWER8's hardware
-		// table walker overlaps far more than Haswell's).
-		const accPerInstr = 0.35
-		baseCPI, walkOverlap := 1/1.28, 0.052
-		if platName == "PLT2" {
-			baseCPI, walkOverlap = 1/2.0, 0.0035
-		}
-		cpiSmall := baseCPI + small.AvgLatencyNS()*plat.Core.FreqGHz*accPerInstr*walkOverlap
-		cpiHuge := baseCPI + huge.AvgLatencyNS()*plat.Core.FreqGHz*accPerInstr*walkOverlap
-		pagesGain := cpiSmall/cpiHuge - 1
-
-		// Prefetching: run the leaf workload through the hierarchy with
-		// and without the platform's prefetchers and compare modeled IPC.
-		pfGain, err := prefetchGain(c, plat.Name == "PLT2")
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(platName, pct(pagesGain), pct(pfGain))
+		legs = append(legs,
+			func() { pagesGain[i] = hugePageGain(c, plat) },
+			func() { off[i] = workload.Measure(c.Leaf(), mcOff) },
+			func() { on[i] = workload.Measure(c.Leaf(), mcOn) })
+	}
+	runLegs(c, legs...)
+	for i, plat := range plats {
+		t.AddRow(plat.Name, pct(pagesGain[i]), pct(prefetchGain(off[i], on[i], plat.Name == "PLT2")))
 	}
 	return t, nil
 }
 
-// prefetchGain measures the IPC effect of enabling hardware prefetchers.
-func prefetchGain(c *Context, plt2 bool) (float64, error) {
+// hugePageGain drives a small-page and a huge-page TLB configuration of plat
+// with a paper-scale address stream (sequential shard scans + random heap
+// touches over a multi-GiB footprint) and converts the translation overhead
+// into a QPS delta.
+func hugePageGain(c *Context, plat platform.Platform) float64 {
 	o := c.Opts
-	plat := c.PLT1()
+	small := cpu.NewTLB(plat.TLBFor(plat.SmallPage))
+	huge := cpu.NewTLB(plat.TLBFor(plat.HugePage))
+	rng := stats.NewRNG(o.Seed + 11)
+	const heapFoot = 4 << 30   // paper-scale heap region
+	const shardFoot = 64 << 30 // paper-scale shard region
+	var scan uint64
+	nAccesses := int(o.Budget / 12)
+	for i := 0; i < nAccesses; i++ {
+		var vaddr uint64
+		switch {
+		case rng.Bool(0.45): // sequential shard scan
+			scan += 48
+			if scan >= shardFoot {
+				scan = 0
+			}
+			vaddr = 1<<44 + scan
+		case rng.Bool(0.7): // heap structure access
+			vaddr = 1<<42 + rng.Uint64n(heapFoot)
+		default: // random shard jump (snippets)
+			vaddr = 1<<44 + rng.Uint64n(shardFoot)
+		}
+		small.Translate(vaddr)
+		huge.Translate(vaddr)
+	}
+	// Translation overhead per access -> added CPI -> QPS delta. The
+	// walk-overlap constant is the fraction of page-walk latency the
+	// out-of-order core cannot hide; it is calibrated per platform so
+	// the huge-page gain lands at the paper's ~10% (POWER8's hardware
+	// table walker overlaps far more than Haswell's).
+	const accPerInstr = 0.35
+	baseCPI, walkOverlap := 1/1.28, 0.052
+	if plat.Name == "PLT2" {
+		baseCPI, walkOverlap = 1/2.0, 0.0035
+	}
+	cpiSmall := baseCPI + small.AvgLatencyNS()*plat.Core.FreqGHz*accPerInstr*walkOverlap
+	cpiHuge := baseCPI + huge.AvgLatencyNS()*plat.Core.FreqGHz*accPerInstr*walkOverlap
+	return cpiSmall/cpiHuge - 1
+}
+
+// prefetchConfigs returns the leaf measurement on plat's hierarchy without
+// and with the platform's hardware prefetchers. Both replay the same keys.
+func prefetchConfigs(c *Context, plat platform.Platform) (off, on workload.MeasureConfig) {
+	o := c.Opts
+	plt2 := plat.Name == "PLT2"
 	blockSize := uint64(64)
 	if plt2 {
-		plat = c.PLT2()
 		blockSize = 128
-	}
-	if plt2 {
 		// Keep the footprint-to-cache ratio in the production regime:
 		// the full 96 MiB L3 would swallow the scaled-down shard and hide
 		// the prefetch pollution the paper measures on POWER8.
 		plat = plat.ScaleCaches(8)
 	}
-	mc := workload.MeasureConfig{
+	off = workload.MeasureConfig{
 		Platform: plat,
 		Cores:    1, SMTWays: 1, Threads: 1,
 		Budget:         o.Budget,
 		Seed:           o.Seed + 23,
 		WarmupFraction: 1.0,
 	}
-	r1 := c.Leaf()
-	off := workload.Measure(r1, mc)
-	mcOn := mc
+	on = off
 	if plt2 {
 		// POWER8's aggressive default engine: deep next-line ramping on
 		// every access. With 128 B lines the useless fills pollute the
 		// private caches and waste bandwidth (the paper measures a slight
 		// degradation and disables it).
-		mcOn.Prefetchers = func() []cpu.Prefetcher {
+		on.Prefetchers = func() []cpu.Prefetcher {
 			return []cpu.Prefetcher{cpu.NextLine{BlockSize: blockSize, Degree: 5, OnEveryAccess: true}}
 		}
 	} else {
-		mcOn.Prefetchers = func() []cpu.Prefetcher {
+		on.Prefetchers = func() []cpu.Prefetcher {
 			return []cpu.Prefetcher{cpu.NewStream(blockSize, 2), cpu.NextLine{BlockSize: blockSize}}
 		}
 	}
-	on := workload.Measure(c.Leaf(), mcOn)
+	return off, on
+}
+
+// prefetchGain is the IPC effect of enabling hardware prefetchers, from the
+// leaf measured without (off) and with (on) them.
+func prefetchGain(off, on workload.Metrics, plt2 bool) float64 {
 	gain := on.IPC/off.IPC - 1
 	// Useless prefetches cost memory bandwidth: every extra DRAM read
 	// queues behind demand misses. 128 B lines (PLT2) move twice the data
@@ -200,5 +213,5 @@ func prefetchGain(c *Context, plt2 bool) (float64, error) {
 		}
 		gain -= extraPerKI * perRead
 	}
-	return gain, nil
+	return gain
 }

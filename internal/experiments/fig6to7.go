@@ -81,37 +81,38 @@ type segProfileResult struct {
 }
 
 // segProfile synthesizes the capacity-sweep trace once (memoized in the
-// Replayer), then profiles every segment's stack distances in one batched
-// pass over a read-only View of the shared recording: each decoded window
-// is routed access-by-access to the owning segment's profiler. A segment's
-// profiler sees exactly the subsequence a per-segment FilterSegment pass
-// would deliver, in the same order, so the profile is unchanged — but the
-// 4x re-decode of the trace (once per segment) is gone. Figures 6b and 6c
-// share the result via the context's curve cache.
+// Replayer), then profiles every segment's stack distances over the shared
+// recording: one leg per segment, each with its own cursor, observing the
+// accesses of its segment and skipping the rest. A segment's profiler sees
+// exactly the subsequence a per-segment FilterSegment pass would deliver, in
+// the same order. That is one decode per segment where a single routed pass
+// needs one in all, but the decode is a few per cent of the profiling it
+// feeds and the legs run on separate cores. Figures 6b and 6c share the
+// result via the context's curve cache.
 func segProfile(c *Context) (*segmentStackDists, int64) {
-	c.curveMu.Lock()
-	defer c.curveMu.Unlock()
-	key := curveKey{kind: "segprof"}
-	if cached, ok := c.curves[key]; ok {
-		r := cached.(segProfileResult)
-		return r.sds, r.instr
-	}
-	o := c.Opts
-	threads := min(o.Threads, 16)
-	sh, st := c.Sweep().Trace(threads, o.Budget*4, o.Seed)
-	sds := newSegmentStackDists(int64(threads) * workload.SimUnits(256<<10))
-	v := sh.Cursor()
-	for {
-		b := v.NextBatch()
-		if len(b) == 0 {
-			break
+	r := c.curve(curveKey{kind: "segprof"}, func() any {
+		o := c.Opts
+		threads := min(o.Threads, 16)
+		sh, st := c.Sweep().Trace(threads, o.Budget*4, o.Seed)
+		sds := newSegmentStackDists(int64(threads) * workload.SimUnits(256<<10))
+		legs := make([]func(), len(sds.sds))
+		for seg := range sds.sds {
+			legs[seg] = func() {
+				sd := sds.sds[seg]
+				v := sh.Cursor()
+				for b := v.NextBatch(); len(b) > 0; b = v.NextBatch() {
+					for i := range b {
+						if int(b[i].Seg) == seg {
+							sd.Observe(b[i])
+						}
+					}
+				}
+			}
 		}
-		for i := range b {
-			sds.Observe(b[i])
-		}
-	}
-	c.curves[key] = segProfileResult{sds: sds, instr: st.Instructions}
-	return sds, st.Instructions
+		runLegs(c, legs...)
+		return segProfileResult{sds: sds, instr: st.Instructions}
+	}).(segProfileResult)
+	return r.sds, r.instr
 }
 
 // runFig6b sweeps L3 capacity (paper units) over the sweep profile's

@@ -47,38 +47,34 @@ func init() {
 // loaded multi-threaded system, as the paper's CAT experiments are. Figures
 // 8a and 8b plot the same sweep, so it is cached in the context.
 func catSweep(c *Context) (xsHit, xsAMAT, ysIPC []float64) {
-	c.curveMu.Lock()
-	defer c.curveMu.Unlock()
-	key := curveKey{kind: "catsweep"}
-	if cached, ok := c.curves[key]; ok {
-		s := cached.([3][]float64)
-		return s[0], s[1], s[2]
-	}
-	o := c.Opts
-	threads := min(o.Threads, 16)
-	cores := (threads + 1) / 2
-	// The ten way-allocations differ only in L3 partitioning, so they ride
-	// the single-pass MeasureMulti kernel: the shared leaf recording is
-	// decoded once per batch per shard instead of once per point.
-	base := workload.MeasureConfig{
-		Platform: c.PLT1(),
-		Cores:    cores, SMTWays: 2, Threads: threads,
-		Budget:         o.Budget * 2,
-		Seed:           o.Seed,
-		WarmupFraction: 1.5,
-	}
-	mcs := make([]workload.MeasureConfig, 10)
-	for i := range mcs {
-		mcs[i] = base
-		mcs[i].L3Ways = 2 + 2*i
-	}
-	for _, m := range measureMultiSharded(c, c.Leaf(), mcs) {
-		xsHit = append(xsHit, m.L3HitRate)
-		xsAMAT = append(xsAMAT, m.AMATNS)
-		ysIPC = append(ysIPC, m.IPC)
-	}
-	c.curves[key] = [3][]float64{xsHit, xsAMAT, ysIPC}
-	return
+	s := c.curve(curveKey{kind: "catsweep"}, func() any {
+		var hits, amats, ipcs []float64
+		o := c.Opts
+		threads := min(o.Threads, 16)
+		cores := (threads + 1) / 2
+		// The ten way-allocations differ only in L3 partitioning, so they ride
+		// the single-pass MeasureMulti kernel: the shared leaf recording is
+		// decoded once per batch per shard instead of once per point.
+		base := workload.MeasureConfig{
+			Platform: c.PLT1(),
+			Cores:    cores, SMTWays: 2, Threads: threads,
+			Budget:         o.Budget * 2,
+			Seed:           o.Seed,
+			WarmupFraction: 1.5,
+		}
+		mcs := make([]workload.MeasureConfig, 10)
+		for i := range mcs {
+			mcs[i] = base
+			mcs[i].L3Ways = 2 + 2*i
+		}
+		for _, m := range measureMultiSharded(c, c.Leaf(), mcs) {
+			hits = append(hits, m.L3HitRate)
+			amats = append(amats, m.AMATNS)
+			ipcs = append(ipcs, m.IPC)
+		}
+		return [3][]float64{hits, amats, ipcs}
+	}).([3][]float64)
+	return s[0], s[1], s[2]
 }
 
 func runFig8a(c *Context) (Result, error) {
@@ -122,16 +118,11 @@ func round3(v float64) float64 { return math.Round(v*1000) / 1000 }
 // long-distance reuse to register, so it uses an extended budget; the
 // result is cached in the context.
 func hitCurve(c *Context, threads int) *l3Curve {
-	c.curveMu.Lock()
-	defer c.curveMu.Unlock()
-	key := curveKey{kind: "l3curve", arg: int64(threads)}
-	if cached, ok := c.curves[key]; ok {
-		return cached.(*l3Curve)
-	}
-	o := c.Opts
-	sd, _ := combinedCurveFromRun(c.Leaf(), threads, o.Budget*8, o.Seed+77)
-	c.curves[key] = sd
-	return sd
+	return c.curve(curveKey{kind: "l3curve", arg: int64(threads)}, func() any {
+		o := c.Opts
+		sd, _ := combinedCurveFromRun(c.Leaf(), threads, o.Budget*8, o.Seed+77)
+		return sd
+	}).(*l3Curve)
 }
 
 // perfModel converts an L3 (and optional L4) operating point into IPC via
@@ -150,36 +141,29 @@ type perfModel struct {
 // newPerfModel measures the baseline operating point once (cached per
 // context) and binds it to the hit-rate curve.
 func newPerfModel(c *Context) *perfModel {
-	pmKey := curveKey{kind: "perfmodel"}
-	c.curveMu.Lock()
-	if cached, ok := c.curves[pmKey]; ok {
-		c.curveMu.Unlock()
-		return cached.(*perfModel)
-	}
-	c.curveMu.Unlock()
-
-	o := c.Opts
-	threads := min(o.Threads, 16)
-	plat := c.PLT1()
-	baseCfg := workload.MeasureConfig{
-		Platform: plat,
-		Cores:    (threads + 1) / 2, SMTWays: 2, Threads: threads,
-		Budget:         o.Budget * 2,
-		Seed:           o.Seed,
-		WarmupFraction: 1.5,
-	}
-	// The model needs three recordings with *different* keys (curve run,
-	// warmup, measured run). Pin their recording order to the serial
-	// engine's before any parallel group can race replays against them.
-	c.Leaf().Record(threads, o.Budget*8, o.Seed+77)
-	workload.PreRecord(c.Leaf(), baseCfg)
-	curve := hitCurve(c, threads)
-	base := workload.Measure(c.Leaf(), baseCfg)
-	pm := &perfModel{curve: curve, base: base, core: plat.Core, tL3: plat.L3LatencyNS, tMEM: plat.MemLatencyNS}
-	c.curveMu.Lock()
-	c.curves[pmKey] = pm
-	c.curveMu.Unlock()
-	return pm
+	return c.curve(curveKey{kind: "perfmodel"}, func() any {
+		o := c.Opts
+		threads := min(o.Threads, 16)
+		plat := c.PLT1()
+		baseCfg := workload.MeasureConfig{
+			Platform: plat,
+			Cores:    (threads + 1) / 2, SMTWays: 2, Threads: threads,
+			Budget:         o.Budget * 2,
+			Seed:           o.Seed,
+			WarmupFraction: 1.5,
+		}
+		// The model needs three recordings with *different* keys (curve run,
+		// warmup, measured run). Pin their recording order to the serial
+		// engine's; after that the curve pass and the baseline measurement
+		// only replay, so they run as two legs.
+		c.Leaf().Record(threads, o.Budget*8, o.Seed+77)
+		workload.PreRecord(c.Leaf(), baseCfg)
+		pm := &perfModel{core: plat.Core, tL3: plat.L3LatencyNS, tMEM: plat.MemLatencyNS}
+		runLegs(c,
+			func() { pm.curve = hitCurve(c, threads) },
+			func() { pm.base = workload.Measure(c.Leaf(), baseCfg) })
+		return pm
+	}).(*perfModel)
 }
 
 // ipcAt returns modeled IPC with the given L3 capacity and optional L4

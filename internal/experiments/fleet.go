@@ -131,18 +131,20 @@ func runFleetQPS(c *Context) (Result, error) {
 	clients := fleetClients(o)
 	durNS := 2e9 / float64(o.Shrink)
 
-	// Probe each design's uncongested closed-loop latency once, serially.
-	// Under the 1/(1-rho) congestion law, effective completions peak at
-	// rho = 1/2 — occupancy LeafCapacity/2 at twice the base latency — so
-	// the stability boundary the load fractions are anchored to is
-	// LeafCapacity/4 queries per mean uncongested service time.
-	ref := make([]float64, len(designs))
-	for i, d := range designs {
+	// Probe each design's uncongested closed-loop latency once, each on a
+	// cluster of its own. Under the 1/(1-rho) congestion law, effective
+	// completions peak at rho = 1/2 — occupancy LeafCapacity/2 at twice the
+	// base latency — so the stability boundary the load fractions are
+	// anchored to is LeafCapacity/4 queries per mean uncongested service
+	// time.
+	ref := runPoints(c, 0, len(designs), func(i int) float64 {
+		d := designs[i]
 		st := serving.RunLoad(fleetCluster(o, "fleet/probe/"+d.name, leaves, capPerCore*d.cores, d.scale, nil),
 			4, 200, 3000, 0.9, o.Seed+61)
-		ref[i] = float64(capPerCore*d.cores) / 4 / (st.MeanLatencyNS * 1e-9)
-		o.logf("figF1: %s capacity ~%.0f QPS (probe mean %.2f ms)", d.name, ref[i], st.MeanLatencyNS/1e6)
-	}
+		qps := float64(capPerCore*d.cores) / 4 / (st.MeanLatencyNS * 1e-9)
+		o.logf("figF1: %s capacity ~%.0f QPS (probe mean %.2f ms)", d.name, qps, st.MeanLatencyNS/1e6)
+		return qps
+	})
 
 	type point struct {
 		scen   string

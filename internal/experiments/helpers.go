@@ -107,9 +107,6 @@ func newSegmentStackDists(l2eff int64) *segmentStackDists {
 	return s
 }
 
-// Observe routes an access to its segment's profiler.
-func (s *segmentStackDists) Observe(a trace.Access) { s.sds[a.Seg].Observe(a) }
-
 // hitRate returns a segment's post-L2 hit rate at a capacity. Cold misses
 // are excluded for code and heap (finite, amortized working sets) and
 // included for the shard (structural cold misses), matching the paper's

@@ -57,7 +57,11 @@ func runPoints[T any](c *Context, maxWorkers, n int, point func(i int) T) []T {
 	out := make([]T, n)
 	workers := c.sweepWorkers(n, maxWorkers)
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
+		for k := 0; k < n; k++ {
+			i := k
+			if c.reversePoints {
+				i = n - 1 - k
+			}
 			out[i] = point(i)
 		}
 		return out
@@ -123,6 +127,20 @@ func runPoints[T any](c *Context, maxWorkers, n int, point func(i int) T) []T {
 		}
 	}
 	return out
+}
+
+// runLegs runs the independent legs of one experiment side by side: as points
+// of runPoints, so with Options.Parallel off they run one after another in
+// the order given, and a panicking leg is re-raised after the others finish.
+// Legs may share a fan-out only if every Replayer is recorded on by at most
+// one leg, or every key they replay was recorded before the fan-out
+// (DESIGN.md §15): recording order is the only state a leg can leak into
+// another. Each leg writes its results to variables no other leg touches.
+func runLegs(c *Context, legs ...func()) {
+	runPoints(c, 0, len(legs), func(i int) struct{} {
+		legs[i]()
+		return struct{}{}
+	})
 }
 
 // measureMultiSharded evaluates one MeasureConfig per index through

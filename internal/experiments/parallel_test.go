@@ -3,7 +3,9 @@ package experiments
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestSweepWorkers pins the worker-count policy: serial unless Parallel,
@@ -62,6 +64,62 @@ func TestRunPointsPanicDeterministic(t *testing.T) {
 		}
 		return i
 	})
+}
+
+// TestCurveSingleFlight pins the memo's two halves: any number of callers of
+// one key share one compute, and computes of different keys overlap — each of
+// the two below finishes only once the other has started, which a lock held
+// across compute would turn into a deadlock.
+func TestCurveSingleFlight(t *testing.T) {
+	c := NewContext(Options{Shrink: 1, Budget: 1, Threads: 1})
+	var computes atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := c.curve(curveKey{kind: "once"}, func() any {
+				computes.Add(1)
+				return 41
+			})
+			if v != 41 {
+				t.Errorf("curve returned %v, want the computed 41", v)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := computes.Load(); n != 1 {
+		t.Errorf("16 callers of one key ran compute %d times, want 1", n)
+	}
+
+	started := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	done := make(chan struct{})
+	for i := range started {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.curve(curveKey{kind: "pair", arg: int64(i)}, func() any {
+				close(started[i])
+				select {
+				case <-started[1-i]:
+				case <-done:
+				}
+				return i
+			})
+		}()
+	}
+	overlapped := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(overlapped)
+	}()
+	select {
+	case <-overlapped:
+	case <-time.After(30 * time.Second):
+		t.Error("computes of two keys did not overlap: one waited for the other to return")
+		close(done)
+		wg.Wait()
+	}
 }
 
 // TestSharingContextsConcurrent races two contexts that share one workload
@@ -165,11 +223,14 @@ func TestOneIndexBuildPerCorpus(t *testing.T) {
 
 	// fig8a left its sweep in the context; fig8b must plot that, not measure
 	// again — shown by planting a sweep no measurement could produce.
-	key := curveKey{kind: "catsweep"}
-	if sw, ok := c.curves[key].([3][]float64); !ok || len(sw[0]) != 10 {
-		t.Fatalf("fig8a left no 10-point catSweep in Context.curves: %v", c.curves[key])
+	planted := c.curve(curveKey{kind: "catsweep"}, func() any {
+		t.Error("fig8a left no catSweep in the context")
+		return nil
+	})
+	if sw, ok := planted.([3][]float64); !ok || len(sw[0]) != 10 {
+		t.Fatalf("fig8a's memoized catSweep is not a 10-point sweep: %v", planted)
 	}
-	c.curves[key] = [3][]float64{{0.5}, {123}, {-7}}
+	c.curves[curveKey{kind: "catsweep"}].v = [3][]float64{{0.5}, {123}, {-7}}
 	ipc := run("fig8b").(*Figure).Get("IPC")
 	if len(ipc.X) != 1 || ipc.X[0] != 123 || ipc.Y[0] != -7 {
 		t.Errorf("fig8b re-ran the CAT sweep instead of using the context's: x=%v y=%v", ipc.X, ipc.Y)

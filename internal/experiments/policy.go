@@ -113,31 +113,25 @@ type polSweepData struct {
 // polSweep measures the all-LRU baseline and the level x policy grid in one
 // MeasureMulti pass over the shared sweep recording. Memoized per context.
 func polSweep(c *Context) *polSweepData {
-	c.curveMu.Lock()
-	defer c.curveMu.Unlock()
-	key := curveKey{kind: "polsweep"}
-	if cached, ok := c.curves[key]; ok {
-		return cached.(*polSweepData)
-	}
-	mcs := []workload.MeasureConfig{polBase(c)} // index 0: all-LRU baseline
-	var pts []polPoint
-	for _, level := range polLevels {
-		for _, v := range polVariants {
-			mc := polBase(c)
-			applyLevelPolicy(&mc, level, v)
-			mcs = append(mcs, mc)
-			pts = append(pts, polPoint{level: level, variant: v})
+	return c.curve(curveKey{kind: "polsweep"}, func() any {
+		mcs := []workload.MeasureConfig{polBase(c)} // index 0: all-LRU baseline
+		var pts []polPoint
+		for _, level := range polLevels {
+			for _, v := range polVariants {
+				mc := polBase(c)
+				applyLevelPolicy(&mc, level, v)
+				mcs = append(mcs, mc)
+				pts = append(pts, polPoint{level: level, variant: v})
+			}
 		}
-	}
-	ms := measureMultiSharded(c, c.Sweep(), mcs)
-	for i := range pts {
-		pts[i].m = ms[i+1]
-		c.Opts.logf("figP1: %s %s: MPKI %.3f, IPC %.3f",
-			pts[i].level, pts[i].variant.name, levelMPKI(pts[i].m, pts[i].level), pts[i].m.IPC)
-	}
-	data := &polSweepData{baseline: ms[0], points: pts}
-	c.curves[key] = data
-	return data
+		ms := measureMultiSharded(c, c.Sweep(), mcs)
+		for i := range pts {
+			pts[i].m = ms[i+1]
+			c.Opts.logf("figP1: %s %s: MPKI %.3f, IPC %.3f",
+				pts[i].level, pts[i].variant.name, levelMPKI(pts[i].m, pts[i].level), pts[i].m.IPC)
+		}
+		return &polSweepData{baseline: ms[0], points: pts}
+	}).(*polSweepData)
 }
 
 func runFigP1(c *Context) (Result, error) {
@@ -216,42 +210,36 @@ type predSweepData struct {
 // confidence grid (plus one block-indexed row at the default shape) in one
 // MeasureMulti pass. Memoized per context.
 func predSweep(c *Context) *predSweepData {
-	c.curveMu.Lock()
-	defer c.curveMu.Unlock()
-	key := curveKey{kind: "predsweep"}
-	if cached, ok := c.curves[key]; ok {
-		return cached.(*predSweepData)
-	}
-	mcs := []workload.MeasureConfig{polBase(c)} // index 0: predictor off
-	var pts []predPoint
-	for _, bits := range predBitsGrid {
-		for _, conf := range predConfGrid {
-			mc := polBase(c)
-			mc.Predictor = &cache.PredictorConfig{TableBits: uint(bits), ConfThreshold: uint8(conf)}
-			mcs = append(mcs, mc)
-			pts = append(pts, predPoint{bits: bits, conf: conf})
+	return c.curve(curveKey{kind: "predsweep"}, func() any {
+		mcs := []workload.MeasureConfig{polBase(c)} // index 0: predictor off
+		var pts []predPoint
+		for _, bits := range predBitsGrid {
+			for _, conf := range predConfGrid {
+				mc := polBase(c)
+				mc.Predictor = &cache.PredictorConfig{TableBits: uint(bits), ConfThreshold: uint8(conf)}
+				mcs = append(mcs, mc)
+				pts = append(pts, predPoint{bits: bits, conf: conf})
+			}
 		}
-	}
-	// One block-indexed row at the grid's last shape, isolating the keying
-	// choice (per-PC vs block address) from table geometry.
-	lastBits, lastConf := predBitsGrid[len(predBitsGrid)-1], predConfGrid[len(predConfGrid)-1]
-	mcBlock := polBase(c)
-	mcBlock.Predictor = &cache.PredictorConfig{
-		TableBits: uint(lastBits), ConfThreshold: uint8(lastConf), IndexBlock: true,
-	}
-	mcs = append(mcs, mcBlock)
-	pts = append(pts, predPoint{bits: lastBits, conf: lastConf, block: true})
+		// One block-indexed row at the grid's last shape, isolating the keying
+		// choice (per-PC vs block address) from table geometry.
+		lastBits, lastConf := predBitsGrid[len(predBitsGrid)-1], predConfGrid[len(predConfGrid)-1]
+		mcBlock := polBase(c)
+		mcBlock.Predictor = &cache.PredictorConfig{
+			TableBits: uint(lastBits), ConfThreshold: uint8(lastConf), IndexBlock: true,
+		}
+		mcs = append(mcs, mcBlock)
+		pts = append(pts, predPoint{bits: lastBits, conf: lastConf, block: true})
 
-	ms := measureMultiSharded(c, c.Sweep(), mcs)
-	for i := range pts {
-		pts[i].m = ms[i+1]
-		c.Opts.logf("figP2: bits %d conf %d block=%v: skip %.1f%%, mispredict %.2f%%",
-			pts[i].bits, pts[i].conf, pts[i].block,
-			100*pts[i].m.Pred.SkipRate(), 100*pts[i].m.Pred.MispredictRate())
-	}
-	data := &predSweepData{baseline: ms[0], points: pts}
-	c.curves[key] = data
-	return data
+		ms := measureMultiSharded(c, c.Sweep(), mcs)
+		for i := range pts {
+			pts[i].m = ms[i+1]
+			c.Opts.logf("figP2: bits %d conf %d block=%v: skip %.1f%%, mispredict %.2f%%",
+				pts[i].bits, pts[i].conf, pts[i].block,
+				100*pts[i].m.Pred.SkipRate(), 100*pts[i].m.Pred.MispredictRate())
+		}
+		return &predSweepData{baseline: ms[0], points: pts}
+	}).(*predSweepData)
 }
 
 func runFigP2(c *Context) (Result, error) {

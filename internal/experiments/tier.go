@@ -81,59 +81,57 @@ type tierSweepData struct {
 // budgets from its touched-page population, and sweeps the capacity-split x
 // policy grid. Memoized per context; both phases ride measureMultiSharded.
 func tierSweep(c *Context) (*tierSweepData, error) {
-	c.curveMu.Lock()
-	defer c.curveMu.Unlock()
-	key := curveKey{kind: "tiersweep"}
-	if cached, ok := c.curves[key]; ok {
-		return cached.(*tierSweepData), nil
-	}
-	o := c.Opts
+	v := c.curve(curveKey{kind: "tiersweep"}, func() any {
+		o := c.Opts
 
-	// Phase 1: the all-near baseline. Its page census sizes the splits and
-	// its traffic volume sizes the placement epoch.
-	base := tierBase(c)
-	base.Mem = &mem.Config{PageBytes: tierPageBytes}
-	baseline := measureMultiSharded(c, c.Sweep(), []workload.MeasureConfig{base})[0]
-	if baseline.Mem == nil || baseline.Mem.Pages == 0 {
-		return nil, fmt.Errorf("tier sweep: baseline measured no touched pages")
-	}
-	totalPages := baseline.Mem.Pages
-	// Several placement epochs per measured run, with a floor so tiny
-	// -short runs still cross at least one boundary.
-	epochLen := max((baseline.Mem.Reads+baseline.Mem.Writes)/8, 256)
-	o.logf("figT1: baseline pages %d, AMAT %.1f ns, epoch %d", totalPages, baseline.AMATNS, epochLen)
-
-	// Phase 2: the grid. All configs share the replay keys with the
-	// baseline, so the recording is already pinned.
-	var mcs []workload.MeasureConfig
-	var pts []tierPoint
-	for _, frac := range tierFracs {
-		nearPages := int64(float64(totalPages) * frac)
-		if nearPages < 1 {
-			nearPages = 1
+		// Phase 1: the all-near baseline. Its page census sizes the splits and
+		// its traffic volume sizes the placement epoch.
+		base := tierBase(c)
+		base.Mem = &mem.Config{PageBytes: tierPageBytes}
+		baseline := measureMultiSharded(c, c.Sweep(), []workload.MeasureConfig{base})[0]
+		if baseline.Mem == nil || baseline.Mem.Pages == 0 {
+			return fmt.Errorf("tier sweep: baseline measured no touched pages")
 		}
-		for _, pol := range tierPolicies {
-			mc := tierBase(c)
-			mc.Mem = &mem.Config{
-				PageBytes: tierPageBytes,
-				Far: &mem.FarConfig{
-					NearPages: nearPages,
-					Policy:    pol,
-					EpochLen:  epochLen,
-				},
+		totalPages := baseline.Mem.Pages
+		// Several placement epochs per measured run, with a floor so tiny
+		// -short runs still cross at least one boundary.
+		epochLen := max((baseline.Mem.Reads+baseline.Mem.Writes)/8, 256)
+		o.logf("figT1: baseline pages %d, AMAT %.1f ns, epoch %d", totalPages, baseline.AMATNS, epochLen)
+
+		// Phase 2: the grid. All configs share the replay keys with the
+		// baseline, so the recording is already pinned.
+		var mcs []workload.MeasureConfig
+		var pts []tierPoint
+		for _, frac := range tierFracs {
+			nearPages := int64(float64(totalPages) * frac)
+			if nearPages < 1 {
+				nearPages = 1
 			}
-			mcs = append(mcs, mc)
-			pts = append(pts, tierPoint{nearFrac: frac, policy: pol})
+			for _, pol := range tierPolicies {
+				mc := tierBase(c)
+				mc.Mem = &mem.Config{
+					PageBytes: tierPageBytes,
+					Far: &mem.FarConfig{
+						NearPages: nearPages,
+						Policy:    pol,
+						EpochLen:  epochLen,
+					},
+				}
+				mcs = append(mcs, mc)
+				pts = append(pts, tierPoint{nearFrac: frac, policy: pol})
+			}
 		}
+		for i, m := range measureMultiSharded(c, c.Sweep(), mcs) {
+			pts[i].m = m
+			o.logf("figT1: near %.3f %s: AMAT %.1f ns, far-shard-pages %.0f%%",
+				pts[i].nearFrac, pts[i].policy, m.AMATNS, 100*m.Mem.FarPageFrac(trace.Shard))
+		}
+		return &tierSweepData{baseline: baseline, epochLen: epochLen, points: pts}
+	})
+	if err, failed := v.(error); failed {
+		return nil, err
 	}
-	for i, m := range measureMultiSharded(c, c.Sweep(), mcs) {
-		pts[i].m = m
-		o.logf("figT1: near %.3f %s: AMAT %.1f ns, far-shard-pages %.0f%%",
-			pts[i].nearFrac, pts[i].policy, m.AMATNS, 100*m.Mem.FarPageFrac(trace.Shard))
-	}
-	data := &tierSweepData{baseline: baseline, epochLen: epochLen, points: pts}
-	c.curves[key] = data
-	return data, nil
+	return v.(*tierSweepData), nil
 }
 
 // tierDollars prices a provisioned split at paper scale: the simulated page
