@@ -60,8 +60,11 @@ obs-demo:
 # streams through the branch-log codec. FuzzInverter differential-fuzzes the
 # index inverter against its map-based reference; FuzzOwnerFilter does the
 # same for the inclusive L3's core-valid filter against probe-every-core
-# back-invalidation, and FuzzStackDistMatchesNaive for the stack-distance
-# profiler's Fenwick tree against a move-to-front list, bucket for bucket.
+# back-invalidation, FuzzStackDistMatchesNaive for the stack-distance
+# profiler's Fenwick tree against a move-to-front list, bucket for bucket,
+# and FuzzTailsMatchStandalone for one upper draining into several tails (and
+# their replay from its recorded stream) against a standalone hierarchy per
+# tail, state for state.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzFileCodecDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzBlockDecode$$' -fuzztime $(FUZZTIME)
@@ -70,5 +73,6 @@ fuzz-smoke:
 	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzInverter$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzOwnerFilter$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzStackDistMatchesNaive$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzTailsMatchStandalone$$' -fuzztime $(FUZZTIME)
 
 ci: build lint test race alloc-check fuzz-smoke

@@ -214,8 +214,10 @@ func processCPU() time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
-// printStoreSummary reports trace-store footprints and process-memory
-// high-water marks on stderr. The process-memory gauges are environmental
+// printStoreSummary reports trace-store footprints, the retained post-L3
+// streams and process-memory high-water marks on stderr. The stream lines
+// say how many L1–L3 passes the run made over each upper that sweeps share;
+// the process-memory gauges are environmental
 // (they vary run to run), so they go through a private registry that is
 // never exported — the -metrics file stays byte-identical for a fixed seed.
 func printStoreSummary(ctx *experiments.Context) {
@@ -229,6 +231,13 @@ func printStoreSummary(ctx *experiments.Context) {
 		}
 		fmt.Fprintf(os.Stderr, "#   %-16s %d recordings, %d accesses in %d bytes (%s), %d branches in %d bytes (ram)\n",
 			key, st.Recordings, st.Accesses, st.StoredBytes, loc, st.Branches, st.BranchBytes)
+	}
+	// Each retained post-L3 stream is one L1–L3 pass that every tail it
+	// served (and every sweep that found it) did not repeat.
+	fmt.Fprintln(os.Stderr, "# post-L3 streams:")
+	for _, s := range ctx.PostL3Streams() {
+		fmt.Fprintf(os.Stderr, "#   %-16s %s: %d events in %d bytes, %d tails served, %d memo hits\n",
+			s.Runner, s.Upper, s.Events, s.Bytes, s.Tails, s.Hits)
 	}
 	mem := obs.NewRegistry()
 	experiments.MemGauges(mem)

@@ -110,6 +110,46 @@ func TestVerboseTimingLine(t *testing.T) {
 	}
 }
 
+// TestVerboseStreamFooter pins the -v footer's "# post-L3 streams:" block
+// beside "# trace stores:": figT1 runs its all-near baseline live, records
+// the sweep upper's stream for its grid, and figT2 replays that stream — one
+// line, one L1–L3 pass, 15 tails, one memo hit. The block is stderr only:
+// stdout and both exports match the quiet run.
+func TestVerboseStreamFooter(t *testing.T) {
+	var outs [2][3][]byte
+	var stderr bytes.Buffer
+	for i, v := range []bool{false, true} {
+		dir := t.TempDir()
+		args := []string{"-fast", "-shrink", "64", "-budget", "100000", "-seed", "42",
+			"-trace", filepath.Join(dir, "t.json"), "-metrics", filepath.Join(dir, "m.json")}
+		if v {
+			args = append(args, "-v")
+		}
+		cmd := exec.Command(searchsimBin, append(args, "figT1", "figT2")...)
+		stderr.Reset()
+		cmd.Stderr = &stderr
+		stdout, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("-v=%v: %v\n%s", v, err, stderr.Bytes())
+		}
+		outs[i] = [3][]byte{stdout, readFile(t, filepath.Join(dir, "t.json")), readFile(t, filepath.Join(dir, "m.json"))}
+	}
+	for i, what := range []string{"stdout", "-trace export", "-metrics export"} {
+		if len(outs[1][i]) == 0 || !bytes.Equal(outs[0][i], outs[1][i]) {
+			t.Errorf("%s is empty or differs between the quiet and the -v run", what)
+		}
+	}
+	block := regexp.MustCompile(`(?m)^# trace stores:\n(?:#   .*\n)+?# post-L3 streams:\n((?:#   s1-leaf-sweep .*\n)*)#   process_`)
+	m := block.FindSubmatch(stderr.Bytes())
+	if m == nil {
+		t.Fatalf("-v stderr has no post-L3 streams block after the trace stores:\n%s", stderr.Bytes())
+	}
+	line := regexp.MustCompile(`^#   s1-leaf-sweep    \d+ cores x \d+ SMT, L3 \d+ KiB \d+-way LRU; \d+ threads, budget \d+, seed 42: \d+ events in \d+ bytes, 15 tails served, 1 memo hits\n$`)
+	if !line.Match(m[1]) {
+		t.Errorf("post-L3 streams block is not one sweep-upper line serving 15 tails with 1 memo hit:\n%s", m[1])
+	}
+}
+
 // TestProfilesWrittenOnErrorExit checks the other ways out: a run that ends
 // in a usage error still leaves both profiles behind with its exit code
 // intact, and a profile path that cannot be created is itself an error.

@@ -70,3 +70,43 @@ func TestHierarchyDrainBatchZeroAlloc(t *testing.T) {
 		})
 	}
 }
+
+// TestTailDrainZeroAlloc pins the split kernel's consumers: tails of every L4
+// kind, with and without a level predictor, draining an upper's port (levels
+// resolved and not), and the same tails replaying the upper's recorded
+// Stream through a reused scratch port.
+func TestTailDrainZeroAlloc(t *testing.T) {
+	batch := batchEquivTrace(14, 4096, 4)
+	up := NewUpper(tinyHierarchy(2, nil), true)
+	var tails []*Tail
+	for _, b := range []uint8{0x00, 0x01, 0x06, 0x0b, 0x13, 0x33} {
+		tails = append(tails, NewTail(tailShape(tinyHierarchy(2, nil), b)))
+	}
+	upLv := make([]HitLevel, 0, len(batch))
+	lv := make([]HitLevel, len(batch))
+	requireZeroAllocs(t, "drain", func() {
+		upLv = up.AccessBatch(batch, upLv[:0])
+		for _, tl := range tails {
+			tl.Drain(up.Port(), nil)
+			copy(lv, upLv)
+			tl.Drain(up.Port(), lv)
+		}
+	})
+	if len(up.Port().events) == 0 {
+		t.Fatal("the drained port holds no post-L3 events")
+	}
+
+	var w StreamWriter
+	for i := 0; i < 4; i++ {
+		up.AccessBatch(batch, nil)
+		w.Add(up.Port())
+	}
+	s := w.Finish()
+	var port Port
+	drain := func(p *Port) {
+		for _, tl := range tails {
+			tl.Drain(p, nil)
+		}
+	}
+	requireZeroAllocs(t, "stream replay", func() { s.Replay(&port, drain) })
+}

@@ -102,7 +102,8 @@ func snapCache(c *Cache) cacheSnap {
 	return s
 }
 
-// snapHierarchy captures every cache in the hierarchy plus memory traffic.
+// snapHierarchy captures every cache in the hierarchy plus memory traffic:
+// the upper's caches and those of its tail (h.Tail), which must be set.
 func snapHierarchy(h *Hierarchy) map[string]any {
 	m := map[string]any{
 		"MemReads":  h.MemReads,
@@ -132,6 +133,7 @@ func snapHierarchy(h *Hierarchy) map[string]any {
 			"Level":     append([]uint8(nil), h.pred.level...),
 			"Conf":      append([]uint8(nil), h.pred.conf...),
 			"Stats":     h.pred.Stats,
+			"Overlay":   [2]predCounts{h.l2Pred, h.l3Pred},
 			"LastFetch": h.lastFetch,
 		}
 	}

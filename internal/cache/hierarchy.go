@@ -76,16 +76,21 @@ func (hc HierarchyConfig) Validate() error {
 	return nil
 }
 
-// Hierarchy is a functional multi-level cache simulator. It is not safe for
-// concurrent use; multi-threaded execution is modeled by the recording,
-// whose accesses arrive already interleaved across hardware threads.
+// Hierarchy is a functional multi-level cache simulator: the L1–L3 upper
+// (this type's own fields and AccessBatch) over the L3's miss/victim port,
+// and, embedded, the Tail that consumes what crosses it (tail.go). A
+// hierarchy from NewHierarchy has exactly one tail and drains into it at the
+// end of every call, so its counters and levels read as one machine's; one
+// from NewUpper has none and leaves each call's Port for the caller to hand
+// to as many tails as share this upper. It is not safe for concurrent use;
+// multi-threaded execution is modeled by the recording, whose accesses
+// arrive already interleaved across hardware threads.
 type Hierarchy struct {
 	cfg HierarchyConfig
 
 	l1i, l1d, l2 []*Cache
 	l2i          []*Cache // only with SplitL2
 	l3           *Cache
-	l4           *Cache
 
 	// Thread-indexed routing tables, precomputed at construction so the hot
 	// kernels replace the per-access core division (coreFor) with one load:
@@ -97,28 +102,22 @@ type Hierarchy struct {
 	// validated equal), hoisted out of the batch loop.
 	l1Shift uint
 
-	// MemReads counts demand fetches that reached main memory; MemWrites
-	// counts dirty writebacks that reached main memory. Together they are
-	// the DRAM traffic the L4 is designed to filter (Figure 13).
-	MemReads, MemWrites int64
-	// PrefetchFills counts blocks installed by InstallPrefetch;
-	// PrefetchMemReads counts the subset that had to read main memory
-	// (prefetch bandwidth cost).
-	PrefetchFills, PrefetchMemReads int64
+	// PrefetchFills counts blocks installed by InstallPrefetch (the subset
+	// that read main memory is the tail's PrefetchMemReads).
+	PrefetchFills int64
 
-	// mem, when non-nil, observes every main-memory transaction.
-	mem MemSink
+	// port logs what the current call hands below the L3. keyMisses adds one
+	// record per L1 miss for a level predictor in some tail; lastFetch[t] is
+	// thread t's most recent fetch block, the per-PC stand-in key those
+	// records carry (keyL1Misses).
+	port      Port
+	keyMisses bool
+	lastFetch [256]uint64
 
-	// Level-predictor state (nil/false without cfg.Predictor). trackFetch
-	// is hoisted so the batched kernel pays one predictable branch when the
-	// predictor is off; lastFetch[t] is thread t's most recent fetch block,
-	// the per-PC stand-in key. memProbes is the number of post-L1 probes a
-	// full chain performs on a memory-serviced access (2, or 3 with an L4),
-	// precomputed for the probe-skip accounting.
-	pred       *levelPredictor
-	trackFetch bool
-	lastFetch  [256]uint64
-	memProbes  int64
+	// Tail is the hierarchy's own below-L3 half (nil for NewUpper): its L4,
+	// memory sink, memory counters and level predictor, promoted so
+	// h.MemReads, h.L4Stats() and h.SetMemSink read as they always have.
+	*Tail
 }
 
 // MemSink observes every main-memory transaction the hierarchy issues:
@@ -132,10 +131,6 @@ type MemSink interface {
 	MemRead(addr uint64, seg trace.Segment)
 	MemWrite(addr uint64, seg trace.Segment)
 }
-
-// SetMemSink attaches a main-memory observer (nil detaches). Attach before
-// replay: the sink sees only transactions issued after the call.
-func (h *Hierarchy) SetMemSink(ms MemSink) { h.mem = ms }
 
 // HitLevel identifies the hierarchy level that serviced an access.
 type HitLevel uint8
@@ -167,12 +162,24 @@ func (l HitLevel) String() string {
 	}
 }
 
-// NewHierarchy builds a hierarchy; it panics on invalid configuration.
+// NewHierarchy builds a hierarchy with its one tail; it panics on invalid
+// configuration.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
+	h := NewUpper(cfg, cfg.Predictor != nil)
+	h.Tail = NewTail(cfg)
+	return h
+}
+
+// NewUpper builds the L1–L3 of cfg with no tail: cfg.L4 and cfg.Predictor
+// belong to tails (NewTail) and are not built here. Each AccessBatch or
+// InstallPrefetch leaves what it handed below the L3 in Port until the next
+// call. keyMisses logs one L1-miss record per L1 miss, which a tail with a
+// level predictor needs. It panics on invalid configuration.
+func NewUpper(cfg HierarchyConfig, keyMisses bool) *Hierarchy {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	h := &Hierarchy{cfg: cfg}
+	h := &Hierarchy{cfg: cfg, keyMisses: keyMisses}
 	for c := 0; c < cfg.Cores; c++ {
 		mk := func(t Config, kind string) *Cache {
 			t.Name = fmt.Sprintf("%s[core%d]", kind, c)
@@ -208,28 +215,8 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 		// nothing.
 		h.l3.owners = make([]uint8, len(h.l3.tags))
 	}
-	if cfg.L4 != nil {
-		h.l4 = New(*cfg.L4)
-		h.l4.OnEvict = func(l Line) {
-			if l.Dirty {
-				h.MemWrites++
-				if h.mem != nil {
-					h.mem.MemWrite(l.BlockAddr<<h.l4.BlockShift(), l.Seg)
-				}
-			}
-		}
-	}
 	h.l3.OnEvict = h.onL3Evict
 	h.l1Shift = h.l1d[0].blockShift
-	h.memProbes = 2
-	if h.l4 != nil {
-		h.memProbes = 3
-	}
-	if cfg.Predictor != nil {
-		pc := cfg.Predictor.withDefaults()
-		h.pred = newLevelPredictor(pc)
-		h.trackFetch = !pc.IndexBlock
-	}
 	for t := 0; t < 256; t++ {
 		core := h.coreFor(uint8(t))
 		h.dataL1[t] = h.l1d[core]
@@ -247,7 +234,13 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 // Config returns the hierarchy's configuration.
 func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 
-// onL3Evict implements inclusion back-invalidation and the L4 victim path.
+// Port returns the post-L3 events of the last AccessBatch or InstallPrefetch
+// call, valid until the next one. A hierarchy with a tail has drained them
+// already; an upper's caller hands them to its tails with Tail.Drain.
+func (h *Hierarchy) Port() *Port { return &h.port }
+
+// onL3Evict implements inclusion back-invalidation, then hands the victim —
+// clean or dirty, since the L4 keeps clean victims too — to the port.
 func (h *Hierarchy) onL3Evict(l Line) {
 	dirty := l.Dirty
 	byteAddr := l.BlockAddr << h.l3.BlockShift()
@@ -268,16 +261,12 @@ func (h *Hierarchy) onL3Evict(l Line) {
 			}
 		}
 	}
-	if h.l4 != nil {
-		h.l4.Fill(h.l4.BlockAddr(byteAddr), l.Seg, dirty)
-		return // a dirty line now lives in the L4; written back on L4 eviction
-	}
+	op := uint8(opVictim)
 	if dirty {
-		h.MemWrites++
-		if h.mem != nil {
-			h.mem.MemWrite(byteAddr, l.Seg)
-		}
+		op |= 1 << 2
 	}
+	//lint:ignore hotalloc per-call port log reset every call: it grows to the largest call's event count once and is reused
+	h.port.events = append(h.port.events, portEvent{addr: byteAddr, seg: l.Seg, op: op})
 }
 
 // backInvalidate removes every block of c covered by [byteAddr,
@@ -317,13 +306,19 @@ func (h *Hierarchy) Access(a trace.Access) HitLevel {
 // inlines the L1 probe over the SoA tag array, so the dominant L1-hit case
 // costs a table load, one set scan, and two counter increments.
 //
-// When levels is non-nil the servicing level of each access is appended to
-// it and the extended slice returned (pass a cap-sized slice to avoid
-// growth); a nil levels skips that bookkeeping entirely. The batch itself is
-// read-only — it may be a zero-copy window of a shared immutable trace.
+// The loop runs the L1–L3 and logs what crosses the L3's lower port (Port);
+// a hierarchy with a tail then drains the log into it, so its levels and
+// counters are final when AccessBatch returns. When levels is non-nil the
+// servicing level of each access is appended to it and the extended slice
+// returned (pass a cap-sized slice to avoid growth); a nil levels skips that
+// bookkeeping entirely. An upper without a tail reports HitMemory for "below
+// the L3", which Tail.Drain resolves. The batch itself is read-only — it may
+// be a zero-copy window of a shared immutable trace.
 //
 //lint:hot
 func (h *Hierarchy) AccessBatch(batch []trace.Access, levels []HitLevel) []HitLevel {
+	h.port.reset()
+	start := len(levels)
 	shift := h.l1Shift
 	n := len(batch)
 	for i := 0; i < n; i++ {
@@ -343,12 +338,6 @@ func (h *Hierarchy) AccessBatch(batch []trace.Access, levels []HitLevel) []HitLe
 		}
 		first := a.Addr >> shift
 		last := (a.Addr + size - 1) >> shift
-		if h.trackFetch && a.Kind == trace.Fetch {
-			// The level predictor's "per-PC" key: the most recent
-			// instruction-fetch block of this thread stands in for the
-			// program counter (the trace carries no PC field).
-			h.lastFetch[a.Thread] = first
-		}
 		// Mask/clamp the array indices once so every stats increment below
 		// is bounds-check free (generators only emit in-range values; the
 		// clamp branch never fires and predicts perfectly, unlike a mod).
@@ -393,11 +382,10 @@ func (h *Hierarchy) AccessBatch(batch []trace.Access, levels []HitLevel) []HitLe
 				continue
 			}
 			l1.Stats.Misses[seg][kind]++
-			var lvl HitLevel
-			if h.pred == nil {
-				lvl = h.missPath(l1, l2, b<<shift, seg, kind)
-			} else {
-				lvl = h.predictPath(l1, l2, a.Thread, b<<shift, seg, kind)
+			lvl := h.missPath(l1, l2, b<<shift, seg, kind, uint32(i))
+			if h.keyMisses {
+				//lint:ignore hotalloc per-call port log reset every call: it grows to the largest call's miss count once and is reused
+				h.port.misses = append(h.port.misses, l1Miss{block: b, idx: uint32(i), level: lvl})
 			}
 			if lvl > deepest {
 				deepest = lvl
@@ -408,14 +396,43 @@ func (h *Hierarchy) AccessBatch(batch []trace.Access, levels []HitLevel) []HitLe
 			levels = append(levels, deepest)
 		}
 	}
+	if h.keyMisses {
+		h.keyL1Misses(batch)
+	}
+	if h.Tail != nil {
+		h.Tail.Drain(&h.port, levels[start:])
+	}
 	return levels
 }
 
+// keyL1Misses fills in the per-PC key of this batch's L1-miss records: the
+// thread's most recent instruction-fetch block (the trace carries no program
+// counter, so the code that issued the access stands in for it), refined by
+// the target segment (a 64 B code block holds ~16 instructions whose loads
+// can have very different destinies — a hot scoring structure vs. a cold
+// shard posting). An access that is itself a fetch keys its own block.
+func (h *Hierarchy) keyL1Misses(batch []trace.Access) {
+	misses := h.port.misses
+	for i := range batch {
+		a := &batch[i]
+		if a.Kind == trace.Fetch {
+			h.lastFetch[a.Thread] = a.Addr >> h.l1Shift
+		}
+		for len(misses) > 0 && misses[0].idx == uint32(i) {
+			misses[0].pc = h.lastFetch[a.Thread]<<2 | uint64(a.Seg)&3
+			misses = misses[1:]
+		}
+	}
+}
+
 // missPath services an access that already missed (and recorded its miss)
-// in l1: it probes L2/L3/L4 in order and performs the fill cascade,
-// returning the servicing level. Probes call touch directly and record
-// stats inline, skipping the Access wrapper frame per level.
-func (h *Hierarchy) missPath(l1, l2 *Cache, byteAddr uint64, seg trace.Segment, kind trace.Kind) HitLevel {
+// in l1: it probes L2 and L3 in order and performs the fill cascade,
+// returning the servicing level — HitMemory when the block came from below
+// the L3, where the demand miss is logged for the tail before the L3 fill
+// (whose victim, if any, is logged after it). idx is the access's batch
+// index. Probes call touch directly and record stats inline, skipping the
+// Access wrapper frame per level.
+func (h *Hierarchy) missPath(l1, l2 *Cache, byteAddr uint64, seg trace.Segment, kind trace.Kind, idx uint32) HitLevel {
 	write := kind == trace.Write
 	level := HitL2
 	hitL2 := l2.touch(l2.BlockAddr(byteAddr), write)
@@ -425,27 +442,11 @@ func (h *Hierarchy) missPath(l1, l2 *Cache, byteAddr uint64, seg trace.Segment, 
 		hitL3 := h.l3.touch(h.l3.BlockAddr(byteAddr), write)
 		h.l3.Stats.record(seg, kind, hitL3)
 		if !hitL3 {
-			hitL4 := false
-			if h.l4 != nil {
-				// Memory-side cache: its lookup proceeds in parallel
-				// with memory scheduling (§IV-C); functionally we only
-				// need hit/miss.
-				hitL4 = h.l4.touch(h.l4.BlockAddr(byteAddr), write)
-				h.l4.Stats.record(seg, kind, hitL4)
-			}
-			if hitL4 {
-				level = HitL4
-			} else {
-				level = HitMemory
-				h.MemReads++
-				if h.mem != nil {
-					//lint:ignore hotalloc memory-model sink: internal/mem's kernels are independently //lint:hot-enforced and AllocsPerRun-pinned
-					h.mem.MemRead(byteAddr, seg)
-				}
-			}
-			// Fill the L3 (evictions flow to the L4 victim path). The
-			// probe above just established absence, so the fills below
-			// take the no-rescan path.
+			level = HitMemory
+			//lint:ignore hotalloc per-call port log reset every call: it grows to the largest call's event count once and is reused
+			h.port.events = append(h.port.events, portEvent{addr: byteAddr, idx: idx, seg: seg, op: opDemand | uint8(kind)<<2})
+			// Fill the L3 (evictions flow to the port). The probe above just
+			// established absence, so the fills below take the no-rescan path.
 			h.l3.fillAbsent(h.l3.BlockAddr(byteAddr), seg, false)
 		}
 		if own := h.l3.owners; own != nil {
@@ -467,8 +468,11 @@ func (h *Hierarchy) missPath(l1, l2 *Cache, byteAddr uint64, seg trace.Segment, 
 // InstallPrefetch brings a block into core's L2 (and the shared L3) without
 // touching demand statistics. It models a hardware prefetcher's fill: useful
 // prefetches convert later demand misses into hits; useless ones cost
-// memory bandwidth and can pollute the caches.
+// memory bandwidth and can pollute the caches. A block that misses the L3 is
+// logged to the port before the L3 fill, so the tail checks its L4 for it
+// before that fill's victim arrives; a hierarchy with a tail drains it.
 func (h *Hierarchy) InstallPrefetch(core int, byteAddr uint64, seg trace.Segment) {
+	h.port.reset()
 	if core < 0 || core >= h.cfg.Cores {
 		return
 	}
@@ -478,16 +482,8 @@ func (h *Hierarchy) InstallPrefetch(core int, byteAddr uint64, seg trace.Segment
 	}
 	h.PrefetchFills++
 	l3Block := h.l3.BlockAddr(byteAddr)
-	inL3 := h.l3.Contains(l3Block)
-	inL4 := h.l4 != nil && h.l4.Contains(h.l4.BlockAddr(byteAddr))
-	if !inL3 {
-		if !inL4 {
-			h.PrefetchMemReads++
-			h.MemReads++
-			if h.mem != nil {
-				h.mem.MemRead(byteAddr, seg)
-			}
-		}
+	if !h.l3.Contains(l3Block) {
+		h.port.events = append(h.port.events, portEvent{addr: byteAddr, seg: seg, op: opPrefetch})
 		h.l3.fillAbsent(l3Block, seg, false)
 	}
 	if own := h.l3.owners; own != nil {
@@ -496,6 +492,9 @@ func (h *Hierarchy) InstallPrefetch(core int, byteAddr uint64, seg trace.Segment
 	}
 	if ev, ok := l2.fillAbsent(l2.BlockAddr(byteAddr), seg, false); ok && ev.Dirty {
 		h.writeback(h.l3, ev.BlockAddr<<l2.BlockShift(), ev.Seg)
+	}
+	if h.Tail != nil {
+		h.Tail.Drain(&h.port, nil)
 	}
 }
 
@@ -534,46 +533,46 @@ func (h *Hierarchy) L1Stats() AccessStats {
 	return s
 }
 
-// L2Stats returns L2 stats summed over cores (both halves when split).
-func (h *Hierarchy) L2Stats() AccessStats {
-	s := aggregate(h.l2)
+// L2Stats returns L2 stats summed over cores (both halves when split), with
+// the tail's level-predictor overlay.
+func (h *Hierarchy) L2Stats() AccessStats { return h.overlaid().L2 }
+
+// L3Stats returns the shared L3's stats, with the tail's level-predictor
+// overlay.
+func (h *Hierarchy) L3Stats() AccessStats { return h.overlaid().L3 }
+
+// overlaid is UpperStats with the hierarchy's own tail's overlay, if any.
+func (h *Hierarchy) overlaid() UpperStats {
+	u := h.UpperStats()
+	if h.Tail != nil {
+		u = h.Tail.Overlay(u)
+	}
+	return u
+}
+
+// UpperStats is a snapshot of the upper's counters: everything a group of
+// tails under one upper shares.
+type UpperStats struct {
+	// L1I, L1D and L2 are summed over cores (L2 over both halves when split).
+	L1I, L1D, L2, L3 AccessStats
+	PrefetchFills    int64
+}
+
+// UpperStats returns the L1–L3 counters as the upper measured them, without
+// any tail's predictor overlay.
+func (h *Hierarchy) UpperStats() UpperStats {
+	u := UpperStats{L1I: h.L1IStats(), L1D: h.L1DStats(), L2: aggregate(h.l2), L3: h.l3.Stats, PrefetchFills: h.PrefetchFills}
 	if h.cfg.SplitL2 {
 		i := aggregate(h.l2i)
-		s.Add(&i)
+		u.L2.Add(&i)
 	}
-	return s
+	return u
 }
-
-// L3Stats returns the shared L3's stats.
-func (h *Hierarchy) L3Stats() AccessStats { return h.l3.Stats }
-
-// L4Stats returns the L4's stats; it returns a zero value when no L4 is
-// configured.
-func (h *Hierarchy) L4Stats() AccessStats {
-	if h.l4 == nil {
-		return AccessStats{}
-	}
-	return h.l4.Stats
-}
-
-// HasL4 reports whether an L4 is configured.
-func (h *Hierarchy) HasL4() bool { return h.l4 != nil }
-
-// PredictorStats returns the level predictor's counters; it returns a zero
-// value when no predictor is configured.
-func (h *Hierarchy) PredictorStats() PredictorStats {
-	if h.pred == nil {
-		return PredictorStats{}
-	}
-	return h.pred.Stats
-}
-
-// DRAMAccesses returns total main-memory transactions (reads + writebacks).
-func (h *Hierarchy) DRAMAccesses() int64 { return h.MemReads + h.MemWrites }
 
 // ResetStats zeroes all statistics while preserving cache contents: used to
 // measure steady state after a warmup phase, as the paper's traces capture
-// servers already in steady state.
+// servers already in steady state. The hierarchy's own tail is reset too;
+// an upper's caller resets the tails it drains.
 func (h *Hierarchy) ResetStats() {
 	for _, group := range [][]*Cache{h.l1i, h.l1d, h.l2, h.l2i} {
 		for _, c := range group {
@@ -581,14 +580,8 @@ func (h *Hierarchy) ResetStats() {
 		}
 	}
 	h.l3.Stats = AccessStats{}
-	if h.l4 != nil {
-		h.l4.Stats = AccessStats{}
-	}
-	h.MemReads, h.MemWrites = 0, 0
-	h.PrefetchFills, h.PrefetchMemReads = 0, 0
-	if h.pred != nil {
-		// Keep the trained table (it is cache-like warm state) but zero the
-		// counters, like every cache's Stats.
-		h.pred.Stats = PredictorStats{}
+	h.PrefetchFills = 0
+	if h.Tail != nil {
+		h.Tail.ResetStats()
 	}
 }

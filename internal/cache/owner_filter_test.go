@@ -104,11 +104,48 @@ func checkOwnerInvariant(t *testing.T, h *Hierarchy, when string) {
 	}
 }
 
-// runOwnerDiff drives one random multi-thread trace — demand accesses in
-// varying batch sizes and interleaved InstallPrefetch calls — through a
-// filtered hierarchy and its probe-every-core reference,
-// checking the invariant on the way and equality of every observable at the
-// end.
+// ownerOp is one step of an ownerOps trace: a demand batch, or — when batch
+// is nil — a prefetch install of addr into core's L2.
+type ownerOp struct {
+	batch []trace.Access
+	core  int
+	addr  uint64
+	seg   trace.Segment
+}
+
+// ownerOps draws one random multi-thread trace of about n accesses for cfg:
+// demand batches of varying size over ownerAddr's regions, with prefetch
+// installs interleaved.
+func ownerOps(seed uint64, cfg HierarchyConfig, n int) []ownerOp {
+	rng := stats.NewRNG(seed | 1)
+	threads := min(2*cfg.Cores*cfg.ThreadsPerCore, 256) // thread ids wrap onto cores
+	var ops []ownerOp
+	for i := 0; i < n; {
+		if rng.Intn(8) == 0 {
+			core := rng.Intn(cfg.Cores)
+			addr, seg := ownerAddr(rng, core), trace.Segment(rng.Intn(trace.NumSegments))
+			ops = append(ops, ownerOp{core: core, addr: addr, seg: seg})
+		}
+		batch := make([]trace.Access, 1+rng.Intn(64))
+		for j := range batch {
+			th := rng.Intn(threads)
+			batch[j] = trace.Access{
+				Addr:   ownerAddr(rng, th),
+				Size:   uint16(1 << rng.Intn(7)),
+				Seg:    trace.Segment(rng.Intn(trace.NumSegments)),
+				Kind:   trace.Kind(rng.Intn(trace.NumKinds)),
+				Thread: uint8(th),
+			}
+		}
+		ops = append(ops, ownerOp{batch: batch})
+		i += len(batch)
+	}
+	return ops
+}
+
+// runOwnerDiff drives one ownerOps trace through a filtered hierarchy and
+// its probe-every-core reference, checking the invariant after every batch
+// and equality of every observable at the end.
 func runOwnerDiff(t *testing.T, seed uint64, shape uint16, n int) {
 	t.Helper()
 	cfg := ownerShape(shape)
@@ -126,30 +163,17 @@ func runOwnerDiff(t *testing.T, seed uint64, shape uint16, n int) {
 	got.SetMemSink(&gotMem)
 	ref.SetMemSink(&refMem)
 
-	rng := stats.NewRNG(seed | 1)
-	threads := min(2*cfg.Cores*cfg.ThreadsPerCore, 256) // thread ids wrap onto cores
 	var gotLv, refLv []HitLevel
-	for i := 0; i < n; {
-		if rng.Intn(8) == 0 {
-			core := rng.Intn(cfg.Cores)
-			addr, seg := ownerAddr(rng, core), trace.Segment(rng.Intn(trace.NumSegments))
-			got.InstallPrefetch(core, addr, seg)
-			ref.InstallPrefetch(core, addr, seg)
+	i := 0
+	for _, op := range ownerOps(seed, cfg, n) {
+		if op.batch == nil {
+			got.InstallPrefetch(op.core, op.addr, op.seg)
+			ref.InstallPrefetch(op.core, op.addr, op.seg)
+			continue
 		}
-		batch := make([]trace.Access, 1+rng.Intn(64))
-		for j := range batch {
-			th := rng.Intn(threads)
-			batch[j] = trace.Access{
-				Addr:   ownerAddr(rng, th),
-				Size:   uint16(1 << rng.Intn(7)),
-				Seg:    trace.Segment(rng.Intn(trace.NumSegments)),
-				Kind:   trace.Kind(rng.Intn(trace.NumKinds)),
-				Thread: uint8(th),
-			}
-		}
-		gotLv = got.AccessBatch(batch, gotLv)
-		refLv = ref.AccessBatch(batch, refLv)
-		i += len(batch)
+		gotLv = got.AccessBatch(op.batch, gotLv)
+		refLv = ref.AccessBatch(op.batch, refLv)
+		i += len(op.batch)
 		checkOwnerInvariant(t, got, fmt.Sprintf("after %d accesses", i))
 	}
 	checkOwnerInvariant(t, ref, "reference, end of trace") // inclusion itself

@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"fmt"
-
-	"searchmem/internal/trace"
-)
+import "fmt"
 
 // This file implements cache-level prediction after Jalili & Erez ("Reducing
 // Load Latency with Cache Level Prediction", PAPERS.md): a small tag-indexed
@@ -18,13 +14,16 @@ import (
 // Level prediction changes where the hardware looks *first*, never where the
 // data lives: a jump that verifies services the same block the serial chain
 // would have found, and every fill lands exactly where the chain's would. So
-// the simulator keeps the functional probe chain (missPath) authoritative —
+// the simulator keeps the functional probe chain (the upper's missPath and the
+// tail's L4) authoritative —
 // contents, per-level hit/miss statistics, and memory traffic are identical
 // predictor-on and predictor-off, byte for byte — and the predictor overlays
 // *probe accounting* on top: which serial probes a verified prediction
 // avoided, and what failed verifications cost. That is also the determinism
 // argument: the overlay adds no randomness and no state that depends on how
-// the stream is cut into batches. See DESIGN.md §11.
+// the stream is cut into batches. Because it writes no cache state, the
+// predictor lives in the Tail and runs over the upper's L1-miss records after
+// each drain (Tail.predict). See DESIGN.md §11.
 
 // PredictorConfig configures the hierarchy's cache-level predictor.
 type PredictorConfig struct {
@@ -227,7 +226,7 @@ func (p *levelPredictor) train(key uint64, actual HitLevel) {
 
 // chainProbes returns how many post-L1 probes the full chain issues for an
 // access serviced at lvl (memory probes every cache level on the way down).
-func (h *Hierarchy) chainProbes(lvl HitLevel) int64 {
+func (t *Tail) chainProbes(lvl HitLevel) int64 {
 	switch lvl {
 	case HitL2:
 		return 1
@@ -236,100 +235,105 @@ func (h *Hierarchy) chainProbes(lvl HitLevel) int64 {
 	case HitL4:
 		return 3
 	default:
-		return h.memProbes
+		return t.memProbes
 	}
 }
 
-// predictPath services an access that already missed (and recorded its miss)
-// in l1: the functional probe chain (missPath) runs authoritatively, and the
-// predictor overlays probe accounting on its outcome. A confident L3/L4
-// prediction that matches the actual servicing level is a verified jump —
-// one serial probe (the verification at the target) instead of the chain's
-// walk, with PredSkips recorded at the levels whose probes it avoided and a
-// PredHit at the target. A confident memory prediction that the access
-// confirms is a verified bypass — zero serial probes; the presence check
-// that guards against resident blocks runs in parallel with memory
-// scheduling, off the serial path, like the L4's own lookup (§IV-C). A
-// confident prediction the access contradicts is a mispredict: a cache-level
-// prediction wasted its verification probe and then walked the full chain
-// (one extra probe); a memory prediction was caught by the parallel check at
-// no extra serial cost. The predictor is trained with the actual servicing
-// level on every access.
+// predict runs the level predictor over one drained port's L1-miss records,
+// in order: lookup, classify against the servicing level, train. The
+// functional probe chain (the upper's missPath and this tail's L4) was
+// authoritative; the predictor overlays probe accounting on its outcome. A
+// record the upper serviced below the L3 takes the next demand outcome of
+// this drain (each such miss logged exactly one demand event). A confident
+// L3/L4 prediction that matches the actual servicing level is a verified
+// jump — one serial probe (the verification at the target) instead of the
+// chain's walk, with PredSkips recorded at the levels whose probes it
+// avoided and a PredHit at the target. A confident memory prediction that
+// the access confirms is a verified bypass — zero serial probes; the
+// presence check that guards against resident blocks runs in parallel with
+// memory scheduling, off the serial path, like the L4's own lookup (§IV-C).
+// A confident prediction the access contradicts is a mispredict: a
+// cache-level prediction wasted its verification probe and then walked the
+// full chain (one extra probe); a memory prediction was caught by the
+// parallel check at no extra serial cost. The predictor is trained with the
+// actual servicing level on every record.
 //
 //lint:hot
-func (h *Hierarchy) predictPath(l1, l2 *Cache, thread uint8, byteAddr uint64, seg trace.Segment, kind trace.Kind) HitLevel {
-	p := h.pred
-	key := byteAddr >> h.l1Shift
-	if h.trackFetch {
-		// The per-PC stand-in: the thread's last instruction-fetch block
-		// names the code that issued the access, and the target segment
-		// separates the load sites within that block (a 64 B code block
-		// holds ~16 instructions whose loads can have very different
-		// destinies — a hot scoring structure vs. a cold shard posting).
-		key = h.lastFetch[thread]<<2 | uint64(seg)&3
-	}
-	pred, confident := p.lookup(key)
-	if pred == HitL4 && h.l4 == nil {
-		pred = HitMemory // stale L4 prediction on a hierarchy without one
-	}
-	actual := h.missPath(l1, l2, byteAddr, seg, kind)
-	base := h.chainProbes(actual)
-	switch {
-	case !confident || pred <= HitL2:
-		// No confident prediction, or it names the level the chain starts
-		// at anyway: the serial chain ran as-is, nothing was attempted.
-	case pred == actual:
-		p.Stats.ProbesBaseline += base
-		p.Stats.Verified++
-		if pred == HitMemory {
-			p.Stats.Bypasses++
-			l2.Stats.PredSkips++
-			h.l3.Stats.PredSkips++
-			if h.l4 != nil {
-				h.l4.Stats.PredSkips++
-			}
-		} else {
-			p.Stats.Jumps++
-			p.Stats.ProbesPerformed++ // the single verification probe
-			l2.Stats.PredSkips++
-			if pred == HitL4 {
-				h.l3.Stats.PredSkips++
-				h.l4.Stats.PredHits++
+func (t *Tail) predict(misses []l1Miss) {
+	p := t.pred
+	below := t.below
+	for i := range misses {
+		m := &misses[i]
+		key := m.pc
+		if t.indexBlock {
+			key = m.block
+		}
+		pred, confident := p.lookup(key)
+		if pred == HitL4 && t.l4 == nil {
+			pred = HitMemory // stale L4 prediction on a hierarchy without one
+		}
+		actual := m.level
+		if actual == HitMemory {
+			actual, below = below[0], below[1:]
+		}
+		base := t.chainProbes(actual)
+		switch {
+		case !confident || pred <= HitL2:
+			// No confident prediction, or it names the level the chain starts
+			// at anyway: the serial chain ran as-is, nothing was attempted.
+		case pred == actual:
+			p.Stats.ProbesBaseline += base
+			p.Stats.Verified++
+			if pred == HitMemory {
+				p.Stats.Bypasses++
+				t.l2Pred.skips++
+				t.l3Pred.skips++
+				if t.l4 != nil {
+					t.l4.Stats.PredSkips++
+				}
 			} else {
-				h.l3.Stats.PredHits++
+				p.Stats.Jumps++
+				p.Stats.ProbesPerformed++ // the single verification probe
+				t.l2Pred.skips++
+				if pred == HitL4 {
+					t.l3Pred.skips++
+					t.l4.Stats.PredHits++
+				} else {
+					t.l3Pred.hits++
+				}
+			}
+		case pred == HitMemory:
+			// Wrong bypass, caught by the parallel presence check: the access
+			// is serviced by the level that holds the block at the chain's
+			// ordinary serial cost.
+			p.Stats.Bypasses++
+			p.Stats.Mispredicts++
+			p.Stats.ProbesBaseline += base
+			p.Stats.ProbesPerformed += base
+			switch actual {
+			case HitL2:
+				t.l2Pred.mispredicts++
+			case HitL4:
+				t.l4.Stats.PredMispredicts++
+			default:
+				t.l3Pred.mispredicts++
+			}
+		default:
+			// Wrong jump: the verification probe at the predicted level missed
+			// (or the block was already serviced above it), then the full
+			// chain ran — one wasted serial probe. Charged to the predicted
+			// level, whose probe was the wasted one.
+			p.Stats.Jumps++
+			p.Stats.Mispredicts++
+			p.Stats.ProbesBaseline += base
+			p.Stats.ProbesPerformed += base + 1
+			if pred == HitL4 {
+				t.l4.Stats.PredMispredicts++
+			} else {
+				t.l3Pred.mispredicts++
 			}
 		}
-	case pred == HitMemory:
-		// Wrong bypass, caught by the parallel presence check: the access
-		// is serviced by the level that holds the block at the chain's
-		// ordinary serial cost.
-		p.Stats.Bypasses++
-		p.Stats.Mispredicts++
-		p.Stats.ProbesBaseline += base
-		p.Stats.ProbesPerformed += base
-		switch actual {
-		case HitL2:
-			l2.Stats.PredMispredicts++
-		case HitL4:
-			h.l4.Stats.PredMispredicts++
-		default:
-			h.l3.Stats.PredMispredicts++
-		}
-	default:
-		// Wrong jump: the verification probe at the predicted level missed
-		// (or the block was already serviced above it), then the full
-		// chain ran — one wasted serial probe. Charged to the predicted
-		// level, whose probe was the wasted one.
-		p.Stats.Jumps++
-		p.Stats.Mispredicts++
-		p.Stats.ProbesBaseline += base
-		p.Stats.ProbesPerformed += base + 1
-		if pred == HitL4 {
-			h.l4.Stats.PredMispredicts++
-		} else {
-			h.l3.Stats.PredMispredicts++
-		}
+		p.train(key, actual)
 	}
-	p.train(key, actual)
-	return actual
+	t.below = t.below[:0]
 }

@@ -180,7 +180,7 @@ func TestPredictorMispredictFallsBack(t *testing.T) {
 	if ps.Mispredicts == 0 {
 		t.Fatalf("mispredict not counted: %+v", ps)
 	}
-	if h.l3.Stats.PredMispredicts == 0 {
+	if h.L3Stats().PredMispredicts == 0 {
 		t.Fatal("L3 did not record the mispredicted verification")
 	}
 }

@@ -80,6 +80,53 @@ func TestPointOrderDoesNotMatter(t *testing.T) {
 	}
 }
 
+// TestSharedUpperSweeps renders the experiments whose sweeps share the
+// canonical sweep upper (fig14's two L4 sweeps, figT1, figT2, figP1's L4
+// rows, figP2) at bench -smoke scale serially, in parallel, and serially
+// with every sweep's points and shards walked backwards: all byte-identical,
+// small enough for the race job. The serial context must have run that
+// upper twice — once plain, once keying L1 misses for figP2's predictors —
+// and served all 48 of their tails from those two streams.
+func TestSharedUpperSweeps(t *testing.T) {
+	ids := []string{"fig14", "figT1", "figT2", "figP1", "figP2"}
+	render := func(parallel, backwards bool) (string, *Context) {
+		opts := Fast()
+		opts.Shrink, opts.Budget, opts.Seed, opts.Parallel = 64, 100_000, 42, parallel
+		ctx := NewContext(opts)
+		ctx.reversePoints = backwards
+		var b strings.Builder
+		for _, id := range ids {
+			e, _ := ByID(id)
+			res, err := e.Run(ctx)
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			fmt.Fprintf(&b, "=== %s\n%s\n", id, res.Render())
+		}
+		return b.String(), ctx
+	}
+	serial, ctx := render(false, false)
+	for _, r := range []struct {
+		name              string
+		parallel, reverse bool
+	}{{"parallel", true, false}, {"backwards", false, true}} {
+		if got, _ := render(r.parallel, r.reverse); got != serial {
+			t.Errorf("%s render differs from the serial one:\n%s\nserial:\n%s", r.name, got, serial)
+		}
+	}
+	streams := ctx.PostL3Streams()
+	var tails int64
+	for _, s := range streams {
+		tails += s.Tails
+		if s.Runner != "s1-leaf-sweep" {
+			t.Errorf("stream over %q, want the sweep recording", s.Runner)
+		}
+	}
+	if len(streams) != 2 || tails != 48 {
+		t.Errorf("%d L1–L3 passes serving %d tails, want 2 serving 48: %+v", len(streams), tails, streams)
+	}
+}
+
 // checkSerialEqualsParallel renders ids in order on a fresh Context three
 // times — serial, parallel, parallel again — framed as cmd/searchsim prints
 // them, and fails on the first line that differs from the serial render.

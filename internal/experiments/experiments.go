@@ -127,12 +127,74 @@ type Context struct {
 
 	rc *runnerCache
 
-	curveMu sync.Mutex
-	curves  map[curveKey]*curveEntry
+	// curves memoizes derived profiles (hit curves, perf model, sweeps);
+	// streams memoizes the post-L3 port streams sweeps share (parallel.go).
+	curves  memo[curveKey, any]
+	streams memo[streamKey, *retainedStream]
 
 	// reversePoints makes serial runPoints walk its points last to first:
 	// the tests' stand-in for the least favourable parallel schedule.
 	reversePoints bool
+}
+
+// memo is a single-flight map: get computes each key's value once. The map
+// lock is not held across a compute, so concurrent callers of one key share
+// one compute, different keys compute at the same time, and a compute may
+// ask for other keys. The zero value is ready to use.
+type memo[K comparable, V any] struct {
+	mu    sync.Mutex
+	m     map[K]*memoEntry[V]
+	order []*memoEntry[V] // entries in creation order
+}
+
+// memoEntry is one memoized value; done closes once it is computed (or its
+// compute panicked, leaving the zero value), releasing every waiter.
+type memoEntry[V any] struct {
+	done chan struct{}
+	v    V
+}
+
+// get returns the value for key, computing it on first use; fresh reports
+// whether this call computed it.
+func (m *memo[K, V]) get(key K, compute func() V) (v V, fresh bool) {
+	m.mu.Lock()
+	if m.m == nil {
+		m.m = make(map[K]*memoEntry[V])
+	}
+	e := m.m[key]
+	if e != nil {
+		m.mu.Unlock()
+		<-e.done
+		return e.v, false
+	}
+	e = &memoEntry[V]{done: make(chan struct{})}
+	m.m[key] = e
+	m.order = append(m.order, e)
+	m.mu.Unlock()
+	defer close(e.done)
+	e.v = compute()
+	return e.v, true
+}
+
+// has reports whether key has an entry, computed or in flight.
+func (m *memo[K, V]) has(key K) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.m[key] != nil
+}
+
+// values returns every entry's value in creation order, computing none: an
+// in-flight entry is waited for.
+func (m *memo[K, V]) values() []V {
+	m.mu.Lock()
+	entries := m.order[:len(m.order):len(m.order)]
+	m.mu.Unlock()
+	out := make([]V, 0, len(entries))
+	for _, e := range entries {
+		<-e.done
+		out = append(out, e.v)
+	}
+	return out
 }
 
 // runnerCache memoizes built workloads, each wrapped in a recording Replayer
@@ -144,8 +206,7 @@ type runnerCache struct {
 	mu sync.Mutex
 	m  map[string]*workload.Replayer
 
-	idxMu   sync.Mutex
-	indexes map[indexKey]*indexEntry
+	indexes memo[indexKey, builtIndex]
 }
 
 // indexKey is everything a search index image depends on.
@@ -154,12 +215,10 @@ type indexKey struct {
 	featureBytes int
 }
 
-// indexEntry is one memoized image; once lets concurrent sweep workers that
-// want the same image wait for a single build while other images build.
-type indexEntry struct {
-	once sync.Once
-	idx  *search.Index
-	err  error
+// builtIndex is one memoized image build.
+type builtIndex struct {
+	idx *search.Index
+	err error
 }
 
 // curveKey identifies one memoized derived profile (hit curve, perf model,
@@ -170,27 +229,11 @@ type curveKey struct {
 	arg  int64
 }
 
-// curveEntry is one memoized profile; once makes every caller of a key wait
-// for a single computation.
-type curveEntry struct {
-	once sync.Once
-	v    any
-}
-
 // curve returns the context's memoized value for key, computing it on first
-// use. It is single-flight per key: concurrent callers of one key share one
-// compute, and the map lock is not held across it, so different keys compute
-// at the same time and a compute may ask for other keys.
+// use, single-flight per key (memo).
 func (c *Context) curve(key curveKey, compute func() any) any {
-	c.curveMu.Lock()
-	e := c.curves[key]
-	if e == nil {
-		e = &curveEntry{}
-		c.curves[key] = e
-	}
-	c.curveMu.Unlock()
-	e.once.Do(func() { e.v = compute() })
-	return e.v
+	v, _ := c.curves.get(key, compute)
+	return v
 }
 
 // NewContext returns a context with the given options.
@@ -205,9 +248,8 @@ func NewContext(opts Options) *Context {
 		opts.Threads = 16
 	}
 	return &Context{
-		Opts:   opts,
-		rc:     &runnerCache{m: make(map[string]*workload.Replayer), indexes: make(map[indexKey]*indexEntry)},
-		curves: make(map[curveKey]*curveEntry),
+		Opts: opts,
+		rc:   &runnerCache{m: make(map[string]*workload.Replayer)},
 	}
 }
 
@@ -230,23 +272,16 @@ func (c *Context) Sharing(opts Options) *Context {
 // retains one, which is what lets every runner over one corpus — Leaf(),
 // fig4's points, Sharing contexts — pay for a single index build.
 func (c *Context) buildRunner(wl workload.SearchWorkload) *workload.SearchRunner {
-	rc := c.rc
 	key := indexKey{corpus: wl.Engine.Corpus, featureBytes: wl.Engine.FeatureBytes}
-	rc.idxMu.Lock()
-	e := rc.indexes[key]
-	if e == nil {
-		e = &indexEntry{}
-		rc.indexes[key] = e
-	}
-	rc.idxMu.Unlock()
-	e.once.Do(func() {
+	b, _ := c.rc.indexes.get(key, func() builtIndex {
 		c.Opts.logf("building index for %s (shrink %d)...", wl.WLName, c.Opts.Shrink)
-		e.idx, e.err = search.BuildIndex(wl.Engine)
+		idx, err := search.BuildIndex(wl.Engine)
+		return builtIndex{idx, err}
 	})
-	if e.err != nil {
-		panic(e.err)
+	if b.err != nil {
+		panic(b.err)
 	}
-	r, err := wl.BuildFrom(e.idx)
+	r, err := wl.BuildFrom(b.idx)
 	if err != nil {
 		panic(err)
 	}

@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"searchmem/internal/det"
 	"searchmem/internal/workload"
 )
 
@@ -143,30 +146,149 @@ func runLegs(c *Context, legs ...func()) {
 	})
 }
 
-// measureMultiSharded evaluates one MeasureConfig per index through
-// workload.MeasureMulti, sharding the list into contiguous groups across
-// the sweep workers. Each group simulates all its hierarchies in a single
-// pass over the shared recording — decoded once per batch, not once per
-// configuration — and groups replay concurrently under Options.Parallel.
-// The replay keys (all configs of a MeasureMulti call share them) are
-// pre-recorded serially, so recording order matches the serial engine and
-// results are byte-identical for any worker count.
+// measureMultiSharded evaluates one MeasureConfig per index, as
+// workload.MeasureMulti would, across the sweep workers. The configurations
+// fall into upper groups (workload.StreamGroups: same L1–L3, differing only
+// in L4, memory model and level predictor). A group is served from the
+// context's retained post-L3 stream of its (recording, upper) when it can
+// be — no member needs the live run — and either the stream exists or the
+// group has several tails to share it: the stream is recorded once (one
+// L1–L3 pass), then the workers take the group's tails one at a time, each
+// replaying the stream alone. Every other configuration runs live, sharded
+// contiguously into MeasureMulti passes (one decode per shard, one L1–L3
+// pass per upper in it). Missing streams record while the live shards run.
+// The replay keys (all configs share them) are pre-recorded serially, so
+// recording order matches the serial engine and results are byte-identical
+// for any worker count or schedule, retained stream or not.
 func measureMultiSharded(c *Context, r *workload.Replayer, mcs []workload.MeasureConfig) []workload.Metrics {
 	n := len(mcs)
 	if n == 0 {
 		return nil
 	}
 	workload.PreRecord(r, mcs[0])
-	workers := c.sweepWorkers(n, 0)
-	if workers <= 1 {
-		return workload.MeasureMulti(r, mcs)
+	out := make([]workload.Metrics, n)
+	var live []int
+	type served struct {
+		g   workload.StreamGroup
+		key streamKey
+		rs  *retainedStream
 	}
-	parts := runPoints(c, 0, workers, func(w int) []workload.Metrics {
-		return workload.MeasureMulti(r, mcs[w*n/workers:(w+1)*n/workers])
+	var streamed []served
+	for _, g := range workload.StreamGroups(mcs) {
+		key := streamKey{rep: r, key: g.Key}
+		if g.Live || (len(g.Members) < 2 && !c.streams.has(key)) {
+			live = append(live, g.Members...)
+			continue
+		}
+		streamed = append(streamed, served{g: g, key: key})
+	}
+	pick := func(idx []int) []workload.MeasureConfig {
+		sub := make([]workload.MeasureConfig, len(idx))
+		for k, i := range idx {
+			sub[k] = mcs[i]
+		}
+		return sub
+	}
+
+	// Phase 1: the live shards, and every stream a served group needs.
+	shards := 0
+	if len(live) > 0 {
+		shards = c.sweepWorkers(len(live), 0)
+	}
+	runPoints(c, 0, shards+len(streamed), func(j int) struct{} {
+		if j < shards {
+			idx := live[j*len(live)/shards : (j+1)*len(live)/shards]
+			for k, m := range workload.MeasureMulti(r, pick(idx)) {
+				out[idx[k]] = m
+			}
+			return struct{}{}
+		}
+		sv := &streamed[j-shards]
+		sv.rs = c.stream(sv.key, func() *workload.Stream { return workload.RecordStream(r, pick(sv.g.Members)) })
+		sv.rs.tails.Add(int64(len(sv.g.Members)))
+		return struct{}{}
 	})
-	out := make([]workload.Metrics, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
+
+	// Phase 2: the served groups' tails, one point each: a tail replays its
+	// stream alone, so the workers steal tails one at a time.
+	type tail struct {
+		rs *retainedStream
+		i  int
 	}
+	var tails []tail
+	for _, sv := range streamed {
+		for _, i := range sv.g.Members {
+			tails = append(tails, tail{rs: sv.rs, i: i})
+		}
+	}
+	runPoints(c, 0, len(tails), func(j int) struct{} {
+		t := tails[j]
+		out[t.i] = t.rs.s.Measure(r, mcs[t.i:t.i+1])[0]
+		return struct{}{}
+	})
+	return out
+}
+
+// streamKey names one retained post-L3 stream: a recording's Replayer and
+// the stream's key on it.
+type streamKey struct {
+	rep *workload.Replayer
+	key workload.StreamKey
+}
+
+// retainedStream is one memoized post-L3 stream and how much it was used.
+type retainedStream struct {
+	rep         *workload.Replayer
+	s           *workload.Stream
+	tails, hits atomic.Int64
+}
+
+// stream returns the retained stream for key, recording it on first use;
+// a call that finds it recorded (or being recorded) counts a memo hit.
+func (c *Context) stream(key streamKey, record func() *workload.Stream) *retainedStream {
+	rs, fresh := c.streams.get(key, func() *retainedStream {
+		c.Opts.logf("recording post-L3 stream of %s: %v", key.rep.Name(), key.key)
+		return &retainedStream{rep: key.rep, s: record()}
+	})
+	if !fresh {
+		rs.hits.Add(1)
+	}
+	return rs
+}
+
+// StreamReport describes one retained post-L3 stream.
+type StreamReport struct {
+	// Runner is the recording's runner-cache key; Upper labels the upper
+	// and the measured run.
+	Runner, Upper string
+	// Events is the post-L3 events and L1-miss records held, in Bytes
+	// encoded bytes.
+	Events int
+	Bytes  int64
+	// Tails is how many configurations were measured from the stream, and
+	// Hits how many lookups found it already recorded.
+	Tails, Hits int64
+}
+
+// PostL3Streams reports every retained post-L3 stream, sorted by runner and
+// label. Each is one L1–L3 pass that every tail it served did not repeat.
+func (c *Context) PostL3Streams() []StreamReport {
+	c.rc.mu.Lock()
+	names := make(map[*workload.Replayer]string, len(c.rc.m))
+	for _, key := range det.SortedKeys(c.rc.m) {
+		names[c.rc.m[key]] = key
+	}
+	c.rc.mu.Unlock()
+	var out []StreamReport
+	for _, rs := range c.streams.values() {
+		out = append(out, StreamReport{
+			Runner: names[rs.rep], Upper: rs.s.Key().String(),
+			Events: rs.s.Events(), Bytes: rs.s.Bytes(),
+			Tails: rs.tails.Load(), Hits: rs.hits.Load(),
+		})
+	}
+	slices.SortFunc(out, func(a, b StreamReport) int {
+		return cmp.Or(cmp.Compare(a.Runner, b.Runner), cmp.Compare(a.Upper, b.Upper))
+	})
 	return out
 }

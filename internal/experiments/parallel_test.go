@@ -230,7 +230,7 @@ func TestOneIndexBuildPerCorpus(t *testing.T) {
 	if sw, ok := planted.([3][]float64); !ok || len(sw[0]) != 10 {
 		t.Fatalf("fig8a's memoized catSweep is not a 10-point sweep: %v", planted)
 	}
-	c.curves[curveKey{kind: "catsweep"}].v = [3][]float64{{0.5}, {123}, {-7}}
+	c.curves.m[curveKey{kind: "catsweep"}].v = [3][]float64{{0.5}, {123}, {-7}}
 	ipc := run("fig8b").(*Figure).Get("IPC")
 	if len(ipc.X) != 1 || ipc.X[0] != 123 || ipc.Y[0] != -7 {
 		t.Errorf("fig8b re-ran the CAT sweep instead of using the context's: x=%v y=%v", ipc.X, ipc.Y)

@@ -68,7 +68,7 @@ type MeasureConfig struct {
 	// L1Policy, L2Policy, L3Policy, and L4Policy select the replacement
 	// policy per level (the zero value, cache.LRU, keeps the platform
 	// default). Stochastic policies (Random, BRRIP, DRRIP) need a non-zero
-	// per-cache seed; buildHierarchy derives one deterministically from
+	// per-cache seed; hierarchyConfig derives one deterministically from
 	// Seed and a per-level salt, so repeat runs stay byte-identical.
 	L1Policy, L2Policy, L3Policy, L4Policy cache.Policy
 	// DeadBlock enables dead-block-aware insertion on every level running
@@ -136,11 +136,10 @@ func (mc *MeasureConfig) normalize() {
 	}
 }
 
-// buildHierarchy constructs the simulated hierarchy described by mc,
-// resolves the L4 timing parameters, and attaches the tiered memory model
-// when one is configured (sys is nil otherwise).
-func buildHierarchy(mc MeasureConfig) (h *cache.Hierarchy, sys *mem.System, l4Hit, l4Pen float64) {
-	var hcfg cache.HierarchyConfig
+// hierarchyConfig resolves the hierarchy mc describes — platform shape,
+// L3/L4 overrides, per-level policies with their seed salts, the optional
+// level predictor — and the L4 timing parameters.
+func hierarchyConfig(mc MeasureConfig) (hcfg cache.HierarchyConfig, l4Hit, l4Pen float64) {
 	if mc.L3Size > 0 {
 		hcfg = mc.Platform.HierarchyWithL3Size(mc.Cores, mc.SMTWays, mc.L3Size)
 	} else {
@@ -195,12 +194,15 @@ func buildHierarchy(mc MeasureConfig) (h *cache.Hierarchy, sys *mem.System, l4Hi
 		}
 		hcfg.Predictor = &pc
 	}
-	h = cache.NewHierarchy(hcfg)
-	if mc.Mem != nil {
-		sys = mem.NewSystem(*mc.Mem)
-		h.SetMemSink(sys)
-	}
-	return h, sys, l4Hit, l4Pen
+	return hcfg, l4Hit, l4Pen
+}
+
+// upperOf is the part of a resolved hierarchy an upper runs: everything but
+// the L4 and the level predictor, which belong to its tails. Configurations
+// with equal uppers see identical L1–L3 behaviour and share one upper.
+func upperOf(hcfg cache.HierarchyConfig) cache.HierarchyConfig {
+	hcfg.L4, hcfg.Predictor = nil, nil
+	return hcfg
 }
 
 // Measure runs the workload against the configured hierarchy and reduces
@@ -209,19 +211,22 @@ func Measure(r Runner, mc MeasureConfig) Metrics {
 	return MeasureMulti(r, []MeasureConfig{mc})[0]
 }
 
-// reduce turns raw simulation counters into Metrics via the core model.
-func reduce(r Runner, mc MeasureConfig, h *cache.Hierarchy, sys *mem.System, mispred int64, run Stats, l4Hit, l4Pen float64) Metrics {
+// reduce turns one configuration's counters — its upper's, overlaid by its
+// tail, and its tail's own — into Metrics via the core model.
+func reduce(r Runner, mc MeasureConfig, up cache.UpperStats, mt *measured, mispred int64, run Stats) Metrics {
+	u := mt.tail.Overlay(up)
 	m := Metrics{
 		Instructions: run.Instructions,
 		Run:          run,
-		L1:           h.L1Stats(),
-		L2:           h.L2Stats(),
-		L3:           h.L3Stats(),
-		L4:           h.L4Stats(),
-		MemReads:     h.MemReads,
-		MemWrites:    h.MemWrites,
-		Pred:         h.PredictorStats(),
+		L2:           u.L2,
+		L3:           u.L3,
+		L4:           mt.tail.L4Stats(),
+		MemReads:     mt.tail.MemReads,
+		MemWrites:    mt.tail.MemWrites,
+		Pred:         mt.tail.PredictorStats(),
 	}
+	m.L1 = u.L1I
+	m.L1.Add(&u.L1D)
 	instr := run.Instructions
 	if instr == 0 {
 		panic(fmt.Sprintf("workload %s: measured zero instructions", r.Name()))
@@ -230,7 +235,7 @@ func reduce(r Runner, mc MeasureConfig, h *cache.Hierarchy, sys *mem.System, mis
 
 	m.BranchMPKI = float64(mispred) / ki
 
-	l1i, l1d := h.L1IStats(), h.L1DStats()
+	l1i, l1d := u.L1I, u.L1D
 	m.L1IMPKI = float64(l1i.TotalMisses()) / ki
 	m.L1DMPKI = float64(l1d.TotalMisses()) / ki
 	m.L2InstrMPKI = float64(m.L2.KindMisses(trace.Fetch)) / ki
@@ -238,23 +243,24 @@ func reduce(r Runner, mc MeasureConfig, h *cache.Hierarchy, sys *mem.System, mis
 	m.L3LoadMPKI = float64(m.L3.KindMisses(trace.Read)+m.L3.KindMisses(trace.Write)) / ki
 	m.L3InstrMPKI = float64(m.L3.KindMisses(trace.Fetch)) / ki
 	m.L3HitRate = m.L3.HitRate()
-	if h.HasL4() {
+	hasL4 := mt.tail.HasL4()
+	if hasL4 {
 		m.L4HitRate = m.L4.HitRate()
 	}
-	m.DRAMPerKI = float64(h.DRAMAccesses()) / ki
+	m.DRAMPerKI = float64(mt.tail.DRAMAccesses()) / ki
 
 	plat := mc.Platform
 	tMEM := plat.MemLatencyNS
-	if sys != nil {
+	if mt.sys != nil {
 		// The tiered model's measured effective read latency (queueing,
 		// row-buffer behaviour, far-tier accesses, amortized migrations)
 		// replaces the platform's flat memory-latency constant.
-		snap := sys.Snapshot()
+		snap := mt.sys.Snapshot()
 		m.Mem = &snap
 		tMEM = snap.EffectiveReadNS(tMEM)
 	}
-	m.AMATNS = model.AMATWithL4(m.L3HitRate, m.L4HitRate, plat.L3LatencyNS, l4Hit, tMEM, l4Pen)
-	if !h.HasL4() {
+	m.AMATNS = model.AMATWithL4(m.L3HitRate, m.L4HitRate, plat.L3LatencyNS, mt.l4Hit, tMEM, mt.l4Pen)
+	if !hasL4 {
 		m.AMATNS = model.AMATL3(m.L3HitRate, plat.L3LatencyNS, tMEM)
 	}
 

@@ -23,32 +23,124 @@ func PreRecord(r *Replayer, mc MeasureConfig) {
 	r.record(main)
 }
 
-// measured is one configuration's simulated machine during a MeasureMulti.
+// measured is one configuration's below-L3 machine during a measurement:
+// its tail (L4, memory counters, level predictor), its memory model, its L4
+// timing, and — with an AccessObserver — the scratch its resolved levels
+// land in.
 type measured struct {
-	h            *cache.Hierarchy
+	tail         *cache.Tail
 	sys          *mem.System
-	engine       *cpu.Engine // non-nil when the config sets Prefetchers
 	l4Hit, l4Pen float64
+	levels       []cache.HitLevel
+}
+
+// newMeasured builds configuration mc's tail and memory model.
+func newMeasured(mc *MeasureConfig) measured {
+	hcfg, l4Hit, l4Pen := hierarchyConfig(*mc)
+	m := measured{tail: cache.NewTail(hcfg), l4Hit: l4Hit, l4Pen: l4Pen}
+	if mc.Mem != nil {
+		m.sys = mem.NewSystem(*mc.Mem)
+		m.tail.SetMemSink(m.sys)
+	}
+	if mc.AccessObserver != nil {
+		m.levels = make([]cache.HitLevel, 0, trace.DefaultBatchSize)
+	}
+	return m
+}
+
+// reset restarts the counters at the end of warm-up; contents, residency,
+// row state and the predictor's table stay warm.
+func (m *measured) reset() {
+	m.tail.ResetStats()
+	if m.sys != nil {
+		m.sys.ResetStats()
+	}
+}
+
+// group is one upper and the configurations whose tails drain its port.
+type group struct {
+	up      *cache.Hierarchy
+	members []int
+	// engine is a Prefetchers config's cpu.Engine: it installs prefetches
+	// between accesses, so that config is a group of its own whose one tail
+	// is attached to the upper and drained on every call.
+	engine *cpu.Engine
+	// levels is the upper's per-access levels scratch when a member observes.
+	levels []cache.HitLevel
+	// rec, when non-nil, records the port into a Stream; warm holds the
+	// warm-up run's part once the measured run starts.
+	rec  *cache.StreamWriter
+	warm *cache.Stream
+}
+
+// prepare copies, normalizes and validates configurations that share one run.
+func prepare(mcs []MeasureConfig) []MeasureConfig {
+	cfgs := make([]MeasureConfig, len(mcs))
+	copy(cfgs, mcs)
+	for i := range cfgs {
+		mc := &cfgs[i]
+		if mc.Threads <= 0 || mc.Cores <= 0 || mc.SMTWays <= 0 {
+			panic("workload: Measure needs positive cores/threads/SMT")
+		}
+		if mc.BranchObserver != nil && len(cfgs) > 1 {
+			panic("workload: a BranchObserver cannot share a MeasureMulti run")
+		}
+		mc.normalize()
+	}
+	base := cfgs[0]
+	for i, mc := range cfgs {
+		if mc.Threads != base.Threads || mc.Budget != base.Budget ||
+			mc.Seed != base.Seed || mc.WarmupFraction != base.WarmupFraction {
+			panic(fmt.Sprintf("workload: MeasureMulti config %d does not share threads/budget/seed/warmup with config 0", i))
+		}
+	}
+	return cfgs
+}
+
+// groupUppers partitions normalized configurations by their upper, in
+// first-appearance order: configurations whose resolved hierarchies differ
+// only in the L4 and the level predictor share one group. A Prefetchers
+// configuration is always a group of its own. keys[g] is group g's upper
+// and l1Misses[g] whether any of its members carries a level predictor.
+func groupUppers(cfgs []MeasureConfig) (members [][]int, keys []cache.HierarchyConfig, l1Misses []bool) {
+	index := make(map[cache.HierarchyConfig]int)
+	for i := range cfgs {
+		hcfg, _, _ := hierarchyConfig(cfgs[i])
+		up := upperOf(hcfg)
+		g, ok := index[up]
+		if !ok || cfgs[i].Prefetchers != nil {
+			g = len(members)
+			members, keys, l1Misses = append(members, nil), append(keys, up), append(l1Misses, false)
+			if cfgs[i].Prefetchers == nil {
+				index[up] = g
+			}
+		}
+		members[g] = append(members[g], i)
+		l1Misses[g] = l1Misses[g] || cfgs[i].Predictor != nil
+	}
+	return members, keys, l1Misses
 }
 
 // MeasureMulti measures many hierarchy configurations against one workload
 // run in a single pass — the one measured loop, which Measure calls with one
-// config. The access stream is decoded once per batch and each batch
-// replayed through every hierarchy in turn; each hierarchy is an
-// independent state machine that sees the same access sequence, so sharing
-// the replay perturbs none of them (TestMeasureMultiMatchesMeasure) and only
-// the trace decode and sink dispatch are shared. Capacity sweeps over dozens
-// of points are memory-bandwidth-bound on the recorded trace, so sharing the
-// decode is where the wall-clock goes.
+// config. Configurations are grouped by their upper (the resolved hierarchy
+// minus its L4 and level predictor): each group runs its L1–L3 once per
+// decoded batch, and each member's tail — its L4, memory model, memory
+// counters and level predictor — drains the port that batch left. Nothing
+// below the L3 feeds back up, so a member sees exactly what a hierarchy of
+// its own would (TestMeasureMultiMatchesMeasure, TestTailsMatchAlone), and
+// every member of a group reports identical L1–L3 counters. The trace
+// decode, the sink dispatch and each group's L1–L3 are shared; an
+// experiments.Context goes further and keeps a group's port stream, so
+// later sweeps over the same upper replay tails only (Stream).
 //
 // All configs must agree on Threads, Budget, Seed and WarmupFraction (they
 // share the run), and a BranchObserver needs the run to itself;
 // MeasureMulti panics otherwise. A config with Prefetchers gets its own
-// cpu.Engine and takes its accesses one at a time; one with an
-// AccessObserver is fed the levels Hierarchy.AccessBatch reports for each
-// measured-phase window; one with neither costs one AccessBatch call per
-// window. The runner must reproduce the same event streams for the same
-// (threads, budget, seed) — in practice, wrap it in a Replayer.
+// upper and cpu.Engine and takes its accesses one at a time; one with an
+// AccessObserver is fed the levels its tail resolves for each
+// measured-phase window. The runner must reproduce the same event streams
+// for the same (threads, budget, seed) — in practice, wrap it in a Replayer.
 //
 // Branch predictors are deterministic functions of the branch stream, so
 // configs sharing a (PredictorBits, Cores, SMTWays) shape share one
@@ -59,61 +151,81 @@ func MeasureMulti(r Runner, mcs []MeasureConfig) []Metrics {
 	if len(mcs) == 0 {
 		return nil
 	}
-	cfgs := make([]MeasureConfig, len(mcs))
-	copy(cfgs, mcs)
+	cfgs := prepare(mcs)
 	ms := make([]measured, len(cfgs))
-	var levels []cache.HitLevel // AccessBatch scratch, only with an observer
 	for i := range cfgs {
-		mc := &cfgs[i]
-		if mc.Threads <= 0 || mc.Cores <= 0 || mc.SMTWays <= 0 {
-			panic("workload: Measure needs positive cores/threads/SMT")
+		ms[i] = newMeasured(&cfgs[i])
+	}
+	members, keys, l1Misses := groupUppers(cfgs)
+	groups := make([]group, len(members))
+	for gi := range groups {
+		g := &groups[gi]
+		g.members = members[gi]
+		if mc := &cfgs[g.members[0]]; mc.Prefetchers != nil {
+			hcfg, _, _ := hierarchyConfig(*mc)
+			g.up = cache.NewUpper(hcfg, l1Misses[gi])
+			g.up.Tail = ms[g.members[0]].tail
+			g.engine = cpu.NewEngine(g.up, mc.Cores, mc.Prefetchers)
+			continue
 		}
-		if mc.BranchObserver != nil && len(cfgs) > 1 {
-			panic("workload: a BranchObserver cannot share a MeasureMulti run")
-		}
-		mc.normalize()
-		m := &ms[i]
-		m.h, m.sys, m.l4Hit, m.l4Pen = buildHierarchy(*mc)
-		if mc.Prefetchers != nil {
-			m.engine = cpu.NewEngine(m.h, mc.Cores, mc.Prefetchers)
-		}
-		if mc.AccessObserver != nil && levels == nil {
-			levels = make([]cache.HitLevel, 0, trace.DefaultBatchSize)
+		g.up = cache.NewUpper(keys[gi], l1Misses[gi])
+		for _, i := range g.members {
+			if cfgs[i].AccessObserver != nil && g.levels == nil {
+				g.levels = make([]cache.HitLevel, 0, trace.DefaultBatchSize)
+			}
 		}
 	}
-	base := cfgs[0]
-	for i, mc := range cfgs {
-		if mc.Threads != base.Threads || mc.Budget != base.Budget ||
-			mc.Seed != base.Seed || mc.WarmupFraction != base.WarmupFraction {
-			panic(fmt.Sprintf("workload: MeasureMulti config %d does not share threads/budget/seed/warmup with config 0", i))
+	bt := newBranchTally(r, cfgs, cfgs[0].BranchObserver)
+	run := runGroups(r, cfgs, ms, groups, bt)
+	out := make([]Metrics, len(cfgs))
+	for gi := range groups {
+		up := groups[gi].up.UpperStats()
+		for _, i := range groups[gi].members {
+			out[i] = reduce(r, cfgs[i], up, &ms[i], bt.mispredicts(i), run)
 		}
 	}
+	return out
+}
 
-	bt := newBranchTally(r, cfgs, base.BranchObserver)
-
+// runGroups is the loop itself: it replays the warm-up run through every
+// group, resets every counter (contents stay warm), replays the measured
+// run, and returns the measured run's workload counters. A group with a
+// StreamWriter splits its stream at the reset.
+func runGroups(r Runner, cfgs []MeasureConfig, ms []measured, groups []group, bt *branchTally) Stats {
 	measuring := false // observers only see the post-warmup phase
 	accessBatch := func(b []trace.Access) {
-		for i := range ms {
-			m := &ms[i]
-			var observe func(trace.Access, cache.HitLevel)
-			if measuring {
-				observe = cfgs[i].AccessObserver
-			}
-			switch {
-			case m.engine != nil:
+		for gi := range groups {
+			g := &groups[gi]
+			if g.engine != nil {
+				observe := cfgs[g.members[0]].AccessObserver
 				for _, a := range b {
-					lvl := m.engine.Access(a)
-					if observe != nil {
+					lvl := g.engine.Access(a)
+					if measuring && observe != nil {
 						observe(a, lvl)
 					}
 				}
-			case observe != nil:
-				levels = m.h.AccessBatch(b, levels[:0])
-				for j, a := range b {
-					observe(a, levels[j])
+				continue
+			}
+			var lv []cache.HitLevel
+			if measuring {
+				lv = g.levels[:0]
+			}
+			lv = g.up.AccessBatch(b, lv)
+			port := g.up.Port()
+			for _, i := range g.members {
+				m := &ms[i]
+				if observe := cfgs[i].AccessObserver; measuring && observe != nil {
+					m.levels = append(m.levels[:0], lv...)
+					m.tail.Drain(port, m.levels)
+					for j, a := range b {
+						observe(a, m.levels[j])
+					}
+					continue
 				}
-			default:
-				m.h.AccessBatch(b, nil)
+				m.tail.Drain(port, nil)
+			}
+			if g.rec != nil {
+				g.rec.Add(port)
 			}
 		}
 	}
@@ -128,23 +240,21 @@ func MeasureMulti(r Runner, mcs []MeasureConfig) []Metrics {
 		Branch: bt.sink(),
 	}
 
-	// Warmup once, reset every statistic, then the measured run.
+	base := cfgs[0]
 	if bt.warm.budget > 0 {
 		r.Run(base.Threads, bt.warm.budget, bt.warm.seed, sinks)
-		for i := range ms {
-			ms[i].h.ResetStats()
-			if sys := ms[i].sys; sys != nil {
-				sys.ResetStats() // residency and row state stay warm; counters restart
+		for gi := range groups {
+			g := &groups[gi]
+			g.up.ResetStats()
+			if g.rec != nil {
+				g.warm = g.rec.Finish()
 			}
+		}
+		for i := range ms {
+			ms[i].reset()
 		}
 	}
 	measuring = true
 	bt.beginMeasured()
-	run := r.Run(base.Threads, base.Budget, base.Seed, sinks)
-
-	out := make([]Metrics, len(ms))
-	for i, m := range ms {
-		out[i] = reduce(r, cfgs[i], m.h, m.sys, bt.mispredicts(i), run, m.l4Hit, m.l4Pen)
-	}
-	return out
+	return r.Run(base.Threads, base.Budget, base.Seed, sinks)
 }
