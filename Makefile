@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt lint lint-escape test race alloc-check ci obs-demo fuzz-smoke
+.PHONY: all build vet fmt lint test race alloc-check ci obs-demo fuzz-smoke
 
 # Seconds of coverage-guided fuzzing per codec target in fuzz-smoke.
 FUZZTIME ?= 5s
@@ -17,20 +17,10 @@ vet:
 fmt:
 	@test -z "$$(gofmt -l . | grep -v testdata)" || { gofmt -l . | grep -v testdata; exit 1; }
 
-# lint enforces formatting and the determinism & aliasing invariants
-# (DESIGN.md §8): gofmt, go vet, and the repo's own stdlib-only analyzer
-# suite.
+# lint enforces formatting and the determinism invariants (DESIGN.md §8):
+# gofmt, go vet, and the repo's own stdlib-only analyzer suite.
 lint: fmt vet
 	$(GO) run ./cmd/searchlint ./...
-
-# lint-escape cross-checks the hotalloc analyzer against the compiler's
-# escape analysis (DESIGN.md §17): compiler escapes inside //lint:hot-
-# reachable functions are diffed against the analyzer's verdicts.
-# Informational — disagreement is expected on cold/suppressed lines.
-lint-escape:
-	@tmp=$$(mktemp); trap 'rm -f $$tmp' EXIT; \
-	$(GO) build -gcflags=-m ./... 2> $$tmp; \
-	$(GO) run ./cmd/searchlint -escape $$tmp ./...
 
 test:
 	$(GO) test ./...
@@ -38,12 +28,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# alloc-check runs the AllocsPerRun == 0 oracles for the //lint:hot kernels
-# and the capture path's allocation law (TestCaptureAllocLaw: a recording
-# allocates what it keeps, so no event buffer is regrown and re-copied)
-# WITHOUT -race (race instrumentation allocates, so the tests build-tag
-# themselves out of `make race`). This is the dynamic backstop for the
-# static hotalloc analyzer.
+# alloc-check is the allocation gate (DESIGN.md §17): the AllocsPerRun
+# oracles that pin every replay, cache, memory-tier and serving kernel at zero
+# allocations in steady state, and the capture path's allocation law
+# (TestCaptureAllocLaw: a recording allocates what it keeps, so no event
+# buffer is regrown and re-copied). It runs WITHOUT -race: race
+# instrumentation allocates, so the tests build-tag themselves out of
+# `make race`.
 alloc-check:
 	$(GO) test -run 'ZeroAlloc|AllocLaw' ./internal/cache ./internal/trace ./internal/workload ./internal/mem ./internal/serving
 

@@ -1,54 +1,36 @@
-// Command searchlint enforces the simulator's determinism and aliasing
-// invariants (see DESIGN.md, "Determinism & aliasing invariants"). It is
-// built only on the standard library: go/parser and go/types load and
-// type-check every package of the module, then each analyzer inspects the
-// typed syntax trees over a shared interprocedural call graph.
+// Command searchlint enforces the simulator's determinism invariants (see
+// DESIGN.md, "Determinism & aliasing invariants"). It is built only on the
+// standard library: go/parser and go/types load and type-check every package
+// of the module, then each analyzer inspects the typed syntax trees.
 //
 // Usage:
 //
-//	searchlint [-run a,b] [-list] [-json] [-escape file] [packages]
+//	searchlint [-run a,b] [-list] [packages]
 //
 // Packages default to ./... (the whole module). Findings print as
-// "file:line:col: [analyzer] message" and make the exit status 1; -json
-// prints them instead as a deterministic JSON array on stdout for CI
-// annotation tooling. Suppress an intentional violation with a justified
-// directive on the offending line or the line above:
+// "file:line:col: [analyzer] message" and make the exit status 1. Suppress
+// an intentional violation with a justified directive on the offending line
+// or the line above:
 //
 //	//lint:ignore walltime CLI progress timer, never feeds simulation state
-//
-// -escape cross-checks the hotalloc analyzer against the compiler: given a
-// file of `go build -gcflags=-m ./...` output (see `make lint-escape`), it
-// scopes the compiler's escape-analysis verdicts to hot-reachable functions
-// and reports where the two disagree. It is informational and always exits
-// 0 on success: hotalloc is intentionally conservative (it flags unprovable
-// calls the compiler may well stack-allocate), and compiler-only escapes on
-// suppressed lines are the cost the justifying directive accepted.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
-	"sort"
-	"strconv"
-	"strings"
 
-	"searchmem/internal/det"
 	"searchmem/internal/lint"
 )
 
 func main() {
 	var (
-		list    = flag.Bool("list", false, "list analyzers and exit")
-		run     = flag.String("run", "", "comma-separated analyzers to run (default: all)")
-		jsonOut = flag.Bool("json", false, "print findings as a JSON array on stdout")
-		escape  = flag.String("escape", "", "diff hotalloc verdicts against this `file` of go build -gcflags=-m output (informational, exits 0)")
+		list = flag.Bool("list", false, "list analyzers and exit")
+		run  = flag.String("run", "", "comma-separated analyzers to run (default: all)")
 	)
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: searchlint [-run a,b] [-list] [-json] [-escape file] [packages]")
+		fmt.Fprintln(os.Stderr, "usage: searchlint [-run a,b] [-list] [packages]")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -76,170 +58,19 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *escape != "" {
-		if err := diffEscapes(os.Stdout, mod, pkgs, *escape); err != nil {
-			fmt.Fprintf(os.Stderr, "searchlint: %v\n", err)
-			os.Exit(2)
-		}
-		return
-	}
-
 	diags := lint.Check(mod.Fset, pkgs, analyzers)
-	if *jsonOut {
-		if err := lint.WriteJSON(os.Stdout, diags, mod.Dir); err != nil {
-			fmt.Fprintf(os.Stderr, "searchlint: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		cwd, _ := os.Getwd()
-		for _, d := range diags {
-			name := d.Pos.Filename
-			if cwd != "" {
-				if rel, err := filepath.Rel(cwd, name); err == nil {
-					name = rel
-				}
+	cwd, _ := os.Getwd()
+	for _, d := range diags {
+		name := d.Pos.Filename
+		if cwd != "" {
+			if rel, err := filepath.Rel(cwd, name); err == nil {
+				name = rel
 			}
-			fmt.Printf("%s:%d:%d: [%s] %s\n", name, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 		}
+		fmt.Printf("%s:%d:%d: [%s] %s\n", name, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "searchlint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		os.Exit(1)
 	}
-}
-
-// hotExtent is the source range of one hot-reachable function.
-type hotExtent struct {
-	file       string // module-relative, slash-separated
-	start, end int    // line range, inclusive
-	name       string
-}
-
-// escapeLine matches one compiler diagnostic: "file.go:line:col: message".
-var escapeLine = regexp.MustCompile(`^(\S+\.go):(\d+)(?::(\d+))?: (.+)$`)
-
-// diffEscapes compares the hotalloc analyzer's static verdicts against the
-// compiler's escape analysis, both scoped to hot-reachable code. Three
-// buckets: sites where both agree something allocates, static-only findings
-// (the analyzer's conservatism), and compiler-only escapes (cold paths,
-// suppressed lines, or genuine analyzer gaps worth a look).
-func diffEscapes(w *os.File, mod *lint.Module, pkgs []*lint.Package, escapeFile string) error {
-	graph := lint.BuildCallGraph(mod.Fset, pkgs)
-	hot := lint.HotReachable(graph)
-	extents := make(map[string][]hotExtent)
-	for _, n := range hot {
-		start := mod.Fset.Position(n.Decl.Pos())
-		end := mod.Fset.Position(n.Decl.End())
-		file := relTo(mod.Dir, start.Filename)
-		extents[file] = append(extents[file], hotExtent{file, start.Line, end.Line, n.Name()})
-	}
-
-	// Static verdicts, keyed file:line. Findings share a line with their
-	// expression, which is the granularity -m reports at too.
-	static := make(map[string]string)
-	for _, d := range lint.Check(mod.Fset, pkgs, []*lint.Analyzer{lint.HotAlloc}) {
-		if d.Analyzer != lint.HotAlloc.Name {
-			continue
-		}
-		key := fmt.Sprintf("%s:%d", relTo(mod.Dir, d.Pos.Filename), d.Pos.Line)
-		if _, dup := static[key]; !dup {
-			static[key] = d.Message
-		}
-	}
-
-	f, err := os.Open(escapeFile)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	type escSite struct {
-		key, fn, msg string
-	}
-	var compiler []escSite
-	seen := make(map[string]bool)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if !strings.Contains(line, "escapes to heap") && !strings.Contains(line, "moved to heap") {
-			continue
-		}
-		m := escapeLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		file := filepath.ToSlash(strings.TrimPrefix(m[1], "./"))
-		ln, _ := strconv.Atoi(m[2])
-		fn := enclosing(extents[file], ln)
-		if fn == "" {
-			continue // not hot-reachable code
-		}
-		key := fmt.Sprintf("%s:%d", file, ln)
-		if seen[key+m[4]] {
-			continue
-		}
-		seen[key+m[4]] = true
-		compiler = append(compiler, escSite{key, fn, m[4]})
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	sort.Slice(compiler, func(i, j int) bool {
-		if compiler[i].key != compiler[j].key {
-			return compiler[i].key < compiler[j].key
-		}
-		return compiler[i].msg < compiler[j].msg
-	})
-
-	var agree, compilerOnly []escSite
-	matched := make(map[string]bool)
-	for _, e := range compiler {
-		if _, ok := static[e.key]; ok {
-			matched[e.key] = true
-			agree = append(agree, e)
-		} else {
-			compilerOnly = append(compilerOnly, e)
-		}
-	}
-	var staticOnly []string
-	for _, key := range det.SortedKeys(static) {
-		if !matched[key] {
-			staticOnly = append(staticOnly, key)
-		}
-	}
-
-	fmt.Fprintf(w, "hot-reachable functions: %d; compiler escape sites in hot code: %d\n",
-		len(hot), len(compiler))
-	fmt.Fprintf(w, "\nagree — static finding and compiler escape (%d):\n", len(agree))
-	for _, e := range agree {
-		fmt.Fprintf(w, "  %s [%s]: %s | static: %s\n", e.key, e.fn, e.msg, static[e.key])
-	}
-	fmt.Fprintf(w, "\nstatic-only — analyzer flags, compiler proves or inlines away (%d):\n", len(staticOnly))
-	for _, key := range staticOnly {
-		fmt.Fprintf(w, "  %s: %s\n", key, static[key])
-	}
-	fmt.Fprintf(w, "\ncompiler-only — escapes on cold, suppressed, or unflagged lines (%d):\n", len(compilerOnly))
-	for _, e := range compilerOnly {
-		fmt.Fprintf(w, "  %s [%s]: %s\n", e.key, e.fn, e.msg)
-	}
-	return nil
-}
-
-// enclosing returns the name of the hot extent containing line, or "".
-func enclosing(exts []hotExtent, line int) string {
-	for _, e := range exts {
-		if line >= e.start && line <= e.end {
-			return e.name
-		}
-	}
-	return ""
-}
-
-// relTo makes path relative to base (slash-separated) when possible.
-func relTo(base, path string) string {
-	if rel, err := filepath.Rel(base, path); err == nil {
-		return filepath.ToSlash(rel)
-	}
-	return filepath.ToSlash(path)
 }

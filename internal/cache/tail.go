@@ -190,8 +190,6 @@ func (t *Tail) ResetStats() {
 // per-access levels for the port's batch (HitMemory standing for "below the
 // L3"); Drain replaces each such entry with the deepest level its demand
 // misses reached in this tail, HitL4 or HitMemory.
-//
-//lint:hot
 func (t *Tail) Drain(p *Port, levels []HitLevel) {
 	prev := -1
 	for _, e := range p.events {
@@ -199,7 +197,6 @@ func (t *Tail) Drain(p *Port, levels []HitLevel) {
 		case opDemand:
 			lvl := t.demand(e.addr, e.seg, trace.Kind(e.op>>2))
 			if t.pred != nil {
-				//lint:ignore hotalloc per-tail scratch reset every drain: it grows to the largest batch's miss count once and is reused
 				t.below = append(t.below, lvl)
 			}
 			if levels != nil {
@@ -235,7 +232,6 @@ func (t *Tail) demand(addr uint64, seg trace.Segment, kind trace.Kind) HitLevel 
 	}
 	t.MemReads++
 	if t.mem != nil {
-		//lint:ignore hotalloc memory-model sink: internal/mem's kernels are independently //lint:hot-enforced and AllocsPerRun-pinned
 		t.mem.MemRead(addr, seg)
 	}
 	return HitMemory
@@ -251,7 +247,6 @@ func (t *Tail) victim(addr uint64, seg trace.Segment, dirty bool) {
 	if dirty {
 		t.MemWrites++
 		if t.mem != nil {
-			//lint:ignore hotalloc memory-model sink: internal/mem's kernels are independently //lint:hot-enforced and AllocsPerRun-pinned
 			t.mem.MemWrite(addr, seg)
 		}
 	}
@@ -267,7 +262,6 @@ func (t *Tail) prefetch(addr uint64, seg trace.Segment) {
 	t.PrefetchMemReads++
 	t.MemReads++
 	if t.mem != nil {
-		//lint:ignore hotalloc memory-model sink: internal/mem's kernels are independently //lint:hot-enforced and AllocsPerRun-pinned
 		t.mem.MemRead(addr, seg)
 	}
 }

@@ -79,15 +79,3 @@ func basicInfo(pass *Pass, expr ast.Expr) types.BasicInfo {
 	}
 	return b.Info()
 }
-
-// isSliceOrMap reports whether t's underlying type is a slice or map.
-func isSliceOrMap(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	switch t.Underlying().(type) {
-	case *types.Slice, *types.Map:
-		return true
-	}
-	return false
-}

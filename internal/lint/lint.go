@@ -4,12 +4,11 @@
 // dependencies), runs a set of pluggable analyzers, and reports diagnostics
 // in the familiar "file:line:col: [analyzer] message" shape.
 //
-// The analyzers mechanize the determinism and aliasing invariants the
-// simulator depends on (see DESIGN.md, "Determinism & aliasing invariants"):
-// simulation results must be bit-for-bit reproducible run-to-run, so wall
-// clocks, the global math/rand source, map-iteration-order-dependent output
-// and accumulation, and internal slices escaping lock-guarded caches are all
-// findings.
+// The analyzers mechanize the determinism invariants the simulator depends
+// on (see DESIGN.md, "Determinism & aliasing invariants"): simulation
+// results must be bit-for-bit reproducible run-to-run, so wall clocks, the
+// global math/rand source, and map-iteration-order-dependent output and
+// accumulation are all findings.
 //
 // Findings can be suppressed, with a mandatory justification, by a comment
 // on the offending line or on the line directly above it:
@@ -46,9 +45,6 @@ type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	// Chain is the hot call chain leading to the finding (root first),
-	// set by interprocedural analyzers; empty for per-function findings.
-	Chain []string
 }
 
 // String renders the diagnostic in the canonical file:line:col form.
@@ -61,9 +57,6 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkg      *Package
-	// Graph is the static call graph over every package of the Check run
-	// (not just Pkg), shared by all passes. See callgraph.go.
-	Graph *CallGraph
 
 	diags *[]Diagnostic
 }
@@ -74,23 +67,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ReportChain records a finding reached through a call chain (root first).
-// The rendered message is prefixed with the chain so the plain-text output
-// explains *why* the position is hot; the structured chain also rides the
-// diagnostic for machine-readable output.
-func (p *Pass) ReportChain(pos token.Pos, chain []string, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	if len(chain) > 0 {
-		msg = fmt.Sprintf("hot path (%s): %s", strings.Join(chain, " -> "), msg)
-	}
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  msg,
-		Chain:    chain,
 	})
 }
 
@@ -170,13 +146,12 @@ func (d ignoreDirective) suppresses(diag Diagnostic) bool {
 func Check(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var raw []Diagnostic
 	var directives []ignoreDirective
-	graph := BuildCallGraph(fset, pkgs)
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			directives = append(directives, parseIgnores(fset, f, &raw)...)
 		}
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Fset: fset, Pkg: pkg, Graph: graph, diags: &raw}
+			pass := &Pass{Analyzer: a, Fset: fset, Pkg: pkg, diags: &raw}
 			a.Run(pass)
 		}
 	}
@@ -243,9 +218,6 @@ var Analyzers = []*Analyzer{
 	GlobalRand,
 	MapOrder,
 	FloatAcc,
-	AliasRet,
-	BatchAlias,
-	HotAlloc,
 }
 
 // ByName returns the analyzers matching the comma-separated names list, or

@@ -24,9 +24,8 @@ type Package struct {
 	Dir string
 	// Files are the parsed non-test sources, in file-name order.
 	Files []*ast.File
-	// Types and Info carry the go/types results.
-	Types *types.Package
-	Info  *types.Info
+	// Info carries the go/types results the analyzers read.
+	Info *types.Info
 }
 
 // A Module is a loaded Go module: every non-test package, type-checked.
@@ -102,15 +101,13 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	return m.std.Import(path)
 }
 
-// newInfo allocates a fully-populated types.Info.
+// newInfo allocates the types.Info maps the analyzers read: expression
+// types, and the objects identifiers define and use.
 func newInfo() *types.Info {
 	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 }
 
@@ -213,7 +210,6 @@ func LoadModule(dir string) (*Module, error) {
 		if err != nil {
 			return fmt.Errorf("lint: type-checking %s: %w", path, err)
 		}
-		p.pkg.Types = tpkg
 		p.pkg.Info = info
 		imp.local[path] = tpkg
 		checked[path] = true
@@ -309,15 +305,13 @@ func LoadFile(fset *token.FileSet, imp types.Importer, filename string) (*Packag
 	}
 	info := newInfo()
 	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(f.Name.Name, fset, []*ast.File{f}, info)
-	if err != nil {
+	if _, err := conf.Check(f.Name.Name, fset, []*ast.File{f}, info); err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", filename, err)
 	}
 	return &Package{
 		Path:  f.Name.Name,
 		Dir:   filepath.Dir(filename),
 		Files: []*ast.File{f},
-		Types: tpkg,
 		Info:  info,
 	}, nil
 }

@@ -1,8 +1,7 @@
 //go:build !race
 
-// Allocation-regression oracles for the //lint:hot tier-access kernels
-// (DESIGN.md §12). The hotalloc analyzer proves these paths allocation-free
-// statically; these tests pin the same property dynamically with
+// The allocation gate for the tier-access kernels (DESIGN.md §12):
+// TestMemReadWriteZeroAlloc pins System.MemRead and System.MemWrite with
 // testing.AllocsPerRun. The page table grows only on first touch of a page,
 // so a warm-up pass over the batch (AllocsPerRun performs one before
 // measuring, and we add an explicit one) absorbs all table growth; the

@@ -10,9 +10,9 @@ import "searchmem/internal/trace"
 // power-of-two slot index — rather than a Go map: every scan the placement
 // engine performs walks entries in first-touch order, so residency decisions
 // never depend on map iteration order, and the lookup hot path stays free of
-// map-assign allocations (hotalloc). Growth happens only on first touch of a
-// new page; a warmed-up steady-state replay performs zero allocations
-// (pinned by the AllocsPerRun oracles in alloc_test.go).
+// map-assign allocations. Growth happens only on first touch of a new page;
+// a warmed-up steady-state replay performs zero allocations (pinned by the
+// AllocsPerRun oracles in alloc_test.go).
 
 // pageEntry is the per-touched-page placement state.
 type pageEntry struct {
@@ -91,11 +91,9 @@ func (s *System) insert(pg uint64, seg trace.Segment, slot uint64) *pageEntry {
 	if near {
 		s.nearCount++
 	}
-	//lint:ignore hotalloc first-touch page-table growth: amortized O(1) per new page, absorbed by warmup in steady-state replay (AllocsPerRun oracle)
 	s.entries = append(s.entries, pageEntry{page: pg, lastEpoch: s.epoch, seg: uint8(seg & 3), near: near})
 	s.slots[slot] = int32(len(s.entries) - 1)
 	if len(s.entries)*4 > len(s.slots)*3 {
-		//lint:ignore hotalloc page-table rehash: one-time growth on first touch, absorbed by warmup (AllocsPerRun oracle)
 		s.grow()
 	}
 	return &s.entries[len(s.entries)-1]
@@ -122,8 +120,6 @@ func (s *System) grow() {
 
 // MemRead services one post-hierarchy read (a demand or prefetch fetch that
 // reached main memory). It implements cache.MemSink.
-//
-//lint:hot
 func (s *System) MemRead(addr uint64, seg trace.Segment) {
 	e := s.lookup(addr, seg)
 	arrival := s.nowNS
@@ -144,8 +140,6 @@ func (s *System) MemRead(addr uint64, seg trace.Segment) {
 
 // MemWrite services one writeback that reached main memory. It implements
 // cache.MemSink.
-//
-//lint:hot
 func (s *System) MemWrite(addr uint64, seg trace.Segment) {
 	e := s.lookup(addr, seg)
 	arrival := s.nowNS

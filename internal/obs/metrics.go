@@ -18,7 +18,7 @@ import (
 // labeled series. Instruments are get-or-create by (name, labels) so
 // concurrent producers share one series; snapshots are sorted by series key
 // and defensively copied, so exporting is deterministic and can never alias
-// registry internals (the aliasret invariant).
+// registry internals (TestSnapshotSortedAndDetached).
 
 // Label is one dimension of a metric series ("cluster"="degraded/faulty").
 type Label struct {

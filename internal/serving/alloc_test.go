@@ -1,13 +1,12 @@
 //go:build !race
 
-// Allocation-regression oracles for the fleet load engine's per-event path
-// (DESIGN.md §14). The searchlint hotalloc analyzer proves the //lint:hot
-// kernels allocation-free statically; these tests pin the full event step —
-// heap peek, Zipf draw, term synthesis, Cluster.serve untraced (cache probe,
-// fan-out, hedging, merges, cache put with eviction), histogram add, heap
-// replace-min, and in the open loop the completion heap — at zero allocations
-// dynamically. Excluded under -race because race instrumentation inserts
-// allocations of its own.
+// The allocation gate for the fleet load engine's per-event path (DESIGN.md
+// §14): testing.AllocsPerRun pins the full event step at zero allocations —
+// heap peek, Zipf draw (stats.ZipfShape.Next), term synthesis (drawTerms),
+// Cluster.serve untraced (cache probe, fan-out, hedging, merges, cache put
+// with eviction), stats.Histogram.Add, heap replace-min, and in the open loop
+// the completion heap and a retiring client's popMin. Excluded under -race
+// because race instrumentation inserts allocations of its own.
 
 package serving
 
@@ -114,6 +113,11 @@ func TestOpenLoopStepZeroAlloc(t *testing.T) {
 	requireZeroAllocs(t, "open-loop event step", step)
 	if retired == 0 || len(comp) < 2 {
 		t.Fatalf("step did not exercise the completion heap: retired %d, %d in flight", retired, len(comp))
+	}
+	// A client past its budget or the horizon leaves the issue heap.
+	requireZeroAllocs(t, "retiring client (popMin)", e.popMin)
+	if len(e.heap) != clients-11 {
+		t.Fatalf("%d clients left after 11 retirements of %d", len(e.heap), clients)
 	}
 }
 

@@ -20,8 +20,7 @@ import (
 // (36 B per client); an open loop queues only arrivals inside the horizon
 // (16 B per client plus 16 B per queued arrival). The whole per-event path —
 // peek, Zipf draw, term synthesis, Cluster.serve, histogram add, replace-min
-// — is allocation-free (//lint:hot kernels plus the ZeroAlloc oracles in
-// alloc_test.go).
+// — is allocation-free, pinned by the ZeroAlloc oracles in alloc_test.go.
 type loadEngine struct {
 	heap   []event     // 4-ary min-heap by (t, id); heap[0] is the next issue
 	rng    []stats.RNG // per-client random stream (query popularity, think time)
@@ -61,8 +60,6 @@ func newLoadEngine(clients, vocabSize int, skew float64, seed uint64) *loadEngin
 }
 
 // siftDown places ev at or below slot i, moving earlier children up.
-//
-//lint:hot
 func (e *loadEngine) siftDown(i int, ev event) {
 	h := e.heap
 	for {
@@ -86,8 +83,6 @@ func (e *loadEngine) siftDown(i int, ev event) {
 }
 
 // popMin removes the earliest pending event (heap[0]).
-//
-//lint:hot
 func (e *loadEngine) popMin() {
 	n := len(e.heap) - 1
 	last := e.heap[n]
@@ -99,8 +94,6 @@ func (e *loadEngine) popMin() {
 
 // replaceMin swaps the earliest pending event for ev: the pop-then-push of a
 // client that issues again, in one sift.
-//
-//lint:hot
 func (e *loadEngine) replaceMin(ev event) {
 	e.siftDown(0, ev)
 }
@@ -123,8 +116,6 @@ func (e *loadEngine) heapify() {
 
 // drawTerms synthesizes the client's next query: a Zipf-popular query id
 // expanded into a two-term tuple.
-//
-//lint:hot
 func (e *loadEngine) drawTerms(cl int32) []uint32 {
 	qid := e.shape.Next(&e.rng[cl])
 	e.terms[0] = uint32(qid)

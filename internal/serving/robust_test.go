@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"slices"
 	"testing"
 
 	"searchmem/internal/memsim"
@@ -195,6 +196,16 @@ func TestCacheEntriesImmuneToCallerMutation(t *testing.T) {
 	third := c.Serve(q)
 	if third.Docs[0] != want[0] {
 		t.Fatalf("cache corrupted by hit mutation: %d, want %d", third.Docs[0], want[0])
+	}
+	// Nor may the event loop's own hit result, which aliases serve's scratch,
+	// or the next query, which overwrites that scratch.
+	c.driveMu.Lock()
+	hit := c.serve(q.Terms, 0)
+	hit.Docs[0] = 9_999_999
+	c.serve([]uint32{23, 24}, 0)
+	c.driveMu.Unlock()
+	if fourth := c.Serve(q); !fourth.FromCache || !slices.Equal(fourth.Docs, want) {
+		t.Fatalf("cache corrupted through serve's scratch: %v, want %v", fourth.Docs, want)
 	}
 }
 

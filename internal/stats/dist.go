@@ -56,8 +56,6 @@ func (z *ZipfShape) hInv(x float64) float64 {
 
 // Next returns the next sample in [0, n) drawn from rng. Rank 0 is the most
 // popular.
-//
-//lint:hot
 func (z *ZipfShape) Next(rng *RNG) uint64 {
 	// Hörmann & Derflinger rejection-inversion, adapted to 0-based ranks.
 	for {

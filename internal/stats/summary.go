@@ -68,8 +68,6 @@ func (h *Histogram) bucketMid(i int) float64 {
 }
 
 // Add records one observation (values < 1 land in the first bucket).
-//
-//lint:hot
 func (h *Histogram) Add(v float64) {
 	h.counts[h.bucket(v)]++
 	h.total++

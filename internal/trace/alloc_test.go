@@ -1,11 +1,11 @@
 //go:build !race
 
-// Allocation-regression oracles for the //lint:hot trace decode kernels
-// (View.NextBatch, CompressedView.NextBatch). The searchlint hotalloc
-// analyzer proves these allocation-free statically; AllocsPerRun pins the
-// property dynamically. AllocsPerRun's warm-up call absorbs the documented
-// one-time lazy growth (decode window, spill read buffer), so steady state
-// must measure exactly zero. Excluded under -race because race
+// The allocation gate for the trace decode kernels: View.NextBatch
+// (TestViewNextBatchZeroAlloc) and CompressedView.NextBatch with its blocks
+// in memory (TestCompressedNextBatchZeroAlloc) or spilled to a file
+// (TestSpilledNextBatchZeroAlloc). AllocsPerRun's warm-up call absorbs the
+// documented one-time growth (decode window, spill read buffer), so steady
+// state must measure exactly zero. Excluded under -race because race
 // instrumentation allocates.
 
 package trace

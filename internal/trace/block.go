@@ -218,8 +218,8 @@ func (c *Compressed) View() *CompressedView {
 // CompressedView decodes a Compressed recording block by block into one
 // reused window. NextBatch hands out the decode window itself, so the
 // BatchStream lifetime contract applies with teeth — the next NextBatch call
-// physically overwrites the previous batch's storage (the searchlint
-// batchalias analyzer polices retention).
+// physically overwrites the previous batch's storage
+// (TestCompressedWindowReuse).
 type CompressedView struct {
 	c     *Compressed
 	block int
@@ -247,8 +247,6 @@ func (v *CompressedView) Rewind() {
 
 // NextBatch implements BatchStream: the next block decoded into the reused
 // window. The returned slice is only valid until the next NextBatch call.
-//
-//lint:hot
 func (v *CompressedView) NextBatch() []Access {
 	if !v.decodeNextBlock() {
 		return nil
@@ -280,7 +278,6 @@ func (v *CompressedView) decodeBlock() bool {
 	var data []byte
 	if v.c.spill != nil {
 		if cap(v.rbuf) < int(bm.size) {
-			//lint:ignore hotalloc one-time warmup: the read buffer grows to the largest spilled block once per cursor and is reused; cursors are themselves reused across replays
 			v.rbuf = make([]byte, bm.size)
 		}
 		v.rbuf = v.rbuf[:bm.size]
@@ -298,7 +295,6 @@ func (v *CompressedView) decodeBlock() bool {
 	}
 
 	if cap(v.win) < int(bm.count) {
-		//lint:ignore hotalloc one-time warmup: the decode window grows to the largest block once per cursor and is reused; cursors are themselves reused across replays
 		v.win = make([]Access, bm.count)
 	}
 	win := v.win[:bm.count]

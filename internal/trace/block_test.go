@@ -189,9 +189,10 @@ func TestCompressedCompression(t *testing.T) {
 	}
 }
 
-// TestCompressedWindowReuse pins the decode-window semantics the batchalias
-// lint polices: the slice NextBatch returns is physically overwritten by the
-// next NextBatch call.
+// TestCompressedWindowReuse pins the decode-window semantics behind the
+// BatchStream lifetime contract: the slice NextBatch returns is physically
+// overwritten by the next NextBatch call. That reuse is what makes a consumer
+// retaining a window diverge between flat and compressed storage.
 func TestCompressedWindowReuse(t *testing.T) {
 	in := blockTestTrace(3, 300)
 	c, err := Compress(in, 100)

@@ -115,8 +115,6 @@ type View struct {
 // trace, up to DefaultBatchSize accesses. No copy is made; the BatchStream
 // lifetime contract applies (callers must not mutate or retain the window
 // past the next call).
-//
-//lint:hot
 func (v *View) NextBatch() []Access {
 	if v.next >= len(v.s.chunks) {
 		return nil

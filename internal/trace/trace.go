@@ -111,8 +111,9 @@ func (a Access) String() string {
 // next NextBatch call and must be treated as read-only. View hands out
 // zero-copy windows of shared immutable storage and CompressedView reuses
 // one decode window, so callers must neither mutate the batch nor retain it
-// — copy what must outlive the call. The searchlint batchalias analyzer
-// mechanizes this rule.
+// — copy what must outlive the call. A consumer that breaks the rule reads
+// another block's accesses only under compressed storage, which is what the
+// flat ≡ compressed ≡ spilled equivalence tests catch.
 type BatchStream interface {
 	NextBatch() []Access
 }

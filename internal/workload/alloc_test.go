@@ -1,13 +1,17 @@
 //go:build !race
 
-// Allocation-regression oracle for the //lint:hot batched replay path. After
-// the first Run records the stream, every further Run with the same key
-// replays the memoized recording; the replay transport (cursor acquisition,
-// batch splitting at branch positions, sink dispatch) must not allocate.
-// This also pins the Replayer's cursor-reuse cache: without it every replay
-// would allocate a fresh decoding cursor. The warm-up call inside
-// AllocsPerRun absorbs one-time growth (spill read buffer, decode window).
-// Excluded under -race because race instrumentation allocates.
+// The allocation gate for the replay transport and the predictor pass behind
+// the branch memo, by testing.AllocsPerRun. Oracles by kernel:
+//
+//	recordedRun.replay, Sinks.deliver    TestBatchedReplayZeroAlloc
+//	branchCursor.nextChunk,
+//	decodeBranches                       TestBatchedReplayZeroAlloc, TestObserveBranchesZeroAlloc
+//	observeBranches                      TestObserveBranchesZeroAlloc
+//	the capture path                     TestCaptureAllocLaw
+//
+// The warm-up call inside AllocsPerRun absorbs one-time growth (spill read
+// buffer, decode windows). Excluded under -race because race instrumentation
+// allocates.
 
 package workload
 
@@ -19,6 +23,12 @@ import (
 	"searchmem/internal/trace"
 )
 
+// TestBatchedReplayZeroAlloc pins the replay transport. After the first Run
+// records the stream, every further Run with the same key replays the
+// memoized recording: cursor acquisition, batch splitting at branch
+// positions and sink dispatch must not allocate. It also pins the Replayer's
+// cursor-reuse cache, without which every replay would allocate a fresh
+// decoding cursor.
 func TestBatchedReplayZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -63,6 +73,32 @@ func TestBatchedReplayZeroAlloc(t *testing.T) {
 					accesses, branches, want.Accesses, want.Branches)
 			}
 		})
+	}
+}
+
+// TestObserveBranchesZeroAlloc pins the predictor pass behind the branch
+// memo, which no replay runs: observeBranches over a log of one partial
+// chunk, of several full chunks, and of several chunks with a partial last
+// one. It builds its cursor per call, so its one allocation per call is that
+// cursor's decode window; chunks and branches must add none.
+func TestObserveBranchesZeroAlloc(t *testing.T) {
+	shape := branchShape{bits: 12, cores: 2, smt: 2}
+	for _, n := range []int{branchChunkLen / 3, 3 * branchChunkLen, 3*branchChunkLen + 7} {
+		events := make([]branchEvent, n)
+		for i := range events {
+			events[i] = branchEvent{pos: i / 2, thread: uint8(i % 4), pc: uint64(i%509) * 4, taken: i%3 == 0}
+		}
+		log := encodeBranches(events)
+		preds := shape.newPredictors()
+		coreOf := shape.coreTable()
+		const runs = 10
+		if avg := testing.AllocsPerRun(runs, func() { observeBranches(preds, &coreOf, &log) }); avg != 1 {
+			t.Errorf("%d branches in %d chunks: %.1f allocs/op, want 1 (the cursor's decode window)", n, len(log.chunks), avg)
+		}
+		// AllocsPerRun makes one warm-up call before the measured ones.
+		if got := preds[0].Predictions + preds[1].Predictions; got != (runs+1)*int64(n) {
+			t.Fatalf("%d branches: the predictors observed %d over %d calls", n, got, runs+1)
+		}
 	}
 }
 

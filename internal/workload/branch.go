@@ -80,8 +80,6 @@ type branchMemo struct {
 
 // observeBranches runs a recording's branch stream through per-core
 // predictors.
-//
-//lint:hot
 func observeBranches(preds []cpu.PredictorStats, coreOf *[256]uint8, log *branchLog) {
 	cur := branchCursor{log: log}
 	for chunk := cur.nextChunk(); len(chunk) > 0; chunk = cur.nextChunk() {

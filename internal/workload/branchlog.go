@@ -113,8 +113,6 @@ type branchCursor struct {
 
 // nextChunk decodes the next chunk and returns its records, nil once the log
 // is drained. The slice is valid until the next call.
-//
-//lint:hot
 func (c *branchCursor) nextChunk() []recordedBranch {
 	if c.next == len(c.log.chunks) {
 		return nil
@@ -122,7 +120,6 @@ func (c *branchCursor) nextChunk() []recordedBranch {
 	ch := c.log.chunks[c.next]
 	c.next++
 	if c.win == nil {
-		//lint:ignore hotalloc one-time warmup: the window is sized to the log's largest chunk once per cursor and reused; replay cursors are themselves reused across replays
 		c.win = make([]recordedBranch, min(c.log.n, branchChunkLen))
 	}
 	win := c.win[:ch.count]
@@ -133,8 +130,6 @@ func (c *branchCursor) nextChunk() []recordedBranch {
 // decodeBranches decodes one chunk's bytes into win, which has the chunk's
 // record count. The bytes never leave memory and only branchWriter produces
 // them, so anything malformed is a bug and panics.
-//
-//lint:hot
 func decodeBranches(data []byte, win []recordedBranch) {
 	var pcs [256]uint64
 	var pos uint64
@@ -193,7 +188,6 @@ func decodeBranches(data []byte, win []recordedBranch) {
 // uvarintAt is the fully checked varint read behind decodeBranches' fast
 // shapes.
 func uvarintAt(data []byte, p int) (uint64, int) {
-	//lint:ignore hotalloc binary.Uvarint only reads the slice it is given
 	v, n := binary.Uvarint(data[p:])
 	if n <= 0 {
 		panic("workload: corrupt branch log: truncated or overlong varint")

@@ -311,8 +311,6 @@ func (r *Replayer) record(key runKey) *recordedRun {
 // branch log is not read and the store's windows go out whole (consumers
 // are batch-split invariant — see Sinks.AccessBatch). Consumers without an
 // AccessBatch sink get each window one access at a time.
-//
-//lint:hot
 func (rec *recordedRun) replay(s Sinks) {
 	cell := rec.acquireCursor()
 	defer rec.releaseCursor(cell)
@@ -348,7 +346,6 @@ func (rec *recordedRun) replay(s Sinks) {
 			if b.pos() != pos {
 				break
 			}
-			//lint:ignore hotalloc consumer-provided sink: the replay transport is zero-alloc, the sink's own cost belongs to the consumer (simulator sinks are //lint:hot-checked)
 			s.Branch(b.thread(), b.pc, b.taken())
 			chunk = chunk[1:]
 		}
@@ -375,19 +372,15 @@ func (rec *recordedRun) replay(s Sinks) {
 
 // deliver hands one read-only run of accesses to the access sink in
 // sub-windows of at most trace.DefaultBatchSize.
-//
-//lint:hot
 func (s *Sinks) deliver(run []trace.Access) {
 	for len(run) > 0 {
 		hi := min(trace.DefaultBatchSize, len(run))
 		sub := run[:hi:hi]
 		run = run[hi:]
 		if s.AccessBatch != nil {
-			//lint:ignore hotalloc consumer-provided sink: the replay transport is zero-alloc, the sink's own cost belongs to the consumer (simulator sinks are //lint:hot-checked)
 			s.AccessBatch(sub)
 		} else if s.Access != nil {
 			for _, a := range sub {
-				//lint:ignore hotalloc consumer-provided sink: the replay transport is zero-alloc, the sink's own cost belongs to the consumer (simulator sinks are //lint:hot-checked)
 				s.Access(a)
 			}
 		}

@@ -167,19 +167,21 @@ type Session = search.Session
 func DefaultEngineConfig() EngineConfig { return search.DefaultConfig() }
 
 // BuildEngine generates a corpus, indexes it into space, and returns the
-// engine. codeCfg may be nil to skip instruction-side modeling. It panics
-// on an invalid cfg.
-func BuildEngine(cfg EngineConfig, space *Space, codeCfg *codegen.Config) *Engine {
+// engine. codeCfg may be nil to skip instruction-side modeling. An invalid
+// cfg or codeCfg is an error, checked before space is touched.
+func BuildEngine(cfg EngineConfig, space *Space, codeCfg *codegen.Config) (*Engine, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	var prog *codegen.Program
 	if codeCfg != nil {
+		if err := codeCfg.Validate(); err != nil {
+			return nil, err
+		}
 		arena := space.NewArena("code", trace.Code, codeCfg.CodeBytes())
 		prog = codegen.New(*codeCfg, arena)
 	}
-	eng, err := search.Build(cfg, space, prog)
-	if err != nil {
-		panic(err)
-	}
-	return eng
+	return search.Build(cfg, space, prog)
 }
 
 // --- platforms, workloads, measurement ---

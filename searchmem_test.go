@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"searchmem/internal/codegen"
 	"searchmem/internal/trace"
 )
 
@@ -49,7 +50,10 @@ func TestPublicEnginePath(t *testing.T) {
 	cfg.Corpus.NumDocs = 1500
 	cfg.Corpus.VocabSize = 2000
 	cfg.Corpus.AvgDocLen = 30
-	eng := BuildEngine(cfg, space, nil)
+	eng, err := BuildEngine(cfg, space, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sess := eng.NewSession(0, nil)
 	r := sess.Execute([]uint32{1, 2})
 	if len(r.Docs) == 0 {
@@ -57,6 +61,31 @@ func TestPublicEnginePath(t *testing.T) {
 	}
 	if accesses == 0 {
 		t.Fatal("no instrumentation")
+	}
+}
+
+// TestBuildEngineRejectsInvalidConfig: a bad engine or code-model config is
+// an error from the facade, never a panic.
+func TestBuildEngineRejectsInvalidConfig(t *testing.T) {
+	badEngine := DefaultEngineConfig()
+	badEngine.TopK = 0
+	badCode := codegen.DefaultConfig()
+	badCode.NumFuncs = 0
+	cases := []struct {
+		name string
+		cfg  EngineConfig
+		code *codegen.Config
+	}{
+		{"engine", badEngine, nil},
+		{"code", DefaultEngineConfig(), &badCode},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			eng, err := BuildEngine(c.cfg, NewSpace(nil), c.code)
+			if err == nil || eng != nil {
+				t.Fatalf("BuildEngine = %v, %v; want nil and an error", eng, err)
+			}
+		})
 	}
 }
 
