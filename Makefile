@@ -29,14 +29,15 @@ race:
 	$(GO) test -race ./...
 
 # alloc-check is the allocation gate (DESIGN.md §17): the AllocsPerRun
-# oracles that pin every replay, cache, memory-tier and serving kernel at zero
-# allocations in steady state, and the capture path's allocation law
+# oracles that pin every replay, cache, memory-tier, top-k and serving
+# kernel at zero allocations in steady state, and the capture path's
+# allocation law
 # (TestCaptureAllocLaw: a recording allocates what it keeps, so no event
 # buffer is regrown and re-copied). It runs WITHOUT -race: race
 # instrumentation allocates, so the tests build-tag themselves out of
 # `make race`.
 alloc-check:
-	$(GO) test -run 'ZeroAlloc|AllocLaw' ./internal/cache ./internal/trace ./internal/workload ./internal/mem ./internal/serving
+	$(GO) test -run 'ZeroAlloc|AllocLaw' ./internal/cache ./internal/trace ./internal/workload ./internal/mem ./internal/search ./internal/serving
 
 # obs-demo exercises the observability stack end to end: the fleetprof
 # experiment at fast scale with distributed-trace and metrics-registry
@@ -55,13 +56,15 @@ obs-demo:
 # profiler's Fenwick tree against a move-to-front list, bucket for bucket,
 # and FuzzTailsMatchStandalone for one upper draining into several tails (and
 # their replay from its recorded stream) against a standalone hierarchy per
-# tail, state for state.
+# tail, state for state. FuzzTopKMatchesSort runs any mix of top-k pushes,
+# batches, resets and drains against a full sort.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzFileCodecDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzBlockDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzBranchLogRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzInverter$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzTopKMatchesSort$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzOwnerFilter$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzStackDistMatchesNaive$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzTailsMatchStandalone$$' -fuzztime $(FUZZTIME)

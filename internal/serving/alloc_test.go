@@ -121,6 +121,22 @@ func TestOpenLoopStepZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSyntheticSearchBufZeroAlloc pins the synthetic leaf call: after its
+// first call has built the selector and the candidate batch, SearchBuf
+// allocates nothing.
+func TestSyntheticSearchBufZeroAlloc(t *testing.T) {
+	e := NewSyntheticExecutor(3, 10)
+	docs, scores := make([]uint32, 10), make([]float32, 10)
+	terms := []uint32{17, 4}
+	if _, _, err := e.SearchBuf(terms, docs, scores); err != nil {
+		t.Fatal(err)
+	}
+	requireZeroAllocs(t, "SyntheticExecutor.SearchBuf", func() {
+		terms[0]++
+		e.SearchBuf(terms, docs, scores)
+	})
+}
+
 // TestCachePutChurnZeroAlloc pins the ring cache alone: steady-state
 // eviction must recycle the victim's entry and storage.
 func TestCachePutChurnZeroAlloc(t *testing.T) {

@@ -73,7 +73,9 @@ type OutageExecutor interface {
 
 // SyntheticExecutor is a deterministic stand-in for a real leaf engine:
 // results derive from a hash of (term, shard), latency from a base cost
-// plus per-term cost with deterministic jitter.
+// plus per-term cost with deterministic jitter. Each call packs its 4·TopK
+// candidates into a scratch batch of search.ResultKey keys and hands the
+// batch to the shared top-k kernel (search.TopK.PushKeys) in one call.
 type SyntheticExecutor struct {
 	// ShardID decorrelates results between leaves.
 	ShardID uint32
@@ -82,9 +84,10 @@ type SyntheticExecutor struct {
 	// BaseLatencyNS and PerTermNS build the service-time model.
 	BaseLatencyNS, PerTermNS float64
 
-	mu  sync.Mutex
-	rng *stats.RNG
-	tk  *search.TopK // reused call to call, guarded by mu
+	mu   sync.Mutex
+	rng  *stats.RNG
+	tk   *search.TopK // reused call to call, guarded by mu
+	cand []uint64     // candidate keys, reused call to call, guarded by mu
 }
 
 // NewSyntheticExecutor returns an executor for the given shard.
@@ -98,34 +101,36 @@ func NewSyntheticExecutor(shardID uint32, topK int) *SyntheticExecutor {
 	}
 }
 
-// fill pushes the deterministic pseudo-results for terms: k docs scored by
-// a hash chain over (shard, terms).
-func (e *SyntheticExecutor) fill(tk *search.TopK, terms []uint32) {
+// fill writes the deterministic pseudo-results for terms into cand as
+// search.ResultKey keys: docs scored by a hash chain over (shard, terms).
+func (e *SyntheticExecutor) fill(cand []uint64, terms []uint32) {
 	h := uint64(e.ShardID)*2654435761 + 1
 	for _, t := range terms {
 		h = h*6364136223846793005 + uint64(t)
 	}
 	x := h
-	for i := 0; i < e.TopK*4; i++ {
+	for i := range cand {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
 		doc := uint32(x) % 1_000_000
 		score := float32(x%10_000) / 100
-		tk.Push(doc, score)
+		cand[i] = search.ResultKey(doc, score)
 	}
 }
 
-// SearchBuf implements Executor through an internal reusable selector, with
-// no allocation after the first call.
+// SearchBuf implements Executor through an internal reusable selector and
+// candidate batch, with no allocation after the first call.
 func (e *SyntheticExecutor) SearchBuf(terms []uint32, docs []uint32, scores []float32) (int, float64, error) {
 	e.mu.Lock()
 	if e.tk == nil {
 		e.tk = search.NewTopK(e.TopK)
+		e.cand = make([]uint64, 4*e.TopK)
 	} else {
 		e.tk.Reset()
 	}
-	e.fill(e.tk, terms)
+	e.fill(e.cand, terms)
+	e.tk.PushKeys(e.cand)
 	n := e.tk.ResultsInto(docs, scores)
 	jitter := e.rng.Exponential(0.15 * e.BaseLatencyNS)
 	e.mu.Unlock()
