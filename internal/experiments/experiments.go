@@ -111,15 +111,6 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// IDs returns all experiment ids in order.
-func IDs() []string {
-	out := make([]string, len(registry))
-	for i, e := range registry {
-		out[i] = e.ID
-	}
-	return out
-}
-
 // Context carries options and caches expensive workload builds across
 // experiments in one session.
 type Context struct {

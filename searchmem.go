@@ -23,29 +23,23 @@
 //   - a serving-tree simulator (front-end, cache servers, root, parents,
 //     leaves) for request-level experiments; and
 //   - a registered experiment per table and figure of the paper's
-//     evaluation, regenerating each one.
+//     evaluation, regenerating each one (cmd/searchsim).
 //
-// # Quickstart
-//
-//	res, err := searchmem.RunExperiment("table1", searchmem.FastOptions())
-//	if err != nil { ... }
-//	fmt.Println(res)
-//
-// See examples/ for runnable programs and EXPERIMENTS.md for the recorded
-// paper-vs-reproduction comparison.
+// This package exports exactly what the programs under examples/ use:
+// quickstart (§II leaf characterization), design-explorer (§IV hierarchy
+// design) and serving-tree (the Figure 1 tree). The package Example is the
+// quickstart README.md quotes. EXPERIMENTS.md records paper vs. reproduction.
 package searchmem
 
 import (
-	"fmt"
+	"io"
 
 	"searchmem/internal/cache"
-	"searchmem/internal/codegen"
 	"searchmem/internal/core"
-	"searchmem/internal/cpu"
-	"searchmem/internal/experiments"
 	"searchmem/internal/mem"
 	"searchmem/internal/memsim"
 	"searchmem/internal/model"
+	"searchmem/internal/obs"
 	"searchmem/internal/platform"
 	"searchmem/internal/search"
 	"searchmem/internal/serving"
@@ -53,55 +47,23 @@ import (
 	"searchmem/internal/workload"
 )
 
-// --- traces and instrumented memory ---
+// --- traces ---
 
 // Access is one memory reference of a trace.
 type Access = trace.Access
 
-// Segment labels an access with its software segment.
+// Segment labels an access with its software segment (code, heap, index
+// shard, stack).
 type Segment = trace.Segment
 
-// Segment values.
-const (
-	Code  = trace.Code
-	Heap  = trace.Heap
-	Shard = trace.Shard
-	Stack = trace.Stack
-)
-
-// Kind distinguishes instruction fetches, loads, and stores.
-type Kind = trace.Kind
-
-// Kind values.
-const (
-	Fetch = trace.Fetch
-	Read  = trace.Read
-	Write = trace.Write
-)
-
-// Space is an instrumented virtual address space.
-type Space = memsim.Space
-
-// NewSpace returns an address space whose arenas report every access to
-// rec (nil disables recording).
-func NewSpace(rec func(Access)) *Space { return memsim.NewSpace(rec) }
-
-// WorkingSet measures distinct-byte footprints per segment.
-type WorkingSet = trace.WorkingSet
-
-// NewWorkingSet returns a working-set analyzer at the given block size.
-func NewWorkingSet(blockSize int) *WorkingSet { return trace.NewWorkingSet(blockSize) }
+// NumSegments is the number of distinct segments; Segment values run from 0
+// to NumSegments-1.
+const NumSegments = trace.NumSegments
 
 // --- cache simulation ---
 
 // CacheConfig describes one cache.
 type CacheConfig = cache.Config
-
-// Cache is a single functional cache.
-type Cache = cache.Cache
-
-// NewCache builds a cache from its configuration.
-func NewCache(cfg CacheConfig) *Cache { return cache.New(cfg) }
 
 // HierarchyConfig describes a multi-core cache hierarchy with optional L4.
 type HierarchyConfig = cache.HierarchyConfig
@@ -112,45 +74,24 @@ type Hierarchy = cache.Hierarchy
 // NewHierarchy builds a hierarchy.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy { return cache.NewHierarchy(cfg) }
 
-// AccessStats is one cache level's hit/miss counter snapshot.
-type AccessStats = cache.AccessStats
-
-// Policy selects a cache's replacement policy (CacheConfig.Policy).
+// Policy selects a cache's replacement policy (CacheConfig.Policy,
+// MeasureConfig.L3Policy).
 type Policy = cache.Policy
 
-// Replacement policies. The stochastic ones (Random, BRRIP, DRRIP) require
-// an explicit CacheConfig.Seed for reproducibility.
+// Replacement policies. BRRIP and DRRIP are stochastic; Measure derives
+// their seeds from the run seed, so repeat runs are identical.
 const (
-	PolicyLRU    = cache.LRU
-	PolicyFIFO   = cache.FIFO
-	PolicyRandom = cache.Random
-	PolicySRRIP  = cache.SRRIP
-	PolicyBRRIP  = cache.BRRIP
-	PolicyDRRIP  = cache.DRRIP
+	PolicyLRU   = cache.LRU
+	PolicySRRIP = cache.SRRIP
+	PolicyBRRIP = cache.BRRIP
+	PolicyDRRIP = cache.DRRIP
 )
-
-// ParsePolicy converts a policy name (case-insensitive; see PolicyNames)
-// back to its value. Unknown names are an error, never a silent fallback.
-func ParsePolicy(name string) (Policy, error) { return cache.ParsePolicy(name) }
-
-// PolicyNames lists the valid replacement-policy names for flag help.
-func PolicyNames() string { return cache.PolicyNames() }
 
 // PredictorConfig enables the per-PC cache-level predictor on a hierarchy
 // (HierarchyConfig.Predictor). The predictor overlays probe accounting on
 // the authoritative probe chain: hits, misses, and memory traffic are
 // byte-identical predictor-on and predictor-off.
 type PredictorConfig = cache.PredictorConfig
-
-// PredictorStats is the level predictor's counter snapshot (coverage, hit
-// rate, probe-skip rate).
-type PredictorStats = cache.PredictorStats
-
-// StackDist is the one-pass LRU stack-distance (reuse) profiler.
-type StackDist = cache.StackDist
-
-// NewStackDist returns a profiler at the given block granularity.
-func NewStackDist(blockSize int) *StackDist { return cache.NewStackDist(blockSize) }
 
 // --- search engine substrate ---
 
@@ -160,28 +101,17 @@ type EngineConfig = search.Config
 // Engine is a built search index bound to an instrumented address space.
 type Engine = search.Engine
 
-// Session is per-thread query-execution state.
-type Session = search.Session
-
 // DefaultEngineConfig returns a small engine configuration.
 func DefaultEngineConfig() EngineConfig { return search.DefaultConfig() }
 
-// BuildEngine generates a corpus, indexes it into space, and returns the
-// engine. codeCfg may be nil to skip instruction-side modeling. An invalid
-// cfg or codeCfg is an error, checked before space is touched.
-func BuildEngine(cfg EngineConfig, space *Space, codeCfg *codegen.Config) (*Engine, error) {
+// BuildEngine generates a corpus and indexes it into a fresh instrumented
+// address space whose arenas report every access to rec (nil disables
+// recording). An invalid cfg is an error, checked before anything is built.
+func BuildEngine(cfg EngineConfig, rec func(Access)) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var prog *codegen.Program
-	if codeCfg != nil {
-		if err := codeCfg.Validate(); err != nil {
-			return nil, err
-		}
-		arena := space.NewArena("code", trace.Code, codeCfg.CodeBytes())
-		prog = codegen.New(*codeCfg, arena)
-	}
-	return search.Build(cfg, space, prog)
+	return search.Build(cfg, memsim.NewSpace(rec), nil)
 }
 
 // --- platforms, workloads, measurement ---
@@ -192,18 +122,12 @@ type Platform = platform.Platform
 // PLT1 returns the Intel Haswell-class platform.
 func PLT1() Platform { return platform.PLT1() }
 
-// PLT2 returns the IBM POWER8-class platform.
-func PLT2() Platform { return platform.PLT2() }
+// Runner is a built workload that Measure can execute.
+type Runner = workload.Runner
 
-// SearchWorkload describes a production-search-like profile.
-type SearchWorkload = workload.SearchWorkload
-
-// SyntheticWorkload describes a SPEC/CloudSuite-like profile.
-type SyntheticWorkload = workload.SyntheticWorkload
-
-// S1Leaf returns the primary calibrated leaf profile (shrink 1 = full
-// scale; larger values shrink working sets for quick runs).
-func S1Leaf(shrink int) SearchWorkload { return workload.S1Leaf(shrink) }
+// S1Leaf builds the primary calibrated leaf profile (shrink 1 = full scale;
+// larger values shrink working sets for quick runs).
+func S1Leaf(shrink int) Runner { return workload.S1Leaf(shrink).Build() }
 
 // Measurement plumbing.
 type (
@@ -211,73 +135,16 @@ type (
 	MeasureConfig = workload.MeasureConfig
 	// Metrics is the measured outcome (Table I rows, Figure 3 breakdown).
 	Metrics = workload.Metrics
-	// Sinks receives a run's event streams.
-	Sinks = workload.Sinks
 )
 
 // Measure runs a workload against a simulated hierarchy and reduces the
 // result through the calibrated core model.
-func Measure(r workload.Runner, mc MeasureConfig) Metrics { return workload.Measure(r, mc) }
+func Measure(r Runner, mc MeasureConfig) Metrics { return workload.Measure(r, mc) }
 
-// --- analytical models ---
+// --- hierarchy design space (the paper's §III-D/§IV contribution) ---
 
 // Equation1 is the paper's published IPC model: IPC = -8.62e-3*AMAT + 1.78.
 var Equation1 = model.Equation1
-
-// AMATL3 computes the paper's post-L2 average memory access time.
-func AMATL3(hitRate, tL3NS, tMemNS float64) float64 { return model.AMATL3(hitRate, tL3NS, tMemNS) }
-
-// AMATWithL4 extends AMATL3 with a memory-side L4.
-func AMATWithL4(hL3, hL4, tL3, tL4, tMEM, missPenalty float64) float64 {
-	return model.AMATWithL4(hL3, hL4, tL3, tL4, tMEM, missPenalty)
-}
-
-// L4Design describes an Alloy-style latency-optimized L4 configuration.
-type L4Design = model.L4Design
-
-// BaselineL4 returns the paper's 40 ns direct-mapped parallel-lookup L4.
-func BaselineL4(capacity int64) L4Design { return model.BaselineL4(capacity) }
-
-// TopDownBreakdown is the Top-Down slot accounting of Figure 3.
-type TopDownBreakdown = cpu.Breakdown
-
-// --- tiered main memory (below the L4; figT1/figT2 extension) ---
-
-// MemConfig describes a tiered memory system: a DRAM bank/row-buffer near
-// tier plus an optional CXL-like far tier with hot/cold page placement.
-// Attach one to MeasureConfig.Mem to replace the flat tMEM constant with
-// simulated post-L4 memory timing.
-type MemConfig = mem.Config
-
-// DRAMConfig shapes the near-tier channel/bank/row-buffer timing model.
-type DRAMConfig = mem.DRAMConfig
-
-// FarMemConfig enables and shapes the far tier (capacity split, placement
-// policy, epoch length, migration cost).
-type FarMemConfig = mem.FarConfig
-
-// MemStats is a tiered memory system's counter snapshot (row-buffer hit
-// rate, far-tier traffic and residency, migration volume).
-type MemStats = mem.Stats
-
-// PagePolicy selects the far tier's hot/cold placement policy.
-type PagePolicy = mem.PagePolicy
-
-// Placement policies for FarMemConfig.Policy.
-const (
-	PolicyStatic        = mem.PolicyStatic
-	PolicyLRUEpoch      = mem.PolicyLRUEpoch
-	PolicyFreqThreshold = mem.PolicyFreqThreshold
-)
-
-// MemCostModel prices provisioned capacity per tier — the denominator of
-// the tier sweep's QPS-per-memory-dollar metric.
-type MemCostModel = mem.CostModel
-
-// DefaultMemCost returns the illustrative near/far price gap used by figT1.
-func DefaultMemCost() MemCostModel { return mem.DefaultCost }
-
-// --- hierarchy design space (the paper's §IV contribution) ---
 
 // HierarchyDesign is one SoC + package configuration (cores, L3, optional
 // eDRAM L4).
@@ -296,11 +163,13 @@ type DesignConstraint = core.Constraint
 // DesignParams bundles the model constants a DesignEvaluator needs.
 type DesignParams = core.Params
 
-// CompareDesigns returns (improvement fraction, relative energy/query) of
-// design vs baseline.
-func CompareDesigns(baseline, design DesignScore) (improvement, energyPerQuery float64) {
-	return core.Relative(baseline, design)
-}
+// MemCostModel prices provisioned capacity per tier of a near/far tiered
+// main memory — the denominator of the tier sweep's QPS-per-memory-dollar
+// metric.
+type MemCostModel = mem.CostModel
+
+// DefaultMemCost returns the illustrative near/far price gap used by figT1.
+func DefaultMemCost() MemCostModel { return mem.DefaultCost }
 
 // --- serving tree ---
 
@@ -313,8 +182,8 @@ type ClusterConfig = serving.Config
 // Query is one user request to the serving tree.
 type Query = serving.Query
 
-// NewCluster wires a serving tree (executors may be nil for synthetic
-// leaves).
+// NewCluster wires a serving tree. Leaves without an executor (a short or
+// nil slice, or a nil entry) get a synthetic one.
 func NewCluster(cfg ClusterConfig, executors []Executor) *Cluster {
 	return serving.NewCluster(cfg, executors)
 }
@@ -322,17 +191,23 @@ func NewCluster(cfg ClusterConfig, executors []Executor) *Cluster {
 // DefaultClusterConfig returns a small but fully structured tree.
 func DefaultClusterConfig() ClusterConfig { return serving.DefaultConfig() }
 
-// ClusterMetrics is a snapshot of the serving tree's per-stage latency
-// distributions and fault-tolerance counters (see Cluster.Metrics).
-type ClusterMetrics = serving.Metrics
+// Executor is the leaf interface the serving tree drives: one call that
+// writes a shard's top-k into caller buffers.
+type Executor = serving.Executor
+
+// EngineExecutor serves a leaf from a real engine session, converting its
+// instruction cost to latency.
+type EngineExecutor = serving.EngineExecutor
+
+// NewSyntheticExecutor returns a modeled leaf for the given shard: seeded
+// results and a latency model, no index.
+func NewSyntheticExecutor(shardID uint32, topK int) Executor {
+	return serving.NewSyntheticExecutor(shardID, topK)
+}
 
 // FaultyExecutor wraps a leaf executor with deterministic slow/fail/flap
 // fault injection for degradation studies.
 type FaultyExecutor = serving.FaultyExecutor
-
-// Executor is the leaf interface the serving tree drives: one call that
-// writes a shard's top-k into caller buffers.
-type Executor = serving.Executor
 
 // LoadStats summarizes a load-generation run.
 type LoadStats = serving.LoadStats
@@ -343,70 +218,11 @@ func RunLoad(c *Cluster, clients, queriesPerClient, vocabSize int, skew float64,
 	return serving.RunLoad(c, clients, queriesPerClient, vocabSize, skew, seed)
 }
 
-// Scenario describes one fleet load run: closed- or open-loop arrivals
-// plus an operational timeline (cache flushes, correlated outages).
-type Scenario = serving.Scenario
+// Tracer records one distributed trace per served query in virtual time
+// when set as ClusterConfig.Tracer. The zero Tracer records; a nil *Tracer
+// is off.
+type Tracer = obs.Tracer
 
-// RateCurve is the open-loop arrival-rate model (diurnal cycle plus
-// flash-crowd bursts).
-type RateCurve = serving.RateCurve
-
-// Burst is one flash-crowd window on a RateCurve.
-type Burst = serving.Burst
-
-// FleetEvent is one scheduled operational event on a scenario timeline.
-type FleetEvent = serving.FleetEvent
-
-// FleetStats extends LoadStats with fleet-scenario accounting.
-type FleetStats = serving.FleetStats
-
-// RunScenario drives a cluster through one fleet scenario on the
-// event-driven engine (millions of modeled users in bounded memory).
-func RunScenario(c *Cluster, sc Scenario) FleetStats { return serving.RunScenario(c, sc) }
-
-// --- experiments ---
-
-// Options scales an experiment run.
-type Options = experiments.Options
-
-// FastOptions returns quick, reduced-scale options.
-func FastOptions() Options { return experiments.Fast() }
-
-// FullOptions returns calibrated full-scale options.
-func FullOptions() Options { return experiments.Full() }
-
-// ExperimentIDs lists the reproducible tables and figures in paper order.
-func ExperimentIDs() []string { return experiments.IDs() }
-
-// RunExperiment reproduces one of the paper's tables or figures and
-// returns its rendering.
-func RunExperiment(id string, opts Options) (string, error) {
-	e, ok := experiments.ByID(id)
-	if !ok {
-		return "", fmt.Errorf("searchmem: unknown experiment %q", id)
-	}
-	res, err := e.Run(experiments.NewContext(opts))
-	if err != nil {
-		return "", err
-	}
-	return res.Render(), nil
-}
-
-// NewExperimentContext returns a context that caches expensive workload
-// builds across several RunExperimentIn calls.
-func NewExperimentContext(opts Options) *experiments.Context {
-	return experiments.NewContext(opts)
-}
-
-// RunExperimentIn is RunExperiment against a shared context.
-func RunExperimentIn(ctx *experiments.Context, id string) (string, error) {
-	e, ok := experiments.ByID(id)
-	if !ok {
-		return "", fmt.Errorf("searchmem: unknown experiment %q", id)
-	}
-	res, err := e.Run(ctx)
-	if err != nil {
-		return "", err
-	}
-	return res.Render(), nil
-}
+// WriteTraces writes the traces t has recorded since the last call as
+// indented span trees, and forgets them.
+func WriteTraces(w io.Writer, t *Tracer) error { return obs.WriteText(w, t.Take()) }

@@ -1,43 +1,83 @@
-package searchmem
+package searchmem_test
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
-	"searchmem/internal/codegen"
-	"searchmem/internal/trace"
+	"searchmem"
 )
 
-func TestExperimentRegistry(t *testing.T) {
-	ids := ExperimentIDs()
-	if len(ids) < 20 {
-		t.Fatalf("only %d experiments registered", len(ids))
+// Example builds a small instrumented search engine, records the memory
+// accesses one query makes, and replays them through a three-level cache
+// hierarchy. README.md's library quickstart quotes this function verbatim.
+func Example() {
+	var recorded []searchmem.Access
+	cfg := searchmem.DefaultEngineConfig()
+	cfg.Corpus.NumDocs = 2000
+	cfg.Corpus.VocabSize = 3000
+	engine, err := searchmem.BuildEngine(cfg, func(a searchmem.Access) {
+		recorded = append(recorded, a)
+	})
+	if err != nil {
+		panic(err)
 	}
-	if _, err := RunExperiment("does-not-exist", FastOptions()); err == nil {
-		t.Fatal("unknown experiment accepted")
+	r := engine.NewSession(0, nil).Execute([]uint32{3, 41})
+	fmt.Printf("%d results, best doc %d\n", len(r.Docs), r.Docs[0])
+
+	h := searchmem.NewHierarchy(searchmem.HierarchyConfig{
+		Cores: 1, ThreadsPerCore: 1,
+		L1I: searchmem.CacheConfig{Size: 32 << 10, BlockSize: 64, Assoc: 8},
+		L1D: searchmem.CacheConfig{Size: 32 << 10, BlockSize: 64, Assoc: 8},
+		L2:  searchmem.CacheConfig{Size: 256 << 10, BlockSize: 64, Assoc: 8},
+		L3:  searchmem.CacheConfig{Size: 2 << 20, BlockSize: 64, Assoc: 16},
+	})
+	for _, a := range recorded {
+		h.Access(a)
 	}
+	fmt.Printf("%d accesses: L1-D hit %.1f%%, L2 hit %.1f%%, %d DRAM accesses\n",
+		len(recorded), 100*h.L1DStats().HitRate(), 100*h.L2Stats().HitRate(), h.DRAMAccesses())
+	// Output:
+	// 10 results, best doc 1604
+	// 14311 accesses: L1-D hit 71.2%, L2 hit 47.4%, 2207 DRAM accesses
 }
 
-func TestRunExperimentTable2(t *testing.T) {
-	out, err := RunExperiment("table2", FastOptions())
+// smallEngine builds a quick engine whose accesses go to rec.
+func smallEngine(t *testing.T, rec func(searchmem.Access)) *searchmem.Engine {
+	t.Helper()
+	cfg := searchmem.DefaultEngineConfig()
+	cfg.Corpus.NumDocs = 1500
+	cfg.Corpus.VocabSize = 2000
+	cfg.Corpus.AvgDocLen = 30
+	eng, err := searchmem.BuildEngine(cfg, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "Haswell") || !strings.Contains(out, "POWER8") {
-		t.Fatalf("table2 output wrong:\n%s", out)
-	}
+	return eng
 }
 
 func TestPublicCachePath(t *testing.T) {
-	h := NewHierarchy(HierarchyConfig{
+	var recorded []searchmem.Access
+	smallEngine(t, func(a searchmem.Access) { recorded = append(recorded, a) }).
+		NewSession(0, nil).Execute([]uint32{1, 2})
+	h := searchmem.NewHierarchy(searchmem.HierarchyConfig{
 		Cores: 1, ThreadsPerCore: 1,
-		L1I: CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 2},
-		L1D: CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 2},
-		L2:  CacheConfig{Size: 4 << 10, BlockSize: 64, Assoc: 4},
-		L3:  CacheConfig{Size: 16 << 10, BlockSize: 64, Assoc: 8},
+		L1I: searchmem.CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 2},
+		L1D: searchmem.CacheConfig{Size: 1 << 10, BlockSize: 64, Assoc: 2},
+		L2:  searchmem.CacheConfig{Size: 4 << 10, BlockSize: 64, Assoc: 4},
+		L3:  searchmem.CacheConfig{Size: 16 << 10, BlockSize: 64, Assoc: 8},
 	})
-	h.Access(Access{Addr: 0x100, Size: 8, Seg: Heap, Kind: Read})
-	h.Access(Access{Addr: 0x100, Size: 8, Seg: Heap, Kind: Read})
+	// The engine's accesses are data reads and writes: the same one twice
+	// is one L1-D miss, then one hit.
+	h.Access(recorded[0])
+	h.Access(recorded[0])
 	if h.L1DStats().TotalHits() != 1 {
 		t.Fatal("public hierarchy path broken")
 	}
@@ -45,17 +85,7 @@ func TestPublicCachePath(t *testing.T) {
 
 func TestPublicEnginePath(t *testing.T) {
 	var accesses int
-	space := NewSpace(func(Access) { accesses++ })
-	cfg := DefaultEngineConfig()
-	cfg.Corpus.NumDocs = 1500
-	cfg.Corpus.VocabSize = 2000
-	cfg.Corpus.AvgDocLen = 30
-	eng, err := BuildEngine(cfg, space, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := eng.NewSession(0, nil)
-	r := sess.Execute([]uint32{1, 2})
+	r := smallEngine(t, func(searchmem.Access) { accesses++ }).NewSession(0, nil).Execute([]uint32{1, 2})
 	if len(r.Docs) == 0 {
 		t.Fatal("no results")
 	}
@@ -64,64 +94,45 @@ func TestPublicEnginePath(t *testing.T) {
 	}
 }
 
-// TestBuildEngineRejectsInvalidConfig: a bad engine or code-model config is
-// an error from the facade, never a panic.
+// TestBuildEngineRejectsInvalidConfig: a bad engine config is an error from
+// the facade, never a panic.
 func TestBuildEngineRejectsInvalidConfig(t *testing.T) {
-	badEngine := DefaultEngineConfig()
-	badEngine.TopK = 0
-	badCode := codegen.DefaultConfig()
-	badCode.NumFuncs = 0
-	cases := []struct {
-		name string
-		cfg  EngineConfig
-		code *codegen.Config
-	}{
-		{"engine", badEngine, nil},
-		{"code", DefaultEngineConfig(), &badCode},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			eng, err := BuildEngine(c.cfg, NewSpace(nil), c.code)
-			if err == nil || eng != nil {
-				t.Fatalf("BuildEngine = %v, %v; want nil and an error", eng, err)
-			}
-		})
-	}
+	t.Run("engine", func(t *testing.T) {
+		bad := searchmem.DefaultEngineConfig()
+		bad.TopK = 0
+		eng, err := searchmem.BuildEngine(bad, nil)
+		if err == nil || eng != nil {
+			t.Fatalf("BuildEngine = %v, %v; want nil and an error", eng, err)
+		}
+	})
 }
 
 func TestPublicModels(t *testing.T) {
-	if got := AMATL3(1, 14, 65); got != 14 {
-		t.Fatalf("AMATL3 = %v", got)
+	if got := searchmem.Equation1.Eval(50); got < 1.34 || got > 1.36 {
+		t.Fatalf("Equation1(50 ns) = %v, want -8.62e-3*50 + 1.78", got)
 	}
-	if AMATWithL4(0, 1, 14, 40, 65, 0) != 40 {
-		t.Fatal("AMATWithL4 wrong")
-	}
-	if Equation1.Eval(50) <= 0 {
-		t.Fatal("Equation1 unusable")
-	}
-	if BaselineL4(1<<30).HitLatencyNS != 40 {
-		t.Fatal("BaselineL4 wrong")
+	if searchmem.DefaultMemCost().Dollars(1<<30, 1<<30) <= searchmem.DefaultMemCost().Dollars(0, 2<<30) {
+		t.Fatal("near memory must cost more than far")
 	}
 }
 
 func TestPublicPlatforms(t *testing.T) {
-	if PLT1().CoresPerSocket != 18 || PLT2().CoresPerSocket != 12 {
-		t.Fatal("platform shapes wrong")
+	if searchmem.PLT1().CoresPerSocket != 18 {
+		t.Fatal("platform shape wrong")
 	}
 }
 
 func TestPublicServing(t *testing.T) {
-	c := NewCluster(DefaultClusterConfig(), nil)
-	res := c.Serve(Query{Terms: []uint32{1}})
+	c := searchmem.NewCluster(searchmem.DefaultClusterConfig(), nil)
+	res := c.Serve(searchmem.Query{Terms: []uint32{1}})
 	if len(res.Docs) == 0 {
 		t.Fatal("serving tree returned nothing")
 	}
 }
 
 func TestPublicWorkloadMeasure(t *testing.T) {
-	r := S1Leaf(32).Build()
-	m := Measure(r, MeasureConfig{
-		Platform: PLT1().ScaleCaches(16),
+	m := searchmem.Measure(searchmem.S1Leaf(32), searchmem.MeasureConfig{
+		Platform: searchmem.PLT1().ScaleCaches(16),
 		Cores:    1, SMTWays: 1, Threads: 1,
 		Budget: 200_000, Seed: 1,
 	})
@@ -130,27 +141,122 @@ func TestPublicWorkloadMeasure(t *testing.T) {
 	}
 }
 
-func TestSharedContext(t *testing.T) {
-	ctx := NewExperimentContext(FastOptions())
-	a, err := RunExperimentIn(ctx, "fig2b")
-	if err != nil || len(a) == 0 {
-		t.Fatalf("fig2b: %v", err)
+// TestFacadeIsExamplesImportList holds the facade to what the examples use:
+// every exported facade name is used by some example, examples import only
+// searchmem and the standard library, and no facade function signature
+// names an internal package (so every type a caller handles is one the
+// facade exports).
+func TestFacadeIsExamplesImportList(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "searchmem.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RunExperimentIn(ctx, "zzz"); err == nil {
-		t.Fatal("unknown id accepted")
+	internal := map[string]bool{} // local names of internal imports
+	for _, imp := range facade.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		if strings.HasPrefix(path, "searchmem/internal/") {
+			internal[filepath.Base(path)] = true
+		}
+	}
+	var exported []string
+	for _, d := range facade.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if !d.Name.IsExported() {
+				continue
+			}
+			exported = append(exported, d.Name.Name)
+			ast.Inspect(d.Type, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && internal[x.Name] {
+						t.Errorf("facade func %s names %s.%s: export the type from the facade instead", d.Name.Name, x.Name, sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						exported = append(exported, s.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() {
+							exported = append(exported, n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	mains, err := filepath.Glob(filepath.Join("examples", "*", "main.go"))
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no examples found: %v", err)
+	}
+	used := map[string]bool{}
+	for _, file := range mains {
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := ""
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			switch {
+			case path == "searchmem":
+				local = "searchmem"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			case strings.HasPrefix(path, "searchmem/"), strings.Contains(strings.Split(path, "/")[0], "."):
+				t.Errorf("%s imports %s: examples import searchmem and the standard library only", file, path)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	sort.Strings(exported)
+	for _, name := range exported {
+		if !used[name] {
+			t.Errorf("searchmem.%s is exported but no example uses it", name)
+		}
 	}
 }
 
-func TestPublicStackDist(t *testing.T) {
-	sd := NewStackDist(64)
-	sd.Observe(Access{Addr: 0, Size: 8, Seg: Heap})
-	sd.Observe(Access{Addr: 0, Size: 8, Seg: Heap})
-	if sd.Hits(trace.Heap, 64) != 1 {
-		t.Fatal("stack distance path broken")
+// TestREADMEQuotesExample: README.md's library quickstart is Example,
+// byte for byte, so the documented snippet compiles and its output is
+// checked.
+func TestREADMEQuotesExample(t *testing.T) {
+	src, err := os.ReadFile("searchmem_test.go")
+	if err != nil {
+		t.Fatal(err)
 	}
-	ws := NewWorkingSet(64)
-	ws.Observe(Access{Addr: 0, Size: 8, Seg: Heap})
-	if ws.Bytes(Heap) != 64 {
-		t.Fatal("working set path broken")
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "searchmem_test.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var example string
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "Example" {
+			example = string(src[fset.Position(fd.Pos()).Offset:fset.Position(fd.End()).Offset])
+		}
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if example == "" || !strings.Contains(string(readme), "```go\n"+example+"\n```\n") {
+		t.Errorf("README.md must quote func Example from searchmem_test.go verbatim in a go block:\n%s", example)
 	}
 }
