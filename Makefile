@@ -13,14 +13,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-# fmt fails when any file outside the analyzer fixtures is not gofmt-clean.
+# fmt fails when any file outside the lint fixtures is not gofmt-clean.
 fmt:
 	@test -z "$$(gofmt -l . | grep -v testdata)" || { gofmt -l . | grep -v testdata; exit 1; }
 
 # lint enforces formatting and the determinism invariants (DESIGN.md §8):
-# gofmt, go vet, and the repo's own stdlib-only analyzer suite.
+# gofmt, go vet, and the repo's own stdlib-only lint, which is a test.
 lint: fmt vet
-	$(GO) run ./cmd/searchlint ./...
+	$(GO) test ./cmd/searchlint
 
 test:
 	$(GO) test ./...

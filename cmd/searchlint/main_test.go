@@ -1,18 +1,33 @@
-package main
+package searchlint
 
 import (
+	"go/importer"
 	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-
-	"searchmem/internal/lint"
 )
 
+// TestRepoIsLintClean is the lint: both rules over every non-test package
+// of the module must report nothing. A new violation is fixed, or its
+// package joins a rule's exemptions with the reason.
+func TestRepoIsLintClean(t *testing.T) {
+	fset, pkgs, err := loadModule("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) < 20 {
+		t.Fatalf("loader found only %d packages; discovery is broken", len(pkgs))
+	}
+	for _, f := range lint(fset, pkgs) {
+		t.Errorf("%s", f)
+	}
+}
+
 // want is one golden expectation: a regexp that must match exactly one
-// diagnostic message on its line.
+// finding on its line.
 type want struct {
 	line int
 	re   *regexp.Regexp
@@ -58,67 +73,79 @@ func parseWants(t *testing.T, filename string) []*want {
 	return wants
 }
 
-// TestAnalyzersGolden runs each analyzer alone over its fixture and checks
-// the diagnostics against the fixture's want expectations. Fixtures also
-// carry fixed and //lint:ignore-suppressed forms with no wants, so a
-// spurious diagnostic — including one that should have been suppressed —
-// fails the test.
+// TestAnalyzersGolden lints each fixture in testdata and checks the
+// findings against its want expectations. Fixtures also carry the fixed
+// forms with no wants, so a spurious finding fails the test.
 func TestAnalyzersGolden(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no fixtures: %v", err)
+	}
 	fset := token.NewFileSet()
-	imp := lint.StdImporter(fset)
-	for _, a := range lint.Analyzers {
-		t.Run(a.Name, func(t *testing.T) {
-			file := filepath.Join("testdata", a.Name+".go")
-			pkg, err := lint.LoadFile(fset, imp, file)
+	imp := importer.ForCompiler(fset, "source", nil)
+	for _, file := range files {
+		t.Run(strings.TrimSuffix(filepath.Base(file), ".go"), func(t *testing.T) {
+			p, err := loadFile(fset, imp, file)
 			if err != nil {
 				t.Fatal(err)
 			}
-			diags := lint.Check(fset, []*lint.Package{pkg}, []*lint.Analyzer{a})
-			if len(diags) == 0 {
-				t.Fatalf("analyzer %s produced no diagnostics on its fixture", a.Name)
+			findings := lint(fset, []*pkg{p})
+			if len(findings) == 0 {
+				t.Fatalf("no findings on fixture %s", file)
 			}
 			wants := parseWants(t, file)
-			for _, d := range diags {
+			for _, f := range findings {
 				matched := false
 				for _, w := range wants {
-					if !w.hit && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
+					if !w.hit && w.line == f.pos.Line && w.re.MatchString(f.msg) {
 						w.hit = true
 						matched = true
 						break
 					}
 				}
 				if !matched {
-					t.Errorf("unexpected diagnostic: %s", d)
+					t.Errorf("unexpected finding: %s", f)
 				}
 			}
 			for _, w := range wants {
 				if !w.hit {
-					t.Errorf("%s:%d: expected diagnostic matching %q, got none", file, w.line, w.re)
+					t.Errorf("%s:%d: expected a finding matching %q, got none", file, w.line, w.re)
 				}
 			}
 		})
 	}
 }
 
-// TestRepoIsLintClean is the merged-tree acceptance gate: the full suite
-// over the whole module must report nothing. Any new violation must be
-// fixed or carry a justified //lint:ignore.
-func TestRepoIsLintClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module (and the stdlib from source); skipped in -short")
+// TestLoadModuleSynthetic builds a toy module on disk and checks discovery,
+// dependency-ordered type-checking and testdata skipping.
+func TestLoadModuleSynthetic(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, src string) {
+		t.Helper()
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	mod, err := lint.LoadModule("../..")
+	write("go.mod", "module toy\n\ngo 1.22\n")
+	// b sorts before its dependency c, so c must be checked first.
+	write("b/b.go", "package b\n\nimport \"toy/c\"\n\nvar M = c.N * 2\n")
+	write("c/c.go", "package c\n\nconst N = 3\n")
+	write("c/testdata/ignored.go", "package broken // never parsed: would fail to type-check\nfunc (")
+
+	_, pkgs, err := loadModule(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := mod.Match(nil)
-	if err != nil {
-		t.Fatal(err)
+	if len(pkgs) != 2 || pkgs[0].path != "toy/b" || pkgs[1].path != "toy/c" {
+		t.Fatalf("loaded %+v, want toy/b and toy/c", pkgs)
 	}
-	if len(pkgs) < 20 {
-		t.Fatalf("loader found only %d packages; discovery is broken", len(pkgs))
-	}
-	for _, d := range lint.Check(mod.Fset, pkgs, lint.Analyzers) {
-		t.Errorf("%s", d)
+	for _, p := range pkgs {
+		if p.info == nil || len(p.info.Defs) == 0 {
+			t.Errorf("%s was not type-checked", p.path)
+		}
 	}
 }

@@ -1,35 +1,27 @@
-// Fixture for the globalrand analyzer: math/rand package-level functions
-// draw from the process-global source and are findings; explicitly seeded
-// generators (the constructors) and suppressed uses are not.
+// Fixture for the imports rule's math/rand ban: every name of the package
+// is a finding, seeded constructors included, because all randomness flows
+// through the seeded stats.RNG.
 package globalrand
 
 import "math/rand"
 
 func badIntn() int {
-	return rand.Intn(10) // want `rand\.Intn draws from the global math/rand source`
+	return rand.Intn(10) // want `rand\.Intn bypasses the seeded stats\.RNG`
 }
 
 func badFloat() float64 {
-	return rand.Float64() // want `rand\.Float64 draws from the global math/rand source`
+	return rand.Float64() // want `rand\.Float64 bypasses the seeded stats\.RNG`
 }
 
 func badShuffle(xs []int) {
-	rand.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] }) // want `rand\.Shuffle draws from the global math/rand source`
+	rand.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] }) // want `rand\.Shuffle bypasses`
 }
 
 func badFuncValue() func(int) int {
-	return rand.Intn // want `rand\.Intn draws from the global math/rand source`
+	return rand.Intn // want `rand\.Intn bypasses`
 }
 
-// goodSeeded is the fixed form: an explicitly seeded generator. (In the
-// simulator proper this is stats.NewRNG; constructors are the allowed
-// escape hatch because they force the caller to pick a seed.)
-func goodSeeded(seed int64) int {
-	r := rand.New(rand.NewSource(seed))
+func badSeeded(seed int64) int {
+	r := rand.New(rand.NewSource(seed)) // want `rand\.New bypasses` `rand\.NewSource bypasses`
 	return r.Intn(10)
-}
-
-func suppressed() int {
-	//lint:ignore globalrand fixture: one-off tool where reproducibility is irrelevant
-	return rand.Intn(10)
 }

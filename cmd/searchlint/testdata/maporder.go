@@ -1,63 +1,70 @@
-// Fixture for the maporder analyzer. Diagnostics anchor at the `for`
-// keyword of the offending map range, so the want expectations (and any
-// suppression) sit on the loop line.
+// Fixture for the maporder rule: statements in a map range that append,
+// write output, or accumulate into state declared outside the loop. Each
+// finding sits on the offending statement.
 package maporder
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
 func badAppend(m map[string]int) []string {
 	var keys []string
-	for k := range m { // want `append to keys \(line 15\) depends on nondeterministic map iteration order`
-		keys = append(keys, k)
+	for k := range m {
+		keys = append(keys, k) // want `append to keys in map iteration order`
 	}
 	return keys
 }
 
 func badPrint(m map[string]int) {
-	for k, v := range m { // want `output via fmt\.Printf \(line 22\)`
-		fmt.Printf("%s=%d\n", k, v)
+	for k, v := range m {
+		fmt.Printf("%s=%d\n", k, v) // want `output via fmt\.Printf`
 	}
 }
 
 func badBuilder(m map[string]int) string {
 	var b strings.Builder
-	for k := range m { // want `write to b via WriteString \(line 29\)`
-		b.WriteString(k)
+	for k := range m {
+		b.WriteString(k) // want `write to b via WriteString`
 	}
 	return b.String()
 }
 
 func badIntAccum(m map[string]int) int {
 	total := 0
-	for _, v := range m { // want `accumulation total \+= \(line 37\)`
-		total += v
+	for _, v := range m {
+		total += v // want `accumulation total \+= in map iteration order; range over`
 	}
 	return total
 }
 
 func badStringAccum(m map[int]string) string {
 	out := ""
-	for _, v := range m { // want `accumulation out = out \+ \(line 45\)`
-		out = out + v
+	for _, v := range m {
+		out = out + v // want `accumulation out = out \+`
 	}
 	return out
 }
 
-// goodSortedKeys is the canonical fix: range over a sorted key slice (the
-// collection loop itself is the one sanctioned map range, suppressed with a
-// reason exactly as det.SortedKeys does).
-func goodSortedKeys(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	//lint:ignore maporder keys are sorted before any order-sensitive use
-	for k := range m {
-		keys = append(keys, k)
+// badNested reports the inner map range's append once, from the inner loop.
+func badNested(m map[string]map[string]int) []string {
+	var keys []string
+	for _, inner := range m {
+		for k := range inner {
+			keys = append(keys, k) // want `append to keys`
+		}
 	}
-	sort.Strings(keys)
 	return keys
+}
+
+// goodSortedKeys is the canonical fix: range over a sorted key slice (what
+// det.SortedKeys returns).
+func goodSortedKeys(m map[string]int, sortedKeys []string) []string {
+	var out []string
+	for _, k := range sortedKeys {
+		out = append(out, fmt.Sprint(k, m[k]))
+	}
+	return out
 }
 
 // goodMapToMap stays silent: writing another map is content-deterministic

@@ -1,6 +1,6 @@
-// Fixture for the walltime analyzer: wall-clock reads are findings, virtual
-// time (plain counters denominated in time.Duration) is the fixed form, and
-// a justified //lint:ignore silences an intentional CLI timer.
+// Fixture for the imports rule's wall-clock ban: the time functions that
+// read or wait on the host clock are findings; virtual time (plain counters
+// denominated in time.Duration) and time.Time's methods are the fixed forms.
 package walltime
 
 import "time"
@@ -21,6 +21,10 @@ func badTimer() *time.Timer {
 	return time.NewTimer(time.Second) // want `time\.NewTimer reads the wall clock`
 }
 
+func badFuncValue() func() time.Time {
+	return time.Now // want `time\.Now reads the wall clock`
+}
+
 // goodVirtual is the fixed form: simulation time is a counter advanced by
 // modeled service durations, never by the host clock.
 type goodVirtual struct{ nowNS int64 }
@@ -29,11 +33,6 @@ func (c *goodVirtual) advance(d time.Duration) { c.nowNS += int64(d) }
 
 func (c *goodVirtual) now() int64 { return c.nowNS }
 
-func suppressedTrailing() time.Time {
-	return time.Now() //lint:ignore walltime fixture: CLI progress timer that never feeds simulation state
-}
-
-func suppressedAbove() {
-	//lint:ignore walltime fixture: deliberate host-clock wait in a demo binary
-	time.Sleep(time.Millisecond)
-}
+// goodMethod stays silent: Time.After compares two given times, it does not
+// read the clock as the package-level time.After does.
+func goodMethod(a, b time.Time) bool { return a.After(b) }

@@ -159,7 +159,6 @@ func run() (code int) {
 	}
 
 	for _, e := range selected {
-		//lint:ignore walltime CLI progress timer only; measures host elapsed time for -v output and never feeds simulation state
 		start := time.Now()
 		cpuStart := processCPU()
 		res, err := e.Run(ctx)
@@ -172,7 +171,6 @@ func run() (code int) {
 		if *verbose {
 			// CPU beside wall shows a serial stretch without a profiler: an
 			// experiment at 1.00 cores left the other workers idle.
-			//lint:ignore walltime CLI progress timer only; reports host elapsed time on stderr, not part of any experiment table
 			wall, cpu := time.Since(start), processCPU()-cpuStart
 			fmt.Fprintf(os.Stderr, "# %s took %v (cpu %v, %.2f cores)\n", e.ID,
 				wall.Round(time.Millisecond), cpu.Round(time.Millisecond), cpu.Seconds()/max(wall.Seconds(), 1e-9))

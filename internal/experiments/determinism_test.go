@@ -9,7 +9,7 @@ import (
 )
 
 // TestSameSeedByteIdenticalOutput is the end-to-end property the searchlint
-// analyzers exist to protect: two experiment runs with the same seed must
+// rules exist to protect: two experiment runs with the same seed must
 // render byte-identical tables — the exact stream cmd/searchsim prints —
 // whether the sweep engine runs serial or parallel (DESIGN.md §15).
 // Each run uses a fresh Context so nothing is shared but the seed.
