@@ -2,11 +2,12 @@
 
 // The allocation gate for the fleet load engine's per-event path (DESIGN.md
 // §14): testing.AllocsPerRun pins the full event step at zero allocations —
-// heap peek, Zipf draw (stats.ZipfShape.Next), term synthesis (drawTerms),
+// queue peek, Zipf draw (stats.ZipfShape.Next), term synthesis (drawTerms),
 // Cluster.serve untraced (cache probe, fan-out, hedging, merges, cache put
-// with eviction), stats.Histogram.Add, heap replace-min, and in the open loop
-// the completion heap and a retiring client's popMin. Excluded under -race
-// because race instrumentation inserts allocations of its own.
+// with eviction), stats.Histogram.Add, the re-issue heap's replace-min, and
+// in the open loop the completion heap, an arrival pushed into the drained
+// prefix and a retiring client's popMin. Excluded under -race because race
+// instrumentation inserts allocations of its own.
 
 package serving
 
@@ -44,10 +45,10 @@ func eventStep(t *testing.T, c *Cluster, clients int) func() {
 	e := closedEngine(clients)
 	hist := stats.NewHistogram(8)
 	step := func() {
-		ev := e.heap[0]
+		ev, inHeap, _ := e.peek()
 		r := c.serve(e.drawTerms(ev.id), clients-1)
 		hist.Add(r.LatencyNS)
-		e.replaceMin(event{ev.t + r.LatencyNS, ev.id})
+		e.reissue(inHeap, event{ev.t + r.LatencyNS, ev.id})
 	}
 	for i := 0; i < 5000; i++ {
 		step()
@@ -76,10 +77,14 @@ func TestEventStepZeroAllocFaulty(t *testing.T) {
 	requireZeroAllocs(t, "closed-loop event step (faulty)", eventStep(t, faultyCluster(cfg, 12, 7), 128))
 }
 
-// TestOpenLoopStepZeroAlloc pins the open-loop step: the completion heap is
-// not reserved up front, so it must stop growing once the in-flight count
-// has peaked. Arrivals 1 ms apart against ~10 ms queries keep about ten in
-// flight, and every step retires as many completions as it adds.
+// TestOpenLoopStepZeroAlloc pins the open-loop step. First arrivals come
+// 1 ms apart and each client issues twice: its arrival is consumed and its
+// re-issue pushed into the drained prefix 64 ms later, where it is popped
+// and retired, so every stretch of steps takes both paths. Against ~10 ms
+// queries about twenty are in flight, and the completion heap, which is not
+// reserved up front, must stop growing once that count has peaked. After
+// the run the heap must still be the arrivals' own array, same base and
+// same capacity: the queue has no growth path.
 func TestOpenLoopStepZeroAlloc(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheSlots = 64
@@ -87,16 +92,16 @@ func TestOpenLoopStepZeroAlloc(t *testing.T) {
 	c := NewCluster(cfg, nil)
 	c.driveMu.Lock()
 	t.Cleanup(c.driveMu.Unlock)
-	const clients = 128
+	const clients = 8192
 	e := closedEngine(clients)
-	for cl := range e.heap {
-		e.heap[cl].t = float64(cl) * 1e6 // ascending, so still a heap
+	for cl := range e.arrivals {
+		e.arrivals[cl].t = float64(cl) * 1e6 // ascending, so still sorted
 	}
 	hist := stats.NewHistogram(8)
 	var comp []float64
-	retired := 0
+	retired, pushed, popped := 0, 0, 0
 	step := func() {
-		ev := e.heap[0]
+		ev, inHeap, _ := e.peek()
 		for len(comp) > 0 && comp[0] <= ev.t {
 			compPop(&comp)
 			retired++
@@ -104,20 +109,26 @@ func TestOpenLoopStepZeroAlloc(t *testing.T) {
 		r := c.serve(e.drawTerms(ev.id), len(comp))
 		hist.Add(r.LatencyNS)
 		compPush(&comp, ev.t+r.LatencyNS)
-		e.replaceMin(event{ev.t + clients*1e6, ev.id})
+		if inHeap {
+			e.retire(true)
+			popped++
+		} else {
+			e.reissue(false, event{ev.t + 64e6, ev.id})
+			pushed++
+		}
 	}
 	for i := 0; i < 5000; i++ {
 		step()
 	}
-	retired = 0
+	retired, pushed, popped = 0, 0, 0
 	requireZeroAllocs(t, "open-loop event step", step)
-	if retired == 0 || len(comp) < 2 {
-		t.Fatalf("step did not exercise the completion heap: retired %d, %d in flight", retired, len(comp))
+	if retired == 0 || len(comp) < 2 || pushed == 0 || popped == 0 {
+		t.Fatalf("step did not exercise the queue and the completion heap: %d pushed, %d popped, %d retired, %d in flight",
+			pushed, popped, retired, len(comp))
 	}
-	// A client past its budget or the horizon leaves the issue heap.
-	requireZeroAllocs(t, "retiring client (popMin)", e.popMin)
-	if len(e.heap) != clients-11 {
-		t.Fatalf("%d clients left after 11 retirements of %d", len(e.heap), clients)
+	if h, a := e.heap[:cap(e.heap)], e.arrivals[:cap(e.arrivals)]; &h[0] != &a[0] || len(h) != len(a) {
+		t.Fatalf("re-issue heap left the arrivals' array: base %p cap %d, arrivals base %p cap %d",
+			&h[0], cap(e.heap), &a[0], cap(e.arrivals))
 	}
 }
 

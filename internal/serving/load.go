@@ -3,31 +3,44 @@ package serving
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"searchmem/internal/stats"
 )
 
 // loadEngine is the event-driven core of RunLoad and RunScenario. Pending
-// issue events sit in a 4-ary min-heap of {time, client id} entries ordered
-// by (time, id), so a comparison reads the two 16-byte entries it compares
-// and nothing else: the four children of a slot are one contiguous 64 bytes
-// and a million clients are 10 levels deep. The order is total (ids are
-// unique), so the pop sequence is the sorted sequence of the keys: no
-// statistic can depend on the heap's arity or on where an entry sits in the
-// array. Per-client state is struct-of-arrays beside it: 16 B of RNG, 4 B of
-// issue count when there is a budget. A closed loop queues every client
-// (36 B per client); an open loop queues only arrivals inside the horizon
-// (16 B per client plus 16 B per queued arrival). The whole per-event path —
-// peek, Zipf draw, term synthesis, Cluster.serve, histogram add, replace-min
-// — is allocation-free, pinned by the ZeroAlloc oracles in alloc_test.go.
+// issue events are {time, client id} entries ordered by (time, id) in two
+// parts of one array:
+//
+//   - arrivals holds every client's first issue, sorted once by sortArrivals
+//     (a closed loop's t = 0 population is laid out sorted); arrivals[fi:]
+//     are still pending.
+//   - heap is a 4-ary min-heap of re-issues that lives in the drained prefix
+//     arrivals[:fi]. A client has at most one pending issue, so every client
+//     in the heap has consumed a distinct arrival: len(heap) <= fi, a push
+//     never grows the array and never touches a pending arrival.
+//
+// The next event is the earlier of arrivals[fi] and heap[0]. A comparison
+// reads the two 16-byte entries it compares and nothing else; the four
+// children of a heap slot are one contiguous 64 bytes. The order is total
+// (ids are unique), so the pop sequence is the sorted sequence of the keys:
+// no statistic can depend on how the queue is laid out. Per-client state is
+// struct-of-arrays beside it: 16 B of RNG, 4 B of issue count when there is
+// a budget. A closed loop queues every client (36 B per client); an open
+// loop queues only arrivals inside the horizon (16 B per client plus 16 B
+// per queued arrival). The whole per-event path — peek, Zipf draw, term
+// synthesis, Cluster.serve, histogram add, push or replace-min — is
+// allocation-free, pinned by the ZeroAlloc oracles in alloc_test.go.
 type loadEngine struct {
-	heap   []event     // 4-ary min-heap by (t, id); heap[0] is the next issue
-	rng    []stats.RNG // per-client random stream (query popularity, think time)
-	issued []int32     // queries issued so far per client; nil without a budget
-	shape  *stats.ZipfShape
-	vocab  uint32
-	terms  [2]uint32 // scratch for the current query's term tuple
+	arrivals []event     // first issues sorted by (t, id); arrivals[fi:] pending
+	fi       int         // index of the next pending first arrival
+	heap     []event     // 4-ary min-heap of re-issues by (t, id), backed by arrivals[:0]
+	rng      []stats.RNG // per-client random stream (query popularity, think time)
+	issued   []int32     // queries issued so far per client; nil without a budget
+	shape    *stats.ZipfShape
+	vocab    uint32
+	terms    [2]uint32 // scratch for the current query's term tuple
 }
 
 // event is one pending issue: client id is due at virtual time t.
@@ -42,9 +55,21 @@ func (a event) before(b event) bool {
 	return a.t < b.t || (a.t == b.t && a.id < b.id)
 }
 
+// compareEvents is before as a three-way comparison, for slices.SortFunc.
+func compareEvents(a, b event) int {
+	switch {
+	case a.before(b):
+		return -1
+	case b.before(a):
+		return 1
+	}
+	return 0
+}
+
 // newLoadEngine seeds per-client state: client cl's popularity stream is
 // NewRNG(seed+cl*977).Split(), reproduced here through a stack RNG so
-// construction allocates only the stream array. The caller fills the heap.
+// construction allocates only the stream array. The caller fills the queue
+// with queueAll or setArrivals.
 func newLoadEngine(clients, vocabSize int, skew float64, seed uint64) *loadEngine {
 	e := &loadEngine{
 		rng:   make([]stats.RNG, clients),
@@ -57,6 +82,75 @@ func newLoadEngine(clients, vocabSize int, skew float64, seed uint64) *loadEngin
 		e.rng[cl].Seed(seeder.Uint64())
 	}
 	return e
+}
+
+// setArrivals makes sorted first arrivals the queue, with an empty re-issue
+// heap in their drained prefix.
+func (e *loadEngine) setArrivals(sorted []event) {
+	e.arrivals, e.fi, e.heap = sorted, 0, sorted[:0]
+}
+
+// queueAll queues every client at time zero, the start of a closed loop.
+// Equal times and ids ascending: already sorted.
+func (e *loadEngine) queueAll() {
+	a := make([]event, len(e.rng))
+	for cl := range a {
+		a[cl].id = int32(cl)
+	}
+	e.setArrivals(a)
+}
+
+// peek returns the earliest pending event, whether it sits in the heap
+// (rather than at the arrivals' front), and whether there is one at all.
+func (e *loadEngine) peek() (ev event, inHeap, ok bool) {
+	if e.fi < len(e.arrivals) {
+		ev = e.arrivals[e.fi]
+		if len(e.heap) > 0 && e.heap[0].before(ev) {
+			return e.heap[0], true, true
+		}
+		return ev, false, true
+	}
+	if len(e.heap) > 0 {
+		return e.heap[0], true, true
+	}
+	return event{}, false, false
+}
+
+// reissue replaces the event peek returned with the same client's next
+// issue ev: one sift in the heap either way.
+func (e *loadEngine) reissue(inHeap bool, ev event) {
+	if inHeap {
+		e.siftDown(0, ev)
+		return
+	}
+	e.fi++
+	e.push(ev)
+}
+
+// retire removes the event peek returned: its client issues no more.
+func (e *loadEngine) retire(inHeap bool) {
+	if inHeap {
+		e.popMin()
+		return
+	}
+	e.fi++
+}
+
+// push adds ev to the heap in the slot after its last, which lies inside
+// the drained prefix (len(heap) < fi once the client's arrival is consumed).
+func (e *loadEngine) push(ev event) {
+	h := e.heap[:len(e.heap)+1]
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !ev.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+	e.heap = h
 }
 
 // siftDown places ev at or below slot i, moving earlier children up.
@@ -82,7 +176,7 @@ func (e *loadEngine) siftDown(i int, ev event) {
 	h[i] = ev
 }
 
-// popMin removes the earliest pending event (heap[0]).
+// popMin removes the earliest heap entry (heap[0]).
 func (e *loadEngine) popMin() {
 	n := len(e.heap) - 1
 	last := e.heap[n]
@@ -92,25 +186,100 @@ func (e *loadEngine) popMin() {
 	}
 }
 
-// replaceMin swaps the earliest pending event for ev: the pop-then-push of a
-// client that issues again, in one sift.
-func (e *loadEngine) replaceMin(ev event) {
-	e.siftDown(0, ev)
-}
+// Geometry of sortArrivals: 2^16 equal-width buckets over [0, latest
+// arrival], partitioned by two 256-way passes on the bucket number's high
+// then low byte. A bucket of at most finishInsertMax entries is finished by
+// insertion; a larger one (equal or tightly packed times) by
+// slices.SortFunc, so a skewed input costs O(n log n), never O(n²).
+const (
+	arrivalBuckets  = 1 << 16
+	finishInsertMax = 32
+)
 
-// queueAll queues every client at time zero, the start of a closed loop.
-// Equal times and ids ascending slot to slot: already a heap.
-func (e *loadEngine) queueAll() {
-	e.heap = make([]event, len(e.rng))
-	for cl := range e.heap {
-		e.heap[cl].id = int32(cl)
+// sortArrivals orders a by (t, id) in place, in O(n) for times spread over
+// their range. Times must be finite and non-negative (an exponential draw).
+// The bucket of a time is t·scale, so buckets ascend with t and the finish
+// only has to order each bucket's own entries.
+func sortArrivals(a []event) {
+	if len(a) < 2 {
+		return
+	}
+	var latest float64
+	for i := range a {
+		latest = max(latest, a[i].t)
+	}
+	scale := arrivalBuckets / latest
+	if scale > math.MaxFloat64 { // latest is 0 or below 2^-1008: keep 0·scale = 0
+		scale = math.MaxFloat64
+	}
+	var ends, subEnds [256]int
+	flagPass(a, scale, 8, &ends)
+	lo := 0
+	for _, hi := range ends {
+		if sub := a[lo:hi]; len(sub) > 1 {
+			flagPass(sub, scale, 0, &subEnds)
+			slo := 0
+			for _, shi := range subEnds {
+				finishBucket(sub[slo:shi])
+				slo = shi
+			}
+		}
+		lo = hi
 	}
 }
 
-// heapify orders arbitrary heap contents in O(n).
-func (e *loadEngine) heapify() {
-	for i := (len(e.heap)+2)/4 - 1; i >= 0; i-- { // last slot with a child, down to the root
-		e.siftDown(i, e.heap[i])
+// arrivalBucket is the bucket of time t at the given scale.
+func arrivalBucket(t, scale float64) uint32 {
+	if k := t * scale; k < arrivalBuckets-1 {
+		return uint32(k)
+	}
+	return arrivalBuckets - 1
+}
+
+// flagPass is one in-place American-flag pass: it partitions a by byte
+// (bucket >> shift) & 255 of each entry's bucket, moving every misplaced
+// entry along a cycle straight to its partition, and records the
+// partitions' ends.
+func flagPass(a []event, scale float64, shift uint, ends *[256]int) {
+	var head [256]int
+	for i := range a {
+		head[arrivalBucket(a[i].t, scale)>>shift&255]++
+	}
+	sum := 0
+	for b, n := range head {
+		head[b] = sum
+		sum += n
+		ends[b] = sum
+	}
+	for b := range head {
+		for head[b] < ends[b] {
+			v := a[head[b]]
+			for {
+				d := int(arrivalBucket(v.t, scale) >> shift & 255)
+				if d == b {
+					break
+				}
+				a[head[d]], v = v, a[head[d]]
+				head[d]++
+			}
+			a[head[b]] = v
+			head[b]++
+		}
+	}
+}
+
+// finishBucket orders one bucket by (t, id).
+func finishBucket(a []event) {
+	if len(a) > finishInsertMax {
+		slices.SortFunc(a, compareEvents)
+		return
+	}
+	for i := 1; i < len(a); i++ {
+		v, j := a[i], i
+		for ; j > 0 && v.before(a[j-1]); j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = v
 	}
 }
 
@@ -168,6 +337,21 @@ type RateCurve struct {
 	// Bursts are flash-crowd windows; overlapping windows stack
 	// multiplicatively.
 	Bursts []Burst
+}
+
+// validate rejects a curve with a non-finite field: an infinite rate draws
+// zero interarrivals, so virtual time would stop and the run never end, and
+// a NaN one poisons every arrival time.
+func (rc *RateCurve) validate() {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	if !finite(rc.BaseQPS) || !finite(rc.DiurnalAmplitude) || !finite(rc.DiurnalPeriodNS) {
+		panic("serving: rate curve requires a finite base rate, diurnal amplitude and period")
+	}
+	for _, b := range rc.Bursts {
+		if !finite(b.StartNS) || !finite(b.EndNS) || !finite(b.Factor) {
+			panic("serving: rate curve burst requires a finite start, end and factor")
+		}
+	}
 }
 
 // At returns the offered rate in queries per second at virtual time t.
@@ -374,9 +558,13 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 	}
 	open := sc.Arrival != nil
 	if open {
-		if sc.DurationNS <= 0 || sc.Arrival.BaseQPS <= 0 {
+		if !(sc.DurationNS > 0) || !(sc.Arrival.BaseQPS > 0) {
 			panic("serving: open-loop scenario requires a positive horizon and base rate")
 		}
+		if math.IsInf(sc.DurationNS, 1) && sc.QueriesPerClient <= 0 {
+			panic("serving: open-loop scenario with an infinite horizon requires QueriesPerClient > 0")
+		}
+		sc.Arrival.validate()
 	} else if sc.QueriesPerClient <= 0 {
 		panic("serving: closed-loop scenario requires QueriesPerClient > 0")
 	}
@@ -403,17 +591,19 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 		// Stagger first arrivals by the t=0 rate; each draw comes from the
 		// owning client's stream, ahead of its popularity draws. An arrival
 		// at or past the horizon is never issued, so it is never queued: the
-		// heap is sized for the expected in-horizon share of the population
-		// (plus four standard deviations) and only shrinks from there.
+		// array is sized for the expected in-horizon share of the population
+		// (plus four standard deviations), and re-issues reuse its drained
+		// prefix.
 		mean := float64(sc.Clients) / sc.Arrival.At(0) * 1e9
 		expect := float64(sc.Clients) * -math.Expm1(-sc.DurationNS/mean)
-		e.heap = make([]event, 0, min(sc.Clients, int(expect+4*math.Sqrt(expect))+1))
+		arrivals := make([]event, 0, min(sc.Clients, int(expect+4*math.Sqrt(expect))+1))
 		for cl := range e.rng {
 			if t := e.rng[cl].Exponential(mean); t < sc.DurationNS {
-				e.heap = append(e.heap, event{t, int32(cl)})
+				arrivals = append(arrivals, event{t, int32(cl)})
 			}
 		}
-		e.heapify()
+		sortArrivals(arrivals)
+		e.setArrivals(arrivals)
 	} else {
 		e.queueAll()
 		inflight = sc.Clients - 1
@@ -421,8 +611,12 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 	}
 
 	ai := 0
-	for len(e.heap) > 0 {
-		t, cl := e.heap[0].t, e.heap[0].id
+	for {
+		ev, inHeap, ok := e.peek()
+		if !ok {
+			break
+		}
+		t, cl := ev.t, ev.id
 		for ai < len(acts) && acts[ai].at <= t {
 			c.applyAction(acts[ai])
 			ai++
@@ -460,9 +654,9 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 			again = again && int(e.issued[cl]) < sc.QueriesPerClient
 		}
 		if again {
-			e.replaceMin(event{next, cl})
+			e.reissue(inHeap, event{next, cl})
 		} else {
-			e.popMin()
+			e.retire(inHeap)
 		}
 	}
 

@@ -504,10 +504,27 @@ func TestCacheFlush(t *testing.T) {
 	}
 }
 
+// TestOpenLoopInfiniteHorizonEndsOnBudget is the positive side of the
+// horizon validation: with a budget, an infinite horizon is legal and the
+// run ends once every client has spent it.
+func TestOpenLoopInfiniteHorizonEndsOnBudget(t *testing.T) {
+	fs := RunScenario(testCluster(0), Scenario{
+		Clients: 50, QueriesPerClient: 3, VocabSize: 100, Skew: 1.1, Seed: 4,
+		Arrival: &RateCurve{BaseQPS: 1000}, DurationNS: math.Inf(1),
+	})
+	if fs.Served != 150 {
+		t.Fatalf("served %d queries, want 50 clients × 3", fs.Served)
+	}
+}
+
 // TestRunScenarioPanics pins the validation contract.
 func TestRunScenarioPanics(t *testing.T) {
 	closed := func(ev FleetEvent) Scenario {
 		return Scenario{Clients: 1, VocabSize: 10, Skew: 1.1, QueriesPerClient: 1, Events: []FleetEvent{ev}}
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	open := func(rc RateCurve, durationNS float64, budget int) Scenario {
+		return Scenario{Clients: 4, VocabSize: 10, Skew: 1.1, QueriesPerClient: budget, Arrival: &rc, DurationNS: durationNS}
 	}
 	tooMany := math.MaxInt32
 	tooMany++ // wraps negative where int is 32 bits, which is rejected too
@@ -532,6 +549,19 @@ func TestRunScenarioPanics(t *testing.T) {
 		{"negative outage width", closed(FleetEvent{AtNS: 1e6, OutageLeaves: -2, OutageDurationNS: 1e6})},
 		{"NaN event time", closed(FleetEvent{AtNS: math.NaN(), FlushCache: true})},
 		{"infinite event time", closed(FleetEvent{AtNS: math.Inf(1), FlushCache: true})},
+		// Zero interarrivals: virtual time would stop and the run never end.
+		{"infinite base rate", open(RateCurve{BaseQPS: inf}, 1e9, 0)},
+		{"NaN base rate", open(RateCurve{BaseQPS: nan}, 1e9, 0)},
+		{"infinite diurnal amplitude", open(RateCurve{BaseQPS: 10, DiurnalAmplitude: inf, DiurnalPeriodNS: 1e9}, 1e9, 0)},
+		{"NaN diurnal amplitude", open(RateCurve{BaseQPS: 10, DiurnalAmplitude: nan, DiurnalPeriodNS: 1e9}, 1e9, 0)},
+		{"infinite diurnal period", open(RateCurve{BaseQPS: 10, DiurnalAmplitude: 0.5, DiurnalPeriodNS: inf}, 1e9, 0)},
+		{"NaN diurnal period", open(RateCurve{BaseQPS: 10, DiurnalAmplitude: 0.5, DiurnalPeriodNS: nan}, 1e9, 0)},
+		{"NaN burst start", open(RateCurve{BaseQPS: 10, Bursts: []Burst{{StartNS: nan, EndNS: 1e9, Factor: 2}}}, 1e9, 0)},
+		{"infinite burst end", open(RateCurve{BaseQPS: 10, Bursts: []Burst{{StartNS: 0, EndNS: inf, Factor: 2}}}, 1e9, 0)},
+		{"infinite burst factor", open(RateCurve{BaseQPS: 10, Bursts: []Burst{{StartNS: 0, EndNS: 1e9, Factor: inf}}}, 1e9, 0)},
+		{"NaN horizon", open(RateCurve{BaseQPS: 10}, nan, 1)},
+		// Without a budget an infinite horizon never ends the run.
+		{"infinite horizon without budget", open(RateCurve{BaseQPS: 10}, inf, 0)},
 	}
 	for _, tc := range cases {
 		func() {
@@ -539,6 +569,10 @@ func TestRunScenarioPanics(t *testing.T) {
 				r := recover()
 				if r == nil {
 					t.Fatalf("%s: RunScenario did not panic", tc.name)
+				}
+				// An explicit rejection, not a runtime error on the way.
+				if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "serving: ") {
+					t.Fatalf("%s: panicked with %v, not a validation message", tc.name, r)
 				}
 				if tc.sc.Clients == tooMany && !strings.Contains(fmt.Sprint(r), "int32 client ids") {
 					t.Fatalf("%s: panicked with %q, not the client-limit message", tc.name, r)
