@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"searchmem/internal/cache"
@@ -55,6 +56,14 @@ func main() {
 	need(*l2 > 0, "-l2", "positive", *l2)
 	need(*l3 > 0, "-l3", "positive", *l3)
 	need(*l4 >= 0, "-l4", "non-negative", *l4)
+	// The byte count of each capacity must fit an int64.
+	const maxKiB, maxMiB = math.MaxInt64 >> 10, math.MaxInt64 >> 20
+	for _, c := range []struct {
+		flag   string
+		v, max int64
+	}{{"-l1", *l1, maxKiB}, {"-l2", *l2, maxKiB}, {"-l3", *l3, maxMiB}, {"-l4", *l4, maxMiB}} {
+		need(c.v <= c.max, c.flag, fmt.Sprintf("at most %d", c.max), c.v)
+	}
 	need(*cores >= 1 && *cores <= 256, "-cores", "in 1..256", int64(*cores))
 	need(*smt >= 1 && *smt <= 256, "-smt", "in 1..256", int64(*smt))
 	need(*cores**smt <= 256, "-cores x -smt", "at most 256 hardware threads", int64(*cores**smt))
@@ -76,16 +85,12 @@ func main() {
 		L3:             cache.Config{Name: "L3", Size: div(*l3 << 20), BlockSize: *block, Assoc: 20, AllocWays: *ways},
 		L3Inclusive:    *incl,
 	}
-	// Keep way divisibility after scaling.
+	// Keep each level's associativity after scaling: round its size down
+	// to whole sets, floored at one set, as platform.ScaleCaches does.
 	for _, c := range []*cache.Config{&cfg.L1I, &cfg.L1D, &cfg.L2, &cfg.L3} {
 		blocks := c.Size / int64(c.BlockSize)
-		if blocks%int64(c.Assoc) != 0 {
-			c.Assoc = 8
-			blocks -= blocks % 8
-			if blocks < 8 {
-				blocks = 8
-			}
-			c.Size = blocks * int64(c.BlockSize)
+		if rem := blocks % int64(c.Assoc); rem != 0 {
+			c.Size = max(blocks-rem, int64(c.Assoc)) * int64(c.BlockSize)
 		}
 	}
 	if *policy != "" {

@@ -83,6 +83,13 @@ func TestBadFlagsFail(t *testing.T) {
 		{[]string{"-cores", "64", "-smt", "8"}, "cachesim: -cores x -smt must be at most 256 hardware threads, got 512"},
 		{[]string{"-instructions", "-5"}, "cachesim: -instructions must be non-negative, got -5"},
 		{[]string{"-ways", "30"}, "AllocWays 30 out of range"},
+		// Scaling to a size that is no whole number of sets keeps the 20 ways.
+		{[]string{"-scale", "7", "-ways", "21"}, "AllocWays 21 out of range [0,20]"},
+		// A capacity whose byte count overflows int64.
+		{[]string{"-l1", "9007199254740992"}, "cachesim: -l1 must be at most 9007199254740991, got 9007199254740992"},
+		{[]string{"-l2", "9007199254740992"}, "cachesim: -l2 must be at most 9007199254740991, got 9007199254740992"},
+		{[]string{"-l3", "9000000000000"}, "cachesim: -l3 must be at most 8796093022207, got 9000000000000"},
+		{[]string{"-l4", "8796093022208"}, "cachesim: -l4 must be at most 8796093022207, got 8796093022208"},
 		{[]string{"-policy", "mru"}, `-policy: cache: unknown replacement policy "mru"`},
 	} {
 		args := tc.args

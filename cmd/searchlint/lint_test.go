@@ -8,16 +8,20 @@
 //   - imports: no package uses math/rand, and only the packages a rule
 //     allows call the time functions that read the wall clock;
 //   - maporder: no range over a map appends, writes output, or accumulates
-//     into state that outlives an iteration.
+//     into state that outlives an iteration;
+//   - knobs: every exported field of an exported *Config struct under
+//     internal/ is a choice that shipped code makes with two values at
+//     least (DESIGN.md §7, the one-value rule).
 //
-// There are no suppression comments. An exemption is a package named in a
-// rule below, with the reason it holds.
+// There are no suppression comments. An exemption is a package or a field
+// named in a rule below, with the reason it holds.
 package searchlint
 
 import (
 	"cmp"
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"slices"
@@ -35,19 +39,21 @@ func (f finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.pos.Filename, f.pos.Line, f.pos.Column, f.rule, f.msg)
 }
 
-// lint runs both rules over pkgs and returns their findings in position
-// order.
+// lint runs the three rules over pkgs and returns their findings in
+// position order. imports and maporder look at one package at a time;
+// knobs looks at the module as a whole.
 func lint(fset *token.FileSet, pkgs []*pkg) []finding {
 	var out []finding
-	for _, p := range pkgs {
-		reporter := func(rule string) func(token.Pos, string) {
-			return func(pos token.Pos, msg string) {
-				out = append(out, finding{fset.Position(pos), rule, msg})
-			}
+	reporter := func(rule string) func(token.Pos, string) {
+		return func(pos token.Pos, msg string) {
+			out = append(out, finding{fset.Position(pos), rule, msg})
 		}
+	}
+	for _, p := range pkgs {
 		checkImports(p, reporter("imports"))
 		checkMapOrder(p, reporter("maporder"))
 	}
+	checkKnobs(pkgs, reporter("knobs"))
 	slices.SortFunc(out, func(a, b finding) int {
 		return cmp.Or(strings.Compare(a.pos.Filename, b.pos.Filename),
 			cmp.Compare(a.pos.Line, b.pos.Line), cmp.Compare(a.pos.Column, b.pos.Column))
@@ -269,4 +275,145 @@ func isBuiltin(p *pkg, call *ast.CallExpr, name string) bool {
 	}
 	_, ok = p.info.Uses[id].(*types.Builtin)
 	return ok
+}
+
+// knobExemptions are the one-value knobs that stay fields, each with the
+// reason it holds. The key is package.Type.Field.
+var knobExemptions = map[string]string{
+	"serving.Config.TopK":              "the frozen bench/ reads it",
+	"serving.Config.CacheSlots":        "the serving-tree example sets it, and its golden pins the output",
+	"serving.Config.Fanout":            "the serving-tree example prints it, and its golden pins the output",
+	"search.Config.QueryCacheSlots":    "tests reach the no-cache and eviction paths through it",
+	"search.CorpusConfig.TermZipfSkew": "tests reach the skew paths through it",
+	"workload.StoreConfig.BlockLen":    "tests reach the block-boundary paths through it",
+	"cpu.TLBConfig.L1Assoc":            "a row of the platforms' hardware tables, which happen to agree",
+	"cpu.TLBConfig.L2Assoc":            "a row of the platforms' hardware tables, which happen to agree",
+	"cpu.TLBConfig.L2Entries":          "a row of the platforms' hardware tables, which happen to agree",
+}
+
+// A knob is one exported field of an exported *Config struct under
+// internal/, with every value shipped code writes into it.
+type knob struct {
+	name   string           // package.Type.Field
+	pos    token.Pos        // the field's declaration
+	values []constant.Value // the distinct constants written
+	varies bool             // some write is not a constant
+}
+
+// checkKnobs reports each knob that shipped code never writes, or writes
+// only with one and the same constant: a choice nobody makes belongs in a
+// named constant, not in a field with its defaulting and validation. A
+// write is a composite-literal element, an assignment or ++/--; any write
+// that is not a constant counts as a second value. Taking a field's address
+// is not a write, so a field set only through a pointer is reported, which
+// is loud rather than silent. Bool fields are skipped, since writing true
+// anywhere makes the zero value the second value.
+func checkKnobs(pkgs []*pkg, report func(token.Pos, string)) {
+	knobs := make(map[*types.Var]*knob)
+	var order []*knob
+	for _, p := range pkgs {
+		if !strings.Contains(p.path+"/", "/internal/") {
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Config") {
+						continue
+					}
+					for _, field := range st.Fields.List {
+						for _, id := range field.Names {
+							v, ok := p.info.Defs[id].(*types.Var)
+							if !ok || !id.IsExported() || isBool(v.Type()) {
+								continue
+							}
+							k := &knob{name: f.Name.Name + "." + ts.Name.Name + "." + id.Name, pos: id.Pos()}
+							knobs[v] = k
+							order = append(order, k)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, p := range pkgs {
+		write := func(field types.Object, value ast.Expr) {
+			v, _ := field.(*types.Var)
+			k := knobs[v]
+			if k == nil {
+				return
+			}
+			var c constant.Value
+			if value != nil {
+				c = p.info.Types[value].Value
+			}
+			if c == nil {
+				k.varies = true
+				return
+			}
+			if !slices.ContainsFunc(k.values, func(w constant.Value) bool { return constant.Compare(w, token.EQL, c) }) {
+				k.values = append(k.values, c)
+			}
+		}
+		selected := func(e ast.Expr) types.Object {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				return p.info.Uses[sel.Sel]
+			}
+			return nil
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := p.info.TypeOf(n).Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							write(p.info.Uses[kv.Key.(*ast.Ident)], kv.Value)
+						} else {
+							write(st.Field(i), elt)
+						}
+					}
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						if field := selected(lhs); field != nil {
+							var value ast.Expr
+							if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+								value = n.Rhs[i]
+							}
+							write(field, value)
+						}
+					}
+				case *ast.IncDecStmt:
+					if field := selected(n.X); field != nil {
+						write(field, nil)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, k := range order {
+		if _, ok := knobExemptions[k.name]; ok || k.varies || len(k.values) > 1 {
+			continue
+		}
+		if len(k.values) == 0 {
+			report(k.pos, k.name+" is never written by shipped code; make it a constant")
+		} else {
+			report(k.pos, fmt.Sprintf("%s is only ever set to %s by shipped code; make it a constant", k.name, k.values[0]))
+		}
+	}
+}
+
+func isBool(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsBoolean != 0
 }

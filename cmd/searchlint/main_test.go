@@ -6,11 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestRepoIsLintClean is the lint: both rules over every non-test package
+// TestRepoIsLintClean is the lint: the three rules over every non-test package
 // of the module must report nothing. A new violation is fixed, or its
 // package joins a rule's exemptions with the reason.
 func TestRepoIsLintClean(t *testing.T) {
@@ -147,5 +148,74 @@ func TestLoadModuleSynthetic(t *testing.T) {
 		if p.info == nil || len(p.info.Defs) == 0 {
 			t.Errorf("%s was not type-checked", p.path)
 		}
+	}
+}
+
+// TestKnobsSynthetic runs the knobs rule over a toy module: a field nobody
+// writes and a field only its defaulting writes are reported; a field set
+// to two constants, a field set from a variable, a bool, and the fields of
+// structs that are not exported *Config types under internal/ are not.
+func TestKnobsSynthetic(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, src string) {
+		t.Helper()
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module toy\n\ngo 1.22\n")
+	write("internal/a/a.go", `package a
+
+type Config struct {
+	Never  int
+	One    float64
+	Two    int
+	Varies int
+	Flag   bool
+	hidden int
+}
+
+type Other struct{ X int }
+
+type lowConfig struct{ Y int }
+
+func (c Config) WithDefaults() Config {
+	if c.One == 0 {
+		c.One = 40
+	}
+	c.hidden = 1
+	return c
+}
+`)
+	write("cmd/b/b.go", `package b
+
+import "toy/internal/a"
+
+func Use(n int) (a.Config, a.Other) {
+	c := a.Config{Two: 1, One: 40.0}
+	c.Two = 2
+	c.Varies = n
+	c.Flag = true
+	return c.WithDefaults(), a.Other{}
+}
+`)
+	fset, pkgs, err := loadModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range lint(fset, pkgs) {
+		got = append(got, f.msg)
+	}
+	want := []string{
+		"a.Config.Never is never written by shipped code; make it a constant",
+		"a.Config.One is only ever set to 40 by shipped code; make it a constant",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -35,6 +35,9 @@ const (
 	RandomBranch
 )
 
+// bytesPerInstr is the average encoded instruction size.
+const bytesPerInstr = 4
+
 // Config describes the synthetic text segment.
 type Config struct {
 	// NumFuncs is the number of functions in the text segment.
@@ -43,8 +46,6 @@ type Config struct {
 	BlocksPerFunc int
 	// InstrsPerBlock is the mean instructions per basic block.
 	InstrsPerBlock int
-	// BytesPerInstr is the average encoded instruction size.
-	BytesPerInstr int
 	// FuncZipfSkew sets function popularity (higher = smaller hot set).
 	FuncZipfSkew float64
 	// BiasedFrac, LoopFrac and the remainder (random) partition branch
@@ -65,7 +66,6 @@ func DefaultConfig() Config {
 		NumFuncs:        4096,
 		BlocksPerFunc:   28,
 		InstrsPerBlock:  6,
-		BytesPerInstr:   4,
 		FuncZipfSkew:    0.35,
 		BiasedFrac:      0.62,
 		LoopFrac:        0.28,
@@ -77,7 +77,7 @@ func DefaultConfig() Config {
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.NumFuncs <= 0 || c.BlocksPerFunc <= 0 || c.InstrsPerBlock <= 0 || c.BytesPerInstr <= 0 {
+	if c.NumFuncs <= 0 || c.BlocksPerFunc <= 0 || c.InstrsPerBlock <= 0 {
 		return fmt.Errorf("codegen: counts must be positive")
 	}
 	if c.BiasedFrac < 0 || c.LoopFrac < 0 || c.BiasedFrac+c.LoopFrac > 1 {
@@ -98,7 +98,7 @@ func (c Config) Validate() error {
 // CodeBytes returns the arena size needed for the configuration's text:
 // the nominal size plus headroom for randomized block-size variation.
 func (c Config) CodeBytes() int {
-	nominal := c.NumFuncs * c.BlocksPerFunc * c.InstrsPerBlock * c.BytesPerInstr
+	nominal := c.NumFuncs * c.BlocksPerFunc * c.InstrsPerBlock * bytesPerInstr
 	return nominal + nominal/4 + 4096
 }
 
@@ -145,7 +145,7 @@ func New(cfg Config, code *memsim.Arena) *Program {
 					nInstr = 1
 				}
 			}
-			nBytes := nInstr * cfg.BytesPerInstr
+			nBytes := nInstr * bytesPerInstr
 			addr := code.Alloc(nBytes, 0)
 			var class BranchClass
 			r := rng.Float64()
@@ -166,7 +166,7 @@ func New(cfg Config, code *memsim.Arena) *Program {
 				nBytes:     uint16(nBytes),
 				nInstr:     uint16(nInstr),
 				class:      class,
-				branchPC:   addr + uint64(nBytes) - uint64(cfg.BytesPerInstr),
+				branchPC:   addr + uint64(nBytes) - bytesPerInstr,
 				loopTarget: loopTarget,
 			}
 			if b == 0 {

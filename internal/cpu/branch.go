@@ -39,14 +39,6 @@ func (s *PredictorStats) Observe(b Branch) bool {
 	return mispredict
 }
 
-// MPKI returns mispredictions per kilo-instruction.
-func (s *PredictorStats) MPKI(instructions int64) float64 {
-	if instructions == 0 {
-		return 0
-	}
-	return float64(s.Mispredicts) / float64(instructions) * 1000
-}
-
 // counter2 is a saturating 2-bit counter: 0-1 predict not-taken, 2-3 taken.
 type counter2 = uint8
 

@@ -53,16 +53,6 @@ func TestPredictorsOnRandomBranches(t *testing.T) {
 	}
 }
 
-func TestMPKIComputation(t *testing.T) {
-	s := PredictorStats{Predictions: 10, Mispredicts: 10}
-	if got := s.MPKI(1000); got != 10 {
-		t.Fatalf("MPKI = %v, want 10", got)
-	}
-	if s.MPKI(0) != 0 {
-		t.Fatal("zero instructions must give MPKI 0")
-	}
-}
-
 func TestPredictorPanicsOnBadBits(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewGshare(0) },

@@ -50,26 +50,6 @@ func (p NextLine) OnAccess(byteAddr uint64, hit bool, out []uint64) []uint64 {
 	return out
 }
 
-// AdjacentLine fetches the other half of an aligned block pair on a miss:
-// the L2 "adjacent line" (buddy/pair) prefetcher of PLT1, distinct from
-// NextLine in that it never crosses the pair boundary and so cannot run
-// ahead of a stream.
-type AdjacentLine struct {
-	// BlockSize is the line size in bytes.
-	BlockSize uint64
-}
-
-// Name implements Prefetcher.
-func (AdjacentLine) Name() string { return "adjacent-line" }
-
-// OnAccess implements Prefetcher.
-func (p AdjacentLine) OnAccess(byteAddr uint64, hit bool, out []uint64) []uint64 {
-	if hit {
-		return out
-	}
-	return append(out, byteAddr^p.BlockSize) // buddy line within the aligned pair
-}
-
 // streamEntry tracks one detected sequential stream.
 type streamEntry struct {
 	lastBlock uint64

@@ -182,26 +182,6 @@ func TestPrefetcherNames(t *testing.T) {
 	}
 }
 
-func TestAdjacentLineBuddy(t *testing.T) {
-	p := AdjacentLine{BlockSize: 64}
-	if out := p.OnAccess(0, false, nil); len(out) != 1 || out[0] != 64 {
-		t.Fatalf("even line buddy: %v", out)
-	}
-	if out := p.OnAccess(64, false, nil); len(out) != 1 || out[0] != 0 {
-		t.Fatalf("odd line buddy: %v", out)
-	}
-	// Pair-bounded: the buddy of line 2 is line 3, never line 4.
-	if out := p.OnAccess(128, false, nil); out[0] != 192 {
-		t.Fatalf("pair boundary crossed: %v", out)
-	}
-	if out := p.OnAccess(128, true, nil); len(out) != 0 {
-		t.Fatal("adjacent-line fired on a hit")
-	}
-	if p.Name() != "adjacent-line" {
-		t.Fatal("name")
-	}
-}
-
 func TestNextLineAggressiveVariant(t *testing.T) {
 	p := NextLine{BlockSize: 64, Degree: 3, OnEveryAccess: true}
 	out := p.OnAccess(0, true, nil)

@@ -91,9 +91,6 @@ func runFleetProfiles(c *Context) fleetProfResult {
 		profs[i] = obs.NewProfiler(obs.ProfilerConfig{
 			Rate: r,
 			Seed: o.Seed + 1 + uint64(i)*101,
-			// Remember enough windows for a readable trace export without
-			// unbounded span growth at high rates.
-			RecordWindows: 512,
 		})
 	}
 	o.logf("fleetprof: measuring S1 leaf with %d samplers attached...", len(profs))

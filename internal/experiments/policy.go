@@ -64,7 +64,7 @@ var polLevels = []string{"L2", "L3", "L4"}
 func polBase(c *Context) workload.MeasureConfig {
 	mc := tierBase(c)
 	mc.L4Assoc = 8
-	mc.Mem = &mem.Config{PageBytes: tierPageBytes}
+	mc.Mem = &mem.Config{}
 	return mc
 }
 

@@ -42,9 +42,6 @@ var tierFracs = []float64{0.5, 0.25, 0.125}
 // tierPolicies is the default policy grid.
 var tierPolicies = []mem.PagePolicy{mem.PolicyStatic, mem.PolicyLRUEpoch, mem.PolicyFreqThreshold}
 
-// tierPageBytes is the placement granularity used by the sweeps.
-const tierPageBytes = 4096
-
 // tierBase returns the shared measurement shape: the rebalanced 23 MiB L3
 // with the paper's 512 MiB direct-mapped L4 in front of the tiered memory
 // system, at sweep scale (same shape as sweepL4).
@@ -87,7 +84,7 @@ func tierSweep(c *Context) (*tierSweepData, error) {
 		// Phase 1: the all-near baseline. Its page census sizes the splits and
 		// its traffic volume sizes the placement epoch.
 		base := tierBase(c)
-		base.Mem = &mem.Config{PageBytes: tierPageBytes}
+		base.Mem = &mem.Config{}
 		baseline := measureMultiSharded(c, c.Sweep(), []workload.MeasureConfig{base})[0]
 		if baseline.Mem == nil || baseline.Mem.Pages == 0 {
 			return fmt.Errorf("tier sweep: baseline measured no touched pages")
@@ -109,14 +106,11 @@ func tierSweep(c *Context) (*tierSweepData, error) {
 			}
 			for _, pol := range tierPolicies {
 				mc := tierBase(c)
-				mc.Mem = &mem.Config{
-					PageBytes: tierPageBytes,
-					Far: &mem.FarConfig{
-						NearPages: nearPages,
-						Policy:    pol,
-						EpochLen:  epochLen,
-					},
-				}
+				mc.Mem = &mem.Config{Far: &mem.FarConfig{
+					NearPages: nearPages,
+					Policy:    pol,
+					EpochLen:  epochLen,
+				}}
 				mcs = append(mcs, mc)
 				pts = append(pts, tierPoint{nearFrac: frac, policy: pol})
 			}
@@ -135,28 +129,16 @@ func tierSweep(c *Context) (*tierSweepData, error) {
 }
 
 // tierDollars prices a provisioned split at paper scale: the simulated page
-// population scaled back to paper bytes, near pages at DDR cost and the
+// population scaled back to paper size, near pages at DDR cost and the
 // rest at far-tier cost.
 func tierDollars(totalPages, nearPages int64) float64 {
-	near := workload.PaperUnits(nearPages * tierPageBytes)
-	far := workload.PaperUnits((totalPages - nearPages) * tierPageBytes)
-	return mem.DefaultCost.Dollars(near, far)
+	return mem.DefaultCost.PageDollars(workload.PaperUnits(nearPages), workload.PaperUnits(totalPages-nearPages))
 }
 
 // tierQPSRel converts AMAT to relative QPS via Equation 1 (cores and SMT
 // are constant across the sweep, so IPC ratio is QPS ratio).
 func tierQPSRel(amatNS, baseAMATNS float64) float64 {
 	return model.IPCFromAMAT(amatNS) / model.IPCFromAMAT(baseAMATNS)
-}
-
-// migrationGBs converts migration volume to bandwidth over the mem model's
-// own virtual duration ((Reads+Writes) * ArrivalNS).
-func migrationGBs(st *mem.Stats, arrivalNS float64) float64 {
-	durNS := float64(st.Reads+st.Writes) * arrivalNS
-	if durNS <= 0 {
-		return 0
-	}
-	return float64(st.MigratedBytes) / durNS // bytes/ns = GB/s
 }
 
 func runFigT1(c *Context) (Result, error) {
@@ -166,7 +148,6 @@ func runFigT1(c *Context) (Result, error) {
 	}
 	base := data.baseline
 	baseDollars := tierDollars(base.Mem.Pages, base.Mem.Pages)
-	arrival := mem.Config{}.ArrivalNS()
 
 	t := &Table{
 		Title: "Figure T1: near:far capacity split x placement policy (tiered memory behind the 512 MiB L4)",
@@ -190,7 +171,7 @@ func runFigT1(c *Context) (Result, error) {
 			pct(st.RowHitRate()),
 			pct(st.FarPageFrac(trace.Shard)),
 			pct(st.FarReadFrac()),
-			trimFloat(migrationGBs(st, arrival)),
+			trimFloat(st.MigrationGBs()),
 			trimFloat(qpd),
 		)
 	}
@@ -209,7 +190,6 @@ func reportTierMetrics(c *Context, data *tierSweepData) {
 	base := data.baseline
 	reg.Gauge("tier_baseline_amat_ns").Set(base.AMATNS)
 	reg.Gauge("tier_baseline_row_hit_rate").Set(base.Mem.RowHitRate())
-	arrival := mem.Config{}.ArrivalNS()
 	baseDollars := tierDollars(base.Mem.Pages, base.Mem.Pages)
 	for _, p := range data.points {
 		st := p.m.Mem
@@ -219,7 +199,7 @@ func reportTierMetrics(c *Context, data *tierSweepData) {
 		reg.Gauge("tier_row_hit_rate", ln, lp).Set(st.RowHitRate())
 		reg.Gauge("tier_far_shard_page_frac", ln, lp).Set(st.FarPageFrac(trace.Shard))
 		reg.Gauge("tier_far_read_frac", ln, lp).Set(st.FarReadFrac())
-		reg.Gauge("tier_migration_gbs", ln, lp).Set(migrationGBs(st, arrival))
+		reg.Gauge("tier_migration_gbs", ln, lp).Set(st.MigrationGBs())
 		reg.Gauge("tier_qps_per_mem_dollar", ln, lp).Set(
 			tierQPSRel(p.m.AMATNS, base.AMATNS) * baseDollars / tierDollars(base.Mem.Pages, st.NearPages))
 	}
@@ -253,19 +233,15 @@ func runFigT2(c *Context) (Result, error) {
 	for _, pol := range dyn {
 		for _, ep := range epochs {
 			mc := tierBase(c)
-			mc.Mem = &mem.Config{
-				PageBytes: tierPageBytes,
-				Far: &mem.FarConfig{
-					NearPages: nearPages,
-					Policy:    pol,
-					EpochLen:  ep,
-				},
-			}
+			mc.Mem = &mem.Config{Far: &mem.FarConfig{
+				NearPages: nearPages,
+				Policy:    pol,
+				EpochLen:  ep,
+			}}
 			mcs = append(mcs, mc)
 			cells = append(cells, cell{pol: pol, epoch: ep})
 		}
 	}
-	arrival := mem.Config{}.ArrivalNS()
 	t := &Table{
 		Title: fmt.Sprintf("Figure T2: placement-epoch sensitivity at a %s near split", pct(frac)),
 		Headers: []string{"policy", "epoch", "AMAT ns", "dAMAT", "migrations",
@@ -280,7 +256,7 @@ func runFigT2(c *Context) (Result, error) {
 			trimFloat(m.AMATNS),
 			pct(m.AMATNS/base.AMATNS-1),
 			fmt.Sprintf("%d", st.Migrations),
-			trimFloat(migrationGBs(st, arrival)),
+			trimFloat(st.MigrationGBs()),
 			pct(st.FarReadFrac()),
 		)
 	}

@@ -58,7 +58,7 @@ func TestMemReadWriteZeroAlloc(t *testing.T) {
 		{"near-only", Config{}},
 		{"static", Config{Far: &FarConfig{NearPages: 512, Policy: PolicyStatic, EpochLen: 1024}}},
 		{"lru-epoch", Config{Far: &FarConfig{NearPages: 512, Policy: PolicyLRUEpoch, EpochLen: 1024}}},
-		{"freq", Config{Far: &FarConfig{NearPages: 512, Policy: PolicyFreqThreshold, EpochLen: 1024, PromoteEpochHits: 2}}},
+		{"freq", Config{Far: &FarConfig{NearPages: 512, Policy: PolicyFreqThreshold, EpochLen: 1024}}},
 	}
 	for _, c := range cfgs {
 		s := NewSystem(c.cfg)

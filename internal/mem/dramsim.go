@@ -4,9 +4,9 @@ package mem
 // occupancy in virtual time, and a small FR-FCFS-lite scheduling window per
 // channel.
 //
-// Address mapping (row-interleaved): the low RowBytes of an address form
-// the column, the next bits pick the channel, then the bank, and the rest
-// the row —
+// Address mapping (row-interleaved): the low rowShift bits of an address
+// form the column, the next bits pick the channel, then the bank, and the
+// rest the row —
 //
 //	| row | bank | channel | column |
 //
@@ -14,20 +14,20 @@ package mem
 // channel, which is what gives sequential posting-list scans their long
 // row-hit runs.
 //
-// Scheduling: each channel buffers up to WindowDepth pending requests. When
+// Scheduling: each channel buffers up to windowDepth pending requests. When
 // the window is full (or drained explicitly), the scheduler issues the
 // oldest request whose target row is already open in its bank — the
 // "first-ready" half of FR-FCFS — falling back to the oldest request
 // overall. Timing per issued request:
 //
-//	service = TCAS+TBurst                 row hit
-//	        = TRCD+TCAS+TBurst            row miss, bank idle
-//	        = TRP+TRCD+TCAS+TBurst        row miss, another row open
+//	service = tCAS+tBurst                 row hit
+//	        = tRCD+tCAS+tBurst            row miss, bank idle
+//	        = tRP+tRCD+tCAS+tBurst        row miss, another row open
 //	start   = max(arrival, bank ready)
-//	latency = (start - arrival) + service + BaseNS
+//	latency = (start - arrival) + service + baseNS
 //
 // Everything is a deterministic function of the request sequence: the
-// virtual clock advances a fixed ArrivalNS per memory transaction, and
+// virtual clock advances a fixed arrivalNS per memory transaction, and
 // tie-breaks always pick the lowest pending index (oldest).
 
 // memReq is one pending near-tier request.
@@ -38,50 +38,27 @@ type memReq struct {
 	arrivalNS float64
 }
 
-// dramSim holds the mutable near-tier state. All slices are sized at
+// dramSim holds the mutable near-tier state, all sized at
 // construction; the hot path never allocates.
 type dramSim struct {
-	// Geometry, precomputed as shifts/masks of the mapping above.
-	colShift  uint   // log2(RowBytes)
-	chanMask  uint64 // Channels-1
-	chanShift uint   // log2(Channels)
-	bankMask  uint64 // BanksPerChannel-1
-	bankShift uint   // log2(BanksPerChannel)
-	depth     int
-
-	tCAS, tRCD, tRP, tBurst, base float64
+	depth int // the scheduling window per channel
 
 	// Per-global-bank state: openRow holds row+1 (0 = closed),
 	// readyNS is when the bank next accepts a command.
-	openRow []uint64
-	readyNS []float64
+	openRow [banks]uint64
+	readyNS [banks]float64
 
 	// Per-channel pending windows, insertion-ordered (index = age), stored
 	// as one flat [channels*depth] backing array plus per-channel counts.
 	pend  []memReq
-	pendN []int
+	pendN [channels]int
 }
 
-func newDRAMSim(d DRAMConfig) *dramSim {
-	s := &dramSim{
-		colShift:  log2(uint64(d.RowBytes)),
-		chanMask:  uint64(d.Channels - 1),
-		chanShift: log2(uint64(d.Channels)),
-		bankMask:  uint64(d.BanksPerChannel - 1),
-		bankShift: log2(uint64(d.BanksPerChannel)),
-		depth:     d.WindowDepth,
-		tCAS:      d.TCASNS,
-		tRCD:      d.TRCDNS,
-		tRP:       d.TRPNS,
-		tBurst:    d.TBurstNS,
-		base:      d.BaseNS,
-	}
-	banks := d.Channels * d.BanksPerChannel
-	s.openRow = make([]uint64, banks)
-	s.readyNS = make([]float64, banks)
-	s.pend = make([]memReq, d.Channels*d.WindowDepth)
-	s.pendN = make([]int, d.Channels)
-	return s
+// newDRAMSim builds the near tier with a scheduling window of depth
+// requests per channel: windowDepth in every System, and 1 — plain FCFS,
+// no reordering — in the tests that time requests against it.
+func newDRAMSim(depth int) *dramSim {
+	return &dramSim{depth: depth, pend: make([]memReq, channels*depth)}
 }
 
 // log2 of a power of two.
@@ -96,15 +73,15 @@ func log2(v uint64) uint {
 
 // enqueue adds one near-tier request for addr, issuing the scheduler's pick
 // when the channel window is full. Latency lands in st as requests issue.
-func (s *dramSim) enqueue(addr uint64, write bool, arrivalNS float64, st *Stats) {
-	ch := (addr >> s.colShift) & s.chanMask
-	bank := int32(ch<<s.bankShift | (addr>>(s.colShift+s.chanShift))&s.bankMask)
-	row := addr >> (s.colShift + s.chanShift + s.bankShift)
+func (s *dramSim) enqueue(addr uint64, write bool, arrival float64, st *Stats) {
+	ch := (addr >> rowShift) & (channels - 1)
+	bank := int32(ch<<bankShift | (addr>>(rowShift+channelShift))&(1<<bankShift-1))
+	row := addr >> (rowShift + channelShift + bankShift)
 	base := int(ch) * s.depth
 	if s.pendN[ch] == s.depth {
 		s.issueOne(base, &s.pendN[ch], st)
 	}
-	s.pend[base+s.pendN[ch]] = memReq{bank: bank, write: write, row: row, arrivalNS: arrivalNS}
+	s.pend[base+s.pendN[ch]] = memReq{bank: bank, write: write, row: row, arrivalNS: arrival}
 	s.pendN[ch]++
 }
 
@@ -129,13 +106,13 @@ func (s *dramSim) issueOne(base int, n *int, st *Stats) {
 	var svc float64
 	if s.openRow[req.bank] == req.row+1 {
 		st.RowHits++
-		svc = s.tCAS + s.tBurst
+		svc = tCASNS + tBurstNS
 	} else {
 		st.RowMisses++
-		svc = s.tRCD + s.tCAS + s.tBurst
+		svc = tRCDNS + tCASNS + tBurstNS
 		if s.openRow[req.bank] != 0 {
 			st.Precharges++
-			svc += s.tRP
+			svc += tRPNS
 		}
 		s.openRow[req.bank] = req.row + 1
 	}
@@ -146,7 +123,7 @@ func (s *dramSim) issueOne(base int, n *int, st *Stats) {
 	s.readyNS[req.bank] = start + svc
 	queue := start - req.arrivalNS
 	st.QueueNSSum += queue
-	lat := queue + svc + s.base
+	lat := queue + svc + baseNS
 	if req.write {
 		st.WriteNSSum += lat
 	} else {

@@ -42,12 +42,12 @@ const (
 	// dynamic policy must beat.
 	PolicyStatic PagePolicy = iota
 	// PolicyLRUEpoch tracks the last epoch each page was touched in:
-	// near-tier pages idle for MaxIdleEpochs epochs are demoted, and far
+	// near-tier pages idle for a whole epoch are demoted, and far
 	// pages touched in the closing epoch are promoted while the near tier
 	// has room. An epoch-granular CLOCK approximation.
 	PolicyLRUEpoch
 	// PolicyFreqThreshold counts accesses per page per epoch and applies
-	// PromoteEpochHits as a symmetric hotness bar: near pages below it in
+	// one hotness bar (4 accesses) symmetrically: near pages below it in
 	// the closing epoch are demoted, far pages at or above it are promoted
 	// while the near tier has room.
 	PolicyFreqThreshold
@@ -67,35 +67,64 @@ func (p PagePolicy) String() string {
 	}
 }
 
-// DRAMConfig shapes the near-tier timing model. The zero value selects the
-// defaults noted per field (a DDR4-like two-channel system whose loaded
-// average latency lands in the paper's measured 50-70 ns tMEM band).
-type DRAMConfig struct {
-	// Channels and BanksPerChannel shape the parallelism (powers of two;
-	// defaults 2 and 16).
-	Channels, BanksPerChannel int
-	// RowBytes is the row-buffer size per bank (power of two; default
-	// 8 KiB). Consecutive addresses fill a row before moving to the next
-	// channel, so streaming accesses see long row-hit runs.
-	RowBytes int
-	// TRCDNS, TRPNS, TCASNS, TBurstNS are the activate, precharge, column
-	// access, and data-burst times (defaults 14, 14, 14, 4 ns).
-	TRCDNS, TRPNS, TCASNS, TBurstNS float64
-	// BaseNS is the constant controller + on-chip interconnect cost added
-	// to every near-tier access (default 30 ns): a row hit costs
-	// BaseNS+TCAS+TBurst = 48 ns, a closed-row miss 62 ns, a row conflict
-	// (precharge first) 76 ns.
-	BaseNS float64
-	// ArrivalNS is the virtual-time gap between consecutive memory
-	// transactions (default 10 ns). Post-L4 traffic at this spacing loads
-	// the banks to roughly the 40-50% bandwidth utilization the paper
-	// measures in production, so queueing is visible but not dominant.
-	ArrivalNS float64
-	// WindowDepth is the FR-FCFS-lite scheduling window per channel
-	// (default 8, max 64): pending requests that hit an open row issue
-	// ahead of older row-miss requests.
-	WindowDepth int
-}
+// The near tier is a DDR4-like two-channel system whose loaded average
+// latency lands in the paper's measured 50-70 ns tMEM band. Its geometry is
+// given as shifts, because the address mapping (dramsim.go) is shifts and
+// masks.
+const (
+	// rowShift sizes the row buffer per bank (8 KiB). Consecutive
+	// addresses fill a row before moving to the next channel, so
+	// streaming accesses see long row-hit runs.
+	rowShift = 13
+	// channelShift and bankShift shape the parallelism: 2 channels of 16
+	// banks.
+	channelShift = 1
+	bankShift    = 4
+	channels     = 1 << channelShift
+	banks        = channels << bankShift
+
+	// tRCDNS, tRPNS, tCASNS and tBurstNS are the activate, precharge,
+	// column access and data-burst times.
+	tRCDNS, tRPNS, tCASNS, tBurstNS float64 = 14, 14, 14, 4
+	// baseNS is the constant controller + on-chip interconnect cost added
+	// to every near-tier access: a row hit costs baseNS+tCAS+tBurst =
+	// 48 ns, a closed-row miss 62 ns, a row conflict (precharge first)
+	// 76 ns.
+	baseNS float64 = 30
+	// arrivalNS is the virtual-time gap between consecutive memory
+	// transactions. Post-L4 traffic at this spacing loads the banks to
+	// roughly the 40-50% bandwidth utilization the paper measures in
+	// production, so queueing is visible but not dominant. It is the time
+	// base for converting Stats counts into rates: (Reads+Writes)*arrivalNS
+	// is the modeled duration.
+	arrivalNS float64 = 10
+	// windowDepth is the FR-FCFS-lite scheduling window per channel:
+	// pending requests that hit an open row issue ahead of older row-miss
+	// requests.
+	windowDepth = 8
+
+	// pageShift sets the placement granularity (4 KiB pages).
+	pageShift = 12
+	pageBytes = 1 << pageShift
+)
+
+// The far tier is a CXL-attached DRAM device, one switch hop away, under
+// an epoch-based placement engine.
+const (
+	// farReadNS and farWriteNS are the flat far-tier access latencies.
+	farReadNS, farWriteNS float64 = 150, 150
+	// promoteEpochHits is PolicyFreqThreshold's hotness bar: a far page
+	// needs at least this many accesses in an epoch to be promoted, and a
+	// near page below it is demoted.
+	promoteEpochHits uint32 = 4
+	// maxIdleEpochs is PolicyLRUEpoch's demotion age: a near page idle for
+	// this many whole epochs is demoted.
+	maxIdleEpochs uint32 = 1
+	// migratePageNS is the modeled cost of moving one page between tiers
+	// (a page-sized DMA at CXL bandwidth). It is charged to MigrationNS and
+	// amortized into EffectiveReadNS.
+	migratePageNS float64 = 1000
+)
 
 // FarConfig enables and shapes the far tier. Nil in Config disables far
 // memory entirely (the near tier is unbounded).
@@ -103,124 +132,19 @@ type FarConfig struct {
 	// NearPages is the near-tier capacity in pages; pages beyond it live
 	// in the far tier. Must be positive.
 	NearPages int64
-	// ReadNS and WriteNS are the flat far-tier access latencies (defaults
-	// 150 and 150 ns — a CXL-attached DRAM device, one switch hop).
-	ReadNS, WriteNS float64
 	// Policy is the placement policy (default PolicyStatic).
 	Policy PagePolicy
 	// EpochLen is the number of memory transactions per placement epoch
 	// (default 65536).
 	EpochLen int64
-	// PromoteEpochHits is PolicyFreqThreshold's hotness bar: a far page
-	// needs at least this many accesses in an epoch to be promoted, and a
-	// near page below it is demoted (default 4).
-	PromoteEpochHits uint32
-	// MaxIdleEpochs is PolicyLRUEpoch's demotion age: a near page idle
-	// for this many whole epochs is demoted (default 1).
-	MaxIdleEpochs uint32
-	// MigratePageNS is the modeled cost of moving one page between tiers
-	// (default 1000 ns — a page-sized DMA at CXL bandwidth). It is charged
-	// to MigrationNS and amortized into EffectiveReadNS.
-	MigratePageNS float64
 }
 
-// Config describes one tiered memory system.
+// Config describes one tiered memory system. The zero value is the near
+// tier alone.
 type Config struct {
-	// DRAM shapes the near tier.
-	DRAM DRAMConfig
-	// PageBytes is the placement granularity (power of two; default 4 KiB).
-	PageBytes int
 	// Far, when non-nil, enables the far tier.
 	Far *FarConfig
 }
-
-// withDefaults returns cfg with zero fields resolved, validating shape
-// constraints (panics on invalid configuration, like cache.NewHierarchy).
-func (cfg Config) withDefaults() Config {
-	d := &cfg.DRAM
-	if d.Channels == 0 {
-		d.Channels = 2
-	}
-	if d.BanksPerChannel == 0 {
-		d.BanksPerChannel = 16
-	}
-	if d.RowBytes == 0 {
-		d.RowBytes = 8 << 10
-	}
-	if d.TRCDNS == 0 {
-		d.TRCDNS = 14
-	}
-	if d.TRPNS == 0 {
-		d.TRPNS = 14
-	}
-	if d.TCASNS == 0 {
-		d.TCASNS = 14
-	}
-	if d.TBurstNS == 0 {
-		d.TBurstNS = 4
-	}
-	if d.BaseNS == 0 {
-		d.BaseNS = 30
-	}
-	if d.ArrivalNS == 0 {
-		d.ArrivalNS = 10
-	}
-	if d.WindowDepth == 0 {
-		d.WindowDepth = 8
-	}
-	if d.WindowDepth < 1 || d.WindowDepth > 64 {
-		panic(fmt.Sprintf("mem: window depth %d out of range [1,64]", d.WindowDepth))
-	}
-	for _, p := range []struct {
-		name string
-		v    int
-	}{
-		{"channels", d.Channels},
-		{"banks per channel", d.BanksPerChannel},
-		{"row bytes", d.RowBytes},
-	} {
-		if p.v <= 0 || p.v&(p.v-1) != 0 {
-			panic(fmt.Sprintf("mem: %s must be a power of two, got %d", p.name, p.v))
-		}
-	}
-	if cfg.PageBytes == 0 {
-		cfg.PageBytes = 4 << 10
-	}
-	if cfg.PageBytes <= 0 || cfg.PageBytes&(cfg.PageBytes-1) != 0 {
-		panic(fmt.Sprintf("mem: page bytes must be a power of two, got %d", cfg.PageBytes))
-	}
-	if cfg.Far != nil {
-		f := *cfg.Far // copy: the caller's FarConfig stays untouched
-		if f.NearPages <= 0 {
-			panic("mem: far tier requires positive NearPages")
-		}
-		if f.ReadNS == 0 {
-			f.ReadNS = 150
-		}
-		if f.WriteNS == 0 {
-			f.WriteNS = 150
-		}
-		if f.EpochLen == 0 {
-			f.EpochLen = 65536
-		}
-		if f.PromoteEpochHits == 0 {
-			f.PromoteEpochHits = 4
-		}
-		if f.MaxIdleEpochs == 0 {
-			f.MaxIdleEpochs = 1
-		}
-		if f.MigratePageNS == 0 {
-			f.MigratePageNS = 1000
-		}
-		cfg.Far = &f
-	}
-	return cfg
-}
-
-// ArrivalNS returns the per-transaction virtual-time spacing the config
-// resolves to — the time base for converting Stats counts into
-// bandwidth-style rates ((Reads+Writes)*ArrivalNS is the modeled duration).
-func (cfg Config) ArrivalNS() float64 { return cfg.withDefaults().DRAM.ArrivalNS }
 
 // Stats is a snapshot of the tiered system's counters. All latency sums are
 // in nanoseconds of virtual time.
@@ -261,6 +185,16 @@ func (s Stats) RowHitRate() float64 {
 		return 0
 	}
 	return float64(s.RowHits) / float64(total)
+}
+
+// MigrationGBs is the migration bandwidth over the model's own virtual
+// duration, (Reads+Writes)*arrivalNS, in GB/s.
+func (s Stats) MigrationGBs() float64 {
+	durNS := float64(s.Reads+s.Writes) * arrivalNS
+	if durNS <= 0 {
+		return 0
+	}
+	return float64(s.MigratedBytes) / durNS // bytes/ns = GB/s
 }
 
 // EffectiveReadNS is the tMEM the AMAT model should use: mean read latency
@@ -306,4 +240,9 @@ var DefaultCost = CostModel{NearDollarsPerGiB: 4.0, FarDollarsPerGiB: 1.5}
 func (c CostModel) Dollars(nearBytes, farBytes int64) float64 {
 	const gib = 1 << 30
 	return float64(nearBytes)/gib*c.NearDollarsPerGiB + float64(farBytes)/gib*c.FarDollarsPerGiB
+}
+
+// PageDollars prices a provisioned split given in pages.
+func (c CostModel) PageDollars(nearPages, farPages int64) float64 {
+	return c.Dollars(nearPages*pageBytes, farPages*pageBytes)
 }

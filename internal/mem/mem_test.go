@@ -6,11 +6,11 @@ import (
 	"searchmem/internal/trace"
 )
 
-// testDRAM returns a near-tier-only config with the documented defaults.
+// testDRAM returns a near-tier-only config.
 func testDRAM() Config { return Config{} }
 
 // rowAddr builds an address targeting (row, bank, channel) under the
-// default geometry: 8 KiB rows, 2 channels, 16 banks.
+// geometry: 8 KiB rows, 2 channels, 16 banks.
 func rowAddr(row, bank, channel uint64) uint64 {
 	return row<<18 | bank<<14 | channel<<13
 }
@@ -38,9 +38,7 @@ func TestAddressMappingStreamingHitsRows(t *testing.T) {
 }
 
 func TestRowConflictTiming(t *testing.T) {
-	cfg := testDRAM()
-	cfg.DRAM.WindowDepth = 1 // no reordering: every alternation conflicts
-	s := NewSystem(cfg)
+	s := newSystem(testDRAM(), 1) // plain FCFS: every alternation conflicts
 	// Alternate two rows of the same bank.
 	for i := 0; i < 64; i++ {
 		s.MemRead(rowAddr(uint64(i%2), 0, 0), trace.Heap)
@@ -61,10 +59,9 @@ func TestRowConflictTiming(t *testing.T) {
 }
 
 func TestFRFCFSWindowReordersForRowHits(t *testing.T) {
-	cfg := testDRAM()
-	cfg.DRAM.WindowDepth = 4
-	s := NewSystem(cfg)
-	// A,B,A,B into one bank, then drain: FR-FCFS-lite serves the second A
+	s := NewSystem(testDRAM())
+	// A,B,A,B into one bank's window (windowDepth holds all four), then
+	// drain: FR-FCFS-lite serves the second A
 	// while row A is open and the second B while row B is open.
 	for _, row := range []uint64{0, 1, 0, 1} {
 		s.MemRead(rowAddr(row, 0, 0), trace.Heap)
@@ -111,11 +108,10 @@ func TestStaticPlacementFirstTouch(t *testing.T) {
 }
 
 func TestFreqThresholdPromotesHotPage(t *testing.T) {
-	cfg := farConfig(PolicyFreqThreshold, 1, 32)
-	cfg.Far.PromoteEpochHits = 4
-	s := NewSystem(cfg)
+	s := NewSystem(farConfig(PolicyFreqThreshold, 1, 32))
 	// Page 0 takes the only near slot; page 1 is far and hot, page 2 far
-	// and cold. After one epoch, 0 (cold) demotes and 1 promotes.
+	// and cold. After one epoch, 0 (cold: 1 access, below the bar of
+	// promoteEpochHits) demotes and 1 (30 accesses) promotes.
 	s.MemRead(0<<12, trace.Heap)
 	for i := 0; i < 30; i++ {
 		s.MemRead(1<<12, trace.Shard)
@@ -225,6 +221,18 @@ func TestResetStatsKeepsResidency(t *testing.T) {
 	}
 }
 
+func TestMigrationGBs(t *testing.T) {
+	// 250 transactions at arrivalNS = 10 ns span 2500 ns; 10 KB moved in
+	// that time is 4 bytes/ns = 4 GB/s.
+	st := Stats{Reads: 200, Writes: 50, MigratedBytes: 10_000}
+	if got := st.MigrationGBs(); got != 4 {
+		t.Fatalf("migration bandwidth = %v GB/s, want 4", got)
+	}
+	if got := (Stats{}).MigrationGBs(); got != 0 {
+		t.Fatalf("zero-traffic bandwidth = %v, want 0", got)
+	}
+}
+
 func TestEffectiveReadNSAmortizesMigration(t *testing.T) {
 	var st Stats
 	st.Reads = 100
@@ -255,26 +263,21 @@ func TestPageTableGrowth(t *testing.T) {
 }
 
 func TestInvalidConfigPanics(t *testing.T) {
-	for name, cfg := range map[string]Config{
-		"non-pow2 rows":  {DRAM: DRAMConfig{RowBytes: 3000}},
-		"non-pow2 page":  {PageBytes: 5000},
-		"far w/o pages":  {Far: &FarConfig{}},
-		"window too big": {DRAM: DRAMConfig{WindowDepth: 100}},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: NewSystem did not panic", name)
-				}
-			}()
-			NewSystem(cfg)
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("far tier without NearPages: NewSystem did not panic")
+		}
+	}()
+	NewSystem(Config{Far: &FarConfig{}})
 }
 
 func TestCostModel(t *testing.T) {
 	c := CostModel{NearDollarsPerGiB: 4, FarDollarsPerGiB: 1}
 	if got := c.Dollars(1<<30, 2<<30); got != 6 {
 		t.Fatalf("Dollars = %v, want 6", got)
+	}
+	// 4 KiB pages: 2^18 pages are 1 GiB.
+	if got := c.PageDollars(1<<18, 2<<18); got != 6 {
+		t.Fatalf("PageDollars = %v, want 6", got)
 	}
 }

@@ -27,9 +27,8 @@ type pageEntry struct {
 // concurrent use; each simulated hierarchy owns one System (matching
 // cache.Hierarchy's discipline).
 type System struct {
-	cfg       Config
-	pageShift uint
-	dram      *dramSim
+	cfg  Config
+	dram *dramSim
 
 	// Open-addressed page table: slots holds indices into entries (-1 =
 	// empty); entries is append-only, in first-touch order.
@@ -45,15 +44,25 @@ type System struct {
 	st Stats
 }
 
-// NewSystem builds a system from cfg (zero fields take the documented
-// defaults; invalid shapes panic).
-func NewSystem(cfg Config) *System {
-	cfg = cfg.withDefaults()
-	s := &System{
-		cfg:       cfg,
-		pageShift: log2(uint64(cfg.PageBytes)),
-		dram:      newDRAMSim(cfg.DRAM),
+// NewSystem builds a system from cfg. A far tier needs positive NearPages
+// (it panics otherwise, like cache.NewHierarchy on a bad shape); a zero
+// EpochLen takes the default 65536.
+func NewSystem(cfg Config) *System { return newSystem(cfg, windowDepth) }
+
+// newSystem is NewSystem with the near tier's scheduling window as an
+// argument (see newDRAMSim).
+func newSystem(cfg Config, depth int) *System {
+	if cfg.Far != nil {
+		f := *cfg.Far // copy: the caller's FarConfig stays untouched
+		if f.NearPages <= 0 {
+			panic("mem: far tier requires positive NearPages")
+		}
+		if f.EpochLen == 0 {
+			f.EpochLen = 65536
+		}
+		cfg.Far = &f
 	}
+	s := &System{cfg: cfg, dram: newDRAMSim(depth)}
 	const initialSlots = 1 << 16
 	s.slots = make([]int32, initialSlots)
 	for i := range s.slots {
@@ -66,7 +75,7 @@ func NewSystem(cfg Config) *System {
 
 // lookup returns the entry for addr's page, inserting it on first touch.
 func (s *System) lookup(addr uint64, seg trace.Segment) *pageEntry {
-	pg := addr >> s.pageShift
+	pg := addr >> pageShift
 	h := (pg * 0x9e3779b97f4a7c15) >> s.hashShift
 	mask := uint64(len(s.slots) - 1)
 	for {
@@ -123,7 +132,7 @@ func (s *System) grow() {
 func (s *System) MemRead(addr uint64, seg trace.Segment) {
 	e := s.lookup(addr, seg)
 	arrival := s.nowNS
-	s.nowNS += s.cfg.DRAM.ArrivalNS
+	s.nowNS += arrivalNS
 	s.st.Reads++
 	s.st.SegReads[seg&3]++
 	if e.near {
@@ -131,7 +140,7 @@ func (s *System) MemRead(addr uint64, seg trace.Segment) {
 	} else {
 		s.st.FarReads++
 		s.st.SegFarReads[seg&3]++
-		s.st.ReadNSSum += s.cfg.Far.ReadNS
+		s.st.ReadNSSum += farReadNS
 	}
 	e.epochHits++
 	e.lastEpoch = s.epoch
@@ -143,13 +152,13 @@ func (s *System) MemRead(addr uint64, seg trace.Segment) {
 func (s *System) MemWrite(addr uint64, seg trace.Segment) {
 	e := s.lookup(addr, seg)
 	arrival := s.nowNS
-	s.nowNS += s.cfg.DRAM.ArrivalNS
+	s.nowNS += arrivalNS
 	s.st.Writes++
 	if e.near {
 		s.dram.enqueue(addr, true, arrival, &s.st)
 	} else {
 		s.st.FarWrites++
-		s.st.WriteNSSum += s.cfg.Far.WriteNS
+		s.st.WriteNSSum += farWriteNS
 	}
 	e.epochHits++
 	e.lastEpoch = s.epoch
@@ -194,9 +203,9 @@ func (s *System) rebalance() {
 		cold := false
 		switch f.Policy {
 		case PolicyLRUEpoch:
-			cold = e.lastEpoch+f.MaxIdleEpochs <= closing
+			cold = e.lastEpoch+maxIdleEpochs <= closing
 		case PolicyFreqThreshold:
-			cold = e.epochHits < f.PromoteEpochHits
+			cold = e.epochHits < promoteEpochHits
 		}
 		if cold {
 			e.near = false
@@ -218,7 +227,7 @@ func (s *System) rebalance() {
 		case PolicyLRUEpoch:
 			hot = e.lastEpoch == closing
 		case PolicyFreqThreshold:
-			hot = e.epochHits >= f.PromoteEpochHits
+			hot = e.epochHits >= promoteEpochHits
 		}
 		if hot {
 			e.near = true
@@ -234,8 +243,8 @@ func (s *System) rebalance() {
 // migrate charges one page move.
 func (s *System) migrate() {
 	s.st.Migrations++
-	s.st.MigratedBytes += int64(s.cfg.PageBytes)
-	s.st.MigrationNS += s.cfg.Far.MigratePageNS
+	s.st.MigratedBytes += pageBytes
+	s.st.MigrationNS += migratePageNS
 }
 
 // Snapshot drains the scheduling windows and returns the current counters

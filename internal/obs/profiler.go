@@ -35,15 +35,18 @@ type ProfilerConfig struct {
 	// exhaustive observation (every event attributed): the exact reference
 	// the fleetprof experiment compares sampled estimates against.
 	Rate float64
-	// WindowEvents is the length of one sampling window in events
-	// (default 256).
-	WindowEvents int
 	// Seed places the sampling windows.
 	Seed uint64
-	// RecordWindows caps how many access-stream sampling windows are
-	// remembered for trace export (EmitTrace); 0 keeps none.
-	RecordWindows int
 }
+
+const (
+	// windowEvents is the length of one sampling window in events.
+	windowEvents = 256
+	// recordWindows caps how many access-stream sampling windows are
+	// remembered for trace export (EmitTrace): enough for a readable trace
+	// without unbounded span growth at high rates.
+	recordWindows = 512
+)
 
 // Profiler reconstructs fleet workload estimates from sampled observation
 // of a simulated leaf's access and branch streams.
@@ -56,7 +59,6 @@ type Profiler struct {
 	segments [trace.NumSegments]int64
 	// Recorded access-stream window intervals for trace export (event
 	// indices; end < 0 while a window is still open).
-	recCap   int
 	recOpen  bool
 	recorded []windowInterval
 }
@@ -93,15 +95,11 @@ func NewProfiler(cfg ProfilerConfig) *Profiler {
 	if cfg.Rate > 1 {
 		cfg.Rate = 1
 	}
-	if cfg.WindowEvents <= 0 {
-		cfg.WindowEvents = 256
-	}
 	rng := stats.NewRNG(cfg.Seed)
 	return &Profiler{
 		rate:   cfg.Rate,
-		accWin: newWindowSampler(cfg.Rate, cfg.WindowEvents, rng.Split()),
-		brWin:  newWindowSampler(cfg.Rate, cfg.WindowEvents, rng.Split()),
-		recCap: cfg.RecordWindows,
+		accWin: newWindowSampler(cfg.Rate, rng.Split()),
+		brWin:  newWindowSampler(cfg.Rate, rng.Split()),
 	}
 }
 
@@ -111,10 +109,10 @@ func NewProfiler(cfg ProfilerConfig) *Profiler {
 func (p *Profiler) ObserveAccess(a trace.Access, lvl cache.HitLevel) {
 	p.totals.accesses++
 	attributed := p.accWin.observe()
-	if p.recCap > 0 && attributed != p.recOpen {
+	if attributed != p.recOpen {
 		idx := p.totals.accesses - 1
 		if attributed {
-			if len(p.recorded) < p.recCap {
+			if len(p.recorded) < recordWindows {
 				p.recorded = append(p.recorded, windowInterval{start: idx, end: -1})
 			}
 		} else if n := len(p.recorded); n > 0 && p.recorded[n-1].end < 0 {
@@ -247,7 +245,7 @@ func (p *Profiler) Estimate(core cpu.CoreParams, l3LatencyNS, memLatencyNS float
 
 // EmitTrace records the profiler's access-stream sampling schedule as one
 // trace: a root span covering the whole stream, with one child span per
-// recorded window (capped at ProfilerConfig.RecordWindows). Timestamps are
+// recorded window (capped at recordWindows). Timestamps are
 // access-event indices — the profiler's native clock — carried in the
 // trace's nanosecond fields.
 func (p *Profiler) EmitTrace(t *Tracer, name string) {
@@ -267,7 +265,7 @@ func (p *Profiler) EmitTrace(t *Tracer, name string) {
 		}
 		tb.Span(root, fmt.Sprintf("window[%d]", i), float64(w.start), float64(end))
 	}
-	if p.recCap > 0 && int64(len(p.recorded)) < p.accWin.windows {
+	if int64(len(p.recorded)) < p.accWin.windows {
 		tb.Span(root, "windows-truncated", float64(total), float64(total),
 			Int("recorded", int64(len(p.recorded))),
 			Int("opened", p.accWin.windows))
@@ -282,7 +280,6 @@ func (p *Profiler) EmitTrace(t *Tracer, name string) {
 // collection).
 type windowSampler struct {
 	rng       *stats.RNG
-	window    int64
 	meanGap   float64
 	inWindow  bool
 	remaining int64
@@ -290,13 +287,12 @@ type windowSampler struct {
 	always    bool
 }
 
-// newWindowSampler returns a sampler with rate duty cycle and window-length
+// newWindowSampler returns a sampler with rate duty cycle and windowEvents
 // windows, with the first window's phase randomized.
-func newWindowSampler(rate float64, window int, rng *stats.RNG) windowSampler {
+func newWindowSampler(rate float64, rng *stats.RNG) windowSampler {
 	s := windowSampler{
 		rng:     rng,
-		window:  int64(window),
-		meanGap: float64(window) * (1 - rate) / rate,
+		meanGap: float64(windowEvents) * (1 - rate) / rate,
 		always:  rate >= 1,
 	}
 	if s.always {
@@ -319,7 +315,7 @@ func (s *windowSampler) observe() bool {
 		s.inWindow = !s.inWindow
 		if s.inWindow {
 			s.windows++
-			s.remaining = s.window
+			s.remaining = windowEvents
 		} else {
 			s.remaining = s.nextGap()
 		}

@@ -151,7 +151,7 @@ func breakdownSlots(b cpu.Breakdown) [6]float64 {
 
 func TestProfilerDeterministic(t *testing.T) {
 	run := func() FleetEstimate {
-		p := NewProfiler(ProfilerConfig{Rate: 0.05, WindowEvents: 128, Seed: 7})
+		p := NewProfiler(ProfilerConfig{Rate: 0.05, Seed: 7})
 		synthStream(100_000, 42, p)
 		return p.Estimate(testCore, 30, 90, 200_000)
 	}
@@ -163,7 +163,7 @@ func TestProfilerDeterministic(t *testing.T) {
 
 func TestWindowSamplerDutyCycle(t *testing.T) {
 	for _, rate := range []float64{0.02, 0.1, 0.5} {
-		s := newWindowSampler(rate, 256, stats.NewRNG(3))
+		s := newWindowSampler(rate, stats.NewRNG(3))
 		const n = 2_000_000
 		observed := 0
 		for i := 0; i < n; i++ {

@@ -48,43 +48,43 @@ type Config struct {
 	// QueryCacheSlots sizes the in-heap query result cache (a power of
 	// two; 0 disables caching).
 	QueryCacheSlots int
-	// SnippetTerms is how many content terms are scanned per result for
-	// snippet extraction.
-	SnippetTerms int
-	// HotCodeFrac is the fraction of each phase's instructions spent in
-	// that phase's pinned hot function; the rest walks the wide
-	// (Zipf-popular) service code. It is the main calibration knob for
-	// the paper's large instruction working set (L2 instruction MPKI ~12
-	// despite hot inner loops).
-	HotCodeFrac float64
-	// K1 and B are the BM25 parameters.
-	K1, B float64
 	// Instruction-cost model: modeled instructions charged per unit of
-	// work, used to drive the code walker and to form MPKI denominators.
-	InstrsPerQuery       int
-	InstrsPerPosting     int
-	InstrsPerScore       int
-	InstrsPerSnippetTerm int
+	// work, used to drive the code walker and to form MPKI denominators
+	// (see also instrsPerPosting and instrsPerSnippetTerm).
+	InstrsPerQuery int
+	InstrsPerScore int
 }
+
+const (
+	// snippetTerms is how many content terms are scanned per result for
+	// snippet extraction.
+	snippetTerms = 32
+	// hotCodeFrac is the fraction of each phase's instructions spent in
+	// that phase's pinned hot function; the rest walks the wide
+	// (Zipf-popular) service code. It is the main calibration constant
+	// for the paper's large instruction working set (L2 instruction MPKI
+	// ~12 despite hot inner loops).
+	hotCodeFrac float64 = 0.20
+	// bm25K1 and bm25B are the BM25 parameters k1 and b.
+	bm25K1, bm25B float64 = 1.2, 0.75
+	// instrsPerPosting and instrsPerSnippetTerm are the instruction-cost
+	// model's charges per decoded posting and per scanned snippet term.
+	instrsPerPosting     = 20
+	instrsPerSnippetTerm = 8
+)
 
 // DefaultConfig returns a test-sized engine configuration.
 func DefaultConfig() Config {
 	return Config{
-		Corpus:               DefaultCorpusConfig(),
-		MaxPostingsPerTerm:   4096,
-		TopK:                 10,
-		FeatureBytes:         96,
-		AccumSlots:           1 << 15,
-		MaxSessions:          16,
-		QueryCacheSlots:      1 << 12,
-		SnippetTerms:         32,
-		K1:                   1.2,
-		B:                    0.75,
-		HotCodeFrac:          0.20,
-		InstrsPerQuery:       2400,
-		InstrsPerPosting:     20,
-		InstrsPerScore:       40,
-		InstrsPerSnippetTerm: 8,
+		Corpus:             DefaultCorpusConfig(),
+		MaxPostingsPerTerm: 4096,
+		TopK:               10,
+		FeatureBytes:       96,
+		AccumSlots:         1 << 15,
+		MaxSessions:        16,
+		QueryCacheSlots:    1 << 12,
+		InstrsPerQuery:     2400,
+		InstrsPerScore:     40,
 	}
 }
 
@@ -107,15 +107,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxSessions <= 0 || c.MaxSessions > 256 {
 		return fmt.Errorf("search: MaxSessions out of range")
-	}
-	if c.K1 <= 0 || c.B < 0 || c.B > 1 {
-		return fmt.Errorf("search: BM25 parameters out of range")
-	}
-	if c.SnippetTerms < 0 {
-		return fmt.Errorf("search: SnippetTerms must be non-negative")
-	}
-	if c.HotCodeFrac < 0 || c.HotCodeFrac > 1 {
-		return fmt.Errorf("search: HotCodeFrac must be in [0,1]")
 	}
 	return nil
 }
@@ -413,9 +404,8 @@ func (e *Engine) idf(docFreq uint32) float64 {
 
 // bm25 returns one term's BM25 contribution for a document.
 func (e *Engine) bm25(idf float64, tf, dl uint32) float32 {
-	k1, b := e.cfg.K1, e.cfg.B
 	tfF := float64(tf)
-	norm := tfF * (k1 + 1) / (tfF + k1*(1-b+b*float64(dl)/e.avgDocLen))
+	norm := tfF * (bm25K1 + 1) / (tfF + bm25K1*(1-bm25B+bm25B*float64(dl)/e.avgDocLen))
 	return float32(idf * norm)
 }
 

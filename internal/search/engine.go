@@ -80,7 +80,7 @@ func (s *Session) Instructions() int64 {
 }
 
 // code charges n instructions to the session. With a walker attached, a
-// HotCodeFrac share of phase work (fn >= 0) runs in the phase's pinned hot
+// hotCodeFrac share of phase work (fn >= 0) runs in the phase's pinned hot
 // function and the rest walks the wide Zipf-popular service code; fn < 0
 // charges everything to the wide code (query orchestration).
 func (s *Session) code(fn int, n int) {
@@ -95,7 +95,7 @@ func (s *Session) code(fn int, n int) {
 		s.walker.Run(n)
 		return
 	}
-	hot := int(float64(n) * s.eng.cfg.HotCodeFrac)
+	hot := int(float64(n) * hotCodeFrac)
 	if hot > 0 {
 		s.walker.RunFunc(fn, hot)
 	}
@@ -178,10 +178,10 @@ func (s *Session) Execute(terms []uint32) Result {
 			}
 			s.PostingsDecoded++
 			if i&15 == 15 {
-				s.code(fnDecode, 16*e.cfg.InstrsPerPosting)
+				s.code(fnDecode, 16*instrsPerPosting)
 			}
 		}
-		s.code(fnDecode, (n%16)*e.cfg.InstrsPerPosting)
+		s.code(fnDecode, (n%16)*instrsPerPosting)
 	}
 
 	// Candidate selection over touched accumulator slots.
@@ -235,11 +235,11 @@ func (s *Session) snippet(doc uint32) {
 	off, nBytes := e.contentRef(s.thread, doc)
 	addr := e.contentBase + off
 	end := addr + uint64(nBytes)
-	for i := 0; i < e.cfg.SnippetTerms && addr < end; i++ {
+	for i := 0; i < snippetTerms && addr < end; i++ {
 		_, k := e.shard.ReadUvarint(s.thread, addr)
 		addr += uint64(k)
 	}
-	s.code(fnSnippet, e.cfg.SnippetTerms*e.cfg.InstrsPerSnippetTerm)
+	s.code(fnSnippet, snippetTerms*instrsPerSnippetTerm)
 }
 
 // --- accumulator table (epoch-tagged open addressing in the heap) ---

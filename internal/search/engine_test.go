@@ -342,8 +342,6 @@ func TestConfigValidateEngine(t *testing.T) {
 		func(c Config) Config { c.QueryCacheSlots = 3; return c },
 		func(c Config) Config { c.TopK = 0; return c },
 		func(c Config) Config { c.MaxSessions = 0; return c },
-		func(c Config) Config { c.B = 2; return c },
-		func(c Config) Config { c.SnippetTerms = -1; return c },
 	}
 	for i, mut := range bad {
 		if err := mut(testEngineConfig()).Validate(); err == nil {

@@ -385,7 +385,7 @@ func TestServeDuringRunLoad(t *testing.T) {
 		t.Fatalf("queries = %d (metrics %d), want 1600; RunLoad saw %d", c.Queries, c.Metrics().Queries, st.Queries)
 	}
 	// One query on a capacity-2 tier: rho = 1/2, service times double.
-	want := cfg.FrontendOverheadNS + cfg.RootOverheadNS + 2*3e6 + 4*cfg.NetworkHopNS
+	want := frontendOverheadNS + rootOverheadNS + 2*3e6 + 4*networkHopNS
 	if r := c.Serve(Query{Terms: []uint32{1, 2}}); r.LatencyNS != want {
 		t.Fatalf("latency after the run = %v, want %v", r.LatencyNS, want)
 	}

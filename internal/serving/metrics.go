@@ -120,19 +120,19 @@ func newClusterMetrics(reg *obs.Registry, cluster string) *clusterMetrics {
 }
 
 // recordCacheHit logs a query short-circuited by the cache tier.
-func (m *clusterMetrics) recordCacheHit(frontendNS, probeNS float64) {
+func (m *clusterMetrics) recordCacheHit() {
 	m.queries.Inc()
 	m.cacheHits.Inc()
-	m.frontend.Observe(frontendNS)
-	m.probe.Observe(probeNS)
+	m.frontend.Observe(frontendOverheadNS)
+	m.probe.Observe(networkHopNS)
 }
 
 // recordServe logs a full tree traversal.
-func (m *clusterMetrics) recordServe(frontendNS float64, probed bool, probeNS, mergeNS float64, ev mergeEvents, partial bool) {
+func (m *clusterMetrics) recordServe(probed bool, mergeNS float64, ev mergeEvents, partial bool) {
 	m.queries.Inc()
-	m.frontend.Observe(frontendNS)
+	m.frontend.Observe(frontendOverheadNS)
 	if probed {
-		m.probe.Observe(probeNS)
+		m.probe.Observe(networkHopNS)
 	}
 	for _, lat := range ev.attemptLatenciesNS {
 		m.leafSvc.Observe(lat)

@@ -49,7 +49,7 @@ func TestLatencyModelUnchangedWithoutFaults(t *testing.T) {
 	cfg := DefaultConfig()
 	c := fixedCluster(cfg, fourFixed([4]float64{1e6, 3e6, 2e6, 2.5e6}))
 	r := c.Serve(Query{Terms: []uint32{1, 2}})
-	want := cfg.FrontendOverheadNS + cfg.RootOverheadNS + 3e6 + 4*cfg.NetworkHopNS
+	want := frontendOverheadNS + rootOverheadNS + 3e6 + 4*networkHopNS
 	if r.LatencyNS != want {
 		t.Fatalf("latency = %v, want %v", r.LatencyNS, want)
 	}
@@ -73,7 +73,7 @@ func TestDeadlineDropsSlowLeaf(t *testing.T) {
 		t.Fatalf("LeavesAnswered = %d, want 3", r.LeavesAnswered)
 	}
 	// The parent gives up at the deadline, not at the slow leaf's latency.
-	want := cfg.FrontendOverheadNS + cfg.RootOverheadNS + cfg.LeafDeadlineNS + 4*cfg.NetworkHopNS
+	want := frontendOverheadNS + rootOverheadNS + cfg.LeafDeadlineNS + 4*networkHopNS
 	if r.LatencyNS != want {
 		t.Fatalf("latency = %v, want %v", r.LatencyNS, want)
 	}
@@ -103,7 +103,7 @@ func TestHedgeRecoversSlowLeaf(t *testing.T) {
 	}
 	// Slow leaf 1's answer arrives via its sibling (leaf 2, 2 ms) at
 	// hedge-delay + sibling latency = 5 ms, which bounds the fan-out.
-	want := cfg.FrontendOverheadNS + cfg.RootOverheadNS + (3e6 + 2e6) + 4*cfg.NetworkHopNS
+	want := frontendOverheadNS + rootOverheadNS + (3e6 + 2e6) + 4*networkHopNS
 	if r.LatencyNS != want {
 		t.Fatalf("latency = %v, want %v", r.LatencyNS, want)
 	}
@@ -126,7 +126,7 @@ func TestFailedLeafRetriesImmediately(t *testing.T) {
 	}
 	// Retry issued at the failure (1 ms), answered by leaf 2 in 2 ms: the
 	// recovered answer at 3 ms dominates the healthy leaves.
-	want := cfg.FrontendOverheadNS + cfg.RootOverheadNS + 3e6 + 4*cfg.NetworkHopNS
+	want := frontendOverheadNS + rootOverheadNS + 3e6 + 4*networkHopNS
 	if r.LatencyNS != want {
 		t.Fatalf("latency = %v, want %v", r.LatencyNS, want)
 	}
@@ -377,7 +377,7 @@ func TestDeadlineBoundsTailUnderSlowInjection(t *testing.T) {
 	}
 	// Histogram quantiles sit at bucket midpoints (<= ~6% high for 8
 	// sub-buckets), hence the tolerance.
-	bound := cfg.FrontendOverheadNS + cfg.RootOverheadNS + cfg.LeafDeadlineNS + 4*cfg.NetworkHopNS
+	bound := frontendOverheadNS + rootOverheadNS + cfg.LeafDeadlineNS + 4*networkHopNS
 	if st.P99NS > bound*1.07 {
 		t.Fatalf("P99 %.2f ms exceeds deadline-implied bound %.2f ms", st.P99NS/1e6, bound/1e6)
 	}

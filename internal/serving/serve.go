@@ -189,7 +189,6 @@ func (c *Cluster) Serve(q Query) Result {
 // until the next serve call.
 func (c *Cluster) serve(terms []uint32, standing int) Result {
 	s := c.scratch
-	hop := c.cfg.NetworkHopNS
 
 	congestion := 1.0
 	if c.cfg.LeafCapacity > 0 {
@@ -203,7 +202,7 @@ func (c *Cluster) serve(terms []uint32, standing int) Result {
 	c.Queries++
 	c.mu.Unlock()
 
-	lat := c.cfg.FrontendOverheadNS
+	lat := frontendOverheadNS
 	tag := cacheTag(terms)
 	probed := c.cache != nil
 	if probed {
@@ -211,19 +210,19 @@ func (c *Cluster) serve(terms []uint32, standing int) Result {
 			c.mu.Lock()
 			c.CacheHits++
 			c.mu.Unlock()
-			c.metrics.recordCacheHit(c.cfg.FrontendOverheadNS, hop)
+			c.metrics.recordCacheHit()
 			// The Result aliasing the scratch buffers is serve's documented
 			// contract; copying here would put an allocation on the
 			// zero-alloc event path (Serve copies for outside callers).
-			res := Result{Docs: s.docs[:n], Scores: s.scores[:n], FromCache: true, LatencyNS: lat + hop}
+			res := Result{Docs: s.docs[:n], Scores: s.scores[:n], FromCache: true, LatencyNS: lat + networkHopNS}
 			if tb := c.cfg.Tracer.Begin("query"); tb != nil {
 				c.emitCacheHitTrace(tb, res)
 			}
 			return res
 		}
-		lat += hop // cache miss probe
+		lat += networkHopNS // cache miss probe
 	}
-	lat += c.cfg.RootOverheadNS
+	lat += rootOverheadNS
 
 	// Root fans out to parents, parents to leaves; parallel hops cost the
 	// slowest child and parents give up on a leaf at the deadline. Parents
@@ -275,7 +274,7 @@ func (c *Cluster) serve(terms []uint32, standing int) Result {
 			}
 		}
 		bn := s.tk.ResultsInto(s.bdocs, s.bscores)
-		b.lat = wait + 2*hop
+		b.lat = wait + 2*networkHopNS
 		s.branches[pi] = b
 		if b.lat > worst {
 			worst = b.lat
@@ -288,7 +287,7 @@ func (c *Cluster) serve(terms []uint32, standing int) Result {
 	}
 
 	n := s.rootTK.ResultsInto(s.docs, s.scores)
-	lat += worst + 2*hop
+	lat += worst + 2*networkHopNS
 	res := Result{Docs: s.docs[:n], Scores: s.scores[:n], LatencyNS: lat, Partial: partial, LeavesAnswered: answered}
 
 	// Degraded merges are never cached: a later identical query should get
@@ -296,7 +295,7 @@ func (c *Cluster) serve(terms []uint32, standing int) Result {
 	if probed && !partial {
 		c.cache.put(tag, res.Docs, res.Scores)
 	}
-	c.metrics.recordServe(c.cfg.FrontendOverheadNS, probed, hop, worst+2*hop, s.events, partial)
+	c.metrics.recordServe(probed, worst+2*networkHopNS, s.events, partial)
 	if tb := c.cfg.Tracer.Begin("query"); tb != nil {
 		c.emitServeTrace(tb, probed, congestion, res)
 	}
@@ -305,11 +304,10 @@ func (c *Cluster) serve(terms []uint32, standing int) Result {
 
 // emitCacheHitTrace records the two-span trace of a cache-served query.
 func (c *Cluster) emitCacheHitTrace(tb *obs.TraceBuilder, res Result) {
-	fe := c.cfg.FrontendOverheadNS
 	root := tb.Span(0, "query", 0, res.LatencyNS,
 		obs.Bool("from_cache", true), obs.Bool("partial", false))
-	tb.Span(root, "frontend", 0, fe)
-	tb.Span(root, "cache-probe", fe, fe+c.cfg.NetworkHopNS, obs.Bool("hit", true))
+	tb.Span(root, "frontend", 0, frontendOverheadNS)
+	tb.Span(root, "cache-probe", frontendOverheadNS, frontendOverheadNS+networkHopNS, obs.Bool("hit", true))
 	tb.Finish()
 }
 
@@ -322,32 +320,30 @@ func (c *Cluster) emitCacheHitTrace(tb *obs.TraceBuilder, res Result) {
 // where the result assembled.
 func (c *Cluster) emitServeTrace(tb *obs.TraceBuilder, probed bool, congestion float64, res Result) {
 	s := c.scratch
-	hop := c.cfg.NetworkHopNS
-	fe := c.cfg.FrontendOverheadNS
 	root := tb.Span(0, "query", 0, res.LatencyNS,
 		obs.Bool("from_cache", false),
 		obs.Bool("partial", res.Partial),
 		obs.Int("leaves_answered", int64(res.LeavesAnswered)),
 		obs.Float("congestion", congestion))
-	tb.Span(root, "frontend", 0, fe)
-	rootStart := fe
+	tb.Span(root, "frontend", 0, frontendOverheadNS)
+	rootStart := frontendOverheadNS
 	if probed {
-		tb.Span(root, "cache-probe", fe, fe+hop, obs.Bool("hit", false))
-		rootStart += hop
+		tb.Span(root, "cache-probe", frontendOverheadNS, frontendOverheadNS+networkHopNS, obs.Bool("hit", false))
+		rootStart += networkHopNS
 	}
-	fanStart := rootStart + c.cfg.RootOverheadNS
+	fanStart := rootStart + rootOverheadNS
 	tb.Span(root, "root", rootStart, fanStart)
 	fan := tb.Span(root, "fanout", fanStart, res.LatencyNS,
 		obs.Int("parents", int64(len(c.parents))))
 	for pi, p := range c.parents {
 		b := s.branches[pi]
 		outs := s.outs[pi*c.cfg.Fanout:][:len(p.leaves)]
-		pStart := fanStart + hop
+		pStart := fanStart + networkHopNS
 		ps := tb.Span(fan, fmt.Sprintf("parent[%d]", pi), pStart, pStart+b.lat,
 			obs.Int("leaves", int64(len(outs))),
 			obs.Int("answered", int64(b.answered)),
 			obs.Bool("partial", b.partial))
-		leafStart := pStart + hop
+		leafStart := pStart + networkHopNS
 		for li := range outs {
 			o := &outs[li]
 			tb.Span(ps, fmt.Sprintf("leaf[%d]/primary", o.primaryLeaf),

@@ -166,6 +166,16 @@ func (e *EngineExecutor) SearchBuf(terms []uint32, docs []uint32, scores []float
 	return n, lat, nil
 }
 
+// The serving tree's fixed costs, in virtual nanoseconds.
+const (
+	// networkHopNS is the one-way cost of each tree hop.
+	networkHopNS float64 = 2e5
+	// rootOverheadNS is the root's preprocessing cost (spell check etc.).
+	rootOverheadNS float64 = 3e5
+	// frontendOverheadNS is the web server's cost.
+	frontendOverheadNS float64 = 1e5
+)
+
 // Config shapes the serving tree.
 type Config struct {
 	// Leaves is the number of leaf nodes (index shards).
@@ -176,12 +186,6 @@ type Config struct {
 	TopK int
 	// CacheSlots sizes the cache-server tier (0 disables it).
 	CacheSlots int
-	// NetworkHopNS is the one-way cost of each tree hop.
-	NetworkHopNS float64
-	// RootOverheadNS is the root's preprocessing cost (spell check etc.).
-	RootOverheadNS float64
-	// FrontendOverheadNS is the web server's cost.
-	FrontendOverheadNS float64
 	// LeafCapacity is how many concurrent queries the leaf tier absorbs
 	// before queueing inflates service times (0 disables the queueing
 	// model). Latency is scaled by 1/(1-rho) with rho the instantaneous
@@ -216,13 +220,10 @@ type Config struct {
 // tier exactly.
 func DefaultConfig() Config {
 	return Config{
-		Leaves:             12,
-		Fanout:             4,
-		TopK:               10,
-		CacheSlots:         4096,
-		NetworkHopNS:       2e5,
-		RootOverheadNS:     3e5,
-		FrontendOverheadNS: 1e5,
+		Leaves:     12,
+		Fanout:     4,
+		TopK:       10,
+		CacheSlots: 4096,
 	}
 }
 
@@ -233,9 +234,6 @@ func (c Config) Validate() error {
 	}
 	if c.CacheSlots < 0 {
 		return fmt.Errorf("serving: negative cache slots")
-	}
-	if c.NetworkHopNS < 0 || c.RootOverheadNS < 0 || c.FrontendOverheadNS < 0 {
-		return fmt.Errorf("serving: negative latencies")
 	}
 	if c.LeafDeadlineNS < 0 || c.HedgeDelayNS < 0 {
 		return fmt.Errorf("serving: negative deadline or hedge delay")

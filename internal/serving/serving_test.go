@@ -19,7 +19,6 @@ func TestConfigValidate(t *testing.T) {
 		{},
 		{Leaves: 4, Fanout: 0, TopK: 10},
 		{Leaves: 4, Fanout: 2, TopK: 0},
-		{Leaves: 4, Fanout: 2, TopK: 10, NetworkHopNS: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -82,7 +82,7 @@ func TestBatchedReplayZeroAlloc(t *testing.T) {
 // one. It builds its cursor per call, so its one allocation per call is that
 // cursor's decode window; chunks and branches must add none.
 func TestObserveBranchesZeroAlloc(t *testing.T) {
-	shape := branchShape{bits: 12, cores: 2, smt: 2}
+	shape := branchShape{cores: 2, smt: 2}
 	for _, n := range []int{branchChunkLen / 3, 3 * branchChunkLen, 3*branchChunkLen + 7} {
 		events := make([]branchEvent, n)
 		for i := range events {

@@ -20,13 +20,10 @@ type branchCounts struct{ Predictions, Mispredicts int64 }
 
 // branchShape is everything about a MeasureConfig the branch outcome depends
 // on besides the run keys.
-type branchShape struct {
-	bits       uint
-	cores, smt int
-}
+type branchShape struct{ cores, smt int }
 
 func shapeOf(mc *MeasureConfig) branchShape {
-	return branchShape{bits: mc.PredictorBits, cores: mc.Cores, smt: mc.SMTWays}
+	return branchShape{cores: mc.Cores, smt: mc.SMTWays}
 }
 
 // coreTable maps every thread id to its core (SMT threads share their core's
@@ -42,7 +39,7 @@ func (s branchShape) coreTable() (tab [256]uint8) {
 func (s branchShape) newPredictors() []cpu.PredictorStats {
 	preds := make([]cpu.PredictorStats, s.cores)
 	for i := range preds {
-		preds[i].P = cpu.NewGshare(s.bits)
+		preds[i].P = cpu.NewGshare(predictorBits)
 	}
 	return preds
 }

@@ -43,37 +43,35 @@ func TestBranchMemoMatchesLive(t *testing.T) {
 			rep := NewReplayer(SPECPerlbench().Build())
 			rep.SetStore(store)
 			var passes int64
-			for _, bits := range []uint{10, 14} {
-				for _, cores := range []int{1, 4} {
-					for _, smt := range []int{1, 2} {
-						for _, warmup := range []float64{0, NoWarmup} {
-							mc := MeasureConfig{
-								Platform: platform.PLT1().ScaleCaches(16),
-								Cores:    cores, SMTWays: smt, Threads: cores * smt,
-								Budget: 40_000, Seed: 5,
-								PredictorBits: bits, WarmupFraction: warmup,
-							}
-							memo := Measure(rep, mc)
-							passes++
-							if got := rep.branchPasses.Load(); got != passes {
-								t.Fatalf("%d predictor passes after %d distinct keys", got, passes)
-							}
-							if memo.BranchMPKI == 0 {
-								t.Fatal("degenerate stream: no mispredicted branches")
-							}
-							observed := mc
-							observed.BranchObserver = func(uint8, bool) {}
-							if live := Measure(rep, observed); !reflect.DeepEqual(live, memo) {
-								t.Errorf("bits %d cores %d smt %d warm-up %v: live sink on the Replayer diverges from the memo\n got: %+v\nwant: %+v",
-									bits, cores, smt, warmup, memo, live)
-							}
-							if raw := Measure(plainRunner{rep}, mc); !reflect.DeepEqual(raw, memo) {
-								t.Errorf("bits %d cores %d smt %d warm-up %v: raw runner diverges from the memo\n got: %+v\nwant: %+v",
-									bits, cores, smt, warmup, memo, raw)
-							}
-							if got := rep.branchPasses.Load(); got != passes {
-								t.Fatalf("live measurements ran the memo: %d passes, want %d", got, passes)
-							}
+			for _, cores := range []int{1, 4} {
+				for _, smt := range []int{1, 2} {
+					for _, warmup := range []float64{0, -1} {
+						mc := MeasureConfig{
+							Platform: platform.PLT1().ScaleCaches(16),
+							Cores:    cores, SMTWays: smt, Threads: cores * smt,
+							Budget: 40_000, Seed: 5,
+							WarmupFraction: warmup,
+						}
+						memo := Measure(rep, mc)
+						passes++
+						if got := rep.branchPasses.Load(); got != passes {
+							t.Fatalf("%d predictor passes after %d distinct keys", got, passes)
+						}
+						if memo.BranchMPKI == 0 {
+							t.Fatal("degenerate stream: no mispredicted branches")
+						}
+						observed := mc
+						observed.BranchObserver = func(uint8, bool) {}
+						if live := Measure(rep, observed); !reflect.DeepEqual(live, memo) {
+							t.Errorf("cores %d smt %d warm-up %v: live sink on the Replayer diverges from the memo\n got: %+v\nwant: %+v",
+								cores, smt, warmup, memo, live)
+						}
+						if raw := Measure(plainRunner{rep}, mc); !reflect.DeepEqual(raw, memo) {
+							t.Errorf("cores %d smt %d warm-up %v: raw runner diverges from the memo\n got: %+v\nwant: %+v",
+								cores, smt, warmup, memo, raw)
+						}
+						if got := rep.branchPasses.Load(); got != passes {
+							t.Fatalf("live measurements ran the memo: %d passes, want %d", got, passes)
 						}
 					}
 				}
@@ -93,9 +91,8 @@ func TestBranchMemoOncePerKey(t *testing.T) {
 	for i := range shapes {
 		shapes[i] = MeasureConfig{
 			Platform: platform.PLT1().ScaleCaches(16),
-			Cores:    2, SMTWays: 1, Threads: 2,
+			Cores:    2 - i, SMTWays: 1 + i, Threads: 2,
 			Budget: 100_000, Seed: 11,
-			PredictorBits: uint(12 + 2*i),
 		}
 	}
 	serial := NewReplayer(tinyLeaf().Build())

@@ -11,11 +11,15 @@ import (
 	"searchmem/internal/trace"
 )
 
-// NoWarmup disables the warmup phase entirely when assigned to
-// MeasureConfig.WarmupFraction. A plain 0 cannot express this — it is the
-// "unset" sentinel selecting the default 0.25 — so cold-start measurements
-// use this negative sentinel instead.
-const NoWarmup = -1.0
+// The L4's timing is the paper's baseline design (model.BaselineL4): a
+// 40 ns hit, looked up in parallel with memory, so a miss adds nothing.
+const (
+	l4HitNS         float64 = 40
+	l4MissPenaltyNS float64 = 0
+)
+
+// predictorBits sizes the per-core gshare predictor.
+const predictorBits uint = 14
 
 // MeasureConfig describes one measurement run: a workload on a platform
 // hierarchy with the paper's instrumentation attached (functional cache
@@ -38,25 +42,20 @@ type MeasureConfig struct {
 	// L4Assoc is the L4 associativity (0 with L4Size set = direct-mapped
 	// per the paper's design; use -1 for fully associative).
 	L4Assoc int
-	// L4HitNS and L4MissPenaltyNS are the L4 timing parameters (default
-	// 40 ns / 0 ns baseline when L4Size is set).
-	L4HitNS, L4MissPenaltyNS float64
 	// Budget is the measured instruction budget; a quarter as much again
 	// is run first as unrecorded warmup.
 	Budget int64
 	// Seed varies the input stream.
 	Seed uint64
-	// PredictorBits sizes the per-core gshare predictor (default 14).
-	PredictorBits uint
 	// Prefetchers, when non-nil, is invoked per core to attach hardware
 	// prefetchers.
 	Prefetchers func() []cpu.Prefetcher
 	// WarmupFraction scales the warmup budget. The zero value selects the
-	// default of 0.25; any negative value (use NoWarmup) disables warmup
-	// entirely, so the measured phase starts from cold caches and includes
-	// compulsory effects. Positive values are used as given (values above 1
-	// warm with more instructions than the measured budget, e.g. the
-	// calibration runs' 2.0).
+	// default of 0.25; any negative value disables warmup entirely, so the
+	// measured phase starts from cold caches and includes compulsory
+	// effects. Positive values are used as given (values above 1 warm with
+	// more instructions than the measured budget, e.g. the calibration
+	// runs' 2.0).
 	WarmupFraction float64
 	// AccessObserver, when non-nil, sees every measured-phase access along
 	// with the hierarchy level that served it (warmup is not observed, to
@@ -65,12 +64,13 @@ type MeasureConfig struct {
 	// BranchObserver, when non-nil, sees every measured-phase branch and
 	// whether it mispredicted.
 	BranchObserver func(thread uint8, mispredict bool)
-	// L1Policy, L2Policy, L3Policy, and L4Policy select the replacement
-	// policy per level (the zero value, cache.LRU, keeps the platform
-	// default). Stochastic policies (Random, BRRIP, DRRIP) need a non-zero
-	// per-cache seed; hierarchyConfig derives one deterministically from
-	// Seed and a per-level salt, so repeat runs stay byte-identical.
-	L1Policy, L2Policy, L3Policy, L4Policy cache.Policy
+	// L2Policy, L3Policy, and L4Policy select the replacement policy per
+	// level (the zero value, cache.LRU, keeps the platform default; the
+	// L1s always keep it). Stochastic policies (Random, BRRIP, DRRIP) need
+	// a non-zero per-cache seed; hierarchyConfig derives one
+	// deterministically from Seed and a per-level salt, so repeat runs stay
+	// byte-identical.
+	L2Policy, L3Policy, L4Policy cache.Policy
 	// DeadBlock enables dead-block-aware insertion on every level running
 	// an RRIP-family policy (it is a no-op for LRU/FIFO/Random levels).
 	DeadBlock bool
@@ -122,31 +122,26 @@ type Metrics struct {
 	Mem *mem.Stats
 }
 
-// normalize applies MeasureConfig defaults in place (predictor sizing and
-// the warmup sentinel resolution).
+// normalize resolves WarmupFraction in place.
 func (mc *MeasureConfig) normalize() {
-	if mc.PredictorBits == 0 {
-		mc.PredictorBits = 14
-	}
 	switch {
 	case mc.WarmupFraction == 0:
 		mc.WarmupFraction = 0.25 // unset: the default warmup
 	case mc.WarmupFraction < 0:
-		mc.WarmupFraction = 0 // NoWarmup: an explicit cold-start measurement
+		mc.WarmupFraction = 0 // an explicit cold-start measurement
 	}
 }
 
 // hierarchyConfig resolves the hierarchy mc describes — platform shape,
 // L3/L4 overrides, per-level policies with their seed salts, the optional
-// level predictor — and the L4 timing parameters.
-func hierarchyConfig(mc MeasureConfig) (hcfg cache.HierarchyConfig, l4Hit, l4Pen float64) {
+// level predictor.
+func hierarchyConfig(mc MeasureConfig) (hcfg cache.HierarchyConfig) {
 	if mc.L3Size > 0 {
 		hcfg = mc.Platform.HierarchyWithL3Size(mc.Cores, mc.SMTWays, mc.L3Size)
 	} else {
 		hcfg = mc.Platform.Hierarchy(mc.Cores, mc.SMTWays, mc.L3Ways)
 	}
 	hcfg.SplitL2 = mc.SplitL2
-	l4Hit, l4Pen = mc.L4HitNS, mc.L4MissPenaltyNS
 	if mc.L4Size > 0 {
 		assoc := mc.L4Assoc
 		if assoc == 0 {
@@ -160,9 +155,6 @@ func hierarchyConfig(mc MeasureConfig) (hcfg cache.HierarchyConfig, l4Hit, l4Pen
 			Size:      mc.L4Size,
 			BlockSize: hcfg.L3.BlockSize,
 			Assoc:     assoc,
-		}
-		if l4Hit == 0 {
-			l4Hit = 40
 		}
 	}
 	// Replacement-policy overrides. Stochastic policies draw from a
@@ -180,8 +172,6 @@ func hierarchyConfig(mc MeasureConfig) (hcfg cache.HierarchyConfig, l4Hit, l4Pen
 			c.DeadBlock = true
 		}
 	}
-	applyPolicy(&hcfg.L1I, mc.L1Policy, 0x9e3779b97f4a7c15)
-	applyPolicy(&hcfg.L1D, mc.L1Policy, 0xbf58476d1ce4e5b9)
 	applyPolicy(&hcfg.L2, mc.L2Policy, 0x94d049bb133111eb)
 	applyPolicy(&hcfg.L3, mc.L3Policy, 0xd6e8feb86659fd93)
 	if hcfg.L4 != nil {
@@ -194,7 +184,7 @@ func hierarchyConfig(mc MeasureConfig) (hcfg cache.HierarchyConfig, l4Hit, l4Pen
 		}
 		hcfg.Predictor = &pc
 	}
-	return hcfg, l4Hit, l4Pen
+	return hcfg
 }
 
 // upperOf is the part of a resolved hierarchy an upper runs: everything but
@@ -259,8 +249,9 @@ func reduce(r Runner, mc MeasureConfig, up cache.UpperStats, mt *measured, mispr
 		m.Mem = &snap
 		tMEM = snap.EffectiveReadNS(tMEM)
 	}
-	m.AMATNS = model.AMATWithL4(m.L3HitRate, m.L4HitRate, plat.L3LatencyNS, mt.l4Hit, tMEM, mt.l4Pen)
-	if !hasL4 {
+	if hasL4 {
+		m.AMATNS = model.AMATWithL4(m.L3HitRate, m.L4HitRate, plat.L3LatencyNS, l4HitNS, tMEM, l4MissPenaltyNS)
+	} else {
 		m.AMATNS = model.AMATL3(m.L3HitRate, plat.L3LatencyNS, tMEM)
 	}
 

@@ -24,20 +24,17 @@ func PreRecord(r *Replayer, mc MeasureConfig) {
 }
 
 // measured is one configuration's below-L3 machine during a measurement:
-// its tail (L4, memory counters, level predictor), its memory model, its L4
-// timing, and — with an AccessObserver — the scratch its resolved levels
-// land in.
+// its tail (L4, memory counters, level predictor), its memory model, and —
+// with an AccessObserver — the scratch its resolved levels land in.
 type measured struct {
-	tail         *cache.Tail
-	sys          *mem.System
-	l4Hit, l4Pen float64
-	levels       []cache.HitLevel
+	tail   *cache.Tail
+	sys    *mem.System
+	levels []cache.HitLevel
 }
 
 // newMeasured builds configuration mc's tail and memory model.
 func newMeasured(mc *MeasureConfig) measured {
-	hcfg, l4Hit, l4Pen := hierarchyConfig(*mc)
-	m := measured{tail: cache.NewTail(hcfg), l4Hit: l4Hit, l4Pen: l4Pen}
+	m := measured{tail: cache.NewTail(hierarchyConfig(*mc))}
 	if mc.Mem != nil {
 		m.sys = mem.NewSystem(*mc.Mem)
 		m.tail.SetMemSink(m.sys)
@@ -105,8 +102,7 @@ func prepare(mcs []MeasureConfig) []MeasureConfig {
 func groupUppers(cfgs []MeasureConfig) (members [][]int, keys []cache.HierarchyConfig, l1Misses []bool) {
 	index := make(map[cache.HierarchyConfig]int)
 	for i := range cfgs {
-		hcfg, _, _ := hierarchyConfig(cfgs[i])
-		up := upperOf(hcfg)
+		up := upperOf(hierarchyConfig(cfgs[i]))
 		g, ok := index[up]
 		if !ok || cfgs[i].Prefetchers != nil {
 			g = len(members)
@@ -143,7 +139,7 @@ func groupUppers(cfgs []MeasureConfig) (members [][]int, keys []cache.HierarchyC
 // for the same (threads, budget, seed) — in practice, wrap it in a Replayer.
 //
 // Branch predictors are deterministic functions of the branch stream, so
-// configs sharing a (PredictorBits, Cores, SMTWays) shape share one
+// configs sharing a (Cores, SMTWays) shape share one
 // predictor pass (see branchTally): each distinct shape observes the stream
 // once, however many configurations use it — and on a Replayer, once for
 // every call that replays the same recordings.
@@ -162,8 +158,7 @@ func MeasureMulti(r Runner, mcs []MeasureConfig) []Metrics {
 		g := &groups[gi]
 		g.members = members[gi]
 		if mc := &cfgs[g.members[0]]; mc.Prefetchers != nil {
-			hcfg, _, _ := hierarchyConfig(*mc)
-			g.up = cache.NewUpper(hcfg, l1Misses[gi])
+			g.up = cache.NewUpper(hierarchyConfig(*mc), l1Misses[gi])
 			g.up.Tail = ms[g.members[0]].tail
 			g.engine = cpu.NewEngine(g.up, mc.Cores, mc.Prefetchers)
 			continue

@@ -14,7 +14,7 @@ import (
 // hierarchy: MeasureMulti's single-pass sweep must reproduce single-config
 // runs exactly — every float, every counter, and for observed configs the
 // whole (access, level) stream — across capacity, partitioning, L4,
-// split-L2, predictor-shape (bits, cores x SMT), AccessObserver and
+// split-L2, predictor-shape (cores x SMT), AccessObserver and
 // Prefetchers variation. Both run against one Replayer so they replay the
 // identical recording.
 func TestMeasureMultiMatchesMeasure(t *testing.T) {
@@ -40,9 +40,6 @@ func TestMeasureMultiMatchesMeasure(t *testing.T) {
 	split := base
 	split.SplitL2 = true
 	mcs = append(mcs, split)
-	pred := base
-	pred.PredictorBits = 12
-	mcs = append(mcs, pred)
 	smt := base // same threads on one SMT-2 core: another predictor shape
 	smt.Cores, smt.SMTWays = 1, 2
 	mcs = append(mcs, smt)
@@ -89,8 +86,8 @@ func TestMeasureMultiMatchesMeasure(t *testing.T) {
 			t.Errorf("observer %d: (access, level) stream in a shared run %+v != alone %+v", i, shared[i], want)
 		}
 	}
-	if n := r.branchPasses.Load(); n != 3 {
-		t.Errorf("%d predictor passes for 3 distinct shapes, want 3", n)
+	if n := r.branchPasses.Load(); n != 2 {
+		t.Errorf("%d predictor passes for 2 distinct shapes, want 2", n)
 	}
 }
 

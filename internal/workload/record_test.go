@@ -369,7 +369,7 @@ func (c *countingRunner) Run(threads int, budget int64, seed uint64, s Sinks) St
 }
 
 // TestMeasureWarmupSentinels pins the WarmupFraction semantics: 0 selects
-// the default 0.25, NoWarmup (negative) suppresses the warmup run entirely,
+// the default 0.25, a negative value suppresses the warmup run entirely,
 // and positive fractions (including the calibration runs' 2.0) scale it.
 func TestMeasureWarmupSentinels(t *testing.T) {
 	measure := func(wf float64) []int64 {
@@ -392,7 +392,7 @@ func TestMeasureWarmupSentinels(t *testing.T) {
 	if got := measure(2.0); len(got) != 2 || got[0] != 2000 {
 		t.Fatalf("2.0 warmup runs = %v, want [2000 1000]", got)
 	}
-	if got := measure(NoWarmup); len(got) != 1 || got[0] != 1000 {
-		t.Fatalf("NoWarmup runs = %v, want [1000] (no warmup phase)", got)
+	if got := measure(-1); len(got) != 1 || got[0] != 1000 {
+		t.Fatalf("negative warmup runs = %v, want [1000] (no warmup phase)", got)
 	}
 }

@@ -26,8 +26,8 @@ func tailMatrix(digests *[2]streamDigest) []MeasureConfig {
 		Budget: 200_000,
 		Seed:   5,
 	}
-	near := &mem.Config{PageBytes: 4096}
-	far := &mem.Config{PageBytes: 4096, Far: &mem.FarConfig{NearPages: 64, Policy: mem.PolicyFreqThreshold, EpochLen: 512}}
+	near := &mem.Config{}
+	far := &mem.Config{Far: &mem.FarConfig{NearPages: 64, Policy: mem.PolicyFreqThreshold, EpochLen: 512}}
 	var mcs []MeasureConfig
 	add := func(f func(mc *MeasureConfig)) {
 		mc := base
