@@ -85,13 +85,10 @@ func main() {
 		L3:             cache.Config{Name: "L3", Size: div(*l3 << 20), BlockSize: *block, Assoc: 20, AllocWays: *ways},
 		L3Inclusive:    *incl,
 	}
-	// Keep each level's associativity after scaling: round its size down
-	// to whole sets, floored at one set, as platform.ScaleCaches does.
+	// Keep each level's associativity after scaling, as
+	// platform.ScaleCaches does.
 	for _, c := range []*cache.Config{&cfg.L1I, &cfg.L1D, &cfg.L2, &cfg.L3} {
-		blocks := c.Size / int64(c.BlockSize)
-		if rem := blocks % int64(c.Assoc); rem != 0 {
-			c.Size = max(blocks-rem, int64(c.Assoc)) * int64(c.BlockSize)
-		}
+		*c = c.RoundToSets()
 	}
 	if *policy != "" {
 		p, err := cache.ParsePolicy(*policy)

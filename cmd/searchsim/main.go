@@ -112,6 +112,14 @@ func run() (code int) {
 	opts.Parallel = *parallel
 	opts.TraceSpillDir = *traceSpill
 	opts.FleetClients = *fleetClients
+	if *budget < 0 {
+		fmt.Fprintln(os.Stderr, "-budget must be non-negative (0 keeps the preset)")
+		return 2
+	}
+	if *shrink < 0 {
+		fmt.Fprintln(os.Stderr, "-shrink must be non-negative (0 keeps the preset)")
+		return 2
+	}
 	if *threads < 0 || *threads > 16 {
 		fmt.Fprintln(os.Stderr, "-threads must be in 0..16 (0 keeps the preset)")
 		return 2
@@ -215,9 +223,9 @@ func processCPU() time.Duration {
 // printStoreSummary reports trace-store footprints, the retained post-L3
 // streams and process-memory high-water marks on stderr. The stream lines
 // say how many L1–L3 passes the run made over each upper that sweeps share;
-// the process-memory gauges are environmental
-// (they vary run to run), so they go through a private registry that is
-// never exported — the -metrics file stays byte-identical for a fixed seed.
+// the process-memory lines are environmental (they vary run to run), so
+// they never enter the -metrics registry, which stays byte-identical for a
+// fixed seed.
 func printStoreSummary(ctx *experiments.Context) {
 	stores := ctx.TraceStores()
 	fmt.Fprintln(os.Stderr, "# trace stores:")
@@ -237,11 +245,12 @@ func printStoreSummary(ctx *experiments.Context) {
 		fmt.Fprintf(os.Stderr, "#   %-16s %s: %d events in %d bytes, %d tails served, %d memo hits\n",
 			s.Runner, s.Upper, s.Events, s.Bytes, s.Tails, s.Hits)
 	}
-	mem := obs.NewRegistry()
-	experiments.MemGauges(mem)
-	for _, g := range mem.Snapshot().Gauges {
-		fmt.Fprintf(os.Stderr, "#   %s = %.0f\n", g.Name, g.Value)
-	}
+	// Process memory: the runtime's high-water of OS memory (the RSS proxy
+	// bounded-memory replay is judged by) and the live heap now.
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	fmt.Fprintf(os.Stderr, "#   process_heap_inuse_bytes = %d\n", ms.HeapInuse)
+	fmt.Fprintf(os.Stderr, "#   process_peak_sys_bytes = %d\n", ms.Sys)
 }
 
 // printServingStages summarizes the per-stage serving-latency histograms the

@@ -186,6 +186,8 @@ func TestBadInvocationsFail(t *testing.T) {
 		{[]string{"-fast", "no-such-experiment"}, `unknown experiment "no-such-experiment"`},
 		{[]string{"-fast", "-trace-spill", filepath.Join(t.TempDir(), "missing"), "fig6a"}, "-trace-spill: "},
 		{[]string{"-fast", "-fleet-clients", "-1", "table2"}, "-fleet-clients must be non-negative"},
+		{[]string{"-fast", "-budget", "-5", "table2"}, "-budget must be non-negative"},
+		{[]string{"-fast", "-shrink", "-3", "table2"}, "-shrink must be non-negative"},
 		{[]string{"-fast", "-threads", "-1", "table2"}, "-threads must be in 0..16"},
 		{[]string{"-fast", "-threads", "17", "table2"}, "-threads must be in 0..16"},
 		{[]string{"-fast", "-threads", "32", "fig6b"}, "-threads must be in 0..16"},

@@ -163,6 +163,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// RoundToSets returns c with its size rounded down to whole sets of its
+// ways, at least one set. A fully-associative cache keeps its size.
+func (c Config) RoundToSets() Config {
+	if c.Assoc > 0 {
+		set := int64(c.BlockSize) * int64(c.Assoc)
+		c.Size = max(c.Size/set, 1) * set
+	}
+	return c
+}
+
 // Line describes a block held in (or evicted from) a cache.
 type Line struct {
 	// BlockAddr is the address of the block in block units (addr >> log2(blockSize)).

@@ -193,11 +193,7 @@ func NewUpper(cfg HierarchyConfig, keyMisses bool) *Hierarchy {
 		if cfg.SplitL2 {
 			half := cfg.L2
 			half.Size /= 2
-			blocks := half.Size / int64(half.BlockSize)
-			if half.Assoc > 0 {
-				blocks -= blocks % int64(half.Assoc)
-				half.Size = blocks * int64(half.BlockSize)
-			}
+			half = half.RoundToSets()
 			h.l2 = append(h.l2, mk(half, "L2-D"))
 			h.l2i = append(h.l2i, mk(half, "L2-I"))
 		} else {

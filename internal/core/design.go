@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"searchmem/internal/model"
+	"searchmem/internal/stats"
 )
 
 // Design is one SoC + package configuration.
@@ -77,7 +78,7 @@ type Params struct {
 	// TL3NS and TMEMNS are the L3 and memory round-trip latencies.
 	TL3NS, TMEMNS float64
 	// IPCLine maps AMAT (ns) to IPC (Equation 1 or a refit line).
-	IPCLine interface{ Eval(float64) float64 }
+	IPCLine stats.Line
 	// SMTSpeedup returns the throughput multiplier for n SMT ways.
 	SMTSpeedup func(n int) float64
 	// CoreAreaMiB is one core's area in L3-equivalent MiB (~4 on PLT1).

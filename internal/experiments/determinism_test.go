@@ -34,7 +34,7 @@ func TestSameSeedByteIdenticalOutput(t *testing.T) {
 		// The rest pushes this package past the race-mode time budget (the
 		// seed id list alone was ~8 min under -race). Byte-identity does not
 		// depend on instrumentation; the sweep engines' race coverage lives
-		// in the tier tests and TestSharingContextsConcurrent, the legs' in
+		// in the tier tests and TestConcurrentExperimentsShareOneContext, the legs' in
 		// TestLegsSerialEqualsParallel.
 		ids = append(ids, "figT1", "figT2", "figP1", "figP2", "figF1", "figF2", "explore", "fig2c", "bandwidth", "slo")
 	}

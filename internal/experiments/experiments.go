@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 
@@ -116,7 +115,14 @@ func ByID(id string) (Experiment, bool) {
 type Context struct {
 	Opts Options
 
-	rc *runnerCache
+	// runners memoizes built workloads, each wrapped in a recording Replayer
+	// so sweep points can re-run the same (threads, budget, seed) key without
+	// re-executing the stateful workload; indexes memoizes the search index
+	// images those workloads (and the per-point runners of fig4/fig5) are
+	// built from.
+	mu      sync.Mutex
+	runners map[string]*workload.Replayer
+	indexes memo[indexKey, builtIndex]
 
 	// curves memoizes derived profiles (hit curves, perf model, sweeps);
 	// streams memoizes the post-L3 port streams sweeps share (parallel.go).
@@ -188,18 +194,6 @@ func (m *memo[K, V]) values() []V {
 	return out
 }
 
-// runnerCache memoizes built workloads, each wrapped in a recording Replayer
-// so sweep points can re-run the same (threads, budget, seed) key without
-// re-executing the stateful workload, and the search index images those
-// workloads (and the per-point runners of fig4/fig5) are built from. The
-// cache can be shared across Contexts via Sharing.
-type runnerCache struct {
-	mu sync.Mutex
-	m  map[string]*workload.Replayer
-
-	indexes memo[indexKey, builtIndex]
-}
-
 // indexKey is everything a search index image depends on.
 type indexKey struct {
 	corpus       search.CorpusConfig
@@ -238,33 +232,17 @@ func NewContext(opts Options) *Context {
 	if opts.Threads <= 0 {
 		opts.Threads = 16
 	}
-	return &Context{
-		Opts: opts,
-		rc:   &runnerCache{m: make(map[string]*workload.Replayer)},
-	}
-}
-
-// Sharing returns a fresh Context that shares this context's built workloads
-// and their memoized recordings but keeps independent derived-curve caches.
-// The two contexts may run experiments concurrently (the shared cache is
-// race-clean), with one caveat: opts should agree with the parent's
-// Shrink/Budget/Threads/Seed, and byte-identical output is only guaranteed
-// per-context when the contexts do not interleave *new* recordings — already
-// recorded keys replay identically from any number of contexts.
-func (c *Context) Sharing(opts Options) *Context {
-	nc := NewContext(opts)
-	nc.rc = c.rc
-	return nc
+	return &Context{Opts: opts, runners: make(map[string]*workload.Replayer)}
 }
 
 // buildRunner builds a private runner for wl on the context's memoized
 // index image for wl's corpus, building the image on first use. The image
 // is immutable and outlives the runner; a Context is the only thing that
 // retains one, which is what lets every runner over one corpus — Leaf(),
-// fig4's points, Sharing contexts — pay for a single index build.
+// Sweep(), fig4's and fig5's points — pay for a single index build.
 func (c *Context) buildRunner(wl workload.SearchWorkload) *workload.SearchRunner {
 	key := indexKey{corpus: wl.Engine.Corpus, featureBytes: wl.Engine.FeatureBytes}
-	b, _ := c.rc.indexes.get(key, func() builtIndex {
+	b, _ := c.indexes.get(key, func() builtIndex {
 		c.Opts.logf("building index for %s (shrink %d)...", wl.WLName, c.Opts.Shrink)
 		idx, err := search.BuildIndex(wl.Engine)
 		return builtIndex{idx, err}
@@ -284,25 +262,25 @@ func (c *Context) buildRunner(wl workload.SearchWorkload) *workload.SearchRunner
 // session the decode costs less than the page faults of the flat store, at
 // under a quarter of the bytes.
 func (c *Context) runner(key string, wl workload.SearchWorkload) *workload.Replayer {
-	c.rc.mu.Lock()
-	defer c.rc.mu.Unlock()
-	if r, ok := c.rc.m[key]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if r, ok := c.runners[key]; ok {
 		return r
 	}
 	c.Opts.logf("building workload %s (shrink %d)...", key, c.Opts.Shrink)
 	r := workload.NewReplayer(c.buildRunner(wl))
 	r.SetStore(workload.StoreConfig{Compress: true, SpillDir: c.Opts.TraceSpillDir})
-	c.rc.m[key] = r
+	c.runners[key] = r
 	return r
 }
 
 // TraceStores returns the recording-storage footprint of every built
 // runner, keyed by runner-cache key.
 func (c *Context) TraceStores() map[string]workload.StoreStats {
-	c.rc.mu.Lock()
-	defer c.rc.mu.Unlock()
-	out := make(map[string]workload.StoreStats, len(c.rc.m))
-	for key, r := range c.rc.m {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string]workload.StoreStats, len(c.runners))
+	for key, r := range c.runners {
 		out[key] = r.StoreStats()
 	}
 	return out
@@ -313,9 +291,7 @@ func (c *Context) TraceStores() map[string]workload.StoreStats {
 // trace_store_branch_bytes (the branch logs as encoded, resident under every
 // store and not part of trace_store_bytes), labeled runner=<cache key>. The
 // values are pure functions of the recorded streams, so a registry holding
-// only these stays byte-deterministic for a fixed seed. Process-memory
-// high-water gauges (nondeterministic) are deliberately separate — see
-// MemGauges.
+// only these stays byte-deterministic for a fixed seed.
 func (c *Context) ReportTraceStores(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -331,23 +307,6 @@ func (c *Context) ReportTraceStores(reg *obs.Registry) {
 	}
 }
 
-// MemGauges publishes the Go runtime's memory counters into reg:
-// process_peak_sys_bytes (high-water of OS memory the runtime obtained —
-// the RSS proxy that bounded-memory replay is judged by) and
-// process_heap_inuse_bytes (live heap at the time of the call). These are
-// environmental, not deterministic; keep them out of registries whose
-// exports must be byte-identical across runs (cmd/searchsim routes them to
-// a separate stderr-only registry).
-func MemGauges(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	reg.Gauge("process_peak_sys_bytes").Set(float64(m.Sys))
-	reg.Gauge("process_heap_inuse_bytes").Set(float64(m.HeapInuse))
-}
-
 // Leaf returns the cached S1-leaf micro runner (replay-wrapped: repeated
 // measurements with the same key replay one recording).
 func (c *Context) Leaf() *workload.Replayer {
@@ -359,12 +318,58 @@ func (c *Context) Sweep() *workload.Replayer {
 	return c.runner("s1-leaf-sweep", workload.S1LeafSweep(c.Opts.Shrink))
 }
 
-// PLT1 returns the PLT1 platform (full scale: experiments on micro profiles
-// simulate the real cache sizes).
-func (c *Context) PLT1() platform.Platform { return platform.PLT1() }
+// Every trace-driven measurement starts from one of three shapes, and a
+// figure states only the fields it changes.
 
-// PLT2 returns the PLT2 platform.
-func (c *Context) PLT2() platform.Platform { return platform.PLT2() }
+// oneCore is the single-thread shape: one core, one SMT way, one thread.
+func oneCore(c *Context, plat platform.Platform, seed uint64, warmup float64) workload.MeasureConfig {
+	return workload.MeasureConfig{
+		Platform: plat,
+		Cores:    1, SMTWays: 1, Threads: 1,
+		Budget:         c.Opts.Budget,
+		Seed:           seed,
+		WarmupFraction: warmup,
+	}
+}
+
+// leafShape is the loaded leaf: up to 16 threads two to a core on PLT1,
+// the shape of the CAT sweep and of the perf model's baseline.
+func leafShape(c *Context) workload.MeasureConfig {
+	o := c.Opts
+	threads := min(o.Threads, 16)
+	return workload.MeasureConfig{
+		Platform: platform.PLT1(),
+		Cores:    (threads + 1) / 2, SMTWays: 2, Threads: threads,
+		Budget:         o.Budget * 2,
+		Seed:           o.Seed,
+		WarmupFraction: 1.5,
+	}
+}
+
+// tierBase is the sweep shape: the rebalanced 23 MiB L3 with the paper's
+// 512 MiB direct-mapped L4, at sweep scale. The L4 sweep varies the L4; the
+// tier, policy and predictor sweeps hang their knob below it.
+func tierBase(c *Context) workload.MeasureConfig {
+	o := c.Opts
+	return workload.MeasureConfig{
+		Platform: platform.PLT1().ScaleCaches(workload.SweepScale),
+		Cores:    min(o.Threads, 8), SMTWays: 2,
+		Threads:        min(o.Threads, 16),
+		L3Size:         workload.SimUnits(23 << 20),
+		L4Size:         workload.SimUnits(512 << 20),
+		Budget:         o.Budget * 2,
+		Seed:           o.Seed,
+		WarmupFraction: 1.0,
+	}
+}
+
+// leafMetrics is the S1 leaf on PLT1 in the one-core shape: Table I's
+// S1-leaf rows, Figure 3 and Figure 6a read this one measurement.
+func leafMetrics(c *Context) workload.Metrics {
+	return c.curve(curveKey{kind: "s1leaf"}, func() any {
+		return workload.Measure(c.Leaf(), oneCore(c, platform.PLT1(), c.Opts.Seed, 2.0))
+	}).(workload.Metrics)
+}
 
 // --- renderable result types ---
 

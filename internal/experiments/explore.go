@@ -5,6 +5,8 @@ import (
 
 	"searchmem/internal/core"
 	"searchmem/internal/model"
+	"searchmem/internal/platform"
+	"searchmem/internal/stats"
 )
 
 func init() {
@@ -64,14 +66,28 @@ func runExplore(c *Context) (Result, error) {
 		func() { curve.pm = newPerfModel(c) },
 		func() { curve.l4 = sweepL4(c, 0) })
 	pm := curve.pm
-	plat := c.PLT1()
+	plat := platform.PLT1()
+	// The evaluator takes IPC as a line in AMAT: fit one to the perf model
+	// at representative data hit rates, holding instruction effects out (the
+	// InstrPenalty below carries them).
+	var xs, ys []float64
+	for _, h := range []float64{0.3, 0.45, 0.6, 0.75, 0.9} {
+		rates := pm.baseRates()
+		rates.L3AMATNS = model.AMATL3(h, pm.tL3, pm.tMEM)
+		xs = append(xs, rates.L3AMATNS)
+		ys = append(ys, pm.core.IPC(rates))
+	}
+	ipcLine, err := stats.FitLine(xs, ys)
+	if err != nil {
+		return nil, err
+	}
 
 	ev := core.Evaluator{
 		Curve: curve,
 		Params: core.Params{
 			TL3NS:       plat.L3LatencyNS,
 			TMEMNS:      plat.MemLatencyNS,
-			IPCLine:     ipcLineFromPerfModel(pm),
+			IPCLine:     ipcLine,
 			SMTSpeedup:  plat.SMT.Speedup,
 			CoreAreaMiB: plat.CoreAreaL3MiB,
 			Power: model.PowerModel{
@@ -111,40 +127,3 @@ func runExplore(c *Context) (Result, error) {
 	addRow("iso-power, no L4", isoPower)
 	return t, nil
 }
-
-// ipcLineFromPerfModel adapts the mechanistic per-capacity IPC to the
-// Eval(amat) interface the evaluator expects: it refits a line over the
-// operating AMAT range so exploration stays fast.
-func ipcLineFromPerfModel(pm *perfModel) interface{ Eval(float64) float64 } {
-	// Sample AMAT->IPC pairs at representative data hit rates.
-	type line struct{ slope, intercept float64 }
-	var xs, ys []float64
-	for _, h := range []float64{0.3, 0.45, 0.6, 0.75, 0.9} {
-		amat := model.AMATL3(h, pm.tL3, pm.tMEM)
-		// Hold instruction effects constant here; the evaluator's
-		// InstrPenalty carries them separately.
-		rates := pm.baseRates()
-		rates.L3AMATNS = amat
-		rates.L3IMisses = 0
-		xs = append(xs, amat)
-		ys = append(ys, pm.core.IPC(rates))
-	}
-	// Least squares.
-	n := float64(len(xs))
-	var sx, sy, sxx, sxy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-	}
-	slope := (n*sxy - sx*sy) / (n*sxx - sx*sx)
-	l := line{slope: slope, intercept: (sy - slope*sx) / n}
-	return evalFunc(func(amat float64) float64 { return l.intercept + l.slope*amat })
-}
-
-// evalFunc adapts a func to the Eval interface.
-type evalFunc func(float64) float64
-
-// Eval implements the evaluator's IPC line interface.
-func (f evalFunc) Eval(x float64) float64 { return f(x) }

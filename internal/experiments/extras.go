@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"searchmem/internal/cache"
+	"searchmem/internal/platform"
 	"searchmem/internal/serving"
 	"searchmem/internal/trace"
 	"searchmem/internal/workload"
@@ -41,7 +42,7 @@ func init() {
 // share everywhere.
 func runMissClass(c *Context) (Result, error) {
 	o := c.Opts
-	plat := c.PLT1()
+	plat := platform.PLT1()
 	// Classify the 16-thread sweep trace against a paper-equivalent L3
 	// (32 MiB-paper at sweep scale): the GiB-scale heap working set is
 	// what produces the paper's capacity misses. Cold/capacity/conflict
@@ -76,16 +77,9 @@ func runMissClass(c *Context) (Result, error) {
 // runBandwidth reproduces the §II-D bandwidth contrast: production search
 // consumes 40-50% of peak DRAM bandwidth, CloudSuite ~1%.
 func runBandwidth(c *Context) (Result, error) {
-	o := c.Opts
-	plat := c.PLT1()
+	plat := platform.PLT1()
 	measure := func(r workload.Runner) (util float64, gbs float64) {
-		m := workload.Measure(r, workload.MeasureConfig{
-			Platform: plat,
-			Cores:    1, SMTWays: 1, Threads: 1,
-			Budget:         o.Budget,
-			Seed:           o.Seed + 43,
-			WarmupFraction: 1.5,
-		})
+		m := workload.Measure(r, oneCore(c, plat, c.Opts.Seed+43, 1.5))
 		// Socket-level bandwidth: per-core transaction rate scaled to all
 		// cores running at the modeled IPC.
 		instrPerSec := m.IPC * plat.Core.FreqGHz * 1e9 * float64(plat.CoresPerSocket) * plat.SMT.Speedup(2)

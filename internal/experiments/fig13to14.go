@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"searchmem/internal/model"
+	"searchmem/internal/platform"
 	"searchmem/internal/trace"
 	"searchmem/internal/workload"
 )
@@ -38,8 +39,8 @@ type l4Point struct {
 	instr   int64
 }
 
-// sweepL4 simulates the direct-mapped victim L4 at each capacity behind a
-// 23 MiB-paper L3 (the rebalanced design of §IV-B). The capacities differ
+// sweepL4 simulates the victim L4 at each capacity in the tierBase shape,
+// behind a 23 MiB-paper L3 (the rebalanced design of §IV-B). The capacities differ
 // only in L4 geometry, so contiguous shards of the sweep run through the
 // single-pass MeasureMulti kernel (one trace decode per shard, all its
 // hierarchies advanced per batch) and shards fan out across workers. The
@@ -48,16 +49,8 @@ type l4Point struct {
 func sweepL4(c *Context, assoc int) []l4Point {
 	return c.curve(curveKey{kind: "l4sweep", arg: int64(assoc)}, func() any {
 		o := c.Opts
-		base := workload.MeasureConfig{
-			Platform: c.PLT1().ScaleCaches(workload.SweepScale),
-			Cores:    min(o.Threads, 8), SMTWays: 2,
-			Threads:        min(o.Threads, 16),
-			L3Size:         workload.SimUnits(23 << 20),
-			L4Assoc:        assoc,
-			Budget:         o.Budget * 2,
-			Seed:           o.Seed,
-			WarmupFraction: 1.0,
-		}
+		base := tierBase(c)
+		base.L4Assoc = assoc
 		mcs := make([]workload.MeasureConfig, len(fig13Capacities))
 		for i, mb := range fig13Capacities {
 			mcs[i] = base
@@ -120,7 +113,7 @@ func runFig14(c *Context) (Result, error) {
 	// versus the 18-core 45 MiB baseline. The L4 hit rates come from the
 	// functional simulation (Figure 13); timing from the L4 designs.
 	pm := newPerfModel(c)
-	smt := c.PLT1().SMT.Speedup(2)
+	smt := platform.PLT1().SMT.Speedup(2)
 	base := baselineQPS(pm, smt)
 	const l3Rebalanced = 23 << 20
 
@@ -132,7 +125,7 @@ func runFig14(c *Context) (Result, error) {
 		XLabel: "L4 MiB", YLabel: "QPS improvement (fraction)",
 		Note: "paper: rebalance alone +14%; with 1 GiB 40 ns L4 +27%; pessimistic +23%; future +38%",
 	}
-	rebalanceOnly := model.Improvement(base, pm.qps(23, l3Rebalanced, smt))
+	rebalanceOnly := model.Improvement(base, pm.qpsWithL4(23, l3Rebalanced, smt, 0, 0, 0))
 	// Future configuration: +10% memory latency and +10% L3 misses,
 	// applied by scaling the model's latency constants and miss volumes.
 	fut := *pm
@@ -140,7 +133,7 @@ func runFig14(c *Context) (Result, error) {
 	futCore := fut.core
 	futCore.MemLatencyNS *= 1.10
 	fut.core = futCore
-	futBase := fut.qps(18, 45<<20, smt) // note: fut curve unchanged; latency carries the trend
+	futBase := fut.qpsWithL4(18, 45<<20, smt, 0, 0, 0) // note: fut curve unchanged; latency carries the trend
 
 	for _, mb := range fig14Sizes {
 		// Baseline L4: 40 ns hit, parallel lookup.

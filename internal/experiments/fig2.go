@@ -36,10 +36,8 @@ func runFig2a(c *Context) (Result, error) {
 	o := c.Opts
 	// Measure the L3 hit-rate curve once (it changes only slowly with
 	// capacity per core in this regime).
-	r := c.Leaf()
-	sd := newL3Curve()
-	r.Run(min(o.Threads, 8), o.Budget, o.Seed, workload.Sinks{Access: sd.Observe})
-	plat := c.PLT1()
+	sd := newL3Curve(c.Leaf(), min(o.Threads, 8), o.Budget, o.Seed)
+	plat := platform.PLT1()
 	tm := model.ThroughputModel{
 		TL3NS: plat.L3LatencyNS, TMEMNS: plat.MemLatencyNS,
 		IPCLine: model.Equation1, SMTSpeedup: 1,
@@ -73,7 +71,7 @@ func runFig2b(c *Context) (Result, error) {
 		XLabel: "SMT ways", YLabel: "speedup",
 		Note: "paper: PLT1 SMT-2 = 1.37x; PLT2 SMT-2 = 1.76x, SMT-8 = 3.24x",
 	}
-	p1, p2 := c.PLT1(), c.PLT2()
+	p1, p2 := platform.PLT1(), platform.PLT2()
 	fig.Add("PLT1 (Haswell)", 2, p1.SMT.Speedup(2))
 	for _, n := range []int{2, 4, 8} {
 		fig.Add("PLT2 (POWER8)", float64(n), p2.SMT.Speedup(n))
@@ -92,7 +90,7 @@ func runFig2c(c *Context) (Result, error) {
 		Headers: []string{"platform", "huge pages", "prefetching"},
 		Note:    "paper: ~+10% pages on both; +5% prefetch PLT1, slight degradation PLT2",
 	}
-	plats := []platform.Platform{c.PLT1(), c.PLT2()}
+	plats := []platform.Platform{platform.PLT1(), platform.PLT2()}
 	pagesGain := make([]float64, len(plats))
 	off := make([]workload.Metrics, len(plats))
 	on := make([]workload.Metrics, len(plats))
@@ -162,7 +160,6 @@ func hugePageGain(c *Context, plat platform.Platform) float64 {
 // prefetchConfigs returns the leaf measurement on plat's hierarchy without
 // and with the platform's hardware prefetchers. Both replay the same keys.
 func prefetchConfigs(c *Context, plat platform.Platform) (off, on workload.MeasureConfig) {
-	o := c.Opts
 	plt2 := plat.Name == "PLT2"
 	blockSize := uint64(64)
 	if plt2 {
@@ -172,13 +169,7 @@ func prefetchConfigs(c *Context, plat platform.Platform) (off, on workload.Measu
 		// the prefetch pollution the paper measures on POWER8.
 		plat = plat.ScaleCaches(8)
 	}
-	off = workload.MeasureConfig{
-		Platform: plat,
-		Cores:    1, SMTWays: 1, Threads: 1,
-		Budget:         o.Budget,
-		Seed:           o.Seed + 23,
-		WarmupFraction: 1.0,
-	}
+	off = oneCore(c, plat, c.Opts.Seed+23, 1.0)
 	on = off
 	if plt2 {
 		// POWER8's aggressive default engine: deep next-line ramping on

@@ -28,14 +28,7 @@ func init() {
 }
 
 func runFig3(c *Context) (Result, error) {
-	o := c.Opts
-	m := workload.Measure(c.Leaf(), workload.MeasureConfig{
-		Platform: c.PLT1(),
-		Cores:    1, SMTWays: 1, Threads: 1,
-		Budget:         o.Budget,
-		Seed:           o.Seed,
-		WarmupFraction: 2.0,
-	})
+	m := leafMetrics(c)
 	t := &Table{
 		Title:   "Figure 3: Top-Down execution-slot breakdown (S1 leaf, PLT1)",
 		Headers: []string{"category", "reproduced", "paper"},
@@ -129,12 +122,4 @@ func runFig5(c *Context) (Result, error) {
 			float64(workload.PaperUnits(int64(ws.Bytes(trace.Shard))))/(1<<30))
 	}
 	return fig, nil
-}
-
-// combinedCurveFromRun runs a workload into a single global-distance
-// profiler (for combined L3 curves at micro scale).
-func combinedCurveFromRun(r workload.Runner, threads int, budget int64, seed uint64) (*l3Curve, int64) {
-	sd := newL3Curve()
-	st := r.Run(threads, budget, seed, workload.Sinks{Access: sd.Observe})
-	return sd, st.Instructions
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"searchmem/internal/cache"
+	"searchmem/internal/platform"
 	"searchmem/internal/trace"
 	"searchmem/internal/workload"
 )
@@ -44,14 +45,7 @@ func init() {
 // runFig6a simulates the PLT1-like hierarchy and reports per-level MPKI
 // broken down by segment.
 func runFig6a(c *Context) (Result, error) {
-	o := c.Opts
-	m := workload.Measure(c.Leaf(), workload.MeasureConfig{
-		Platform: c.PLT1(),
-		Cores:    1, SMTWays: 1, Threads: 1,
-		Budget:         o.Budget,
-		Seed:           o.Seed,
-		WarmupFraction: 2.0,
-	})
+	m := leafMetrics(c)
 	t := &Table{
 		Title:   "Figure 6a: per-level MPKI by access type (S1 leaf, PLT1-like)",
 		Headers: []string{"level", "code", "heap", "shard", "stack"},
@@ -129,20 +123,7 @@ func runFig6b(c *Context) (Result, error) {
 		fig.Add("code", float64(mb), sds.hitRate(trace.Code, capSim))
 		fig.Add("heap", float64(mb), sds.hitRate(trace.Heap, capSim))
 		fig.Add("shard", float64(mb), sds.hitRate(trace.Shard, capSim))
-		// Combined: weighted by post-L2 miss volume.
-		var miss, base float64
-		for seg := trace.Segment(0); seg < trace.NumSegments; seg++ {
-			miss += sds.sds[seg].Misses(seg, capSim)
-			base += sds.sds[seg].Misses(seg, sds.l2eff)
-		}
-		comb := 0.0
-		if base > 0 {
-			comb = 1 - miss/base
-			if comb < 0 {
-				comb = 0
-			}
-		}
-		fig.Add("combined", float64(mb), comb)
+		fig.Add("combined", float64(mb), sds.combinedHitRate(capSim))
 	}
 	return fig, nil
 }
@@ -168,18 +149,10 @@ func runFig6c(c *Context) (Result, error) {
 // runFig7a compares the default hierarchy against fully-associative caches
 // of the same capacities.
 func runFig7a(c *Context) (Result, error) {
-	o := c.Opts
-	base := workload.MeasureConfig{
-		Platform: c.PLT1(),
-		Cores:    1, SMTWays: 1, Threads: 1,
-		Budget:         o.Budget,
-		Seed:           o.Seed,
-		WarmupFraction: 1.5,
-	}
-	faPlat := c.PLT1()
-	faPlat.L1I.Assoc, faPlat.L1D.Assoc, faPlat.L2.Assoc, faPlat.L3.Assoc = 0, 0, 0, 0
+	base := oneCore(c, platform.PLT1(), c.Opts.Seed, 1.5)
 	faCfg := base
-	faCfg.Platform = faPlat
+	fp := &faCfg.Platform
+	fp.L1I.Assoc, fp.L1D.Assoc, fp.L2.Assoc, fp.L3.Assoc = 0, 0, 0, 0
 	// Both variants replay the same recording (identical keys, different
 	// simulated hierarchies).
 	ms := measureMultiSharded(c, c.Leaf(), []workload.MeasureConfig{base, faCfg})
@@ -223,23 +196,12 @@ func runFig7b(c *Context) (Result, error) {
 	blockSizes := []int{32, 64, 128, 256, 512, 1024}
 	mcs := make([]workload.MeasureConfig, len(blockSizes))
 	for i, bs := range blockSizes {
-		plat := c.PLT1()
+		plat := platform.PLT1()
 		for _, cfg := range []*cache.Config{&plat.L1I, &plat.L1D, &plat.L2, &plat.L3} {
 			cfg.BlockSize = bs
-			// Keep blocks/ways divisibility.
-			blocks := cfg.Size / int64(bs)
-			if cfg.Assoc > 0 && blocks%int64(cfg.Assoc) != 0 {
-				blocks -= blocks % int64(cfg.Assoc)
-				cfg.Size = blocks * int64(bs)
-			}
+			*cfg = cfg.RoundToSets()
 		}
-		mcs[i] = workload.MeasureConfig{
-			Platform: plat,
-			Cores:    1, SMTWays: 1, Threads: 1,
-			Budget:         o.Budget,
-			Seed:           o.Seed,
-			WarmupFraction: 1.5,
-		}
+		mcs[i] = oneCore(c, plat, o.Seed, 1.5)
 	}
 	for i, m := range measureMultiSharded(c, c.Leaf(), mcs) {
 		bs := float64(blockSizes[i])

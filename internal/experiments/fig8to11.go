@@ -6,6 +6,7 @@ import (
 
 	"searchmem/internal/cpu"
 	"searchmem/internal/model"
+	"searchmem/internal/platform"
 	"searchmem/internal/stats"
 	"searchmem/internal/workload"
 )
@@ -49,19 +50,10 @@ func init() {
 func catSweep(c *Context) (xsHit, xsAMAT, ysIPC []float64) {
 	s := c.curve(curveKey{kind: "catsweep"}, func() any {
 		var hits, amats, ipcs []float64
-		o := c.Opts
-		threads := min(o.Threads, 16)
-		cores := (threads + 1) / 2
 		// The ten way-allocations differ only in L3 partitioning, so they ride
 		// the single-pass MeasureMulti kernel: the shared leaf recording is
 		// decoded once per batch per shard instead of once per point.
-		base := workload.MeasureConfig{
-			Platform: c.PLT1(),
-			Cores:    cores, SMTWays: 2, Threads: threads,
-			Budget:         o.Budget * 2,
-			Seed:           o.Seed,
-			WarmupFraction: 1.5,
-		}
+		base := leafShape(c)
 		mcs := make([]workload.MeasureConfig, 10)
 		for i := range mcs {
 			mcs[i] = base
@@ -119,9 +111,7 @@ func round3(v float64) float64 { return math.Round(v*1000) / 1000 }
 // result is cached in the context.
 func hitCurve(c *Context, threads int) *l3Curve {
 	return c.curve(curveKey{kind: "l3curve", arg: int64(threads)}, func() any {
-		o := c.Opts
-		sd, _ := combinedCurveFromRun(c.Leaf(), threads, o.Budget*8, o.Seed+77)
-		return sd
+		return newL3Curve(c.Leaf(), threads, c.Opts.Budget*8, c.Opts.Seed+77)
 	}).(*l3Curve)
 }
 
@@ -143,15 +133,8 @@ type perfModel struct {
 func newPerfModel(c *Context) *perfModel {
 	return c.curve(curveKey{kind: "perfmodel"}, func() any {
 		o := c.Opts
-		threads := min(o.Threads, 16)
-		plat := c.PLT1()
-		baseCfg := workload.MeasureConfig{
-			Platform: plat,
-			Cores:    (threads + 1) / 2, SMTWays: 2, Threads: threads,
-			Budget:         o.Budget * 2,
-			Seed:           o.Seed,
-			WarmupFraction: 1.5,
-		}
+		baseCfg := leafShape(c)
+		threads, plat := baseCfg.Threads, baseCfg.Platform
 		// The model needs three recordings with *different* keys (curve run,
 		// warmup, measured run). Pin their recording order to the serial
 		// engine's; after that the curve pass and the baseline measurement
@@ -169,18 +152,9 @@ func newPerfModel(c *Context) *perfModel {
 // ipcAt returns modeled IPC with the given L3 capacity and optional L4
 // (hL4 = 0 disables it).
 func (p *perfModel) ipcAt(l3 int64, hL4, tL4, l4Pen float64) float64 {
-	hData := p.curve.dataHitRate(l3)
-	hCode := p.curve.codeHitRate(l3)
-	amat := model.AMATWithL4(hData, hL4, p.tL3, tL4, p.tMEM, l4Pen)
-	rates := cpu.EventRates{
-		BranchMispredicts: p.base.BranchMPKI / 1000,
-		L1IMisses:         p.base.L1IMPKI / 1000,
-		L2IMisses:         p.base.L2InstrMPKI / 1000,
-		L1DMisses:         p.base.L1DMPKI / 1000,
-		L2DMisses:         p.base.L2DataMPKI / 1000,
-		L3IMisses:         p.base.L2InstrMPKI / 1000 * (1 - hCode),
-		L3AMATNS:          amat,
-	}
+	rates := p.baseRates()
+	rates.L3IMisses = p.base.L2InstrMPKI / 1000 * (1 - p.curve.codeHitRate(l3))
+	rates.L3AMATNS = model.AMATWithL4(p.curve.dataHitRate(l3), hL4, p.tL3, tL4, p.tMEM, l4Pen)
 	return p.core.IPC(rates)
 }
 
@@ -196,19 +170,15 @@ func (p *perfModel) baseRates() cpu.EventRates {
 	}
 }
 
-// qps returns relative throughput of n cores at an operating point.
-func (p *perfModel) qps(n float64, l3 int64, smt float64) float64 {
-	return n * p.ipcAt(l3, 0, 0, 0) * smt
-}
-
-// qpsWithL4 adds an L4 at the operating point.
+// qpsWithL4 returns relative throughput of n cores at an operating point,
+// with an L4 when hL4 > 0.
 func (p *perfModel) qpsWithL4(n float64, l3 int64, smt, hL4, tL4, l4Pen float64) float64 {
 	return n * p.ipcAt(l3, hL4, tL4, l4Pen) * smt
 }
 
 func runFig9(c *Context) (Result, error) {
 	pm := newPerfModel(c)
-	plat := c.PLT1()
+	plat := platform.PLT1()
 	area := model.AreaModel{CoreAreaMiB: plat.CoreAreaL3MiB}
 	fig := &Figure{
 		Title:  "Figure 9: QPS vs L3-equivalent area (core count x L3 ways)",
@@ -220,7 +190,7 @@ func runFig9(c *Context) (Result, error) {
 		name := fmt.Sprintf("%d cores", cores)
 		for ways := 2; ways <= 20; ways += 2 {
 			l3 := int64(ways) * 2304 << 10 // 2.25 MiB per way
-			q := pm.qps(float64(cores), l3, 1)
+			q := pm.qpsWithL4(float64(cores), l3, 1, 0, 0, 0)
 			if base == 0 {
 				base = q
 			}
@@ -240,7 +210,7 @@ type fig10Design struct {
 
 // tradeoffSweep computes the Figure 10 designs at fixed total area.
 func tradeoffSweep(c *Context, pm *perfModel, smt float64, quantize bool) []fig10Design {
-	plat := c.PLT1()
+	plat := platform.PLT1()
 	area := model.AreaModel{CoreAreaMiB: plat.CoreAreaL3MiB}
 	totalArea := area.Area(18, 2.5) // the PLT1 baseline floor plan
 	var out []fig10Design
@@ -254,7 +224,7 @@ func tradeoffSweep(c *Context, pm *perfModel, smt float64, quantize bool) []fig1
 			l3PerCore: cpc,
 			cores:     n,
 			l3Total:   l3,
-			qps:       pm.qps(n, l3, smt),
+			qps:       pm.qpsWithL4(n, l3, smt, 0, 0, 0),
 		})
 	}
 	return out
@@ -262,12 +232,12 @@ func tradeoffSweep(c *Context, pm *perfModel, smt float64, quantize bool) []fig1
 
 // baselineQPS is the 18-core, 45 MiB, SMT-on reference.
 func baselineQPS(pm *perfModel, smt float64) float64 {
-	return pm.qps(18, 45<<20, smt)
+	return pm.qpsWithL4(18, 45<<20, smt, 0, 0, 0)
 }
 
 func runFig10(c *Context) (Result, error) {
 	pm := newPerfModel(c)
-	smtOn := c.PLT1().SMT.Speedup(2)
+	smtOn := platform.PLT1().SMT.Speedup(2)
 	fig := &Figure{
 		Title:  "Figure 10: QPS change when trading L3 capacity for cores (iso-area)",
 		XLabel: "L3 MiB per core", YLabel: "QPS improvement (fraction)",
@@ -294,7 +264,7 @@ func runFig10(c *Context) (Result, error) {
 
 func runFig11(c *Context) (Result, error) {
 	pm := newPerfModel(c)
-	smt := c.PLT1().SMT.Speedup(2)
+	smt := platform.PLT1().SMT.Speedup(2)
 	base := baselineQPS(pm, smt)
 	fig := &Figure{
 		Title:  "Figure 11: decomposed effect of repurposing L3 transistors",
@@ -302,8 +272,8 @@ func runFig11(c *Context) (Result, error) {
 		Note: "cores: gain from added cores at baseline hit rate; L3: loss from reduced capacity at 18 cores",
 	}
 	for _, d := range tradeoffSweep(c, pm, smt, false) {
-		coresOnly := pm.qps(d.cores, 45<<20, smt)
-		l3Only := pm.qps(18, int64(d.l3PerCore*18*(1<<20)), smt)
+		coresOnly := pm.qpsWithL4(d.cores, 45<<20, smt, 0, 0, 0)
+		l3Only := pm.qpsWithL4(18, int64(d.l3PerCore*18*(1<<20)), smt, 0, 0, 0)
 		fig.Add("Cores", d.l3PerCore, model.Improvement(base, coresOnly))
 		fig.Add("L3 Cache", d.l3PerCore, model.Improvement(base, l3Only))
 	}

@@ -79,11 +79,8 @@ func fleetCluster(o Options, name string, leaves, leafCap int, scale float64, re
 	cfg.HedgeDelayNS = 5e6
 	cfg.Name = name
 	cfg.Registry = reg
-	execs := make([]serving.Executor, leaves)
-	for i := range execs {
-		e := serving.NewSyntheticExecutor(uint32(i), cfg.TopK)
-		e.BaseLatencyNS *= scale
-		e.PerTermNS *= scale
+	execs := scaledExecutors(leaves, scale)
+	for i, e := range execs {
 		execs[i] = &serving.FaultyExecutor{Inner: e, Seed: o.Seed + uint64(i)*7919}
 	}
 	return serving.NewCluster(cfg, execs)

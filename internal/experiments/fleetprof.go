@@ -7,6 +7,7 @@ import (
 	"searchmem/internal/cache"
 	"searchmem/internal/cpu"
 	"searchmem/internal/obs"
+	"searchmem/internal/platform"
 	"searchmem/internal/trace"
 	"searchmem/internal/workload"
 )
@@ -83,7 +84,7 @@ func breakdownSlots(b cpu.Breakdown) [6]float64 {
 // identical execution and differs only in what it attributed.
 func runFleetProfiles(c *Context) fleetProfResult {
 	o := c.Opts
-	plat := c.PLT1()
+	plat := platform.PLT1()
 	leaf := c.Leaf()
 
 	profs := make([]*obs.Profiler, len(fleetProfRates))
@@ -94,23 +95,18 @@ func runFleetProfiles(c *Context) fleetProfResult {
 		})
 	}
 	o.logf("fleetprof: measuring S1 leaf with %d samplers attached...", len(profs))
-	m := workload.Measure(leaf, workload.MeasureConfig{
-		Platform: plat,
-		Cores:    1, SMTWays: 1, Threads: 1,
-		Budget:         o.Budget,
-		Seed:           o.Seed,
-		WarmupFraction: 2.0,
-		AccessObserver: func(a trace.Access, lvl cache.HitLevel) {
-			for _, p := range profs {
-				p.ObserveAccess(a, lvl)
-			}
-		},
-		BranchObserver: func(t uint8, mis bool) {
-			for _, p := range profs {
-				p.ObserveBranch(t, mis)
-			}
-		},
-	})
+	mc := oneCore(c, plat, o.Seed, 2.0)
+	mc.AccessObserver = func(a trace.Access, lvl cache.HitLevel) {
+		for _, p := range profs {
+			p.ObserveAccess(a, lvl)
+		}
+	}
+	mc.BranchObserver = func(t uint8, mis bool) {
+		for _, p := range profs {
+			p.ObserveBranch(t, mis)
+		}
+	}
+	m := workload.Measure(leaf, mc)
 
 	core := plat.Core
 	if ov := leaf.MemOverlap(); ov > 0 {

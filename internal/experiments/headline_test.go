@@ -14,7 +14,7 @@ func TestHeadlineShapes(t *testing.T) {
 		t.Skip("full-scale headline reproduction")
 	}
 	if raceDetectorOn {
-		t.Skip("full-scale headline reproduction exceeds the race-mode time budget; the parallel engine's race coverage lives in TestSharingContextsConcurrent and the serving/workload race tests")
+		t.Skip("full-scale headline reproduction exceeds the race-mode time budget; the parallel engine's race coverage lives in TestConcurrentExperimentsShareOneContext and the serving/workload race tests")
 	}
 	opts := Full()
 	opts.Logf = t.Logf

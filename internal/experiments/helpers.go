@@ -3,23 +3,15 @@ package experiments
 import (
 	"searchmem/internal/cache"
 	"searchmem/internal/trace"
+	"searchmem/internal/workload"
 )
 
 // microL2Eff is the aggregate private-cache capacity assumed in front of
 // the modeled L3 at micro scale (16 threads' worth of 256 KiB L2s).
 const microL2Eff = 16 * 256 << 10
 
-// totalMisses sums a profiler's misses at a capacity across segments.
-func totalMisses(sd *cache.StackDist, capacity int64) float64 {
-	var m float64
-	for seg := trace.Segment(0); seg < trace.NumSegments; seg++ {
-		m += sd.Misses(seg, capacity)
-	}
-	return m
-}
-
-// postL2HitRate is the one post-L2 normalization of the capacity-sweep
-// experiments: a segment's hit rate at a capacity among the accesses that
+// postL2HitRate is the post-L2 normalization of one segment in the
+// capacity-sweep experiments: its hit rate at a capacity among the accesses that
 // miss private caches of aggregate size l2eff, optionally excluding cold
 // misses (the steady-state view for finite working sets; see DESIGN.md and
 // the calibration tests), clamped to [0, 1].
@@ -48,32 +40,23 @@ type l3Curve struct {
 	sd *cache.StackDist
 }
 
-// newL3Curve returns a fresh combined-curve profiler at 64 B blocks.
-func newL3Curve() *l3Curve {
-	return &l3Curve{sd: cache.NewStackDist(64)}
+// newL3Curve runs a workload into a fresh profiler at 64 B blocks: one
+// global-distance profile, for combined L3 curves at micro scale.
+func newL3Curve(r workload.Runner, threads int, budget int64, seed uint64) *l3Curve {
+	l := &l3Curve{sd: cache.NewStackDist(64)}
+	r.Run(threads, budget, seed, workload.Sinks{Access: l.sd.Observe})
+	return l
 }
 
-func (l *l3Curve) Observe(a trace.Access) { l.sd.Observe(a) }
-
-// combinedHitRate returns the modeled L3 hit rate at the given capacity.
-func (l *l3Curve) combinedHitRate(capacity int64) float64 {
-	base := totalMisses(l.sd, microL2Eff)
-	if base <= 0 {
-		return 1
-	}
-	h := 1 - totalMisses(l.sd, capacity)/base
-	if h < 0 {
-		return 0
-	}
-	return h
-}
-
-// dataHitRate returns the post-L2 hit rate of all data segments combined.
-func (l *l3Curve) dataHitRate(capacity int64) float64 {
+// segmentsHitRate is the one post-L2 normalization of a segment set: the
+// set's misses at a capacity against its misses past private caches of
+// aggregate size l2eff, both summed in segs order, floored at 0 (1 when
+// nothing misses the private caches).
+func segmentsHitRate(misses func(trace.Segment, int64) float64, segs []trace.Segment, capacity, l2eff int64) float64 {
 	var miss, base float64
-	for _, seg := range []trace.Segment{trace.Heap, trace.Shard, trace.Stack} {
-		miss += l.sd.Misses(seg, capacity)
-		base += l.sd.Misses(seg, microL2Eff)
+	for _, seg := range segs {
+		miss += misses(seg, capacity)
+		base += misses(seg, l2eff)
 	}
 	if base <= 0 {
 		return 1
@@ -83,6 +66,22 @@ func (l *l3Curve) dataHitRate(capacity int64) float64 {
 		return 0
 	}
 	return h
+}
+
+// allSegments and dataSegments are the segment sets the combined curves sum.
+var (
+	allSegments  = []trace.Segment{trace.Code, trace.Heap, trace.Shard, trace.Stack}
+	dataSegments = []trace.Segment{trace.Heap, trace.Shard, trace.Stack}
+)
+
+// combinedHitRate returns the modeled L3 hit rate at the given capacity.
+func (l *l3Curve) combinedHitRate(capacity int64) float64 {
+	return segmentsHitRate(l.sd.Misses, allSegments, capacity, microL2Eff)
+}
+
+// dataHitRate returns the post-L2 hit rate of all data segments combined.
+func (l *l3Curve) dataHitRate(capacity int64) float64 {
+	return segmentsHitRate(l.sd.Misses, dataSegments, capacity, microL2Eff)
 }
 
 // codeHitRate returns the post-L2 instruction hit rate (cold-excluded:
@@ -113,6 +112,17 @@ func newSegmentStackDists(l2eff int64) *segmentStackDists {
 // steady-state traces.
 func (s *segmentStackDists) hitRate(seg trace.Segment, capacity int64) float64 {
 	return postL2HitRate(s.sds[seg], seg, capacity, s.l2eff, seg == trace.Code || seg == trace.Heap)
+}
+
+// misses returns a segment's misses at a capacity in its own profiler.
+func (s *segmentStackDists) misses(seg trace.Segment, capacity int64) float64 {
+	return s.sds[seg].Misses(seg, capacity)
+}
+
+// combinedHitRate is the post-L2 hit rate of all segments together, each
+// counted in its own profiler: weighted by post-L2 miss volume.
+func (s *segmentStackDists) combinedHitRate(capacity int64) float64 {
+	return segmentsHitRate(s.misses, allSegments, capacity, s.l2eff)
 }
 
 // mpki returns a segment's misses per kilo-instruction at a capacity.

@@ -273,12 +273,12 @@ type StreamReport struct {
 // PostL3Streams reports every retained post-L3 stream, sorted by runner and
 // label. Each is one L1–L3 pass that every tail it served did not repeat.
 func (c *Context) PostL3Streams() []StreamReport {
-	c.rc.mu.Lock()
-	names := make(map[*workload.Replayer]string, len(c.rc.m))
-	for _, key := range det.SortedKeys(c.rc.m) {
-		names[c.rc.m[key]] = key
+	c.mu.Lock()
+	names := make(map[*workload.Replayer]string, len(c.runners))
+	for _, key := range det.SortedKeys(c.runners) {
+		names[c.runners[key]] = key
 	}
-	c.rc.mu.Unlock()
+	c.mu.Unlock()
 	var out []StreamReport
 	for _, rs := range c.streams.values() {
 		out = append(out, StreamReport{

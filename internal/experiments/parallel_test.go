@@ -122,42 +122,28 @@ func TestCurveSingleFlight(t *testing.T) {
 	}
 }
 
-// TestSharingContextsConcurrent races two contexts that share one workload
-// cache (Sharing) across different experiments touching the same memoized
-// sweep recording — the scenario the race detector must bless. Outputs are
-// checked per-context for self-consistency, not byte-compared: the contexts
-// interleave new recordings, which the Sharing contract excludes from the
-// byte-identical guarantee.
-func TestSharingContextsConcurrent(t *testing.T) {
+// TestConcurrentExperimentsShareOneContext races three experiments on one
+// Context, each touching its runner cache and index memo: fig6b and fig13
+// record on the shared sweep runner, fig5 builds private runners from the
+// same index image on sweep workers — the scenario the race detector must
+// bless. Outputs are checked for self-consistency, not byte-compared: the
+// experiments interleave new recordings, which byte-identical output
+// excludes.
+func TestConcurrentExperimentsShareOneContext(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-experiment run is slow in -short mode")
 	}
 	opts := Fast()
 	opts.Seed = 7
 	builds := countIndexBuilds(&opts)
-	ctx1 := NewContext(opts)
-	ctx2 := ctx1.Sharing(opts)
-	ctx3 := ctx1.Sharing(opts)
+	ctx := NewContext(opts)
 
 	var wg sync.WaitGroup
-	for _, job := range []struct {
-		ctx *Context
-		id  string
-	}{
-		{ctx1, "fig6b"},
-		{ctx2, "fig13"},
-		// fig5 builds private runners on sweep workers: together with the
-		// two Sweep() users above, every context wants the same image at once.
-		{ctx3, "fig5"},
-	} {
+	for _, id := range []string{"fig6b", "fig13", "fig5"} {
+		e := mustByID(t, id)
 		wg.Add(1)
-		go func(ctx *Context, id string) {
+		go func() {
 			defer wg.Done()
-			e, ok := ByID(id)
-			if !ok {
-				t.Errorf("experiment %s not registered", id)
-				return
-			}
 			res, err := e.Run(ctx)
 			if err != nil {
 				t.Errorf("%s: %v", id, err)
@@ -166,11 +152,11 @@ func TestSharingContextsConcurrent(t *testing.T) {
 			if res.Render() == "" {
 				t.Errorf("%s rendered empty output", id)
 			}
-		}(job.ctx, job.id)
+		}()
 	}
 	wg.Wait()
 	if n := builds(); n != 1 {
-		t.Errorf("%d index builds across three sharing contexts on one corpus, want 1", n)
+		t.Errorf("%d index builds across three concurrent experiments on one corpus, want 1", n)
 	}
 }
 

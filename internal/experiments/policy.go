@@ -143,6 +143,11 @@ func runFigP1(c *Context) (Result, error) {
 		Note: fmt.Sprintf("dMPKI is the modified level's demand MPKI vs the all-LRU baseline (L2 %s / L3 %s / L4 %s); IPC via the calibrated core model with the DRAM model's effective read latency",
 			trimFloat(base.L2.MPKI(base.Instructions)), trimFloat(base.L3.MPKI(base.Instructions)), trimFloat(base.L4.MPKI(base.Instructions))),
 	}
+	reg := c.Opts.Metrics
+	if reg != nil {
+		reg.Gauge("policy_baseline_ipc").Set(base.IPC)
+		reg.Gauge("policy_baseline_amat_ns").Set(base.AMATNS)
+	}
 	for _, level := range polLevels {
 		// Baseline row per level so each block reads against its own LRU.
 		seen := false
@@ -163,28 +168,15 @@ func runFigP1(c *Context) (Result, error) {
 			}
 			t.AddRow(level, p.variant.name, trimFloat(mpki), pct(dm),
 				trimFloat(p.m.AMATNS), trimFloat(p.m.IPC), pct(p.m.IPC/base.IPC-1))
+			if reg != nil {
+				ls := []obs.Label{obs.L("level", level), obs.L("policy", p.variant.name)}
+				reg.Gauge("policy_mpki", ls...).Set(mpki)
+				reg.Gauge("policy_amat_ns", ls...).Set(p.m.AMATNS)
+				reg.Gauge("policy_ipc", ls...).Set(p.m.IPC)
+			}
 		}
 	}
-	reportPolicyMetrics(c, data)
 	return t, nil
-}
-
-// reportPolicyMetrics publishes per-cell figP1 gauges into the run's metrics
-// registry; every value is a pure function of the measured sweep.
-func reportPolicyMetrics(c *Context, data *polSweepData) {
-	reg := c.Opts.Metrics
-	if reg == nil {
-		return
-	}
-	reg.Gauge("policy_baseline_ipc").Set(data.baseline.IPC)
-	reg.Gauge("policy_baseline_amat_ns").Set(data.baseline.AMATNS)
-	for _, p := range data.points {
-		ll := obs.L("level", p.level)
-		lp := obs.L("policy", p.variant.name)
-		reg.Gauge("policy_mpki", ll, lp).Set(levelMPKI(p.m, p.level))
-		reg.Gauge("policy_amat_ns", ll, lp).Set(p.m.AMATNS)
-		reg.Gauge("policy_ipc", ll, lp).Set(p.m.IPC)
-	}
 }
 
 // predGrid is the default figP2 grid.
@@ -253,50 +245,41 @@ func runFigP2(c *Context) (Result, error) {
 		Note: fmt.Sprintf("predictor-off baseline: L3 MPKI %s, AMAT %s ns; prediction overlays probe accounting on the authoritative chain, so dMPKI and dAMAT are exact-zero cross-checks; probe skip is serial probes avoided vs the full chain, net of mispredict penalties",
 			trimFloat(baseMPKI), trimFloat(base.AMATNS)),
 	}
+	reg := c.Opts.Metrics
+	if reg != nil {
+		reg.Gauge("pred_baseline_l3_mpki").Set(baseMPKI)
+	}
 	for _, p := range data.points {
 		keys := "per-PC"
 		if p.block {
 			keys = "block"
 		}
 		ps := p.m.Pred
+		coverage, hit, skip := ps.CoverageRate(), ps.HitRate(), ps.SkipRate()
+		mpki := p.m.L3.MPKI(p.m.Instructions)
 		dm := 0.0
 		if baseMPKI > 0 {
-			dm = p.m.L3.MPKI(p.m.Instructions)/baseMPKI - 1
+			dm = mpki/baseMPKI - 1
 		}
+		bits, conf := fmt.Sprintf("%d", p.bits), fmt.Sprintf("%d", p.conf)
 		t.AddRow(
-			fmt.Sprintf("%d", p.bits),
-			fmt.Sprintf("%d", p.conf),
+			bits,
+			conf,
 			keys,
-			pct(ps.CoverageRate()),
-			pct(ps.HitRate()),
+			pct(coverage),
+			pct(hit),
 			pct(ps.MispredictRate()),
-			pct(ps.SkipRate()),
+			pct(skip),
 			pct(dm),
 			pct(p.m.AMATNS/base.AMATNS-1),
 		)
-	}
-	reportPredictorMetrics(c, data)
-	return t, nil
-}
-
-// reportPredictorMetrics publishes per-point figP2 gauges.
-func reportPredictorMetrics(c *Context, data *predSweepData) {
-	reg := c.Opts.Metrics
-	if reg == nil {
-		return
-	}
-	reg.Gauge("pred_baseline_l3_mpki").Set(data.baseline.L3.MPKI(data.baseline.Instructions))
-	for _, p := range data.points {
-		keys := "per-PC"
-		if p.block {
-			keys = "block"
+		if reg != nil {
+			ls := []obs.Label{obs.L("bits", bits), obs.L("conf", conf), obs.L("keys", keys)}
+			reg.Gauge("pred_coverage", ls...).Set(coverage)
+			reg.Gauge("pred_hit_rate", ls...).Set(hit)
+			reg.Gauge("pred_skip_rate", ls...).Set(skip)
+			reg.Gauge("pred_l3_mpki", ls...).Set(mpki)
 		}
-		lb := obs.L("bits", fmt.Sprintf("%d", p.bits))
-		lc := obs.L("conf", fmt.Sprintf("%d", p.conf))
-		lk := obs.L("keys", keys)
-		reg.Gauge("pred_coverage", lb, lc, lk).Set(p.m.Pred.CoverageRate())
-		reg.Gauge("pred_hit_rate", lb, lc, lk).Set(p.m.Pred.HitRate())
-		reg.Gauge("pred_skip_rate", lb, lc, lk).Set(p.m.Pred.SkipRate())
-		reg.Gauge("pred_l3_mpki", lb, lc, lk).Set(p.m.L3.MPKI(p.m.Instructions))
 	}
+	return t, nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"searchmem/internal/platform"
 	"searchmem/internal/workload"
 )
 
@@ -20,14 +21,7 @@ func init() {
 // improved L2 instruction hit rate is offset by the decreased L2 data hit
 // rate — should fall out of the simulated rates.
 func runSplitL2(c *Context) (Result, error) {
-	o := c.Opts
-	unifiedCfg := workload.MeasureConfig{
-		Platform: c.PLT1(),
-		Cores:    1, SMTWays: 1, Threads: 1,
-		Budget:         o.Budget,
-		Seed:           o.Seed + 31,
-		WarmupFraction: 1.5,
-	}
+	unifiedCfg := oneCore(c, platform.PLT1(), c.Opts.Seed+31, 1.5)
 	splitCfg := unifiedCfg
 	splitCfg.SplitL2 = true
 	// Both variants replay the same recording (identical keys).

@@ -32,11 +32,11 @@ type table1Column struct {
 func runTable1(c *Context) (Result, error) {
 	o := c.Opts
 	shrink := o.Shrink
-	plt1, plt2 := c.PLT1(), c.PLT2()
-	// The "S1 leaf PLT1" row is the "S1 leaf" column again (same runner,
-	// platform and MeasureConfig): it is measured once and rendered twice.
+	plt1, plt2 := platform.PLT1(), platform.PLT2()
+	// The "S1 leaf" column and the "S1 leaf PLT1" row are leafMetrics, the
+	// measurement Figures 3 and 6a read; the other columns are measured here.
 	cols := []table1Column{
-		{"S1 leaf", plt1, func() workload.Runner { return c.Leaf() }},
+		{"S1 leaf", plt1, nil},
 		{"S2 leaf", plt1, func() workload.Runner { return workload.S2Leaf(shrink).Build() }},
 		{"S3 leaf", plt1, func() workload.Runner { return workload.S3Leaf(shrink).Build() }},
 		{"S1 root", plt1, func() workload.Runner { return workload.S1Root(shrink).Build() }},
@@ -60,14 +60,11 @@ func runTable1(c *Context) (Result, error) {
 	// bounds peak memory from concurrent builds.
 	ms := runPoints(c, 4, len(cols), func(i int) workload.Metrics {
 		col := cols[i]
+		if col.build == nil {
+			return leafMetrics(c)
+		}
 		o.logf("table1: measuring %s...", col.name)
-		return workload.Measure(col.build(), workload.MeasureConfig{
-			Platform: col.plat,
-			Cores:    1, SMTWays: 1, Threads: 1,
-			Budget:         o.Budget,
-			Seed:           o.Seed,
-			WarmupFraction: 2.0,
-		})
+		return workload.Measure(col.build(), oneCore(c, col.plat, o.Seed, 2.0))
 	})
 	addRow := func(name string, m workload.Metrics) {
 		t.AddRow(name,
@@ -90,7 +87,7 @@ func runTable2(c *Context) (Result, error) {
 		Title:   "Table II: platform attributes",
 		Headers: []string{"attribute", "PLT1", "PLT2"},
 	}
-	p1, p2 := c.PLT1(), c.PLT2()
+	p1, p2 := platform.PLT1(), platform.PLT2()
 	rows := []struct {
 		name string
 		f    func(platform.Platform) string

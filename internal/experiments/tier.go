@@ -42,23 +42,6 @@ var tierFracs = []float64{0.5, 0.25, 0.125}
 // tierPolicies is the default policy grid.
 var tierPolicies = []mem.PagePolicy{mem.PolicyStatic, mem.PolicyLRUEpoch, mem.PolicyFreqThreshold}
 
-// tierBase returns the shared measurement shape: the rebalanced 23 MiB L3
-// with the paper's 512 MiB direct-mapped L4 in front of the tiered memory
-// system, at sweep scale (same shape as sweepL4).
-func tierBase(c *Context) workload.MeasureConfig {
-	o := c.Opts
-	return workload.MeasureConfig{
-		Platform: c.PLT1().ScaleCaches(workload.SweepScale),
-		Cores:    min(o.Threads, 8), SMTWays: 2,
-		Threads:        min(o.Threads, 16),
-		L3Size:         workload.SimUnits(23 << 20),
-		L4Size:         workload.SimUnits(512 << 20),
-		Budget:         o.Budget * 2,
-		Seed:           o.Seed,
-		WarmupFraction: 1.0,
-	}
-}
-
 // tierPoint is one measured sweep configuration.
 type tierPoint struct {
 	nearFrac float64
@@ -156,10 +139,17 @@ func runFigT1(c *Context) (Result, error) {
 		Note: fmt.Sprintf("all-near baseline AMAT %s ns; QPS via Eq. 1; memory dollars at %s/GiB near, %s/GiB far (paper-scale capacity); epoch %d transactions",
 			trimFloat(base.AMATNS), trimFloat(mem.DefaultCost.NearDollarsPerGiB), trimFloat(mem.DefaultCost.FarDollarsPerGiB), data.epochLen),
 	}
-	t.AddRow("100%", "all-near", trimFloat(base.AMATNS), pct(0), pct(base.Mem.RowHitRate()),
+	reg := c.Opts.Metrics
+	baseRowHit := base.Mem.RowHitRate()
+	if reg != nil {
+		reg.Gauge("tier_baseline_amat_ns").Set(base.AMATNS)
+		reg.Gauge("tier_baseline_row_hit_rate").Set(baseRowHit)
+	}
+	t.AddRow("100%", "all-near", trimFloat(base.AMATNS), pct(0), pct(baseRowHit),
 		pct(0), pct(0), "0", trimFloat(1.0))
 	for _, p := range data.points {
 		st := p.m.Mem
+		rowHit, farShard, farRead, migGBs := st.RowHitRate(), st.FarPageFrac(trace.Shard), st.FarReadFrac(), st.MigrationGBs()
 		rel := tierQPSRel(p.m.AMATNS, base.AMATNS)
 		dollars := tierDollars(base.Mem.Pages, st.NearPages)
 		qpd := rel * baseDollars / dollars
@@ -168,41 +158,23 @@ func runFigT1(c *Context) (Result, error) {
 			p.policy.String(),
 			trimFloat(p.m.AMATNS),
 			pct(p.m.AMATNS/base.AMATNS-1),
-			pct(st.RowHitRate()),
-			pct(st.FarPageFrac(trace.Shard)),
-			pct(st.FarReadFrac()),
-			trimFloat(st.MigrationGBs()),
+			pct(rowHit),
+			pct(farShard),
+			pct(farRead),
+			trimFloat(migGBs),
 			trimFloat(qpd),
 		)
+		if reg != nil {
+			ls := []obs.Label{obs.L("near", pct(p.nearFrac)), obs.L("policy", p.policy.String())}
+			reg.Gauge("tier_amat_ns", ls...).Set(p.m.AMATNS)
+			reg.Gauge("tier_row_hit_rate", ls...).Set(rowHit)
+			reg.Gauge("tier_far_shard_page_frac", ls...).Set(farShard)
+			reg.Gauge("tier_far_read_frac", ls...).Set(farRead)
+			reg.Gauge("tier_migration_gbs", ls...).Set(migGBs)
+			reg.Gauge("tier_qps_per_mem_dollar", ls...).Set(qpd)
+		}
 	}
-	reportTierMetrics(c, data)
 	return t, nil
-}
-
-// reportTierMetrics publishes per-point tier gauges into the run's metrics
-// registry (cmd/searchsim -metrics). Every value is a pure function of the
-// measured sweep, so the registry stays byte-deterministic for a fixed seed.
-func reportTierMetrics(c *Context, data *tierSweepData) {
-	reg := c.Opts.Metrics
-	if reg == nil {
-		return
-	}
-	base := data.baseline
-	reg.Gauge("tier_baseline_amat_ns").Set(base.AMATNS)
-	reg.Gauge("tier_baseline_row_hit_rate").Set(base.Mem.RowHitRate())
-	baseDollars := tierDollars(base.Mem.Pages, base.Mem.Pages)
-	for _, p := range data.points {
-		st := p.m.Mem
-		ln := obs.L("near", pct(p.nearFrac))
-		lp := obs.L("policy", p.policy.String())
-		reg.Gauge("tier_amat_ns", ln, lp).Set(p.m.AMATNS)
-		reg.Gauge("tier_row_hit_rate", ln, lp).Set(st.RowHitRate())
-		reg.Gauge("tier_far_shard_page_frac", ln, lp).Set(st.FarPageFrac(trace.Shard))
-		reg.Gauge("tier_far_read_frac", ln, lp).Set(st.FarReadFrac())
-		reg.Gauge("tier_migration_gbs", ln, lp).Set(st.MigrationGBs())
-		reg.Gauge("tier_qps_per_mem_dollar", ln, lp).Set(
-			tierQPSRel(p.m.AMATNS, base.AMATNS) * baseDollars / tierDollars(base.Mem.Pages, st.NearPages))
-	}
 }
 
 func runFigT2(c *Context) (Result, error) {

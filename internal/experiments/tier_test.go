@@ -97,25 +97,115 @@ func TestFigT1RendersCostColumn(t *testing.T) {
 	}
 }
 
-// TestTierMetricsPublished checks figT1 publishes its per-point gauges into
-// an attached -metrics registry.
-func TestTierMetricsPublished(t *testing.T) {
+// TestGaugesMatchTable: every tier_*, policy_* and pred_* gauge figT1,
+// figP1 and figP2 publish is the number a cell of their table renders,
+// formatted the way that cell is, and every gauge the figures promise is
+// published. Each gauge is set from the local its row renders; this holds
+// it there.
+func TestGaugesMatchTable(t *testing.T) {
 	opts := Fast()
 	opts.Metrics = obs.NewRegistry()
 	c := NewContext(opts)
-	if _, err := mustByID(t, "figT1").Run(c); err != nil {
-		t.Fatalf("figT1: %v", err)
+	tables := map[string]*Table{}
+	for _, f := range []struct{ prefix, id string }{{"tier", "figT1"}, {"policy", "figP1"}, {"pred", "figP2"}} {
+		res, err := mustByID(t, f.id).Run(c)
+		if err != nil {
+			t.Fatalf("%s: %v", f.id, err)
+		}
+		tables[f.prefix] = res.(*Table)
 	}
-	var b strings.Builder
-	if err := opts.Metrics.Snapshot().WriteJSON(&b); err != nil {
-		t.Fatalf("export: %v", err)
-	}
-	for _, name := range []string{
-		"tier_baseline_amat_ns", "tier_amat_ns", "tier_far_shard_page_frac",
-		"tier_qps_per_mem_dollar", "tier_migration_gbs",
-	} {
-		if !strings.Contains(b.String(), name) {
-			t.Fatalf("metrics export missing %s:\n%s", name, b.String())
+	gauges := opts.Metrics.Snapshot().Gauges
+	var predBase float64
+	for _, g := range gauges {
+		if g.Name == "pred_baseline_l3_mpki" {
+			predBase = g.Value
 		}
 	}
+	// A cell is found by its row's leading cells: the gauge's label values
+	// in label-key order, or row for an unlabeled gauge ("" matches any).
+	// col < 0 means the table's note.
+	type cell struct {
+		row    []string
+		col    int
+		format func(float64) string
+	}
+	lru := []string{"", "lru"}
+	cells := map[string]cell{
+		"tier_baseline_amat_ns":      {[]string{"100%", "all-near"}, 2, trimFloat},
+		"tier_baseline_row_hit_rate": {[]string{"100%", "all-near"}, 4, pct},
+		"tier_amat_ns":               {nil, 2, trimFloat},
+		"tier_row_hit_rate":          {nil, 4, pct},
+		"tier_far_shard_page_frac":   {nil, 5, pct},
+		"tier_far_read_frac":         {nil, 6, pct},
+		"tier_migration_gbs":         {nil, 7, trimFloat},
+		"tier_qps_per_mem_dollar":    {nil, 8, trimFloat},
+		"policy_baseline_amat_ns":    {lru, 4, trimFloat},
+		"policy_baseline_ipc":        {lru, 5, trimFloat},
+		"policy_mpki":                {nil, 2, trimFloat},
+		"policy_amat_ns":             {nil, 4, trimFloat},
+		"policy_ipc":                 {nil, 5, trimFloat},
+		"pred_baseline_l3_mpki":      {nil, -1, func(v float64) string { return "L3 MPKI " + trimFloat(v) + "," }},
+		"pred_coverage":              {nil, 3, pct},
+		"pred_hit_rate":              {nil, 4, pct},
+		"pred_skip_rate":             {nil, 6, pct},
+		"pred_l3_mpki":               {nil, 7, func(v float64) string { return pct(v/predBase - 1) }},
+	}
+	seen := map[string]bool{}
+	for _, g := range gauges {
+		prefix, _, _ := strings.Cut(g.Name, "_")
+		tab := tables[prefix]
+		if tab == nil {
+			continue
+		}
+		spec, ok := cells[g.Name]
+		if !ok {
+			t.Errorf("gauge %s has no table cell to match", g.Name)
+			continue
+		}
+		seen[g.Name] = true
+		want := spec.format(g.Value)
+		if spec.col < 0 {
+			if !strings.Contains(tab.Note, want) {
+				t.Errorf("%s = %v: note %q does not render %q", g.Name, g.Value, tab.Note, want)
+			}
+			continue
+		}
+		key := spec.row
+		if key == nil {
+			for _, l := range g.Labels {
+				key = append(key, l.Value)
+			}
+		}
+		matched := 0
+		for _, row := range tab.Rows {
+			if !rowHasPrefix(row, key) {
+				continue
+			}
+			matched++
+			if row[spec.col] != want {
+				t.Errorf("%s%v = %v renders %q, table row %v has %q", g.Name, key, g.Value, want, row, row[spec.col])
+			}
+		}
+		if matched == 0 {
+			t.Errorf("%s%v: no table row", g.Name, key)
+		}
+	}
+	for name := range cells {
+		if !seen[name] {
+			t.Errorf("gauge %s not published", name)
+		}
+	}
+}
+
+// rowHasPrefix reports whether row starts with key's cells ("" matches any).
+func rowHasPrefix(row, key []string) bool {
+	if len(row) < len(key) {
+		return false
+	}
+	for i, k := range key {
+		if k != "" && row[i] != k {
+			return false
+		}
+	}
+	return true
 }

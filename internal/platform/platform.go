@@ -203,24 +203,8 @@ func (p Platform) ScaleCaches(factor int) Platform {
 		panic("platform: scale factor must be positive")
 	}
 	scale := func(c cache.Config) cache.Config {
-		c.Size /= int64(factor)
-		min := int64(c.BlockSize)
-		if c.Assoc > 0 {
-			min = int64(c.BlockSize * c.Assoc)
-		}
-		if c.Size < min {
-			c.Size = min
-		}
-		// Keep the block/way divisibility invariant.
-		if c.Assoc > 0 {
-			blocks := c.Size / int64(c.BlockSize)
-			blocks -= blocks % int64(c.Assoc)
-			if blocks < int64(c.Assoc) {
-				blocks = int64(c.Assoc)
-			}
-			c.Size = blocks * int64(c.BlockSize)
-		}
-		return c
+		c.Size = max(c.Size/int64(factor), int64(c.BlockSize))
+		return c.RoundToSets()
 	}
 	p.L1I = scale(p.L1I)
 	p.L1D = scale(p.L1D)
