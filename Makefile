@@ -58,8 +58,10 @@ obs-demo:
 # and FuzzTailsMatchStandalone for one upper draining into several tails (and
 # their replay from its recorded stream) against a standalone hierarchy per
 # tail, state for state. FuzzTopKMatchesSort runs any mix of top-k pushes,
-# batches, resets and drains against a full sort, and FuzzArrivalsMatchSort
-# the fleet engine's bucket sort of first arrivals against slices.SortFunc.
+# batches, resets and drains against a full sort, FuzzArrivalsMatchSort
+# the fleet engine's bucket sort of first arrivals against slices.SortFunc,
+# and FuzzScenarioMatchesNaive whole open- and closed-loop scenarios against a
+# linear-scan reference engine, FleetStats for FleetStats.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzFileCodecDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzBlockDecode$$' -fuzztime $(FUZZTIME)
@@ -71,5 +73,6 @@ fuzz-smoke:
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzStackDistMatchesNaive$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzTailsMatchStandalone$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serving -run '^$$' -fuzz '^FuzzArrivalsMatchSort$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serving -run '^$$' -fuzz '^FuzzScenarioMatchesNaive$$' -fuzztime $(FUZZTIME)
 
 ci: build lint test race alloc-check fuzz-smoke
