@@ -29,8 +29,8 @@ func requireZeroAllocs(t *testing.T, name string, f func()) {
 
 // closedEngine is the engine of a closed loop at its first event.
 func closedEngine(clients int) *loadEngine {
-	e := newLoadEngine(clients, 4000, 0.9, 42)
-	e.queueAll()
+	e := newLoadEngine(4000, 0.9)
+	e.queueAll(clients, 42)
 	return e
 }
 
@@ -46,9 +46,9 @@ func eventStep(t *testing.T, c *Cluster, clients int) func() {
 	hist := stats.NewHistogram(8)
 	step := func() {
 		ev, inHeap, _ := e.peek()
-		r := c.serve(e.drawTerms(ev.id), clients-1)
+		r := c.serve(e.drawTerms(ev.slot), clients-1)
 		hist.Add(r.LatencyNS)
-		e.reissue(inHeap, event{ev.t + r.LatencyNS, ev.id})
+		e.reissue(inHeap, event{ev.t + r.LatencyNS, ev.id, ev.slot})
 	}
 	for i := 0; i < 5000; i++ {
 		step()
@@ -106,14 +106,14 @@ func TestOpenLoopStepZeroAlloc(t *testing.T) {
 			compPop(&comp)
 			retired++
 		}
-		r := c.serve(e.drawTerms(ev.id), len(comp))
+		r := c.serve(e.drawTerms(ev.slot), len(comp))
 		hist.Add(r.LatencyNS)
 		compPush(&comp, ev.t+r.LatencyNS)
 		if inHeap {
 			e.retire(true)
 			popped++
 		} else {
-			e.reissue(false, event{ev.t + 64e6, ev.id})
+			e.reissue(false, event{ev.t + 64e6, ev.id, ev.slot})
 			pushed++
 		}
 	}

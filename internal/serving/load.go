@@ -10,8 +10,8 @@ import (
 )
 
 // loadEngine is the event-driven core of RunLoad and RunScenario. Pending
-// issue events are {time, client id} entries ordered by (time, id) in two
-// parts of one array:
+// issue events are {time, client id, slot} entries ordered by (time, id) in
+// two parts of one array:
 //
 //   - arrivals holds every client's first issue, sorted once by sortArrivals
 //     (a closed loop's t = 0 population is laid out sorted); arrivals[fi:]
@@ -25,28 +25,35 @@ import (
 // reads the two 16-byte entries it compares and nothing else; the four
 // children of a heap slot are one contiguous 64 bytes. The order is total
 // (ids are unique), so the pop sequence is the sorted sequence of the keys:
-// no statistic can depend on how the queue is laid out. Per-client state is
-// struct-of-arrays beside it: 16 B of RNG, 4 B of issue count when there is
-// a budget. A closed loop queues every client (36 B per client); an open
-// loop queues only arrivals inside the horizon (16 B per client plus 16 B
-// per queued arrival). The whole per-event path — peek, Zipf draw, term
-// synthesis, Cluster.serve, histogram add, push or replace-min — is
+// no statistic can depend on how the queue is laid out.
+//
+// Per-client state is struct-of-arrays beside the queue, indexed by the
+// event's slot rather than its id: 16 B of RNG, 4 B of issue count when
+// there is a budget. An open loop gives slots in first-arrival order to the
+// clients that arrive inside the horizon and to no one else, so the first
+// arrivals — most of a day's queries — read their streams front to back,
+// and an idle client costs nothing. A closed loop queues every client with
+// slot = id (36 B per client). The whole per-event path — peek, Zipf draw,
+// term synthesis, Cluster.serve, histogram add, push or replace-min — is
 // allocation-free, pinned by the ZeroAlloc oracles in alloc_test.go.
 type loadEngine struct {
 	arrivals []event     // first issues sorted by (t, id); arrivals[fi:] pending
 	fi       int         // index of the next pending first arrival
 	heap     []event     // 4-ary min-heap of re-issues by (t, id), backed by arrivals[:0]
-	rng      []stats.RNG // per-client random stream (query popularity, think time)
-	issued   []int32     // queries issued so far per client; nil without a budget
+	rng      []stats.RNG // per-slot random stream (query popularity, think time)
+	issued   []int32     // queries issued so far per slot; nil without a budget
 	shape    *stats.ZipfShape
 	vocab    uint32
 	terms    [2]uint32 // scratch for the current query's term tuple
 }
 
-// event is one pending issue: client id is due at virtual time t.
+// event is one pending issue: client id is due at virtual time t, and its
+// state lives at slot. The slot rides in what would otherwise be padding
+// (the entry stays 16 bytes) and takes no part in the order.
 type event struct {
-	t  float64
-	id int32
+	t    float64
+	id   int32
+	slot int32
 }
 
 // before orders events by (issue time, client id): on equal times the
@@ -66,22 +73,21 @@ func compareEvents(a, b event) int {
 	return 0
 }
 
-// newLoadEngine seeds per-client state: client cl's popularity stream is
-// NewRNG(seed+cl*977).Split(), reproduced here through a stack RNG so
-// construction allocates only the stream array. The caller fills the queue
-// with queueAll or setArrivals.
-func newLoadEngine(clients, vocabSize int, skew float64, seed uint64) *loadEngine {
-	e := &loadEngine{
-		rng:   make([]stats.RNG, clients),
+// newLoadEngine returns an engine with an empty queue and no client state;
+// queueAll or queueArrivals lays out both.
+func newLoadEngine(vocabSize int, skew float64) *loadEngine {
+	return &loadEngine{
 		shape: stats.NewZipfShape(uint64(vocabSize), skew),
 		vocab: uint32(vocabSize),
 	}
+}
+
+// seedClient sets r to client cl's stream, NewRNG(seed+cl*977).Split(),
+// reproduced through a stack RNG so that it allocates nothing.
+func seedClient(r *stats.RNG, seed uint64, cl int) {
 	var seeder stats.RNG
-	for cl := range e.rng {
-		seeder.Seed(seed + uint64(cl)*977)
-		e.rng[cl].Seed(seeder.Uint64())
-	}
-	return e
+	seeder.Seed(seed + uint64(cl)*977)
+	r.Seed(seeder.Uint64())
 }
 
 // setArrivals makes sorted first arrivals the queue, with an empty re-issue
@@ -90,12 +96,42 @@ func (e *loadEngine) setArrivals(sorted []event) {
 	e.arrivals, e.fi, e.heap = sorted, 0, sorted[:0]
 }
 
-// queueAll queues every client at time zero, the start of a closed loop.
-// Equal times and ids ascending: already sorted.
-func (e *loadEngine) queueAll() {
-	a := make([]event, len(e.rng))
+// queueAll queues every client at time zero, the start of a closed loop,
+// with slot = id. Equal times and ids ascending: already sorted.
+func (e *loadEngine) queueAll(clients int, seed uint64) {
+	a := make([]event, clients)
+	e.rng = make([]stats.RNG, clients)
 	for cl := range a {
-		a[cl].id = int32(cl)
+		a[cl] = event{id: int32(cl), slot: int32(cl)}
+		seedClient(&e.rng[cl], seed, cl)
+	}
+	e.setArrivals(a)
+}
+
+// queueArrivals queues the open loop's first arrivals: each client's first
+// draw from its own stream, an exponential of the given mean. An arrival at
+// or past the horizon is never issued, so it is never queued, and its
+// stream is dropped with it: the array is sized for the expected in-horizon
+// share of the population (plus four standard deviations), and re-issues
+// reuse its drained prefix. Once the arrivals are sorted, each one's slot
+// is its position, and its stream is derived again at that slot and
+// advanced past the arrival draw.
+func (e *loadEngine) queueArrivals(clients int, seed uint64, mean, horizon float64) {
+	expect := float64(clients) * -math.Expm1(-horizon/mean)
+	a := make([]event, 0, min(clients, int(expect+4*math.Sqrt(expect))+1))
+	var r stats.RNG
+	for cl := 0; cl < clients; cl++ {
+		seedClient(&r, seed, cl)
+		if t := r.Exponential(mean); t < horizon {
+			a = append(a, event{t: t, id: int32(cl)})
+		}
+	}
+	sortArrivals(a)
+	e.rng = make([]stats.RNG, len(a))
+	for i := range a {
+		a[i].slot = int32(i)
+		seedClient(&e.rng[i], seed, int(a[i].id))
+		e.rng[i].Uint64() // the arrival's draw (Exponential takes one)
 	}
 	e.setArrivals(a)
 }
@@ -283,10 +319,10 @@ func finishBucket(a []event) {
 	}
 }
 
-// drawTerms synthesizes the client's next query: a Zipf-popular query id
-// expanded into a two-term tuple.
-func (e *loadEngine) drawTerms(cl int32) []uint32 {
-	qid := e.shape.Next(&e.rng[cl])
+// drawTerms synthesizes the next query of the client at slot: a
+// Zipf-popular query id expanded into a two-term tuple.
+func (e *loadEngine) drawTerms(slot int32) []uint32 {
+	qid := e.shape.Next(&e.rng[slot])
 	e.terms[0] = uint32(qid)
 	e.terms[1] = uint32(qid>>3) % e.vocab
 	return e.terms[:]
@@ -574,10 +610,7 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 	c.driveMu.Lock()
 	defer c.driveMu.Unlock()
 
-	e := newLoadEngine(sc.Clients, sc.VocabSize, sc.Skew, sc.Seed)
-	if sc.QueriesPerClient > 0 {
-		e.issued = make([]int32, sc.Clients)
-	}
+	e := newLoadEngine(sc.VocabSize, sc.Skew)
 	hist := stats.NewHistogram(8)
 	var partials, events, served, peak int64
 	var lastNS float64
@@ -589,25 +622,15 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 
 	if open {
 		// Stagger first arrivals by the t=0 rate; each draw comes from the
-		// owning client's stream, ahead of its popularity draws. An arrival
-		// at or past the horizon is never issued, so it is never queued: the
-		// array is sized for the expected in-horizon share of the population
-		// (plus four standard deviations), and re-issues reuse its drained
-		// prefix.
-		mean := float64(sc.Clients) / sc.Arrival.At(0) * 1e9
-		expect := float64(sc.Clients) * -math.Expm1(-sc.DurationNS/mean)
-		arrivals := make([]event, 0, min(sc.Clients, int(expect+4*math.Sqrt(expect))+1))
-		for cl := range e.rng {
-			if t := e.rng[cl].Exponential(mean); t < sc.DurationNS {
-				arrivals = append(arrivals, event{t, int32(cl)})
-			}
-		}
-		sortArrivals(arrivals)
-		e.setArrivals(arrivals)
+		// owning client's stream, ahead of its popularity draws.
+		e.queueArrivals(sc.Clients, sc.Seed, float64(sc.Clients)/sc.Arrival.At(0)*1e9, sc.DurationNS)
 	} else {
-		e.queueAll()
+		e.queueAll(sc.Clients, sc.Seed)
 		inflight = sc.Clients - 1
 		peak = int64(sc.Clients)
+	}
+	if sc.QueriesPerClient > 0 {
+		e.issued = make([]int32, len(e.rng))
 	}
 
 	ai := 0
@@ -616,7 +639,7 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 		if !ok {
 			break
 		}
-		t, cl := ev.t, ev.id
+		t, slot := ev.t, ev.slot
 		for ai < len(acts) && acts[ai].at <= t {
 			c.applyAction(acts[ai])
 			ai++
@@ -629,7 +652,7 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 				events++
 			}
 		}
-		r := c.serve(e.drawTerms(cl), inflight)
+		r := c.serve(e.drawTerms(slot), inflight)
 		events++
 		served++
 		hist.Add(r.LatencyNS)
@@ -646,15 +669,15 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 			if int64(inflight) > peak {
 				peak = int64(inflight)
 			}
-			next = t + e.rng[cl].Exponential(float64(sc.Clients)/sc.Arrival.At(t)*1e9)
+			next = t + e.rng[slot].Exponential(float64(sc.Clients)/sc.Arrival.At(t)*1e9)
 		}
 		again := !open || next < sc.DurationNS
 		if e.issued != nil {
-			e.issued[cl]++
-			again = again && int(e.issued[cl]) < sc.QueriesPerClient
+			e.issued[slot]++
+			again = again && int(e.issued[slot]) < sc.QueriesPerClient
 		}
 		if again {
-			e.reissue(inHeap, event{next, cl})
+			e.reissue(inHeap, event{next, ev.id, slot})
 		} else {
 			e.retire(inHeap)
 		}
