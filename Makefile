@@ -51,17 +51,17 @@ obs-demo:
 # test: decoders never panic and fail only with ErrBadTrace; valid streams
 # round-trip identically through the file and block codecs, and branch
 # streams through the branch-log codec. FuzzInverter differential-fuzzes the
-# index inverter against its map-based reference; FuzzOwnerFilter does the
-# same for the inclusive L3's core-valid filter against probe-every-core
-# back-invalidation, FuzzStackDistMatchesNaive for the stack-distance
-# profiler's Fenwick tree against a move-to-front list, bucket for bucket,
-# and FuzzTailsMatchStandalone for one upper draining into several tails (and
-# their replay from its recorded stream) against a standalone hierarchy per
-# tail, state for state. FuzzTopKMatchesSort runs any mix of top-k pushes,
-# batches, resets and drains against a full sort, FuzzArrivalsMatchSort
-# the fleet engine's bucket sort of first arrivals against slices.SortFunc,
-# and FuzzScenarioMatchesNaive whole open- and closed-loop scenarios against a
-# linear-scan reference engine, FleetStats for FleetStats.
+# index inverter against its map-based reference; FuzzHierarchyMatchesReference
+# does the same for the cache kernel — one access at a time, an upper draining
+# into several tails, and their replay from its recorded stream — against a
+# naive reference hierarchy, level for level and line for line;
+# FuzzStackDistMatchesNaive for the stack-distance profiler's Fenwick tree
+# against a move-to-front list, bucket for bucket. FuzzTopKMatchesSort runs
+# any mix of top-k pushes, batches, resets and drains against a full sort,
+# FuzzArrivalsMatchSort the fleet engine's bucket sort of first arrivals
+# against slices.SortFunc, and FuzzScenarioMatchesNaive whole open- and
+# closed-loop scenarios against a linear-scan reference engine, FleetStats
+# for FleetStats.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzFileCodecDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzBlockDecode$$' -fuzztime $(FUZZTIME)
@@ -69,9 +69,8 @@ fuzz-smoke:
 	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzBranchLogRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzInverter$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzTopKMatchesSort$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzOwnerFilter$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzHierarchyMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzStackDistMatchesNaive$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzTailsMatchStandalone$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serving -run '^$$' -fuzz '^FuzzArrivalsMatchSort$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serving -run '^$$' -fuzz '^FuzzScenarioMatchesNaive$$' -fuzztime $(FUZZTIME)
 

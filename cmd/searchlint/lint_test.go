@@ -280,15 +280,12 @@ func isBuiltin(p *pkg, call *ast.CallExpr, name string) bool {
 // knobExemptions are the one-value knobs that stay fields, each with the
 // reason it holds. The key is package.Type.Field.
 var knobExemptions = map[string]string{
-	"serving.Config.TopK":              "the frozen bench/ reads it",
-	"serving.Config.CacheSlots":        "the serving-tree example sets it, and its golden pins the output",
-	"serving.Config.Fanout":            "the serving-tree example prints it, and its golden pins the output",
-	"search.Config.QueryCacheSlots":    "tests reach the no-cache and eviction paths through it",
-	"search.CorpusConfig.TermZipfSkew": "tests reach the skew paths through it",
-	"workload.StoreConfig.BlockLen":    "tests reach the block-boundary paths through it",
-	"cpu.TLBConfig.L1Assoc":            "a row of the platforms' hardware tables, which happen to agree",
-	"cpu.TLBConfig.L2Assoc":            "a row of the platforms' hardware tables, which happen to agree",
-	"cpu.TLBConfig.L2Entries":          "a row of the platforms' hardware tables, which happen to agree",
+	"serving.Config.TopK":       "the frozen bench/ reads it",
+	"serving.Config.CacheSlots": "the serving-tree example sets it, and its golden pins the output",
+	"serving.Config.Fanout":     "the serving-tree example prints it, and its golden pins the output",
+	"cpu.TLBConfig.L1Assoc":     "a row of the platforms' hardware tables, which happen to agree",
+	"cpu.TLBConfig.L2Assoc":     "a row of the platforms' hardware tables, which happen to agree",
+	"cpu.TLBConfig.L2Entries":   "a row of the platforms' hardware tables, which happen to agree",
 }
 
 // A knob is one exported field of an exported *Config struct under

@@ -32,21 +32,17 @@ func requireZeroAllocs(t *testing.T, name string, f func()) {
 }
 
 // TestHierarchyAccessBatchZeroAlloc drives the full-hierarchy batched kernel
-// across every equivalence-suite configuration (policies, L4 variants, split
-// L2s, fully-associative levels), both with nil levels and with a
+// across every named decoder shape (policies, L4 variants, split L2s,
+// fully-associative levels), both with nil levels and with a
 // caller-provided cap-sized levels slice (the documented no-growth contract).
-// The "owners" point is four cores over an inclusive L3 smaller than their
-// private caches together, so the steady state evicts from the L3 and
+// Every point is four cores over an inclusive L3 smaller than their private
+// caches together, so the steady state evicts from the L3 and
 // back-invalidates through the core-valid filter (owner byte read, set and
-// cleared).
+// cleared), which the "lru" point checks.
 func TestHierarchyAccessBatchZeroAlloc(t *testing.T) {
-	batch := batchEquivTrace(12, 4096, 4)
-	cfgs := equivConfigs()
-	own := tinyHierarchy(4, nil)
-	own.L3.Size = 8 << 10
-	cfgs["owners"] = own
-	for _, name := range det.SortedKeys(cfgs) {
-		h := NewHierarchy(cfgs[name])
+	batch := opsTrace(12, 4096)
+	for _, name := range det.SortedKeys(namedShapes) {
+		h := NewHierarchy(decodeShape(namedShapes[name].shape, namedShapes[name].tail))
 		requireZeroAllocs(t, name+"/nil-levels", func() {
 			h.AccessBatch(batch, nil)
 		})
@@ -57,8 +53,8 @@ func TestHierarchyAccessBatchZeroAlloc(t *testing.T) {
 		if len(levels) != len(batch) {
 			t.Fatalf("%s: %d levels for %d accesses", name, len(levels), len(batch))
 		}
-		if bi := h.L1Stats().BackInvalidations + h.L2Stats().BackInvalidations; name == "owners" && (h.l3.owners == nil || bi == 0) {
-			t.Errorf("owners: filter on = %v, %d back-invalidations; the point must exercise both", h.l3.owners != nil, bi)
+		if bi := h.L1Stats().BackInvalidations + h.L2Stats().BackInvalidations; name == "lru" && (h.l3.owners == nil || bi == 0) {
+			t.Errorf("lru: filter on = %v, %d back-invalidations; the point must exercise both", h.l3.owners != nil, bi)
 		}
 	}
 }
@@ -67,7 +63,7 @@ func TestHierarchyAccessBatchZeroAlloc(t *testing.T) {
 // flat recording handed out window by window and replayed through a
 // hierarchy, with and without an L4.
 func TestHierarchyDrainBatchZeroAlloc(t *testing.T) {
-	v := flatRecording(batchEquivTrace(13, 20_000, 2)).View()
+	v := flatRecording(opsTrace(13, 20_000)).View()
 	for name, l4 := range map[string]*Config{"no-l4": nil, "l4": {Size: 32 << 10, BlockSize: 64, Assoc: 4}} {
 		h := NewHierarchy(tinyHierarchy(2, l4))
 		requireZeroAllocs(t, "drain/"+name, func() {
@@ -82,11 +78,11 @@ func TestHierarchyDrainBatchZeroAlloc(t *testing.T) {
 // resolved and not), and the same tails replaying the upper's recorded
 // Stream through a reused scratch port.
 func TestTailDrainZeroAlloc(t *testing.T) {
-	batch := batchEquivTrace(14, 4096, 4)
-	up := NewUpper(tinyHierarchy(2, nil), true)
+	batch := opsTrace(14, 4096)
+	up := NewUpper(decodeShape(0x001, 0), true)
 	var tails []*Tail
 	for _, b := range []uint8{0x00, 0x01, 0x06, 0x0b, 0x13, 0x33} {
-		tails = append(tails, NewTail(tailShape(tinyHierarchy(2, nil), b)))
+		tails = append(tails, NewTail(decodeShape(0x001, b)))
 	}
 	upLv := make([]HitLevel, 0, len(batch))
 	lv := make([]HitLevel, len(batch))

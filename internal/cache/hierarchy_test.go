@@ -22,6 +22,28 @@ func tinyHierarchy(cores int, l4 *Config) HierarchyConfig {
 	}
 }
 
+// drainBatch runs an entire batched stream through h, consuming each batch
+// before the next NextBatch call (the trace.BatchStream lifetime contract).
+func drainBatch(h *Hierarchy, bs trace.BatchStream) {
+	for {
+		b := bs.NextBatch()
+		if len(b) == 0 {
+			return
+		}
+		h.AccessBatch(b, nil)
+	}
+}
+
+// flatRecording builds the flat chunked store over accs, the way a Replayer
+// captures it.
+func flatRecording(accs []trace.Access) *trace.Shared {
+	w := trace.NewSharedWriter()
+	for _, a := range accs {
+		w.Add(a)
+	}
+	return w.Finish()
+}
+
 func TestHierarchyValidate(t *testing.T) {
 	bad := []HierarchyConfig{
 		{},
@@ -452,5 +474,68 @@ func TestHierarchyConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOwnerFilterOnlyWhereItApplies pins the filter's scope: tracked only on
+// an inclusive set-associative L3, and an untracked cache reports allOwners.
+func TestOwnerFilterOnlyWhereItApplies(t *testing.T) {
+	incl := tinyHierarchy(2, &Config{Size: 32 << 10, BlockSize: 64, Assoc: 4})
+	if h := NewHierarchy(incl); h.l3.owners == nil || h.l4.owners != nil || h.l2[0].owners != nil {
+		t.Error("owners must be tracked on the inclusive L3 and nowhere else")
+	}
+	nonIncl := incl
+	nonIncl.L3Inclusive = false
+	if NewHierarchy(nonIncl).l3.owners != nil {
+		t.Error("non-inclusive L3 tracks owners")
+	}
+	fa := incl
+	fa.L3.Assoc = 0
+	if NewHierarchy(fa).l3.owners != nil {
+		t.Error("fully-associative L3 tracks owners")
+	}
+	for _, cfg := range []Config{{Size: 128, BlockSize: 64, Assoc: 2}, {Size: 128, BlockSize: 64}} {
+		c := New(cfg)
+		c.Fill(1, trace.Heap, false)
+		c.Fill(3, trace.Heap, false)
+		if ev, ok := c.Fill(5, trace.Heap, false); !ok || ev.Owners != allOwners {
+			t.Errorf("assoc %d: evicted line %+v, want Owners %#x", cfg.Assoc, ev, allOwners)
+		}
+		if l, ok := c.Invalidate(3); !ok || l.Owners != allOwners {
+			t.Errorf("assoc %d: invalidated line %+v, want Owners %#x", cfg.Assoc, l, allOwners)
+		}
+	}
+}
+
+// TestPrefetchChecksL4BeforeVictim pins, by hand, the order a prefetch that
+// misses the L3 meets the tail: the L4 is asked for the prefetched block
+// before the fill's L3 victim lands in the L4. Block X sits in a
+// direct-mapped L4 whose only set X shares with the L3 victim V; asking
+// after V arrives would find X evicted and count a memory read.
+func TestPrefetchChecksL4BeforeVictim(t *testing.T) {
+	cfg := HierarchyConfig{
+		Cores: 1, ThreadsPerCore: 1,
+		L1I: Config{Size: 128, BlockSize: 64, Assoc: 2},
+		L1D: Config{Size: 128, BlockSize: 64, Assoc: 2},
+		L2:  Config{Size: 128, BlockSize: 64, Assoc: 2},
+		L3:  Config{Size: 128, BlockSize: 64, Assoc: 2},
+		L4:  &Config{Size: 64, BlockSize: 64, Assoc: 1},
+	}
+	h := NewHierarchy(cfg)
+	read := func(addr uint64) { h.Access(trace.Access{Addr: addr, Size: 8, Seg: trace.Heap, Kind: trace.Read}) }
+	read(0)   // X in the L3
+	read(64)  // V in the L3
+	read(128) // evicts X (LRU) from the L3 into the one-line L4
+	if !h.l4.Contains(0) {
+		t.Fatal("setup: X did not land in the L4")
+	}
+	// Prefetching X misses the L3 and L2 (both two-way, holding V and 128),
+	// evicts V from the L3 into the L4, and V displaces X there.
+	h.InstallPrefetch(0, 0, trace.Heap)
+	if h.PrefetchFills != 1 || h.PrefetchMemReads != 0 {
+		t.Errorf("prefetch of an L4-resident block: %d fills, %d memory reads; want 1, 0", h.PrefetchFills, h.PrefetchMemReads)
+	}
+	if h.l4.Contains(0) || !h.l4.Contains(1) {
+		t.Error("the prefetch's L3 victim did not displace the prefetched block from the L4")
 	}
 }

@@ -14,9 +14,9 @@ import (
 // reads, and the level predictor never writes cache state. So the upper can
 // log what crosses the port during a batch and any number of tails can
 // consume that log afterwards, each ending in exactly the state it would
-// have reached wired inline (FuzzTailsMatchStandalone). That is the paper's
-// §III method made structural: one trace through the upper levels, every
-// below-L3 design point from its post-L3 stream (DESIGN.md §11).
+// have reached wired inline (FuzzHierarchyMatchesReference). That is the
+// paper's §III method made structural: one trace through the upper levels,
+// every below-L3 design point from its post-L3 stream (DESIGN.md §11).
 
 // Port is the post-L3 event log of one upper call (an AccessBatch or an
 // InstallPrefetch): the demand misses, victims and prefetch fills that left

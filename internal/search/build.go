@@ -45,9 +45,6 @@ type Config struct {
 	// MaxSessions bounds concurrent sessions (arena space for their
 	// accumulators is reserved at build time).
 	MaxSessions int
-	// QueryCacheSlots sizes the in-heap query result cache (a power of
-	// two; 0 disables caching).
-	QueryCacheSlots int
 	// Instruction-cost model: modeled instructions charged per unit of
 	// work, used to drive the code walker and to form MPKI denominators
 	// (see also instrsPerPosting and instrsPerSnippetTerm).
@@ -56,6 +53,9 @@ type Config struct {
 }
 
 const (
+	// queryCacheSlots sizes each engine's in-heap query result cache (a
+	// power of two).
+	queryCacheSlots = 1 << 12
 	// snippetTerms is how many content terms are scanned per result for
 	// snippet extraction.
 	snippetTerms = 32
@@ -82,7 +82,6 @@ func DefaultConfig() Config {
 		FeatureBytes:       96,
 		AccumSlots:         1 << 15,
 		MaxSessions:        16,
-		QueryCacheSlots:    1 << 12,
 		InstrsPerQuery:     2400,
 		InstrsPerScore:     40,
 	}
@@ -101,9 +100,6 @@ func (c Config) Validate() error {
 	}
 	if c.AccumSlots <= 0 || c.AccumSlots&(c.AccumSlots-1) != 0 {
 		return fmt.Errorf("search: AccumSlots must be a positive power of two")
-	}
-	if c.QueryCacheSlots < 0 || (c.QueryCacheSlots > 0 && c.QueryCacheSlots&(c.QueryCacheSlots-1) != 0) {
-		return fmt.Errorf("search: QueryCacheSlots must be zero or a power of two")
 	}
 	if c.MaxSessions <= 0 || c.MaxSessions > 256 {
 		return fmt.Errorf("search: MaxSessions out of range")
@@ -132,9 +128,11 @@ type Engine struct {
 	cacheBase    uint64
 	accumBase    uint64
 
-	numDocs   uint32
-	avgDocLen float64
-	sessions  int
+	// cacheSlots is the query cache's size: queryCacheSlots, or 0 for none.
+	cacheSlots int
+	numDocs    uint32
+	avgDocLen  float64
+	sessions   int
 
 	prog *codegen.Program
 }
@@ -272,6 +270,12 @@ func BuildIndex(cfg Config) (*Index, error) {
 // instruction-side modeling. idx must have been built for cfg's Corpus and
 // FeatureBytes.
 func NewEngine(cfg Config, idx *Index, space *memsim.Space, prog *codegen.Program) (*Engine, error) {
+	return newEngine(cfg, idx, space, prog, queryCacheSlots)
+}
+
+// newEngine is NewEngine with the query cache's slot count as an argument:
+// a power of two, or 0 for no cache.
+func newEngine(cfg Config, idx *Index, space *memsim.Space, prog *codegen.Program, cacheSlots int) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -280,11 +284,12 @@ func NewEngine(cfg Config, idx *Index, space *memsim.Space, prog *codegen.Progra
 			idx.corpus, idx.featureBytes, cfg.Corpus, cfg.FeatureBytes)
 	}
 	e := &Engine{
-		cfg:       cfg,
-		space:     space,
-		numDocs:   uint32(cfg.Corpus.NumDocs),
-		avgDocLen: idx.avgDocLen,
-		prog:      prog,
+		cfg:        cfg,
+		space:      space,
+		numDocs:    uint32(cfg.Corpus.NumDocs),
+		avgDocLen:  idx.avgDocLen,
+		prog:       prog,
+		cacheSlots: cacheSlots,
 	}
 	// Lay out the shard arena over the image: postings then content, each
 	// still accounted as an allocation.
@@ -295,7 +300,7 @@ func NewEngine(cfg Config, idx *Index, space *memsim.Space, prog *codegen.Progra
 	// Lay out the heap arena: dictionary, skip table, norms, static ranks,
 	// doc metadata, features, query cache, then per-session accumulator
 	// tables.
-	cacheBytes := cfg.QueryCacheSlots * e.cacheSlotBytes()
+	cacheBytes := cacheSlots * e.cacheSlotBytes()
 	accumBytes := cfg.MaxSessions * cfg.AccumSlots * accumSlot
 	heapBytes := len(idx.dict) + len(idx.skips) + len(idx.meta) + len(idx.norms) + len(idx.statics) +
 		len(idx.feats) + cacheBytes + accumBytes + 64*cfg.MaxSessions

@@ -16,6 +16,10 @@ import (
 	"searchmem/internal/stats"
 )
 
+// termZipfSkew sets term popularity inside documents: real text is near 1.0
+// (Zipf's law).
+const termZipfSkew = 1.0
+
 // CorpusConfig describes the synthetic document collection.
 type CorpusConfig struct {
 	// NumDocs is the number of documents in this leaf's shard.
@@ -25,9 +29,6 @@ type CorpusConfig struct {
 	// AvgDocLen is the mean document length in terms; lengths follow a
 	// bounded Pareto around it, matching the heavy tail of real corpora.
 	AvgDocLen int
-	// TermZipfSkew sets term popularity inside documents. Real text is
-	// near 1.0 (Zipf's law).
-	TermZipfSkew float64
 	// Seed drives generation.
 	Seed uint64
 }
@@ -36,11 +37,10 @@ type CorpusConfig struct {
 // suitable for tests; experiments scale NumDocs and VocabSize up.
 func DefaultCorpusConfig() CorpusConfig {
 	return CorpusConfig{
-		NumDocs:      20000,
-		VocabSize:    30000,
-		AvgDocLen:    80,
-		TermZipfSkew: 1.0,
-		Seed:         0x5ea7c4,
+		NumDocs:   20000,
+		VocabSize: 30000,
+		AvgDocLen: 80,
+		Seed:      0x5ea7c4,
 	}
 }
 
@@ -51,9 +51,6 @@ func (c CorpusConfig) Validate() error {
 	}
 	if c.NumDocs >= 1<<31 || c.VocabSize >= 1<<31 {
 		return fmt.Errorf("search: corpus too large for 32-bit ids")
-	}
-	if c.TermZipfSkew <= 0 {
-		return fmt.Errorf("search: term zipf skew must be positive")
 	}
 	return nil
 }
@@ -75,7 +72,7 @@ func GenerateCorpus(cfg CorpusConfig) *Corpus {
 		panic(err)
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	termDist := stats.NewZipf(rng.Split(), uint64(cfg.VocabSize), cfg.TermZipfSkew)
+	termDist := stats.NewZipf(rng.Split(), uint64(cfg.VocabSize), termZipfSkew)
 	c := &Corpus{
 		cfg: cfg,
 		// The truncated bounded-Pareto lengths below average about 0.7 of

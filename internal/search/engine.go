@@ -286,11 +286,11 @@ func (s *Session) accumRead(slot uint32) (uint32, float32) {
 
 // cacheProbe looks the tag up, returning the cached result ids on a hit.
 func (e *Engine) cacheProbe(tid uint8, tag uint64) ([]uint32, bool) {
-	if e.cfg.QueryCacheSlots == 0 {
+	if e.cacheSlots == 0 {
 		return nil, false
 	}
 	slotBytes := uint64(e.cacheSlotBytes())
-	addr := e.cacheBase + (tag%uint64(e.cfg.QueryCacheSlots))*slotBytes
+	addr := e.cacheBase + (tag%uint64(e.cacheSlots))*slotBytes
 	if e.heap.ReadU64(tid, addr) != tag {
 		return nil, false
 	}
@@ -307,11 +307,11 @@ func (e *Engine) cacheProbe(tid uint8, tag uint64) ([]uint32, bool) {
 
 // cacheInsert stores a result, overwriting whatever occupied the slot.
 func (e *Engine) cacheInsert(tid uint8, tag uint64, docs []uint32) {
-	if e.cfg.QueryCacheSlots == 0 {
+	if e.cacheSlots == 0 {
 		return
 	}
 	slotBytes := uint64(e.cacheSlotBytes())
-	addr := e.cacheBase + (tag%uint64(e.cfg.QueryCacheSlots))*slotBytes
+	addr := e.cacheBase + (tag%uint64(e.cacheSlots))*slotBytes
 	e.heap.WriteU64(tid, addr, tag)
 	e.heap.WriteU32(tid, addr+8, uint32(len(docs)))
 	for i, d := range docs {

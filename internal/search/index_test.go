@@ -57,7 +57,7 @@ func checkInverter(t *testing.T, c *Corpus) {
 
 // corpusOf wraps hand-written documents as a Corpus.
 func corpusOf(vocab int, docs ...[]uint32) *Corpus {
-	c := &Corpus{cfg: CorpusConfig{NumDocs: len(docs), VocabSize: vocab, AvgDocLen: 1, TermZipfSkew: 1}, offs: []int{0}}
+	c := &Corpus{cfg: CorpusConfig{NumDocs: len(docs), VocabSize: vocab, AvgDocLen: 1}, offs: []int{0}}
 	for _, doc := range docs {
 		c.tokens = append(c.tokens, doc...)
 		c.offs = append(c.offs, len(c.tokens))
@@ -83,7 +83,7 @@ func TestInverterMatchesMapReference(t *testing.T) {
 	for _, s := range inverterShapes {
 		t.Run(s.name, func(t *testing.T) {
 			checkInverter(t, GenerateCorpus(CorpusConfig{
-				NumDocs: s.docs, VocabSize: s.vocab, AvgDocLen: s.avgLen, TermZipfSkew: 1, Seed: uint64(s.seedv),
+				NumDocs: s.docs, VocabSize: s.vocab, AvgDocLen: s.avgLen, Seed: uint64(s.seedv),
 			}))
 		})
 	}
@@ -112,8 +112,7 @@ func FuzzInverter(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, docs, vocab uint16, avgLen uint8, seed uint64) {
 		cfg := CorpusConfig{
-			NumDocs: int(docs%512) + 1, VocabSize: int(vocab%2048) + 1, AvgDocLen: int(avgLen%64) + 1,
-			TermZipfSkew: 1, Seed: seed,
+			NumDocs: int(docs%512) + 1, VocabSize: int(vocab%2048) + 1, AvgDocLen: int(avgLen%64) + 1, Seed: seed,
 		}
 		checkInverter(t, GenerateCorpus(cfg))
 	})
@@ -198,20 +197,19 @@ func testQueries(n int, seed uint64) [][]uint32 {
 // unchanged.
 func TestEnginesFromOneIndexAreIsolated(t *testing.T) {
 	cfg := testEngineConfig()
-	cfg.QueryCacheSlots = 64 // small enough for A to fill
 	shared, err := BuildIndex(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newEngine := func(idx *Index) *Engine {
+	engineOn := func(idx *Index) *Engine {
 		t.Helper()
-		eng, err := NewEngine(cfg, idx, memsim.NewSpace(nil), nil)
+		eng, err := newEngine(cfg, idx, memsim.NewSpace(nil), nil, 64) // a cache small enough for A to fill
 		if err != nil {
 			t.Fatal(err)
 		}
 		return eng
 	}
-	a, b := newEngine(shared), newEngine(shared)
+	a, b := engineOn(shared), engineOn(shared)
 
 	sessA := a.NewSession(0, nil)
 	for _, q := range testQueries(400, 11) {
@@ -230,7 +228,7 @@ func TestEnginesFromOneIndexAreIsolated(t *testing.T) {
 	}
 	queries := testQueries(60, 12)
 	gotRes, gotAcc := traceOf(b, queries)
-	wantRes, wantAcc := traceOf(newEngine(fresh), queries)
+	wantRes, wantAcc := traceOf(engineOn(fresh), queries)
 	if !reflect.DeepEqual(gotRes, wantRes) {
 		t.Fatal("engine B's results differ from an engine on a fresh index")
 	}
@@ -344,7 +342,6 @@ func TestNewEngineRejectsMismatchedIndex(t *testing.T) {
 		"NumDocs":      func(c *Config) { c.Corpus.NumDocs++ },
 		"VocabSize":    func(c *Config) { c.Corpus.VocabSize-- },
 		"AvgDocLen":    func(c *Config) { c.Corpus.AvgDocLen++ },
-		"TermZipfSkew": func(c *Config) { c.Corpus.TermZipfSkew = 0.9 },
 		"Seed":         func(c *Config) { c.Corpus.Seed++ },
 		"FeatureBytes": func(c *Config) { c.FeatureBytes += 8 },
 	} {
@@ -369,7 +366,7 @@ func TestNewEngineRejectsMismatchedIndex(t *testing.T) {
 	}
 	// Everything else may differ between engines on one image.
 	ok := cfg
-	ok.MaxSessions, ok.TopK, ok.QueryCacheSlots, ok.AccumSlots = 3, 5, 0, 1<<10
+	ok.MaxSessions, ok.TopK, ok.AccumSlots = 3, 5, 1<<10
 	if _, err := NewEngine(ok, idx, memsim.NewSpace(nil), nil); err != nil {
 		t.Errorf("engine differing only in non-image fields rejected: %v", err)
 	}

@@ -35,8 +35,8 @@ func TestBatchedReplayZeroAlloc(t *testing.T) {
 		store *StoreConfig
 	}{
 		{"flat", nil},
-		{"compressed", &StoreConfig{Compress: true, BlockLen: 128}},
-		{"spilled", &StoreConfig{Compress: true, BlockLen: 128, SpillDir: ""}}, // SpillDir set below
+		{"compressed", &StoreConfig{Compress: true, blockLen: 128}},
+		{"spilled", &StoreConfig{Compress: true, blockLen: 128, SpillDir: ""}}, // SpillDir set below
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -157,7 +157,7 @@ func TestCaptureAllocLaw(t *testing.T) {
 	const accesses = 1 << 20
 	for name, store := range storeCases(t) {
 		t.Run(name, func(t *testing.T) {
-			store.BlockLen = 0 // the deployed geometry
+			store.blockLen = 0 // the deployed geometry
 			rep := NewReplayer(bulkRunner{})
 			rep.SetStore(store)
 			defer rep.Close()

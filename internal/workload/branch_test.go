@@ -27,8 +27,8 @@ func (p plainRunner) Run(threads int, budget int64, seed uint64, s Sinks) Stats 
 func storeCases(t *testing.T) map[string]StoreConfig {
 	return map[string]StoreConfig{
 		"flat":       {},
-		"compressed": {Compress: true, BlockLen: 128},
-		"spilled":    {Compress: true, BlockLen: 128, SpillDir: t.TempDir()},
+		"compressed": {Compress: true, blockLen: 128},
+		"spilled":    {Compress: true, blockLen: 128, SpillDir: t.TempDir()},
 	}
 }
 
@@ -151,7 +151,7 @@ func TestMemoRecordsWarmupFirst(t *testing.T) {
 func TestNilBranchSinkSameAccesses(t *testing.T) {
 	stores := storeCases(t)
 	for _, blockLen := range []int{1, 7, 8192, 100_000} {
-		stores[fmt.Sprintf("compressed-%d", blockLen)] = StoreConfig{Compress: true, BlockLen: blockLen}
+		stores[fmt.Sprintf("compressed-%d", blockLen)] = StoreConfig{Compress: true, blockLen: blockLen}
 	}
 	const threads, budget, seed = 2, 60_000, 7
 	for name, store := range stores {

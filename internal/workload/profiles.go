@@ -52,11 +52,10 @@ func searchCorpus(docs, vocab, avgLen int, seed uint64, shrink int) search.Corpu
 		v = 1000
 	}
 	return search.CorpusConfig{
-		NumDocs:      d,
-		VocabSize:    v,
-		AvgDocLen:    avgLen,
-		TermZipfSkew: 1.0,
-		Seed:         seed,
+		NumDocs:   d,
+		VocabSize: v,
+		AvgDocLen: avgLen,
+		Seed:      seed,
 	}
 }
 
@@ -70,7 +69,6 @@ func leafWorkload(name string, docs int, randomBranchFrac, querySkew float64, se
 	cfg.Corpus = searchCorpus(docs, docs/3, 64, seed, shrink)
 	cfg.MaxPostingsPerTerm = 4096
 	cfg.AccumSlots = 1 << 15
-	cfg.QueryCacheSlots = 1 << 12
 	return SearchWorkload{
 		WLName: name,
 		Engine: cfg,
@@ -117,7 +115,6 @@ func rootWorkload(name string, randomBranchFrac float64, seed uint64, shrink int
 	cfg.TopK = 20
 	cfg.FeatureBytes = 256
 	cfg.AccumSlots = 1 << 15
-	cfg.QueryCacheSlots = 1 << 12
 	cfg.InstrsPerQuery = 4000
 	cfg.InstrsPerScore = 80
 	code := searchCode(randomBranchFrac, 4096, seed^0xc0de, shrink)
@@ -160,7 +157,6 @@ func S1LeafSweep(shrink int) SearchWorkload {
 	cfg.Corpus = searchCorpus(700_000, 160_000, 56, 0x51eaf, shrink)
 	cfg.MaxPostingsPerTerm = 4096
 	cfg.AccumSlots = 1 << 14
-	cfg.QueryCacheSlots = 1 << 12
 	cfg.FeatureBytes = 32
 	return SearchWorkload{
 		WLName: "S1-leaf-sweep",

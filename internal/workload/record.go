@@ -68,14 +68,15 @@ type StoreConfig struct {
 	// happens block-by-block into a reused window, so replay RSS no longer
 	// scales with trace length.
 	Compress bool
-	// BlockLen is the accesses-per-block geometry (0 = trace.DefaultBlockLen).
-	BlockLen int
 	// SpillDir, when non-empty, writes finished blocks to an unlinked
 	// temporary file in this directory as they are sealed, so even the
 	// recording phase holds only one encoding block in memory. Empty keeps
 	// compressed blocks in RAM (still ~4-8x smaller than flat). Ignored
 	// unless Compress is set.
 	SpillDir string
+	// blockLen is the accesses-per-block geometry: 0 (trace.DefaultBlockLen)
+	// in shipped code, varied by tests to reach the block boundaries.
+	blockLen int
 }
 
 // runKey identifies one memoized recording.
@@ -266,7 +267,7 @@ func (r *Replayer) record(key runKey) *recordedRun {
 			r.spills = append(r.spills, f)
 			spill = f
 		}
-		bw := trace.NewBlockWriter(r.store.BlockLen, spill)
+		bw := trace.NewBlockWriter(r.store.blockLen, spill)
 		w, finish = bw, func() (trace.Recording, error) { return bw.Finish() }
 	} else {
 		sw := trace.NewSharedWriter()

@@ -264,12 +264,12 @@ func testStoresIdentical(t *testing.T, fresh func() Runner, budget int64) {
 
 	cases := []StoreConfig{
 		{Compress: true},
-		{Compress: true, BlockLen: 1},
-		{Compress: true, BlockLen: 7},
-		{Compress: true, BlockLen: 100_000},
+		{Compress: true, blockLen: 1},
+		{Compress: true, blockLen: 7},
+		{Compress: true, blockLen: 100_000},
 	}
 	for _, cfg := range cases {
-		name := fmt.Sprintf("blockLen=%d", cfg.BlockLen)
+		name := fmt.Sprintf("blockLen=%d", cfg.blockLen)
 		rep := NewReplayer(fresh())
 		rep.SetStore(cfg)
 		for pass := 0; pass < 2; pass++ { // second pass replays the memo
@@ -286,7 +286,7 @@ func testStoresIdentical(t *testing.T, fresh func() Runner, budget int64) {
 
 	// Spill-to-disk variant: same stream, bytes resident on disk.
 	rep := NewReplayer(fresh())
-	rep.SetStore(StoreConfig{Compress: true, BlockLen: 64, SpillDir: t.TempDir()})
+	rep.SetStore(StoreConfig{Compress: true, blockLen: 64, SpillDir: t.TempDir()})
 	defer rep.Close()
 	requireSame("spill", replayEvents(t, rep, true, threads, budget, seed), direct)
 	st := rep.StoreStats()
@@ -310,7 +310,7 @@ func testStoresIdentical(t *testing.T, fresh func() Runner, budget int64) {
 // per-cursor decode windows make this race-free (meaningful under -race).
 func TestReplayerCompressedConcurrent(t *testing.T) {
 	rep := NewReplayer(&scriptedRunner{})
-	rep.SetStore(StoreConfig{Compress: true, BlockLen: 32, SpillDir: t.TempDir()})
+	rep.SetStore(StoreConfig{Compress: true, blockLen: 32, SpillDir: t.TempDir()})
 	defer rep.Close()
 	rep.Record(4, 200, 9)
 	var reference []event
