@@ -74,57 +74,6 @@ func TestBasicHitMiss(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	// 1024 B / 64 B / 16-way = one set of 16 ways.
-	c := New(smallCfg(16))
-	for b := uint64(0); b < 16; b++ {
-		c.Fill(b, trace.Heap, false)
-	}
-	// Touch block 0 so block 1 becomes LRU.
-	if !c.Access(0, trace.Heap, trace.Read) {
-		t.Fatal("block 0 should hit")
-	}
-	ev, ok := c.Fill(100, trace.Heap, false)
-	if !ok || ev.BlockAddr != 1 {
-		t.Fatalf("expected eviction of block 1, got %+v ok=%v", ev, ok)
-	}
-	if c.Contains(1) {
-		t.Fatal("evicted block still present")
-	}
-	if !c.Contains(0) || !c.Contains(100) {
-		t.Fatal("resident blocks missing")
-	}
-}
-
-func TestFIFOIgnoresReuse(t *testing.T) {
-	cfg := smallCfg(16)
-	cfg.Policy = FIFO
-	c := New(cfg)
-	for b := uint64(0); b < 16; b++ {
-		c.Fill(b, trace.Heap, false)
-	}
-	// Reusing block 0 must NOT save it under FIFO.
-	c.Access(0, trace.Heap, trace.Read)
-	ev, ok := c.Fill(100, trace.Heap, false)
-	if !ok || ev.BlockAddr != 0 {
-		t.Fatalf("FIFO should evict oldest (0), got %+v", ev)
-	}
-}
-
-func TestRandomPolicyEvictsWithinSet(t *testing.T) {
-	cfg := smallCfg(16)
-	cfg.Policy = Random
-	cfg.Seed = 3
-	c := New(cfg)
-	for b := uint64(0); b < 16; b++ {
-		c.Fill(b, trace.Heap, false)
-	}
-	ev, ok := c.Fill(100, trace.Heap, false)
-	if !ok || ev.BlockAddr >= 16 {
-		t.Fatalf("random eviction out of range: %+v ok=%v", ev, ok)
-	}
-}
-
 func TestDirectMappedConflict(t *testing.T) {
 	// 1024 B direct-mapped has 16 sets: blocks 0 and 16 collide.
 	c := New(smallCfg(1))
@@ -242,21 +191,6 @@ func TestCATPartitioning(t *testing.T) {
 	}
 	if c.Contains(0) {
 		t.Fatal("LRU victim not evicted under partitioning")
-	}
-}
-
-func TestFullyAssocLRUOrder(t *testing.T) {
-	c := New(smallCfg(0)) // 16 blocks
-	for b := uint64(0); b < 16; b++ {
-		c.Fill(b, trace.Heap, false)
-	}
-	// Touch 0..7, making 8 the LRU.
-	for b := uint64(0); b < 8; b++ {
-		c.Access(b, trace.Heap, trace.Read)
-	}
-	ev, ok := c.Fill(999, trace.Heap, false)
-	if !ok || ev.BlockAddr != 8 {
-		t.Fatalf("FA LRU evicted %+v, want block 8", ev)
 	}
 }
 

@@ -94,83 +94,6 @@ func TestPolicyValidate(t *testing.T) {
 	}
 }
 
-// TestSRRIPVictimSelection walks the textbook SRRIP example on one set:
-// inserts land at RRPV 2, hits promote to 0, and the victim is the leftmost
-// way aged to RRPV 3.
-func TestSRRIPVictimSelection(t *testing.T) {
-	// 256 B / 64 B / 4-way = one set of 4 ways.
-	c := New(Config{Name: "srrip", Size: 256, BlockSize: 64, Assoc: 4, Policy: SRRIP})
-	for b := uint64(0); b < 4; b++ {
-		c.Fill(b, trace.Heap, false)
-	}
-	// All at RRPV 2; promote block 0 to RRPV 0.
-	if !c.Access(0, trace.Heap, trace.Read) {
-		t.Fatal("block 0 should hit")
-	}
-	// Victim: leftmost of the RRPV-2 ways — block 1, not the reused block 0.
-	ev, ok := c.Fill(100, trace.Heap, false)
-	if !ok || ev.BlockAddr != 1 {
-		t.Fatalf("SRRIP evicted %+v, want block 1", ev)
-	}
-	if !c.Contains(0) {
-		t.Fatal("reused block evicted by SRRIP")
-	}
-	// Aging ran: block 0 is now RRPV 1, blocks 2,3 at RRPV 3, the fresh
-	// block 100 at RRPV 2. Next fill evicts block 2 (leftmost RRPV 3).
-	ev, ok = c.Fill(101, trace.Heap, false)
-	if !ok || ev.BlockAddr != 2 {
-		t.Fatalf("SRRIP second eviction %+v, want block 2", ev)
-	}
-}
-
-// TestBRRIPBimodalInsertion checks BRRIP inserts mostly at "distant" with a
-// seeded minority at "long", and that the stream is a pure function of Seed.
-func TestBRRIPBimodalInsertion(t *testing.T) {
-	mk := func(seed uint64) (*Cache, map[uint64]int) {
-		c := New(Config{Name: "brrip", Size: 256, BlockSize: 64, Assoc: 4, Policy: BRRIP, Seed: seed})
-		counts := map[uint64]int{}
-		for b := uint64(0); b < 400; b++ {
-			c.Fill(b, trace.Heap, false)
-			counts[c.stamps[c.lastIdx]]++
-		}
-		return c, counts
-	}
-	_, counts := mk(3)
-	if counts[rrpvMax] == 0 || counts[rrpvLong] == 0 {
-		t.Fatalf("BRRIP insertion not bimodal: %v", counts)
-	}
-	if counts[rrpvMax] < counts[rrpvLong] {
-		t.Fatalf("BRRIP should insert mostly distant: %v", counts)
-	}
-	a, _ := mk(3)
-	b, _ := mk(3)
-	if a.stamps[0] != b.stamps[0] || a.tags[0] != b.tags[0] || a.Stats != b.Stats {
-		t.Fatal("same-seed BRRIP runs diverged")
-	}
-}
-
-// TestDRRIPSetDueling drives misses into the two leader-set families and
-// checks PSEL votes move the right way.
-func TestDRRIPSetDueling(t *testing.T) {
-	// 16 KiB / 64 B / 4-way = 64 sets: sets 0,32 are SRRIP leaders, sets
-	// 17,49 BRRIP leaders under the duelMask constituency.
-	c := New(Config{Name: "drrip", Size: 16 << 10, BlockSize: 64, Assoc: 4, Policy: DRRIP, Seed: 9})
-	p0 := c.psel
-	for i := uint64(0); i < 32; i++ {
-		c.Fill(i*64, trace.Heap, false) // block i*64 → set 0 (mod 64)
-	}
-	if c.psel <= p0 {
-		t.Fatalf("SRRIP-leader misses should raise PSEL: %d -> %d", p0, c.psel)
-	}
-	up := c.psel
-	for i := uint64(0); i < 64; i++ {
-		c.Fill(i*64+17, trace.Heap, false) // set 17: BRRIP leader
-	}
-	if c.psel >= up {
-		t.Fatalf("BRRIP-leader misses should lower PSEL: %d -> %d", up, c.psel)
-	}
-}
-
 // TestDeadBlockInsertion trains the dead-block table by streaming a block
 // through without reuse and checks its next arrival is inserted "distant",
 // while a reused block keeps its normal insertion.

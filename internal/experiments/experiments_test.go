@@ -132,36 +132,34 @@ var renderDigests = map[string]string{
 	"figT2":     "13b6b84fa66ceb5a206be6441ad41109643073aeaaf7993ad798910cc5139c97",
 }
 
-// TestAllExperimentsFast runs every registered experiment at fast scale and
-// checks that it renders without error and, on amd64, to the pinned bytes
-// (other architectures may fuse multiply-adds and move low digits). This is
-// the end-to-end test of the whole reproduction pipeline. It ends on the
-// session's trace-storage cost, a deterministic count standing guard for
-// what the benchmark's peak RSS measures: everything the suite recorded,
-// accesses and branch logs together, is held in at most 6 B per access
-// (5.2 when written; 24.9 with flat accesses and 16-byte branch records).
+// TestAllExperimentsFast checks that every registered experiment renders
+// without error in the base render and, on amd64, to the pinned bytes (other
+// architectures may fuse multiply-adds and move low digits; -short and -race
+// render at smoke scale, which is not pinned). This is the end-to-end test
+// of the whole reproduction pipeline. It ends on two counts of the base
+// context. The suite's trace-storage cost stands guard for what the
+// benchmark's peak RSS measures: everything the suite recorded, accesses and
+// branch logs together, is held in at most 6 B per access (5.2 when written;
+// 24.9 with flat accesses and 16-byte branch records). And the sweeps that
+// share the canonical sweep upper (fig14's two L4 sweeps, figT1, figT2,
+// figP1's L4 rows, figP2) run it twice, once plain and once keying L1 misses
+// for figP2's predictors, and serve all 48 of their tails from those two
+// streams (DESIGN.md §15).
 func TestAllExperimentsFast(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment")
-	}
-	opts := Fast()
-	opts.Logf = t.Logf
-	ctx := NewContext(opts)
-	for _, e := range All() {
-		e := e
+	renderBase()
+	for i, e := range All() {
+		r := base.renders[i]
 		t.Run(e.ID, func(t *testing.T) {
-			res, err := e.Run(ctx)
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
+			if r.err != nil {
+				t.Fatalf("%s: %v", e.ID, r.err)
 			}
-			out := res.Render()
-			if len(out) < 20 {
-				t.Fatalf("%s: suspiciously short output:\n%s", e.ID, out)
+			if len(r.out) < 20 {
+				t.Fatalf("%s: suspiciously short output:\n%s", e.ID, r.out)
 			}
-			if runtime.GOARCH != "amd64" {
+			if runtime.GOARCH != "amd64" || smokeScale() {
 				return
 			}
-			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != renderDigests[e.ID] {
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(r.out))); got != renderDigests[e.ID] {
 				t.Errorf("render moved:\n\t%q: %q,", e.ID, got)
 			}
 		})
@@ -170,7 +168,7 @@ func TestAllExperimentsFast(t *testing.T) {
 		t.Errorf("renderDigests pins %d experiments, registry has %d", len(renderDigests), len(All()))
 	}
 	var accesses, held int64
-	for _, st := range ctx.TraceStores() {
+	for _, st := range base.stores {
 		accesses += st.Accesses
 		held += st.StoredBytes + st.BranchBytes
 	}
@@ -178,11 +176,21 @@ func TestAllExperimentsFast(t *testing.T) {
 		t.Errorf("the suite holds %d recorded accesses in %d bytes (%.1f B/access), want at most 6 B/access",
 			accesses, held, float64(held)/float64(max(accesses, 1)))
 	}
+	var tails, hits []int64
+	for _, s := range base.streams {
+		tails, hits = append(tails, s.Tails), append(hits, s.Hits)
+		if s.Runner != "s1-leaf-sweep" {
+			t.Errorf("stream over %q, want the sweep recording", s.Runner)
+		}
+	}
+	if fmt.Sprint(tails, hits) != "[11 37] [0 5]" {
+		t.Errorf("L1–L3 passes serving %v tails with %v memo hits, want [11 37] with [0 5]: %+v", tails, hits, base.streams)
+	}
 }
 
 func TestTable2Exact(t *testing.T) {
 	ctx := NewContext(Fast())
-	res, err := ByIDMust("table2").Run(ctx)
+	res, err := mustByID(t, "table2").Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,18 +206,19 @@ func TestTable2Exact(t *testing.T) {
 	}
 }
 
-// ByIDMust is a test helper.
-func ByIDMust(id string) Experiment {
+// mustByID returns the registered experiment id, or fails the test.
+func mustByID(t *testing.T, id string) Experiment {
+	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
-		panic("missing experiment " + id)
+		t.Fatalf("experiment %s not registered", id)
 	}
 	return e
 }
 
 func TestFig2bAnchors(t *testing.T) {
 	ctx := NewContext(Fast())
-	res, err := ByIDMust("fig2b").Run(ctx)
+	res, err := mustByID(t, "fig2b").Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

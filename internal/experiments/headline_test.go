@@ -7,8 +7,8 @@ import (
 // TestHeadlineShapes verifies the paper's §IV headline results at full
 // scale: the cache-for-cores optimum is interior and near 1 MiB/core, and
 // the L4 configurations order and land near the paper's improvements.
-// This is the most expensive test in the repository (runs the Figure 10 and
-// 14 pipelines); skipped under -short.
+// It runs the Figure 10, 11 and 14 pipelines at Full() scale; skipped under
+// -short.
 func TestHeadlineShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale headline reproduction")
@@ -21,7 +21,7 @@ func TestHeadlineShapes(t *testing.T) {
 	ctx := NewContext(opts)
 
 	// --- Figure 10: interior optimum in the cache-for-cores trade-off ---
-	res, err := ByIDMust("fig10").Run(ctx)
+	res, err := mustByID(t, "fig10").Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestHeadlineShapes(t *testing.T) {
 	}
 
 	// --- Figure 11: crossing slopes ---
-	res, err = ByIDMust("fig11").Run(ctx)
+	res, err = mustByID(t, "fig11").Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestHeadlineShapes(t *testing.T) {
 	}
 
 	// --- Figure 14: L4 configurations ---
-	res, err = ByIDMust("fig14").Run(ctx)
+	res, err = mustByID(t, "fig14").Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

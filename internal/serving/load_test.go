@@ -155,79 +155,6 @@ func TestServeGoldenStream(t *testing.T) {
 	}
 }
 
-// TestRunLoadDeterministicAtScale re-runs the determinism pin at a client
-// count that stresses the event heap: two fresh runs at 10k clients must
-// produce identical stats.
-func TestRunLoadDeterministicAtScale(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.LeafDeadlineNS = 8e6
-	cfg.HedgeDelayNS = 4e6
-	a := RunLoad(faultyCluster(cfg, 12, 3), 10000, 2, 400, 1.1, 9)
-	b := RunLoad(faultyCluster(cfg, 12, 3), 10000, 2, 400, 1.1, 9)
-	if a != b {
-		t.Fatalf("10k-client runs diverged:\n%+v\n%+v", a, b)
-	}
-	if a.Queries != 20000 {
-		t.Fatalf("Queries = %d, want 20000", a.Queries)
-	}
-}
-
-// TestClosedLoopScenarioMatchesRunLoad guards the wrapper: a closed-loop
-// Scenario is RunLoad.
-func TestClosedLoopScenarioMatchesRunLoad(t *testing.T) {
-	a := RunLoad(testCluster(256), 16, 30, 200, 1.1, 5)
-	fs := RunScenario(testCluster(256), Scenario{
-		Clients: 16, QueriesPerClient: 30, VocabSize: 200, Skew: 1.1, Seed: 5,
-	})
-	if a != fs.LoadStats {
-		t.Fatalf("RunLoad %+v != closed-loop RunScenario %+v", a, fs.LoadStats)
-	}
-	if fs.Served != 480 || fs.PeakInflight != 16 || fs.OfferedQPS != 0 {
-		t.Fatalf("closed-loop fleet accounting wrong: %+v", fs)
-	}
-}
-
-// TestScenarioDeterministic runs the full open-loop mix — diurnal curve,
-// flash-crowd burst, cache flush, correlated outage — twice on fresh
-// clusters and requires byte-identical FleetStats and Metrics.
-func TestScenarioDeterministic(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CacheSlots = 512
-	cfg.LeafDeadlineNS = 8e6
-	cfg.HedgeDelayNS = 4e6
-	cfg.LeafCapacity = 64
-	sc := Scenario{
-		Clients:   500,
-		VocabSize: 400,
-		Skew:      1.1,
-		Seed:      17,
-		Arrival: &RateCurve{
-			BaseQPS:          2000,
-			DiurnalAmplitude: 0.5,
-			DiurnalPeriodNS:  4e8,
-			Bursts:           []Burst{{StartNS: 1e8, EndNS: 1.5e8, Factor: 3}},
-		},
-		DurationNS: 5e8,
-		Events: []FleetEvent{
-			{AtNS: 2e8, FlushCache: true},
-			{AtNS: 3e8, OutageLeaf: 0, OutageLeaves: 4, OutageDurationNS: 5e7},
-		},
-	}
-	ca := faultyCluster(cfg, 12, 3)
-	a := RunScenario(ca, sc)
-	cb := faultyCluster(cfg, 12, 3)
-	b := RunScenario(cb, sc)
-	if a != b {
-		t.Fatalf("scenario runs diverged:\n%+v\n%+v", a, b)
-	}
-	if ma, mb := ca.Metrics(), cb.Metrics(); ma != mb {
-		t.Fatalf("scenario metrics diverged:\n%+v\n%+v", ma, mb)
-	}
-	if a.Served == 0 || a.EventsProcessed <= a.Served || a.DurationNS <= 0 {
-		t.Fatalf("implausible fleet accounting: %+v", a)
-	}
-}
-
 // TestRateCurveAt checks the arrival-rate model point by point: diurnal
 // peak and trough, multiplicative burst stacking, and the rate floor.
 func TestRateCurveAt(t *testing.T) {

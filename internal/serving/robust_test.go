@@ -317,36 +317,31 @@ func TestRaceFaultInjectedLoad(t *testing.T) {
 }
 
 // TestRunLoadDeterministic asserts identical LoadStats across two runs with
-// the same seed — including the exact fault and hedge counters — for both a
-// single client and a multi-client closed loop. Multi-client determinism is
-// the regression pin for the virtual-completion-order event loop: the old
-// goroutine-per-client driver drew per-executor jitter RNGs in scheduling
-// order, so hedge counts drifted run to run under -race.
+// the same seed, including the exact fault and hedge counters, for a
+// 10 000-client closed loop that stresses the event heap. Multi-client
+// determinism is the regression pin for the virtual-completion-order event
+// loop: the old goroutine-per-client driver drew per-executor jitter RNGs in
+// scheduling order, so hedge counts drifted run to run under -race. The 1-
+// and 8-client loops are pinned by TestRunLoadGolden's digests.
 func TestRunLoadDeterministic(t *testing.T) {
-	for _, clients := range []int{1, 8, 10000} {
-		qpc := 300
-		if clients >= 10000 {
-			qpc = 2 // same total-order property, scale-stressed heap
-		}
-		run := func() (LoadStats, Metrics) {
-			cfg := DefaultConfig()
-			cfg.LeafDeadlineNS = 8e6
-			cfg.HedgeDelayNS = 4e6
-			cl := faultyCluster(cfg, 12, 11)
-			st := RunLoad(cl, clients, qpc, 400, 1.1, 9)
-			return st, cl.Metrics()
-		}
-		a, am := run()
-		b, bm := run()
-		if a != b {
-			t.Fatalf("clients=%d: LoadStats differ across identical runs:\n%+v\n%+v", clients, a, b)
-		}
-		if am.HedgesIssued != bm.HedgesIssued || am.LeafTimeouts != bm.LeafTimeouts || am.LeafFailures != bm.LeafFailures {
-			t.Fatalf("clients=%d: fault counters differ across identical runs:\n%+v\n%+v", clients, am, bm)
-		}
-		if a.PartialResults == 0 {
-			t.Fatal("fault injection produced no partial results")
-		}
+	run := func() (LoadStats, Metrics) {
+		cfg := DefaultConfig()
+		cfg.LeafDeadlineNS = 8e6
+		cfg.HedgeDelayNS = 4e6
+		cl := faultyCluster(cfg, 12, 11)
+		st := RunLoad(cl, 10000, 2, 400, 1.1, 9)
+		return st, cl.Metrics()
+	}
+	a, am := run()
+	b, bm := run()
+	if a != b {
+		t.Fatalf("LoadStats differ across identical runs:\n%+v\n%+v", a, b)
+	}
+	if am.HedgesIssued != bm.HedgesIssued || am.LeafTimeouts != bm.LeafTimeouts || am.LeafFailures != bm.LeafFailures {
+		t.Fatalf("fault counters differ across identical runs:\n%+v\n%+v", am, bm)
+	}
+	if a.Queries != 20000 || a.PartialResults == 0 {
+		t.Fatalf("Queries = %d with %d partial results, want 20000 with some partial", a.Queries, a.PartialResults)
 	}
 }
 

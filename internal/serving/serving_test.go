@@ -104,24 +104,6 @@ func TestCacheShortCircuit(t *testing.T) {
 	}
 }
 
-func TestCacheEviction(t *testing.T) {
-	s := newCacheServer(2)
-	s.put(1, []uint32{1}, []float32{1})
-	s.put(2, []uint32{2}, []float32{1})
-	s.put(3, []uint32{3}, []float32{1})
-	if _, _, ok := cacheGet(s, 1); ok {
-		t.Fatal("oldest entry not evicted")
-	}
-	if _, _, ok := cacheGet(s, 3); !ok {
-		t.Fatal("newest entry missing")
-	}
-	// Overwrite existing key must not grow the map.
-	s.put(3, []uint32{9}, []float32{2})
-	if docs, _, _ := cacheGet(s, 3); docs[0] != 9 {
-		t.Fatal("overwrite failed")
-	}
-}
-
 func TestMergePrefersBestScores(t *testing.T) {
 	// With TopK=3 and many leaves, merged scores must dominate any single
 	// leaf's weakest results.
