@@ -61,7 +61,9 @@ obs-demo:
 # FuzzArrivalsMatchSort the fleet engine's bucket sort of first arrivals
 # against slices.SortFunc, and FuzzScenarioMatchesNaive whole open- and
 # closed-loop scenarios against a linear-scan reference engine, FleetStats
-# for FleetStats.
+# for FleetStats. FuzzZipfTableMatchesFormula holds the Zipf sampler's
+# inversion table to the rejection-inversion formula, draw for draw and RNG
+# state for RNG state, over fuzzed (n, s) and around every tabulated bound.
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzFileCodecDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzBlockDecode$$' -fuzztime $(FUZZTIME)
@@ -73,5 +75,6 @@ fuzz-smoke:
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzStackDistMatchesNaive$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serving -run '^$$' -fuzz '^FuzzArrivalsMatchSort$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serving -run '^$$' -fuzz '^FuzzScenarioMatchesNaive$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzZipfTableMatchesFormula$$' -fuzztime $(FUZZTIME)
 
 ci: build lint test race alloc-check fuzz-smoke

@@ -585,7 +585,7 @@ func compPop(h *[]float64) {
 // state, scenario), independent of GOMAXPROCS and scheduling (DESIGN.md
 // §16).
 func RunScenario(c *Cluster, sc Scenario) FleetStats {
-	if sc.Clients <= 0 || sc.VocabSize <= 0 || sc.Skew <= 0 {
+	if sc.Clients <= 0 || sc.VocabSize <= 0 || !(sc.Skew > 0) {
 		panic("serving: scenario requires positive clients, vocab size, and skew")
 	}
 	if sc.Clients > math.MaxInt32 {

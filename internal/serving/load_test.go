@@ -519,6 +519,8 @@ func TestRunScenarioPanics(t *testing.T) {
 		{"more clients than int32 ids", Scenario{Clients: tooMany, VocabSize: 10, Skew: 1.1, QueriesPerClient: 1}},
 		{"zero vocab", Scenario{Clients: 1, Skew: 1.1, QueriesPerClient: 1}},
 		{"zero skew", Scenario{Clients: 1, VocabSize: 10, QueriesPerClient: 1}},
+		// NaN passes a Skew <= 0 test, and its draws never end.
+		{"NaN skew", Scenario{Clients: 1, VocabSize: 10, Skew: math.NaN(), QueriesPerClient: 1}},
 		{"closed no budget", Scenario{Clients: 1, VocabSize: 10, Skew: 1.1}},
 		{"open no horizon", Scenario{Clients: 1, VocabSize: 10, Skew: 1.1, Arrival: &RateCurve{BaseQPS: 10}}},
 		{"open no rate", Scenario{Clients: 1, VocabSize: 10, Skew: 1.1, Arrival: &RateCurve{}, DurationNS: 1e9}},

@@ -73,6 +73,9 @@ type SyntheticRunner struct {
 	prog  *codegen.Program
 	heap  *memsim.Arena
 	scan  *memsim.Arena
+	// heapZipf is the heap blocks' popularity, one shape for every thread
+	// and run; each thread draws from it with its own stream.
+	heapZipf *stats.ZipfShape
 
 	walkers  []*codegen.Walker
 	scanPos  []uint64
@@ -91,6 +94,7 @@ func (w SyntheticWorkload) Build() *SyntheticRunner {
 	code := r.space.NewArena("code", trace.Code, w.Code.CodeBytes())
 	r.prog = codegen.New(w.Code, code)
 	r.heap = r.space.NewPhantomArena("data", trace.Heap, w.HeapBytes)
+	r.heapZipf = stats.NewZipfShape(max(uint64(w.HeapBytes)/64, 1), w.HeapSkew)
 	if w.ScanBytes > 0 {
 		r.scan = r.space.NewPhantomArena("scan", trace.Heap, w.ScanBytes)
 	}
@@ -131,17 +135,13 @@ func (r *SyntheticRunner) Run(threads int, instrBudget int64, seed uint64, s Sin
 	var st Stats
 	perThread := instrBudget / int64(threads)
 	rngs := make([]*stats.RNG, threads)
-	zipfs := make([]*stats.Zipf, threads)
+	heapRNGs := make([]*stats.RNG, threads)
 	startInstr := make([]int64, threads)
 	startBr := make([]int64, threads)
-	heapBlocks := uint64(r.wl.HeapBytes) / 64
-	if heapBlocks == 0 {
-		heapBlocks = 1
-	}
 	for t := 0; t < threads; t++ {
 		w := r.walker(t)
 		rngs[t] = stats.NewRNG(seed*2_000_000_011 + uint64(t)*17 + 3)
-		zipfs[t] = stats.NewZipf(rngs[t].Split(), heapBlocks, r.wl.HeapSkew)
+		heapRNGs[t] = rngs[t].Split()
 		startInstr[t] = w.Instructions
 		startBr[t] = w.Branches
 	}
@@ -179,7 +179,7 @@ func (r *SyntheticRunner) Run(threads int, instrBudget int64, seed uint64, s Sin
 				r.scan.Touch(r.curTid, addr, r.wl.AccessBytes, kind)
 				continue
 			}
-			addr = r.heap.Base() + zipfs[t].Next()*64 + uint64(rng.Intn(64-r.wl.AccessBytes+1))
+			addr = r.heap.Base() + r.heapZipf.Next(heapRNGs[t])*64 + uint64(rng.Intn(64-r.wl.AccessBytes+1))
 			r.heap.Touch(r.curTid, addr, r.wl.AccessBytes, kind)
 		}
 		r.space.SetRecorder(nil)
