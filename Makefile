@@ -48,9 +48,10 @@ obs-demo:
 
 # fuzz-smoke runs each fuzz target briefly (seed corpus plus
 # $(FUZZTIME) of coverage-guided exploration per target). The contract under
-# test: decoders never panic and fail only with ErrBadTrace; valid streams
-# round-trip identically through the file and block codecs, and branch
-# streams through the branch-log codec. FuzzInverter differential-fuzzes the
+# test: the trace file reader and the block decoder never panic and fail
+# only with ErrBadTrace; valid streams, every thread id included, round-trip
+# identically through the block codec, in memory and through a trace file,
+# and branch streams through the branch-log codec. FuzzInverter differential-fuzzes the
 # index inverter against its map-based reference; FuzzHierarchyMatchesReference
 # does the same for the cache kernel — one access at a time, an upper draining
 # into several tails, and their replay from its recorded stream — against a

@@ -1,7 +1,7 @@
-// Command cachesim replays a binary trace file (produced by cmd/tracegen)
-// through a configurable cache hierarchy and prints per-level, per-segment
-// statistics — the standalone trace-driven simulator of the paper's §III-A
-// methodology.
+// Command cachesim replays a trace file (produced by cmd/tracegen) batch by
+// batch through a configurable cache hierarchy and prints per-level,
+// per-segment statistics — the standalone trace-driven simulator of the
+// paper's §III-A methodology.
 //
 // Usage:
 //
@@ -119,23 +119,26 @@ func main() {
 		os.Exit(1)
 	}
 	defer f.Close()
-	r, err := trace.NewReader(f)
+	info, err := f.Stat()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var n int64
-	var a trace.Access
-	for r.Next(&a) {
-		h.Access(a)
-		n++
+	rec, err := trace.OpenFile(f, info.Size())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	if err := r.Err(); err != nil {
+	v := rec.View()
+	for b := v.NextBatch(); len(b) > 0; b = v.NextBatch() {
+		h.AccessBatch(b, nil)
+	}
+	if err := v.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 
-	fmt.Printf("replayed %d accesses\n\n", n)
+	fmt.Printf("replayed %d accesses\n\n", rec.Len())
 	report := func(name string, s cache.AccessStats) {
 		fmt.Printf("%-5s hit %6.2f%%  hits %12d  misses %12d", name, 100*s.HitRate(), s.TotalHits(), s.TotalMisses())
 		if *instrKI > 0 {

@@ -107,24 +107,38 @@ func TestBadFlagsFail(t *testing.T) {
 }
 
 // TestBadTraceFilesFail: a missing, truncated or corrupt trace exits 1 with
-// the codec's error (ErrBadTrace for malformed bytes) and never panics.
+// the reader's error (ErrBadTrace for malformed bytes, found at open or as
+// the replay decodes a block) and never panics.
 func TestBadTraceFilesFail(t *testing.T) {
 	data, err := os.ReadFile(leafTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	oversize := append(append([]byte(nil), data[:8]...), 0x00, 0x80, 0x80, 0xc0, 0x00) // size field 1<<20
+	// patched copies the trace with b written at off (from the end when
+	// negative). The last block's table entry is at -16 (access count).
+	patched := func(off int, b ...byte) []byte {
+		if off < 0 {
+			off += len(data)
+		}
+		out := append([]byte(nil), data...)
+		copy(out[off:], b)
+		return out
+	}
 	for _, tc := range []struct {
 		name   string
 		data   []byte
 		stderr string
 	}{
 		{"missing", nil, "no such file or directory"},
-		{"empty", []byte{}, "trace: malformed trace file: short header"},
-		{"bad magic", append([]byte("XXXX"), data[4:]...), "trace: malformed trace file: bad magic"},
-		{"truncated mid-record", data[:len(data)-1], "trace: malformed trace file: truncated"},
-		{"oversize size field", oversize, "trace: malformed trace file: size 1048576 out of range"},
+		{"empty", []byte{}, "trace: malformed trace file: short file (0 bytes)"},
+		{"bad magic", patched(0, 'X'), "trace: malformed trace file: bad magic"},
+		{"version 1", patched(4, 1), "trace: malformed trace file: unsupported version 1"},
+		{"truncated", data[:len(data)-1], "trace: malformed trace file: bad trailer"},
+		{"table claims 2^31 accesses", patched(-16, 0, 0, 0, 0x80), "trace: malformed trace file: block 84 holds 2147483648 accesses"},
+		{"kind 3 in the first block", patched(12, 0xc0), "trace: malformed trace file: invalid kind 3"},
+		// A heap read of thread 0 whose size varint encodes 1<<20.
+		{"oversize size field", patched(12, 0x50, 0x80, 0x80, 0x40), "trace: malformed trace file: bad size at record 0"},
 	} {
 		path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "-")+".smtr")
 		if tc.data != nil {

@@ -1,7 +1,8 @@
 // Command tracegen builds a calibrated workload profile, executes it, and
-// writes the resulting memory-access trace to a compact binary file that
-// cmd/cachesim (or any trace.Reader user) can replay — the reproduction's
-// equivalent of capturing a Pin trace from a production server.
+// writes the resulting memory-access trace to a trace file (a block-
+// compressed recording, internal/trace's file.go) that cmd/cachesim or
+// trace.OpenFile can replay — the reproduction's equivalent of capturing a
+// Pin trace from a production server.
 //
 // Usage:
 //
@@ -52,7 +53,7 @@ func main() {
 		}
 	}
 	need(*instrs > 0, "-instructions", "positive", *instrs)
-	// The trace file format packs the thread id into 4 bits.
+	// A search profile's engine serves at most MaxSessions (16) threads.
 	need(*threads >= 1 && *threads <= 16, "-threads", "in 1..16", int64(*threads))
 	need(*shrink >= 1, "-shrink", "at least 1", int64(*shrink))
 
@@ -69,34 +70,29 @@ func main() {
 		os.Exit(2)
 	}
 
+	// check exits 1 on an I/O or encoding error.
+	check := func(err error) {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
 	f, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	w, err := trace.NewWriter(f)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	check(err)
+	w, err := trace.NewFileWriter(f, 0)
+	check(err)
 
 	fmt.Fprintf(os.Stderr, "building %s (shrink %d)...\n", *profile, *shrink)
 	runner := build()
 	st := runner.Run(*threads, *instrs, *seed, workload.Sinks{
-		Access: func(a trace.Access) {
-			if err := w.Write(a); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		},
+		Access: func(a trace.Access) { check(w.Add(a)) },
 	})
-	if err := w.Flush(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	info, _ := f.Stat()
+	c, err := w.FinishFile()
+	check(err)
+	info, err := f.Stat()
+	check(err)
+	check(f.Close())
 	fmt.Fprintf(os.Stderr, "wrote %d accesses (%d instructions, %d queries) to %s (%d bytes, %.2f B/access)\n",
-		w.Count(), st.Instructions, st.Queries, *out, info.Size(),
-		float64(info.Size())/float64(w.Count()))
+		c.Len(), st.Instructions, st.Queries, *out, info.Size(),
+		float64(info.Size())/float64(c.Len()))
 }

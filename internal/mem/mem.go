@@ -134,8 +134,8 @@ type FarConfig struct {
 	NearPages int64
 	// Policy is the placement policy (default PolicyStatic).
 	Policy PagePolicy
-	// EpochLen is the number of memory transactions per placement epoch
-	// (default 65536).
+	// EpochLen is the number of memory transactions per placement epoch.
+	// Must be positive.
 	EpochLen int64
 }
 

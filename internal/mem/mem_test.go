@@ -263,12 +263,20 @@ func TestPageTableGrowth(t *testing.T) {
 }
 
 func TestInvalidConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("far tier without NearPages: NewSystem did not panic")
-		}
-	}()
-	NewSystem(Config{Far: &FarConfig{}})
+	for name, far := range map[string]FarConfig{
+		"without NearPages": {EpochLen: 1024},
+		"without EpochLen":  {NearPages: 64},
+		"negative EpochLen": {NearPages: 64, EpochLen: -1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("far tier %s: NewSystem did not panic", name)
+				}
+			}()
+			NewSystem(Config{Far: &far})
+		}()
+	}
 }
 
 func TestCostModel(t *testing.T) {

@@ -45,22 +45,20 @@ type System struct {
 }
 
 // NewSystem builds a system from cfg. A far tier needs positive NearPages
-// (it panics otherwise, like cache.NewHierarchy on a bad shape); a zero
-// EpochLen takes the default 65536.
+// and EpochLen (it panics otherwise, like cache.NewHierarchy on a bad
+// shape).
 func NewSystem(cfg Config) *System { return newSystem(cfg, windowDepth) }
 
 // newSystem is NewSystem with the near tier's scheduling window as an
 // argument (see newDRAMSim).
 func newSystem(cfg Config, depth int) *System {
-	if cfg.Far != nil {
-		f := *cfg.Far // copy: the caller's FarConfig stays untouched
+	if f := cfg.Far; f != nil {
 		if f.NearPages <= 0 {
 			panic("mem: far tier requires positive NearPages")
 		}
-		if f.EpochLen == 0 {
-			f.EpochLen = 65536
+		if f.EpochLen <= 0 {
+			panic("mem: far tier requires positive EpochLen")
 		}
-		cfg.Far = &f
 	}
 	s := &System{cfg: cfg, dram: newDRAMSim(depth)}
 	const initialSlots = 1 << 16

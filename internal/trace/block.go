@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -21,17 +22,19 @@ import (
 // a plain io.ReaderAt (no mmap), which keeps concurrent views safe and the
 // footprint flat at paper-scale traces.
 //
-// Per-record layout (same spirit as the file codec in codec.go):
+// Per-record layout:
 //
 //	meta u8 | [thread u8] | size uvarint | addr-delta svarint
 //
 // meta packs kind (2 bits), segment (2 bits), and a 4-bit thread nibble;
-// nibble 0x0f is an escape meaning the full 8-bit thread id follows, so —
-// unlike the fixed file format — every Access.Thread value round-trips.
-// Address deltas are taken per (thread, segment) pair exactly like the file
-// codec, but every chain's base resets to zero at each block boundary:
-// blocks are therefore independently decodable, which is what makes
-// spill-to-disk and Rewind cheap (no chain state survives a block).
+// nibble 0x0f is an escape meaning the full 8-bit thread id follows, so
+// every Access.Thread value round-trips. Address deltas are taken per
+// (thread, segment) pair, which makes sequential scans (posting lists,
+// instruction fetch) compress to a few bytes per access, and every chain's
+// base resets to zero at each block boundary: blocks are therefore
+// independently decodable, which is what makes spill-to-disk and Rewind
+// cheap (no chain state survives a block). A trace file (file.go) is a
+// spilled recording.
 type Compressed struct {
 	blocks   []blockMeta
 	spill    io.ReaderAt // block bytes live here when spilled, else in blocks[i].data
@@ -63,6 +66,16 @@ const DefaultBlockLen = DefaultBatchSize
 // threadEscape is the meta thread-nibble value marking an explicit thread
 // byte. Threads 0-14 encode inline; 15-255 cost one extra byte.
 const threadEscape = 0x0f
+
+// maxRecordLen bounds one encoded record: 1 (meta) + 1 (thread escape) + 10
+// (size uvarint) + 10 (delta svarint) bytes. The size value is capped at
+// MaxUint16, but uvarintAt accepts non-canonical 10-byte encodings of small
+// values, so the bound budgets the full varint width.
+const maxRecordLen = 22
+
+// ErrBadTrace is returned when recorded block bytes or a trace file are
+// malformed.
+var ErrBadTrace = errors.New("trace: malformed trace file")
 
 // SpillFile is where a BlockWriter parks finished blocks and a
 // CompressedView later reads them back from. *os.File satisfies it; both
@@ -169,11 +182,7 @@ func (w *BlockWriter) Finish() (*Compressed, error) {
 	if err := w.flushBlock(); err != nil {
 		return nil, err
 	}
-	c := &Compressed{blocks: w.blocks, n: w.n, blockLen: w.blockLen}
-	if w.spill != nil {
-		c.spill = w.spill
-	}
-	return c, nil
+	return &Compressed{blocks: w.blocks, spill: w.spill, n: w.n, blockLen: w.blockLen}, nil
 }
 
 // Compress block-compresses a slice of accesses in memory (0 block length
@@ -299,16 +308,12 @@ func (v *CompressedView) decodeBlock() bool {
 	}
 	win := v.win[:bm.count]
 	pos := 0
-	// Hot decode loop. A record is at most 1 (meta) + 1 (thread escape) +
-	// 10 (size uvarint) + 10 (delta svarint) bytes — the size value is capped
-	// at MaxUint16, but uvarintAt accepts non-canonical 10-byte encodings of
-	// small values, so the guard must budget the full varint width or the
-	// unchecked delta reads below can run past the block. When at least that
-	// much input remains, the fast path decodes the dominant 1-2 byte varint
-	// shapes without per-byte bounds tests. The tail of the block (and any
-	// corrupt input the guard can't vouch for) goes through the fully checked
-	// decodeRecordSlow.
-	const maxRecordLen = 22
+	// Hot decode loop. The guard must budget maxRecordLen, the full varint
+	// width, or the unchecked delta reads below can run past the block. When
+	// at least that much input remains, the fast path decodes the dominant
+	// 1-2 byte varint shapes without per-byte bounds tests. The tail of the
+	// block (and any corrupt input the guard can't vouch for) goes through
+	// the fully checked decodeRecordSlow.
 	packed := packedStore
 	for i := range win {
 		if len(data)-pos < maxRecordLen {

@@ -299,7 +299,8 @@ func (s *shortReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	return copy(p, s.data[off:]), nil
 }
 
-// TestBlockWriterRejectsInvalid mirrors the file-codec validation.
+// TestBlockWriterRejectsInvalid: the block writer refuses fields the record
+// meta byte cannot hold.
 func TestBlockWriterRejectsInvalid(t *testing.T) {
 	w := NewBlockWriter(0, nil)
 	if err := w.Add(Access{Seg: Segment(9)}); err == nil {
@@ -308,7 +309,7 @@ func TestBlockWriterRejectsInvalid(t *testing.T) {
 	if err := w.Add(Access{Kind: Kind(9)}); err == nil {
 		t.Fatal("invalid kind accepted")
 	}
-	// Unlike the file codec, any uint8 thread is representable.
+	// The escape byte makes any uint8 thread representable.
 	if err := w.Add(Access{Thread: 255, Size: 1}); err != nil {
 		t.Fatalf("Thread=255 rejected: %v", err)
 	}

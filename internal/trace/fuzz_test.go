@@ -4,26 +4,27 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 )
 
 // The fuzz targets pin the codec robustness contract from two sides:
 //
-//   - decode targets feed arbitrary bytes to the decoders and require
-//     "no panic; every failure is ErrBadTrace" — corrupt input must never
-//     decode silently into garbage accesses (the uint16(size) narrowing bug)
-//     or crash the replayer;
-//   - round-trip targets derive a valid access stream from the fuzz input
-//     and require encode→decode identity through both the file codec and
-//     the block codec (with several block geometries).
+//   - decode targets feed arbitrary bytes to the trace file reader and to
+//     the block decoder and require "no panic; every failure is
+//     ErrBadTrace" — corrupt input must never decode silently into garbage
+//     accesses, size an allocation by a claimed count, or crash the
+//     replayer;
+//   - the round-trip target derives a valid access stream from the fuzz
+//     input and requires encode→decode identity through the block codec,
+//     in memory and through a trace file, at a fuzz-chosen block length.
 //
 // `make fuzz-smoke` runs each target briefly in CI; the committed corpus
-// under testdata/fuzz/ seeds them with a valid trace and known-nasty
-// corruptions (varint overflow, oversize size, truncated records).
+// under testdata/fuzz/ seeds them with valid traces and known-nasty
+// corruptions (varint overflow, oversize sizes, truncated records).
 
 // fuzzAccesses derives a deterministic valid access stream from raw fuzz
-// bytes: 12 input bytes per access. Thread is clamped to the file codec's
-// 4-bit range so the same stream round-trips through both codecs.
+// bytes: 12 input bytes per access, any thread id included.
 func fuzzAccesses(data []byte) []Access {
 	var out []Access
 	for len(data) >= 12 {
@@ -32,69 +33,102 @@ func fuzzAccesses(data []byte) []Access {
 			Size:   binary.LittleEndian.Uint16(data[8:10]),
 			Seg:    Segment(data[10] % NumSegments),
 			Kind:   Kind(data[10] / NumSegments % NumKinds),
-			Thread: data[11] & maxCodecThread,
+			Thread: data[11],
 		})
 		data = data[12:]
 	}
 	return out
 }
 
-// encodeFile serializes accesses with the file codec.
-func encodeFile(t testing.TB, accesses []Access) []byte {
+// encodeFile writes accesses as an in-memory trace file of blockLen-access
+// blocks.
+func encodeFile(t testing.TB, accesses []Access, blockLen int) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+	var f shortReaderAt
+	w, err := NewFileWriter(&f, blockLen)
 	if err != nil {
-		t.Fatalf("NewWriter: %v", err)
+		t.Fatalf("NewFileWriter: %v", err)
 	}
 	for _, a := range accesses {
-		if err := w.Write(a); err != nil {
-			t.Fatalf("Write(%v): %v", a, err)
+		if err := w.Add(a); err != nil {
+			t.Fatalf("Add(%v): %v", a, err)
 		}
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+	if _, err := w.FinishFile(); err != nil {
+		t.Fatalf("FinishFile: %v", err)
 	}
-	return buf.Bytes()
+	return f.data
 }
 
-// FuzzFileCodecDecode feeds arbitrary bytes to the file-codec reader. The
-// contract: no panic, and every non-clean outcome is ErrBadTrace.
-func FuzzFileCodecDecode(f *testing.F) {
-	// A valid two-record trace, and surgical corruptions of it.
-	valid := encodeFile(f, []Access{
-		{Addr: 4096, Size: 64, Seg: Heap, Kind: Read, Thread: 3},
-		{Addr: 4160, Size: 64, Seg: Heap, Kind: Read, Thread: 3},
-	})
-	f.Add(valid)
-	f.Add(valid[:len(valid)-1])                       // truncated final record
-	f.Add(append(bytes.Clone(valid), 0x00))           // trailing meta, no body
-	f.Add([]byte("SMTR\x01\x00\x00\x00"))             // header only
-	f.Add([]byte("SMTR\x02\x00\x00\x00"))             // bad version
-	f.Add([]byte("XXXX\x01\x00\x00\x00\x00\x40\x00")) // bad magic
-	// Oversize size field: meta then uvarint 1<<20.
-	f.Add(append([]byte("SMTR\x01\x00\x00\x00"), 0x00, 0x80, 0x80, 0xc0, 0x00))
-	// 10-byte varint overflow in the size position.
-	f.Add(append([]byte("SMTR\x01\x00\x00\x00"), 0x00,
-		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f))
+// openBytes opens an in-memory trace file.
+func openBytes(data []byte) (*Compressed, error) {
+	return OpenFile(bytes.NewReader(data), int64(len(data)))
+}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			if !errors.Is(err, ErrBadTrace) {
-				t.Fatalf("NewReader: non-ErrBadTrace error %v", err)
-			}
-			return
-		}
-		var a Access
-		for r.Next(&a) {
-			if a.Kind >= NumKinds || a.Seg >= NumSegments || a.Thread > maxCodecThread {
+// patched returns a copy of data with b written at off (from the end when
+// off is negative).
+func patched(data []byte, off int, b ...byte) []byte {
+	if off < 0 {
+		off += len(data)
+	}
+	out := bytes.Clone(data)
+	copy(out[off:], b)
+	return out
+}
+
+// requireSoundDrain drains v under the decode contract: every decoded access
+// is in range, a failure wraps ErrBadTrace, and a clean drain yields the
+// claimed number of accesses.
+func requireSoundDrain(t *testing.T, v *CompressedView, claimed int) {
+	t.Helper()
+	n := 0
+	for b := v.NextBatch(); len(b) > 0; b = v.NextBatch() {
+		for _, a := range b {
+			if a.Kind >= NumKinds || a.Seg >= NumSegments {
 				t.Fatalf("decoded out-of-range access %v", a)
 			}
 		}
-		if err := r.Err(); err != nil && !errors.Is(err, ErrBadTrace) {
-			t.Fatalf("Err: non-ErrBadTrace error %v", err)
+		n += len(b)
+	}
+	if err := v.Err(); err != nil && !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("Err: non-ErrBadTrace error %v", err)
+	} else if err == nil && n != claimed {
+		t.Fatalf("clean drain of %d accesses, %d claimed", n, claimed)
+	}
+}
+
+// FuzzFileCodecDecode feeds arbitrary bytes to the trace file reader and
+// drains whatever it opens. The contract: no panic, every failure wraps
+// ErrBadTrace, and a clean drain yields the accesses the table claims.
+func FuzzFileCodecDecode(f *testing.F) {
+	// A valid one-block file (thread 200 takes the escape byte), and
+	// surgical corruptions of it; its table entry is at -16 (count) and -12
+	// (byte size), its trailer at -8 (block count) and -4 (magic).
+	valid := encodeFile(f, []Access{
+		{Addr: 4096, Size: 64, Seg: Heap, Kind: Read, Thread: 3},
+		{Addr: 4160, Size: 64, Seg: Heap, Kind: Read, Thread: 200},
+	}, 0)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])                // truncated trailer
+	f.Add(patched(valid, 0, 'X'))              // bad magic
+	f.Add(patched(valid, 4, 1))                // version 1
+	f.Add(patched(valid, -16, 0, 0, 0, 0x80))  // table claims 2^31 accesses
+	f.Add(patched(valid, -12, 0xff, 0xff))     // oversize byte size
+	f.Add(patched(valid, -8, 0))               // no blocks: the bytes do not tile
+	f.Add(patched(valid, fileHeaderLen, 0xc0)) // kind 3 in the block bytes
+	f.Add(patched(valid, 8, 0x01, 0x20))       // block length 8193
+	f.Add(encodeFile(f, nil, 0))               // empty recording
+	f.Add(patched(valid, -16, 3))              // table claims a third access
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := openBytes(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadTrace) {
+				t.Fatalf("OpenFile: non-ErrBadTrace error %v", err)
+			}
+			return
 		}
+		requireSoundDrain(t, c.View(), c.Len())
 	})
 }
 
@@ -130,30 +164,15 @@ func FuzzBlockDecode(f *testing.F) {
 			n:        int(count),
 			blockLen: DefaultBlockLen,
 		}
-		v := c.View()
-		n := 0
-		for b := v.NextBatch(); len(b) > 0; b = v.NextBatch() {
-			for _, a := range b {
-				if a.Kind >= NumKinds || a.Seg >= NumSegments {
-					t.Fatalf("decoded out-of-range access %v", a)
-				}
-			}
-			n += len(b)
-		}
-		if err := v.Err(); err != nil {
-			if !errors.Is(err, ErrBadTrace) {
-				t.Fatalf("Err: non-ErrBadTrace error %v", err)
-			}
-		} else if n != int(count) {
-			t.Fatalf("clean decode of %d records, claimed %d", n, count)
-		}
+		requireSoundDrain(t, c.View(), int(count))
 	})
 }
 
 // FuzzCodecRoundTrip derives a valid access stream from the fuzz input and
-// requires encode→decode identity through the file codec and through the
-// block codec at a fuzz-chosen geometry (including blocks the stream
-// straddles, and a rewind re-read).
+// requires encode→decode identity through the one block codec at a
+// fuzz-chosen block length (including blocks the stream straddles), in
+// memory and through a trace file written and reopened at that length, each
+// read twice around a Rewind.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add(bytes.Repeat([]byte{0xa5}, 12*3), uint16(1))
@@ -161,54 +180,26 @@ func FuzzCodecRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, blockLen uint16) {
 		want := fuzzAccesses(data)
-
-		r, err := NewReader(bytes.NewReader(encodeFile(t, want)))
-		if err != nil {
-			t.Fatalf("NewReader: %v", err)
-		}
-		var a Access
-		fi := 0
-		for r.Next(&a) {
-			if fi >= len(want) {
-				t.Fatalf("file codec decoded extra record %v", a)
-			}
-			if a != want[fi] {
-				t.Fatalf("file codec record %d = %v, want %v", fi, a, want[fi])
-			}
-			fi++
-		}
-		if err := r.Err(); err != nil {
-			t.Fatalf("file codec Err: %v", err)
-		}
-		if fi != len(want) {
-			t.Fatalf("file codec decoded %d records, want %d", fi, len(want))
-		}
-
-		c, err := Compress(want, int(blockLen))
+		mem, err := Compress(want, int(blockLen))
 		if err != nil {
 			t.Fatalf("Compress: %v", err)
 		}
-		v := c.View()
-		for pass := 0; pass < 2; pass++ {
-			i := 0
-			for b := v.NextBatch(); len(b) > 0; b = v.NextBatch() {
-				for _, a := range b {
-					if i >= len(want) {
-						t.Fatalf("pass %d: block codec decoded extra record %v", pass, a)
-					}
-					if a != want[i] {
-						t.Fatalf("pass %d: block codec record %d = %v, want %v", pass, i, a, want[i])
-					}
-					i++
+		file, err := openBytes(encodeFile(t, want, int(blockLen)%(DefaultBlockLen+1)))
+		if err != nil {
+			t.Fatalf("OpenFile: %v", err)
+		}
+		for _, rec := range []struct {
+			name string
+			c    *Compressed
+		}{{"memory", mem}, {"file", file}} {
+			v := rec.c.View()
+			for pass := 0; pass < 2; pass++ {
+				requireEqual(t, drainBatched(v), want, fmt.Sprintf("%s pass %d", rec.name, pass))
+				if err := v.Err(); err != nil {
+					t.Fatalf("%s pass %d: Err: %v", rec.name, pass, err)
 				}
+				v.Rewind()
 			}
-			if err := v.Err(); err != nil {
-				t.Fatalf("pass %d: block codec Err: %v", pass, err)
-			}
-			if i != len(want) {
-				t.Fatalf("pass %d: block codec decoded %d records, want %d", pass, i, len(want))
-			}
-			v.Rewind()
 		}
 	})
 }

@@ -5,8 +5,8 @@
 // with Intel Pin and replayed them through a functional cache simulator. This
 // package is the reproduction's equivalent of the Pin trace format: a stream
 // of (address, segment, kind) events tagged with the hardware thread that
-// issued them. Traces are held in memory (shared.go), block-compressed
-// (block.go), or serialized to a compact binary file format (codec.go).
+// issued them. Traces are held in memory (shared.go) or block-compressed
+// (block.go), in RAM, in a spill file, or in a trace file (file.go).
 package trace
 
 import "fmt"

@@ -38,6 +38,7 @@ func storeCases(t *testing.T) map[string]StoreConfig {
 // same recordings behind a raw runner, across predictor shapes, warm-up modes
 // and recording transports.
 func TestBranchMemoMatchesLive(t *testing.T) {
+	const budget = 40_000
 	for name, store := range storeCases(t) {
 		t.Run(name, func(t *testing.T) {
 			rep := NewReplayer(SPECPerlbench().Build())
@@ -45,11 +46,12 @@ func TestBranchMemoMatchesLive(t *testing.T) {
 			var passes int64
 			for _, cores := range []int{1, 4} {
 				for _, smt := range []int{1, 2} {
-					for _, warmup := range []float64{0, -1} {
+					// Half an instruction of warm-up truncates to none: no warm-up run.
+					for _, warmup := range []float64{0, 0.5 / budget} {
 						mc := MeasureConfig{
 							Platform: platform.PLT1().ScaleCaches(16),
 							Cores:    cores, SMTWays: smt, Threads: cores * smt,
-							Budget: 40_000, Seed: 5,
+							Budget: budget, Seed: 5,
 							WarmupFraction: warmup,
 						}
 						memo := Measure(rep, mc)

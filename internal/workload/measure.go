@@ -51,11 +51,10 @@ type MeasureConfig struct {
 	// prefetchers.
 	Prefetchers func() []cpu.Prefetcher
 	// WarmupFraction scales the warmup budget. The zero value selects the
-	// default of 0.25; any negative value disables warmup entirely, so the
-	// measured phase starts from cold caches and includes compulsory
-	// effects. Positive values are used as given (values above 1 warm with
-	// more instructions than the measured budget, e.g. the calibration
-	// runs' 2.0).
+	// default of 0.25; positive values are used as given (values above 1
+	// warm with more instructions than the measured budget, e.g. the
+	// calibration runs' 2.0); a fraction of the budget under one instruction
+	// runs no warm-up. A negative value panics.
 	WarmupFraction float64
 	// AccessObserver, when non-nil, sees every measured-phase access along
 	// with the hierarchy level that served it (warmup is not observed, to
@@ -124,11 +123,8 @@ type Metrics struct {
 
 // normalize resolves WarmupFraction in place.
 func (mc *MeasureConfig) normalize() {
-	switch {
-	case mc.WarmupFraction == 0:
+	if mc.WarmupFraction == 0 {
 		mc.WarmupFraction = 0.25 // unset: the default warmup
-	case mc.WarmupFraction < 0:
-		mc.WarmupFraction = 0 // an explicit cold-start measurement
 	}
 }
 

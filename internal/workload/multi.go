@@ -79,6 +79,9 @@ func prepare(mcs []MeasureConfig) []MeasureConfig {
 		if mc.Threads <= 0 || mc.Cores <= 0 || mc.SMTWays <= 0 {
 			panic("workload: Measure needs positive cores/threads/SMT")
 		}
+		if mc.WarmupFraction < 0 {
+			panic("workload: Measure needs a non-negative WarmupFraction")
+		}
 		if mc.BranchObserver != nil && len(cfgs) > 1 {
 			panic("workload: a BranchObserver cannot share a MeasureMulti run")
 		}

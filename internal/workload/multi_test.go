@@ -131,6 +131,9 @@ func TestMeasureMultiValidation(t *testing.T) {
 	observed := base
 	observed.BranchObserver = func(uint8, bool) {}
 	mustPanic("BranchObserver in a shared run", []MeasureConfig{observed, base})
+	cold := base
+	cold.WarmupFraction = -1
+	mustPanic("negative warmup", []MeasureConfig{cold})
 	if got := MeasureMulti(r, nil); got != nil {
 		t.Errorf("empty config list: got %v, want nil", got)
 	}

@@ -369,8 +369,8 @@ func (c *countingRunner) Run(threads int, budget int64, seed uint64, s Sinks) St
 }
 
 // TestMeasureWarmupSentinels pins the WarmupFraction semantics: 0 selects
-// the default 0.25, a negative value suppresses the warmup run entirely,
-// and positive fractions (including the calibration runs' 2.0) scale it.
+// the default 0.25, and positive fractions (including the calibration runs'
+// 2.0) scale it.
 func TestMeasureWarmupSentinels(t *testing.T) {
 	measure := func(wf float64) []int64 {
 		r := &countingRunner{}
@@ -391,8 +391,5 @@ func TestMeasureWarmupSentinels(t *testing.T) {
 	}
 	if got := measure(2.0); len(got) != 2 || got[0] != 2000 {
 		t.Fatalf("2.0 warmup runs = %v, want [2000 1000]", got)
-	}
-	if got := measure(-1); len(got) != 1 || got[0] != 1000 {
-		t.Fatalf("negative warmup runs = %v, want [1000] (no warmup phase)", got)
 	}
 }
