@@ -26,8 +26,12 @@ lint: fmt vet
 test:
 	$(GO) test ./...
 
+# The compressed view hands each decode window to a goroutine and back, and
+# a single race pass rarely hits a bad handoff interleaving, so the view's
+# tests run 20 times more.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run 'Compressed|Spilled|WindowReuse' ./internal/trace
 
 # alloc-check is the allocation gate (DESIGN.md §17): the AllocsPerRun
 # oracles that pin every replay, cache, memory-tier, top-k and serving

@@ -5,10 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
-
-	"searchmem/internal/det"
 )
 
 // Trace exports. Two forms:
@@ -74,78 +71,6 @@ func jsonArgs(sp Span) string {
 		out += fmt.Sprintf(",%s:%s", jsonString(a.Key), jsonString(a.Value))
 	}
 	return out
-}
-
-// chromeEvent mirrors one trace event for decoding.
-type chromeEvent struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	Pid  uint64            `json:"pid"`
-	Tid  uint64            `json:"tid"`
-	Ts   float64           `json:"ts"`
-	Dur  float64           `json:"dur"`
-	Args map[string]string `json:"args"`
-}
-
-// chromeFile mirrors the top-level export object.
-type chromeFile struct {
-	TraceEvents []chromeEvent `json:"traceEvents"`
-}
-
-// ReadChromeTrace decodes an export written by WriteChromeTrace back into
-// traces. Decoding then re-encoding reproduces the original bytes, and the
-// decoded traces compare equal to the originals (the round-trip property
-// pinned by TestChromeTraceRoundTrip).
-func ReadChromeTrace(r io.Reader) ([]Trace, error) {
-	var f chromeFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("obs: decoding chrome trace: %w", err)
-	}
-	byID := make(map[uint64]*Trace)
-	for _, ev := range f.TraceEvents {
-		switch ev.Ph {
-		case "M":
-			if ev.Name != "process_name" {
-				continue
-			}
-			tr := traceFor(byID, ev.Pid)
-			tr.Name = ev.Args["name"]
-		case "X":
-			tr := traceFor(byID, ev.Pid)
-			parent, err := strconv.ParseUint(ev.Args[parentKey], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("obs: span %q: bad parent %q", ev.Name, ev.Args[parentKey])
-			}
-			sp := Span{
-				ID: ev.Tid, Parent: parent, Name: ev.Name,
-				StartNS: ev.Ts * 1e3, EndNS: (ev.Ts + ev.Dur) * 1e3,
-			}
-			for _, k := range det.SortedKeys(ev.Args) {
-				if k == parentKey {
-					continue
-				}
-				sp.Attrs = append(sp.Attrs, Attr{Key: k, Value: ev.Args[k]})
-			}
-			tr.Spans = append(tr.Spans, sp)
-		}
-	}
-	out := make([]Trace, 0, len(byID))
-	for _, id := range det.SortedKeys(byID) {
-		tr := *byID[id]
-		sort.Slice(tr.Spans, func(i, j int) bool { return tr.Spans[i].ID < tr.Spans[j].ID })
-		out = append(out, tr)
-	}
-	return out, nil
-}
-
-// traceFor returns (creating if needed) the trace with the given ID.
-func traceFor(byID map[uint64]*Trace, id uint64) *Trace {
-	if tr, ok := byID[id]; ok {
-		return tr
-	}
-	tr := &Trace{ID: id}
-	byID[id] = tr
-	return tr
 }
 
 // WriteText writes traces as indented span trees, one block per trace.

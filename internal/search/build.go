@@ -421,12 +421,6 @@ func (e *Engine) staticBoost(tid uint8, doc uint32) float32 {
 	return 1 + float32(w%64)/256
 }
 
-// StaticWord returns doc's first static-rank word without recording
-// (verification oracles).
-func (e *Engine) StaticWord(doc uint32) uint64 {
-	return binary.LittleEndian.Uint64(e.heap.ReadRaw(e.staticBase+uint64(doc)*staticRecBytes, 8))
-}
-
 // featureBoost folds the first feature word of a document into a small
 // deterministic score adjustment, standing in for the learned-ranking stage.
 func (e *Engine) featureBoost(tid uint8, doc uint32) float32 {
@@ -435,10 +429,4 @@ func (e *Engine) featureBoost(tid uint8, doc uint32) float32 {
 	e.heap.Touch(tid, base+8, e.cfg.FeatureBytes-8, trace.Read)
 	w := e.heap.ReadU64(tid, base)
 	return float32(w%1024) / 4096
-}
-
-// FeatureWord returns the first feature word of doc without recording
-// (verification/diagnostics only).
-func (e *Engine) FeatureWord(doc uint32) uint64 {
-	return binary.LittleEndian.Uint64(e.heap.ReadRaw(e.featBase+uint64(doc)*uint64(e.cfg.FeatureBytes), 8))
 }

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -435,4 +436,16 @@ func TestSkipBlockForBounds(t *testing.T) {
 	if SkipBlockFor(99, 1, 0) != 0 || SkipBlockFor(99, 1, 1) != 0 {
 		t.Fatal("degenerate block counts must return 0")
 	}
+}
+
+// StaticWord returns doc's first static-rank word without recording
+// (verification oracles).
+func (e *Engine) StaticWord(doc uint32) uint64 {
+	return binary.LittleEndian.Uint64(e.heap.ReadRaw(e.staticBase+uint64(doc)*staticRecBytes, 8))
+}
+
+// FeatureWord returns the first feature word of doc without recording
+// (verification/diagnostics only).
+func (e *Engine) FeatureWord(doc uint32) uint64 {
+	return binary.LittleEndian.Uint64(e.heap.ReadRaw(e.featBase+uint64(doc)*uint64(e.cfg.FeatureBytes), 8))
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Histogram is a log-scaled latency/size histogram covering [1, maxValue]
@@ -103,19 +102,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return h.bucketMid(len(h.counts) - 1)
-}
-
-// ExactQuantile returns the exact q-quantile of a sample slice (the slice is
-// not modified). Intended for tests and small samples.
-func ExactQuantile(sample []float64, q float64) float64 {
-	if len(sample) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), sample...)
-	sort.Float64s(s)
-	idx := int(q * float64(len(s)))
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -123,4 +124,20 @@ func TestHistogramBucketBounds(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ExactQuantile returns the exact q-quantile of a sample slice (the slice is
+// not modified). The exact reference the
+// histogram quantile tests compare against.
+func ExactQuantile(sample []float64, q float64) float64 {
+	if len(sample) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), sample...)
+	sort.Float64s(s)
+	idx := int(q * float64(len(s)))
+	if idx >= len(s) {
+		idx = len(s) - 1
+	}
+	return s[idx]
 }

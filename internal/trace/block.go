@@ -16,8 +16,9 @@ import (
 // Compressed store keeps the same recording as delta+varint blocks —
 // typically 2-4 bytes per access for the sequential scans that dominate the
 // leaf (posting lists, instruction fetch) — and decodes one block at a time
-// into a reused window behind the ordinary BatchStream contract, so replay
-// RSS is bounded by one block regardless of trace length. With a SpillFile
+// into two reused windows behind the ordinary BatchStream contract, the next
+// block while the caller works on this one, so replay RSS is bounded by two
+// blocks regardless of trace length. With a SpillFile
 // attached, finished blocks leave memory entirely and are read back through
 // a plain io.ReaderAt (no mmap), which keeps concurrent views safe and the
 // footprint flat at paper-scale traces.
@@ -221,15 +222,40 @@ func (c *Compressed) Cursor() Cursor { return c.View() }
 // independent and may run concurrently (the store is immutable and spill
 // reads are offset-addressed); a single view is not concurrent-safe.
 func (c *Compressed) View() *CompressedView {
-	return &CompressedView{c: c, win: make([]Access, 0, c.blockLen)}
+	v := &CompressedView{
+		d:     blockDecoder{c: c, win: make([]Access, 0, c.blockLen)},
+		spare: make([]Access, 0, c.blockLen),
+		done:  make(chan bool, 1),
+	}
+	v.ahead = v.decodeAhead
+	return v
 }
 
-// CompressedView decodes a Compressed recording block by block into one
-// reused window. NextBatch hands out the decode window itself, so the
-// BatchStream lifetime contract applies with teeth — the next NextBatch call
-// physically overwrites the previous batch's storage
-// (TestCompressedWindowReuse).
+// CompressedView decodes a Compressed recording block by block into two
+// reused windows. NextBatch hands out the window holding the block decoded
+// last, then starts decoding the following block into the other window —
+// the one the caller released by this very call — on a short-lived
+// goroutine, so block k+1 decodes while the caller works on block k. The
+// BatchStream lifetime contract applies with teeth: the decode in flight
+// writes the window handed out one call earlier, and the NextBatch after
+// next hands that storage out again (TestCompressedWindowReuse; -race
+// reports a consumer that retains a window).
 type CompressedView struct {
+	d     blockDecoder // owned by the decode in flight while busy
+	spare []Access     // the window handed out last
+	busy  bool         // a decode was started and its result not yet collected
+	// done carries the decode's result (whether d.win holds a block). One
+	// slot lets the goroutine of a view dropped mid-stream finish its block
+	// and exit without a receiver.
+	done  chan bool
+	ahead func() // v.decodeAhead, bound once so that a spawn allocates nothing
+	err   error
+}
+
+// blockDecoder is a view's decode state: the next block to decode, the
+// window it decodes into, and what a decode reuses. Only one decode runs at
+// a time, so one copy serves both windows.
+type blockDecoder struct {
 	c     *Compressed
 	block int
 	win   []Access
@@ -241,36 +267,67 @@ type CompressedView struct {
 }
 
 // Err returns the first decode error encountered (wrapping ErrBadTrace for
-// corrupt block bytes), or nil.
+// corrupt block bytes), or nil. A bad block k is reported by the NextBatch
+// that follows block k-1, in stream order, never earlier.
 func (v *CompressedView) Err() error { return v.err }
 
 // Len returns the total number of accesses in the underlying recording.
-func (v *CompressedView) Len() int { return v.c.n }
+func (v *CompressedView) Len() int { return v.d.c.n }
 
-// Rewind resets the cursor to the beginning of the recording. A decode
-// error is cleared; re-reading will re-detect corruption at the same block.
+// Rewind resets the cursor to the beginning of the recording, after waiting
+// for any decode in flight. A decode error is cleared; re-reading will
+// re-detect corruption at the same block.
 func (v *CompressedView) Rewind() {
-	v.block = 0
+	if v.busy {
+		v.wait()
+	}
+	v.d.block = 0
+	v.d.err = nil
 	v.err = nil
 }
 
-// NextBatch implements BatchStream: the next block decoded into the reused
-// window. The returned slice is only valid until the next NextBatch call.
+// NextBatch implements BatchStream: the next block, decoded into one of the
+// two reused windows. The returned slice is only valid until the next
+// NextBatch call.
 func (v *CompressedView) NextBatch() []Access {
-	if !v.decodeNextBlock() {
+	var ok bool
+	if v.busy {
+		ok = v.wait()
+	} else {
+		// Nothing in flight (first call after View or Rewind, or past the
+		// end): decode on the caller's goroutine.
+		ok = v.d.decodeNextBlock()
+	}
+	if !ok {
+		v.err = v.d.err
 		return nil
 	}
-	return v.win[:len(v.win):len(v.win)]
+	win := v.d.win
+	v.d.win, v.spare = v.spare, win
+	if v.d.block < len(v.d.c.blocks) {
+		v.busy = true
+		go v.ahead()
+	}
+	return win[:len(win):len(win)]
 }
 
-// decodeNextBlock decodes the next non-empty block into the reused window.
-// It returns false at end of recording or on a decode error (see Err).
+// decodeAhead is the body of the decode goroutine.
+func (v *CompressedView) decodeAhead() { v.done <- v.d.decodeNextBlock() }
+
+// wait collects the decode in flight and returns its result.
+func (v *CompressedView) wait() bool {
+	v.busy = false
+	return <-v.done
+}
+
+// decodeNextBlock decodes the next non-empty block into the window d.win.
+// It returns false at end of recording or on a decode error (see d.err).
 // Zero-count blocks (never produced by BlockWriter, but representable) are
 // validated and skipped — surfacing an empty window would read as a
 // premature end of stream to NextBatch consumers.
-func (v *CompressedView) decodeNextBlock() bool {
-	for !v.decodeBlock() {
-		if v.err != nil || v.block >= len(v.c.blocks) {
+func (d *blockDecoder) decodeNextBlock() bool {
+	for !d.decodeBlock() {
+		if d.err != nil || d.block >= len(d.c.blocks) {
 			return false
 		}
 	}
@@ -279,34 +336,34 @@ func (v *CompressedView) decodeNextBlock() bool {
 
 // decodeBlock decodes the next block; it reports whether the window now
 // holds at least one access.
-func (v *CompressedView) decodeBlock() bool {
-	if v.err != nil || v.block >= len(v.c.blocks) {
+func (d *blockDecoder) decodeBlock() bool {
+	if d.err != nil || d.block >= len(d.c.blocks) {
 		return false
 	}
-	bm := v.c.blocks[v.block]
+	bm := d.c.blocks[d.block]
 	var data []byte
-	if v.c.spill != nil {
-		if cap(v.rbuf) < int(bm.size) {
-			v.rbuf = make([]byte, bm.size)
+	if d.c.spill != nil {
+		if cap(d.rbuf) < int(bm.size) {
+			d.rbuf = make([]byte, bm.size)
 		}
-		v.rbuf = v.rbuf[:bm.size]
-		if _, err := v.c.spill.ReadAt(v.rbuf, bm.off); err != nil {
-			v.err = fmt.Errorf("%w: reading spilled block %d: %v", ErrBadTrace, v.block, err)
+		d.rbuf = d.rbuf[:bm.size]
+		if _, err := d.c.spill.ReadAt(d.rbuf, bm.off); err != nil {
+			d.err = fmt.Errorf("%w: reading spilled block %d: %v", ErrBadTrace, d.block, err)
 			return false
 		}
-		data = v.rbuf
+		data = d.rbuf
 	} else {
 		data = bm.data
 	}
-	v.block++
-	for i := range v.chain {
-		v.chain[i] = [NumSegments]uint64{}
+	d.block++
+	for i := range d.chain {
+		d.chain[i] = [NumSegments]uint64{}
 	}
 
-	if cap(v.win) < int(bm.count) {
-		v.win = make([]Access, bm.count)
+	if cap(d.win) < int(bm.count) {
+		d.win = make([]Access, bm.count)
 	}
-	win := v.win[:bm.count]
+	win := d.win[:bm.count]
 	pos := 0
 	// Hot decode loop. The guard must budget maxRecordLen, the full varint
 	// width, or the unchecked delta reads below can run past the block. When
@@ -317,7 +374,7 @@ func (v *CompressedView) decodeBlock() bool {
 	packed := packedStore
 	for i := range win {
 		if len(data)-pos < maxRecordLen {
-			n, ok := v.decodeRecordSlow(data, pos, win, i)
+			n, ok := d.decodeRecordSlow(data, pos, win, i)
 			if !ok {
 				return false
 			}
@@ -328,7 +385,7 @@ func (v *CompressedView) decodeBlock() bool {
 		pos++
 		kind := Kind(meta >> 6)
 		if kind >= NumKinds {
-			v.err = fmt.Errorf("%w: invalid kind %d", ErrBadTrace, kind)
+			d.err = fmt.Errorf("%w: invalid kind %d", ErrBadTrace, kind)
 			return false
 		}
 		seg := Segment(meta >> 4 & 0x03)
@@ -345,7 +402,7 @@ func (v *CompressedView) decodeBlock() bool {
 			var ok bool
 			size, pos, ok = uvarintAt(data, pos)
 			if !ok || size > math.MaxUint16 {
-				v.err = fmt.Errorf("%w: bad size at record %d", ErrBadTrace, i)
+				d.err = fmt.Errorf("%w: bad size at record %d", ErrBadTrace, i)
 				return false
 			}
 		}
@@ -366,13 +423,13 @@ func (v *CompressedView) decodeBlock() bool {
 			var ok bool
 			udelta, pos, ok = uvarintAt(data, pos)
 			if !ok {
-				v.err = fmt.Errorf("%w: bad addr delta at record %d", ErrBadTrace, i)
+				d.err = fmt.Errorf("%w: bad addr delta at record %d", ErrBadTrace, i)
 				return false
 			}
 		}
 		delta := int64(udelta>>1) ^ -int64(udelta&1) // branchless zigzag
-		addr := v.chain[thread][seg] + uint64(delta)
-		v.chain[thread][seg] = addr
+		addr := d.chain[thread][seg] + uint64(delta)
+		d.chain[thread][seg] = addr
 		if packed {
 			// Two 8-byte stores instead of five narrow field stores: the
 			// composite-literal form costs ~5x as much per record here
@@ -386,34 +443,34 @@ func (v *CompressedView) decodeBlock() bool {
 		}
 	}
 	if pos != len(data) {
-		v.err = fmt.Errorf("%w: %d trailing bytes after block", ErrBadTrace, len(data)-pos)
+		d.err = fmt.Errorf("%w: %d trailing bytes after block", ErrBadTrace, len(data)-pos)
 		return false
 	}
-	v.win = win
+	d.win = win
 	return len(win) > 0
 }
 
 // decodeRecordSlow is the fully bounds-checked record decoder used near the
 // end of a block's bytes (or whenever the fast path's length guard fails).
 // It decodes record i into win and returns the new read position; on
-// malformed input it sets v.err and reports ok=false.
-func (v *CompressedView) decodeRecordSlow(data []byte, pos int, win []Access, i int) (int, bool) {
+// malformed input it sets d.err and reports ok=false.
+func (d *blockDecoder) decodeRecordSlow(data []byte, pos int, win []Access, i int) (int, bool) {
 	if pos >= len(data) {
-		v.err = fmt.Errorf("%w: block truncated at record %d", ErrBadTrace, i)
+		d.err = fmt.Errorf("%w: block truncated at record %d", ErrBadTrace, i)
 		return pos, false
 	}
 	meta := data[pos]
 	pos++
 	kind := Kind(meta >> 6)
 	if kind >= NumKinds {
-		v.err = fmt.Errorf("%w: invalid kind %d", ErrBadTrace, kind)
+		d.err = fmt.Errorf("%w: invalid kind %d", ErrBadTrace, kind)
 		return pos, false
 	}
 	seg := Segment(meta >> 4 & 0x03)
 	thread := meta & 0x0f
 	if thread == threadEscape {
 		if pos >= len(data) {
-			v.err = fmt.Errorf("%w: block truncated in thread byte", ErrBadTrace)
+			d.err = fmt.Errorf("%w: block truncated in thread byte", ErrBadTrace)
 			return pos, false
 		}
 		thread = data[pos]
@@ -421,13 +478,13 @@ func (v *CompressedView) decodeRecordSlow(data []byte, pos int, win []Access, i 
 	}
 	size, next, ok := uvarintAt(data, pos)
 	if !ok || size > math.MaxUint16 {
-		v.err = fmt.Errorf("%w: bad size at record %d", ErrBadTrace, i)
+		d.err = fmt.Errorf("%w: bad size at record %d", ErrBadTrace, i)
 		return pos, false
 	}
 	pos = next
 	udelta, next, ok := uvarintAt(data, pos)
 	if !ok {
-		v.err = fmt.Errorf("%w: bad addr delta at record %d", ErrBadTrace, i)
+		d.err = fmt.Errorf("%w: bad addr delta at record %d", ErrBadTrace, i)
 		return pos, false
 	}
 	pos = next
@@ -435,8 +492,8 @@ func (v *CompressedView) decodeRecordSlow(data []byte, pos int, win []Access, i 
 	if udelta&1 != 0 {
 		delta = ^delta
 	}
-	addr := v.chain[thread][seg] + uint64(delta)
-	v.chain[thread][seg] = addr
+	addr := d.chain[thread][seg] + uint64(delta)
+	d.chain[thread][seg] = addr
 	win[i] = Access{Addr: addr, Size: uint16(size), Seg: seg, Kind: kind, Thread: thread}
 	return pos, true
 }

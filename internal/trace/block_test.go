@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"searchmem/internal/stats"
@@ -189,10 +190,12 @@ func TestCompressedCompression(t *testing.T) {
 	}
 }
 
-// TestCompressedWindowReuse pins the decode-window semantics behind the
-// BatchStream lifetime contract: the slice NextBatch returns is physically
-// overwritten by the next NextBatch call. That reuse is what makes a consumer
-// retaining a window diverge between flat and compressed storage.
+// TestCompressedWindowReuse pins the decode-window rotation behind the
+// BatchStream lifetime contract: a view owns two windows, the third batch is
+// decoded into the first batch's storage, and the second batch's storage is
+// the other window. Only the addresses of the earlier batches are compared:
+// reading them after the next NextBatch would be a data race with the decode
+// in flight.
 func TestCompressedWindowReuse(t *testing.T) {
 	in := blockTestTrace(3, 300)
 	c, err := Compress(in, 100)
@@ -201,13 +204,102 @@ func TestCompressedWindowReuse(t *testing.T) {
 	}
 	v := c.View()
 	b1 := v.NextBatch()
-	first := b1[0]
-	_ = v.NextBatch()
-	if b1[0] == first && b1[0] == in[0] && in[0] == in[100] {
-		t.Skip("degenerate trace") // never happens with the seeded generator
+	b2 := v.NextBatch()
+	b3 := v.NextBatch()
+	if &b3[0] != &b1[0] {
+		t.Fatal("third batch is not decoded into the first batch's window")
 	}
-	if b1[0] != in[100] {
-		t.Fatalf("window not reused: b1[0] = %+v after second NextBatch, want %+v", b1[0], in[100])
+	if &b2[0] == &b1[0] {
+		t.Fatal("second batch shares the first batch's window")
+	}
+	requireEqual(t, b3, in[200:], "third batch")
+}
+
+// TestCompressedRewindInFlight: a Rewind issued while the next block is
+// decoding, or after it was decoded but before a NextBatch took it, restarts
+// the same stream.
+func TestCompressedRewindInFlight(t *testing.T) {
+	in := blockTestTrace(4, 1_000)
+	c, err := Compress(in, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := c.View()
+	for k := 1; k <= 3; k++ {
+		for _, parked := range []bool{false, true} {
+			for i := 0; i < k; i++ {
+				v.NextBatch() // leaves block k decoding
+			}
+			if parked {
+				settle(t, func() bool { return len(v.done) == 1 }, "the in-flight block never reported")
+			}
+			v.Rewind()
+			requireEqual(t, drainBatched(v), in, fmt.Sprintf("rewound after %d batches (parked %v)", k, parked))
+			if v.Err() != nil {
+				t.Fatalf("Err = %v", v.Err())
+			}
+			v.Rewind()
+		}
+	}
+}
+
+// TestCompressedDroppedViewExits: a view dropped with a decode in flight
+// leaves no goroutine behind once that block is done.
+func TestCompressedDroppedViewExits(t *testing.T) {
+	in := blockTestTrace(6, 1_000)
+	c, err := Compress(in, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	v := c.View()
+	v.NextBatch()
+	if !v.busy {
+		t.Fatal("no decode in flight after the first batch")
+	}
+	done := v.done // the view is dropped here
+	// Nobody receives: the decode must park its result and exit.
+	settle(t, func() bool { return len(done) == 1 }, "the in-flight block never reported")
+	settle(t, func() bool { return runtime.NumGoroutine() <= base }, "the decode goroutine did not exit")
+}
+
+// settle yields until cond holds, failing the test with msg if it never does.
+func settle(t *testing.T, cond func() bool, msg string) {
+	t.Helper()
+	for i := 0; !cond(); i++ {
+		if i == 1_000_000 {
+			t.Fatal(msg)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestCompressedErrorInStreamOrder: a corrupt block k is decoded while the
+// caller holds block k-1, but it is reported only by the NextBatch after
+// blocks 0..k-1 were handed out; Err stays nil until then.
+func TestCompressedErrorInStreamOrder(t *testing.T) {
+	in := blockTestTrace(8, 500)
+	c, err := Compress(in, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bad = 3
+	c.blocks[bad].data = append([]byte{0xc0}, c.blocks[bad].data[1:]...) // kind 3 in its first record
+	v := c.View()
+	for k := 0; k < bad; k++ {
+		b := v.NextBatch()
+		// Let block k+1's decode finish: at k = bad-1 it has failed.
+		settle(t, func() bool { return len(v.done) == 1 }, "the in-flight block never reported")
+		if v.Err() != nil {
+			t.Fatalf("block %d: Err = %v before the corrupt block was reached", k, v.Err())
+		}
+		requireEqual(t, b, in[k*100:(k+1)*100], fmt.Sprintf("block %d", k))
+	}
+	if b := v.NextBatch(); len(b) != 0 {
+		t.Fatalf("corrupt block %d handed out %d accesses", bad, len(b))
+	}
+	if !errors.Is(v.Err(), ErrBadTrace) {
+		t.Fatalf("Err = %v, want ErrBadTrace", v.Err())
 	}
 }
 

@@ -171,14 +171,16 @@ func FuzzBlockDecode(f *testing.F) {
 // FuzzCodecRoundTrip derives a valid access stream from the fuzz input and
 // requires encode→decode identity through the one block codec at a
 // fuzz-chosen block length (including blocks the stream straddles), in
-// memory and through a trace file written and reopened at that length, each
-// read twice around a Rewind.
+// memory and through a trace file written and reopened at that length. Each
+// view first stops after a fuzz-chosen number of batches, with the next
+// block's decode in flight, and rewinds; it then reads the stream twice
+// around a Rewind.
 func FuzzCodecRoundTrip(f *testing.F) {
-	f.Add([]byte{}, uint16(0))
-	f.Add(bytes.Repeat([]byte{0xa5}, 12*3), uint16(1))
-	f.Add(bytes.Repeat([]byte{0x11, 0x47}, 6*5), uint16(2))
+	f.Add([]byte{}, uint16(0), uint8(0))
+	f.Add(bytes.Repeat([]byte{0xa5}, 12*3), uint16(1), uint8(1))
+	f.Add(bytes.Repeat([]byte{0x11, 0x47}, 6*5), uint16(2), uint8(2))
 
-	f.Fuzz(func(t *testing.T, data []byte, blockLen uint16) {
+	f.Fuzz(func(t *testing.T, data []byte, blockLen uint16, rewindAt uint8) {
 		want := fuzzAccesses(data)
 		mem, err := Compress(want, int(blockLen))
 		if err != nil {
@@ -193,6 +195,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			c    *Compressed
 		}{{"memory", mem}, {"file", file}} {
 			v := rec.c.View()
+			for i := 0; i < int(rewindAt) && len(v.NextBatch()) > 0; i++ {
+			}
+			v.Rewind()
 			for pass := 0; pass < 2; pass++ {
 				requireEqual(t, drainBatched(v), want, fmt.Sprintf("%s pass %d", rec.name, pass))
 				if err := v.Err(); err != nil {

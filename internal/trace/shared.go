@@ -5,7 +5,7 @@ import "unsafe"
 // Recording is an immutable captured access trace that any number of
 // concurrent readers replay through independent cursors. Two stores
 // implement it: Shared (flat 16 B/access, zero-copy windows, fastest) and
-// Compressed (delta+varint blocks decoded into a reused window, bounded
+// Compressed (delta+varint blocks decoded into two reused windows, bounded
 // memory — see block.go). The workload Replayer records into one or the
 // other; every consumer downstream sees only this interface and reads it in
 // BatchStream windows.

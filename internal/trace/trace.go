@@ -110,10 +110,12 @@ func (a Access) String() string {
 // Subslice lifetime contract: the returned slice is only valid until the
 // next NextBatch call and must be treated as read-only. View hands out
 // zero-copy windows of shared immutable storage and CompressedView reuses
-// one decode window, so callers must neither mutate the batch nor retain it
+// two decode windows, decoding the next block into one while the caller
+// reads the other, so callers must neither mutate the batch nor retain it
 // — copy what must outlive the call. A consumer that breaks the rule reads
 // another block's accesses only under compressed storage, which is what the
-// flat ≡ compressed ≡ spilled equivalence tests catch.
+// flat ≡ compressed ≡ spilled equivalence tests catch, and races with the
+// decode goroutine, which -race reports.
 type BatchStream interface {
 	NextBatch() []Access
 }

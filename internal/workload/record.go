@@ -65,7 +65,7 @@ type Replayer struct {
 type StoreConfig struct {
 	// Compress stores recordings block-compressed (trace.Compressed)
 	// instead of flat (trace.Shared). Replay output is identical; decode
-	// happens block-by-block into a reused window, so replay RSS no longer
+	// happens block-by-block into two reused windows, so replay RSS no longer
 	// scales with trace length.
 	Compress bool
 	// SpillDir, when non-empty, writes finished blocks to an unlinked
@@ -304,7 +304,7 @@ func (r *Replayer) record(key runKey) *recordedRun {
 // replay emits the recorded streams into s in their captured interleaving.
 // It only reads immutable state, so concurrent replays need no locking.
 // There is one transport: read-only windows of the recording (zero-copy for
-// flat storage, a reused decode window for compressed), capped at
+// flat storage, reused decode windows for compressed), capped at
 // trace.DefaultBatchSize so consumers see bounded batches regardless of the
 // store's window geometry. With a Branch sink the windows are split exactly
 // at recorded branch anchors, so a branch fires before the access it was
