@@ -27,11 +27,13 @@ test:
 	$(GO) test ./...
 
 # The compressed view hands each decode window to a goroutine and back, and
-# a single race pass rarely hits a bad handoff interleaving, so the view's
-# tests run 20 times more.
+# a serving cluster's drives hand its scratch, cache tier and pending
+# metrics from holder to holder of one mutex; a single race pass rarely hits
+# a bad interleaving, so the view's and the drives' tests run 20 times more.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'Compressed|Spilled|WindowReuse' ./internal/trace
+	$(GO) test -race -count=20 -run 'During|Concurrent|Recount' ./internal/serving
 
 # alloc-check is the allocation gate (DESIGN.md §17): the AllocsPerRun
 # oracles that pin every replay, cache, memory-tier, top-k and serving

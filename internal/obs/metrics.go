@@ -157,6 +157,16 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
+// ObserveBatch records vs in order under one lock acquisition: the series,
+// its sum included, ends as it would after Observe on each value in turn.
+func (h *Histogram) ObserveBatch(vs []float64) {
+	h.mu.Lock()
+	for _, v := range vs {
+		h.hist.Add(v)
+	}
+	h.mu.Unlock()
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {
 	h.mu.Lock()

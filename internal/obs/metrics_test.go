@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -60,6 +61,31 @@ func TestInstrumentBasics(t *testing.T) {
 	}
 	if p50 := h.Quantile(0.5); p50 < 40 || p50 > 62 {
 		t.Fatalf("p50 = %g, want ≈ 50 within bucket resolution", p50)
+	}
+}
+
+// TestObserveBatchMatchesObserve holds ObserveBatch to Observe on each
+// value in turn: same count, bit-identical mean (the sum adds in order) and
+// the same quantiles, batch after batch.
+func TestObserveBatchMatchesObserve(t *testing.T) {
+	r := NewRegistry()
+	one, batch := r.Histogram("one"), r.Histogram("batch")
+	vs := []float64{0.1, 3e5, 1.7e6, 2.0000001e6, 0.3, 8e9, 1, 12345.678}
+	for round := 0; round < 3; round++ {
+		for _, v := range vs {
+			one.Observe(v)
+		}
+		batch.ObserveBatch(vs)
+		batch.ObserveBatch(nil)
+		if one.Count() != batch.Count() || math.Float64bits(one.Mean()) != math.Float64bits(batch.Mean()) {
+			t.Fatalf("round %d: batch n=%d mean=%v, one at a time n=%d mean=%v",
+				round, batch.Count(), batch.Mean(), one.Count(), one.Mean())
+		}
+		for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
+			if one.Quantile(q) != batch.Quantile(q) {
+				t.Fatalf("round %d: q%.2f batch %v, one at a time %v", round, q, batch.Quantile(q), one.Quantile(q))
+			}
+		}
 	}
 }
 

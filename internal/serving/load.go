@@ -525,14 +525,15 @@ func buildTimeline(events []FleetEvent, leaves int) []action {
 	return acts
 }
 
-// applyAction executes one timeline step against the cluster.
+// applyAction executes one timeline step against the cluster; the caller
+// holds driveMu.
 func (c *Cluster) applyAction(a action) {
 	switch a.kind {
 	case actFlush:
-		c.FlushCache()
+		c.flushCache()
 	case actDown, actUp:
 		for i := 0; i < a.count; i++ {
-			c.SetLeafDown(a.leaf+i, a.kind == actDown)
+			c.setLeafDown(a.leaf+i, a.kind == actDown)
 		}
 	}
 }
@@ -683,15 +684,13 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 		}
 	}
 
-	c.mu.Lock()
-	queries, hits := c.Queries, c.CacheHits
-	c.mu.Unlock()
+	c.metrics.publish()
 
 	mean := hist.Mean()
 	fs := FleetStats{
 		LoadStats: LoadStats{
-			Queries:        queries,
-			CacheHits:      hits,
+			Queries:        c.metrics.queries.total,
+			CacheHits:      c.metrics.cacheHits.total,
 			PartialResults: partials,
 			MeanLatencyNS:  mean,
 			P50NS:          hist.Quantile(0.50),

@@ -362,8 +362,8 @@ func TestServeDuringRunLoad(t *testing.T) {
 	}
 	st := RunLoad(c, 8, 100, 500, 1.1, 3)
 	wg.Wait()
-	if c.Queries != 800+800 || c.Metrics().Queries != 1600 {
-		t.Fatalf("queries = %d (metrics %d), want 1600; RunLoad saw %d", c.Queries, c.Metrics().Queries, st.Queries)
+	if st.Queries < 800 || c.Metrics().Queries != 800+800 {
+		t.Fatalf("metrics queries = %d, want 1600; RunLoad saw %d", c.Metrics().Queries, st.Queries)
 	}
 	// One query on a capacity-2 tier: rho = 1/2, service times double.
 	want := frontendOverheadNS + rootOverheadNS + 2*3e6 + 4*networkHopNS

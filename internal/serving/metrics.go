@@ -32,7 +32,7 @@ type Metrics struct {
 	// service time before congestion); Merge observes the fan-out span a
 	// query spent below the root (parent wait plus tree hops).
 	Frontend, CacheProbe, LeafService, Merge StageMetrics
-	// Queries and CacheHits mirror the cluster counters.
+	// Queries and CacheHits count served queries and the cache tier's hits.
 	Queries, CacheHits int64
 	// HedgesIssued and HedgeWins count hedged retries and the share that
 	// answered before the primary.
@@ -50,59 +50,69 @@ func (m Metrics) Stages() []StageMetrics {
 	return []StageMetrics{m.Frontend, m.CacheProbe, m.LeafService, m.Merge}
 }
 
-// mergeEvents carries a query's fault-tolerance event counts and leaf
-// attempt latencies from the fan-out to the instruments so shared state is
-// touched once per query.
-type mergeEvents struct {
-	hedges, hedgeWins  int64
-	failures, timeouts int64
-	attemptLatenciesNS []float64
+// pendingObs is the capacity of each stage's pending-observation buffer:
+// 4 KiB, so a cluster's four buffers hold 16 KiB.
+const pendingObs = 512
+
+// tally is one counter series and its cumulative count, which the holder of
+// Cluster.driveMu owns; the part past published has not reached the
+// registry yet.
+type tally struct {
+	c                *obs.Counter
+	total, published int64
 }
 
-func (e *mergeEvents) observe(o *leafOutcome) {
-	if o.hedged {
-		e.hedges++
-	}
-	if o.hedgeWon {
-		e.hedgeWins++
-	}
-	if o.failed {
-		e.failures++
-	}
-	if o.timedOut {
-		e.timeouts++
-	}
-	e.attemptLatenciesNS = append(e.attemptLatenciesNS, o.attemptLatNS[:o.attempts]...)
+func (t *tally) publish() {
+	t.c.Add(t.total - t.published)
+	t.published = t.total
 }
 
-// reset clears the record for reuse, keeping the latency slice's capacity —
-// the serve kernel reuses one mergeEvents across queries.
-func (e *mergeEvents) reset() {
-	*e = mergeEvents{attemptLatenciesNS: e.attemptLatenciesNS[:0]}
+// pendingHist is one stage histogram and its observations not yet in the
+// registry, in observation order.
+type pendingHist struct {
+	h   *obs.Histogram
+	buf []float64
 }
 
-// clusterMetrics holds the cluster's instrument handles in the unified
-// obs.Registry (counters are atomic, histograms carry their own locks, so
-// there is no registry-wide lock on the serve path). Series are labeled
-// with the cluster name so several clusters — the degraded experiment's
-// healthy/faulty pair, the SLO experiment's base/rebalanced pair — can
-// share one registry and one export file.
+func (p *pendingHist) observe(v float64) {
+	p.buf = append(p.buf, v)
+	if len(p.buf) == cap(p.buf) {
+		p.publish()
+	}
+}
+
+func (p *pendingHist) publish() {
+	p.h.ObserveBatch(p.buf)
+	p.buf = p.buf[:0]
+}
+
+// clusterMetrics holds the cluster's instruments in the unified
+// obs.Registry and the updates not yet published to them. Whoever holds
+// Cluster.driveMu owns the pending part: serve counts into plain ints and
+// appends to preallocated buffers without a lock, and publish moves both
+// into the registry at the end of every drive and whenever a buffer fills,
+// one lock or atomic add per series, observations in order (so every sum,
+// and with it every export, is bit-identical to observing one at a time).
+// Series are labeled with the cluster name so several clusters — the
+// degraded experiment's healthy/faulty pair, the SLO experiment's
+// base/rebalanced pair — can share one registry and one export file.
 type clusterMetrics struct {
-	queries, cacheHits *obs.Counter
-	hedges, hedgeWins  *obs.Counter
-	failures, timeouts *obs.Counter
-	partials           *obs.Counter
-	frontend, probe    *obs.Histogram
-	leafSvc, merge     *obs.Histogram
+	queries, cacheHits tally
+	hedges, hedgeWins  tally
+	failures, timeouts tally
+	partials           tally
+	frontend, probe    pendingHist
+	leafSvc, merge     pendingHist
 }
 
 func newClusterMetrics(reg *obs.Registry, cluster string) *clusterMetrics {
 	lbl := obs.L("cluster", cluster)
-	counter := func(name string) *obs.Counter {
-		return reg.Counter("serving_"+name+"_total", lbl)
+	counter := func(name string) tally {
+		return tally{c: reg.Counter("serving_"+name+"_total", lbl)}
 	}
-	stage := func(name string) *obs.Histogram {
-		return reg.Histogram("serving_stage_latency_ns", lbl, obs.L("stage", name))
+	stage := func(name string) pendingHist {
+		h := reg.Histogram("serving_stage_latency_ns", lbl, obs.L("stage", name))
+		return pendingHist{h: h, buf: make([]float64, 0, pendingObs)}
 	}
 	return &clusterMetrics{
 		queries:   counter("queries"),
@@ -119,31 +129,53 @@ func newClusterMetrics(reg *obs.Registry, cluster string) *clusterMetrics {
 	}
 }
 
-// recordCacheHit logs a query short-circuited by the cache tier.
-func (m *clusterMetrics) recordCacheHit() {
-	m.queries.Inc()
-	m.cacheHits.Inc()
-	m.frontend.Observe(frontendOverheadNS)
-	m.probe.Observe(networkHopNS)
+// publish moves every pending update into the registry.
+func (m *clusterMetrics) publish() {
+	for _, t := range [...]*tally{&m.queries, &m.cacheHits, &m.hedges, &m.hedgeWins, &m.failures, &m.timeouts, &m.partials} {
+		t.publish()
+	}
+	for _, p := range [...]*pendingHist{&m.frontend, &m.probe, &m.leafSvc, &m.merge} {
+		p.publish()
+	}
 }
 
-// recordServe logs a full tree traversal.
-func (m *clusterMetrics) recordServe(probed bool, mergeNS float64, ev mergeEvents, partial bool) {
-	m.queries.Inc()
-	m.frontend.Observe(frontendOverheadNS)
+// recordCacheHit logs a query short-circuited by the cache tier.
+func (m *clusterMetrics) recordCacheHit() {
+	m.queries.total++
+	m.cacheHits.total++
+	m.frontend.observe(frontendOverheadNS)
+	m.probe.observe(networkHopNS)
+}
+
+// recordLeaf logs one leaf's resolved outcome in a fan-out.
+func (m *clusterMetrics) recordLeaf(o *leafOutcome) {
+	for _, lat := range o.attemptLatNS[:o.attempts] {
+		m.leafSvc.observe(lat)
+	}
+	if o.hedged {
+		m.hedges.total++
+	}
+	if o.hedgeWon {
+		m.hedgeWins.total++
+	}
+	if o.failed {
+		m.failures.total++
+	}
+	if o.timedOut {
+		m.timeouts.total++
+	}
+}
+
+// recordServe logs a full tree traversal once its leaves are recorded.
+func (m *clusterMetrics) recordServe(probed bool, mergeNS float64, partial bool) {
+	m.queries.total++
+	m.frontend.observe(frontendOverheadNS)
 	if probed {
-		m.probe.Observe(networkHopNS)
+		m.probe.observe(networkHopNS)
 	}
-	for _, lat := range ev.attemptLatenciesNS {
-		m.leafSvc.Observe(lat)
-	}
-	m.merge.Observe(mergeNS)
-	m.hedges.Add(ev.hedges)
-	m.hedgeWins.Add(ev.hedgeWins)
-	m.failures.Add(ev.failures)
-	m.timeouts.Add(ev.timeouts)
+	m.merge.observe(mergeNS)
 	if partial {
-		m.partials.Inc()
+		m.partials.total++
 	}
 }
 
@@ -159,21 +191,22 @@ func stage(h *obs.Histogram, name string) StageMetrics {
 	}
 }
 
-// Metrics returns a snapshot of the cluster's per-stage metrics. The same
-// series are exportable as JSON through the registry (Cluster.Registry).
+// Metrics returns a snapshot of the cluster's per-stage metrics as of its
+// last completed drive (a drive publishes its updates as it ends). The same
+// series are exportable as JSON through the registry (Config.Registry).
 func (c *Cluster) Metrics() Metrics {
 	m := c.metrics
 	return Metrics{
-		Frontend:       stage(m.frontend, "frontend"),
-		CacheProbe:     stage(m.probe, "cache-probe"),
-		LeafService:    stage(m.leafSvc, "leaf-service"),
-		Merge:          stage(m.merge, "merge"),
-		Queries:        m.queries.Value(),
-		CacheHits:      m.cacheHits.Value(),
-		HedgesIssued:   m.hedges.Value(),
-		HedgeWins:      m.hedgeWins.Value(),
-		LeafFailures:   m.failures.Value(),
-		LeafTimeouts:   m.timeouts.Value(),
-		PartialResults: m.partials.Value(),
+		Frontend:       stage(m.frontend.h, "frontend"),
+		CacheProbe:     stage(m.probe.h, "cache-probe"),
+		LeafService:    stage(m.leafSvc.h, "leaf-service"),
+		Merge:          stage(m.merge.h, "merge"),
+		Queries:        m.queries.c.Value(),
+		CacheHits:      m.cacheHits.c.Value(),
+		HedgesIssued:   m.hedges.c.Value(),
+		HedgeWins:      m.hedgeWins.c.Value(),
+		LeafFailures:   m.failures.c.Value(),
+		LeafTimeouts:   m.timeouts.c.Value(),
+		PartialResults: m.partials.c.Value(),
 	}
 }

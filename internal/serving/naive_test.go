@@ -104,10 +104,11 @@ func naiveScenario(c *Cluster, sc Scenario) FleetStats {
 		}
 	}
 
+	c.metrics.publish()
 	fs := FleetStats{
 		LoadStats: LoadStats{
-			Queries:        c.Queries,
-			CacheHits:      c.CacheHits,
+			Queries:        c.metrics.queries.total,
+			CacheHits:      c.metrics.cacheHits.total,
 			PartialResults: partials,
 			MeanLatencyNS:  hist.Mean(),
 			P50NS:          hist.Quantile(0.50),

@@ -389,13 +389,13 @@ func TestDeadlineBoundsTailUnderSlowInjection(t *testing.T) {
 // cached load.
 func TestMetricsSnapshot(t *testing.T) {
 	c := testCluster(4096)
-	RunLoad(c, 2, 100, 200, 1.1, 5)
+	st := RunLoad(c, 2, 100, 200, 1.1, 5)
 	m := c.Metrics()
-	if m.Queries != 200 || m.Queries != c.Queries {
-		t.Fatalf("metrics queries = %d, cluster %d", m.Queries, c.Queries)
+	if m.Queries != 200 || m.Queries != st.Queries {
+		t.Fatalf("metrics queries = %d, cluster %d", m.Queries, st.Queries)
 	}
-	if m.CacheHits != c.CacheHits {
-		t.Fatalf("metrics cache hits = %d, cluster %d", m.CacheHits, c.CacheHits)
+	if m.CacheHits != st.CacheHits {
+		t.Fatalf("metrics cache hits = %d, cluster %d", m.CacheHits, st.CacheHits)
 	}
 	if m.Frontend.Count != 200 {
 		t.Fatalf("frontend count = %d", m.Frontend.Count)

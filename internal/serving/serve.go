@@ -28,7 +28,6 @@ type serveScratch struct {
 	scores      []float32
 	tk, rootTK  *search.TopK
 	seen        map[uint32]struct{} // hedge-win dedup, cleared per use
-	events      mergeEvents
 }
 
 // attempt is one executor call's raw outcome.
@@ -65,7 +64,6 @@ func newServeScratch(cfg Config) *serveScratch {
 		tk:          search.NewTopK(k),
 		rootTK:      search.NewTopK(k),
 		seen:        make(map[uint32]struct{}, f*k),
-		events:      mergeEvents{attemptLatenciesNS: make([]float64, 0, 2*cfg.Leaves)},
 	}
 	docBack := make([]uint32, 2*f*k)
 	scoreBack := make([]float32, 2*f*k)
@@ -176,6 +174,7 @@ func (c *Cluster) Serve(q Query) Result {
 	c.driveMu.Lock()
 	defer c.driveMu.Unlock()
 	r := c.serve(q.Terms, 0)
+	c.metrics.publish()
 	r.Docs, r.Scores = slices.Clone(r.Docs), slices.Clone(r.Scores)
 	return r
 }
@@ -198,18 +197,12 @@ func (c *Cluster) serve(terms []uint32, standing int) Result {
 		}
 		congestion = 1 / (1 - rho)
 	}
-	c.mu.Lock()
-	c.Queries++
-	c.mu.Unlock()
 
 	lat := frontendOverheadNS
 	tag := cacheTag(terms)
 	probed := c.cache != nil
 	if probed {
 		if n, ok := c.cache.get(tag, s.docs, s.scores); ok {
-			c.mu.Lock()
-			c.CacheHits++
-			c.mu.Unlock()
 			c.metrics.recordCacheHit()
 			// The Result aliasing the scratch buffers is serve's documented
 			// contract; copying here would put an allocation on the
@@ -228,7 +221,6 @@ func (c *Cluster) serve(terms []uint32, standing int) Result {
 	// slowest child and parents give up on a leaf at the deadline. Parents
 	// run one after another: each branch merges in leaf order into the
 	// branch selector, then feeds the root selector.
-	s.events.reset()
 	s.rootTK.Reset()
 	var worst float64
 	partial := false
@@ -255,7 +247,7 @@ func (c *Cluster) serve(terms []uint32, standing int) Result {
 			if o.waitNS > wait {
 				wait = o.waitNS
 			}
-			s.events.observe(o)
+			c.metrics.recordLeaf(o)
 			if !o.answered {
 				b.partial = true
 				continue
@@ -295,7 +287,7 @@ func (c *Cluster) serve(terms []uint32, standing int) Result {
 	if probed && !partial {
 		c.cache.put(tag, res.Docs, res.Scores)
 	}
-	c.metrics.recordServe(probed, worst+2*networkHopNS, s.events, partial)
+	c.metrics.recordServe(probed, worst+2*networkHopNS, partial)
 	if tb := c.cfg.Tracer.Begin("query"); tb != nil {
 		c.emitServeTrace(tb, probed, congestion, res)
 	}

@@ -259,19 +259,15 @@ type Cluster struct {
 	leaves  []*leaf // flat view in shard order, for outage injection
 	cache   *cacheServer
 	metrics *clusterMetrics
-	reg     *obs.Registry
 
-	// driveMu serializes everything that serves queries — Serve calls and
-	// whole RunLoad / RunScenario runs — so one query at a time owns the
-	// preallocated scratch, and a load run's occupancy model and virtual
-	// timeline cannot be perturbed by another driver.
+	// driveMu serializes the drives: Serve calls, whole RunLoad /
+	// RunScenario runs, FlushCache and SetLeafDown. Its holder owns
+	// everything serve mutates — the scratch, the cache tier, the query
+	// totals and the pending metric updates — so the serve path takes no
+	// other lock, and a load run's occupancy model and virtual timeline
+	// cannot be perturbed by another driver.
 	driveMu sync.Mutex
 	scratch *serveScratch
-
-	// mu guards the counters below against readers outside driveMu.
-	mu sync.Mutex
-	// Queries and CacheHits count served requests.
-	Queries, CacheHits int64
 }
 
 // NewCluster wires a tree with the given executors (one per leaf; missing
@@ -288,7 +284,7 @@ func NewCluster(cfg Config, executors []Executor) *Cluster {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	c := &Cluster{cfg: cfg, metrics: newClusterMetrics(reg, name), reg: reg, scratch: newServeScratch(cfg)}
+	c := &Cluster{cfg: cfg, metrics: newClusterMetrics(reg, name), scratch: newServeScratch(cfg)}
 	if cfg.CacheSlots > 0 {
 		c.cache = newCacheServer(cfg.CacheSlots)
 	}
@@ -312,9 +308,17 @@ func NewCluster(cfg Config, executors []Executor) *Cluster {
 }
 
 // SetLeafDown marks leaf's executor administratively down (or back up) when
-// it supports outage injection, reporting whether it did. Fleet scenario
-// timelines use this for correlated leaf-failure windows.
+// it supports outage injection, reporting whether it did. It is a drive: it
+// waits for the one in progress, so it cannot land inside another's
+// timeline. Fleet scenario timelines use the same step for correlated
+// leaf-failure windows.
 func (c *Cluster) SetLeafDown(leafID int, down bool) bool {
+	c.driveMu.Lock()
+	defer c.driveMu.Unlock()
+	return c.setLeafDown(leafID, down)
+}
+
+func (c *Cluster) setLeafDown(leafID int, down bool) bool {
 	if leafID < 0 || leafID >= len(c.leaves) {
 		return false
 	}
@@ -326,8 +330,15 @@ func (c *Cluster) SetLeafDown(leafID int, down bool) bool {
 }
 
 // FlushCache empties the cache tier in place — a shard-reload / cold-restart
-// event. No-op when the cache tier is disabled.
+// event. No-op when the cache tier is disabled. Like SetLeafDown it is a
+// drive, so it lands before or after a concurrent run, never inside it.
 func (c *Cluster) FlushCache() {
+	c.driveMu.Lock()
+	defer c.driveMu.Unlock()
+	c.flushCache()
+}
+
+func (c *Cluster) flushCache() {
 	if c.cache != nil {
 		c.cache.flush()
 	}
@@ -385,9 +396,9 @@ func cacheTag(terms []uint32) uint64 {
 // every few evictions, so a long churny run paid an allocation and a copy
 // of the whole queue per handful of inserts. The ring never re-allocates,
 // and evicted entries are recycled into the next insert, so a full cache
-// under churn runs at a zero-allocation steady state.
+// under churn runs at a zero-allocation steady state. The holder of
+// Cluster.driveMu owns it; it has no lock of its own.
 type cacheServer struct {
-	mu    sync.Mutex
 	slots int
 	data  map[uint64]*cacheEntry
 	order []uint64 // FIFO eviction ring (clock-less approximation of LRU)
@@ -411,8 +422,6 @@ func newCacheServer(slots int) *cacheServer {
 // get copies the entry for tag into the caller's buffers (at least as long
 // as any entry, i.e. TopK) and returns its length and whether it was present.
 func (s *cacheServer) get(tag uint64, docs []uint32, scores []float32) (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.data[tag]
 	if !ok {
 		return 0, false
@@ -422,8 +431,6 @@ func (s *cacheServer) get(tag uint64, docs []uint32, scores []float32) (int, boo
 }
 
 func (s *cacheServer) put(tag uint64, docs []uint32, scores []float32) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if e, exists := s.data[tag]; exists {
 		// Same defensive-copy contract, reusing the entry's storage; the
 		// FIFO position is unchanged, as before.
@@ -459,8 +466,6 @@ func (s *cacheServer) put(tag uint64, docs []uint32, scores []float32) {
 // flush empties the cache in place, keeping the map's storage — the
 // shard-reload / cold-restart event of fleet scenarios.
 func (s *cacheServer) flush() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	clear(s.data)
 	s.head, s.count = 0, 0
 }

@@ -99,8 +99,8 @@ func TestCacheShortCircuit(t *testing.T) {
 			t.Fatal("cached result differs")
 		}
 	}
-	if c.CacheHits != 1 || c.Queries != 2 {
-		t.Fatalf("cache hits %d of %d queries, want 1 of 2", c.CacheHits, c.Queries)
+	if m := c.Metrics(); m.CacheHits != 1 || m.Queries != 2 {
+		t.Fatalf("cache hits %d of %d queries, want 1 of 2", m.CacheHits, m.Queries)
 	}
 }
 
@@ -131,8 +131,8 @@ func TestConcurrentServe(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Queries != 400 {
-		t.Fatalf("queries = %d", c.Queries)
+	if q := c.Metrics().Queries; q != 400 {
+		t.Fatalf("queries = %d", q)
 	}
 }
 
