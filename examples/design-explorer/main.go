@@ -104,7 +104,7 @@ func evaluator(plat searchmem.Platform) searchmem.DesignEvaluator {
 		Params: searchmem.DesignParams{
 			TL3NS:       plat.L3LatencyNS,
 			TMEMNS:      plat.MemLatencyNS,
-			IPCLine:     searchmem.Equation1,
+			IPC:         searchmem.Equation1,
 			SMTSpeedup:  plat.SMT.Speedup,
 			CoreAreaMiB: plat.CoreAreaL3MiB,
 		},
@@ -116,7 +116,7 @@ func evaluator(plat searchmem.Platform) searchmem.DesignEvaluator {
 // memory scheduling — beside the 40 ns parallel-lookup L4 Explore chose.
 func l4Latency(ev searchmem.DesignEvaluator, baseline, best searchmem.DesignScore) {
 	pessimistic := *best.Design.L4
-	pessimistic.HitLatencyNS, pessimistic.MissPenaltyNS, pessimistic.ParallelLookup = 60, 5, false
+	pessimistic.HitLatencyNS, pessimistic.MissPenaltyNS = 60, 5
 	d := best.Design
 	d.L4 = &pessimistic
 
@@ -176,14 +176,15 @@ func measurePolicies() {
 
 // tierSweep extends the winning design below the L4: with the shard too big
 // for any cache, what fraction of leaf memory is worth buying as near DDR
-// versus CXL-attached far capacity? QPS follows Equation 1 from the
-// design's AMAT, degraded by farAMATPct when pages spill far (an analytic
-// stand-in — figT1 simulates the real placement policies); cost follows the
-// tiered-memory price model.
+// versus CXL-attached far capacity? QPS follows the evaluator's IPC function
+// (Equation 1) from the design's AMAT, degraded by farAMATPct when pages
+// spill far (an analytic stand-in — figT1 simulates the real placement
+// policies); cost follows the tiered-memory price model.
 func tierSweep(best searchmem.DesignScore, ev searchmem.DesignEvaluator, cost searchmem.MemCostModel, memGiB, farAMATPct float64) {
 	bytes := int64(memGiB * (1 << 30))
 	allNear := cost.Dollars(bytes, 0)
-	qpsAllNear := ev.Params.IPCLine.Eval(best.AMATNS)
+	codeHit := ev.Curve.CodeHitRate(int64(best.Design.L3MiB * (1 << 20)))
+	qpsAllNear := ev.Params.IPC(best.AMATNS, codeHit)
 
 	fmt.Printf("\nmemory tiering for the best design (%.0f GiB/leaf, $%.0f all-near):\n", memGiB, allNear)
 	fmt.Printf("  %-10s %12s %10s %14s\n", "near", "mem $/leaf", "QPS rel", "QPS per mem $")
@@ -194,7 +195,7 @@ func tierSweep(best searchmem.DesignScore, ev searchmem.DesignEvaluator, cost se
 		if nearFrac < 1 {
 			amat *= 1 + farAMATPct/100
 		}
-		rel := ev.Params.IPCLine.Eval(amat) / qpsAllNear
+		rel := ev.Params.IPC(amat, codeHit) / qpsAllNear
 		fmt.Printf("  %-10s %12.0f %10.3f %14.3f\n",
 			fmt.Sprintf("%.1f%%", 100*nearFrac), dollars, rel, rel*allNear/dollars)
 	}

@@ -4,7 +4,11 @@
 // optional latency-optimized eDRAM L4; an Evaluator scores designs under
 // iso-area (and optionally iso-power) constraints using the calibrated
 // performance, area, and power models, and Explore searches the design
-// space the way §IV-B/§IV-C do.
+// space the way §IV-B/§IV-C do. The evaluator takes hit rates from a
+// HitCurve and IPC from one function of AMAT and code hit rate
+// (Params.IPC): cmd/searchsim's explore passes the same perf model that
+// draws Figures 9-11 and 14, the design-explorer example passes
+// Equation 1.
 package core
 
 import (
@@ -12,7 +16,6 @@ import (
 	"math"
 
 	"searchmem/internal/model"
-	"searchmem/internal/stats"
 )
 
 // Design is one SoC + package configuration.
@@ -77,18 +80,15 @@ type HitCurve interface {
 type Params struct {
 	// TL3NS and TMEMNS are the L3 and memory round-trip latencies.
 	TL3NS, TMEMNS float64
-	// IPCLine maps AMAT (ns) to IPC (Equation 1 or a refit line).
-	IPCLine stats.Line
+	// IPC maps a design's post-L2 AMAT (ns) and its L3 code hit rate to
+	// per-thread IPC (model.IPCFromAMAT ignores the code hit rate).
+	IPC func(amatNS, codeHit float64) float64
 	// SMTSpeedup returns the throughput multiplier for n SMT ways.
 	SMTSpeedup func(n int) float64
 	// CoreAreaMiB is one core's area in L3-equivalent MiB (~4 on PLT1).
 	CoreAreaMiB float64
 	// Power is the socket power model (§IV-C).
 	Power model.PowerModel
-	// InstrPenalty, when non-nil, adds the instruction-side CPI penalty
-	// for code missing the L3 (the "18 MiB floor"); it receives the code
-	// hit rate and returns an IPC multiplier <= 1.
-	InstrPenalty func(codeHit float64) float64
 }
 
 // Evaluator scores designs.
@@ -108,9 +108,6 @@ type Score struct {
 	AMATNS float64
 	// RelPower is socket power relative to the power model's baseline.
 	RelPower float64
-	// EnergyPerQuery is relative joules per query (power/QPS, both
-	// relative to the baseline design).
-	EnergyPerQuery float64
 }
 
 // Evaluate scores one design.
@@ -124,17 +121,11 @@ func (e Evaluator) Evaluate(d Design) Score {
 	if d.L4 != nil {
 		hL4 := e.Curve.L4HitRate(d.L4.CapacityBytes, l3)
 		amat = model.AMATWithL4(hData, hL4, e.Params.TL3NS,
-			d.L4.EffectiveHitLatencyNS(), e.Params.TMEMNS, d.L4.MissPenaltyNS)
+			d.L4.HitLatencyNS, e.Params.TMEMNS, d.L4.MissPenaltyNS)
 	} else {
 		amat = model.AMATL3(hData, e.Params.TL3NS, e.Params.TMEMNS)
 	}
-	ipc := e.Params.IPCLine.Eval(amat)
-	if ipc < 0.05 {
-		ipc = 0.05
-	}
-	if e.Params.InstrPenalty != nil {
-		ipc *= e.Params.InstrPenalty(e.Curve.CodeHitRate(l3))
-	}
+	ipc := e.Params.IPC(amat, e.Curve.CodeHitRate(l3))
 	smt := 1.0
 	if e.Params.SMTSpeedup != nil {
 		smt = e.Params.SMTSpeedup(d.SMTWays)
@@ -153,8 +144,9 @@ func (e Evaluator) Evaluate(d Design) Score {
 	return s
 }
 
-// Relative finishes a Score against a baseline: EnergyPerQuery and the
-// improvement fraction.
+// Relative compares a Score with a baseline: the QPS improvement fraction
+// and the relative energy per query (power/QPS, both relative to the
+// baseline design).
 func Relative(baseline, design Score) (improvement float64, energy float64) {
 	improvement = model.Improvement(baseline.QPS, design.QPS)
 	if baseline.QPS > 0 && baseline.RelPower > 0 {
@@ -170,10 +162,6 @@ type Constraint struct {
 	// MaxRelPower bounds socket power relative to baseline (0 = none):
 	// the paper's iso-power variant uses 1.0.
 	MaxRelPower float64
-	// MinL3MiB floors the shared cache (the instruction working set makes
-	// capacities below ~18 MiB detrimental; exploration can rediscover
-	// this, but a floor prunes the space).
-	MinL3MiB float64
 }
 
 // Explore sweeps core counts and per-core L3 allocations (and optionally L4
@@ -193,9 +181,6 @@ func (e Evaluator) Explore(baseline Design, cons Constraint, l4Sizes []int64) (b
 			continue
 		}
 		l3 := float64(n) * cpc
-		if cons.MinL3MiB > 0 && l3 < cons.MinL3MiB {
-			continue
-		}
 		candidates := []Design{{Cores: n, L3MiB: l3, SMTWays: baseline.SMTWays}}
 		for _, l4MiB := range l4Sizes {
 			l4 := model.BaselineL4(l4MiB << 20)

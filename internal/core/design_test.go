@@ -36,15 +36,16 @@ func testEvaluator() Evaluator {
 	return Evaluator{
 		Curve: syntheticCurve{},
 		Params: Params{
-			TL3NS:       14.4,
-			TMEMNS:      65,
-			IPCLine:     model.Equation1,
+			TL3NS:  14.4,
+			TMEMNS: 65,
+			// Equation 1 with an instruction-side penalty for code that
+			// misses the L3 (the "18 MiB floor").
+			IPC: func(amatNS, codeHit float64) float64 {
+				return model.IPCFromAMAT(amatNS) * (1 - 0.3*(1-codeHit))
+			},
 			SMTSpeedup:  func(n int) float64 { return []float64{1, 1, 1.37}[min(n, 2)] },
 			CoreAreaMiB: 4,
 			Power:       model.PowerModel{SocketWatts: 145, BaselineCores: 18, CorePowerFrac: 0.0377},
-			InstrPenalty: func(codeHit float64) float64 {
-				return 1 - 0.3*(1-codeHit)
-			},
 		},
 	}
 }
@@ -203,16 +204,6 @@ func TestExploreIsoPower(t *testing.T) {
 	imp, _ := Relative(base, best)
 	if imp < -0.05 {
 		t.Fatalf("iso-power best is %v below baseline", imp)
-	}
-}
-
-func TestExploreMinL3Floor(t *testing.T) {
-	e := testEvaluator()
-	_, frontier := e.Explore(plt1Baseline(), Constraint{MinL3MiB: 18}, nil)
-	for _, s := range frontier {
-		if s.Design.L3MiB < 18 {
-			t.Fatalf("floor violated: %v", s.Design.L3MiB)
-		}
 	}
 }
 

@@ -97,7 +97,7 @@ func TestTrimFloat(t *testing.T) {
 // Regenerate by pasting the "id": "digest" lines the failing subtests print;
 // a change that moves one is a model change and must say so in CHANGES.md.
 var renderDigests = map[string]string{
-	"explore":   "81b03fe6c4448008dfb7b674dba33d691af44e6a0652784b5e033ec6d1c70431",
+	"explore":   "555b0df5bcd7bf619e34787383177878db556c227bf5c5860cc0c4ea72307bb9",
 	"missclass": "f8955e1bb0061b02cc1703b7128761cc92529825d44cda6a7ea0a92ceed82bdb",
 	"bandwidth": "7a246c3d64cf488edb4fbb700966e7de298b4fa9943aa85967a3ccddab5eb7fa",
 	"slo":       "4aab8179a3b38bfb0b00f098909d8d953fe570ba8164b637c2aba78469e568ee",

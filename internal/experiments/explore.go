@@ -6,7 +6,6 @@ import (
 	"searchmem/internal/core"
 	"searchmem/internal/model"
 	"searchmem/internal/platform"
-	"searchmem/internal/stats"
 )
 
 func init() {
@@ -32,62 +31,25 @@ func (m measuredCurve) DataHitRate(c int64) float64 { return m.pm.curve.dataHitR
 // CodeHitRate implements core.HitCurve.
 func (m measuredCurve) CodeHitRate(c int64) float64 { return m.pm.curve.codeHitRate(c) }
 
-// L4HitRate implements core.HitCurve with log-linear interpolation over the
-// simulated sweep points.
-func (m measuredCurve) L4HitRate(l4Cap, l3Cap int64) float64 {
-	mib := l4Cap >> 20
-	var below, above *l4Point
-	for i := range m.l4 {
-		p := &m.l4[i]
-		if p.capMiB <= mib && (below == nil || p.capMiB > below.capMiB) {
-			below = p
-		}
-		if p.capMiB >= mib && (above == nil || p.capMiB < above.capMiB) {
-			above = p
-		}
-	}
-	switch {
-	case below == nil && above == nil:
-		return 0
-	case below == nil:
-		return above.hitRate * float64(mib) / float64(above.capMiB)
-	case above == nil || below.capMiB == above.capMiB:
-		return below.hitRate
-	default:
-		frac := float64(mib-below.capMiB) / float64(above.capMiB-below.capMiB)
-		return below.hitRate + frac*(above.hitRate-below.hitRate)
-	}
-}
+// L4HitRate implements core.HitCurve with the sweep's reader, l4HitAt.
+func (m measuredCurve) L4HitRate(l4Cap, l3Cap int64) float64 { return l4HitAt(m.l4, l4Cap>>20) }
 
-func runExplore(c *Context) (Result, error) {
+// exploreEvaluator scores designs with the §IV perf model itself: its hit
+// curves, and its IPC function of AMAT and code hit rate. So a design that
+// fig10 or fig14 also draws gets their QPS exactly (TestExploreReadsPerfModel).
+func exploreEvaluator(c *Context) core.Evaluator {
 	// The perf model records and replays on Leaf(), the L4 sweep on Sweep().
 	var curve measuredCurve
 	runLegs(c,
 		func() { curve.pm = newPerfModel(c) },
 		func() { curve.l4 = sweepL4(c, 0) })
-	pm := curve.pm
 	plat := platform.PLT1()
-	// The evaluator takes IPC as a line in AMAT: fit one to the perf model
-	// at representative data hit rates, holding instruction effects out (the
-	// InstrPenalty below carries them).
-	var xs, ys []float64
-	for _, h := range []float64{0.3, 0.45, 0.6, 0.75, 0.9} {
-		rates := pm.baseRates()
-		rates.L3AMATNS = model.AMATL3(h, pm.tL3, pm.tMEM)
-		xs = append(xs, rates.L3AMATNS)
-		ys = append(ys, pm.core.IPC(rates))
-	}
-	ipcLine, err := stats.FitLine(xs, ys)
-	if err != nil {
-		return nil, err
-	}
-
-	ev := core.Evaluator{
+	return core.Evaluator{
 		Curve: curve,
 		Params: core.Params{
-			TL3NS:       plat.L3LatencyNS,
-			TMEMNS:      plat.MemLatencyNS,
-			IPCLine:     ipcLine,
+			TL3NS:       curve.pm.tL3,
+			TMEMNS:      curve.pm.tMEM,
+			IPC:         curve.pm.ipc,
 			SMTSpeedup:  plat.SMT.Speedup,
 			CoreAreaMiB: plat.CoreAreaL3MiB,
 			Power: model.PowerModel{
@@ -95,16 +57,13 @@ func runExplore(c *Context) (Result, error) {
 				BaselineCores: plat.CoresPerSocket,
 				CorePowerFrac: plat.CorePowerFrac,
 			},
-			InstrPenalty: func(codeHit float64) float64 {
-				// Instruction misses that escape the L3 stall the
-				// front end; the penalty mirrors perfModel's L3I term.
-				miss := (1 - codeHit) * pm.base.L2InstrMPKI / 1000
-				extra := miss * (pm.core.CyclesFromNS(pm.core.MemLatencyNS) - pm.core.L3LatencyCycles) * pm.core.FEOverlap
-				base := 1 / pm.base.IPC
-				return base / (base + extra)
-			},
 		},
 	}
+}
+
+func runExplore(c *Context) (Result, error) {
+	ev := exploreEvaluator(c)
+	plat := platform.PLT1()
 	baseline := core.Design{Cores: plat.CoresPerSocket, L3MiB: 45, SMTWays: 2}
 	baseScore := ev.Evaluate(baseline)
 

@@ -98,14 +98,31 @@ func runFig13(c *Context) (Result, error) {
 // fig14Sizes are the L4 capacities of Figure 14 (MiB).
 var fig14Sizes = []int64{128, 256, 512, 1024, 2048}
 
-// l4HitAt interpolates the simulated L4 hit rate at a capacity.
-func l4HitAt(points []l4Point, mb int64) float64 {
-	for _, p := range points {
-		if p.capMiB == mb {
-			return p.hitRate
+// l4HitAt reads the simulated L4 hit rate at mib MiB: exact at a sweep
+// point, linear between the two points around it, and scaled toward zero
+// below the smallest.
+func l4HitAt(points []l4Point, mib int64) float64 {
+	var below, above *l4Point
+	for i := range points {
+		p := &points[i]
+		if p.capMiB <= mib && (below == nil || p.capMiB > below.capMiB) {
+			below = p
+		}
+		if p.capMiB >= mib && (above == nil || p.capMiB < above.capMiB) {
+			above = p
 		}
 	}
-	return 0
+	switch {
+	case below == nil && above == nil:
+		return 0
+	case below == nil:
+		return above.hitRate * float64(mib) / float64(above.capMiB)
+	case above == nil || below.capMiB == above.capMiB:
+		return below.hitRate
+	default:
+		frac := float64(mib-below.capMiB) / float64(above.capMiB-below.capMiB)
+		return below.hitRate + frac*(above.hitRate-below.hitRate)
+	}
 }
 
 func runFig14(c *Context) (Result, error) {
@@ -147,8 +164,7 @@ func runFig14(c *Context) (Result, error) {
 		fig.Add("Pessimistic", float64(mb), model.Improvement(base, q))
 
 		// Associative: fully-associative functional sim, baseline timing.
-		a := model.AssociativeL4(mb << 20)
-		q = pm.qpsWithL4(23, l3Rebalanced, smt, l4HitAt(assoc, mb), a.HitLatencyNS, a.MissPenaltyNS)
+		q = pm.qpsWithL4(23, l3Rebalanced, smt, l4HitAt(assoc, mb), d.HitLatencyNS, d.MissPenaltyNS)
 		fig.Add("Associative", float64(mb), model.Improvement(base, q))
 
 		// Future: the same L4 under the degraded memory system.

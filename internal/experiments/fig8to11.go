@@ -149,25 +149,26 @@ func newPerfModel(c *Context) *perfModel {
 	}).(*perfModel)
 }
 
-// ipcAt returns modeled IPC with the given L3 capacity and optional L4
-// (hL4 = 0 disables it).
-func (p *perfModel) ipcAt(l3 int64, hL4, tL4, l4Pen float64) float64 {
-	rates := p.baseRates()
-	rates.L3IMisses = p.base.L2InstrMPKI / 1000 * (1 - p.curve.codeHitRate(l3))
-	rates.L3AMATNS = model.AMATWithL4(p.curve.dataHitRate(l3), hL4, p.tL3, tL4, p.tMEM, l4Pen)
-	return p.core.IPC(rates)
-}
-
-// baseRates returns the baseline event rates (shared with the design-space
-// exploration).
-func (p *perfModel) baseRates() cpu.EventRates {
-	return cpu.EventRates{
+// ipc is the §IV IPC function: the baseline's event rates with the data
+// side's post-L2 AMAT (ns) and the share of L2 instruction misses that the L3
+// holds. Every §IV QPS reaches it, explore's through core.Params.IPC.
+func (p *perfModel) ipc(amatNS, codeHit float64) float64 {
+	return p.core.IPC(cpu.EventRates{
 		BranchMispredicts: p.base.BranchMPKI / 1000,
 		L1IMisses:         p.base.L1IMPKI / 1000,
 		L2IMisses:         p.base.L2InstrMPKI / 1000,
 		L1DMisses:         p.base.L1DMPKI / 1000,
 		L2DMisses:         p.base.L2DataMPKI / 1000,
-	}
+		L3IMisses:         p.base.L2InstrMPKI / 1000 * (1 - codeHit),
+		L3AMATNS:          amatNS,
+	})
+}
+
+// ipcAt returns modeled IPC with the given L3 capacity and optional L4
+// (hL4 = 0 disables it).
+func (p *perfModel) ipcAt(l3 int64, hL4, tL4, l4Pen float64) float64 {
+	amat := model.AMATWithL4(p.curve.dataHitRate(l3), hL4, p.tL3, tL4, p.tMEM, l4Pen)
+	return p.ipc(amat, p.curve.codeHitRate(l3))
 }
 
 // qpsWithL4 returns relative throughput of n cores at an operating point,

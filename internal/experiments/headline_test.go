@@ -2,13 +2,17 @@ package experiments
 
 import (
 	"testing"
+
+	"searchmem/internal/core"
+	"searchmem/internal/model"
+	"searchmem/internal/platform"
 )
 
 // TestHeadlineShapes verifies the paper's §IV headline results at full
 // scale: the cache-for-cores optimum is interior and near 1 MiB/core, and
 // the L4 configurations order and land near the paper's improvements.
-// It runs the Figure 10, 11 and 14 pipelines at Full() scale; skipped under
-// -short.
+// It runs the Figure 10, 11 and 14 pipelines at Full() scale, and holds
+// explore to them there (checkExploreReadsPerfModel); skipped under -short.
 func TestHeadlineShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale headline reproduction")
@@ -26,6 +30,7 @@ func TestHeadlineShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	fig := res.(*Figure)
+	fig10 := fig
 	s := fig.Get("SMT on (quantized)")
 	if s == nil {
 		t.Fatal("missing series")
@@ -129,5 +134,70 @@ func TestHeadlineShapes(t *testing.T) {
 	// And capacity matters: 128 MiB strictly below 1 GiB.
 	if at("Baseline", 128) >= base1g {
 		t.Errorf("128 MiB L4 not below 1 GiB")
+	}
+
+	checkExploreReadsPerfModel(t, ctx, fig10, fig)
+}
+
+// TestExploreReadsPerfModel holds explore to the §IV figures at Fast()
+// scale (smoke scale under the race detector); TestHeadlineShapes does the
+// same at Full().
+func TestExploreReadsPerfModel(t *testing.T) {
+	opts := Fast()
+	if raceDetectorOn {
+		opts = lawScale()
+	}
+	ctx := NewContext(opts)
+	var figs [2]*Figure
+	for i, id := range []string{"fig10", "fig14"} {
+		res, err := mustByID(t, id).Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		figs[i] = res.(*Figure)
+	}
+	checkExploreReadsPerfModel(t, ctx, figs[0], figs[1])
+}
+
+// checkExploreReadsPerfModel is the one-IPC-function law: explore's
+// evaluator scores a design with the perf model itself, so on every design
+// that fig10 or fig14 also draws it gives their number exactly. It must
+// reproduce, with ==, the 18-core 45 MiB baseline, each "SMT on
+// (quantized)" point of fig10 and each "Baseline" L4 point of fig14. An IPC
+// read from a line fitted to the model, or a hand copy of its instruction
+// term, breaks the equality.
+func checkExploreReadsPerfModel(t *testing.T, ctx *Context, fig10, fig14 *Figure) {
+	t.Helper()
+	ev := exploreEvaluator(ctx)
+	pm := newPerfModel(ctx)
+	smt := platform.PLT1().SMT.Speedup(2)
+	base := ev.Evaluate(core.Design{Cores: 18, L3MiB: 45, SMTWays: 2})
+	if want := baselineQPS(pm, smt); base.QPS != want {
+		t.Errorf("explore's baseline QPS %v, fig10's %v", base.QPS, want)
+	}
+
+	s := fig10.Get("SMT on (quantized)")
+	designs := tradeoffSweep(ctx, pm, smt, true)
+	if s == nil || len(s.Y) != len(designs) {
+		t.Fatalf("fig10 \"SMT on (quantized)\" = %+v, want %d points", s, len(designs))
+	}
+	for i, d := range designs {
+		got := ev.Evaluate(core.Design{Cores: int(d.cores), L3MiB: d.cores * d.l3PerCore, SMTWays: 2})
+		if got.QPS != d.qps || model.Improvement(base.QPS, got.QPS) != s.Y[i] {
+			t.Errorf("fig10 at %v MiB/core (%v cores): explore QPS %v (%v), fig10 %v (%v)",
+				d.l3PerCore, d.cores, got.QPS, model.Improvement(base.QPS, got.QPS), d.qps, s.Y[i])
+		}
+	}
+
+	s = fig14.Get("Baseline")
+	if s == nil || len(s.Y) != len(fig14Sizes) {
+		t.Fatalf("fig14 \"Baseline\" = %+v, want %d points", s, len(fig14Sizes))
+	}
+	for i, mb := range fig14Sizes {
+		l4 := model.BaselineL4(mb << 20)
+		got := ev.Evaluate(core.Design{Cores: 23, L3MiB: 23, SMTWays: 2, L4: &l4})
+		if imp := model.Improvement(base.QPS, got.QPS); imp != s.Y[i] {
+			t.Errorf("fig14 Baseline at %d MiB: explore %v, fig14 %v", mb, imp, s.Y[i])
+		}
 	}
 }

@@ -119,7 +119,11 @@ func tierDollars(totalPages, nearPages int64) float64 {
 }
 
 // tierQPSRel converts AMAT to relative QPS via Equation 1 (cores and SMT
-// are constant across the sweep, so IPC ratio is QPS ratio).
+// are constant across the sweep, so IPC ratio is QPS ratio). Its AMATs are
+// the simulated hierarchy's, far tier included, at one core count and one
+// L3: the measured-AMAT-to-IPC relation Eq. 1 fits (Figure 8b), not the §IV
+// perf model's, which composes a post-L2 AMAT from a hit curve and fixed
+// L3 and memory latencies.
 func tierQPSRel(amatNS, baseAMATNS float64) float64 {
 	return model.IPCFromAMAT(amatNS) / model.IPCFromAMAT(baseAMATNS)
 }

@@ -10,7 +10,6 @@
 package model
 
 import (
-	"fmt"
 	"math"
 
 	"searchmem/internal/stats"
@@ -44,7 +43,8 @@ func AMATWithL4(hL3, hL4, tL3, tL4, tMEM, missPenalty float64) float64 {
 
 // IPCFromAMAT applies Equation 1, clamped below at a small positive floor
 // (the linear fit is only valid in-range; clamping keeps far extrapolations
-// sane).
+// sane). It is the one evaluation of Equation 1 in the module: Figure 2a,
+// figT1 and the design-explorer example all reach it.
 func IPCFromAMAT(amatNS float64) float64 {
 	ipc := Equation1.Eval(amatNS)
 	if ipc < 0.05 {
@@ -70,52 +70,6 @@ func (m AreaModel) Area(cores int, l3PerCoreMiB float64) float64 {
 // l3PerCoreMiB of L3 per core.
 func (m AreaModel) CoresFor(areaMiB, l3PerCoreMiB float64) float64 {
 	return areaMiB / (m.CoreAreaMiB + l3PerCoreMiB)
-}
-
-// ThroughputModel converts a hierarchy operating point into relative QPS.
-// QPS scales linearly with core count (Figure 2a validates this to 72
-// cores) and with per-core IPC (Figure 8a validates the linear IPC-AMAT
-// relation), modulated by the SMT speedup.
-type ThroughputModel struct {
-	// TL3NS and TMEMNS are the L3 and memory latencies.
-	TL3NS, TMEMNS float64
-	// IPCLine maps AMAT (ns) to IPC; usually Equation1, or a line refit
-	// from simulation.
-	IPCLine stats.Line
-	// SMTSpeedup multiplies single-thread throughput; 1.0 when SMT off.
-	SMTSpeedup float64
-}
-
-// Validate reports whether the model is usable.
-func (m ThroughputModel) Validate() error {
-	if m.TL3NS <= 0 || m.TMEMNS <= m.TL3NS {
-		return fmt.Errorf("model: need 0 < tL3 < tMEM")
-	}
-	if m.SMTSpeedup <= 0 {
-		return fmt.Errorf("model: SMT speedup must be positive")
-	}
-	return nil
-}
-
-// QPS returns relative throughput for cores running at the given L3 hit
-// rate (no L4).
-func (m ThroughputModel) QPS(cores float64, hL3 float64) float64 {
-	return m.QPSWithL4(cores, hL3, 0, 0, 0)
-}
-
-// QPSWithL4 returns relative throughput with an L4 configured: hL4 and
-// tL4NS describe it; l4MissPenaltyNS is the unoverlapped lookup cost.
-// Passing hL4 = 0 with tL4NS = 0 reduces to the no-L4 model.
-func (m ThroughputModel) QPSWithL4(cores float64, hL3, hL4, tL4NS, l4MissPenaltyNS float64) float64 {
-	if err := m.Validate(); err != nil {
-		panic(err)
-	}
-	amat := AMATWithL4(hL3, hL4, m.TL3NS, tL4NS, m.TMEMNS, l4MissPenaltyNS)
-	ipc := m.IPCLine.Eval(amat)
-	if ipc < 0.05 {
-		ipc = 0.05
-	}
-	return cores * ipc * m.SMTSpeedup
 }
 
 // Improvement returns (new-old)/old as a fraction.

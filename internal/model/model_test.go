@@ -78,46 +78,6 @@ func TestAreaModel(t *testing.T) {
 	}
 }
 
-func TestThroughputModel(t *testing.T) {
-	m := ThroughputModel{TL3NS: 14.4, TMEMNS: 65, IPCLine: Equation1, SMTSpeedup: 1.37}
-	base := m.QPS(18, 0.65)
-	if base <= 0 {
-		t.Fatal("QPS must be positive")
-	}
-	// More cores at the same hit rate: linear scaling.
-	if got := m.QPS(36, 0.65); math.Abs(got/base-2) > 1e-9 {
-		t.Fatalf("core scaling: %v", got/base)
-	}
-	// A better hit rate increases QPS.
-	if m.QPS(18, 0.75) <= base {
-		t.Fatal("higher hit rate did not help")
-	}
-	// An L4 increases QPS at fixed L3 hit rate.
-	if m.QPSWithL4(18, 0.65, 0.6, 40, 0) <= base {
-		t.Fatal("L4 did not help")
-	}
-	// A pessimistic L4 (60 ns, 5 ns penalty) helps less than the
-	// baseline L4 but still beats no L4 at decent hit rates.
-	good := m.QPSWithL4(18, 0.65, 0.6, 40, 0)
-	pess := m.QPSWithL4(18, 0.65, 0.6, 60, 5)
-	if !(base < pess && pess < good) {
-		t.Fatalf("ordering: base %v, pessimistic %v, good %v", base, pess, good)
-	}
-}
-
-func TestThroughputValidate(t *testing.T) {
-	bad := []ThroughputModel{
-		{},
-		{TL3NS: 20, TMEMNS: 10, SMTSpeedup: 1},
-		{TL3NS: 10, TMEMNS: 60, SMTSpeedup: 0},
-	}
-	for i, m := range bad {
-		if err := m.Validate(); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-}
-
 func TestImprovement(t *testing.T) {
 	if got := Improvement(100, 127); math.Abs(got-0.27) > 1e-12 {
 		t.Fatalf("improvement %v", got)

@@ -143,15 +143,18 @@ func Measure(r Runner, mc MeasureConfig) Metrics { return workload.Measure(r, mc
 
 // --- hierarchy design space (the paper's §III-D/§IV contribution) ---
 
-// Equation1 is the paper's published IPC model: IPC = -8.62e-3*AMAT + 1.78.
-var Equation1 = model.Equation1
+// Equation1 is the paper's published IPC model, IPC = -8.62e-3*AMAT + 1.78
+// clamped below at 0.05, as a DesignParams.IPC function. It cannot see
+// instruction misses, so it ignores codeHit.
+func Equation1(amatNS, codeHit float64) float64 { return model.IPCFromAMAT(amatNS) }
 
 // HierarchyDesign is one SoC + package configuration (cores, L3, optional
 // eDRAM L4).
 type HierarchyDesign = core.Design
 
 // DesignEvaluator scores hierarchy designs under iso-area / iso-power
-// constraints using the calibrated models.
+// constraints: hit rates from its curve, IPC from DesignParams.IPC, and the
+// calibrated area and power models.
 type DesignEvaluator = core.Evaluator
 
 // DesignScore is one design's evaluation.

@@ -108,7 +108,7 @@ func TestBuildEngineRejectsInvalidConfig(t *testing.T) {
 }
 
 func TestPublicModels(t *testing.T) {
-	if got := searchmem.Equation1.Eval(50); got < 1.34 || got > 1.36 {
+	if got := searchmem.Equation1(50, 1); got < 1.34 || got > 1.36 {
 		t.Fatalf("Equation1(50 ns) = %v, want -8.62e-3*50 + 1.78", got)
 	}
 	if searchmem.DefaultMemCost().Dollars(1<<30, 1<<30) <= searchmem.DefaultMemCost().Dollars(0, 2<<30) {
