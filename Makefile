@@ -26,21 +26,24 @@ lint: fmt vet
 test:
 	$(GO) test ./...
 
-# The compressed view hands each decode window to a goroutine and back, and
-# a serving cluster's drives hand its scratch, cache tier and pending
-# metrics from holder to holder of one mutex; a single race pass rarely hits
-# a bad interleaving, so the view's and the drives' tests run 20 times more.
+# The compressed view hands each decode window to a goroutine and back, a
+# serving cluster's drives hand its scratch, cache tier and pending metrics
+# from holder to holder of one mutex, and an open loop hands issue batches
+# from its generator goroutine to the serving one and back; a single race
+# pass rarely hits a bad interleaving, so the view's, the drives' and the
+# pipeline's tests run 20 times more.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'Compressed|Spilled|WindowReuse' ./internal/trace
-	$(GO) test -race -count=20 -run 'During|Concurrent|Recount' ./internal/serving
+	$(GO) test -race -count=20 -run 'During|Concurrent|Recount|Pipeline' ./internal/serving
 
 # alloc-check is the allocation gate (DESIGN.md §17): the AllocsPerRun
 # oracles that pin every replay, cache, memory-tier, top-k and serving
-# kernel at zero allocations in steady state, and the capture path's
-# allocation law
+# kernel at zero allocations in steady state (the open loop's generator
+# fill included), and two allocation laws
 # (TestCaptureAllocLaw: a recording allocates what it keeps, so no event
-# buffer is regrown and re-copied). It runs WITHOUT -race: race
+# buffer is regrown and re-copied; TestRunScenarioAllocLaw: a day and a day
+# ten times as long allocate the same number of times). It runs WITHOUT -race: race
 # instrumentation allocates, so the tests build-tag themselves out of
 # `make race`.
 alloc-check:

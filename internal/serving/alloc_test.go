@@ -12,6 +12,8 @@
 package serving
 
 import (
+	"math"
+	"math/bits"
 	"testing"
 
 	"searchmem/internal/stats"
@@ -46,9 +48,9 @@ func eventStep(t *testing.T, c *Cluster, clients int) func() {
 	hist := stats.NewHistogram(8)
 	step := func() {
 		ev, inHeap, _ := e.peek()
-		r := c.serve(e.drawTerms(ev.slot), clients-1)
-		hist.Add(r.LatencyNS)
-		e.reissue(inHeap, event{ev.t + r.LatencyNS, ev.id, ev.slot})
+		lat, _ := c.serve(e.drawTerms(ev.slot), clients-1)
+		hist.Add(lat)
+		e.reissue(inHeap, event{ev.t + lat, ev.id, ev.slot})
 	}
 	for i := 0; i < 5000; i++ {
 		step()
@@ -106,9 +108,9 @@ func TestOpenLoopStepZeroAlloc(t *testing.T) {
 			compPop(&comp)
 			retired++
 		}
-		r := c.serve(e.drawTerms(ev.slot), len(comp))
-		hist.Add(r.LatencyNS)
-		compPush(&comp, ev.t+r.LatencyNS)
+		lat, _ := c.serve(e.drawTerms(ev.slot), len(comp))
+		hist.Add(lat)
+		compPush(&comp, ev.t+lat)
 		if inHeap {
 			e.retire(true)
 			popped++
@@ -129,6 +131,77 @@ func TestOpenLoopStepZeroAlloc(t *testing.T) {
 	if h, a := e.heap[:cap(e.heap)], e.arrivals[:cap(e.arrivals)]; &h[0] != &a[0] || len(h) != len(a) {
 		t.Fatalf("re-issue heap left the arrivals' array: base %p cap %d, arrivals base %p cap %d",
 			&h[0], cap(e.heap), &a[0], cap(e.arrivals))
+	}
+}
+
+// TestIssueFillZeroAlloc pins the open loop's generator stage: fillIssues
+// over a queue that neither empties nor stalls (an infinite horizon, a
+// budget no client reaches), so each call takes first arrivals, pushes
+// re-issues into the drained prefix and replaces the heap's minimum, with
+// the Zipf draw, the rate curve's diurnal and burst terms and the budget
+// count on every issue.
+func TestIssueFillZeroAlloc(t *testing.T) {
+	sc := &Scenario{
+		Clients: 4096, QueriesPerClient: 1 << 30, VocabSize: 4000, Skew: 0.9, Seed: 42,
+		Arrival: &RateCurve{
+			BaseQPS: 20_000, DiurnalAmplitude: 0.25, DiurnalPeriodNS: 1e9,
+			Bursts: []Burst{{StartNS: 0, EndNS: math.Inf(1), Factor: 2}},
+		},
+		DurationNS: math.Inf(1),
+	}
+	e := newLoadEngine(sc.VocabSize, sc.Skew)
+	e.queueArrivals(sc.Clients, sc.Seed, float64(sc.Clients)/sc.Arrival.At(0)*1e9, sc.DurationNS)
+	e.issued = make([]int32, len(e.rng))
+	buf := make([]issue, 256)
+	for i := 0; i < 8; i++ {
+		e.fillIssues(buf, sc)
+	}
+	pushed := e.fi
+	requireZeroAllocs(t, "generator fill", func() {
+		if n := e.fillIssues(buf, sc); n != len(buf) {
+			t.Fatalf("fill wrote %d issues of %d: the queue emptied", n, len(buf))
+		}
+	})
+	if e.fi == pushed || len(e.heap) == 0 {
+		t.Fatalf("fills took no first arrival (%d of %d taken) or left no re-issue pending", e.fi, len(e.arrivals))
+	}
+}
+
+// TestRunScenarioAllocLaw pins that an open loop's allocations do not grow
+// with its events: a day and a day ten times as long, over a population
+// that arrives almost whole in either, allocate the same number of times.
+// What a run allocates is its client state, the handoff's buffers and
+// channels, the goroutines' closures and the completion heap, whose growth
+// depends on the peak occupancy: the test checks that both days reach a
+// peak inside the same power of two first, so the law it holds is the one
+// about events.
+func TestRunScenarioAllocLaw(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CacheSlots = 256
+	day := func(d float64) Scenario {
+		return Scenario{
+			Clients: 500, VocabSize: 400, Skew: 1.1, Seed: 9,
+			Arrival:    &RateCurve{BaseQPS: 5000, DiurnalAmplitude: 0.2, DiurnalPeriodNS: d / 3},
+			DurationNS: d,
+		}
+	}
+	measure := func(d float64) (float64, FleetStats) {
+		c := NewCluster(cfg, nil)
+		var fs FleetStats
+		allocs := testing.AllocsPerRun(3, func() { fs = RunScenario(c, day(d)) })
+		return allocs, fs
+	}
+	short, fsShort := measure(2e9)
+	long, fsLong := measure(20e9)
+	if fsLong.Served < 9*fsShort.Served {
+		t.Fatalf("the long day served %d queries, the short one %d: want ten times as many", fsLong.Served, fsShort.Served)
+	}
+	if bits.Len64(uint64(fsShort.PeakInflight-1)) != bits.Len64(uint64(fsLong.PeakInflight-1)) {
+		t.Fatalf("peak occupancy %d and %d lie in different powers of two: choose another day", fsShort.PeakInflight, fsLong.PeakInflight)
+	}
+	if short != long {
+		t.Fatalf("RunScenario allocated %.0f times over %d events and %.0f times over %d",
+			short, fsShort.EventsProcessed, long, fsLong.EventsProcessed)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"searchmem/internal/stats"
 )
@@ -111,29 +112,130 @@ func (e *loadEngine) queueAll(clients int, seed uint64) {
 // queueArrivals queues the open loop's first arrivals: each client's first
 // draw from its own stream, an exponential of the given mean. An arrival at
 // or past the horizon is never issued, so it is never queued, and its
-// stream is dropped with it: the array is sized for the expected in-horizon
-// share of the population (plus four standard deviations), and re-issues
-// reuse its drained prefix. Once the arrivals are sorted, each one's slot
+// stream is dropped with it. Once the arrivals are sorted, each one's slot
 // is its position, and its stream is derived again at that slot and
 // advanced past the arrival draw.
+//
+// The scan over the clients and the re-seeding after the sort each run in
+// two halves, the upper half on a second goroutine. The scan writes both
+// halves into one array, each into a region sized for its half's expected
+// in-horizon share plus four standard deviations, and then moves the upper
+// half down beside the lower one. sortArrivals orders by (t, id), a total
+// order, so where the scan put an arrival cannot move the queue.
 func (e *loadEngine) queueArrivals(clients int, seed uint64, mean, horizon float64) {
-	expect := float64(clients) * -math.Expm1(-horizon/mean)
-	a := make([]event, 0, min(clients, int(expect+4*math.Sqrt(expect))+1))
+	f := newFirstDraw(mean, horizon)
+	p := -math.Expm1(-horizon / mean) // a client's chance of arriving inside the horizon
+	reserve := func(n int) int {
+		expect := float64(n) * p
+		return min(n, int(expect+4*math.Sqrt(expect))+1)
+	}
+	half := clients / 2
+	a := scanArrivals(f, seed, clients, reserve(half), reserve(clients-half))
+	sortArrivals(a)
+	e.rng = make([]stats.RNG, len(a))
+	inHalves(len(a), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a[i].slot = int32(i)
+			seedClient(&e.rng[i], seed, int(a[i].id))
+			e.rng[i].Uint64() // the arrival's draw (Exponential takes one)
+		}
+	})
+	e.setArrivals(a)
+}
+
+// scanArrivals returns the in-horizon first arrivals of clients
+// [0, clients), unsorted, in one array of loCap+hiCap entries: the lower
+// half of the clients fills [0, loCap) on the calling goroutine while the
+// upper half fills [loCap, loCap+hiCap) on a second one, and one copy then
+// closes the gap. A half that finds more arrivals than its region holds
+// stops there and is finished afterwards by appending, which may regrow
+// the array.
+func scanArrivals(f firstDraw, seed uint64, clients, loCap, hiCap int) []event {
+	half := clients / 2
+	a := make([]event, loCap+hiCap)
+	var hi []event
+	var hiNext int
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		hi, hiNext = f.scan(a[loCap:loCap], seed, half, clients)
+	}()
+	lo, loNext := f.scan(a[:0:loCap], seed, 0, half)
+	wg.Wait()
+	a = append(a[:len(lo)], hi...) // a copy down into room the array already has
+	for _, rest := range [2][2]int{{loNext, half}, {hiNext, clients}} {
+		for cl := rest[0]; cl < rest[1]; {
+			a = slices.Grow(a, 1)
+			a, cl = f.scan(a, seed, cl, rest[1])
+		}
+	}
+	return a
+}
+
+// inHalves runs body(n/2, n) on a second goroutine and body(0, n/2) on the
+// calling one, and returns when both have.
+func inHalves(n int, body func(lo, hi int)) {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		body(n/2, n)
+	}()
+	body(0, n/2)
+	wg.Wait()
+}
+
+// firstDraw turns one 64-bit draw of a client's stream into its first
+// arrival, Exponential(mean), and tells whether it lies inside the horizon.
+//
+// Exponential reads the draw's top 53 bits k as u = k/2⁵³ and returns
+// −mean·ln(1−u), which reaches the horizon once 1−u falls to
+// exp(−horizon/mean). past is the least k whose 1−u lies below that level
+// narrowed by a relative 10⁻⁹: such a draw lies past the horizon by far
+// more than the rounding of Exp, Log and the division can move it (the
+// level is at least 2⁻⁵³ for past to be reachable at all, so
+// horizon/mean ≤ 37 and the band is over 10⁴ times the rounding), so it skips
+// the logarithm and is dropped. A draw below past — inside the horizon or
+// in the band — takes Exponential's exact arithmetic and the exact
+// t < horizon test. Either way the stream gives up the same one Uint64.
+type firstDraw struct {
+	mean, horizon float64
+	past          uint64
+}
+
+func newFirstDraw(mean, horizon float64) firstDraw {
+	// 2⁵³−k < level ⟺ 2⁵³−k ≤ ⌈level⌉−1 ⟺ k ≥ 2⁵³+1−⌈level⌉. A level
+	// below 1 (an infinite or long horizon) gives past = 2⁵³+1: no skip.
+	level := math.Exp(-horizon/mean) * (1 - 1e-9) * (1 << 53)
+	return firstDraw{mean: mean, horizon: horizon, past: 1<<53 + 1 - uint64(math.Ceil(level))}
+}
+
+// at is the arrival of the raw draw x and whether it lies inside the
+// horizon; t is meaningful only when it does.
+func (f firstDraw) at(x uint64) (t float64, in bool) {
+	k := x >> 11
+	if k >= f.past {
+		return 0, false
+	}
+	t = -f.mean * math.Log(1-float64(k)/(1<<53)) // stats.RNG.Exponential, op for op
+	return t, t < f.horizon
+}
+
+// scan appends to a the in-horizon first arrivals of clients [from, to)
+// while a has room, and returns a with the first client it did not scan.
+func (f firstDraw) scan(a []event, seed uint64, from, to int) ([]event, int) {
 	var r stats.RNG
-	for cl := 0; cl < clients; cl++ {
+	for cl := from; cl < to; cl++ {
 		seedClient(&r, seed, cl)
-		if t := r.Exponential(mean); t < horizon {
+		if t, in := f.at(r.Uint64()); in {
+			if len(a) == cap(a) {
+				return a, cl
+			}
 			a = append(a, event{t: t, id: int32(cl)})
 		}
 	}
-	sortArrivals(a)
-	e.rng = make([]stats.RNG, len(a))
-	for i := range a {
-		a[i].slot = int32(i)
-		seedClient(&e.rng[i], seed, int(a[i].id))
-		e.rng[i].Uint64() // the arrival's draw (Exponential takes one)
-	}
-	e.setArrivals(a)
+	return a, to
 }
 
 // peek returns the earliest pending event, whether it sits in the heap
@@ -581,10 +683,12 @@ func compPop(h *[]float64) {
 // event-driven engine. Closed-loop scenarios (Arrival == nil) issue queries
 // in exactly the order RunLoad always has; open-loop scenarios issue by the
 // rate curve with congestion fed by the live in-flight count, so offered
-// load beyond capacity visibly inflates the tail. The run is
-// single-threaded in virtual time: results are a pure function of (cluster
-// state, scenario), independent of GOMAXPROCS and scheduling (DESIGN.md
-// §16).
+// load beyond capacity visibly inflates the tail. Virtual time is serial:
+// results are a pure function of (cluster state, scenario), independent of
+// GOMAXPROCS and scheduling (DESIGN.md §16). An open loop draws its issue
+// schedule on a second goroutine while the calling one serves it (see
+// runOpen); that goroutine has ended by the time RunScenario returns or
+// panics.
 func RunScenario(c *Cluster, sc Scenario) FleetStats {
 	if sc.Clients <= 0 || sc.VocabSize <= 0 || !(sc.Skew > 0) {
 		panic("serving: scenario requires positive clients, vocab size, and skew")
@@ -612,28 +716,69 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 	defer c.driveMu.Unlock()
 
 	e := newLoadEngine(sc.VocabSize, sc.Skew)
-	hist := stats.NewHistogram(8)
-	var partials, events, served, peak int64
-	var lastNS float64
-	// inflight is the occupancy each query is served against: the live
-	// count of issued-but-uncompleted queries in the open loop, the other
-	// clients' standing queries in the closed loop.
-	inflight := 0
-	var comp []float64 // open loop: completion times of the queries in flight
-
 	if open {
 		// Stagger first arrivals by the t=0 rate; each draw comes from the
 		// owning client's stream, ahead of its popularity draws.
 		e.queueArrivals(sc.Clients, sc.Seed, float64(sc.Clients)/sc.Arrival.At(0)*1e9, sc.DurationNS)
 	} else {
 		e.queueAll(sc.Clients, sc.Seed)
-		inflight = sc.Clients - 1
-		peak = int64(sc.Clients)
 	}
 	if sc.QueriesPerClient > 0 {
 		e.issued = make([]int32, len(e.rng))
 	}
 
+	var tot runTotals
+	if open {
+		tot = c.runOpen(e, &sc, acts)
+	} else {
+		tot = c.runClosed(e, &sc, acts)
+	}
+
+	c.metrics.publish()
+
+	mean := tot.hist.Mean()
+	fs := FleetStats{
+		LoadStats: LoadStats{
+			Queries:        c.metrics.queries.total,
+			CacheHits:      c.metrics.cacheHits.total,
+			PartialResults: tot.partials,
+			MeanLatencyNS:  mean,
+			P50NS:          tot.hist.Quantile(0.50),
+			P95NS:          tot.hist.Quantile(0.95),
+			P99NS:          tot.hist.Quantile(0.99),
+		},
+		Served:          tot.served,
+		EventsProcessed: tot.events,
+		DurationNS:      tot.lastNS,
+		PeakInflight:    tot.peak,
+	}
+	if open {
+		fs.OfferedQPS = sc.Arrival.BaseQPS
+		if tot.lastNS > 0 {
+			fs.QPS = float64(tot.served) / (tot.lastNS * 1e-9)
+		}
+	} else if mean > 0 {
+		fs.QPS = float64(sc.Clients) / (mean * 1e-9)
+	}
+	return fs
+}
+
+// runTotals is what a run's loop tallies for FleetStats.
+type runTotals struct {
+	hist                           *stats.Histogram
+	partials, events, served, peak int64
+	lastNS                         float64 // latest query completion
+}
+
+// runClosed is the closed loop: every client always has one query in
+// flight, so each query is served against the other clients-1 and its
+// client issues again when it completes. The next issue time needs the
+// latency, so the loop runs inline on the calling goroutine.
+func (c *Cluster) runClosed(e *loadEngine, sc *Scenario, acts []action) runTotals {
+	hist := stats.NewHistogram(8)
+	var partials, events, served int64
+	var lastNS float64
+	inflight := sc.Clients - 1
 	ai := 0
 	for {
 		ev, inHeap, ok := e.peek()
@@ -646,33 +791,62 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 			ai++
 			events++
 		}
-		if open {
-			for len(comp) > 0 && comp[0] <= t {
-				compPop(&comp)
-				inflight--
-				events++
-			}
-		}
-		r := c.serve(e.drawTerms(slot), inflight)
+		lat, partial := c.serve(e.drawTerms(slot), inflight)
 		events++
 		served++
-		hist.Add(r.LatencyNS)
-		if r.Partial {
+		hist.Add(lat)
+		if partial {
 			partials++
 		}
-		if t+r.LatencyNS > lastNS {
-			lastNS = t + r.LatencyNS
+		next := t + lat
+		if next > lastNS {
+			lastNS = next
 		}
-		next := t + r.LatencyNS
-		if open {
-			compPush(&comp, next)
-			inflight++
-			if int64(inflight) > peak {
-				peak = int64(inflight)
-			}
-			next = t + e.rng[slot].Exponential(float64(sc.Clients)/sc.Arrival.At(t)*1e9)
+		e.issued[slot]++
+		if int(e.issued[slot]) < sc.QueriesPerClient {
+			e.reissue(inHeap, event{next, ev.id, slot})
+		} else {
+			e.retire(inHeap)
 		}
-		again := !open || next < sc.DurationNS
+	}
+	return runTotals{hist: hist, partials: partials, events: events, served: served, peak: int64(sc.Clients), lastNS: lastNS}
+}
+
+// issue is one query of an open loop's schedule: when it issues and its
+// term tuple.
+type issue struct {
+	t     float64
+	terms [2]uint32
+}
+
+// Geometry of runOpen's handoff: the generator fills batches of
+// issueBatch issues, and issueBuffers of them circulate (one filling, one
+// being served, one ready), 48 KiB in all. A batch is a few hundred
+// microseconds of either stage, so a handoff costs nothing measurable; on
+// a 2-vCPU host, 4 096-issue batches ran no faster and added about 0.4 MiB
+// to the benchmark's fleet_day peak RSS.
+const (
+	issueBatch   = 1024
+	issueBuffers = 3
+)
+
+// fillIssues draws the open loop's issue schedule into buf until buf is
+// full or the queue is empty, and returns how many issues it wrote. Per
+// issue it pops the earliest pending event, draws the query's terms from the
+// client's stream and then, from the same stream, the client's next issue
+// time, which reads only this issue's time and the rate curve, never a
+// latency; the client issues again if that lies inside the horizon and its
+// budget allows.
+func (e *loadEngine) fillIssues(buf []issue, sc *Scenario) int {
+	for n := range buf {
+		ev, inHeap, ok := e.peek()
+		if !ok {
+			return n
+		}
+		t, slot := ev.t, ev.slot
+		buf[n] = issue{t: t, terms: [2]uint32(e.drawTerms(slot))}
+		next := t + e.rng[slot].Exponential(float64(sc.Clients)/sc.Arrival.At(t)*1e9)
+		again := next < sc.DurationNS
 		if e.issued != nil {
 			e.issued[slot]++
 			again = again && int(e.issued[slot]) < sc.QueriesPerClient
@@ -683,32 +857,91 @@ func RunScenario(c *Cluster, sc Scenario) FleetStats {
 			e.retire(inHeap)
 		}
 	}
+	return len(buf)
+}
 
-	c.metrics.publish()
-
-	mean := hist.Mean()
-	fs := FleetStats{
-		LoadStats: LoadStats{
-			Queries:        c.metrics.queries.total,
-			CacheHits:      c.metrics.cacheHits.total,
-			PartialResults: partials,
-			MeanLatencyNS:  mean,
-			P50NS:          hist.Quantile(0.50),
-			P95NS:          hist.Quantile(0.95),
-			P99NS:          hist.Quantile(0.99),
-		},
-		Served:          served,
-		EventsProcessed: events,
-		DurationNS:      lastNS,
-		PeakInflight:    peak,
+// runOpen is the open loop, in two stages joined by a ring of issue
+// batches. A second goroutine, the generator, owns the engine e: it fills
+// batches with fillIssues and sends each on full. The calling goroutine,
+// which holds driveMu, serves them in order: the timeline actions due, the
+// completions due (the in-flight count is the live occupancy), serve, the
+// tallies; it hands each batch back on free. The generator never touches
+// the cluster and the server never touches the engine.
+//
+// This is the inline loop's exact order: an open loop's next issue time
+// does not read a latency, so the issue sequence, every draw from every
+// stream, the serve order and with it every executor's draws and trace id
+// are the same whether the two stages overlap or not.
+//
+// Both channels hold all issueBuffers batches, so a send never blocks.
+// The generator ends after the short batch that empties the queue, closing
+// full; if the server panics (an Executor may), its deferred close of done
+// stops the generator at its next wait for a free batch, and the defer
+// waits for it to exit, so the generator never outlives the call.
+func (c *Cluster) runOpen(e *loadEngine, sc *Scenario, acts []action) runTotals {
+	full := make(chan []issue, issueBuffers)
+	free := make(chan []issue, issueBuffers)
+	back := make([]issue, issueBuffers*issueBatch)
+	for i := 0; i < issueBuffers; i++ {
+		free <- back[i*issueBatch : (i+1)*issueBatch : (i+1)*issueBatch]
 	}
-	if open {
-		fs.OfferedQPS = sc.Arrival.BaseQPS
-		if lastNS > 0 {
-			fs.QPS = float64(served) / (lastNS * 1e-9)
+	done, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		defer close(full)
+		for {
+			var buf []issue
+			select {
+			case buf = <-free:
+			case <-done:
+				return
+			}
+			n := e.fillIssues(buf, sc)
+			if n > 0 {
+				full <- buf[:n]
+			}
+			if n < len(buf) {
+				return
+			}
 		}
-	} else if mean > 0 {
-		fs.QPS = float64(sc.Clients) / (mean * 1e-9)
+	}()
+	defer func() {
+		close(done)
+		<-exited
+	}()
+
+	hist := stats.NewHistogram(8)
+	var partials, events, served, peak int64
+	var lastNS float64
+	var comp []float64 // completion times of the queries in flight
+	ai := 0
+	for buf := range full {
+		for i := range buf {
+			t := buf[i].t
+			for ai < len(acts) && acts[ai].at <= t {
+				c.applyAction(acts[ai])
+				ai++
+				events++
+			}
+			for len(comp) > 0 && comp[0] <= t {
+				compPop(&comp)
+				events++
+			}
+			lat, partial := c.serve(buf[i].terms[:], len(comp))
+			events++
+			served++
+			hist.Add(lat)
+			if partial {
+				partials++
+			}
+			next := t + lat
+			if next > lastNS {
+				lastNS = next
+			}
+			compPush(&comp, next)
+			peak = max(peak, int64(len(comp)))
+		}
+		free <- buf[:cap(buf)]
 	}
-	return fs
+	return runTotals{hist: hist, partials: partials, events: events, served: served, peak: peak, lastNS: lastNS}
 }

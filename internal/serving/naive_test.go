@@ -79,17 +79,17 @@ func naiveScenario(c *Cluster, sc Scenario) FleetStats {
 		done = left
 
 		qid := zipf[cl].Next()
-		r := c.serve([]uint32{uint32(qid), uint32(qid>>3) % uint32(sc.VocabSize)}, inflight)
+		lat, partial := c.serve([]uint32{uint32(qid), uint32(qid>>3) % uint32(sc.VocabSize)}, inflight)
 		events++
 		served++
 		issued[cl]++
-		hist.Add(r.LatencyNS)
-		if r.Partial {
+		hist.Add(lat)
+		if partial {
 			partials++
 		}
-		lastNS = max(lastNS, t+r.LatencyNS)
+		lastNS = max(lastNS, t+lat)
 
-		next := t + r.LatencyNS
+		next := t + lat
 		if open {
 			done = append(done, next)
 			inflight++

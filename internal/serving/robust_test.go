@@ -197,11 +197,14 @@ func TestCacheEntriesImmuneToCallerMutation(t *testing.T) {
 	if third.Docs[0] != want[0] {
 		t.Fatalf("cache corrupted by hit mutation: %d, want %d", third.Docs[0], want[0])
 	}
-	// Nor may the event loop's own hit result, which aliases serve's scratch,
-	// or the next query, which overwrites that scratch.
+	// Nor may the event loop's own hit result, which stays in serve's
+	// scratch, or the next query, which overwrites that scratch.
 	c.driveMu.Lock()
-	hit := c.serve(q.Terms, 0)
-	hit.Docs[0] = 9_999_999
+	c.serve(q.Terms, 0)
+	if !c.scratch.fromCache || c.scratch.n == 0 {
+		t.Fatalf("serve left no cache hit in the scratch: fromCache %v, n %d", c.scratch.fromCache, c.scratch.n)
+	}
+	c.scratch.docs[0] = 9_999_999
 	c.serve([]uint32{23, 24}, 0)
 	c.driveMu.Unlock()
 	if fourth := c.Serve(q); !fourth.FromCache || !slices.Equal(fourth.Docs, want) {

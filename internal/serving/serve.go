@@ -28,6 +28,13 @@ type serveScratch struct {
 	scores      []float32
 	tk, rootTK  *search.TopK
 	seen        map[uint32]struct{} // hedge-win dedup, cleared per use
+
+	// What the last serve left besides its latency and partial flag: the
+	// result count in docs and scores, whether the cache answered, and how
+	// many leaves made the merge.
+	n         int
+	fromCache bool
+	answered  int
 }
 
 // attempt is one executor call's raw outcome.
@@ -173,20 +180,29 @@ func (c *Cluster) fanOut(p *parent, terms []uint32, congestion float64, outs []l
 func (c *Cluster) Serve(q Query) Result {
 	c.driveMu.Lock()
 	defer c.driveMu.Unlock()
-	r := c.serve(q.Terms, 0)
+	lat, partial := c.serve(q.Terms, 0)
 	c.metrics.publish()
-	r.Docs, r.Scores = slices.Clone(r.Docs), slices.Clone(r.Scores)
-	return r
+	s := c.scratch
+	return Result{
+		Docs:           slices.Clone(s.docs[:s.n]),
+		Scores:         slices.Clone(s.scores[:s.n]),
+		FromCache:      s.fromCache,
+		LatencyNS:      lat,
+		Partial:        partial,
+		LeavesAnswered: s.answered,
+	}
 }
 
 // serve is the one implementation of "serve one query": latency model,
 // cache tier, fan-out, merges, counters, metrics and — when Config.Tracer is
 // set — the query's trace, with zero allocations per untraced query
 // (enforced by the ZeroAlloc oracles in alloc_test.go). standing is how many
-// other queries occupy the leaf tier while this one runs. Callers must hold
-// driveMu; the returned Result's slices alias the scratch and are valid only
-// until the next serve call.
-func (c *Cluster) serve(terms []uint32, standing int) Result {
+// other queries occupy the leaf tier while this one runs. It returns what
+// RunLoad and RunScenario read, the modeled latency and whether the merge
+// was partial; the rest of the query's Result stays in the scratch (docs[:n],
+// scores[:n], fromCache, answered) until the next serve call. Callers must
+// hold driveMu.
+func (c *Cluster) serve(terms []uint32, standing int) (latencyNS float64, partial bool) {
 	s := c.scratch
 
 	congestion := 1.0
@@ -204,14 +220,12 @@ func (c *Cluster) serve(terms []uint32, standing int) Result {
 	if probed {
 		if n, ok := c.cache.get(tag, s.docs, s.scores); ok {
 			c.metrics.recordCacheHit()
-			// The Result aliasing the scratch buffers is serve's documented
-			// contract; copying here would put an allocation on the
-			// zero-alloc event path (Serve copies for outside callers).
-			res := Result{Docs: s.docs[:n], Scores: s.scores[:n], FromCache: true, LatencyNS: lat + networkHopNS}
+			s.n, s.fromCache, s.answered = n, true, 0
+			lat += networkHopNS
 			if tb := c.cfg.Tracer.Begin("query"); tb != nil {
-				c.emitCacheHitTrace(tb, res)
+				c.emitCacheHitTrace(tb, lat)
 			}
-			return res
+			return lat, false
 		}
 		lat += networkHopNS // cache miss probe
 	}
@@ -223,7 +237,6 @@ func (c *Cluster) serve(terms []uint32, standing int) Result {
 	// branch selector, then feeds the root selector.
 	s.rootTK.Reset()
 	var worst float64
-	partial := false
 	answered := 0
 	for pi, p := range c.parents {
 		outs := s.outs[pi*c.cfg.Fanout:][:len(p.leaves)]
@@ -280,23 +293,23 @@ func (c *Cluster) serve(terms []uint32, standing int) Result {
 
 	n := s.rootTK.ResultsInto(s.docs, s.scores)
 	lat += worst + 2*networkHopNS
-	res := Result{Docs: s.docs[:n], Scores: s.scores[:n], LatencyNS: lat, Partial: partial, LeavesAnswered: answered}
+	s.n, s.fromCache, s.answered = n, false, answered
 
 	// Degraded merges are never cached: a later identical query should get
 	// another chance at a full answer, not a pinned partial one.
 	if probed && !partial {
-		c.cache.put(tag, res.Docs, res.Scores)
+		c.cache.put(tag, s.docs[:n], s.scores[:n])
 	}
 	c.metrics.recordServe(probed, worst+2*networkHopNS, partial)
 	if tb := c.cfg.Tracer.Begin("query"); tb != nil {
-		c.emitServeTrace(tb, probed, congestion, res)
+		c.emitServeTrace(tb, probed, congestion, lat, partial)
 	}
-	return res
+	return lat, partial
 }
 
 // emitCacheHitTrace records the two-span trace of a cache-served query.
-func (c *Cluster) emitCacheHitTrace(tb *obs.TraceBuilder, res Result) {
-	root := tb.Span(0, "query", 0, res.LatencyNS,
+func (c *Cluster) emitCacheHitTrace(tb *obs.TraceBuilder, lat float64) {
+	root := tb.Span(0, "query", 0, lat,
 		obs.Bool("from_cache", true), obs.Bool("partial", false))
 	tb.Span(root, "frontend", 0, frontendOverheadNS)
 	tb.Span(root, "cache-probe", frontendOverheadNS, frontendOverheadNS+networkHopNS, obs.Bool("hit", true))
@@ -310,12 +323,12 @@ func (c *Cluster) emitCacheHitTrace(tb *obs.TraceBuilder, res Result) {
 // down to each leaf, congested leaf service, and the return hops; the root
 // merge itself is free in the model, so its span is an instant marking
 // where the result assembled.
-func (c *Cluster) emitServeTrace(tb *obs.TraceBuilder, probed bool, congestion float64, res Result) {
+func (c *Cluster) emitServeTrace(tb *obs.TraceBuilder, probed bool, congestion, lat float64, partial bool) {
 	s := c.scratch
-	root := tb.Span(0, "query", 0, res.LatencyNS,
+	root := tb.Span(0, "query", 0, lat,
 		obs.Bool("from_cache", false),
-		obs.Bool("partial", res.Partial),
-		obs.Int("leaves_answered", int64(res.LeavesAnswered)),
+		obs.Bool("partial", partial),
+		obs.Int("leaves_answered", int64(s.answered)),
 		obs.Float("congestion", congestion))
 	tb.Span(root, "frontend", 0, frontendOverheadNS)
 	rootStart := frontendOverheadNS
@@ -325,7 +338,7 @@ func (c *Cluster) emitServeTrace(tb *obs.TraceBuilder, probed bool, congestion f
 	}
 	fanStart := rootStart + rootOverheadNS
 	tb.Span(root, "root", rootStart, fanStart)
-	fan := tb.Span(root, "fanout", fanStart, res.LatencyNS,
+	fan := tb.Span(root, "fanout", fanStart, lat,
 		obs.Int("parents", int64(len(c.parents))))
 	for pi, p := range c.parents {
 		b := s.branches[pi]
@@ -352,8 +365,8 @@ func (c *Cluster) emitServeTrace(tb *obs.TraceBuilder, probed bool, congestion f
 			}
 		}
 	}
-	tb.Span(fan, "merge", res.LatencyNS, res.LatencyNS,
-		obs.Int("results", int64(len(res.Docs))),
-		obs.Bool("partial", res.Partial))
+	tb.Span(fan, "merge", lat, lat,
+		obs.Int("results", int64(s.n)),
+		obs.Bool("partial", partial))
 	tb.Finish()
 }

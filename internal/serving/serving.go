@@ -8,7 +8,11 @@
 // deterministic and fast while producing realistic latency distributions.
 // One function, Cluster.serve, computes a served query; Serve, RunLoad and
 // RunScenario all reach it, serialized per cluster, traced or not
-// (DESIGN.md §14). No goroutine is started anywhere in the package.
+// (DESIGN.md §14). The only goroutines the package starts are an open-loop
+// RunScenario's: it draws the issue schedule, which never reads a latency,
+// on a second goroutine while the calling one serves it, and it scans and
+// re-seeds the first arrivals in two halves. Each has ended by the time
+// RunScenario returns or panics, and results do not depend on GOMAXPROCS.
 //
 // The tier is fault tolerant: each leaf call carries a virtual-time deadline
 // with one hedged retry to a sibling shard, and parents merge whatever
