@@ -28,19 +28,22 @@ test:
 
 # The compressed view hands each decode window to a goroutine and back, a
 # serving cluster's drives hand its scratch, cache tier and pending metrics
-# from holder to holder of one mutex, and an open loop hands issue batches
-# from its generator goroutine to the serving one and back; a single race
-# pass rarely hits a bad interleaving, so the view's, the drives' and the
-# pipeline's tests run 20 times more.
+# from holder to holder of one mutex, an open loop hands issue batches
+# from its generator goroutine to the serving one and back, and a split
+# measured run hands each window to the helper that runs the upper's second
+# set partition; a single race pass rarely hits a bad interleaving, so the
+# view's, the drives', the pipeline's and the partitions' tests run 20
+# times more.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'Compressed|Spilled|WindowReuse' ./internal/trace
 	$(GO) test -race -count=20 -run 'During|Concurrent|Recount|Pipeline' ./internal/serving
+	$(GO) test -race -count=20 -run 'Partition' ./internal/cache ./internal/workload
 
 # alloc-check is the allocation gate (DESIGN.md §17): the AllocsPerRun
 # oracles that pin every replay, cache, memory-tier, top-k and serving
 # kernel at zero allocations in steady state (the open loop's generator
-# fill included), and two allocation laws
+# fill and a split measured run's windows included), and two allocation laws
 # (TestCaptureAllocLaw: a recording allocates what it keeps, so no event
 # buffer is regrown and re-copied; TestRunScenarioAllocLaw: a day and a day
 # ten times as long allocate the same number of times). It runs WITHOUT -race: race
@@ -63,8 +66,9 @@ obs-demo:
 # and branch streams through the branch-log codec. FuzzInverter differential-fuzzes the
 # index inverter against its map-based reference; FuzzHierarchyMatchesReference
 # does the same for the cache kernel — one access at a time, an upper draining
-# into several tails, and their replay from its recorded stream — against a
-# naive reference hierarchy, level for level and line for line;
+# into several tails, their replay from its recorded stream, and the upper
+# split into two set partitions whose merged port drains into tails —
+# against a naive reference hierarchy, level for level and line for line;
 # FuzzStackDistMatchesNaive for the stack-distance profiler's Fenwick tree
 # against a move-to-front list, bucket for bucket. FuzzTopKMatchesSort runs
 # any mix of top-k pushes, batches, resets and drains against a full sort,

@@ -36,6 +36,7 @@ import (
 	"searchmem/internal/det"
 	"searchmem/internal/experiments"
 	"searchmem/internal/obs"
+	"searchmem/internal/workload"
 )
 
 func main() {
@@ -220,13 +221,16 @@ func processCPU() time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
-// printStoreSummary reports trace-store footprints, the retained post-L3
-// streams and process-memory high-water marks on stderr. The stream lines
-// say how many L1–L3 passes the run made over each upper that sweeps share;
-// the process-memory lines are environmental (they vary run to run), so
-// they never enter the -metrics registry, which stays byte-identical for a
-// fixed seed.
+// printStoreSummary reports how many measured runs split their L1–L3 by
+// set, trace-store footprints, the retained post-L3 streams and
+// process-memory high-water marks on stderr. The stream lines say how many
+// L1–L3 passes the run made over each upper that sweeps share; the split
+// count and the process-memory lines are environmental (they vary with the
+// host and run to run), so they never enter the -metrics registry, which
+// stays byte-identical for a fixed seed.
 func printStoreSummary(ctx *experiments.Context) {
+	split, runs := workload.SplitRuns()
+	fmt.Fprintf(os.Stderr, "# partitioned %d of %d measurements\n", split, runs)
 	stores := ctx.TraceStores()
 	fmt.Fprintln(os.Stderr, "# trace stores:")
 	for _, key := range det.SortedKeys(stores) {

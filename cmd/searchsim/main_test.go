@@ -113,8 +113,10 @@ func TestVerboseTimingLine(t *testing.T) {
 // TestVerboseStreamFooter pins the -v footer's "# post-L3 streams:" block
 // beside "# trace stores:": figT1 runs its all-near baseline live, records
 // the sweep upper's stream for its grid, and figT2 replays that stream — one
-// line, one L1–L3 pass, 15 tails, one memo hit. The block is stderr only:
-// stdout and both exports match the quiet run.
+// line, one L1–L3 pass, 15 tails, one memo hit. Before them the footer
+// counts the measured runs that split their L1–L3 by set, which depends on
+// the host. The footer is stderr only: stdout and both exports match the
+// quiet run.
 func TestVerboseStreamFooter(t *testing.T) {
 	var outs [2][3][]byte
 	var stderr bytes.Buffer
@@ -139,10 +141,10 @@ func TestVerboseStreamFooter(t *testing.T) {
 			t.Errorf("%s is empty or differs between the quiet and the -v run", what)
 		}
 	}
-	block := regexp.MustCompile(`(?m)^# trace stores:\n(?:#   .*\n)+?# post-L3 streams:\n((?:#   s1-leaf-sweep .*\n)*)#   process_`)
+	block := regexp.MustCompile(`(?m)^# partitioned \d+ of [1-9]\d* measurements\n# trace stores:\n(?:#   .*\n)+?# post-L3 streams:\n((?:#   s1-leaf-sweep .*\n)*)#   process_`)
 	m := block.FindSubmatch(stderr.Bytes())
 	if m == nil {
-		t.Fatalf("-v stderr has no post-L3 streams block after the trace stores:\n%s", stderr.Bytes())
+		t.Fatalf("-v stderr has no split count, trace stores and post-L3 streams block:\n%s", stderr.Bytes())
 	}
 	line := regexp.MustCompile(`^#   s1-leaf-sweep    \d+ cores x \d+ SMT, L3 \d+ KiB \d+-way LRU; \d+ threads, budget \d+, seed 42: \d+ events in \d+ bytes, 15 tails served, 1 memo hits\n$`)
 	if !line.Match(m[1]) {

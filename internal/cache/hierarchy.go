@@ -109,10 +109,20 @@ type Hierarchy struct {
 	// port logs what the current call hands below the L3. keyMisses adds one
 	// record per L1 miss for a level predictor in some tail; lastFetch[t] is
 	// thread t's most recent fetch block, the per-PC stand-in key those
-	// records carry (keyL1Misses).
+	// records carry (keyL1Misses). evIdx and evK are the (access index, block
+	// ordinal) of the L1 miss being serviced, which every event it logs
+	// carries.
 	port      Port
 	keyMisses bool
 	lastFetch [256]uint64
+	evIdx     uint32
+	evK       uint16
+
+	// partMask and partWant, on one of the two set partitions of an upper
+	// (Split), select the L1 blocks it runs: those with (block ^ partWant) &
+	// partMask == 0, i.e. the L3 blocks whose lowest bit is its own. Both are
+	// zero on a whole upper, so the filter passes every block.
+	partMask, partWant uint64
 
 	// Tail is the hierarchy's own below-L3 half (nil for NewUpper): its L4,
 	// memory sink, memory counters and level predictor, promoted so
@@ -191,9 +201,7 @@ func NewUpper(cfg HierarchyConfig, keyMisses bool) *Hierarchy {
 		h.l1i = append(h.l1i, mk(cfg.L1I, "L1-I"))
 		h.l1d = append(h.l1d, mk(cfg.L1D, "L1-D"))
 		if cfg.SplitL2 {
-			half := cfg.L2
-			half.Size /= 2
-			half = half.RoundToSets()
+			half := cfg.privateL2()
 			h.l2 = append(h.l2, mk(half, "L2-D"))
 			h.l2i = append(h.l2i, mk(half, "L2-I"))
 		} else {
@@ -225,6 +233,17 @@ func NewUpper(cfg HierarchyConfig, keyMisses bool) *Hierarchy {
 		}
 	}
 	return h
+}
+
+// privateL2 is the template of each core's L2 cache: the L2, or under
+// SplitL2 each of its two halves.
+func (hc HierarchyConfig) privateL2() Config {
+	if !hc.SplitL2 {
+		return hc.L2
+	}
+	half := hc.L2
+	half.Size /= 2
+	return half.RoundToSets()
 }
 
 // Config returns the hierarchy's configuration.
@@ -261,7 +280,7 @@ func (h *Hierarchy) onL3Evict(l Line) {
 	if dirty {
 		op |= 1 << 2
 	}
-	h.port.events = append(h.port.events, portEvent{addr: byteAddr, seg: l.Seg, op: op})
+	h.port.events = append(h.port.events, portEvent{addr: byteAddr, idx: h.evIdx, k: h.evK, seg: l.Seg, op: op})
 }
 
 // backInvalidate removes every block of c covered by [byteAddr,
@@ -308,11 +327,13 @@ func (h *Hierarchy) Access(a trace.Access) HitLevel {
 // returned (pass a cap-sized slice to avoid growth); a nil levels skips that
 // bookkeeping entirely. An upper without a tail reports HitMemory for "below
 // the L3", which Tail.Drain resolves. The batch itself is read-only — it may
-// be a zero-copy window of a shared immutable trace.
+// be a zero-copy window of a shared immutable trace. A set partition (Split)
+// runs only its own blocks and reports HitL1 for an access with none.
 func (h *Hierarchy) AccessBatch(batch []trace.Access, levels []HitLevel) []HitLevel {
 	h.port.reset()
 	start := len(levels)
 	shift := h.l1Shift
+	partMask, partWant := h.partMask, h.partWant
 	n := len(batch)
 	for i := 0; i < n; i++ {
 		// Value copy: loading fields through &batch[i] would force the
@@ -340,6 +361,9 @@ func (h *Hierarchy) AccessBatch(batch []trace.Access, levels []HitLevel) []HitLe
 		}
 		deepest := HitL1
 		for b := first; b <= last; b++ {
+			if (b^partWant)&partMask != 0 {
+				continue // the other set partition's block
+			}
 			// Inline L1 probe (the set-associative fast path; fully-
 			// associative L1s take the generic method). The line-buffer
 			// check first: fetch runs and stack bursts reference the same
@@ -375,7 +399,8 @@ func (h *Hierarchy) AccessBatch(batch []trace.Access, levels []HitLevel) []HitLe
 				continue
 			}
 			l1.Stats.Misses[seg][kind]++
-			lvl := h.missPath(l1, l2, b<<shift, seg, kind, uint32(i))
+			h.evIdx, h.evK = uint32(i), uint16(b-first)
+			lvl := h.missPath(l1, l2, b<<shift, seg, kind)
 			if h.keyMisses {
 				h.port.misses = append(h.port.misses, l1Miss{block: b, idx: uint32(i), level: lvl})
 			}
@@ -420,10 +445,10 @@ func (h *Hierarchy) keyL1Misses(batch []trace.Access) {
 // in l1: it probes L2 and L3 in order and performs the fill cascade,
 // returning the servicing level — HitMemory when the block came from below
 // the L3, where the demand miss is logged for the tail before the L3 fill
-// (whose victim, if any, is logged after it). idx is the access's batch
-// index. Probes call touch directly and record stats inline, skipping the
+// (whose victim, if any, is logged after it); the events carry h.evIdx and
+// h.evK. Probes call touch directly and record stats inline, skipping the
 // Access wrapper frame per level.
-func (h *Hierarchy) missPath(l1, l2 *Cache, byteAddr uint64, seg trace.Segment, kind trace.Kind, idx uint32) HitLevel {
+func (h *Hierarchy) missPath(l1, l2 *Cache, byteAddr uint64, seg trace.Segment, kind trace.Kind) HitLevel {
 	write := kind == trace.Write
 	level := HitL2
 	hitL2 := l2.touch(l2.BlockAddr(byteAddr), write)
@@ -434,7 +459,7 @@ func (h *Hierarchy) missPath(l1, l2 *Cache, byteAddr uint64, seg trace.Segment, 
 		h.l3.Stats.record(seg, kind, hitL3)
 		if !hitL3 {
 			level = HitMemory
-			h.port.events = append(h.port.events, portEvent{addr: byteAddr, idx: idx, seg: seg, op: opDemand | uint8(kind)<<2})
+			h.port.events = append(h.port.events, portEvent{addr: byteAddr, idx: h.evIdx, k: h.evK, seg: seg, op: opDemand | uint8(kind)<<2})
 			// Fill the L3 (evictions flow to the port). The probe above just
 			// established absence, so the fills below take the no-rescan path.
 			h.l3.fillAbsent(h.l3.BlockAddr(byteAddr), seg, false)
@@ -460,10 +485,11 @@ func (h *Hierarchy) missPath(l1, l2 *Cache, byteAddr uint64, seg trace.Segment, 
 // prefetches convert later demand misses into hits; useless ones cost
 // memory bandwidth and can pollute the caches. A block that misses the L3 is
 // logged to the port before the L3 fill, so the tail checks its L4 for it
-// before that fill's victim arrives; a hierarchy with a tail drains it.
+// before that fill's victim arrives; a hierarchy with a tail drains it. A
+// set partition (Split) ignores the other partition's blocks.
 func (h *Hierarchy) InstallPrefetch(core int, byteAddr uint64, seg trace.Segment) {
 	h.port.reset()
-	if core < 0 || core >= h.cfg.Cores {
+	if core < 0 || core >= h.cfg.Cores || (byteAddr>>h.l1Shift^h.partWant)&h.partMask != 0 {
 		return
 	}
 	l2 := h.l2[core]

@@ -7,11 +7,17 @@ package cache
 // per shape, (c) fresh tails replayed from the upper's recorded Stream —
 // and each must match that shape's reference. The level predictor has no
 // reference; its counters must agree across the three ways, which also holds
-// it to batch-split invariance.
+// it to batch-split invariance. When the upper is Partitionable, a fourth
+// way (d) runs a whole upper up to a seed-chosen op, splits it (Split), runs
+// the rest through both set partitions and drains their merged port into a
+// tail per shape (without its level predictor, which a split upper does not
+// key); the pair, its caches merged set by set, must match the reference
+// too.
 
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -328,6 +334,7 @@ func runReference(t *testing.T, seed uint64, shape uint16, tails uint32, n int) 
 		}
 	}
 	stream := rec.Finish()
+	pair := runPartitioned(seed, shape, tails, ops)
 	var port Port
 	for k, h := range one {
 		replayed, replayedMem := NewTail(h.Config()), memTranscript(nil)
@@ -339,6 +346,9 @@ func runReference(t *testing.T, seed uint64, shape uint16, tails uint32, n int) 
 		compareViews(t, fmt.Sprintf("tail %d, shared upper", k), kernelView(up, shared[k], lv[4+k], mem[4+k]), want)
 		// A replayed tail's upper is the shared one, compared above.
 		compareViews(t, fmt.Sprintf("tail %d, replayed stream", k), kernelView(nil, replayed, nil, replayedMem), want)
+		if pair != nil {
+			compareViews(t, fmt.Sprintf("tail %d, set partitions split at op %d", k, pair.cut), pair.view(k), rankStamps(want, pair.a))
+		}
 		if p := kernelPred(h.Tail); p != kernelPred(shared[k]) || p != kernelPred(replayed) {
 			t.Errorf("tail %d: predictor counters differ across the three views", k)
 		}
@@ -348,12 +358,138 @@ func runReference(t *testing.T, seed uint64, shape uint16, tails uint32, n int) 
 	}
 }
 
+// partitioned is view (d): the two set partitions of one upper and a tail
+// per tail shape below their merged port, with what those tails resolved.
+type partitioned struct {
+	a, b   *Hierarchy // partition 0 (the whole upper before cut) and 1
+	cut    int        // the op before which the whole upper was split
+	tails  [4]*Tail
+	levels [4][]HitLevel
+	mem    [4]memTranscript
+}
+
+// runPartitioned runs ops through view (d), or returns nil when the upper
+// is not Partitionable. The split falls before op seed mod (len(ops)+1), so
+// the fuzzer also picks a split before the first op and none at all.
+func runPartitioned(seed uint64, shape uint16, tails uint32, ops []ownerOp) *partitioned {
+	cfg := decodeShape(shape, 0)
+	if !Partitionable(cfg) {
+		return nil
+	}
+	p := &partitioned{a: NewUpper(cfg, false), cut: int(seed % uint64(len(ops)+1))}
+	for k := range p.tails {
+		tc := decodeShape(shape, uint8(tails>>(8*k)))
+		tc.Predictor = nil
+		p.tails[k] = NewTail(tc)
+		p.tails[k].SetMemSink(&p.mem[k])
+	}
+	var merged Port
+	lv, lvB := []HitLevel{}, []HitLevel{} // non-nil: AccessBatch reports levels
+	for i, op := range ops {
+		if i == p.cut {
+			p.b = p.a.Split()
+		}
+		if op.batch == nil {
+			p.a.InstallPrefetch(op.core, op.addr, op.seg)
+		} else {
+			lv = p.a.AccessBatch(op.batch, lv[:0])
+		}
+		port := p.a.Port()
+		if p.b != nil {
+			if op.batch == nil {
+				p.b.InstallPrefetch(op.core, op.addr, op.seg)
+			} else {
+				lvB = p.b.AccessBatch(op.batch, lvB[:0])
+				for j := range lv {
+					lv[j] = max(lv[j], lvB[j])
+				}
+			}
+			MergePorts(&merged, p.a.Port(), p.b.Port())
+			port = &merged
+		}
+		for k, tl := range p.tails {
+			if op.batch == nil {
+				tl.Drain(port, nil)
+				continue
+			}
+			p.levels[k] = append(p.levels[k], lv...)
+			tl.Drain(port, p.levels[k][len(p.levels[k])-len(lv):])
+		}
+	}
+	return p
+}
+
+// view is tail k's view of the pair: every upper cache merged from the two
+// partitions, each set from the partition that owns it, with the counters
+// summed and LRU/FIFO stamps ranked within each set (rankStamps), since each
+// partition stamps from its own clock.
+func (p *partitioned) view(k int) view {
+	v := kernelView(p.a, p.tails[k], p.levels[k], p.mem[k])
+	if p.b == nil {
+		return rankStamps(v, p.a)
+	}
+	v["prefetch fills"] = p.a.PrefetchFills + p.b.PrefetchFills
+	bs := p.b.caches()
+	for i, c := range p.a.caches() {
+		key := cacheKey(i)
+		cv := v[key].(cacheView)
+		cv.stats.Add(&bs[i].Stats)
+		other := kernelCache(bs[i]).ways
+		ratio := int(p.a.cfg.L3.BlockSize >> c.blockShift)
+		for w := range cv.ways {
+			if set := w / c.assoc; set/ratio&1 == 1 {
+				cv.ways[w] = other[w]
+			}
+		}
+		v[key] = cv
+	}
+	return rankStamps(v, p.a)
+}
+
+// cacheKey is the view key of the i-th cache of Hierarchy.caches: the L3 is
+// "cache 0" and the private caches follow the L4's "cache 1".
+func cacheKey(i int) string {
+	if i > 0 {
+		i++
+	}
+	return fmt.Sprint("cache ", i)
+}
+
+// rankStamps returns v with the stamps of every LRU or FIFO upper cache
+// replaced by their rank among the valid ways of their set: those policies
+// read only the order of a set's stamps, which is what two partitions with
+// clocks of their own preserve. h supplies the caches' shapes.
+func rankStamps(v view, h *Hierarchy) view {
+	out := maps.Clone(v)
+	for i, c := range h.caches() {
+		if c.isRRIP {
+			continue
+		}
+		key := cacheKey(i)
+		cv := out[key].(cacheView)
+		ways := slices.Clone(cv.ways)
+		for w := range ways {
+			set := cv.ways[w/c.assoc*c.assoc : (w/c.assoc+1)*c.assoc]
+			ways[w].stamp = 0
+			for _, o := range set {
+				if ways[w].valid && o.valid && o.stamp < cv.ways[w].stamp {
+					ways[w].stamp++
+				}
+			}
+		}
+		out[key] = cacheView{cv.stats, ways}
+	}
+	return out
+}
+
 // FuzzHierarchyMatchesReference lets the fuzzer pick the upper shape, four
 // tail shapes, the trace seed and its length.
 func FuzzHierarchyMatchesReference(f *testing.F) {
-	f.Add(uint64(1), uint16(0x001), uint32(0x3f_15_06_00), uint16(900))  // 4 cores; L4 none, 4-way random, DM random + per-PC predictor, FA + block keys
-	f.Add(uint64(2), uint16(0x11f), uint32(0x52_0a_3e_11), uint16(1200)) // 18 cores, SMT, split L2, 128 B L3 blocks, non-inclusive
-	f.Add(uint64(3), uint16(0x6a6), uint32(0x7f_4e_0d_53), uint16(700))  // 9 cores, SMT, DRRIP, fully-associative L3
+	f.Add(uint64(1), uint16(0x001), uint32(0x3f_15_06_00), uint16(900))   // 4 cores; L4 none, 4-way random, DM random + per-PC predictor, FA + block keys
+	f.Add(uint64(2), uint16(0x11f), uint32(0x52_0a_3e_11), uint16(1200))  // 18 cores, SMT, split L2, 128 B L3 blocks, non-inclusive
+	f.Add(uint64(3), uint16(0x6a6), uint32(0x7f_4e_0d_53), uint16(700))   // 9 cores, SMT, DRRIP, fully-associative L3
+	f.Add(uint64(331), uint16(0x469), uint32(0x0e_03_02_00), uint16(900)) // 4 cores, split L2, SRRIP, L3 AllocWays: split at op 331 mod ops
+	f.Add(uint64(5), uint16(0x035), uint32(0x2e_0a_01_00), uint16(1500))  // 4 cores, SMT, FIFO, 128 B L3 blocks
 	f.Fuzz(func(t *testing.T, seed uint64, shape uint16, tails uint32, n uint16) {
 		runReference(t, seed, shape&(1<<11-1), tails, int(n%4096))
 	})

@@ -43,14 +43,21 @@ const (
 )
 
 // portEvent is one crossing of the L3's lower port. addr is a byte address;
-// idx is the batch index of the access a demand miss belongs to (it resolves
-// the levels an AccessBatch caller asked for and is not kept by a Stream).
+// idx is the batch index of the access the event belongs to and k the
+// ordinal of its L1 block within that access (the block whose miss caused
+// it, victims included). idx resolves the levels an AccessBatch caller asked
+// for, (idx, k) orders two set partitions' ports back into one (MergePorts),
+// and a Stream keeps neither.
 type portEvent struct {
 	addr uint64
 	idx  uint32
+	k    uint16
 	seg  trace.Segment
 	op   uint8
 }
+
+// at is the event's (idx, k) as one ordered key.
+func (e *portEvent) at() uint64 { return uint64(e.idx)<<16 | uint64(e.k) }
 
 // l1Miss is one L1 miss as the level predictor sees it: both keys it may be
 // indexed by (the thread's last fetch block refined by the segment, and the

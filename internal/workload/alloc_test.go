@@ -8,6 +8,8 @@
 //	decodeBranches                       TestBatchedReplayZeroAlloc, TestObserveBranchesZeroAlloc
 //	observeBranches                      TestObserveBranchesZeroAlloc
 //	the capture path                     TestCaptureAllocLaw
+//	a split measured run's handoff,
+//	partitions and port merge            TestMeasureSplitZeroAllocPerWindow
 //
 // The warm-up call inside AllocsPerRun absorbs one-time growth (spill read
 // buffer, decode windows). Excluded under -race because race instrumentation
@@ -127,6 +129,33 @@ func TestMeasureReplaySteadyStateZeroAllocPerAccess(t *testing.T) {
 	// sub-window would add thousands.
 	if short, long := allocs(2_000), allocs(16_000); long > short+4 {
 		t.Errorf("Measure allocations grow with the trace: %.0f for 2k accesses, %.0f for 16k", short, long)
+	}
+}
+
+// TestMeasureSplitZeroAllocPerWindow pins the split measured run: the
+// helper goroutine, the second partition and the merge scratch are one-time
+// costs of a call, and every window after the first allocates nothing, so a
+// recording 32 windows long costs what a one-window recording does.
+func TestMeasureSplitZeroAllocPerWindow(t *testing.T) {
+	rep := NewReplayer(&scriptedRunner{})
+	allocs := func(budget int64) float64 {
+		mc := MeasureConfig{
+			Platform: platform.PLT1().ScaleCaches(16),
+			Cores:    2, SMTWays: 1, Threads: 2,
+			Budget: budget, Seed: 9,
+		}
+		var avg float64
+		forceSplit(t, +1, func() {
+			Measure(rep, mc) // records both keys and fills the memo
+			split, _ := splitDelta(func() { avg = testing.AllocsPerRun(5, func() { Measure(rep, mc) }) })
+			if split != 6 {
+				t.Fatalf("%d of 6 measurements split", split)
+			}
+		})
+		return avg
+	}
+	if short, long := allocs(trace.DefaultBatchSize), allocs(32*trace.DefaultBatchSize); long > short+4 {
+		t.Errorf("split Measure allocations grow with the windows: %.0f for 1 window, %.0f for 32", short, long)
 	}
 }
 

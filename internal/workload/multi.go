@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"searchmem/internal/cache"
 	"searchmem/internal/cpu"
@@ -68,6 +69,39 @@ type group struct {
 	// warm-up run's part once the measured run starts.
 	rec  *cache.StreamWriter
 	warm *cache.Stream
+
+	// splittable is set when the group may run split by set (split.go): its
+	// upper is cache.Partitionable, it has no engine and keys no L1 misses.
+	// A split group's up is partition 0 and twin partition 1; lv and twinLv
+	// are their levels for the current window (twinLv is also twin's
+	// scratch), and port is the two ports merged.
+	splittable bool
+	twin       *cache.Hierarchy
+	lv, twinLv []cache.HitLevel
+	port       cache.Port
+}
+
+// newGroup builds the group of members whose upper is cfg: an upper, and
+// the levels scratch when some member observes.
+func newGroup(cfgs []MeasureConfig, members []int, cfg cache.HierarchyConfig, l1Misses bool) group {
+	g := group{up: cache.NewUpper(cfg, l1Misses), members: members, splittable: !l1Misses && cache.Partitionable(cfg)}
+	for _, i := range members {
+		if cfgs[i].AccessObserver != nil && g.levels == nil {
+			g.levels = make([]cache.HitLevel, 0, trace.DefaultBatchSize)
+		}
+	}
+	return g
+}
+
+// upperStats is the group's L1–L3 counters, summed over both partitions
+// when it ran split.
+func (g *group) upperStats() cache.UpperStats {
+	u := g.up.UpperStats()
+	if g.twin != nil {
+		t := g.twin.UpperStats()
+		u.Add(&t)
+	}
+	return u
 }
 
 // prepare copies, normalizes and validates configurations that share one run.
@@ -79,8 +113,10 @@ func prepare(mcs []MeasureConfig) []MeasureConfig {
 		if mc.Threads <= 0 || mc.Cores <= 0 || mc.SMTWays <= 0 {
 			panic("workload: Measure needs positive cores/threads/SMT")
 		}
-		if mc.WarmupFraction < 0 {
-			panic("workload: Measure needs a non-negative WarmupFraction")
+		if f := mc.WarmupFraction; !(f >= 0 && float64(mc.Budget)*f < math.MaxInt64) {
+			// NaN, ±Inf or a warm-up budget past int64 would convert to an
+			// arbitrary budget and silently skip the warm-up.
+			panic("workload: Measure needs a finite, non-negative WarmupFraction whose warm-up budget fits an int64")
 		}
 		if mc.BranchObserver != nil && len(cfgs) > 1 {
 			panic("workload: a BranchObserver cannot share a MeasureMulti run")
@@ -159,25 +195,19 @@ func MeasureMulti(r Runner, mcs []MeasureConfig) []Metrics {
 	groups := make([]group, len(members))
 	for gi := range groups {
 		g := &groups[gi]
-		g.members = members[gi]
-		if mc := &cfgs[g.members[0]]; mc.Prefetchers != nil {
-			g.up = cache.NewUpper(hierarchyConfig(*mc), l1Misses[gi])
+		if mc := &cfgs[members[gi][0]]; mc.Prefetchers != nil {
+			*g = group{up: cache.NewUpper(hierarchyConfig(*mc), l1Misses[gi]), members: members[gi]}
 			g.up.Tail = ms[g.members[0]].tail
 			g.engine = cpu.NewEngine(g.up, mc.Cores, mc.Prefetchers)
 			continue
 		}
-		g.up = cache.NewUpper(keys[gi], l1Misses[gi])
-		for _, i := range g.members {
-			if cfgs[i].AccessObserver != nil && g.levels == nil {
-				g.levels = make([]cache.HitLevel, 0, trace.DefaultBatchSize)
-			}
-		}
+		*g = newGroup(cfgs, members[gi], keys[gi], l1Misses[gi])
 	}
 	bt := newBranchTally(r, cfgs, cfgs[0].BranchObserver)
 	run := runGroups(r, cfgs, ms, groups, bt)
 	out := make([]Metrics, len(cfgs))
 	for gi := range groups {
-		up := groups[gi].up.UpperStats()
+		up := groups[gi].upperStats()
 		for _, i := range groups[gi].members {
 			out[i] = reduce(r, cfgs[i], up, &ms[i], bt.mispredicts(i), run)
 		}
@@ -188,10 +218,23 @@ func MeasureMulti(r Runner, mcs []MeasureConfig) []Metrics {
 // runGroups is the loop itself: it replays the warm-up run through every
 // group, resets every counter (contents stay warm), replays the measured
 // run, and returns the measured run's workload counters. A group with a
-// StreamWriter splits its stream at the reset.
+// StreamWriter splits its stream at the reset. At the reset, groups may be
+// split by set for the measured run (split.go); a split group's partitions
+// run each window on two goroutines before its tails drain the merged port.
 func runGroups(r Runner, cfgs []MeasureConfig, ms []measured, groups []group, bt *branchTally) Stats {
+	runsInFlight.Add(1)
+	defer runsInFlight.Add(-1)
+	var helper *splitHelper
+	defer func() { helper.stop() }()
 	measuring := false // observers only see the post-warmup phase
 	accessBatch := func(b []trace.Access) {
+		if helper != nil {
+			helper.post(b)
+			for _, g := range helper.groups {
+				g.runSplit(b)
+			}
+			helper.wait()
+		}
 		for gi := range groups {
 			g := &groups[gi]
 			if g.engine != nil {
@@ -205,11 +248,16 @@ func runGroups(r Runner, cfgs []MeasureConfig, ms []measured, groups []group, bt
 				continue
 			}
 			var lv []cache.HitLevel
-			if measuring {
-				lv = g.levels[:0]
+			var port *cache.Port
+			if g.twin != nil {
+				port, lv = g.mergeSplit()
+			} else {
+				if measuring {
+					lv = g.levels[:0]
+				}
+				lv = g.up.AccessBatch(b, lv)
+				port = g.up.Port()
 			}
-			lv = g.up.AccessBatch(b, lv)
-			port := g.up.Port()
 			for _, i := range g.members {
 				m := &ms[i]
 				if observe := cfgs[i].AccessObserver; measuring && observe != nil {
@@ -239,10 +287,12 @@ func runGroups(r Runner, cfgs []MeasureConfig, ms []measured, groups []group, bt
 	}
 
 	base := cfgs[0]
+	warm := make([]cache.UpperStats, len(groups))
 	if bt.warm.budget > 0 {
 		r.Run(base.Threads, bt.warm.budget, bt.warm.seed, sinks)
 		for gi := range groups {
 			g := &groups[gi]
+			warm[gi] = g.up.UpperStats()
 			g.up.ResetStats()
 			if g.rec != nil {
 				g.warm = g.rec.Finish()
@@ -251,6 +301,11 @@ func runGroups(r Runner, cfgs []MeasureConfig, ms []measured, groups []group, bt
 		for i := range ms {
 			ms[i].reset()
 		}
+	}
+	helper = splitGroups(r, groups, warm)
+	measuredRuns.Add(1)
+	if helper != nil {
+		splitRuns.Add(1)
 	}
 	measuring = true
 	bt.beginMeasured()

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -131,9 +132,11 @@ func TestMeasureMultiValidation(t *testing.T) {
 	observed := base
 	observed.BranchObserver = func(uint8, bool) {}
 	mustPanic("BranchObserver in a shared run", []MeasureConfig{observed, base})
-	cold := base
-	cold.WarmupFraction = -1
-	mustPanic("negative warmup", []MeasureConfig{cold})
+	for name, wf := range map[string]float64{"negative": -1, "NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1), "int64-overflowing": 1e30} {
+		cold := base
+		cold.WarmupFraction = wf
+		mustPanic(name+" warmup", []MeasureConfig{cold})
+	}
 	if got := MeasureMulti(r, nil); got != nil {
 		t.Errorf("empty config list: got %v, want nil", got)
 	}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -369,8 +370,10 @@ func (c *countingRunner) Run(threads int, budget int64, seed uint64, s Sinks) St
 }
 
 // TestMeasureWarmupSentinels pins the WarmupFraction semantics: 0 selects
-// the default 0.25, and positive fractions (including the calibration runs'
-// 2.0) scale it.
+// the default 0.25, positive fractions (including the calibration runs'
+// 2.0) scale it, and a fraction that is not finite or whose warm-up budget
+// overflows int64 panics before anything runs instead of skipping the
+// warm-up.
 func TestMeasureWarmupSentinels(t *testing.T) {
 	measure := func(wf float64) []int64 {
 		r := &countingRunner{}
@@ -391,5 +394,15 @@ func TestMeasureWarmupSentinels(t *testing.T) {
 	}
 	if got := measure(2.0); len(got) != 2 || got[0] != 2000 {
 		t.Fatalf("2.0 warmup runs = %v, want [2000 1000]", got)
+	}
+	for _, wf := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e30} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("WarmupFraction %v: no panic", wf)
+				}
+			}()
+			t.Errorf("WarmupFraction %v: ran %v", wf, measure(wf))
+		}()
 	}
 }

@@ -106,10 +106,11 @@ func (s *Stream) Bytes() int64 {
 func RecordStream(r *Replayer, mcs []MeasureConfig) *Stream {
 	key := streamKeyOf(mcs)
 	cfgs := prepare(mcs)
-	groups := []group{{up: cache.NewUpper(key.upper, key.l1Misses), rec: &cache.StreamWriter{}}}
+	groups := []group{newGroup(cfgs, nil, key.upper, key.l1Misses)}
+	groups[0].rec = &cache.StreamWriter{}
 	run := runGroups(r, cfgs, nil, groups, newBranchTally(r, cfgs, nil))
 	g := &groups[0]
-	return &Stream{key: key, warm: g.warm, main: g.rec.Finish(), upper: g.up.UpperStats(), run: run}
+	return &Stream{key: key, warm: g.warm, main: g.rec.Finish(), upper: g.upperStats(), run: run}
 }
 
 // streamKeyOf returns the key of the one stream-servable group mcs form.
