@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt lint test race alloc-check ci obs-demo fuzz-smoke
+.PHONY: all build vet fmt lint test race alloc-check ci obs-demo fuzz-smoke traffic
 
 # Seconds of coverage-guided fuzzing per codec target in fuzz-smoke.
 FUZZTIME ?= 5s
@@ -33,9 +33,11 @@ test:
 # measured run hands each window to the helper that runs the upper's second
 # set partition; a single race pass rarely hits a bad interleaving, so the
 # view's, the drives', the pipeline's and the partitions' tests run 20
-# times more.
+# times more. internal/experiments takes 134-138 s under race
+# instrumentation (2-vCPU amd64 host, go1.24.0); the whole-module pass keeps
+# explicit headroom over the 10m per-package default for slower runners.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 20m ./...
 	$(GO) test -race -count=20 -run 'Compressed|Spilled|WindowReuse' ./internal/trace
 	$(GO) test -race -count=20 -run 'During|Concurrent|Recount|Pipeline' ./internal/serving
 	$(GO) test -race -count=20 -run 'Partition' ./internal/cache ./internal/workload
@@ -92,3 +94,23 @@ fuzz-smoke:
 	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzZipfTableMatchesFormula$$' -fuzztime $(FUZZTIME)
 
 ci: build lint test race alloc-check fuzz-smoke
+
+# traffic shows which functions the shipped entry points never reach: it
+# builds searchsim, bench, cachesim, tracegen and the three examples with
+# coverage of the whole module into a temporary directory, runs from another
+# `searchsim -fast all`, `bench -smoke`, the examples and `tracegen -shrink
+# 64` then `cachesim` on its trace, and prints the `go tool covdata func`
+# rows at 0.0 %. It writes nothing inside the checkout. A function on the
+# list is a candidate for removal (DESIGN.md §7's reachability rule), not a
+# verdict: tests may be its only caller on purpose.
+traffic:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	mkdir "$$d/bin" "$$d/cov" "$$d/run"; \
+	$(GO) build -cover -coverpkg=./... -o "$$d/bin/" ./cmd/searchsim ./cmd/cachesim ./cmd/tracegen ./bench ./examples/...; \
+	export GOCOVERDIR="$$d/cov"; cd "$$d/run"; \
+	"$$d/bin/searchsim" -fast all > /dev/null; \
+	"$$d/bin/bench" -smoke > /dev/null; \
+	for ex in quickstart design-explorer serving-tree; do "$$d/bin/$$ex" > /dev/null; done; \
+	"$$d/bin/tracegen" -shrink 64 -o t.smtr > /dev/null; \
+	"$$d/bin/cachesim" -trace t.smtr > /dev/null; \
+	$(GO) tool covdata func -i "$$d/cov" | awk '$$NF == "0.0%"'

@@ -150,7 +150,7 @@ func requireLeafService(t *testing.T, c *Cluster, calls []float64) {
 
 // TestReadersAndIntrudersDuringScenario runs an open-loop scenario while
 // other goroutines loop over the cluster: readers take Metrics and registry
-// snapshots, intruders Serve, FlushCache and toggle a leaf. Under -race it
+// snapshots, intruders Serve and run short closed loops. Under -race it
 // checks the ownership rule (only the holder of driveMu touches the scratch,
 // the cache tier and the pending metrics); in any mode, a reader never sees
 // the published query count go down, and afterwards the count is every
@@ -194,8 +194,10 @@ func TestReadersAndIntrudersDuringScenario(t *testing.T) {
 		c.Serve(Query{Terms: []uint32{uint32(i % 50), 3}})
 		served.Add(1)
 	})
-	loop(func(int) { c.FlushCache() })
-	loop(func(i int) { c.SetLeafDown(i%12, i%2 == 0) })
+	loop(func(i int) {
+		RunLoad(c, 2, 3, 50, 1.1, uint64(i))
+		served.Add(6)
+	})
 
 	fs := RunScenario(c, Scenario{
 		Clients: 2000, VocabSize: 400, Skew: 1.1, Seed: 13,
@@ -209,7 +211,7 @@ func TestReadersAndIntrudersDuringScenario(t *testing.T) {
 		t.Fatal("the scenario served nothing")
 	}
 	if got, want := c.Metrics().Queries, fs.Served+served.Load(); got != want {
-		t.Fatalf("published queries = %d, want %d from the run and %d from Serve", got, fs.Served, served.Load())
+		t.Fatalf("published queries = %d, want %d from the run and %d from the intruders", got, fs.Served, served.Load())
 	}
 }
 
@@ -228,16 +230,21 @@ func (s *signalExec) SearchBuf(terms []uint32, docs []uint32, scores []float32) 
 	return s.Executor.SearchBuf(terms, docs, scores)
 }
 
-// TestDriveDuringScenarioLandsOutsideIt issues FlushCache or SetLeafDown
-// from another goroutine once a scenario is known to be running (a leaf has
-// been called). Both are drives, so each lands before or after the run,
-// never inside it: the run's FleetStats must equal the intrusion-first
-// reference or the run-first one, and nothing else.
+// TestDriveDuringScenarioLandsOutsideIt issues a Serve of a query no client
+// draws, or a short RunLoad, from another goroutine once a scenario is known
+// to be running (a leaf has been called). Either calls every leaf, moving
+// the synthetic leaves' jitter streams, and caches what it served, but both
+// are drives, so each lands before or after the run, never inside it: the
+// run's FleetStats must equal the intrusion-first reference or the
+// run-first one, and nothing else.
 func TestDriveDuringScenarioLandsOutsideIt(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheSlots = 256
 	cfg.LeafCapacity = 64
-	sc := Scenario{Clients: 64, QueriesPerClient: 60, VocabSize: 300, Skew: 1.1, Seed: 31}
+	sc := Scenario{
+		Clients: 64, VocabSize: 300, Skew: 1.1, Seed: 31,
+		Arrival: &RateCurve{BaseQPS: 8000}, DurationNS: 4.8e8,
+	}
 	build := func() (*Cluster, *signalExec) {
 		execs := make([]Executor, cfg.Leaves)
 		for i := range execs {
@@ -246,15 +253,15 @@ func TestDriveDuringScenarioLandsOutsideIt(t *testing.T) {
 		sig := &signalExec{Executor: execs[cfg.Leaves-1], started: make(chan struct{})}
 		execs[cfg.Leaves-1] = sig
 		c := NewCluster(cfg, execs)
-		RunLoad(c, 8, 40, 300, 1.1, 7) // a warm cache, so a flush shows
+		RunLoad(c, 8, 40, 300, 1.1, 7) // a warm cache, as a day would find it
 		return c, sig
 	}
 	for _, tc := range []struct {
 		name  string
 		drive func(*Cluster)
 	}{
-		{"FlushCache", func(c *Cluster) { c.FlushCache() }},
-		{"SetLeafDown", func(c *Cluster) { c.SetLeafDown(0, true) }},
+		{"Serve", func(c *Cluster) { c.Serve(Query{Terms: []uint32{1 << 20, 1 << 20}}) }},
+		{"RunLoad", func(c *Cluster) { RunLoad(c, 2, 5, 300, 1.1, 99) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, _ := build()

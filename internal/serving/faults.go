@@ -10,11 +10,15 @@ import (
 // ErrInjectedFault is returned by FaultyExecutor for injected failures.
 var ErrInjectedFault = errors.New("serving: injected leaf fault")
 
+// flapLatencyNS is the fail-fast latency of flaps and outage windows, about
+// one network hop.
+const flapLatencyNS = 1e5
+
 // FaultyExecutor wraps an Executor with deterministic fault injection. Each
 // call independently draws three faults, in order:
 //
 //   - flap (probability FlapProb): the shard is unreachable; the call fails
-//     fast after FlapLatencyNS without doing any work.
+//     fast after flapLatencyNS without doing any work.
 //   - slow (probability SlowProb): the call's service latency is multiplied
 //     by SlowFactor (a straggler).
 //   - fail (probability FailProb): the call does its full work, then fails
@@ -35,10 +39,8 @@ type FaultyExecutor struct {
 	SlowFactor float64
 	// FailProb is the probability of a post-work failure.
 	FailProb float64
-	// FlapProb and FlapLatencyNS shape fail-fast unavailability
-	// (FlapLatencyNS defaults to 1e5, about one network hop).
-	FlapProb      float64
-	FlapLatencyNS float64
+	// FlapProb is the probability of fail-fast unavailability.
+	FlapProb float64
 	// Seed decorrelates fault streams between shards.
 	Seed uint64
 
@@ -61,26 +63,18 @@ func (f *FaultyExecutor) callSeed(terms []uint32) uint64 {
 	return h
 }
 
-// flapLatency is the fail-fast latency for flaps and outage windows.
-func (f *FaultyExecutor) flapLatency() float64 {
-	if f.FlapLatencyNS > 0 {
-		return f.FlapLatencyNS
-	}
-	return 1e5
-}
-
 // SearchBuf implements Executor: flap draw, inner call into the caller's
 // buffers, then the slow and fail draws, in that order. The fault stream
 // derives from (Seed, terms) through a stack-allocated RNG, so the call is
 // allocation-free.
 func (f *FaultyExecutor) SearchBuf(terms []uint32, docs []uint32, scores []float32) (int, float64, error) {
 	if f.down.Load() {
-		return 0, f.flapLatency(), ErrInjectedFault
+		return 0, flapLatencyNS, ErrInjectedFault
 	}
 	var rng stats.RNG
 	rng.Seed(f.callSeed(terms))
 	if rng.Bool(f.FlapProb) {
-		return 0, f.flapLatency(), ErrInjectedFault
+		return 0, flapLatencyNS, ErrInjectedFault
 	}
 	n, lat, err := f.Inner.SearchBuf(terms, docs, scores)
 	if err != nil {

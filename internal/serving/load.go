@@ -29,20 +29,20 @@ import (
 // no statistic can depend on how the queue is laid out.
 //
 // Per-client state is struct-of-arrays beside the queue, indexed by the
-// event's slot rather than its id: 16 B of RNG, 4 B of issue count when
-// there is a budget. An open loop gives slots in first-arrival order to the
-// clients that arrive inside the horizon and to no one else, so the first
-// arrivals — most of a day's queries — read their streams front to back,
-// and an idle client costs nothing. A closed loop queues every client with
-// slot = id (36 B per client). The whole per-event path — peek, Zipf draw,
-// term synthesis, Cluster.serve, histogram add, push or replace-min — is
-// allocation-free, pinned by the ZeroAlloc oracles in alloc_test.go.
+// event's slot rather than its id: 16 B of RNG, plus the closed loop's 4 B
+// issue count, which runClosed keeps. An open loop gives slots in
+// first-arrival order to the clients that arrive inside the horizon and to
+// no one else, so the first arrivals — most of a day's queries — read their
+// streams front to back, and an idle client costs nothing. A closed loop
+// queues every client with slot = id (36 B per client). The whole
+// per-event path — peek, Zipf draw, term synthesis, Cluster.serve,
+// histogram add, push or replace-min — is allocation-free, pinned by the
+// ZeroAlloc oracles in alloc_test.go.
 type loadEngine struct {
 	arrivals []event     // first issues sorted by (t, id); arrivals[fi:] pending
 	fi       int         // index of the next pending first arrival
 	heap     []event     // 4-ary min-heap of re-issues by (t, id), backed by arrivals[:0]
 	rng      []stats.RNG // per-slot random stream (query popularity, think time)
-	issued   []int32     // queries issued so far per slot; nil without a budget
 	shape    *stats.ZipfShape
 	vocab    uint32
 	terms    [2]uint32 // scratch for the current query's term tuple
@@ -438,20 +438,53 @@ func (e *loadEngine) drawTerms(slot int32) []uint32 {
 // and each query is served against a standing occupancy of the other
 // clients-1. The query interleaving — and with it every executor's
 // service-jitter RNG draw sequence — is therefore a pure function of the
-// seed for any client count (DESIGN.md §14). RunLoad is the closed-loop
-// special case of RunScenario.
+// seed for any client count (DESIGN.md §14). Each client issues
+// queriesPerClient queries.
 func RunLoad(c *Cluster, clients, queriesPerClient, vocabSize int, skew float64, seed uint64) LoadStats {
-	if clients <= 0 || queriesPerClient <= 0 || vocabSize <= 0 {
-		panic("serving: load parameters must be positive")
+	if queriesPerClient <= 0 {
+		panic("serving: closed loop requires queriesPerClient > 0")
 	}
-	fs := RunScenario(c, Scenario{
-		Clients:          clients,
-		QueriesPerClient: queriesPerClient,
-		VocabSize:        vocabSize,
-		Skew:             skew,
-		Seed:             seed,
-	})
-	return fs.LoadStats
+	checkLoad(clients, vocabSize, skew)
+
+	c.driveMu.Lock()
+	defer c.driveMu.Unlock()
+
+	e := newLoadEngine(vocabSize, skew)
+	e.queueAll(clients, seed)
+	st := c.loadStats(c.runClosed(e, queriesPerClient))
+	if st.MeanLatencyNS > 0 {
+		st.QPS = float64(clients) / (st.MeanLatencyNS * 1e-9)
+	}
+	return st
+}
+
+// checkLoad panics unless a load's population and query popularity are
+// usable: positive clients, vocabulary and skew (NaN passes a Skew <= 0
+// test, and its draws never end), and no more clients than the event
+// queue's int32 ids hold — checked before any per-client array is sized.
+func checkLoad(clients, vocabSize int, skew float64) {
+	if clients <= 0 || vocabSize <= 0 || !(skew > 0) {
+		panic("serving: load requires positive clients, vocab size, and skew")
+	}
+	if clients > math.MaxInt32 {
+		panic(fmt.Sprintf("serving: load of %d clients exceeds the event queue's int32 client ids (at most %d)",
+			clients, math.MaxInt32))
+	}
+}
+
+// loadStats publishes a run's pending metrics and summarizes its latency
+// histogram and partial-result count; the caller holds driveMu.
+func (c *Cluster) loadStats(hist *stats.Histogram, partials int64) LoadStats {
+	c.metrics.publish()
+	return LoadStats{
+		Queries:        c.metrics.queries.total,
+		CacheHits:      c.metrics.cacheHits.total,
+		PartialResults: partials,
+		MeanLatencyNS:  hist.Mean(),
+		P50NS:          hist.Quantile(0.50),
+		P95NS:          hist.Quantile(0.95),
+		P99NS:          hist.Quantile(0.99),
+	}
 }
 
 // Burst multiplies a RateCurve's arrival rate by Factor inside
@@ -527,28 +560,23 @@ type FleetEvent struct {
 	OutageDurationNS         float64
 }
 
-// Scenario describes one fleet load run for RunScenario.
+// Scenario describes one open-loop fleet run for RunScenario.
 type Scenario struct {
 	// Clients is the modeled user population.
 	Clients int
-	// QueriesPerClient bounds each client's issue budget. Closed loop
-	// (Arrival == nil) requires it > 0; open loop treats 0 as unlimited,
-	// with the horizon as the only bound.
-	QueriesPerClient int
 	// VocabSize and Skew shape query popularity (Zipf), as in RunLoad.
 	VocabSize int
 	Skew      float64
 	// Seed makes the run reproducible; same-cluster-state same-scenario
 	// runs are byte-identical.
 	Seed uint64
-	// Arrival switches the loop open: clients issue by a Poisson process
-	// following the rate curve (per-client exponential interarrivals with
-	// mean clients/rate(t)), decoupled from completions, and the
-	// congestion model is fed the live in-flight count. nil keeps the
-	// closed loop, bit-identical to RunLoad.
+	// Arrival is the rate curve clients issue by (required): a Poisson
+	// process of per-client exponential interarrivals with mean
+	// clients/rate(t), decoupled from completions, while the congestion
+	// model is fed the live in-flight count.
 	Arrival *RateCurve
-	// DurationNS is the open-loop horizon in virtual time (required with
-	// Arrival): no queries issue at or after it.
+	// DurationNS is the horizon in virtual time (required, finite): no
+	// queries issue at or after it.
 	DurationNS float64
 	// Events is the operational timeline (cache flushes, outage windows).
 	Events []FleetEvent
@@ -567,10 +595,9 @@ type FleetStats struct {
 	// completion).
 	DurationNS float64
 	// PeakInflight is the maximum concurrent occupancy the congestion
-	// model saw (always Clients for closed loops).
+	// model saw.
 	PeakInflight int64
-	// OfferedQPS is the configured mean arrival rate (0 for closed loops,
-	// where load is completion-driven).
+	// OfferedQPS is the configured mean arrival rate.
 	OfferedQPS float64
 }
 
@@ -628,14 +655,19 @@ func buildTimeline(events []FleetEvent, leaves int) []action {
 }
 
 // applyAction executes one timeline step against the cluster; the caller
-// holds driveMu.
+// holds driveMu. buildTimeline has put an outage's leaves inside the
+// cluster; those whose executors cannot be marked down are skipped.
 func (c *Cluster) applyAction(a action) {
 	switch a.kind {
 	case actFlush:
-		c.flushCache()
+		if c.cache != nil {
+			c.cache.flush()
+		}
 	case actDown, actUp:
-		for i := 0; i < a.count; i++ {
-			c.setLeafDown(a.leaf+i, a.kind == actDown)
+		for _, lf := range c.leaves[a.leaf : a.leaf+a.count] {
+			if o, ok := lf.exec.(OutageExecutor); ok {
+				o.SetDown(a.kind == actDown)
+			}
 		}
 	}
 }
@@ -679,137 +711,83 @@ func compPop(h *[]float64) {
 	}
 }
 
-// RunScenario drives the cluster through one fleet scenario on the
-// event-driven engine. Closed-loop scenarios (Arrival == nil) issue queries
-// in exactly the order RunLoad always has; open-loop scenarios issue by the
-// rate curve with congestion fed by the live in-flight count, so offered
-// load beyond capacity visibly inflates the tail. Virtual time is serial:
-// results are a pure function of (cluster state, scenario), independent of
-// GOMAXPROCS and scheduling (DESIGN.md §16). An open loop draws its issue
-// schedule on a second goroutine while the calling one serves it (see
-// runOpen); that goroutine has ended by the time RunScenario returns or
-// panics.
+// RunScenario drives the cluster through one open-loop fleet scenario on
+// the event-driven engine: clients issue by the rate curve, with congestion
+// fed by the live in-flight count, so offered load beyond capacity visibly
+// inflates the tail, and the timeline's flushes and outage windows land
+// between the queries they precede. Virtual time is serial: results are a
+// pure function of (cluster state, scenario), independent of GOMAXPROCS and
+// scheduling (DESIGN.md §16). The issue schedule is drawn on a second
+// goroutine while the calling one serves it (see runOpen); that goroutine
+// has ended by the time RunScenario returns or panics.
 func RunScenario(c *Cluster, sc Scenario) FleetStats {
-	if sc.Clients <= 0 || sc.VocabSize <= 0 || !(sc.Skew > 0) {
-		panic("serving: scenario requires positive clients, vocab size, and skew")
+	checkLoad(sc.Clients, sc.VocabSize, sc.Skew)
+	if sc.Arrival == nil {
+		panic("serving: scenario requires an arrival rate curve")
 	}
-	if sc.Clients > math.MaxInt32 {
-		panic(fmt.Sprintf("serving: scenario of %d clients exceeds the event queue's int32 client ids (at most %d)",
-			sc.Clients, math.MaxInt32))
+	if !(sc.DurationNS > 0) || math.IsInf(sc.DurationNS, 1) || !(sc.Arrival.BaseQPS > 0) {
+		panic("serving: scenario requires a finite positive horizon and a positive base rate")
 	}
-	open := sc.Arrival != nil
-	if open {
-		if !(sc.DurationNS > 0) || !(sc.Arrival.BaseQPS > 0) {
-			panic("serving: open-loop scenario requires a positive horizon and base rate")
-		}
-		if math.IsInf(sc.DurationNS, 1) && sc.QueriesPerClient <= 0 {
-			panic("serving: open-loop scenario with an infinite horizon requires QueriesPerClient > 0")
-		}
-		sc.Arrival.validate()
-	} else if sc.QueriesPerClient <= 0 {
-		panic("serving: closed-loop scenario requires QueriesPerClient > 0")
-	}
-
+	sc.Arrival.validate()
 	acts := buildTimeline(sc.Events, c.cfg.Leaves)
 
 	c.driveMu.Lock()
 	defer c.driveMu.Unlock()
 
 	e := newLoadEngine(sc.VocabSize, sc.Skew)
-	if open {
-		// Stagger first arrivals by the t=0 rate; each draw comes from the
-		// owning client's stream, ahead of its popularity draws.
-		e.queueArrivals(sc.Clients, sc.Seed, float64(sc.Clients)/sc.Arrival.At(0)*1e9, sc.DurationNS)
-	} else {
-		e.queueAll(sc.Clients, sc.Seed)
-	}
-	if sc.QueriesPerClient > 0 {
-		e.issued = make([]int32, len(e.rng))
-	}
+	// Stagger first arrivals by the t=0 rate; each draw comes from the
+	// owning client's stream, ahead of its popularity draws.
+	e.queueArrivals(sc.Clients, sc.Seed, float64(sc.Clients)/sc.Arrival.At(0)*1e9, sc.DurationNS)
+	tot := c.runOpen(e, &sc, acts)
 
-	var tot runTotals
-	if open {
-		tot = c.runOpen(e, &sc, acts)
-	} else {
-		tot = c.runClosed(e, &sc, acts)
-	}
-
-	c.metrics.publish()
-
-	mean := tot.hist.Mean()
 	fs := FleetStats{
-		LoadStats: LoadStats{
-			Queries:        c.metrics.queries.total,
-			CacheHits:      c.metrics.cacheHits.total,
-			PartialResults: tot.partials,
-			MeanLatencyNS:  mean,
-			P50NS:          tot.hist.Quantile(0.50),
-			P95NS:          tot.hist.Quantile(0.95),
-			P99NS:          tot.hist.Quantile(0.99),
-		},
+		LoadStats:       c.loadStats(tot.hist, tot.partials),
 		Served:          tot.served,
 		EventsProcessed: tot.events,
 		DurationNS:      tot.lastNS,
 		PeakInflight:    tot.peak,
+		OfferedQPS:      sc.Arrival.BaseQPS,
 	}
-	if open {
-		fs.OfferedQPS = sc.Arrival.BaseQPS
-		if tot.lastNS > 0 {
-			fs.QPS = float64(tot.served) / (tot.lastNS * 1e-9)
-		}
-	} else if mean > 0 {
-		fs.QPS = float64(sc.Clients) / (mean * 1e-9)
+	if tot.lastNS > 0 {
+		fs.QPS = float64(tot.served) / (tot.lastNS * 1e-9)
 	}
 	return fs
 }
 
-// runTotals is what a run's loop tallies for FleetStats.
-type runTotals struct {
-	hist                           *stats.Histogram
-	partials, events, served, peak int64
-	lastNS                         float64 // latest query completion
-}
-
 // runClosed is the closed loop: every client always has one query in
 // flight, so each query is served against the other clients-1 and its
-// client issues again when it completes. The next issue time needs the
-// latency, so the loop runs inline on the calling goroutine.
-func (c *Cluster) runClosed(e *loadEngine, sc *Scenario, acts []action) runTotals {
+// client issues again when it completes, until it has issued
+// queriesPerClient. The next issue time needs the latency, so the loop runs
+// inline on the calling goroutine. It returns the latency histogram and the
+// partial-result count.
+func (c *Cluster) runClosed(e *loadEngine, queriesPerClient int) (*stats.Histogram, int64) {
 	hist := stats.NewHistogram(8)
-	var partials, events, served int64
-	var lastNS float64
-	inflight := sc.Clients - 1
-	ai := 0
+	var partials int64
+	issued := make([]int32, len(e.rng))
+	inflight := len(e.rng) - 1
 	for {
 		ev, inHeap, ok := e.peek()
 		if !ok {
-			break
+			return hist, partials
 		}
-		t, slot := ev.t, ev.slot
-		for ai < len(acts) && acts[ai].at <= t {
-			c.applyAction(acts[ai])
-			ai++
-			events++
-		}
-		lat, partial := c.serve(e.drawTerms(slot), inflight)
-		events++
-		served++
+		lat, partial := c.serve(e.drawTerms(ev.slot), inflight)
 		hist.Add(lat)
 		if partial {
 			partials++
 		}
-		next := t + lat
-		if next > lastNS {
-			lastNS = next
-		}
-		e.issued[slot]++
-		if int(e.issued[slot]) < sc.QueriesPerClient {
-			e.reissue(inHeap, event{next, ev.id, slot})
+		if issued[ev.slot]++; int(issued[ev.slot]) < queriesPerClient {
+			e.reissue(inHeap, event{ev.t + lat, ev.id, ev.slot})
 		} else {
 			e.retire(inHeap)
 		}
 	}
-	return runTotals{hist: hist, partials: partials, events: events, served: served, peak: int64(sc.Clients), lastNS: lastNS}
+}
+
+// runTotals is what the open loop tallies for FleetStats.
+type runTotals struct {
+	hist                           *stats.Histogram
+	partials, events, served, peak int64
+	lastNS                         float64 // latest query completion
 }
 
 // issue is one query of an open loop's schedule: when it issues and its
@@ -835,8 +813,7 @@ const (
 // issue it pops the earliest pending event, draws the query's terms from the
 // client's stream and then, from the same stream, the client's next issue
 // time, which reads only this issue's time and the rate curve, never a
-// latency; the client issues again if that lies inside the horizon and its
-// budget allows.
+// latency; the client issues again if that lies inside the horizon.
 func (e *loadEngine) fillIssues(buf []issue, sc *Scenario) int {
 	for n := range buf {
 		ev, inHeap, ok := e.peek()
@@ -846,12 +823,7 @@ func (e *loadEngine) fillIssues(buf []issue, sc *Scenario) int {
 		t, slot := ev.t, ev.slot
 		buf[n] = issue{t: t, terms: [2]uint32(e.drawTerms(slot))}
 		next := t + e.rng[slot].Exponential(float64(sc.Clients)/sc.Arrival.At(t)*1e9)
-		again := next < sc.DurationNS
-		if e.issued != nil {
-			e.issued[slot]++
-			again = again && int(e.issued[slot]) < sc.QueriesPerClient
-		}
-		if again {
+		if next < sc.DurationNS {
 			e.reissue(inHeap, event{next, ev.id, slot})
 		} else {
 			e.retire(inHeap)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -73,7 +74,7 @@ func TestRunLoadGolden(t *testing.T) {
 // the indexed binary heap over a Clients-sized next[] array. The horizon is
 // either a fifth of the mean per-client inter-arrival (most of the
 // population never arrives and is never queued) or ten times it (almost
-// everyone is), with and without a per-client issue budget.
+// everyone is).
 func TestRunScenarioGolden(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheSlots = 256
@@ -82,24 +83,21 @@ func TestRunScenarioGolden(t *testing.T) {
 	cfg.LeafCapacity = 400
 	const d = 5e8
 	cases := []struct {
-		name         string
-		clients, qpc int
-		qps          float64
-		want         string
+		name    string
+		clients int
+		qps     float64
+		want    string
 	}{
-		{"short-horizon", 5000, 0, 2000, "f5461b64c15aa5b61d810a9217e68ee6c4d143caf7f47c37a5ca178f1061e7bf"},
-		{"short-horizon-budget", 5000, 3, 2000, "5955cd69c5f614a186d572c98323aa4ec21bc8d8ef213506df9e53cd656f64b6"},
-		{"long-horizon", 200, 0, 4000, "56d72271bf8f3c12cc99b02adfc274106bfbdcd8377def7a0e7bff6f1721376d"},
-		{"long-horizon-budget", 200, 3, 4000, "9fd4eb79abdd0d7c7276e76025d0dbaaf59317cdaa9938a859a4f2b2f01fa20b"},
+		{"short-horizon", 5000, 2000, "f5461b64c15aa5b61d810a9217e68ee6c4d143caf7f47c37a5ca178f1061e7bf"},
+		{"long-horizon", 200, 4000, "56d72271bf8f3c12cc99b02adfc274106bfbdcd8377def7a0e7bff6f1721376d"},
 	}
 	for _, tc := range cases {
 		c := faultyCluster(cfg, 12, 3)
 		fs := RunScenario(c, Scenario{
-			Clients:          tc.clients,
-			QueriesPerClient: tc.qpc,
-			VocabSize:        400,
-			Skew:             1.1,
-			Seed:             17,
+			Clients:   tc.clients,
+			VocabSize: 400,
+			Skew:      1.1,
+			Seed:      17,
 			Arrival: &RateCurve{
 				BaseQPS:          tc.qps,
 				DiurnalAmplitude: 0.5,
@@ -268,9 +266,17 @@ func TestOpenLoopStateIsPerArrival(t *testing.T) {
 	}
 }
 
-// TestFlushCacheColdRestart checks both the direct API and the scenario
-// event: a flush makes a previously cached query miss, and a flush-heavy
-// timeline serves fewer cache hits than the same run without it.
+// timelineStep applies one timeline action to c as a drive would.
+func timelineStep(c *Cluster, a action) {
+	c.driveMu.Lock()
+	defer c.driveMu.Unlock()
+	c.applyAction(a)
+}
+
+// TestFlushCacheColdRestart checks the timeline's flush, as one step and
+// in a scenario: a flush makes a previously cached query miss, and a
+// flush-heavy timeline serves fewer cache hits than the same day without
+// it.
 func TestFlushCacheColdRestart(t *testing.T) {
 	c := testCluster(256)
 	terms := []uint32{1, 2}
@@ -278,21 +284,34 @@ func TestFlushCacheColdRestart(t *testing.T) {
 	if r := c.Serve(Query{Terms: terms}); !r.FromCache {
 		t.Fatal("second serve should hit the cache")
 	}
-	c.FlushCache()
+	timelineStep(c, action{kind: actFlush})
 	if r := c.Serve(Query{Terms: terms}); r.FromCache {
-		t.Fatal("serve after FlushCache should miss")
+		t.Fatal("serve after a flush should miss")
 	}
 
-	sc := Scenario{Clients: 50, QueriesPerClient: 40, VocabSize: 100, Skew: 1.2, Seed: 23}
+	sc := Scenario{
+		Clients: 50, VocabSize: 100, Skew: 1.2, Seed: 23,
+		Arrival: &RateCurve{BaseQPS: 4000}, DurationNS: 4e8,
+	}
 	warm := RunScenario(testCluster(1024), sc)
 	sc.Events = []FleetEvent{
-		{AtNS: 1e7, FlushCache: true},
-		{AtNS: 2e7, FlushCache: true},
-		{AtNS: 3e7, FlushCache: true},
+		{AtNS: 1e8, FlushCache: true},
+		{AtNS: 2e8, FlushCache: true},
+		{AtNS: 3e8, FlushCache: true},
 	}
 	cold := RunScenario(testCluster(1024), sc)
 	if cold.CacheHits >= warm.CacheHits {
 		t.Fatalf("flush timeline should reduce hits: cold %d >= warm %d", cold.CacheHits, warm.CacheHits)
+	}
+}
+
+// outageDay is the open day of the outage tests: 20 clients offering
+// 2 000 QPS for 0.2 virtual seconds.
+func outageDay(events ...FleetEvent) Scenario {
+	return Scenario{
+		Clients: 20, VocabSize: 200, Skew: 1.1, Seed: 7,
+		Arrival: &RateCurve{BaseQPS: 2000}, DurationNS: 2e8,
+		Events: events,
 	}
 }
 
@@ -302,13 +321,11 @@ func TestFlushCacheColdRestart(t *testing.T) {
 func TestOutageWindowDegrades(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheSlots = 0
-	sc := Scenario{Clients: 20, QueriesPerClient: 50, VocabSize: 200, Skew: 1.1, Seed: 7}
-	clean := RunScenario(healthyFaultFree(cfg, 12, 1), sc)
+	clean := RunScenario(healthyFaultFree(cfg, 12, 1), outageDay())
 	if clean.PartialResults != 0 {
 		t.Fatalf("fault-free run produced %d partials", clean.PartialResults)
 	}
-	sc.Events = []FleetEvent{{AtNS: 2e7, OutageLeaf: 0, OutageLeaves: 6, OutageDurationNS: 4e7}}
-	hit := RunScenario(healthyFaultFree(cfg, 12, 1), sc)
+	hit := RunScenario(healthyFaultFree(cfg, 12, 1), outageDay(FleetEvent{AtNS: 5e7, OutageLeaf: 0, OutageLeaves: 6, OutageDurationNS: 5e7}))
 	if hit.PartialResults == 0 {
 		t.Fatal("outage window produced no partial results")
 	}
@@ -320,20 +337,20 @@ func TestOutageWindowDegrades(t *testing.T) {
 // TestOutageWindowOneNanosecondRecovers is the positive side of the outage
 // validation: the shortest legal window does end. (A zero-length window
 // used to schedule its recovery before its start and leave the leaves dark
-// for the rest of the run; it is now rejected — TestRunScenarioPanics.)
+// for the rest of the run; it is now rejected — TestRunScenarioPanics.) No
+// issue falls inside the window, so the day must equal the same day without
+// it but for the two timeline actions counted as events.
 func TestOutageWindowOneNanosecondRecovers(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheSlots = 0
+	without := RunScenario(healthyFaultFree(cfg, 12, 1), outageDay())
 	c := healthyFaultFree(cfg, 12, 1)
-	fs := RunScenario(c, Scenario{
-		Clients: 20, QueriesPerClient: 50, VocabSize: 200, Skew: 1.1, Seed: 7,
-		Events: []FleetEvent{{AtNS: 2e7, OutageLeaf: 0, OutageLeaves: 6, OutageDurationNS: 1}},
-	})
-	if fs.EventsProcessed != fs.Served+2 {
-		t.Fatalf("timeline did not run both outage actions: %+v", fs)
+	fs := RunScenario(c, outageDay(FleetEvent{AtNS: 5e7, OutageLeaf: 0, OutageLeaves: 6, OutageDurationNS: 1}))
+	if fs.EventsProcessed != without.EventsProcessed+2 {
+		t.Fatalf("timeline did not run both outage actions: %d events, %d without the window", fs.EventsProcessed, without.EventsProcessed)
 	}
-	if fs.PartialResults > 1 {
-		t.Fatalf("1 ns outage degraded %d of %d queries", fs.PartialResults, fs.Served)
+	if fs.EventsProcessed = without.EventsProcessed; fs != without {
+		t.Fatalf("1 ns outage moved the day:\nwith    %+v\nwithout %+v", fs, without)
 	}
 	if r := c.Serve(Query{Terms: []uint32{1, 2}}); r.Partial || r.LeavesAnswered != 12 {
 		t.Fatalf("leaves still down after the window: %+v", r)
@@ -372,19 +389,24 @@ func TestServeDuringRunLoad(t *testing.T) {
 	}
 }
 
-// TestSetLeafDown covers the administrative hook's edges: only
-// outage-capable executors accept it, out-of-range leaves are rejected.
+// TestSetLeafDown covers the timeline's outage step: a down action drops
+// exactly the leaves of its range from the merge, the up action brings them
+// back, and leaves whose executors cannot be marked down keep answering.
 func TestSetLeafDown(t *testing.T) {
+	q := Query{Terms: []uint32{1, 2}}
 	c := healthyFaultFree(DefaultConfig(), 12, 1)
-	if !c.SetLeafDown(0, true) || !c.SetLeafDown(11, true) {
-		t.Fatal("outage-capable leaf rejected SetLeafDown")
+	timelineStep(c, action{kind: actDown, leaf: 9, count: 3})
+	if r := c.Serve(q); !r.Partial || r.LeavesAnswered != 9 {
+		t.Fatalf("leaves 9–11 down: %d answered (partial %v), want 9", r.LeavesAnswered, r.Partial)
 	}
-	if c.SetLeafDown(-1, true) || c.SetLeafDown(12, true) {
-		t.Fatal("out-of-range leaf accepted SetLeafDown")
+	timelineStep(c, action{kind: actUp, leaf: 9, count: 3})
+	if r := c.Serve(q); r.Partial || r.LeavesAnswered != 12 {
+		t.Fatalf("leaves 9–11 back up: %d answered (partial %v), want 12", r.LeavesAnswered, r.Partial)
 	}
 	plain := testCluster(0)
-	if plain.SetLeafDown(0, true) {
-		t.Fatal("plain synthetic leaf accepted SetLeafDown")
+	timelineStep(plain, action{kind: actDown, count: 12})
+	if r := plain.Serve(q); r.Partial || r.LeavesAnswered != 12 {
+		t.Fatalf("plain synthetic leaves went down: %d answered (partial %v)", r.LeavesAnswered, r.Partial)
 	}
 }
 
@@ -398,7 +420,7 @@ func cacheGet(s *cacheServer, tag uint64) ([]uint32, []float32, bool) {
 // TestCacheRingEviction covers the FIFO ring across wrap-around: oldest
 // entries evict in insertion order and live count never exceeds slots.
 func TestCacheRingEviction(t *testing.T) {
-	s := newCacheServer(4)
+	s := newCacheServer(4, 1)
 	one := []uint32{1}
 	sc := []float32{1}
 	for tag := uint64(1); tag <= 4; tag++ {
@@ -416,26 +438,32 @@ func TestCacheRingEviction(t *testing.T) {
 			t.Fatalf("tag %d should have been evicted", tag)
 		}
 	}
-	if s.count != 4 || len(s.data) != 4 {
-		t.Fatalf("count=%d len(data)=%d, want 4/4", s.count, len(s.data))
+	if len(s.index) != 4 {
+		t.Fatalf("%d live tags, want 4", len(s.index))
 	}
 }
 
-// TestCacheRingBoundedUnderChurn is the regression test for the eviction
-// leak the ring replaced (`order = order[1:]` grew the backing array
-// without bound): sustained churn must leave the ring at its fixed size.
+// TestCacheRingBoundedUnderChurn is the slab's size law, and the
+// regression test for the eviction leak an earlier slice queue had
+// (`order = order[1:]` grew its backing array without bound): under
+// sustained churn the index never holds more than slots tags, and the slab
+// is the one built with the tier, never regrown.
 func TestCacheRingBoundedUnderChurn(t *testing.T) {
-	s := newCacheServer(8)
+	s := newCacheServer(8, 3)
+	docs0, scores0 := &s.docs[0], &s.scores[0]
 	docs := []uint32{1, 2, 3}
 	scores := []float32{3, 2, 1}
 	for tag := uint64(0); tag < 100000; tag++ {
 		s.put(tag, docs, scores)
+		if len(s.index) > 8 {
+			t.Fatalf("after put %d the index holds %d tags, want at most 8", tag, len(s.index))
+		}
 	}
-	if len(s.order) != 8 || cap(s.order) != 8 {
-		t.Fatalf("order ring grew: len=%d cap=%d, want 8/8", len(s.order), cap(s.order))
-	}
-	if s.count != 8 || len(s.data) != 8 {
-		t.Fatalf("count=%d len(data)=%d, want 8/8", s.count, len(s.data))
+	if len(s.docs) != 24 || cap(s.docs) != 24 || &s.docs[0] != docs0 ||
+		len(s.scores) != 24 || cap(s.scores) != 24 || &s.scores[0] != scores0 ||
+		len(s.lens) != 8 || len(s.tags) != 8 {
+		t.Fatalf("slab regrown: docs %d/%d, scores %d/%d, lens %d, tags %d; want 24/24, 24/24, 8, 8",
+			len(s.docs), cap(s.docs), len(s.scores), cap(s.scores), len(s.lens), len(s.tags))
 	}
 	for tag := uint64(100000 - 8); tag < 100000; tag++ {
 		if _, _, ok := cacheGet(s, tag); !ok {
@@ -444,37 +472,19 @@ func TestCacheRingBoundedUnderChurn(t *testing.T) {
 	}
 }
 
-// TestCacheOverwriteKeepsPosition: re-putting a live tag must not consume a
-// ring slot or refresh its FIFO position.
-func TestCacheOverwriteKeepsPosition(t *testing.T) {
-	s := newCacheServer(2)
-	s.put(10, []uint32{1}, []float32{1})
-	s.put(20, []uint32{2}, []float32{2})
-	s.put(10, []uint32{9}, []float32{9}) // overwrite, still the oldest
-	if d, _, ok := cacheGet(s, 10); !ok || d[0] != 9 {
-		t.Fatalf("overwrite not visible: %v %v", d, ok)
-	}
-	s.put(30, []uint32{3}, []float32{3}) // evicts 10, the oldest
-	if _, _, ok := cacheGet(s, 10); ok {
-		t.Fatal("overwritten tag should still evict first")
-	}
-	if _, _, ok := cacheGet(s, 20); !ok {
-		t.Fatal("tag 20 evicted out of order")
-	}
-	if s.count != 2 || len(s.data) != 2 {
-		t.Fatalf("count=%d len(data)=%d, want 2/2", s.count, len(s.data))
-	}
-}
-
 // TestCacheFlush: flush empties the tier in place and it keeps working.
+// It also rewinds the cursor, so a flushed slab refills from slot 0 as a
+// new one does; FIFO order alone cannot show that (refilling from any slot
+// evicts in the same order), so it is checked on the cursor itself, after
+// a partial fill that left it elsewhere.
 func TestCacheFlush(t *testing.T) {
-	s := newCacheServer(4)
-	for tag := uint64(1); tag <= 4; tag++ {
+	s := newCacheServer(4, 1)
+	for tag := uint64(1); tag <= 3; tag++ {
 		s.put(tag, []uint32{uint32(tag)}, []float32{1})
 	}
 	s.flush()
-	if s.count != 0 || len(s.data) != 0 {
-		t.Fatalf("flush left count=%d len(data)=%d", s.count, len(s.data))
+	if len(s.index) != 0 || s.next != 0 {
+		t.Fatalf("flush left %d live tags and the cursor at slot %d", len(s.index), s.next)
 	}
 	if _, _, ok := cacheGet(s, 2); ok {
 		t.Fatal("entry survived flush")
@@ -485,27 +495,83 @@ func TestCacheFlush(t *testing.T) {
 	}
 }
 
-// TestOpenLoopInfiniteHorizonEndsOnBudget is the positive side of the
-// horizon validation: with a budget, an infinite horizon is legal and the
-// run ends once every client has spent it.
-func TestOpenLoopInfiniteHorizonEndsOnBudget(t *testing.T) {
-	fs := RunScenario(testCluster(0), Scenario{
-		Clients: 50, QueriesPerClient: 3, VocabSize: 100, Skew: 1.1, Seed: 4,
-		Arrival: &RateCurve{BaseQPS: 1000}, DurationNS: math.Inf(1),
-	})
-	if fs.Served != 150 {
-		t.Fatalf("served %d queries, want 50 clients × 3", fs.Served)
+// TestCacheTierMatchesFIFO is the cache tier's oracle: a cacheServer and a
+// naive FIFO — a map of copied slices and a slice queue of tags, oldest
+// first — go through the same seeded sequence of gets, a put after every
+// miss (the only put serve makes) and occasional flushes, and every get
+// must agree on presence, length, docs and scores. Slot counts run from 1
+// to past the active tag set, and entry lengths from 0 to TopK. The put's
+// arguments are scribbled over after each put and the get's buffers are
+// pre-filled with junk, so an entry that aliases either side is caught.
+func TestCacheTierMatchesFIFO(t *testing.T) {
+	const topK = 10
+	type entry struct {
+		docs   []uint32
+		scores []float32
+	}
+	for _, slots := range []int{1, 2, 3, 7, 64} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			rng := stats.NewRNG(seed*7919 + uint64(slots))
+			s := newCacheServer(slots, topK)
+			ref := map[uint64]entry{}
+			var queue []uint64
+			docs, scores := make([]uint32, topK), make([]float32, topK)
+			pd, ps := make([]uint32, topK), make([]float32, topK)
+			for op := 0; op < 5000; op++ {
+				if rng.Intn(200) == 0 {
+					s.flush()
+					clear(ref)
+					queue = queue[:0]
+					continue
+				}
+				tag := uint64(rng.Intn(2*slots + 3))
+				for i := range docs {
+					docs[i], scores[i] = 0xdead, -7
+				}
+				n, ok := s.get(tag, docs, scores)
+				want, hit := ref[tag]
+				if ok != hit || n != len(want.docs) ||
+					!slices.Equal(docs[:n], want.docs) || !slices.Equal(scores[:n], want.scores) {
+					t.Fatalf("%d slots, seed %d, op %d: get(%d) = %v, %v, %v; FIFO %v, %v, %v",
+						slots, seed, op, tag, docs[:n], scores[:n], ok, want.docs, want.scores, hit)
+				}
+				if ok {
+					continue
+				}
+				l := rng.Intn(topK + 1)
+				for i := 0; i < l; i++ {
+					pd[i], ps[i] = uint32(rng.Intn(1_000_000)), float32(rng.Intn(10_000))/100
+				}
+				s.put(tag, pd[:l], ps[:l])
+				if len(queue) == slots {
+					delete(ref, queue[0])
+					queue = queue[1:]
+				}
+				ref[tag] = entry{slices.Clone(pd[:l]), slices.Clone(ps[:l])}
+				queue = append(queue, tag)
+				for i := range pd {
+					pd[i], ps[i] = 0xbeef, -9
+				}
+			}
+		}
 	}
 }
 
 // TestRunScenarioPanics pins the validation contract.
 func TestRunScenarioPanics(t *testing.T) {
-	closed := func(ev FleetEvent) Scenario {
-		return Scenario{Clients: 1, VocabSize: 10, Skew: 1.1, QueriesPerClient: 1, Events: []FleetEvent{ev}}
-	}
 	inf, nan := math.Inf(1), math.NaN()
-	open := func(rc RateCurve, durationNS float64, budget int) Scenario {
-		return Scenario{Clients: 4, VocabSize: 10, Skew: 1.1, QueriesPerClient: budget, Arrival: &rc, DurationNS: durationNS}
+	open := func(rc RateCurve, durationNS float64) Scenario {
+		return Scenario{Clients: 4, VocabSize: 10, Skew: 1.1, Arrival: &rc, DurationNS: durationNS}
+	}
+	withEvent := func(ev FleetEvent) Scenario {
+		sc := open(RateCurve{BaseQPS: 10}, 1e9)
+		sc.Events = []FleetEvent{ev}
+		return sc
+	}
+	population := func(clients, vocab int, skew float64) Scenario {
+		sc := open(RateCurve{BaseQPS: 10}, 1e9)
+		sc.Clients, sc.VocabSize, sc.Skew = clients, vocab, skew
+		return sc
 	}
 	tooMany := math.MaxInt32
 	tooMany++ // wraps negative where int is 32 bits, which is rejected too
@@ -513,38 +579,38 @@ func TestRunScenarioPanics(t *testing.T) {
 		name string
 		sc   Scenario
 	}{
-		{"zero clients", Scenario{VocabSize: 10, Skew: 1.1, QueriesPerClient: 1}},
+		{"zero clients", population(0, 10, 1.1)},
 		// Rejected before any per-client array is sized: 2^31 clients would
 		// otherwise be a 32 GiB allocation.
-		{"more clients than int32 ids", Scenario{Clients: tooMany, VocabSize: 10, Skew: 1.1, QueriesPerClient: 1}},
-		{"zero vocab", Scenario{Clients: 1, Skew: 1.1, QueriesPerClient: 1}},
-		{"zero skew", Scenario{Clients: 1, VocabSize: 10, QueriesPerClient: 1}},
+		{"more clients than int32 ids", population(tooMany, 10, 1.1)},
+		{"zero vocab", population(1, 0, 1.1)},
+		{"zero skew", population(1, 10, 0)},
 		// NaN passes a Skew <= 0 test, and its draws never end.
-		{"NaN skew", Scenario{Clients: 1, VocabSize: 10, Skew: math.NaN(), QueriesPerClient: 1}},
-		{"closed no budget", Scenario{Clients: 1, VocabSize: 10, Skew: 1.1}},
-		{"open no horizon", Scenario{Clients: 1, VocabSize: 10, Skew: 1.1, Arrival: &RateCurve{BaseQPS: 10}}},
-		{"open no rate", Scenario{Clients: 1, VocabSize: 10, Skew: 1.1, Arrival: &RateCurve{}, DurationNS: 1e9}},
-		{"outage without duration", closed(FleetEvent{AtNS: 1e6, OutageLeaves: 2})},
-		{"outage with negative duration", closed(FleetEvent{AtNS: 1e6, OutageLeaves: 2, OutageDurationNS: -1})},
-		{"outage with NaN duration", closed(FleetEvent{AtNS: 1e6, OutageLeaves: 2, OutageDurationNS: math.NaN()})},
-		{"outage past the last leaf", closed(FleetEvent{AtNS: 1e6, OutageLeaf: 11, OutageLeaves: 2, OutageDurationNS: 1e6})},
-		{"outage before the first leaf", closed(FleetEvent{AtNS: 1e6, OutageLeaf: -1, OutageLeaves: 2, OutageDurationNS: 1e6})},
-		{"negative outage width", closed(FleetEvent{AtNS: 1e6, OutageLeaves: -2, OutageDurationNS: 1e6})},
-		{"NaN event time", closed(FleetEvent{AtNS: math.NaN(), FlushCache: true})},
-		{"infinite event time", closed(FleetEvent{AtNS: math.Inf(1), FlushCache: true})},
+		{"NaN skew", population(1, 10, nan)},
+		{"nil arrival", Scenario{Clients: 1, VocabSize: 10, Skew: 1.1, DurationNS: 1e9}},
+		{"no horizon", open(RateCurve{BaseQPS: 10}, 0)},
+		{"NaN horizon", open(RateCurve{BaseQPS: 10}, nan)},
+		// An infinite horizon never ends the run.
+		{"infinite horizon", open(RateCurve{BaseQPS: 10}, inf)},
+		{"no rate", open(RateCurve{}, 1e9)},
+		{"outage without duration", withEvent(FleetEvent{AtNS: 1e6, OutageLeaves: 2})},
+		{"outage with negative duration", withEvent(FleetEvent{AtNS: 1e6, OutageLeaves: 2, OutageDurationNS: -1})},
+		{"outage with NaN duration", withEvent(FleetEvent{AtNS: 1e6, OutageLeaves: 2, OutageDurationNS: nan})},
+		{"outage past the last leaf", withEvent(FleetEvent{AtNS: 1e6, OutageLeaf: 11, OutageLeaves: 2, OutageDurationNS: 1e6})},
+		{"outage before the first leaf", withEvent(FleetEvent{AtNS: 1e6, OutageLeaf: -1, OutageLeaves: 2, OutageDurationNS: 1e6})},
+		{"negative outage width", withEvent(FleetEvent{AtNS: 1e6, OutageLeaves: -2, OutageDurationNS: 1e6})},
+		{"NaN event time", withEvent(FleetEvent{AtNS: nan, FlushCache: true})},
+		{"infinite event time", withEvent(FleetEvent{AtNS: inf, FlushCache: true})},
 		// Zero interarrivals: virtual time would stop and the run never end.
-		{"infinite base rate", open(RateCurve{BaseQPS: inf}, 1e9, 0)},
-		{"NaN base rate", open(RateCurve{BaseQPS: nan}, 1e9, 0)},
-		{"infinite diurnal amplitude", open(RateCurve{BaseQPS: 10, DiurnalAmplitude: inf, DiurnalPeriodNS: 1e9}, 1e9, 0)},
-		{"NaN diurnal amplitude", open(RateCurve{BaseQPS: 10, DiurnalAmplitude: nan, DiurnalPeriodNS: 1e9}, 1e9, 0)},
-		{"infinite diurnal period", open(RateCurve{BaseQPS: 10, DiurnalAmplitude: 0.5, DiurnalPeriodNS: inf}, 1e9, 0)},
-		{"NaN diurnal period", open(RateCurve{BaseQPS: 10, DiurnalAmplitude: 0.5, DiurnalPeriodNS: nan}, 1e9, 0)},
-		{"NaN burst start", open(RateCurve{BaseQPS: 10, Bursts: []Burst{{StartNS: nan, EndNS: 1e9, Factor: 2}}}, 1e9, 0)},
-		{"infinite burst end", open(RateCurve{BaseQPS: 10, Bursts: []Burst{{StartNS: 0, EndNS: inf, Factor: 2}}}, 1e9, 0)},
-		{"infinite burst factor", open(RateCurve{BaseQPS: 10, Bursts: []Burst{{StartNS: 0, EndNS: 1e9, Factor: inf}}}, 1e9, 0)},
-		{"NaN horizon", open(RateCurve{BaseQPS: 10}, nan, 1)},
-		// Without a budget an infinite horizon never ends the run.
-		{"infinite horizon without budget", open(RateCurve{BaseQPS: 10}, inf, 0)},
+		{"infinite base rate", open(RateCurve{BaseQPS: inf}, 1e9)},
+		{"NaN base rate", open(RateCurve{BaseQPS: nan}, 1e9)},
+		{"infinite diurnal amplitude", open(RateCurve{BaseQPS: 10, DiurnalAmplitude: inf, DiurnalPeriodNS: 1e9}, 1e9)},
+		{"NaN diurnal amplitude", open(RateCurve{BaseQPS: 10, DiurnalAmplitude: nan, DiurnalPeriodNS: 1e9}, 1e9)},
+		{"infinite diurnal period", open(RateCurve{BaseQPS: 10, DiurnalAmplitude: 0.5, DiurnalPeriodNS: inf}, 1e9)},
+		{"NaN diurnal period", open(RateCurve{BaseQPS: 10, DiurnalAmplitude: 0.5, DiurnalPeriodNS: nan}, 1e9)},
+		{"NaN burst start", open(RateCurve{BaseQPS: 10, Bursts: []Burst{{StartNS: nan, EndNS: 1e9, Factor: 2}}}, 1e9)},
+		{"infinite burst end", open(RateCurve{BaseQPS: 10, Bursts: []Burst{{StartNS: 0, EndNS: inf, Factor: 2}}}, 1e9)},
+		{"infinite burst factor", open(RateCurve{BaseQPS: 10, Bursts: []Burst{{StartNS: 0, EndNS: 1e9, Factor: inf}}}, 1e9)},
 	}
 	for _, tc := range cases {
 		func() {

@@ -1,20 +1,22 @@
 package serving
 
 import (
-	"math"
 	"testing"
 
 	"searchmem/internal/stats"
 )
 
-// naiveScenario is RunScenario's reference: the same model written for
-// clarity, sharing only the serve kernel (Cluster.serve), the timeline
-// (buildTimeline, applyAction) and the latency histogram with it. Each
-// client owns its stream NewRNG(seed+cl*977).Split() and a Zipf sampler on
-// it, indexed by client id. Pending issues are a plain slice searched
-// linearly for the least (t, id); completions are a plain slice filtered
-// on every issue. No sorting, no heap, no arrival order.
-func naiveScenario(c *Cluster, sc Scenario) FleetStats {
+// naiveScenario is the reference of both loops, the same model written for
+// clarity: with sc.Arrival set, RunScenario's open loop; with it nil,
+// RunLoad's closed loop over sc's population, each client issuing budget
+// queries (sc then carries no events). It shares only the serve kernel
+// (Cluster.serve), the timeline (buildTimeline, applyAction) and the latency
+// histogram with them. Each client owns its stream
+// NewRNG(seed+cl*977).Split() and a Zipf sampler on it, indexed by client
+// id. Pending issues are a plain slice searched linearly for the least
+// (t, id); completions are a plain slice filtered on every issue. No
+// sorting, no heap, no arrival order.
+func naiveScenario(c *Cluster, sc Scenario, budget int) FleetStats {
 	c.driveMu.Lock()
 	defer c.driveMu.Unlock()
 
@@ -89,14 +91,15 @@ func naiveScenario(c *Cluster, sc Scenario) FleetStats {
 		}
 		lastNS = max(lastNS, t+lat)
 
-		next := t + lat
+		next, again := t+lat, issued[cl] < budget
 		if open {
 			done = append(done, next)
 			inflight++
 			peak = max(peak, int64(inflight))
 			next = t + rngs[cl].Exponential(float64(n)/sc.Arrival.At(t)*1e9)
+			again = next < sc.DurationNS
 		}
-		if (!open || next < sc.DurationNS) && (sc.QueriesPerClient == 0 || issued[cl] < sc.QueriesPerClient) {
+		if again {
 			pending[m].t = next
 		} else {
 			pending[m] = pending[len(pending)-1]
@@ -131,32 +134,27 @@ func naiveScenario(c *Cluster, sc Scenario) FleetStats {
 	return fs
 }
 
-// naiveFuzzScenario decodes one fuzz input into a valid scenario:
+// naiveFuzzScenario decodes one fuzz input into a valid scenario and a
+// closed loop's budget:
 //
-//   - clients in [1, 3000] and QueriesPerClient in [0, 4] (at least 1 in a
-//     closed loop, which requires a budget);
+//   - clients in [1, 3000], and a closed loop's queries per client in
+//     [1, 4];
 //   - an open loop's horizon in [1 ms, 1 s] and a base rate that gives each
 //     client reach·horizon/20 expected issues, reach in [1, 200], capped so
-//     a run serves a few thousand queries at most; with a budget, bit 0 of
-//     shape makes the horizon infinite;
+//     a run serves a few thousand queries at most;
 //   - a diurnal amplitude in [0, 0.9] over a period of half the horizon;
 //   - bit 1 of shape adds one burst of factor 1–4 over a fifth of it, bit 2
 //     a cache flush, bit 3 an outage of one to six leaves. Times are
-//     sixteenths of the horizon; a closed loop, which has no horizon,
-//     places its events on the same scale.
-func naiveFuzzScenario(clients uint16, seed uint64, horizon, reach uint16, qpc, amp, shape uint8, open bool) Scenario {
+//     sixteenths of the horizon.
+//
+// A closed loop has no rate curve, horizon or timeline.
+func naiveFuzzScenario(clients uint16, seed uint64, horizon, reach uint16, qpc, amp, shape uint8, open bool) (Scenario, int) {
 	n := 1 + int(clients)%3000
+	sc := Scenario{Clients: n, VocabSize: 300, Skew: 1.1, Seed: seed}
+	if !open {
+		return sc, 1 + int(qpc%4)
+	}
 	d := 1e6 * float64(1+int(horizon)%1000)
-	sc := Scenario{
-		Clients:          n,
-		QueriesPerClient: int(qpc % 5),
-		VocabSize:        300,
-		Skew:             1.1,
-		Seed:             seed,
-	}
-	if !open && sc.QueriesPerClient == 0 {
-		sc.QueriesPerClient = 1
-	}
 	frac := func(k uint8) float64 { return float64(k%16) / 16 * d }
 	if shape&4 != 0 {
 		sc.Events = append(sc.Events, FleetEvent{AtNS: frac(shape >> 4), FlushCache: true})
@@ -166,9 +164,6 @@ func naiveFuzzScenario(clients uint16, seed uint64, horizon, reach uint16, qpc, 
 		sc.Events = append(sc.Events, FleetEvent{
 			AtNS: frac(amp >> 4), OutageLeaf: int(seed % uint64(13-w)), OutageLeaves: w, OutageDurationNS: d / 4,
 		})
-	}
-	if !open {
-		return sc
 	}
 	perClient := min(float64(1+int(reach)%200)/20, 4000/float64(n))
 	rc := &RateCurve{BaseQPS: float64(n) * perClient / d * 1e9}
@@ -180,19 +175,18 @@ func naiveFuzzScenario(clients uint16, seed uint64, horizon, reach uint16, qpc, 
 		rc.Bursts = []Burst{{StartNS: start, EndNS: start + d/5, Factor: float64(1 + qpc%4)}}
 	}
 	sc.Arrival, sc.DurationNS = rc, d
-	if sc.QueriesPerClient > 0 && shape&1 != 0 {
-		sc.DurationNS = math.Inf(1)
-	}
-	return sc
+	return sc, 0
 }
 
-// FuzzScenarioMatchesNaive is the fleet engine's oracle: RunScenario and
+// FuzzScenarioMatchesNaive is the fleet engine's oracle: the engine — open
+// loops through RunScenario, closed ones through RunLoad — and
 // naiveScenario drive two freshly built, identical clusters — 12 faulty,
 // hedged, deadline-bound leaves behind a small cache, with a leaf capacity
 // of twice the clients, so every unit of occupancy moves latency — through
-// the same scenario, and must agree on every FleetStats field and on the
-// clusters' Metrics. Closed loops start with every client tied at t = 0, so the id
-// tie-break decides the whole run's interleaving there.
+// the same load, and must agree on every FleetStats field (LoadStats for a
+// closed loop) and on the clusters' Metrics. Closed loops start with every
+// client tied at t = 0, so the id tie-break decides the whole run's
+// interleaving there.
 func FuzzScenarioMatchesNaive(f *testing.F) {
 	f.Add(uint16(0), uint64(1), uint16(99), uint16(19), uint8(0), uint8(0), uint8(0), true)
 	f.Add(uint16(499), uint64(2), uint16(499), uint16(3), uint8(0), uint8(5), uint8(0xfe), true)
@@ -202,20 +196,24 @@ func FuzzScenarioMatchesNaive(f *testing.F) {
 	f.Add(uint16(0), uint64(6), uint16(9), uint16(0), uint8(4), uint8(0), uint8(0), false)
 	f.Add(uint16(15), uint64(7), uint16(9), uint16(0), uint8(3), uint8(0x42), uint8(0x6c), false)
 	f.Add(uint16(999), uint64(8), uint16(29), uint16(0), uint8(1), uint8(0x83), uint8(0x9c), false)
-	f.Add(uint16(2999), uint64(9), uint16(19), uint16(0), uint8(4), uint8(5), uint8(0x0c), false)
+	f.Add(uint16(2999), uint64(9), uint16(19), uint16(0), uint8(3), uint8(5), uint8(0x0c), false)
 	f.Fuzz(func(t *testing.T, clients uint16, seed uint64, horizon, reach uint16, qpc, amp, shape uint8, open bool) {
-		sc := naiveFuzzScenario(clients, seed, horizon, reach, qpc, amp, shape, open)
+		sc, budget := naiveFuzzScenario(clients, seed, horizon, reach, qpc, amp, shape, open)
 		cfg := DefaultConfig()
 		cfg.CacheSlots = 64
 		cfg.LeafDeadlineNS = 40e6
 		cfg.HedgeDelayNS = 5e6
 		cfg.LeafCapacity = 2*sc.Clients + 64
 		cEngine, cNaive := faultyCluster(cfg, 12, seed), faultyCluster(cfg, 12, seed)
-		got := RunScenario(cEngine, sc)
-		want := naiveScenario(cNaive, sc)
-		if got != want {
-			t.Fatalf("%d clients, budget %d, open %v, horizon %g: engine and naive reference differ\nengine %+v\nnaive  %+v",
-				sc.Clients, sc.QueriesPerClient, open, sc.DurationNS, got, want)
+		want := naiveScenario(cNaive, sc, budget)
+		if open {
+			if got := RunScenario(cEngine, sc); got != want {
+				t.Fatalf("%d clients, horizon %g: RunScenario and the naive reference differ\nengine %+v\nnaive  %+v",
+					sc.Clients, sc.DurationNS, got, want)
+			}
+		} else if got := RunLoad(cEngine, sc.Clients, budget, sc.VocabSize, sc.Skew, sc.Seed); got != want.LoadStats {
+			t.Fatalf("%d clients, budget %d: RunLoad and the naive reference differ\nengine %+v\nnaive  %+v",
+				sc.Clients, budget, got, want.LoadStats)
 		}
 		if mg, mw := cEngine.Metrics(), cNaive.Metrics(); mg != mw {
 			t.Fatalf("cluster metrics differ\nengine %+v\nnaive  %+v", mg, mw)

@@ -15,13 +15,12 @@ import (
 )
 
 // pipelineScenario is an open day of about 7 000 issues, twice what the
-// pipeline's three batch buffers hold, so each is refilled: 300 clients
-// with a budget of 150 each, a diurnal curve, a ×3 burst, a cache flush
-// and a two-leaf outage.
+// pipeline's three batch buffers hold, so each is refilled: 300 clients, a
+// diurnal curve, a ×3 burst, a cache flush and a two-leaf outage.
 func pipelineScenario() Scenario {
 	const d = 5e8
 	return Scenario{
-		Clients: 300, QueriesPerClient: 150, VocabSize: 400, Skew: 1.1, Seed: 23,
+		Clients: 300, VocabSize: 400, Skew: 1.1, Seed: 23,
 		Arrival: &RateCurve{
 			BaseQPS:          12_000,
 			DiurnalAmplitude: 0.3,
@@ -141,7 +140,7 @@ func TestPipelineSameAtOneAndTwoProcs(t *testing.T) {
 		t.Fatalf("served %d (%d partial), want more than %d queries and some partial", one.fs.Served, one.fs.PartialResults, issueBuffers*issueBatch)
 	}
 	c := pipelineCluster(nil)
-	want := naiveScenario(c, pipelineScenario())
+	want := naiveScenario(c, pipelineScenario(), 0)
 	if one.fs != want || one.m != c.Metrics() {
 		t.Fatalf("pipeline and naive reference differ\npipeline %+v\nnaive    %+v", one.fs, want)
 	}

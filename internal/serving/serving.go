@@ -264,12 +264,12 @@ type Cluster struct {
 	cache   *cacheServer
 	metrics *clusterMetrics
 
-	// driveMu serializes the drives: Serve calls, whole RunLoad /
-	// RunScenario runs, FlushCache and SetLeafDown. Its holder owns
-	// everything serve mutates — the scratch, the cache tier, the query
-	// totals and the pending metric updates — so the serve path takes no
-	// other lock, and a load run's occupancy model and virtual timeline
-	// cannot be perturbed by another driver.
+	// driveMu serializes the drives: Serve calls and whole RunLoad and
+	// RunScenario runs. Its holder owns everything serve mutates — the
+	// scratch, the cache tier, the query totals and the pending metric
+	// updates — so the serve path takes no other lock, and a load run's
+	// occupancy model and virtual timeline cannot be perturbed by another
+	// driver.
 	driveMu sync.Mutex
 	scratch *serveScratch
 }
@@ -290,7 +290,7 @@ func NewCluster(cfg Config, executors []Executor) *Cluster {
 	}
 	c := &Cluster{cfg: cfg, metrics: newClusterMetrics(reg, name), scratch: newServeScratch(cfg)}
 	if cfg.CacheSlots > 0 {
-		c.cache = newCacheServer(cfg.CacheSlots)
+		c.cache = newCacheServer(cfg.CacheSlots, cfg.TopK)
 	}
 	var cur *parent
 	for i := 0; i < cfg.Leaves; i++ {
@@ -309,43 +309,6 @@ func NewCluster(cfg Config, executors []Executor) *Cluster {
 		c.leaves = append(c.leaves, lf)
 	}
 	return c
-}
-
-// SetLeafDown marks leaf's executor administratively down (or back up) when
-// it supports outage injection, reporting whether it did. It is a drive: it
-// waits for the one in progress, so it cannot land inside another's
-// timeline. Fleet scenario timelines use the same step for correlated
-// leaf-failure windows.
-func (c *Cluster) SetLeafDown(leafID int, down bool) bool {
-	c.driveMu.Lock()
-	defer c.driveMu.Unlock()
-	return c.setLeafDown(leafID, down)
-}
-
-func (c *Cluster) setLeafDown(leafID int, down bool) bool {
-	if leafID < 0 || leafID >= len(c.leaves) {
-		return false
-	}
-	o, ok := c.leaves[leafID].exec.(OutageExecutor)
-	if ok {
-		o.SetDown(down)
-	}
-	return ok
-}
-
-// FlushCache empties the cache tier in place — a shard-reload / cold-restart
-// event. No-op when the cache tier is disabled. Like SetLeafDown it is a
-// drive, so it lands before or after a concurrent run, never inside it.
-func (c *Cluster) FlushCache() {
-	c.driveMu.Lock()
-	defer c.driveMu.Unlock()
-	c.flushCache()
-}
-
-func (c *Cluster) flushCache() {
-	if c.cache != nil {
-		c.cache.flush()
-	}
 }
 
 // leafOutcome is one leaf call's contribution as seen by its parent.
@@ -389,89 +352,74 @@ func cacheTag(terms []uint32) uint64 {
 	return h
 }
 
-// cacheServer is the cache tier: a sharded LRU map keyed by query tag.
-// Entries are copied on both put and get, never shared: the slices of a
-// Result end up owned by the caller of Serve, who may mutate them, and a
-// cached entry must survive that (TestCacheEntriesImmuneToCallerMutation).
-//
-// Eviction order lives in a fixed-capacity ring buffer (head/count over a
-// slots-sized array). The previous slice queue — `order = order[1:]` plus
-// append — slid a window through its backing array and re-allocated it
-// every few evictions, so a long churny run paid an allocation and a copy
-// of the whole queue per handful of inserts. The ring never re-allocates,
-// and evicted entries are recycled into the next insert, so a full cache
-// under churn runs at a zero-allocation steady state. The holder of
-// Cluster.driveMu owns it; it has no lock of its own.
+// cacheServer is the cache tier: a FIFO of slots entries keyed by query
+// tag, in one slab allocated when the cluster is built. Slot i holds up to
+// topK docs and scores at docs[i*topK:] and scores[i*topK:], its length and
+// its tag; index maps each live tag to its slot, and next is the slot the
+// next put fills — the oldest entry's once every slot is live. Entries are
+// copied on both put and get, never shared: the slices of a Result end up
+// owned by the caller of Serve, who may mutate them, and a cached entry
+// must survive that (TestCacheEntriesImmuneToCallerMutation). Nothing is
+// allocated after the cluster is built. The holder of Cluster.driveMu owns
+// it; it has no lock of its own.
 type cacheServer struct {
-	slots int
-	data  map[uint64]*cacheEntry
-	order []uint64 // FIFO eviction ring (clock-less approximation of LRU)
-	head  int      // ring index of the oldest entry
-	count int      // live entries (== len(data))
+	topK   int
+	docs   []uint32  // slots × topK
+	scores []float32 // slots × topK
+	lens   []int32   // entry length per slot
+	tags   []uint64  // entry tag per slot
+	index  map[uint64]int32
+	next   int
 }
 
-type cacheEntry struct {
-	docs   []uint32
-	scores []float32
-}
-
-func newCacheServer(slots int) *cacheServer {
+func newCacheServer(slots, topK int) *cacheServer {
 	return &cacheServer{
-		slots: slots,
-		data:  make(map[uint64]*cacheEntry, slots),
-		order: make([]uint64, slots),
+		topK:   topK,
+		docs:   make([]uint32, slots*topK),
+		scores: make([]float32, slots*topK),
+		lens:   make([]int32, slots),
+		tags:   make([]uint64, slots),
+		index:  make(map[uint64]int32, slots),
 	}
 }
 
 // get copies the entry for tag into the caller's buffers (at least as long
 // as any entry, i.e. TopK) and returns its length and whether it was present.
 func (s *cacheServer) get(tag uint64, docs []uint32, scores []float32) (int, bool) {
-	e, ok := s.data[tag]
+	slot, ok := s.index[tag]
 	if !ok {
 		return 0, false
 	}
-	copy(scores, e.scores)
-	return copy(docs, e.docs), true
+	at := int(slot) * s.topK
+	n := int(s.lens[slot])
+	copy(scores, s.scores[at:at+n])
+	return copy(docs, s.docs[at:at+n]), true
 }
 
+// put stores a copy of docs and scores (at most topK each) under tag in the
+// next slot, evicting the entry there when every slot is live. tag must not
+// be live: serve puts only the tag its get has just missed, and both run
+// under driveMu.
 func (s *cacheServer) put(tag uint64, docs []uint32, scores []float32) {
-	if e, exists := s.data[tag]; exists {
-		// Same defensive-copy contract, reusing the entry's storage; the
-		// FIFO position is unchanged, as before.
-		e.docs = append(e.docs[:0], docs...)
-		e.scores = append(e.scores[:0], scores...)
-		return
+	slot := s.next
+	if len(s.index) == len(s.tags) {
+		delete(s.index, s.tags[slot])
 	}
-	var e *cacheEntry
-	for s.count >= s.slots && s.count > 0 {
-		victim := s.order[s.head]
-		s.head++
-		if s.head == s.slots {
-			s.head = 0
-		}
-		s.count--
-		e = s.data[victim] // recycle the victim's storage for the insert
-		delete(s.data, victim)
+	at := slot * s.topK
+	copy(s.docs[at:at+s.topK], docs)
+	copy(s.scores[at:at+s.topK], scores)
+	s.lens[slot], s.tags[slot] = int32(len(docs)), tag
+	s.index[tag] = int32(slot)
+	if s.next++; s.next == len(s.tags) {
+		s.next = 0
 	}
-	if e == nil {
-		e = &cacheEntry{}
-	}
-	e.docs = append(e.docs[:0], docs...)
-	e.scores = append(e.scores[:0], scores...)
-	s.data[tag] = e
-	tail := s.head + s.count
-	if tail >= s.slots {
-		tail -= s.slots
-	}
-	s.order[tail] = tag
-	s.count++
 }
 
-// flush empties the cache in place, keeping the map's storage — the
-// shard-reload / cold-restart event of fleet scenarios.
+// flush empties the cache in place, keeping the slab and the index's
+// storage — the shard-reload / cold-restart event of fleet scenarios.
 func (s *cacheServer) flush() {
-	clear(s.data)
-	s.head, s.count = 0, 0
+	clear(s.index)
+	s.next = 0
 }
 
 // LoadStats summarizes a load-generation run.

@@ -1,6 +1,10 @@
 package serving
 
 import (
+	"fmt"
+	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -191,13 +195,49 @@ func TestEngineExecutor(t *testing.T) {
 	}
 }
 
+// TestRunLoadPanics pins the closed loop's validation contract. More
+// clients than int32 ids must be rejected before the population is laid
+// out: 2^31 clients would be a 64 GiB queue and stream array.
 func TestRunLoadPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad load accepted")
+	tooMany := math.MaxInt32
+	tooMany++ // wraps negative where int is 32 bits, which is rejected too
+	cases := []struct {
+		name                    string
+		clients, queries, vocab int
+		skew                    float64
+	}{
+		{"zero clients", 0, 1, 10, 1.1},
+		{"zero queries per client", 1, 0, 10, 1.1},
+		{"negative queries per client", 1, -3, 10, 1.1},
+		{"zero vocab", 1, 1, 0, 1.1},
+		{"zero skew", 1, 1, 10, 0},
+		// NaN passes a skew <= 0 test, and its draws never end.
+		{"NaN skew", 1, 1, 10, math.NaN()},
+		{"more clients than int32 ids", tooMany, 1, 10, 1.1},
+	}
+	for _, tc := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("%s: RunLoad did not panic", tc.name)
+				}
+				if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "serving: ") {
+					t.Fatalf("%s: panicked with %v, not a validation message", tc.name, r)
+				}
+				if tc.clients == tooMany && !strings.Contains(fmt.Sprint(r), "int32 client ids") {
+					t.Fatalf("%s: panicked with %q, not the client-limit message", tc.name, r)
+				}
+			}()
+			RunLoad(testCluster(0), tc.clients, tc.queries, tc.vocab, tc.skew, 1)
+		}()
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Fatalf("%s: allocated %d B before panicking", tc.name, alloc)
 		}
-	}()
-	RunLoad(testCluster(0), 0, 1, 1, 1, 1)
+	}
 }
 
 func TestQueueingInflatesLatencyUnderLoad(t *testing.T) {
