@@ -18,7 +18,7 @@ fmt:
 	@test -z "$$(gofmt -l . | grep -v testdata)" || { gofmt -l . | grep -v testdata; exit 1; }
 
 # lint enforces formatting, the determinism invariants (DESIGN.md §8) and the
-# one-value rule for config fields (§7):
+# one-value rule for exported struct fields (§7):
 # gofmt, go vet, and the repo's own stdlib-only lint, which is a test.
 lint: fmt vet
 	$(GO) test ./cmd/searchlint

@@ -2,16 +2,18 @@
 // and table must render byte-identically from a seed (DESIGN.md §8), so
 // `go test ./cmd/searchlint` loads and type-checks every non-test package of
 // the module with the standard library alone (go/parser, go/types and the
-// "source" importer; no golang.org/x/tools) and fails on any finding of two
-// rules:
+// "source" importer; no golang.org/x/tools) and fails on any finding of
+// three rules:
 //
 //   - imports: no package uses math/rand, and only the packages a rule
 //     allows call the time functions that read the wall clock;
 //   - maporder: no range over a map appends, writes output, or accumulates
 //     into state that outlives an iteration;
-//   - knobs: every exported field of an exported *Config struct under
+//   - knobs: every exported non-bool field of an exported struct under
 //     internal/ is a choice that shipped code makes with two values at
-//     least (DESIGN.md §7, the one-value rule).
+//     least (DESIGN.md §7, the one-value rule). A write through an index
+//     is never a constant, and outside *Config types a keyed literal that
+//     leaves a field out writes its zero.
 //
 // There are no suppression comments. An exemption is a package or a field
 // named in a rule below, with the reason it holds.
@@ -280,19 +282,24 @@ func isBuiltin(p *pkg, call *ast.CallExpr, name string) bool {
 // knobExemptions are the one-value knobs that stay fields, each with the
 // reason it holds. The key is package.Type.Field.
 var knobExemptions = map[string]string{
-	"serving.Config.TopK":       "the frozen bench/ reads it",
-	"serving.Config.CacheSlots": "the serving-tree example sets it, and its golden pins the output",
-	"serving.Config.Fanout":     "the serving-tree example prints it, and its golden pins the output",
-	"cpu.TLBConfig.L1Assoc":     "a row of the platforms' hardware tables, which happen to agree",
-	"cpu.TLBConfig.L2Assoc":     "a row of the platforms' hardware tables, which happen to agree",
-	"cpu.TLBConfig.L2Entries":   "a row of the platforms' hardware tables, which happen to agree",
+	"serving.Config.TopK":           "the frozen bench/ reads it",
+	"serving.Config.CacheSlots":     "the serving-tree example sets it, and its golden pins the output",
+	"serving.Config.Fanout":         "the serving-tree example prints it, and its golden pins the output",
+	"cpu.TLBConfig.L1Assoc":         "a row of the platforms' hardware tables, which happen to agree",
+	"cpu.TLBConfig.L2Assoc":         "a row of the platforms' hardware tables, which happen to agree",
+	"cpu.TLBConfig.L2Entries":       "a row of the platforms' hardware tables, which happen to agree",
+	"platform.Platform.Sockets":     "a row of the platforms' hardware tables, which happen to agree",
+	"serving.FleetEvent.OutageLeaf": "the frozen bench/fleet.go sets it, so it cannot become a constant",
+	"serving.Scenario.VocabSize":    "the frozen bench/fleet.go sets it, so it cannot become a constant",
+	"serving.Scenario.Skew":         "the frozen bench/fleet.go sets it, so it cannot become a constant",
 }
 
-// A knob is one exported field of an exported *Config struct under
+// A knob is one exported non-bool field of an exported struct under
 // internal/, with every value shipped code writes into it.
 type knob struct {
 	name   string           // package.Type.Field
 	pos    token.Pos        // the field's declaration
+	config bool             // the struct is a *Config type
 	values []constant.Value // the distinct constants written
 	varies bool             // some write is not a constant
 }
@@ -301,10 +308,17 @@ type knob struct {
 // only with one and the same constant: a choice nobody makes belongs in a
 // named constant, not in a field with its defaulting and validation. A
 // write is a composite-literal element, an assignment or ++/--; any write
-// that is not a constant counts as a second value. Taking a field's address
-// is not a write, so a field set only through a pointer is reported, which
-// is loud rather than silent. Bool fields are skipped, since writing true
-// anywhere makes the zero value the second value.
+// that is not a constant counts as a second value, and so does a write
+// through an index (x.F[i]++, x.F[i] = v), which fills a table or a
+// counter rather than choosing a value. Outside *Config types, a keyed or
+// empty composite literal that leaves a field out writes that field's
+// zero, since leaving it out selects a behaviour of its own (a default, or
+// "no cap"). A *Config literal sets only what it changes, so there an
+// omission is no write and a field whose one explicit value is its default
+// is still reported. Taking a field's address is not a write, so a field set
+// only through a pointer is reported, which is loud rather than silent.
+// Bool fields are skipped, since writing true anywhere makes the zero value
+// the second value.
 func checkKnobs(pkgs []*pkg, report func(token.Pos, string)) {
 	knobs := make(map[*types.Var]*knob)
 	var order []*knob
@@ -321,7 +335,7 @@ func checkKnobs(pkgs []*pkg, report func(token.Pos, string)) {
 				for _, spec := range gd.Specs {
 					ts := spec.(*ast.TypeSpec)
 					st, ok := ts.Type.(*ast.StructType)
-					if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Config") {
+					if !ok || !ts.Name.IsExported() {
 						continue
 					}
 					for _, field := range st.Fields.List {
@@ -330,7 +344,11 @@ func checkKnobs(pkgs []*pkg, report func(token.Pos, string)) {
 							if !ok || !id.IsExported() || isBool(v.Type()) {
 								continue
 							}
-							k := &knob{name: f.Name.Name + "." + ts.Name.Name + "." + id.Name, pos: id.Pos()}
+							k := &knob{
+								name:   f.Name.Name + "." + ts.Name.Name + "." + id.Name,
+								pos:    id.Pos(),
+								config: strings.HasSuffix(ts.Name.Name, "Config"),
+							}
 							knobs[v] = k
 							order = append(order, k)
 						}
@@ -340,15 +358,11 @@ func checkKnobs(pkgs []*pkg, report func(token.Pos, string)) {
 		}
 	}
 	for _, p := range pkgs {
-		write := func(field types.Object, value ast.Expr) {
+		record := func(field types.Object, c constant.Value) {
 			v, _ := field.(*types.Var)
 			k := knobs[v]
 			if k == nil {
 				return
-			}
-			var c constant.Value
-			if value != nil {
-				c = p.info.Types[value].Value
 			}
 			if c == nil {
 				k.varies = true
@@ -358,11 +372,27 @@ func checkKnobs(pkgs []*pkg, report func(token.Pos, string)) {
 				k.values = append(k.values, c)
 			}
 		}
-		selected := func(e ast.Expr) types.Object {
-			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-				return p.info.Uses[sel.Sel]
+		write := func(field types.Object, value ast.Expr) {
+			var c constant.Value
+			if value != nil {
+				c = p.info.Types[value].Value
 			}
-			return nil
+			record(field, c)
+		}
+		// written returns the field a write to e lands in and whether it
+		// lands through an index, or nil when e is not a field.
+		written := func(e ast.Expr) (types.Object, bool) {
+			indexed := false
+			for {
+				switch x := ast.Unparen(e).(type) {
+				case *ast.IndexExpr:
+					e, indexed = x.X, true
+				case *ast.SelectorExpr:
+					return p.info.Uses[x.Sel], indexed
+				default:
+					return nil, false
+				}
+			}
 		}
 		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -372,25 +402,38 @@ func checkKnobs(pkgs []*pkg, report func(token.Pos, string)) {
 					if !ok {
 						break
 					}
+					keyed := make(map[types.Object]bool)
 					for i, elt := range n.Elts {
 						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							write(p.info.Uses[kv.Key.(*ast.Ident)], kv.Value)
+							field := p.info.Uses[kv.Key.(*ast.Ident)]
+							keyed[field] = true
+							write(field, kv.Value)
 						} else {
 							write(st.Field(i), elt)
 						}
 					}
+					if len(n.Elts) > 0 && len(keyed) == 0 {
+						break // positional: every field is written
+					}
+					for i := range st.NumFields() {
+						if v := st.Field(i); !keyed[v] && knobs[v] != nil && !knobs[v].config {
+							if zero := zeroConst(v.Type()); zero != nil {
+								record(v, zero)
+							}
+						}
+					}
 				case *ast.AssignStmt:
 					for i, lhs := range n.Lhs {
-						if field := selected(lhs); field != nil {
+						if field, indexed := written(lhs); field != nil {
 							var value ast.Expr
-							if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+							if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) && !indexed {
 								value = n.Rhs[i]
 							}
 							write(field, value)
 						}
 					}
 				case *ast.IncDecStmt:
-					if field := selected(n.X); field != nil {
+					if field, _ := written(n.X); field != nil {
 						write(field, nil)
 					}
 				}
@@ -408,6 +451,23 @@ func checkKnobs(pkgs []*pkg, report func(token.Pos, string)) {
 			report(k.pos, fmt.Sprintf("%s is only ever set to %s by shipped code; make it a constant", k.name, k.values[0]))
 		}
 	}
+}
+
+// zeroConst is the zero value of a basic type t as a constant, or nil for
+// any other type, whose writes are never constants.
+func zeroConst(t types.Type) constant.Value {
+	b, ok := t.Underlying().(*types.Basic)
+	switch {
+	case !ok:
+		return nil
+	case b.Info()&types.IsInteger != 0:
+		return constant.MakeInt64(0)
+	case b.Info()&types.IsFloat != 0:
+		return constant.MakeFloat64(0)
+	case b.Info()&types.IsString != 0:
+		return constant.MakeString("")
+	}
+	return nil
 }
 
 func isBool(t types.Type) bool {

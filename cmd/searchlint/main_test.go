@@ -151,10 +151,15 @@ func TestLoadModuleSynthetic(t *testing.T) {
 	}
 }
 
-// TestKnobsSynthetic runs the knobs rule over a toy module: a field nobody
-// writes and a field only its defaulting writes are reported; a field set
-// to two constants, a field set from a variable, a bool, and the fields of
-// structs that are not exported *Config types under internal/ are not.
+// TestKnobsSynthetic runs the knobs rule over a toy module. Reported: a
+// field nobody writes, a field only its defaulting writes, a field of a
+// struct that is not a *Config type set to one constant, and a *Config
+// field set to one constant in one keyed literal and left out of another.
+// Not reported: a field set to two constants, a field set from a variable,
+// a bool, fields written only through an index (x.F[i]++, x.F[i] = v), a
+// non-*Config field set to one constant in one keyed literal and left out
+// (so zero) in another, and the fields of unexported structs and of
+// structs outside internal/.
 func TestKnobsSynthetic(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, src string) {
@@ -176,12 +181,20 @@ type Config struct {
 	Two    int
 	Varies int
 	Flag   bool
+	Omit   int
 	hidden int
 }
 
-type Other struct{ X int }
+type Other struct {
+	One    int
+	Counts [4]int
+	Hits   [2]float64
+	Omit   int
+}
 
 type lowConfig struct{ Y int }
+
+type low struct{ Z int }
 
 func (c Config) WithDefaults() Config {
 	if c.One == 0 {
@@ -195,12 +208,17 @@ func (c Config) WithDefaults() Config {
 
 import "toy/internal/a"
 
-func Use(n int) (a.Config, a.Other) {
-	c := a.Config{Two: 1, One: 40.0}
+type Outside struct{ W int }
+
+func Use(n int) (a.Config, a.Config, a.Other, a.Other, Outside) {
+	c := a.Config{Two: 1, One: 40.0, Omit: 5}
 	c.Two = 2
 	c.Varies = n
 	c.Flag = true
-	return c.WithDefaults(), a.Other{}
+	o := a.Other{One: 7, Omit: 5}
+	o.Counts[n]++
+	o.Hits[n%2] = 1
+	return c.WithDefaults(), a.Config{Two: 1}, o, a.Other{One: 7}, Outside{W: 1}
 }
 `)
 	fset, pkgs, err := loadModule(root)
@@ -214,6 +232,8 @@ func Use(n int) (a.Config, a.Other) {
 	want := []string{
 		"a.Config.Never is never written by shipped code; make it a constant",
 		"a.Config.One is only ever set to 40 by shipped code; make it a constant",
+		"a.Config.Omit is only ever set to 5 by shipped code; make it a constant",
+		"a.Other.One is only ever set to 7 by shipped code; make it a constant",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

@@ -1,11 +1,11 @@
 // Design-explorer searches the §IV design space with the core library: it
-// evaluates (cores, L3-per-core, L4) configurations under iso-area and
-// iso-power constraints using an analytic hit-curve stand-in, prints the
-// frontier, and re-scores the winning design's eDRAM L4 at the paper's
-// pessimistic latency point (AMAT with the L4 term, QPS through Equation
-// 1). It then extends the winning design below the L4 — sweeping near:far
-// memory capacity splits under the tiered-memory cost model (QPS per
-// memory dollar, the figT1 economics).
+// evaluates (cores, L3-per-core, L4) configurations under an iso-area
+// constraint using an analytic hit-curve stand-in, prints the frontier,
+// and re-scores the winning design's eDRAM L4 at the paper's pessimistic
+// latency point (AMAT with the L4 term, QPS through Equation 1). It then
+// extends the winning design below the L4 — sweeping near:far memory
+// capacity splits at the tiered-memory price gap (QPS per memory dollar,
+// the figT1 economics).
 //
 // With -policy-panel (the default) it finishes by measuring the knobs inside
 // the chosen hierarchy: the replacement-policy zoo on the L3 and the
@@ -13,7 +13,7 @@
 // axes at example scale).
 //
 //	go run ./examples/design-explorer
-//	go run ./examples/design-explorer -area 117 -isopower -mem-gib 64 -far-amat-pct 5
+//	go run ./examples/design-explorer -area 117 -mem-gib 64 -far-amat-pct 5
 package main
 
 import (
@@ -42,15 +42,14 @@ func (paperCurve) CodeHitRate(c int64) float64 {
 	return float64(c) / (16 << 20)
 }
 
-func (paperCurve) L4HitRate(l4, l3 int64) float64 {
+func (paperCurve) L4HitRate(l4 int64) float64 {
 	return 0.92 * (1 - math.Exp(-float64(l4)/(350<<20)))
 }
 
 func main() {
 	var (
-		area     = flag.Float64("area", 117, "die-area budget in L3-equivalent MiB")
-		isoPower = flag.Bool("isopower", false, "cap socket power at the 18-core baseline")
-		l4s      = flag.Bool("l4", true, "allow L4 configurations")
+		area = flag.Float64("area", 117, "die-area budget in L3-equivalent MiB")
+		l4s  = flag.Bool("l4", true, "allow L4 configurations")
 
 		memGiB     = flag.Float64("mem-gib", 64, "provisioned memory per leaf in GiB (tier sweep)")
 		farAMATPct = flag.Float64("far-amat-pct", 5, "modeled AMAT degradation when the cold working set lives far (run figT1 for measured values)")
@@ -65,9 +64,6 @@ func main() {
 	fmt.Printf("baseline: %s (area %.0f MiB-eq)\n\n", baseline, baseScore.AreaMiB)
 
 	cons := searchmem.DesignConstraint{MaxAreaMiB: *area}
-	if *isoPower {
-		cons.MaxRelPower = 1.0
-	}
 	var l4Sizes []int64
 	if *l4s {
 		l4Sizes = []int64{256, 512, 1024, 2048}
@@ -90,7 +86,7 @@ func main() {
 	if best.Design.L4 != nil {
 		l4Latency(ev, baseScore, best)
 	}
-	tierSweep(best, ev, searchmem.DefaultMemCost(), *memGiB, *farAMATPct)
+	tierSweep(best, ev, *memGiB, *farAMATPct)
 	if *policyPanel {
 		measurePolicies()
 	}
@@ -180,9 +176,9 @@ func measurePolicies() {
 // (Equation 1) from the design's AMAT, degraded by farAMATPct when pages
 // spill far (an analytic stand-in — figT1 simulates the real placement
 // policies); cost follows the tiered-memory price model.
-func tierSweep(best searchmem.DesignScore, ev searchmem.DesignEvaluator, cost searchmem.MemCostModel, memGiB, farAMATPct float64) {
+func tierSweep(best searchmem.DesignScore, ev searchmem.DesignEvaluator, memGiB, farAMATPct float64) {
 	bytes := int64(memGiB * (1 << 30))
-	allNear := cost.Dollars(bytes, 0)
+	allNear := searchmem.MemDollars(bytes, 0)
 	codeHit := ev.Curve.CodeHitRate(int64(best.Design.L3MiB * (1 << 20)))
 	qpsAllNear := ev.Params.IPC(best.AMATNS, codeHit)
 
@@ -190,7 +186,7 @@ func tierSweep(best searchmem.DesignScore, ev searchmem.DesignEvaluator, cost se
 	fmt.Printf("  %-10s %12s %10s %14s\n", "near", "mem $/leaf", "QPS rel", "QPS per mem $")
 	for _, nearFrac := range []float64{1.0, 0.5, 0.25, 0.125} {
 		near := int64(float64(bytes) * nearFrac)
-		dollars := cost.Dollars(near, bytes-near)
+		dollars := searchmem.MemDollars(near, bytes-near)
 		amat := best.AMATNS
 		if nearFrac < 1 {
 			amat *= 1 + farAMATPct/100

@@ -78,10 +78,7 @@ func leaves(cc searchmem.ClusterConfig, engine *searchmem.Engine) []searchmem.Ex
 	for i := range execs {
 		inner := searchmem.NewSyntheticExecutor(uint32(i), cc.TopK)
 		if i == 0 {
-			inner = &searchmem.EngineExecutor{
-				Session:    engine.NewSession(0, nil),
-				NSPerInstr: 0.31, // ~1/(IPC 1.28 x 2.5 GHz)
-			}
+			inner = &searchmem.EngineExecutor{Session: engine.NewSession(0, nil)}
 		}
 		execs[i] = &searchmem.FaultyExecutor{
 			Inner:    inner,

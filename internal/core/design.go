@@ -71,9 +71,10 @@ type HitCurve interface {
 	DataHitRate(capacityBytes int64) float64
 	// CodeHitRate returns the post-L2 instruction hit rate.
 	CodeHitRate(capacityBytes int64) float64
-	// L4HitRate returns the L4 hit rate at an L4 capacity behind the
-	// given L3 capacity.
-	L4HitRate(l4CapacityBytes, l3CapacityBytes int64) float64
+	// L4HitRate returns the L4 hit rate at an L4 capacity. The curve is
+	// measured behind a single L3 (explore's is tierBase's 23 MiB-paper L3
+	// in internal/experiments), so it does not vary with the design's L3.
+	L4HitRate(l4CapacityBytes int64) float64
 }
 
 // Params bundles the calibrated model constants an Evaluator needs.
@@ -119,7 +120,7 @@ func (e Evaluator) Evaluate(d Design) Score {
 	hData := e.Curve.DataHitRate(l3)
 	var amat float64
 	if d.L4 != nil {
-		hL4 := e.Curve.L4HitRate(d.L4.CapacityBytes, l3)
+		hL4 := e.Curve.L4HitRate(d.L4.CapacityBytes)
 		amat = model.AMATWithL4(hData, hL4, e.Params.TL3NS,
 			d.L4.HitLatencyNS, e.Params.TMEMNS, d.L4.MissPenaltyNS)
 	} else {
@@ -131,17 +132,14 @@ func (e Evaluator) Evaluate(d Design) Score {
 		smt = e.Params.SMTSpeedup(d.SMTWays)
 	}
 	area := model.AreaModel{CoreAreaMiB: e.Params.CoreAreaMiB}
-	s := Score{
-		Design:  d,
-		QPS:     float64(d.Cores) * ipc * smt,
-		AreaMiB: area.Area(d.Cores, d.L3PerCoreMiB()),
-		AMATNS:  amat,
+	power := e.Params.Power
+	return Score{
+		Design:   d,
+		QPS:      float64(d.Cores) * ipc * smt,
+		AreaMiB:  area.Area(d.Cores, d.L3PerCoreMiB()),
+		AMATNS:   amat,
+		RelPower: power.SocketPower(d.Cores) / power.SocketPower(power.BaselineCores),
 	}
-	base := e.Params.Power.SocketPower(e.Params.Power.BaselineCores)
-	if base > 0 {
-		s.RelPower = e.Params.Power.SocketPower(d.Cores) / base
-	}
-	return s
 }
 
 // Relative compares a Score with a baseline: the QPS improvement fraction

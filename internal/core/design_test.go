@@ -27,7 +27,7 @@ func (syntheticCurve) CodeHitRate(c int64) float64 {
 	return mib / 16
 }
 
-func (syntheticCurve) L4HitRate(l4, l3 int64) float64 {
+func (syntheticCurve) L4HitRate(l4 int64) float64 {
 	mib := float64(l4) / (1 << 20)
 	return 0.92 * (1 - math.Exp(-mib/350))
 }
@@ -45,7 +45,7 @@ func testEvaluator() Evaluator {
 			},
 			SMTSpeedup:  func(n int) float64 { return []float64{1, 1, 1.37}[min(n, 2)] },
 			CoreAreaMiB: 4,
-			Power:       model.PowerModel{SocketWatts: 145, BaselineCores: 18, CorePowerFrac: 0.0377},
+			Power:       model.PowerModel{BaselineCores: 18, CorePowerFrac: 0.0377},
 		},
 	}
 }

@@ -26,7 +26,7 @@ type Prefetcher interface {
 type NextLine struct {
 	// BlockSize is the prefetch granularity in bytes.
 	BlockSize uint64
-	// Degree is how many sequential blocks to fetch (0 = 1).
+	// Degree is how many sequential blocks to fetch.
 	Degree int
 	// OnEveryAccess fires on hits as well as misses.
 	OnEveryAccess bool
@@ -40,11 +40,7 @@ func (p NextLine) OnAccess(byteAddr uint64, hit bool, out []uint64) []uint64 {
 	if hit && !p.OnEveryAccess {
 		return out
 	}
-	degree := p.Degree
-	if degree <= 0 {
-		degree = 1
-	}
-	for i := 1; i <= degree; i++ {
+	for i := 1; i <= p.Degree; i++ {
 		out = append(out, byteAddr+uint64(i)*p.BlockSize)
 	}
 	return out
@@ -57,35 +53,37 @@ type streamEntry struct {
 	conf      int8  // confirmations observed
 }
 
+// The stream prefetcher's conventional parameters.
+const (
+	// streamRegionShift groups addresses into tracking regions: a 4 KiB
+	// page.
+	streamRegionShift = 12
+	// streamMaxEntries bounds the tracking table.
+	streamMaxEntries = 64
+	// streamDegree is how many blocks ahead to prefetch once a stream is
+	// confirmed.
+	streamDegree = 2
+)
+
 // Stream is a stride/stream prefetcher: it watches per-region access
 // patterns and, after two same-direction sequential accesses, runs ahead of
-// the stream by Degree blocks. Posting-list scans through the shard segment
-// are exactly the pattern it accelerates.
+// the stream by streamDegree blocks. Posting-list scans through the shard
+// segment are exactly the pattern it accelerates.
 type Stream struct {
 	// BlockSize is the prefetch granularity in bytes.
 	BlockSize uint64
-	// RegionShift groups addresses into tracking regions (default 12, a
-	// 4 KiB page, set by NewStream).
-	RegionShift uint
-	// Degree is how many blocks ahead to prefetch once a stream is
-	// confirmed.
-	Degree int
-	// MaxEntries bounds the tracking table.
-	MaxEntries int
 
-	table map[uint64]*streamEntry
-	order []uint64 // FIFO of region keys for eviction
+	degree int
+	table  map[uint64]*streamEntry
+	order  []uint64 // FIFO of region keys for eviction
 }
 
 // NewStream returns a stream prefetcher with conventional parameters.
-func NewStream(blockSize uint64, degree int) *Stream {
-	return &Stream{
-		BlockSize:   blockSize,
-		RegionShift: 12,
-		Degree:      degree,
-		MaxEntries:  64,
-		table:       make(map[uint64]*streamEntry),
-	}
+func NewStream(blockSize uint64) *Stream { return newStream(blockSize, streamDegree) }
+
+// newStream is NewStream at any degree, for tests that need another one.
+func newStream(blockSize uint64, degree int) *Stream {
+	return &Stream{BlockSize: blockSize, degree: degree, table: make(map[uint64]*streamEntry)}
 }
 
 // Name implements Prefetcher.
@@ -94,10 +92,10 @@ func (s *Stream) Name() string { return "stream" }
 // OnAccess implements Prefetcher.
 func (s *Stream) OnAccess(byteAddr uint64, hit bool, out []uint64) []uint64 {
 	block := byteAddr / s.BlockSize
-	region := byteAddr >> s.RegionShift
+	region := byteAddr >> streamRegionShift
 	e, ok := s.table[region]
 	if !ok {
-		if len(s.table) >= s.MaxEntries {
+		if len(s.table) >= streamMaxEntries {
 			// Evict the oldest tracked region.
 			oldest := s.order[0]
 			s.order = s.order[1:]
@@ -131,7 +129,7 @@ func (s *Stream) OnAccess(byteAddr uint64, hit bool, out []uint64) []uint64 {
 	}
 	e.lastBlock = block
 	if e.conf >= 2 {
-		for i := 1; i <= s.Degree; i++ {
+		for i := 1; i <= s.degree; i++ {
 			next := int64(block) + e.dir*int64(i)
 			if next > 0 {
 				out = append(out, uint64(next)*s.BlockSize)
@@ -149,9 +147,6 @@ type Engine struct {
 	perCore [][]Prefetcher
 	coreOf  [256]uint8 // thread id -> core, as the hierarchy routes it
 	scratch []uint64
-	// Issued counts prefetch candidates proposed (before dedup in the
-	// hierarchy install path).
-	Issued int64
 }
 
 // NewEngine builds an engine; newPrefetchers is invoked once per core so
@@ -181,7 +176,6 @@ func (e *Engine) Access(a trace.Access) cache.HitLevel {
 		e.scratch = p.OnAccess(a.Addr, lvl == cache.HitL1, e.scratch)
 	}
 	for _, addr := range e.scratch {
-		e.Issued++
 		e.h.InstallPrefetch(core, addr, a.Seg)
 	}
 	return lvl

@@ -9,7 +9,7 @@ import (
 )
 
 func TestNextLineOnMissOnly(t *testing.T) {
-	p := NextLine{BlockSize: 64}
+	p := NextLine{BlockSize: 64, Degree: 1}
 	out := p.OnAccess(128, true, nil)
 	if len(out) != 0 {
 		t.Fatal("next-line prefetched on a hit")
@@ -21,7 +21,7 @@ func TestNextLineOnMissOnly(t *testing.T) {
 }
 
 func TestStreamDetectsAscending(t *testing.T) {
-	p := NewStream(64, 2)
+	p := NewStream(64)
 	var got []uint64
 	for b := uint64(0); b < 8; b++ {
 		got = p.OnAccess(b*64, false, got[:0])
@@ -36,7 +36,7 @@ func TestStreamDetectsAscending(t *testing.T) {
 }
 
 func TestStreamDetectsDescending(t *testing.T) {
-	p := NewStream(64, 1)
+	p := newStream(64, 1)
 	var got []uint64
 	for b := uint64(100); b > 90; b-- {
 		got = p.OnAccess(b*64, false, got[:0])
@@ -47,7 +47,7 @@ func TestStreamDetectsDescending(t *testing.T) {
 }
 
 func TestStreamBrokenPatternStops(t *testing.T) {
-	p := NewStream(64, 2)
+	p := NewStream(64)
 	var out []uint64
 	p.OnAccess(0, false, nil)
 	p.OnAccess(64, false, nil)
@@ -59,7 +59,7 @@ func TestStreamBrokenPatternStops(t *testing.T) {
 }
 
 func TestStreamSameBlockNoInfo(t *testing.T) {
-	p := NewStream(64, 2)
+	p := NewStream(64)
 	p.OnAccess(0, false, nil)
 	p.OnAccess(64, false, nil)
 	p.OnAccess(128, false, nil)
@@ -75,13 +75,13 @@ func TestStreamSameBlockNoInfo(t *testing.T) {
 }
 
 func TestStreamTableEviction(t *testing.T) {
-	p := NewStream(64, 1)
-	p.MaxEntries = 4
-	// Touch 10 distinct regions; the table must stay bounded.
-	for r := uint64(0); r < 10; r++ {
-		p.OnAccess(r<<12, false, nil)
+	p := newStream(64, 1)
+	// Touch more distinct regions than the table holds; it must stay
+	// bounded.
+	for r := uint64(0); r < 2*streamMaxEntries; r++ {
+		p.OnAccess(r<<streamRegionShift, false, nil)
 	}
-	if len(p.table) > 4 {
+	if len(p.table) > streamMaxEntries {
 		t.Fatalf("table grew to %d entries", len(p.table))
 	}
 }
@@ -112,7 +112,7 @@ func TestEngineImprovesSequentialScan(t *testing.T) {
 
 	pfH := mkHier()
 	eng := NewEngine(pfH, 1, func() []Prefetcher {
-		return []Prefetcher{NewStream(64, 4)}
+		return []Prefetcher{newStream(64, 4)}
 	})
 	for _, a := range scan() {
 		eng.Access(a)
@@ -124,7 +124,7 @@ func TestEngineImprovesSequentialScan(t *testing.T) {
 	if demandMem >= baseMemStalls/2 {
 		t.Fatalf("prefetching left %d demand memory reads (baseline %d)", demandMem, baseMemStalls)
 	}
-	if eng.Issued == 0 || pfH.PrefetchFills == 0 {
+	if pfH.PrefetchFills == 0 {
 		t.Fatal("engine issued no prefetches")
 	}
 }
@@ -150,7 +150,7 @@ func TestEnginePollutionOnRandom(t *testing.T) {
 		return accs
 	}
 	h := mkHier()
-	eng := NewEngine(h, 1, func() []Prefetcher { return []Prefetcher{NextLine{BlockSize: 64}} })
+	eng := NewEngine(h, 1, func() []Prefetcher { return []Prefetcher{NextLine{BlockSize: 64, Degree: 1}} })
 	for _, a := range randTrace() {
 		eng.Access(a)
 	}
@@ -167,17 +167,17 @@ func TestEngineIgnoresFetches(t *testing.T) {
 		L2:  cache.Config{Size: 8 << 10, BlockSize: 64, Assoc: 4},
 		L3:  cache.Config{Size: 32 << 10, BlockSize: 64, Assoc: 8},
 	})
-	eng := NewEngine(h, 1, func() []Prefetcher { return []Prefetcher{NextLine{BlockSize: 64}} })
+	eng := NewEngine(h, 1, func() []Prefetcher { return []Prefetcher{NextLine{BlockSize: 64, Degree: 1}} })
 	for i := uint64(0); i < 100; i++ {
 		eng.Access(trace.Access{Addr: i * 64, Size: 4, Seg: trace.Code, Kind: trace.Fetch})
 	}
-	if eng.Issued != 0 {
+	if h.PrefetchFills != 0 || h.PrefetchMemReads != 0 {
 		t.Fatal("data prefetcher fired on instruction fetches")
 	}
 }
 
 func TestPrefetcherNames(t *testing.T) {
-	if (NextLine{}).Name() != "next-line" || NewStream(64, 1).Name() != "stream" {
+	if (NextLine{}).Name() != "next-line" || NewStream(64).Name() != "stream" {
 		t.Fatal("prefetcher names wrong")
 	}
 }

@@ -32,7 +32,7 @@ func (m measuredCurve) DataHitRate(c int64) float64 { return m.pm.curve.dataHitR
 func (m measuredCurve) CodeHitRate(c int64) float64 { return m.pm.curve.codeHitRate(c) }
 
 // L4HitRate implements core.HitCurve with the sweep's reader, l4HitAt.
-func (m measuredCurve) L4HitRate(l4Cap, l3Cap int64) float64 { return l4HitAt(m.l4, l4Cap>>20) }
+func (m measuredCurve) L4HitRate(l4Cap int64) float64 { return l4HitAt(m.l4, l4Cap>>20) }
 
 // exploreEvaluator scores designs with the §IV perf model itself: its hit
 // curves, and its IPC function of AMAT and code hit rate. So a design that
@@ -53,7 +53,6 @@ func exploreEvaluator(c *Context) core.Evaluator {
 			SMTSpeedup:  plat.SMT.Speedup,
 			CoreAreaMiB: plat.CoreAreaL3MiB,
 			Power: model.PowerModel{
-				SocketWatts:   145,
 				BaselineCores: plat.CoresPerSocket,
 				CorePowerFrac: plat.CorePowerFrac,
 			},

@@ -181,7 +181,7 @@ func prefetchConfigs(c *Context, plat platform.Platform) (off, on workload.Measu
 		}
 	} else {
 		on.Prefetchers = func() []cpu.Prefetcher {
-			return []cpu.Prefetcher{cpu.NewStream(blockSize, 2), cpu.NextLine{BlockSize: blockSize}}
+			return []cpu.Prefetcher{cpu.NewStream(blockSize), cpu.NextLine{BlockSize: blockSize, Degree: 1}}
 		}
 	}
 	return off, on

@@ -115,7 +115,7 @@ func tierSweep(c *Context) (*tierSweepData, error) {
 // population scaled back to paper size, near pages at DDR cost and the
 // rest at far-tier cost.
 func tierDollars(totalPages, nearPages int64) float64 {
-	return mem.DefaultCost.PageDollars(workload.PaperUnits(nearPages), workload.PaperUnits(totalPages-nearPages))
+	return mem.PageDollars(workload.PaperUnits(nearPages), workload.PaperUnits(totalPages-nearPages))
 }
 
 // tierQPSRel converts AMAT to relative QPS via Equation 1 (cores and SMT
@@ -141,7 +141,7 @@ func runFigT1(c *Context) (Result, error) {
 		Headers: []string{"near", "policy", "AMAT ns", "dAMAT", "row-hit",
 			"far shard pages", "far reads", "mig GB/s", "QPS/mem$"},
 		Note: fmt.Sprintf("all-near baseline AMAT %s ns; QPS via Eq. 1; memory dollars at %s/GiB near, %s/GiB far (paper-scale capacity); epoch %d transactions",
-			trimFloat(base.AMATNS), trimFloat(mem.DefaultCost.NearDollarsPerGiB), trimFloat(mem.DefaultCost.FarDollarsPerGiB), data.epochLen),
+			trimFloat(base.AMATNS), trimFloat(mem.Dollars(1<<30, 0)), trimFloat(mem.Dollars(0, 1<<30)), data.epochLen),
 	}
 	reg := c.Opts.Metrics
 	baseRowHit := base.Mem.RowHitRate()

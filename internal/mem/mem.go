@@ -225,24 +225,22 @@ func (s Stats) FarPageFrac(seg trace.Segment) float64 {
 	return float64(s.SegFarPages[seg]) / float64(s.SegPages[seg])
 }
 
-// CostModel prices provisioned memory capacity, the denominator of the tier
+// The illustrative price gap of provisioned capacity: far (CXL-attached,
+// possibly previous-generation) capacity at a bit over a third of near DDR
+// cost.
+const (
+	nearDollarsPerGiB = 4.0
+	farDollarsPerGiB  = 1.5
+)
+
+// Dollars prices a provisioned capacity split, the denominator of the tier
 // sweep's QPS-per-memory-dollar metric.
-type CostModel struct {
-	// NearDollarsPerGiB and FarDollarsPerGiB price each tier's capacity.
-	NearDollarsPerGiB, FarDollarsPerGiB float64
-}
-
-// DefaultCost is an illustrative price gap: far (CXL-attached, possibly
-// previous-generation) capacity at a bit over a third of near DDR cost.
-var DefaultCost = CostModel{NearDollarsPerGiB: 4.0, FarDollarsPerGiB: 1.5}
-
-// Dollars prices a provisioned capacity split.
-func (c CostModel) Dollars(nearBytes, farBytes int64) float64 {
+func Dollars(nearBytes, farBytes int64) float64 {
 	const gib = 1 << 30
-	return float64(nearBytes)/gib*c.NearDollarsPerGiB + float64(farBytes)/gib*c.FarDollarsPerGiB
+	return float64(nearBytes)/gib*nearDollarsPerGiB + float64(farBytes)/gib*farDollarsPerGiB
 }
 
 // PageDollars prices a provisioned split given in pages.
-func (c CostModel) PageDollars(nearPages, farPages int64) float64 {
-	return c.Dollars(nearPages*pageBytes, farPages*pageBytes)
+func PageDollars(nearPages, farPages int64) float64 {
+	return Dollars(nearPages*pageBytes, farPages*pageBytes)
 }

@@ -280,12 +280,12 @@ func TestInvalidConfigPanics(t *testing.T) {
 }
 
 func TestCostModel(t *testing.T) {
-	c := CostModel{NearDollarsPerGiB: 4, FarDollarsPerGiB: 1}
-	if got := c.Dollars(1<<30, 2<<30); got != 6 {
-		t.Fatalf("Dollars = %v, want 6", got)
+	// 1 GiB near at $4 and 2 GiB far at $1.50.
+	if got := Dollars(1<<30, 2<<30); got != 7 {
+		t.Fatalf("Dollars = %v, want 7", got)
 	}
 	// 4 KiB pages: 2^18 pages are 1 GiB.
-	if got := c.PageDollars(1<<18, 2<<18); got != 6 {
-		t.Fatalf("PageDollars = %v, want 6", got)
+	if got := PageDollars(1<<18, 2<<18); got != 7 {
+		t.Fatalf("PageDollars = %v, want 7", got)
 	}
 }

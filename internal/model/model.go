@@ -80,10 +80,12 @@ func Improvement(oldQPS, newQPS float64) float64 {
 	return (newQPS - oldQPS) / oldQPS
 }
 
+// socketWatts is the baseline socket power at PowerModel.BaselineCores,
+// PLT1's 145 W (§IV-C).
+const socketWatts = 145.0
+
 // PowerModel is the first-order socket power accounting of §IV-C.
 type PowerModel struct {
-	// SocketWatts is the baseline socket power at BaselineCores.
-	SocketWatts float64
 	// BaselineCores is the core count of the measured baseline.
 	BaselineCores int
 	// CorePowerFrac is one core's share of baseline socket power
@@ -95,8 +97,8 @@ type PowerModel struct {
 // (uncore power held constant, cores scaled linearly, as the paper
 // measures).
 func (p PowerModel) SocketPower(cores int) float64 {
-	uncore := p.SocketWatts * (1 - float64(p.BaselineCores)*p.CorePowerFrac)
-	return uncore + float64(cores)*p.CorePowerFrac*p.SocketWatts
+	uncore := socketWatts * (1 - float64(p.BaselineCores)*p.CorePowerFrac)
+	return uncore + float64(cores)*p.CorePowerFrac*socketWatts
 }
 
 // EnergyPerQuery returns relative energy per query given relative power and

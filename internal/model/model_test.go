@@ -89,7 +89,7 @@ func TestImprovement(t *testing.T) {
 
 func TestPowerModel(t *testing.T) {
 	// Paper: +5 cores over an 18-core baseline costs ~18.9% socket power.
-	p := PowerModel{SocketWatts: 145, BaselineCores: 18, CorePowerFrac: 0.0377}
+	p := PowerModel{BaselineCores: 18, CorePowerFrac: 0.0377}
 	base := p.SocketPower(18)
 	inc := (p.SocketPower(23) - base) / base
 	if math.Abs(inc-0.189) > 0.005 {

@@ -228,7 +228,7 @@ func TestEngineLeafScoresStableAcrossRepeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := &EngineExecutor{Session: eng.NewSession(0, nil), NSPerInstr: 0.3}
+	exec := &EngineExecutor{Session: eng.NewSession(0, nil)}
 
 	cc := DefaultConfig()
 	cc.Leaves, cc.Fanout = 2, 2
@@ -264,7 +264,7 @@ func TestEngineExecutorScoresAreReal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := &EngineExecutor{Session: eng.NewSession(0, nil), NSPerInstr: 0.3}
+	exec := &EngineExecutor{Session: eng.NewSession(0, nil)}
 
 	s1, s2 := make([]float32, 16), make([]float32, 16)
 	docs := make([]uint32, 16)

@@ -142,15 +142,16 @@ func (e *SyntheticExecutor) SearchBuf(terms []uint32, docs []uint32, scores []fl
 	return n, lat, nil
 }
 
+// engineNSPerInstr converts an engine session's instruction cost to
+// latency: 1/(IPC × freqGHz), about 1/(1.28 × 2.5 GHz).
+const engineNSPerInstr = 0.31
+
 // EngineExecutor adapts a real search.Session to the Executor interface.
 // The session is guarded by a mutex (sessions are single-threaded).
 type EngineExecutor struct {
 	mu sync.Mutex
 	// Session is the engine session evaluating queries.
 	Session *search.Session
-	// NSPerInstr converts the session's instruction cost to latency
-	// (1/(IPC*freqGHz)).
-	NSPerInstr float64
 }
 
 // SearchBuf implements Executor by copying the session's top-k into the
@@ -164,7 +165,7 @@ func (e *EngineExecutor) SearchBuf(terms []uint32, docs []uint32, scores []float
 	e.Session.SkipCache = true
 	before := e.Session.Instructions()
 	r := e.Session.Execute(terms)
-	lat := float64(e.Session.Instructions()-before) * e.NSPerInstr
+	lat := float64(e.Session.Instructions()-before) * engineNSPerInstr
 	n := copy(docs, r.Docs)
 	copy(scores, r.Scores)
 	return n, lat, nil

@@ -176,7 +176,7 @@ func TestEngineExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := &EngineExecutor{Session: eng.NewSession(0, nil), NSPerInstr: 0.3}
+	exec := &EngineExecutor{Session: eng.NewSession(0, nil)}
 	docs, scores := make([]uint32, 16), make([]float32, 16)
 	n, lat, err := exec.SearchBuf([]uint32{1, 2}, docs, scores)
 	if err != nil || n == 0 {

@@ -52,7 +52,7 @@ func TestMeasureMultiMatchesMeasure(t *testing.T) {
 	observed.AccessObserver = digests[0].add
 	mcs = append(mcs, observed)
 	prefetched := base
-	prefetched.Prefetchers = func() []cpu.Prefetcher { return []cpu.Prefetcher{cpu.NewStream(64, 2)} }
+	prefetched.Prefetchers = func() []cpu.Prefetcher { return []cpu.Prefetcher{cpu.NewStream(64)} }
 	prefetched.AccessObserver = digests[1].add
 	mcs = append(mcs, prefetched)
 

@@ -79,7 +79,6 @@ func leafWorkload(name string, docs int, randomBranchFrac, querySkew float64, se
 		QueryTermSkew: querySkew,
 		MinTerms:      1,
 		MaxTerms:      3,
-		RepeatFrac:    0.02,
 		StackBytes:    64 << 10,
 		WarmQueries:   64/shrink + 4,
 	}
@@ -133,7 +132,6 @@ func rootWorkload(name string, randomBranchFrac float64, seed uint64, shrink int
 		QueryTermSkew:    0.42,
 		MinTerms:         2,
 		MaxTerms:         4,
-		RepeatFrac:       0.02,
 		StackBytes:       64 << 10,
 		WarmQueries:      64/shrink + 4,
 	}
@@ -169,7 +167,6 @@ func S1LeafSweep(shrink int) SearchWorkload {
 		QueryTermSkew: 0.55,
 		MinTerms:      1,
 		MaxTerms:      3,
-		RepeatFrac:    0.02,
 		StackBytes:    16 << 10,
 		WarmQueries:   64/shrink + 4,
 	}
@@ -201,9 +198,7 @@ func SPECPerlbench() SyntheticWorkload {
 		HeapSkew:         1.8,
 		LoadsPerKI:       280,
 		StoresPerKI:      120,
-		AccessBytes:      8,
 		MemOverlapFactor: 0.30,
-		StackBytes:       64 << 10,
 		Seed:             0x400,
 	}
 }
@@ -218,9 +213,7 @@ func SPECMcf() SyntheticWorkload {
 		HeapSkew:         0.90,
 		LoadsPerKI:       120,
 		StoresPerKI:      60,
-		AccessBytes:      8,
 		MemOverlapFactor: 0.60,
-		StackBytes:       64 << 10,
 		Seed:             0x429,
 	}
 }
@@ -235,9 +228,7 @@ func SPECGobmk() SyntheticWorkload {
 		HeapSkew:         1.6,
 		LoadsPerKI:       200,
 		StoresPerKI:      100,
-		AccessBytes:      8,
 		MemOverlapFactor: 0.25,
-		StackBytes:       64 << 10,
 		Seed:             0x445,
 	}
 }
@@ -252,9 +243,7 @@ func SPECOmnetpp() SyntheticWorkload {
 		HeapSkew:         1.12,
 		LoadsPerKI:       230,
 		StoresPerKI:      130,
-		AccessBytes:      8,
 		MemOverlapFactor: 0.32,
-		StackBytes:       64 << 10,
 		Seed:             0x471,
 	}
 }
@@ -269,13 +258,10 @@ func CloudSuiteWebSearch() SyntheticWorkload {
 		Code:             specCode(160, 8, 0.0002, 0xc1d),
 		HeapBytes:        256 << 10,
 		HeapSkew:         1.2,
-		ScanBytes:        64 << 10,
-		StreamFrac:       0.02,
+		Scan:             true,
 		LoadsPerKI:       260,
 		StoresPerKI:      90,
-		AccessBytes:      8,
 		MemOverlapFactor: 0.25,
-		StackBytes:       64 << 10,
 		Seed:             0xc1d,
 	}
 }

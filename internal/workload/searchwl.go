@@ -23,11 +23,6 @@ type SearchWorkload struct {
 	QueryTermSkew float64
 	// MinTerms and MaxTerms bound query lengths.
 	MinTerms, MaxTerms int
-	// RepeatFrac is the probability a query repeats a recent one. Leaves
-	// see little repetition (upstream cache servers absorb popular
-	// queries); the serving tree's cache tier is modeled separately in
-	// internal/serving.
-	RepeatFrac float64
 	// StackBytes sizes each thread's simulated stack.
 	StackBytes int
 	// MemOverlapFactor overrides the platform's MLP blocking factor
@@ -51,9 +46,6 @@ func (w SearchWorkload) Validate() error {
 	}
 	if w.QueryTermSkew <= 0 {
 		return fmt.Errorf("workload %s: query term skew must be positive", w.WLName)
-	}
-	if w.RepeatFrac < 0 || w.RepeatFrac > 1 {
-		return fmt.Errorf("workload %s: repeat fraction out of range", w.WLName)
 	}
 	if w.StackBytes <= 0 {
 		return fmt.Errorf("workload %s: stack bytes must be positive", w.WLName)
@@ -148,10 +140,15 @@ func (r *SearchRunner) session(t int) *search.Session {
 	return r.sessions[t]
 }
 
+// repeatFrac is the probability a query repeats a recent one. Leaves see
+// little repetition (upstream cache servers absorb popular queries); the
+// serving tree's cache tier is modeled separately in internal/serving.
+const repeatFrac = 0.02
+
 // genTerms draws one query's terms. history, when non-nil, enables
-// RepeatFrac repeats of recent queries.
+// repeatFrac repeats of recent queries.
 func (r *SearchRunner) genTerms(rng *stats.RNG, tsel *stats.ZipfCDF, history *[][]uint32) []uint32 {
-	if history != nil && len(*history) > 8 && rng.Bool(r.wl.RepeatFrac) {
+	if history != nil && len(*history) > 8 && rng.Bool(repeatFrac) {
 		return (*history)[rng.Intn(len(*history))]
 	}
 	n := r.wl.MinTerms + rng.Intn(r.wl.MaxTerms-r.wl.MinTerms+1)

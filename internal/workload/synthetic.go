@@ -23,22 +23,29 @@ type SyntheticWorkload struct {
 	// popularity skew (higher = tighter hot set).
 	HeapBytes int64
 	HeapSkew  float64
-	// ScanBytes, when non-zero, adds a sequentially-streamed region;
-	// StreamFrac is the fraction of loads that walk it.
-	ScanBytes  int64
-	StreamFrac float64
+	// Scan adds a sequentially-streamed region of scanBytes that
+	// streamFrac of the accesses walk.
+	Scan bool
 	// LoadsPerKI and StoresPerKI set the data-access mix.
 	LoadsPerKI, StoresPerKI int
-	// AccessBytes is the width of each data reference.
-	AccessBytes int
 	// MemOverlapFactor is the workload's MLP blocking factor for the core
 	// model (pointer chasers like mcf serialize misses: high value).
 	MemOverlapFactor float64
-	// StackBytes sizes each thread's stack.
-	StackBytes int
 	// Seed drives generation.
 	Seed uint64
 }
+
+// The synthetic profiles' fixed shapes.
+const (
+	// scanBytes sizes a Scan profile's streamed region, and streamFrac is
+	// the fraction of its data accesses that walk it.
+	scanBytes  = 64 << 10
+	streamFrac = 0.02
+	// accessBytes is the width of each data reference.
+	accessBytes = 8
+	// syntheticStackBytes sizes each thread's stack.
+	syntheticStackBytes = 64 << 10
+)
 
 // Validate reports whether the profile is runnable.
 func (w SyntheticWorkload) Validate() error {
@@ -48,17 +55,8 @@ func (w SyntheticWorkload) Validate() error {
 	if w.HeapBytes <= 0 || w.HeapSkew <= 0 {
 		return fmt.Errorf("workload %s: heap parameters must be positive", w.WLName)
 	}
-	if w.ScanBytes < 0 || w.StreamFrac < 0 || w.StreamFrac > 1 {
-		return fmt.Errorf("workload %s: scan parameters out of range", w.WLName)
-	}
-	if w.ScanBytes == 0 && w.StreamFrac > 0 {
-		return fmt.Errorf("workload %s: StreamFrac without ScanBytes", w.WLName)
-	}
 	if w.LoadsPerKI < 0 || w.StoresPerKI < 0 || w.LoadsPerKI+w.StoresPerKI == 0 {
 		return fmt.Errorf("workload %s: need a positive access mix", w.WLName)
-	}
-	if w.AccessBytes <= 0 || w.StackBytes <= 0 {
-		return fmt.Errorf("workload %s: sizes must be positive", w.WLName)
 	}
 	if w.MemOverlapFactor < 0 || w.MemOverlapFactor > 1 {
 		return fmt.Errorf("workload %s: overlap factor out of range", w.WLName)
@@ -95,8 +93,8 @@ func (w SyntheticWorkload) Build() *SyntheticRunner {
 	r.prog = codegen.New(w.Code, code)
 	r.heap = r.space.NewPhantomArena("data", trace.Heap, w.HeapBytes)
 	r.heapZipf = stats.NewZipfShape(max(uint64(w.HeapBytes)/64, 1), w.HeapSkew)
-	if w.ScanBytes > 0 {
-		r.scan = r.space.NewPhantomArena("scan", trace.Heap, w.ScanBytes)
+	if w.Scan {
+		r.scan = r.space.NewPhantomArena("scan", trace.Heap, scanBytes)
 	}
 	return r
 }
@@ -110,7 +108,7 @@ func (r *SyntheticRunner) MemOverlap() float64 { return r.wl.MemOverlapFactor }
 func (r *SyntheticRunner) walker(t int) *codegen.Walker {
 	for len(r.walkers) <= t {
 		idx := len(r.walkers)
-		stack := r.space.ThreadStackArena(uint8(idx), r.wl.StackBytes)
+		stack := r.space.ThreadStackArena(uint8(idx), syntheticStackBytes)
 		w := r.prog.NewWalker(uint8(idx&0x0f), r.wl.Seed+uint64(idx)*131, stack,
 			func(pc uint64, taken bool) {
 				if r.branches != nil && r.branches.Branch != nil {
@@ -170,17 +168,17 @@ func (r *SyntheticRunner) Run(threads int, instrBudget int64, seed uint64, s Sin
 				kind = trace.Write
 			}
 			var addr uint64
-			if r.scan != nil && rng.Bool(r.wl.StreamFrac) {
+			if r.scan != nil && rng.Bool(streamFrac) {
 				addr = r.scan.Base() + r.scanPos[t]
-				r.scanPos[t] += uint64(r.wl.AccessBytes)
-				if r.scanPos[t]+64 >= uint64(r.wl.ScanBytes) {
+				r.scanPos[t] += accessBytes
+				if r.scanPos[t]+64 >= scanBytes {
 					r.scanPos[t] = 0
 				}
-				r.scan.Touch(r.curTid, addr, r.wl.AccessBytes, kind)
+				r.scan.Touch(r.curTid, addr, accessBytes, kind)
 				continue
 			}
-			addr = r.heap.Base() + r.heapZipf.Next(heapRNGs[t])*64 + uint64(rng.Intn(64-r.wl.AccessBytes+1))
-			r.heap.Touch(r.curTid, addr, r.wl.AccessBytes, kind)
+			addr = r.heap.Base() + r.heapZipf.Next(heapRNGs[t])*64 + uint64(rng.Intn(64-accessBytes+1))
+			r.heap.Touch(r.curTid, addr, accessBytes, kind)
 		}
 		r.space.SetRecorder(nil)
 		return buf, true

@@ -63,7 +63,7 @@ func tailMatrix(digests *[2]streamDigest) []MeasureConfig {
 	})
 	add(func(mc *MeasureConfig) {
 		mc.L4Size, mc.Mem = 2<<20, far
-		mc.Prefetchers = func() []cpu.Prefetcher { return []cpu.Prefetcher{cpu.NewStream(64, 2)} }
+		mc.Prefetchers = func() []cpu.Prefetcher { return []cpu.Prefetcher{cpu.NewStream(64)} }
 	})
 	// The second upper.
 	add(func(mc *MeasureConfig) { mc.L3Size = 1 << 20 })

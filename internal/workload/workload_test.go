@@ -210,9 +210,7 @@ func TestSyntheticValidate(t *testing.T) {
 		func(w SyntheticWorkload) SyntheticWorkload { w.HeapBytes = 0; return w },
 		func(w SyntheticWorkload) SyntheticWorkload { w.HeapSkew = 0; return w },
 		func(w SyntheticWorkload) SyntheticWorkload { w.LoadsPerKI, w.StoresPerKI = 0, 0; return w },
-		func(w SyntheticWorkload) SyntheticWorkload { w.StreamFrac = 0.5; w.ScanBytes = 0; return w },
 		func(w SyntheticWorkload) SyntheticWorkload { w.MemOverlapFactor = 2; return w },
-		func(w SyntheticWorkload) SyntheticWorkload { w.AccessBytes = 0; return w },
 	}
 	for i, mut := range bad {
 		if err := mut(SPECPerlbench()).Validate(); err == nil {
@@ -231,7 +229,6 @@ func TestSearchWorkloadValidate(t *testing.T) {
 		func(w SearchWorkload) SearchWorkload { w.MinTerms = 0; return w },
 		func(w SearchWorkload) SearchWorkload { w.MaxTerms = 0; return w },
 		func(w SearchWorkload) SearchWorkload { w.QueryTermSkew = 0; return w },
-		func(w SearchWorkload) SearchWorkload { w.RepeatFrac = 2; return w },
 		func(w SearchWorkload) SearchWorkload { w.StackBytes = 0; return w },
 	}
 	for i, mut := range bad {

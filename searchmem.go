@@ -166,13 +166,10 @@ type DesignConstraint = core.Constraint
 // DesignParams bundles the model constants a DesignEvaluator needs.
 type DesignParams = core.Params
 
-// MemCostModel prices provisioned capacity per tier of a near/far tiered
-// main memory — the denominator of the tier sweep's QPS-per-memory-dollar
-// metric.
-type MemCostModel = mem.CostModel
-
-// DefaultMemCost returns the illustrative near/far price gap used by figT1.
-func DefaultMemCost() MemCostModel { return mem.DefaultCost }
+// MemDollars prices a near/far split of provisioned tiered main memory at
+// the illustrative price gap figT1 uses — the denominator of the tier
+// sweep's QPS-per-memory-dollar metric.
+func MemDollars(nearBytes, farBytes int64) float64 { return mem.Dollars(nearBytes, farBytes) }
 
 // --- serving tree ---
 

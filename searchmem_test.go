@@ -111,7 +111,7 @@ func TestPublicModels(t *testing.T) {
 	if got := searchmem.Equation1(50, 1); got < 1.34 || got > 1.36 {
 		t.Fatalf("Equation1(50 ns) = %v, want -8.62e-3*50 + 1.78", got)
 	}
-	if searchmem.DefaultMemCost().Dollars(1<<30, 1<<30) <= searchmem.DefaultMemCost().Dollars(0, 2<<30) {
+	if searchmem.MemDollars(1<<30, 1<<30) <= searchmem.MemDollars(0, 2<<30) {
 		t.Fatal("near memory must cost more than far")
 	}
 }
