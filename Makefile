@@ -93,24 +93,35 @@ fuzz-smoke:
 	$(GO) test ./internal/serving -run '^$$' -fuzz '^FuzzScenarioMatchesNaive$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzZipfTableMatchesFormula$$' -fuzztime $(FUZZTIME)
 
-ci: build lint test race alloc-check fuzz-smoke
+ci: build lint test race alloc-check fuzz-smoke traffic
 
-# traffic shows which functions the shipped entry points never reach: it
+# traffic checks which functions the shipped entry points never reach. It
 # builds searchsim, bench, cachesim, tracegen and the three examples with
-# coverage of the whole module into a temporary directory, runs from another
-# `searchsim -fast all`, `bench -smoke`, the examples and `tracegen -shrink
-# 64` then `cachesim` on its trace, and prints the `go tool covdata func`
-# rows at 0.0 %. It writes nothing inside the checkout. A function on the
-# list is a candidate for removal (DESIGN.md §7's reachability rule), not a
-# verdict: tests may be its only caller on purpose.
+# coverage of the whole module into a temporary directory and, from another,
+# at GOMAXPROCS=2 (so the split and decode helpers run on any host), runs
+# what CI runs: `searchsim -fast -v -metrics -trace all`, one `-trace-spill`
+# run, `bench -smoke`, the examples, `tracegen` and `cachesim` with each
+# golden's flags. The functions at 0.0 % must be exactly the ones
+# traffic.allow lists, each with its reason (DESIGN.md §7's reachability
+# rule); any difference, either way, fails. It writes nothing inside the
+# checkout.
 traffic:
-	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
-	mkdir "$$d/bin" "$$d/cov" "$$d/run"; \
+	@set -e; allow="$$(pwd)/traffic.allow"; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	mkdir "$$d/bin" "$$d/cov" "$$d/run" "$$d/spill"; \
 	$(GO) build -cover -coverpkg=./... -o "$$d/bin/" ./cmd/searchsim ./cmd/cachesim ./cmd/tracegen ./bench ./examples/...; \
-	export GOCOVERDIR="$$d/cov"; cd "$$d/run"; \
-	"$$d/bin/searchsim" -fast all > /dev/null; \
-	"$$d/bin/bench" -smoke > /dev/null; \
+	export GOCOVERDIR="$$d/cov" GOMAXPROCS=2; cd "$$d/run"; \
+	"$$d/bin/searchsim" -fast -v -metrics m.json -trace t.json all > /dev/null 2>&1; \
+	"$$d/bin/searchsim" -fast -trace-spill "$$d/spill" fig6a > /dev/null; \
+	"$$d/bin/bench" -smoke > /dev/null 2>&1; \
 	for ex in quickstart design-explorer serving-tree; do "$$d/bin/$$ex" > /dev/null; done; \
-	"$$d/bin/tracegen" -shrink 64 -o t.smtr > /dev/null; \
-	"$$d/bin/cachesim" -trace t.smtr > /dev/null; \
-	$(GO) tool covdata func -i "$$d/cov" | awk '$$NF == "0.0%"'
+	"$$d/bin/tracegen" -profile s1-leaf -shrink 64 -o t.smtr > /dev/null 2>&1; \
+	for flags in "" "-l4 64 -scale 64" "-predict" "-policy drrip -seed 7" "-inclusive=false"; do \
+		"$$d/bin/cachesim" -trace t.smtr $$flags > /dev/null; \
+	done; \
+	$(GO) tool covdata func -i "$$d/cov" | awk '$$NF == "0.0%" { sub(/:[0-9]+:$$/, "", $$1); print $$1, $$2 }' | sort > "$$d/never"; \
+	sed -e 's/ *#.*//' -e '/^$$/d' "$$allow" | sort > "$$d/allowed"; \
+	if ! diff "$$d/allowed" "$$d/never" > "$$d/diff"; then \
+		echo "traffic: the never-run functions differ from traffic.allow (< listed but now run, > never run and not listed):"; \
+		cat "$$d/diff"; exit 1; \
+	fi; \
+	echo "traffic: $$(wc -l < "$$d/never") never-run functions, all listed in traffic.allow"

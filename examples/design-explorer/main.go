@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"os"
 	"sort"
 
 	"searchmem"
@@ -68,7 +69,11 @@ func main() {
 	if *l4s {
 		l4Sizes = []int64{256, 512, 1024, 2048}
 	}
-	best, frontier := ev.Explore(baseline, cons, l4Sizes)
+	best, frontier, err := ev.Explore(baseline, cons, l4Sizes)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	// Print the top designs by throughput.
 	sort.Slice(frontier, func(i, j int) bool { return frontier[i].QPS > frontier[j].QPS })

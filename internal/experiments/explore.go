@@ -77,11 +77,20 @@ func runExplore(c *Context) (Result, error) {
 			fmt.Sprintf("%.2f", s.RelPower), fmt.Sprintf("%.2f", energy))
 	}
 
-	isoArea, _ := ev.Explore(baseline, core.Constraint{}, nil)
-	addRow("iso-area, no L4", isoArea)
-	isoAreaL4, _ := ev.Explore(baseline, core.Constraint{}, []int64{256, 512, 1024, 2048})
-	addRow("iso-area + L4", isoAreaL4)
-	isoPower, _ := ev.Explore(baseline, core.Constraint{MaxRelPower: 1.0}, nil)
-	addRow("iso-power, no L4", isoPower)
+	for _, row := range []struct {
+		name    string
+		cons    core.Constraint
+		l4Sizes []int64
+	}{
+		{"iso-area, no L4", core.Constraint{}, nil},
+		{"iso-area + L4", core.Constraint{}, []int64{256, 512, 1024, 2048}},
+		{"iso-power, no L4", core.Constraint{MaxRelPower: 1.0}, nil},
+	} {
+		best, _, err := ev.Explore(baseline, row.cons, row.l4Sizes)
+		if err != nil {
+			return nil, err
+		}
+		addRow(row.name, best)
+	}
 	return t, nil
 }

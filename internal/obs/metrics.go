@@ -122,9 +122,6 @@ func (c *Counter) Add(n int64) {
 	c.value.Add(n)
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.value.Add(1) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.value.Load() }
 
@@ -150,15 +147,9 @@ type Histogram struct {
 	hist   *stats.Histogram
 }
 
-// Observe records one observation.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	h.hist.Add(v)
-	h.mu.Unlock()
-}
-
 // ObserveBatch records vs in order under one lock acquisition: the series,
-// its sum included, ends as it would after Observe on each value in turn.
+// its sum included, ends as it would after one observation per value in
+// turn.
 func (h *Histogram) ObserveBatch(vs []float64) {
 	h.mu.Lock()
 	for _, v := range vs {

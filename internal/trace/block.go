@@ -271,9 +271,6 @@ type blockDecoder struct {
 // that follows block k-1, in stream order, never earlier.
 func (v *CompressedView) Err() error { return v.err }
 
-// Len returns the total number of accesses in the underlying recording.
-func (v *CompressedView) Len() int { return v.d.c.n }
-
 // Rewind resets the cursor to the beginning of the recording, after waiting
 // for any decode in flight. A decode error is cleared; re-reading will
 // re-detect corruption at the same block.

@@ -26,7 +26,6 @@ type Recording interface {
 type Cursor interface {
 	BatchStream
 	Rewind()
-	Len() int
 }
 
 // Shared is an immutable in-memory access trace intended to be synthesized
@@ -126,6 +125,3 @@ func (v *View) NextBatch() []Access {
 
 // Rewind resets the cursor to the beginning of the trace.
 func (v *View) Rewind() { v.next = 0 }
-
-// Len returns the total number of accesses in the underlying trace.
-func (v *View) Len() int { return v.s.n }

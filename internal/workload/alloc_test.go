@@ -94,7 +94,7 @@ func TestObserveBranchesZeroAlloc(t *testing.T) {
 		preds := shape.newPredictors()
 		coreOf := shape.coreTable()
 		const runs = 10
-		if avg := testing.AllocsPerRun(runs, func() { observeBranches(preds, &coreOf, &log) }); avg != 1 {
+		if avg := testing.AllocsPerRun(runs, func() { observeBranches(preds, &coreOf, &log, nil) }); avg != 1 {
 			t.Errorf("%d branches in %d chunks: %.1f allocs/op, want 1 (the cursor's decode window)", n, len(log.chunks), avg)
 		}
 		// AllocsPerRun makes one warm-up call before the measured ones.

@@ -7,13 +7,14 @@ import (
 	"testing"
 
 	"searchmem/internal/cache"
+	"searchmem/internal/cpu"
 	"searchmem/internal/platform"
 	"searchmem/internal/trace"
 )
 
 // plainRunner replays a Replayer's recordings one access at a time but is
-// not a *Replayer, so Measure and MeasureMulti see a raw runner and take the
-// live Branch sink.
+// not a *Replayer, so Measure and MeasureMulti see a raw runner and record
+// it first.
 type plainRunner struct{ rep *Replayer }
 
 func (p plainRunner) Name() string        { return p.rep.Name() }
@@ -32,11 +33,53 @@ func storeCases(t *testing.T) map[string]StoreConfig {
 	}
 }
 
-// TestBranchMemoMatchesLive requires the memoized branch counts to be the
-// live ones: Measure on a Replayer equals Measure with a no-op BranchObserver
-// (which forces the live sink on the same Replayer) and equals Measure on the
-// same recordings behind a raw runner, across predictor shapes, warm-up modes
-// and recording transports.
+// branchOutcome is one measured-phase branch as a BranchObserver sees it.
+type branchOutcome struct {
+	thread     uint8
+	mispredict bool
+}
+
+// refBranches is the reference for mc's branch outcome, written from the
+// model's definition rather than from the memo: fresh per-core gshare
+// predictors (SMT threads share their core's) fed from rep.Run's Branch sink
+// over the warm-up run, their counters zeroed, then over the measured run.
+// It returns the per-core measured-phase counts and the measured-phase
+// (thread, mispredict) sequence.
+func refBranches(rep *Replayer, mc MeasureConfig) ([]branchCounts, []branchOutcome) {
+	mc.normalize()
+	preds := make([]cpu.PredictorStats, mc.Cores)
+	for i := range preds {
+		preds[i].P = cpu.NewGshare(14)
+	}
+	var seq []branchOutcome
+	measuring := false
+	sinks := Sinks{Branch: func(t uint8, pc uint64, taken bool) {
+		mis := preds[int(t)/mc.SMTWays%mc.Cores].Observe(cpu.Branch{PC: pc, Taken: taken})
+		if measuring {
+			seq = append(seq, branchOutcome{t, mis})
+		}
+	}}
+	if warm := int64(float64(mc.Budget) * mc.WarmupFraction); warm > 0 {
+		rep.Run(mc.Threads, warm, mc.Seed^0xbeef, sinks)
+	}
+	for i := range preds {
+		preds[i].Predictions, preds[i].Mispredicts = 0, 0
+	}
+	measuring = true
+	rep.Run(mc.Threads, mc.Budget, mc.Seed, sinks)
+	counts := make([]branchCounts, len(preds))
+	for i, p := range preds {
+		counts[i] = branchCounts{Predictions: p.Predictions, Mispredicts: p.Mispredicts}
+	}
+	return counts, seq
+}
+
+// TestBranchMemoMatchesLive holds both ways a measurement reads its branch
+// outcome off the recording to refBranches, across predictor shapes,
+// warm-up modes and recording transports: the memo equals the reference in
+// per-core counts, and a BranchObserver's pass equals it in counts and in
+// the exact (thread, mispredict) sequence, alone and in a MeasureMulti
+// whose configurations observe with different shapes.
 func TestBranchMemoMatchesLive(t *testing.T) {
 	const budget = 40_000
 	for name, store := range storeCases(t) {
@@ -62,23 +105,75 @@ func TestBranchMemoMatchesLive(t *testing.T) {
 						if memo.BranchMPKI == 0 {
 							t.Fatal("degenerate stream: no mispredicted branches")
 						}
-						observed := mc
-						observed.BranchObserver = func(uint8, bool) {}
-						if live := Measure(rep, observed); !reflect.DeepEqual(live, memo) {
-							t.Errorf("cores %d smt %d warm-up %v: live sink on the Replayer diverges from the memo\n got: %+v\nwant: %+v",
-								cores, smt, warmup, memo, live)
+						wantCounts, wantSeq := refBranches(rep, mc)
+						norm := mc
+						norm.normalize()
+						warm, main := measureKeys(&norm)
+						if got := rep.branchCounts(branchKey{warm: warm, main: main, shape: shapeOf(&norm)}); !reflect.DeepEqual(got, wantCounts) {
+							t.Errorf("cores %d smt %d warm-up %v: memo counts %v, reference %v", cores, smt, warmup, got, wantCounts)
 						}
-						if raw := Measure(plainRunner{rep}, mc); !reflect.DeepEqual(raw, memo) {
-							t.Errorf("cores %d smt %d warm-up %v: raw runner diverges from the memo\n got: %+v\nwant: %+v",
-								cores, smt, warmup, memo, raw)
+						var seq []branchOutcome
+						observed := mc
+						observed.BranchObserver = func(t uint8, mis bool) { seq = append(seq, branchOutcome{t, mis}) }
+						if got := Measure(rep, observed); !reflect.DeepEqual(got, memo) {
+							t.Errorf("cores %d smt %d warm-up %v: the observer pass diverges from the memo\n got: %+v\nwant: %+v",
+								cores, smt, warmup, got, memo)
+						}
+						if !reflect.DeepEqual(seq, wantSeq) {
+							t.Errorf("cores %d smt %d warm-up %v: observer saw %d outcomes, reference %d, or another sequence",
+								cores, smt, warmup, len(seq), len(wantSeq))
 						}
 						if got := rep.branchPasses.Load(); got != passes {
-							t.Fatalf("live measurements ran the memo: %d passes, want %d", got, passes)
+							t.Fatalf("observed measurements ran the memo: %d passes, want %d", got, passes)
 						}
 					}
 				}
 			}
+			var seqs [2][]branchOutcome
+			mcs := make([]MeasureConfig, 2)
+			for i, shape := range [][2]int{{4, 1}, {2, 2}} {
+				mcs[i] = MeasureConfig{
+					Platform: platform.PLT1().ScaleCaches(16),
+					Cores:    shape[0], SMTWays: shape[1], Threads: 4,
+					Budget: budget, Seed: 6,
+				}
+				mcs[i].BranchObserver = func(t uint8, mis bool) { seqs[i] = append(seqs[i], branchOutcome{t, mis}) }
+			}
+			MeasureMulti(rep, mcs)
+			for i := range mcs {
+				if _, want := refBranches(rep, mcs[i]); len(want) == 0 || !reflect.DeepEqual(seqs[i], want) {
+					t.Errorf("shared run, config %d: observer saw %d outcomes, reference %d, or another sequence", i, len(seqs[i]), len(want))
+				}
+			}
 		})
+	}
+}
+
+// TestMeasureRawRunnerReplays: Measure on a raw runner equals Measure on
+// the same runner behind an explicit Replayer, and runs the inner runner
+// exactly twice per call, warm-up budget first, so a stateful runner
+// measured twice evolves as it does behind a fresh Replayer per call.
+func TestMeasureRawRunnerReplays(t *testing.T) {
+	mc := MeasureConfig{
+		Platform: platform.PLT1().ScaleCaches(16),
+		Cores:    2, SMTWays: 1, Threads: 2,
+		Budget: 400, Seed: 3,
+	}
+	raw, wrapped := &scriptedRunner{}, &scriptedRunner{}
+	for call := 0; call < 2; call++ {
+		got, want := Measure(raw, mc), Measure(NewReplayer(wrapped), mc)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("scripted, call %d: raw runner\n got: %+v\nwant: %+v", call, got, want)
+		}
+	}
+	if want := []int64{100, 400, 100, 400}; !reflect.DeepEqual(raw.budgets, want) || !reflect.DeepEqual(wrapped.budgets, want) {
+		t.Errorf("inner budgets: raw %v, behind a Replayer %v, want %v (warm-up first, once each per call)", raw.budgets, wrapped.budgets, want)
+	}
+
+	mc.Budget = 60_000
+	got, want := Measure(SPECPerlbench().Build(), mc), Measure(NewReplayer(SPECPerlbench().Build()), mc)
+	if !reflect.DeepEqual(got, want) || got.BranchMPKI == 0 || got.L1DMPKI == 0 {
+		t.Errorf("perlbench: raw runner\n got: %+v\nwant: %+v", got, want)
 	}
 }
 
@@ -143,13 +238,12 @@ func TestMemoRecordsWarmupFirst(t *testing.T) {
 }
 
 // TestNilBranchSinkSameAccesses checks that a replay nobody listens to for
-// branches — what every memoized measurement is, and the one that skips the
-// branch log and hands out the store's windows whole — is the replay with a
-// no-op Branch sink: the same access sequence, exactly the recorded one, in
+// branches — what every measured run is, and the one that skips the branch
+// log and hands out the store's windows whole — is the replay with a no-op
+// Branch sink: the same access sequence, exactly the recorded one, in
 // batches of at most trace.DefaultBatchSize (block length 100000 makes the
-// store's window longer than that), and the same Measure Metrics field for
-// field, with and without an AccessObserver, which must then also see the
-// same (access, level) sequence.
+// store's window longer than that). An AccessObserver on Measure sees that
+// sequence too.
 func TestNilBranchSinkSameAccesses(t *testing.T) {
 	stores := storeCases(t)
 	for _, blockLen := range []int{1, 7, 8192, 100_000} {
@@ -194,30 +288,15 @@ func TestNilBranchSinkSameAccesses(t *testing.T) {
 				t.Fatal("degenerate stream: no branches")
 			}
 
-			type seen struct {
-				a   trace.Access
-				lvl cache.HitLevel
-			}
-			for _, observe := range []bool{false, true} {
-				var nilSeen, liveSeen []seen
-				mc := MeasureConfig{
-					Platform: platform.PLT1().ScaleCaches(16),
-					Cores:    threads, SMTWays: 1, Threads: threads,
-					Budget: budget, Seed: seed,
-				}
-				live := mc
-				live.BranchObserver = func(uint8, bool) {} // forces the Branch sink
-				if observe {
-					mc.AccessObserver = func(a trace.Access, lvl cache.HitLevel) { nilSeen = append(nilSeen, seen{a, lvl}) }
-					live.AccessObserver = func(a trace.Access, lvl cache.HitLevel) { liveSeen = append(liveSeen, seen{a, lvl}) }
-				}
-				got, want := Measure(rep, mc), Measure(rep, live)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("observer=%v: Metrics differ between a nil and a no-op Branch sink\n nil: %+v\nlive: %+v", observe, got, want)
-				}
-				if observe && (len(nilSeen) != len(recorded) || !reflect.DeepEqual(nilSeen, liveSeen)) {
-					t.Errorf("AccessObserver saw %d accesses without a Branch sink, %d with; recording holds %d", len(nilSeen), len(liveSeen), len(recorded))
-				}
+			var seen []trace.Access
+			Measure(rep, MeasureConfig{
+				Platform: platform.PLT1().ScaleCaches(16),
+				Cores:    threads, SMTWays: 1, Threads: threads,
+				Budget: budget, Seed: seed,
+				AccessObserver: func(a trace.Access, _ cache.HitLevel) { seen = append(seen, a) },
+			})
+			if !reflect.DeepEqual(seen, recorded) {
+				t.Errorf("AccessObserver saw %d accesses, not the %d recorded ones", len(seen), len(recorded))
 			}
 		})
 	}

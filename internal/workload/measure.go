@@ -61,7 +61,8 @@ type MeasureConfig struct {
 	// match the statistics reset). The obs sampling profiler attaches here.
 	AccessObserver func(a trace.Access, lvl cache.HitLevel)
 	// BranchObserver, when non-nil, sees every measured-phase branch and
-	// whether it mispredicted.
+	// whether it mispredicted, in stream order. It is fed from the
+	// recording's branch log, per configuration, after the measured run.
 	BranchObserver func(thread uint8, mispredict bool)
 	// L2Policy, L3Policy, and L4Policy select the replacement policy per
 	// level (the zero value, cache.LRU, keeps the platform default; the
@@ -198,8 +199,10 @@ func Measure(r Runner, mc MeasureConfig) Metrics {
 }
 
 // reduce turns one configuration's counters — its upper's, overlaid by its
-// tail, and its tail's own — into Metrics via the core model.
-func reduce(r Runner, mc MeasureConfig, up cache.UpperStats, mt *measured, mispred int64, run Stats) Metrics {
+// tail, and its tail's own — and its mispredictions into Metrics via the
+// core model.
+func reduce(r *Replayer, mc MeasureConfig, up cache.UpperStats, mt *measured, run Stats) Metrics {
+	mispred := r.mispredicts(&mc)
 	u := mt.tail.Overlay(up)
 	m := Metrics{
 		Instructions: run.Instructions,

@@ -118,9 +118,6 @@ func prepare(mcs []MeasureConfig) []MeasureConfig {
 			// arbitrary budget and silently skip the warm-up.
 			panic("workload: Measure needs a finite, non-negative WarmupFraction whose warm-up budget fits an int64")
 		}
-		if mc.BranchObserver != nil && len(cfgs) > 1 {
-			panic("workload: a BranchObserver cannot share a MeasureMulti run")
-		}
 		mc.normalize()
 	}
 	base := cfgs[0]
@@ -170,23 +167,32 @@ func groupUppers(cfgs []MeasureConfig) (members [][]int, keys []cache.HierarchyC
 // later sweeps over the same upper replay tails only (Stream).
 //
 // All configs must agree on Threads, Budget, Seed and WarmupFraction (they
-// share the run), and a BranchObserver needs the run to itself;
-// MeasureMulti panics otherwise. A config with Prefetchers gets its own
-// upper and cpu.Engine and takes its accesses one at a time; one with an
-// AccessObserver is fed the levels its tail resolves for each
-// measured-phase window. The runner must reproduce the same event streams
-// for the same (threads, budget, seed) — in practice, wrap it in a Replayer.
+// share the run); MeasureMulti panics otherwise. A config with Prefetchers
+// gets its own upper and cpu.Engine and takes its accesses one at a time;
+// one with an AccessObserver is fed the levels its tail resolves for each
+// measured-phase window.
+//
+// Every measurement replays recordings. A runner that is not a *Replayer is
+// wrapped in a fresh one that records block-compressed in RAM, warm-up run
+// first, so the inner runner executes each run once, as it would if it fed
+// the loop itself; the recordings are garbage once the call returns.
 //
 // Branch predictors are deterministic functions of the branch stream, so
-// configs sharing a (Cores, SMTWays) shape share one
-// predictor pass (see branchTally): each distinct shape observes the stream
-// once, however many configurations use it — and on a Replayer, once for
-// every call that replays the same recordings.
+// mispredictions are read off the recordings' branch logs (branch.go):
+// configs sharing a (Cores, SMTWays) shape share one memoized predictor
+// pass per pair of recordings, however many configurations and calls use
+// it, and a config with a BranchObserver gets a pass of its own, which
+// feeds the observer after the measured run.
 func MeasureMulti(r Runner, mcs []MeasureConfig) []Metrics {
 	if len(mcs) == 0 {
 		return nil
 	}
 	cfgs := prepare(mcs)
+	rep, ok := r.(*Replayer)
+	if !ok {
+		rep = NewReplayer(r)
+		rep.SetStore(StoreConfig{Compress: true})
+	}
 	ms := make([]measured, len(cfgs))
 	for i := range cfgs {
 		ms[i] = newMeasured(&cfgs[i])
@@ -203,13 +209,12 @@ func MeasureMulti(r Runner, mcs []MeasureConfig) []Metrics {
 		}
 		*g = newGroup(cfgs, members[gi], keys[gi], l1Misses[gi])
 	}
-	bt := newBranchTally(r, cfgs, cfgs[0].BranchObserver)
-	run := runGroups(r, cfgs, ms, groups, bt)
+	run := runGroups(rep, cfgs, ms, groups)
 	out := make([]Metrics, len(cfgs))
 	for gi := range groups {
 		up := groups[gi].upperStats()
 		for _, i := range groups[gi].members {
-			out[i] = reduce(r, cfgs[i], up, &ms[i], bt.mispredicts(i), run)
+			out[i] = reduce(rep, cfgs[i], up, &ms[i], run)
 		}
 	}
 	return out
@@ -221,7 +226,7 @@ func MeasureMulti(r Runner, mcs []MeasureConfig) []Metrics {
 // StreamWriter splits its stream at the reset. At the reset, groups may be
 // split by set for the measured run (split.go); a split group's partitions
 // run each window on two goroutines before its tails drain the merged port.
-func runGroups(r Runner, cfgs []MeasureConfig, ms []measured, groups []group, bt *branchTally) Stats {
+func runGroups(r *Replayer, cfgs []MeasureConfig, ms []measured, groups []group) Stats {
 	runsInFlight.Add(1)
 	defer runsInFlight.Add(-1)
 	var helper *splitHelper
@@ -275,21 +280,13 @@ func runGroups(r Runner, cfgs []MeasureConfig, ms []measured, groups []group, bt
 			}
 		}
 	}
-	sinks := Sinks{
-		// Batching-aware runners (the Replayer) deliver zero-copy windows;
-		// anything else delivers one access at a time, as a window of one.
-		AccessBatch: accessBatch,
-		Access: func(a trace.Access) {
-			one := [1]trace.Access{a}
-			accessBatch(one[:])
-		},
-		Branch: bt.sink(),
-	}
+	// Without a Branch sink the Replayer hands out its store's windows whole.
+	sinks := Sinks{AccessBatch: accessBatch}
 
-	base := cfgs[0]
+	warmKey, mainKey := measureKeys(&cfgs[0])
 	warm := make([]cache.UpperStats, len(groups))
-	if bt.warm.budget > 0 {
-		r.Run(base.Threads, bt.warm.budget, bt.warm.seed, sinks)
+	if warmKey.budget > 0 {
+		r.Run(warmKey.threads, warmKey.budget, warmKey.seed, sinks)
 		for gi := range groups {
 			g := &groups[gi]
 			warm[gi] = g.up.UpperStats()
@@ -302,12 +299,11 @@ func runGroups(r Runner, cfgs []MeasureConfig, ms []measured, groups []group, bt
 			ms[i].reset()
 		}
 	}
-	helper = splitGroups(r, groups, warm)
+	helper = splitGroups(groups, warm)
 	measuredRuns.Add(1)
 	if helper != nil {
 		splitRuns.Add(1)
 	}
 	measuring = true
-	bt.beginMeasured()
-	return r.Run(base.Threads, base.Budget, base.Seed, sinks)
+	return r.Run(mainKey.threads, mainKey.budget, mainKey.seed, sinks)
 }

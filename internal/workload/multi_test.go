@@ -129,9 +129,6 @@ func TestMeasureMultiValidation(t *testing.T) {
 	diffBudget := base
 	diffBudget.Budget = 200_000
 	mustPanic("mixed budgets", []MeasureConfig{base, diffBudget})
-	observed := base
-	observed.BranchObserver = func(uint8, bool) {}
-	mustPanic("BranchObserver in a shared run", []MeasureConfig{observed, base})
 	for name, wf := range map[string]float64{"negative": -1, "NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1), "int64-overflowing": 1e30} {
 		cold := base
 		cold.WarmupFraction = wf

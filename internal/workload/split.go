@@ -39,8 +39,8 @@ var runsInFlight atomic.Int64
 var measuredRuns, splitRuns atomic.Int64
 
 // splitOverride, when non-zero, replaces the host-dependent gates (the spare
-// vCPU, the warm-up miss share and the windowed runner): +1 splits every
-// group whose configuration allows it, -1 none. Only tests set it.
+// vCPU and the warm-up miss share): +1 splits every group whose
+// configuration allows it, -1 none. Only tests set it.
 var splitOverride int
 
 // SplitRuns returns how many measured runs this process has made and how
@@ -49,14 +49,14 @@ var splitOverride int
 // a rendered or exported result.
 func SplitRuns() (split, runs int64) { return splitRuns.Load(), measuredRuns.Load() }
 
-// splitGate reports whether the host and the input favour splitting: the
-// runner delivers windows, a vCPU is spare, and the warm-up missed the L1
-// often enough. up holds the warm-up's counters.
-func splitGate(r Runner, up cache.UpperStats) bool {
+// splitGate reports whether the host and the input favour splitting: a vCPU
+// is spare and the warm-up missed the L1 often enough. up holds the
+// warm-up's counters.
+func splitGate(up cache.UpperStats) bool {
 	if splitOverride != 0 {
 		return splitOverride > 0
 	}
-	if _, windows := r.(*Replayer); !windows || runsInFlight.Load() >= int64(runtime.GOMAXPROCS(0)) {
+	if runsInFlight.Load() >= int64(runtime.GOMAXPROCS(0)) {
 		return false
 	}
 	probes := up.L1I.Accesses() + up.L1D.Accesses()
@@ -68,11 +68,11 @@ func splitGate(r Runner, up cache.UpperStats) bool {
 // per call: it splits every splittable group the gate admits (its counters
 // already reset) and returns the helper that runs their partitions 1, or nil
 // when no group split. warm holds each group's warm-up counters.
-func splitGroups(r Runner, groups []group, warm []cache.UpperStats) *splitHelper {
+func splitGroups(groups []group, warm []cache.UpperStats) *splitHelper {
 	var split []*group
 	for gi := range groups {
 		g := &groups[gi]
-		if g.splittable && splitGate(r, warm[gi]) {
+		if g.splittable && splitGate(warm[gi]) {
 			g.twin = g.up.Split()
 			if g.levels != nil {
 				g.twinLv = make([]cache.HitLevel, 0, trace.DefaultBatchSize)

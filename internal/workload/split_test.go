@@ -137,11 +137,11 @@ func TestPartitionHelperExits(t *testing.T) {
 	})
 }
 
-// TestPartitionGate: with the gates in charge, a miss-heavy measurement on
-// a windowed runner splits when a vCPU is spare; it stays whole at
-// GOMAXPROCS 1, on a runner that delivers one access at a time, and when it
-// is nested inside another measurement that already fills the vCPUs; an
-// L1-resident trace stays whole.
+// TestPartitionGate: with the gates in charge, a miss-heavy measurement
+// splits when a vCPU is spare, on a Replayer and on a raw runner alike (the
+// measured loop replays a recording of it); it stays whole at GOMAXPROCS 1
+// and when it is nested inside another measurement that already fills the
+// vCPUs; an L1-resident trace stays whole.
 func TestPartitionGate(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	deep := NewReplayer(tinyLeaf().Build())
@@ -165,7 +165,7 @@ func TestPartitionGate(t *testing.T) {
 	}{
 		{"deep, a spare vCPU", 2, func() { Measure(deep, mc) }, 1, 1, false},
 		{"deep, GOMAXPROCS 1", 1, func() { Measure(deep, mc) }, 0, 1, false},
-		{"deep, one access at a time", 2, func() { Measure(plainRunner{deep}, mc) }, 0, 1, false},
+		{"deep, raw runner", 2, func() { Measure(plainRunner{deep}, mc) }, 1, 1, false},
 		{"resident", 2, func() { Measure(resident, res) }, 0, 1, false},
 		{"deep, nested past the spare vCPU", 2, func() { Measure(deep, outer) }, 1, 2, true},
 	} {

@@ -42,9 +42,8 @@ type StreamGroup struct {
 	Key StreamKey
 	// Members are the indices of the group's configurations.
 	Members []int
-	// Live is set when a member needs the run itself (Prefetchers,
-	// AccessObserver or BranchObserver), so the group cannot be served from
-	// a Stream.
+	// Live is set when a member needs the run itself (Prefetchers or
+	// AccessObserver), so the group cannot be served from a Stream.
 	Live bool
 }
 
@@ -62,7 +61,7 @@ func StreamGroups(mcs []MeasureConfig) []StreamGroup {
 		out[g] = StreamGroup{Key: StreamKey{warm: warm, main: main, upper: keys[g], l1Misses: l1Misses[g]}, Members: members[g]}
 		for _, i := range members[g] {
 			mc := &cfgs[i]
-			out[g].Live = out[g].Live || mc.Prefetchers != nil || mc.AccessObserver != nil || mc.BranchObserver != nil
+			out[g].Live = out[g].Live || mc.Prefetchers != nil || mc.AccessObserver != nil
 		}
 	}
 	return out
@@ -108,7 +107,7 @@ func RecordStream(r *Replayer, mcs []MeasureConfig) *Stream {
 	cfgs := prepare(mcs)
 	groups := []group{newGroup(cfgs, nil, key.upper, key.l1Misses)}
 	groups[0].rec = &cache.StreamWriter{}
-	run := runGroups(r, cfgs, nil, groups, newBranchTally(r, cfgs, nil))
+	run := runGroups(r, cfgs, nil, groups)
 	g := &groups[0]
 	return &Stream{key: key, warm: g.warm, main: g.rec.Finish(), upper: g.upperStats(), run: run}
 }
@@ -137,7 +136,6 @@ func (s *Stream) Measure(r *Replayer, mcs []MeasureConfig) []Metrics {
 		panic("workload: configurations do not belong to this stream")
 	}
 	cfgs := prepare(mcs)
-	bt := newBranchTally(r, cfgs, nil)
 	out := make([]Metrics, len(cfgs))
 	var port cache.Port
 	for i := range cfgs {
@@ -148,7 +146,7 @@ func (s *Stream) Measure(r *Replayer, mcs []MeasureConfig) []Metrics {
 			m.reset()
 		}
 		s.main.Replay(&port, drain)
-		out[i] = reduce(r, cfgs[i], s.upper, &m, bt.mispredicts(i), s.run)
+		out[i] = reduce(r, cfgs[i], s.upper, &m, s.run)
 	}
 	return out
 }
