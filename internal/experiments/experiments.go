@@ -129,6 +129,10 @@ type Context struct {
 	curves  memo[curveKey, any]
 	streams memo[streamKey, *retainedStream]
 
+	// own serializes measureOwn's build-and-record phase for runners with
+	// an index of their own, so one such index is alive at a time.
+	own sync.Mutex
+
 	// reversePoints makes serial runPoints walk its points last to first:
 	// the tests' stand-in for the least favourable parallel schedule.
 	reversePoints bool
@@ -268,10 +272,59 @@ func (c *Context) runner(key string, wl workload.SearchWorkload) *workload.Repla
 		return r
 	}
 	c.Opts.logf("building workload %s (shrink %d)...", key, c.Opts.Shrink)
-	r := workload.NewReplayer(c.buildRunner(wl))
-	r.SetStore(workload.StoreConfig{Compress: true, SpillDir: c.Opts.TraceSpillDir})
+	r := c.replayer(c.buildRunner(wl))
 	c.runners[key] = r
 	return r
+}
+
+// replayer wraps r in a Replayer that stores its recordings as every one of
+// the Context's does: block-compressed, and spilled under
+// Opts.TraceSpillDir when that is set.
+func (c *Context) replayer(r workload.Runner) *workload.Replayer {
+	rep := workload.NewReplayer(r)
+	rep.SetStore(workload.StoreConfig{Compress: true, SpillDir: c.Opts.TraceSpillDir})
+	return rep
+}
+
+// measureOwn measures mc on a runner built for this one measurement
+// (table1's private columns, bandwidth's CloudSuite leg): recordOwn records
+// it through the Context's store, so -trace-spill bounds it too, and drops
+// it; then the recordings replay.
+func (c *Context) measureOwn(build func() workload.Runner, mc workload.MeasureConfig, index bool) workload.Metrics {
+	rep := c.recordOwn(build, mc, index)
+	defer rep.Close()
+	return workload.Measure(rep, mc)
+}
+
+// recordOwn builds a private runner and records both of mc's runs. A
+// search runner (index) carries an index of its own, 170-220 MiB at full
+// scale against 30-50 MiB of recordings, so it builds and records under
+// c.own: concurrent columns keep one such index alive at a time.
+func (c *Context) recordOwn(build func() workload.Runner, mc workload.MeasureConfig, index bool) *workload.Replayer {
+	if index {
+		c.own.Lock()
+		defer c.own.Unlock()
+	}
+	r := build()
+	own := &ownRunner{r: r, name: r.Name(), overlap: r.MemOverlap()}
+	rep := c.replayer(own)
+	workload.PreRecord(rep, mc)
+	own.r = nil // both runs are recorded, and a replay never runs the inner runner
+	return rep
+}
+
+// ownRunner lends measureOwn's runner to its Replayer until both runs are
+// recorded; its name and memory overlap outlive the runner.
+type ownRunner struct {
+	r       workload.Runner
+	name    string
+	overlap float64
+}
+
+func (o *ownRunner) Name() string        { return o.name }
+func (o *ownRunner) MemOverlap() float64 { return o.overlap }
+func (o *ownRunner) Run(threads int, budget int64, seed uint64, s workload.Sinks) workload.Stats {
+	return o.r.Run(threads, budget, seed, s)
 }
 
 // TraceStores returns the recording-storage footprint of every built

@@ -3,9 +3,13 @@ package experiments
 import (
 	"crypto/sha256"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+
+	"searchmem/internal/platform"
+	"searchmem/internal/workload"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -185,6 +189,37 @@ func TestAllExperimentsFast(t *testing.T) {
 	}
 	if fmt.Sprint(tails, hits) != "[11 37] [0 5]" {
 		t.Errorf("L1–L3 passes serving %v tails with %v memo hits, want [11 37] with [0 5]: %+v", tails, hits, base.streams)
+	}
+}
+
+// budgetLog is a runner that logs the budget of each Run it executes.
+type budgetLog struct {
+	workload.Runner
+	budgets []int64
+}
+
+func (b *budgetLog) Run(threads int, budget int64, seed uint64, s workload.Sinks) workload.Stats {
+	b.budgets = append(b.budgets, budget)
+	return b.Runner.Run(threads, budget, seed, s)
+}
+
+// TestMeasureOwnMatchesMeasure: measureOwn, which records a private runner
+// through the Context's (here spilling) store and drops it before the
+// replay, measures what workload.Measure does on the bare runner, and runs
+// the runner exactly twice, warm-up first.
+func TestMeasureOwnMatchesMeasure(t *testing.T) {
+	opts := Fast()
+	opts.TraceSpillDir = t.TempDir()
+	c := NewContext(opts)
+	mc := oneCore(c, platform.PLT1(), 5, 2.0)
+	own := &budgetLog{Runner: workload.SPECPerlbench().Build()}
+	got := c.measureOwn(func() workload.Runner { return own }, mc, false)
+	want := workload.Measure(workload.SPECPerlbench().Build(), mc)
+	if !reflect.DeepEqual(got, want) || got.BranchMPKI == 0 {
+		t.Errorf("measureOwn\n got: %+v\nwant: %+v", got, want)
+	}
+	if b := own.budgets; len(b) != 2 || b[0] != 2*b[1] || b[1] != opts.Budget {
+		t.Errorf("inner budgets %v, want [%d %d]", b, 2*opts.Budget, opts.Budget)
 	}
 }
 

@@ -78,8 +78,7 @@ func runMissClass(c *Context) (Result, error) {
 // consumes 40-50% of peak DRAM bandwidth, CloudSuite ~1%.
 func runBandwidth(c *Context) (Result, error) {
 	plat := platform.PLT1()
-	measure := func(r workload.Runner) (util float64, gbs float64) {
-		m := workload.Measure(r, oneCore(c, plat, c.Opts.Seed+43, 1.5))
+	measure := func(m workload.Metrics) (util float64, gbs float64) {
 		// Socket-level bandwidth: per-core transaction rate scaled to all
 		// cores running at the modeled IPC.
 		instrPerSec := m.IPC * plat.Core.FreqGHz * 1e9 * float64(plat.CoresPerSocket) * plat.SMT.Speedup(2)
@@ -88,10 +87,13 @@ func runBandwidth(c *Context) (Result, error) {
 		return gbs / plat.MemPeakGBs, gbs
 	}
 	// One leg records on Leaf(), the other on a runner of its own.
+	mc := oneCore(c, plat, c.Opts.Seed+43, 1.5)
 	var sUtil, sGBs, cUtil, cGBs float64
 	runLegs(c,
-		func() { sUtil, sGBs = measure(c.Leaf()) },
-		func() { cUtil, cGBs = measure(workload.CloudSuiteWebSearch().Build()) })
+		func() { sUtil, sGBs = measure(workload.Measure(c.Leaf(), mc)) },
+		func() {
+			cUtil, cGBs = measure(c.measureOwn(func() workload.Runner { return workload.CloudSuiteWebSearch().Build() }, mc, false))
+		})
 	t := &Table{
 		Title:   "Socket DRAM bandwidth at full load (modeled)",
 		Headers: []string{"workload", "GB/s", "of peak"},

@@ -26,7 +26,8 @@ func init() {
 type table1Column struct {
 	name  string
 	plat  platform.Platform
-	build func() workload.Runner
+	build func() workload.Runner // nil: the Context's shared S1 leaf
+	index bool                   // a search workload (measureOwn)
 }
 
 func runTable1(c *Context) (Result, error) {
@@ -36,18 +37,18 @@ func runTable1(c *Context) (Result, error) {
 	// The "S1 leaf" column and the "S1 leaf PLT1" row are leafMetrics, the
 	// measurement Figures 3 and 6a read; the other columns are measured here.
 	cols := []table1Column{
-		{"S1 leaf", plt1, nil},
-		{"S2 leaf", plt1, func() workload.Runner { return workload.S2Leaf(shrink).Build() }},
-		{"S3 leaf", plt1, func() workload.Runner { return workload.S3Leaf(shrink).Build() }},
-		{"S1 root", plt1, func() workload.Runner { return workload.S1Root(shrink).Build() }},
-		{"S2 root", plt1, func() workload.Runner { return workload.S2Root(shrink).Build() }},
-		{"S3 root", plt1, func() workload.Runner { return workload.S3Root(shrink).Build() }},
-		{"S1 leaf PLT2", plt2, func() workload.Runner { return c.Leaf() }},
-		{"400.perlbench", plt1, func() workload.Runner { return workload.SPECPerlbench().Build() }},
-		{"429.mcf", plt1, func() workload.Runner { return workload.SPECMcf().Build() }},
-		{"445.gobmk", plt1, func() workload.Runner { return workload.SPECGobmk().Build() }},
-		{"471.omnetpp", plt1, func() workload.Runner { return workload.SPECOmnetpp().Build() }},
-		{"CloudSuite WS", plt1, func() workload.Runner { return workload.CloudSuiteWebSearch().Build() }},
+		{"S1 leaf", plt1, nil, false},
+		{"S2 leaf", plt1, func() workload.Runner { return workload.S2Leaf(shrink).Build() }, true},
+		{"S3 leaf", plt1, func() workload.Runner { return workload.S3Leaf(shrink).Build() }, true},
+		{"S1 root", plt1, func() workload.Runner { return workload.S1Root(shrink).Build() }, true},
+		{"S2 root", plt1, func() workload.Runner { return workload.S2Root(shrink).Build() }, true},
+		{"S3 root", plt1, func() workload.Runner { return workload.S3Root(shrink).Build() }, true},
+		{"S1 leaf PLT2", plt2, nil, false},
+		{"400.perlbench", plt1, func() workload.Runner { return workload.SPECPerlbench().Build() }, false},
+		{"429.mcf", plt1, func() workload.Runner { return workload.SPECMcf().Build() }, false},
+		{"445.gobmk", plt1, func() workload.Runner { return workload.SPECGobmk().Build() }, false},
+		{"471.omnetpp", plt1, func() workload.Runner { return workload.SPECOmnetpp().Build() }, false},
+		{"CloudSuite WS", plt1, func() workload.Runner { return workload.CloudSuiteWebSearch().Build() }, false},
 	}
 
 	t := &Table{
@@ -56,15 +57,19 @@ func runTable1(c *Context) (Result, error) {
 		Note:    "simulated reproduction; paper S1 leaf fleet: 1.34 / 2.20 / 11.83 / 8.98",
 	}
 	// Columns on the shared leaf replay identical keys; the rest build
-	// private workloads, so the columns are independent. The worker cap
-	// bounds peak memory from concurrent builds.
+	// private workloads (measureOwn), so the columns are independent. The
+	// worker cap bounds peak memory from concurrent builds.
 	ms := runPoints(c, 4, len(cols), func(i int) workload.Metrics {
 		col := cols[i]
-		if col.build == nil {
+		if i == 0 {
 			return leafMetrics(c)
 		}
 		o.logf("table1: measuring %s...", col.name)
-		return workload.Measure(col.build(), oneCore(c, col.plat, o.Seed, 2.0))
+		mc := oneCore(c, col.plat, o.Seed, 2.0)
+		if col.build == nil {
+			return workload.Measure(c.Leaf(), mc)
+		}
+		return c.measureOwn(col.build, mc, col.index)
 	})
 	addRow := func(name string, m workload.Metrics) {
 		t.AddRow(name,
