@@ -363,12 +363,9 @@ func New(cfg Config) *Cache {
 	blocks := int(cfg.Size / int64(cfg.BlockSize))
 	if cfg.Assoc == 0 {
 		c.faCap = blocks
-		c.faIndex = make(map[uint64]int32, blocks)
-		// faNodes never outgrows faCap (a fill appends only while every
-		// node is live and below capacity) and faFree holds at most every
-		// node, so full capacity up front keeps fills allocation-free.
-		c.faNodes = make([]faNode, 0, blocks)
-		c.faFree = make([]int32, 0, blocks)
+		// The index and nodes grow as lines fill: reserving faCap would hold
+		// 128 MiB for fig14's largest L4, mostly lines no trace touches.
+		c.faIndex = make(map[uint64]int32)
 		c.faHead, c.faTail = -1, -1
 		return c
 	}

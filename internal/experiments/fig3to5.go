@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"searchmem/internal/memsim"
 	"searchmem/internal/trace"
 	"searchmem/internal/workload"
 )
@@ -68,8 +67,9 @@ func runFig4(c *Context) (Result, error) {
 	// Each point drives a private engine, so points are independent. They
 	// differ only in MaxSessions, so all of them (and Leaf()) copy one
 	// memoized index image; the worker cap bounds how many points' arenas
-	// are allocated at once.
-	spaces := runPoints(c, 2, len(coreCounts), func(i int) *memsim.Space {
+	// are alive at once, as a point keeps only its footprints.
+	segs := [...]trace.Segment{trace.Code, trace.Stack, trace.Heap}
+	footprints := runPoints(c, 2, len(coreCounts), func(i int) (mib [len(segs)]float64) {
 		cores := coreCounts[i]
 		// A fresh workload instance sized for this many sessions.
 		wl := workload.S1Leaf(o.Shrink)
@@ -77,13 +77,15 @@ func runFig4(c *Context) (Result, error) {
 		r := c.buildRunner(wl)
 		// Activate one session per core (warm run binds them).
 		r.Run(cores, int64(cores)*20_000, o.Seed, workload.Sinks{})
-		return r.Space()
+		for k, seg := range segs {
+			mib[k] = float64(r.Space().FootprintBytes(seg)) / (1 << 20)
+		}
+		return
 	})
-	for i, space := range spaces {
-		cores := coreCounts[i]
-		fig.Add("code", float64(cores), float64(space.FootprintBytes(trace.Code))/(1<<20))
-		fig.Add("stack", float64(cores), float64(space.FootprintBytes(trace.Stack))/(1<<20))
-		fig.Add("heap", float64(cores), float64(space.FootprintBytes(trace.Heap))/(1<<20))
+	for i, mib := range footprints {
+		for k, seg := range segs {
+			fig.Add(seg.String(), float64(coreCounts[i]), mib[k])
+		}
 	}
 	return fig, nil
 }

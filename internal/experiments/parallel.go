@@ -190,10 +190,12 @@ func measureMultiSharded(c *Context, r *workload.Replayer, mcs []workload.Measur
 		return sub
 	}
 
-	// Phase 1: the live shards, and every stream a served group needs.
+	// Phase 1: the live shards, and every stream a served group needs. A
+	// shard holds its uppers until its pass ends, so it carries at most three
+	// live configurations (each alone on its upper in every caller).
 	shards := 0
 	if len(live) > 0 {
-		shards = c.sweepWorkers(len(live), 0)
+		shards = max(c.sweepWorkers(len(live), 0), (len(live)+2)/3)
 	}
 	runPoints(c, 0, shards+len(streamed), func(j int) struct{} {
 		if j < shards {
