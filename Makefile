@@ -115,7 +115,7 @@ traffic:
 	"$$d/bin/bench" -smoke > /dev/null 2>&1; \
 	for ex in quickstart design-explorer serving-tree; do "$$d/bin/$$ex" > /dev/null; done; \
 	"$$d/bin/tracegen" -profile s1-leaf -shrink 64 -o t.smtr > /dev/null 2>&1; \
-	for flags in "" "-l4 64 -scale 64" "-predict" "-policy drrip -seed 7" "-inclusive=false"; do \
+	for flags in "" "-l4 64 -scale 64" "-predict" "-policy drrip -seed 7" "-inclusive=false" "-ways 6"; do \
 		"$$d/bin/cachesim" -trace t.smtr $$flags > /dev/null; \
 	done; \
 	$(GO) tool covdata func -i "$$d/cov" | awk '$$NF == "0.0%" { sub(/:[0-9]+:$$/, "", $$1); print $$1, $$2 }' | sort > "$$d/never"; \

@@ -82,13 +82,17 @@ func main() {
 		L1I:            cache.Config{Name: "L1-I", Size: div(*l1 << 10), BlockSize: *block, Assoc: 8},
 		L1D:            cache.Config{Name: "L1-D", Size: div(*l1 << 10), BlockSize: *block, Assoc: 8},
 		L2:             cache.Config{Name: "L2", Size: div(*l2 << 10), BlockSize: *block, Assoc: 8},
-		L3:             cache.Config{Name: "L3", Size: div(*l3 << 20), BlockSize: *block, Assoc: 20, AllocWays: *ways},
+		L3:             cache.Config{Name: "L3", Size: div(*l3 << 20), BlockSize: *block, Assoc: 20},
 		L3Inclusive:    *incl,
 	}
 	// Keep each level's associativity after scaling, as
 	// platform.ScaleCaches does.
 	for _, c := range []*cache.Config{&cfg.L1I, &cfg.L1D, &cfg.L2, &cfg.L3} {
 		*c = c.RoundToSets()
+	}
+	need(*ways >= 0 && *ways <= cfg.L3.Assoc, "-ways", fmt.Sprintf("in 0..%d", cfg.L3.Assoc), int64(*ways))
+	if *ways > 0 {
+		cfg.L3 = cfg.L3.WayPartition(*ways)
 	}
 	if *policy != "" {
 		p, err := cache.ParsePolicy(*policy)

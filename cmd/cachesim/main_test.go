@@ -35,7 +35,9 @@ func TestMain(m *testing.M) {
 
 // TestReplayGoldens pins cachesim's stdout over the leaf trace for the flag
 // combinations that select different simulator paths. The goldens are what
-// the binary printed at commit 3db34e2.
+// the binary printed at commit 3db34e2, and ways.golden what it printed at
+// fb6e940, while a CAT partition still restricted fills to the first ways
+// of a 20-way L3.
 func TestReplayGoldens(t *testing.T) {
 	for name, args := range map[string][]string{
 		"default":      nil,
@@ -43,6 +45,7 @@ func TestReplayGoldens(t *testing.T) {
 		"predict":      {"-predict"},
 		"drrip":        {"-policy", "drrip", "-seed", "7"},
 		"noninclusive": {"-inclusive=false"},
+		"ways":         {"-ways", "6"},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
 		if err != nil {
@@ -82,15 +85,18 @@ func TestBadFlagsFail(t *testing.T) {
 		{[]string{"-smt", "0"}, "cachesim: -smt must be in 1..256, got 0"},
 		{[]string{"-cores", "64", "-smt", "8"}, "cachesim: -cores x -smt must be at most 256 hardware threads, got 512"},
 		{[]string{"-instructions", "-5"}, "cachesim: -instructions must be non-negative, got -5"},
-		{[]string{"-ways", "30"}, "AllocWays 30 out of range"},
+		{[]string{"-ways", "30"}, "cachesim: -ways must be in 0..20, got 30"},
+		{[]string{"-ways", "-1"}, "cachesim: -ways must be in 0..20, got -1"},
 		// Scaling to a size that is no whole number of sets keeps the 20 ways.
-		{[]string{"-scale", "7", "-ways", "21"}, "AllocWays 21 out of range [0,20]"},
+		{[]string{"-scale", "7", "-ways", "21"}, "cachesim: -ways must be in 0..20, got 21"},
 		// A capacity whose byte count overflows int64.
 		{[]string{"-l1", "9007199254740992"}, "cachesim: -l1 must be at most 9007199254740991, got 9007199254740992"},
 		{[]string{"-l2", "9007199254740992"}, "cachesim: -l2 must be at most 9007199254740991, got 9007199254740992"},
 		{[]string{"-l3", "9000000000000"}, "cachesim: -l3 must be at most 8796093022207, got 9000000000000"},
 		{[]string{"-l4", "8796093022208"}, "cachesim: -l4 must be at most 8796093022207, got 8796093022208"},
 		{[]string{"-policy", "mru"}, `-policy: cache: unknown replacement policy "mru"`},
+		{[]string{"-policy", "fifo"}, `-policy: cache: unknown replacement policy "fifo" (valid: LRU, SRRIP, BRRIP, DRRIP)`},
+		{[]string{"-policy", "random"}, `-policy: cache: unknown replacement policy "random" (valid: LRU, SRRIP, BRRIP, DRRIP)`},
 	} {
 		args := tc.args
 		if args != nil {

@@ -15,10 +15,6 @@ const (
 	// LRU evicts the least-recently-used line (the paper's simulator uses
 	// LRU everywhere).
 	LRU Policy = iota
-	// FIFO evicts the oldest-filled line regardless of reuse.
-	FIFO
-	// Random evicts a uniformly random line (ablation baseline).
-	Random
 	// SRRIP is static re-reference interval prediction (Jaleel et al.):
 	// 2-bit RRPVs, insertion at "long" (RRPV 2), promotion to "imminent"
 	// (RRPV 0) on hit, eviction of the leftmost "distant" (RRPV 3) way.
@@ -41,10 +37,6 @@ func (p Policy) String() string {
 	switch p {
 	case LRU:
 		return "LRU"
-	case FIFO:
-		return "FIFO"
-	case Random:
-		return "random"
 	case SRRIP:
 		return "SRRIP"
 	case BRRIP:
@@ -79,14 +71,14 @@ func PolicyNames() string {
 }
 
 // Stochastic reports whether the policy consumes the seeded RNG (and so
-// requires an explicit non-zero Seed for reproducibility): Random victim
-// choice, and BRRIP's bimodal insertion (which DRRIP inherits).
+// requires an explicit non-zero Seed for reproducibility): BRRIP's bimodal
+// insertion, which DRRIP inherits.
 func (p Policy) Stochastic() bool {
-	return p == Random || p == BRRIP || p == DRRIP
+	return p == BRRIP || p == DRRIP
 }
 
 // RRIP reports whether the policy keeps 2-bit re-reference predictions in
-// the stamp array instead of recency/fill-order stamps.
+// the stamp array instead of recency stamps.
 func (p Policy) RRIP() bool {
 	return p == SRRIP || p == BRRIP || p == DRRIP
 }
@@ -103,15 +95,10 @@ type Config struct {
 	// cache and 1 a direct-mapped one.
 	Assoc int
 	// Policy is the replacement policy (fully-associative caches support
-	// LRU and FIFO only).
+	// LRU only).
 	Policy Policy
-	// AllocWays, when non-zero, restricts allocation to the first
-	// AllocWays ways of each set. This models Intel CAT way-partitioning
-	// exactly as the paper uses it: capacity and associativity shrink
-	// together (§III-D, §IV-B).
-	AllocWays int
-	// Seed seeds the stochastic policies (Random victim choice, BRRIP and
-	// DRRIP bimodal insertion). Required non-zero for those policies.
+	// Seed seeds the stochastic policies (BRRIP and DRRIP bimodal
+	// insertion). Required non-zero for those policies.
 	Seed uint64
 	// DeadBlock enables dead-block-aware insertion for the RRIP policies:
 	// a small tag-hashed counter table, trained on evictions, predicts
@@ -149,18 +136,25 @@ func (c Config) Validate() error {
 		if blocks%int64(c.Assoc) != 0 {
 			return fmt.Errorf("cache %q: %d blocks not divisible by %d ways", c.Name, blocks, c.Assoc)
 		}
-		if c.AllocWays < 0 || c.AllocWays > c.Assoc {
-			return fmt.Errorf("cache %q: AllocWays %d out of range [0,%d]", c.Name, c.AllocWays, c.Assoc)
-		}
-	} else {
-		if c.AllocWays != 0 {
-			return fmt.Errorf("cache %q: AllocWays unsupported for fully-associative caches", c.Name)
-		}
-		if c.Policy != LRU && c.Policy != FIFO {
-			return fmt.Errorf("cache %q: policy %s unsupported for fully-associative caches (LRU and FIFO only)", c.Name, c.Policy)
-		}
+	} else if c.Policy != LRU {
+		return fmt.Errorf("cache %q: policy %s unsupported for fully-associative caches (LRU only)", c.Name, c.Policy)
 	}
 	return nil
+}
+
+// WayPartition returns the cache an Intel CAT partition of k of c's ways
+// is: the same sets, k ways each, so capacity and associativity shrink
+// together (§III-D, §IV-B). Replacement, set index, DRRIP leader sets and
+// dead-block training read only the set index and the fillable ways, so
+// the k-way cache behaves exactly as the partition. c must be
+// set-associative and k in 1..c.Assoc; WayPartition panics otherwise.
+func (c Config) WayPartition(k int) Config {
+	if c.Assoc == 0 || k < 1 || k > c.Assoc {
+		panic(fmt.Sprintf("cache %q: CAT partition of %d ways out of range 1..%d", c.Name, k, c.Assoc))
+	}
+	sets := c.Size / int64(c.BlockSize) / int64(c.Assoc)
+	c.Size, c.Assoc = sets*int64(c.BlockSize)*int64(k), k
+	return c
 }
 
 // RoundToSets returns c with its size rounded down to whole sets of its
@@ -273,16 +267,14 @@ type Cache struct {
 	blockShift uint
 	numSets    int
 	assoc      int
-	allocWays  int
 
 	// array-backed set-associative storage (assoc > 0), SoA-split: way w of
 	// set s lives at index s*assoc+w in each array.
 	tags   []uint64 // full block address (cheaper than true tag extraction)
-	stamps []uint64 // recency (LRU) or fill-order (FIFO) stamp
+	stamps []uint64 // recency stamp (LRU) or RRPV (RRIP)
 	meta   []uint8  // metaValid | metaDirty | segment<<metaSegShift
-	occ    []uint16 // valid lines per set; == allocWays lets fills skip the free-way scan
+	occ    []uint16 // valid lines per set; == assoc lets fills skip the free-way scan
 	clock  uint64
-	isLRU  bool // cfg.Policy == LRU, hoisted out of the hot probe
 	isRRIP bool // cfg.Policy.RRIP(), hoisted out of the hot probe
 	isDB   bool // cfg.DeadBlock, hoisted out of the hot probe
 
@@ -348,7 +340,6 @@ func New(cfg Config) *Cache {
 	c := &Cache{
 		cfg:       cfg,
 		rng:       stats.NewRNG(cfg.Seed ^ 0x5eedcafe),
-		isLRU:     cfg.Policy == LRU,
 		isRRIP:    cfg.Policy.RRIP(),
 		isDB:      cfg.DeadBlock,
 		psel:      pselMax / 2,
@@ -370,10 +361,6 @@ func New(cfg Config) *Cache {
 		return c
 	}
 	c.assoc = cfg.Assoc
-	c.allocWays = cfg.AllocWays
-	if c.allocWays == 0 {
-		c.allocWays = cfg.Assoc
-	}
 	c.numSets = blocks / cfg.Assoc
 	if c.numSets&(c.numSets-1) == 0 {
 		c.pow2Sets = true
@@ -405,19 +392,19 @@ func (c *Cache) Access(block uint64, seg trace.Segment, kind trace.Kind) bool {
 	return hit
 }
 
-// promote updates replacement state for a hit on slot idx: LRU bumps the
-// recency stamp, RRIP promotes to "imminent" (RRPV 0) and feeds the
-// dead-block predictor's reuse bit; FIFO and Random ignore hits. Small and
-// call-free so the batched kernels' inlined probes keep it in registers.
+// promote updates replacement state for a hit on slot idx: RRIP promotes
+// to "imminent" (RRPV 0) and feeds the dead-block predictor's reuse bit, LRU
+// bumps the recency stamp. Small and call-free so the batched kernels'
+// inlined probes keep it in registers.
 func (c *Cache) promote(idx int) {
-	if c.isLRU {
-		c.clock++
-		c.stamps[idx] = c.clock
-	} else if c.isRRIP {
+	if c.isRRIP {
 		c.stamps[idx] = 0
 		if c.isDB {
 			c.meta[idx] |= metaReused
 		}
+	} else {
+		c.clock++
+		c.stamps[idx] = c.clock
 	}
 }
 
@@ -431,9 +418,7 @@ func (c *Cache) touch(block uint64, write bool) bool {
 		if write {
 			c.faNodes[idx].line.Dirty = true
 		}
-		if c.cfg.Policy == LRU {
-			c.faMoveToFront(idx)
-		}
+		c.faMoveToFront(idx)
 		return true
 	}
 	if block == c.lastBlock {
@@ -499,9 +484,9 @@ func (c *Cache) fillAbsent(block uint64, seg trace.Segment, dirty bool) (evicted
 	set := c.setIndex(block)
 	base := set * c.assoc
 	victim := -1
-	if int(c.occ[set]) < c.allocWays {
+	if int(c.occ[set]) < c.assoc {
 		// A free way exists (empty ways hold invalidTag in the tags array).
-		tg := c.tags[base : base+c.allocWays]
+		tg := c.tags[base : base+c.assoc]
 		for w := range tg {
 			if tg[w] == invalidTag {
 				victim = w
@@ -510,15 +495,14 @@ func (c *Cache) fillAbsent(block uint64, seg trace.Segment, dirty bool) (evicted
 		}
 		c.occ[set]++
 	} else {
-		switch {
-		case c.isRRIP:
+		st := c.stamps[base : base+c.assoc]
+		victim = 0
+		if c.isRRIP {
 			// Evict the leftmost way with the maximum RRPV, after aging
 			// every way up so that maximum reaches "distant" (3). One
 			// scan + one conditional sweep is equivalent to the textbook
 			// "repeat until a 3 is found" loop: aging preserves order, so
 			// the first way to reach 3 is the leftmost current maximum.
-			st := c.stamps[base : base+c.allocWays]
-			victim = 0
 			maxv := st[0]
 			for w := 1; w < len(st); w++ {
 				if s := st[w]; s > maxv {
@@ -530,11 +514,7 @@ func (c *Cache) fillAbsent(block uint64, seg trace.Segment, dirty bool) (evicted
 					st[w] += d
 				}
 			}
-		case c.cfg.Policy == Random:
-			victim = c.rng.Intn(c.allocWays)
-		default: // LRU and FIFO both evict the minimum stamp
-			st := c.stamps[base : base+c.allocWays]
-			victim = 0
+		} else { // LRU evicts the minimum stamp
 			best := st[0]
 			for w := 1; w < len(st); w++ {
 				if s := st[w]; s < best {

@@ -33,11 +33,9 @@ func TestConfigValidate(t *testing.T) {
 		{Size: 1024, BlockSize: 0, Assoc: 4},
 		{Size: 1024, BlockSize: 48, Assoc: 4},
 		{Size: 1024, BlockSize: 64, Assoc: -1},
-		{Size: 1024, BlockSize: 64, Assoc: 5},               // 16 blocks not divisible by 5
-		{Size: 1024, BlockSize: 64, Assoc: 4, AllocWays: 5}, // AllocWays > Assoc
-		{Size: 32, BlockSize: 64, Assoc: 0},                 // smaller than a block
-		{Size: 1024, BlockSize: 64, Assoc: 0, AllocWays: 2},
-		{Size: 1024, BlockSize: 64, Assoc: 0, Policy: Random},
+		{Size: 1024, BlockSize: 64, Assoc: 5}, // 16 blocks not divisible by 5
+		{Size: 32, BlockSize: 64, Assoc: 0},   // smaller than a block
+		{Size: 1024, BlockSize: 64, Assoc: 0, Policy: SRRIP},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -178,22 +176,6 @@ func TestFillExistingDoesNotEvict(t *testing.T) {
 	}
 }
 
-func TestCATPartitioning(t *testing.T) {
-	// 16 ways but only 4 allocatable: effective capacity is 4 blocks.
-	cfg := smallCfg(16)
-	cfg.AllocWays = 4
-	c := New(cfg)
-	for b := uint64(0); b < 5; b++ {
-		c.Fill(b, trace.Heap, false)
-	}
-	if occupancy(c) != 4 {
-		t.Fatalf("CAT cache holds %d blocks, want 4", occupancy(c))
-	}
-	if c.Contains(0) {
-		t.Fatal("LRU victim not evicted under partitioning")
-	}
-}
-
 // TestLRUInclusionProperty verifies Mattson's inclusion property: on the
 // same trace, a larger fully-associative LRU cache never has fewer hits.
 func TestLRUInclusionProperty(t *testing.T) {
@@ -301,7 +283,7 @@ func TestOccupancyNeverExceedsCapacity(t *testing.T) {
 }
 
 func TestPolicyString(t *testing.T) {
-	if LRU.String() != "LRU" || FIFO.String() != "FIFO" || Random.String() != "random" {
+	if LRU.String() != "LRU" || SRRIP.String() != "SRRIP" || DRRIP.String() != "DRRIP" {
 		t.Fatal("policy strings wrong")
 	}
 	if Policy(9).String() != "policy(9)" {

@@ -55,20 +55,9 @@ type Classifier struct {
 // NewClassifier builds a classifier for a standalone cache config. The
 // shadow uses the same capacity and block size with full associativity.
 func NewClassifier(cfg Config) *Classifier {
-	shadowCfg := Config{
-		Name:      cfg.Name + "-shadow",
-		Size:      cfg.Size,
-		BlockSize: cfg.BlockSize,
-		Assoc:     0,
-		Policy:    LRU,
-	}
-	if cfg.AllocWays != 0 && cfg.Assoc != 0 {
-		// Way partitioning reduces usable capacity; mirror it in the shadow.
-		shadowCfg.Size = cfg.Size * int64(cfg.AllocWays) / int64(cfg.Assoc)
-	}
 	return &Classifier{
 		real:   New(cfg),
-		shadow: New(shadowCfg),
+		shadow: New(Config{Name: cfg.Name + "-shadow", Size: cfg.Size, BlockSize: cfg.BlockSize}),
 		seen:   make(map[uint64]struct{}),
 	}
 }

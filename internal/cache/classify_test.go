@@ -80,7 +80,7 @@ func TestClassifierConservation(t *testing.T) {
 func TestClassifierCATShadow(t *testing.T) {
 	// With way partitioning the shadow must shrink too: a 4-of-16-way
 	// partition on a 1 KiB cache behaves like a 256 B cache.
-	cl := NewClassifier(Config{Name: "c", Size: 1 << 10, BlockSize: 64, Assoc: 16, AllocWays: 4})
+	cl := NewClassifier(Config{Name: "c", Size: 1 << 10, BlockSize: 64, Assoc: 16}.WayPartition(4))
 	if got := cl.shadow.cfg.Size; got != 256 {
 		t.Fatalf("shadow size %d, want 256", got)
 	}

@@ -14,11 +14,11 @@ package cache
 // view, DESIGN.md §11).
 
 // Partitionable reports whether cfg's upper can be split into set partitions
-// (Split): every L1–L3 cache is set-associative, runs LRU, FIFO or SRRIP
-// without dead-block insertion, and has a set count that is a multiple of 2 ·
+// (Split): every L1–L3 cache is set-associative, runs LRU or SRRIP without
+// dead-block insertion, and has a set count that is a multiple of 2 ·
 // (L3 block / its block), so its set index determines the lowest bit of the
-// L3 block number. Random and BRRIP draw from one RNG per cache, DRRIP's
-// PSEL counter and the dead-block table are trained by every set, and a
+// L3 block number. BRRIP draws from one RNG per cache, DRRIP's PSEL counter
+// and the dead-block table are trained by every set, and a
 // fully-associative cache is one set: each couples the partitions, so those
 // configurations are refused.
 func Partitionable(cfg HierarchyConfig) bool {
@@ -26,7 +26,7 @@ func Partitionable(cfg HierarchyConfig) bool {
 		return false
 	}
 	for _, c := range []Config{cfg.L1I, cfg.L1D, cfg.privateL2(), cfg.L3} {
-		if c.Assoc == 0 || c.DeadBlock || (c.Policy != LRU && c.Policy != FIFO && c.Policy != SRRIP) {
+		if c.Assoc == 0 || c.DeadBlock || (c.Policy != LRU && c.Policy != SRRIP) {
 			return false
 		}
 		sets := c.Size / int64(c.BlockSize) / int64(c.Assoc)

@@ -29,7 +29,7 @@ func partitionLaw(cfg HierarchyConfig) bool {
 }
 
 // TestPartitionableLaw: over a grid of set counts (powers of two and not),
-// block sizes, SplitL2 and the three set-local policies, a configuration is
+// block sizes, SplitL2 and the two set-local policies, a configuration is
 // accepted exactly when every upper set index contains the partition bit;
 // stochastic, duelling, dead-block and fully-associative levels are refused
 // whatever their shape.
@@ -44,7 +44,7 @@ func TestPartitionableLaw(t *testing.T) {
 							continue
 						}
 						for _, split := range []bool{false, true} {
-							for _, p := range []Policy{LRU, FIFO, SRRIP} {
+							for _, p := range []Policy{LRU, SRRIP} {
 								cfg := HierarchyConfig{Cores: 2, ThreadsPerCore: 1, SplitL2: split, L3Inclusive: true,
 									L1I: Config{Size: int64(l1Sets * 2 * 64), BlockSize: 64, Assoc: 2, Policy: p},
 									L2:  Config{Size: int64(l2Sets * 4 * l2Block), BlockSize: l2Block, Assoc: 4, Policy: p},
@@ -68,7 +68,6 @@ func TestPartitionableLaw(t *testing.T) {
 									func(c *HierarchyConfig, f func(*Config)) { f(&c.L3) },
 								} {
 									for _, coupled := range []func(*Config){
-										func(c *Config) { c.Policy, c.Seed = Random, 7 },
 										func(c *Config) { c.Policy, c.Seed = BRRIP, 7 },
 										func(c *Config) { c.Policy, c.Seed = DRRIP, 7 },
 										func(c *Config) { c.Policy, c.DeadBlock = SRRIP, true },
@@ -99,7 +98,7 @@ func TestPartitionableLaw(t *testing.T) {
 // and block ordinal included, and the levels access for access. Under
 // -race it also shows the partitions share no memory they write.
 func TestPartitionsConcurrentMatchWhole(t *testing.T) {
-	for _, name := range []string{"lru", "fifo", "srrip", "allocways", "splitl2"} {
+	for _, name := range []string{"lru", "srrip", "allocways", "splitl2"} {
 		t.Run(name, func(t *testing.T) {
 			sh := namedShapes[name]
 			for _, block128 := range []uint16{0, 1 << 4} {

@@ -67,7 +67,7 @@ func TestPolicyValidate(t *testing.T) {
 		}
 		cfg := seededCfg(p, 0) // fully associative
 		err := cfg.Validate()
-		if p == LRU || p == FIFO {
+		if p == LRU {
 			if err != nil {
 				t.Errorf("%s: fully-associative config rejected: %v", p, err)
 			}

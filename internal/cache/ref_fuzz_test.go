@@ -30,15 +30,16 @@ import (
 // decodeShape decodes fuzzed bits into a hierarchy. shape is the upper:
 // bits 0-1 cores {1, 4, 9, 18} (9 and 18 alias owner bits), bit 2 SMT 2,
 // bit 3 SplitL2, bit 4 a 128 B L3 block over 64 B L1/L2 blocks, bits 5-7
-// the L1–L3 policy {LRU, FIFO, random, SRRIP, BRRIP, DRRIP, SRRIP and
-// DRRIP with dead-block insertion}, bit 8 a non-inclusive L3, bit 9 a
-// fully-associative L3 (FIFO under FIFO, else LRU), bit 10 L3 AllocWays 3
-// of 4. tail is the rest: bits 0-1 the L4 {none, direct-mapped, 4-way,
-// fully associative}, bits 2-3 its policy {LRU, random, SRRIP+dead-block,
-// BRRIP} (LRU when fully associative), bit 4 a level predictor, bit 5 block
-// keys, bit 6 the predictor's confidence threshold.
+// the L1–L3 policy {LRU, LRU, SRRIP, SRRIP, BRRIP, DRRIP, SRRIP and DRRIP
+// with dead-block insertion} (the two partitionable policies twice), bit 8 a
+// non-inclusive L3, bit 9 a fully-associative LRU L3, bit 10 a 3-way L3 with
+// the 4-way L3's set count (a CAT partition, Config.WayPartition). tail is
+// the rest: bits 0-1 the L4 {none, direct-mapped, 4-way, fully
+// associative}, bits 2-3 its policy {LRU, DRRIP, SRRIP+dead-block, BRRIP}
+// (LRU when fully associative), bit 4 a level predictor, bit 5 block keys,
+// bit 6 the predictor's confidence threshold.
 func decodeShape(shape uint16, tail uint8) HierarchyConfig {
-	p := []Policy{LRU, FIFO, Random, SRRIP, BRRIP, DRRIP, SRRIP, DRRIP}[shape>>5&7]
+	p := []Policy{LRU, LRU, SRRIP, SRRIP, BRRIP, DRRIP, SRRIP, DRRIP}[shape>>5&7]
 	level := func(size int64, assoc int, seed uint64) Config {
 		return Config{Size: size, BlockSize: 64, Assoc: assoc, Policy: p, Seed: seed, DeadBlock: shape>>6&3 == 3}
 	}
@@ -49,17 +50,14 @@ func decodeShape(shape uint16, tail uint8) HierarchyConfig {
 	}
 	cfg.L3.BlockSize <<= shape >> 4 & 1
 	if shape>>9&1 != 0 {
-		cfg.L3.Assoc, cfg.L3.DeadBlock = 0, false
-		if p != FIFO {
-			cfg.L3.Policy = LRU
-		}
+		cfg.L3.Assoc, cfg.L3.Policy, cfg.L3.DeadBlock = 0, LRU, false
 	} else if shape>>10&1 != 0 {
-		cfg.L3.AllocWays = 3
+		cfg.L3 = cfg.L3.WayPartition(3)
 	}
 	if kind := tail & 3; kind != 0 {
 		cfg.L4 = &Config{Size: 16 << 10, BlockSize: cfg.L3.BlockSize, Assoc: []int{0, 1, 4, 0}[kind], Seed: 77}
 		if kind != 3 {
-			cfg.L4.Policy = []Policy{LRU, Random, SRRIP, BRRIP}[tail>>2&3]
+			cfg.L4.Policy = []Policy{LRU, DRRIP, SRRIP, BRRIP}[tail>>2&3]
 			cfg.L4.DeadBlock = cfg.L4.Policy == SRRIP
 		}
 	}
@@ -70,14 +68,14 @@ func decodeShape(shape uint16, tail uint8) HierarchyConfig {
 }
 
 // namedShapes are the decoder points the compressed-replay and allocation
-// tests run: every L1–L3 policy, way-partitioning, a fully-associative L3,
+// tests run: every L1–L3 policy, a CAT-partitioned L3, a fully-associative L3,
 // split L2s, the L4 and the level predictor in both keyings, on four cores.
 var namedShapes = map[string]struct {
 	shape uint16
 	tail  uint8
 }{
-	"lru": {0x001, 0}, "fifo": {0x021, 0}, "random": {0x041, 0}, "srrip": {0x061, 0}, "brrip": {0x081, 0},
-	"drrip": {0x0a1, 0}, "srrip+db": {0x0c1, 0}, "allocways": {0x401, 0}, "fullyassoc": {0x201, 0},
+	"lru": {0x001, 0}, "srrip": {0x061, 0}, "brrip": {0x081, 0}, "drrip": {0x0a1, 0}, "srrip+db": {0x0c1, 0},
+	"allocways": {0x401, 0}, "fullyassoc": {0x201, 0},
 	"l4": {0x001, 0x02}, "splitl2": {0x009, 0x02}, "pred": {0x001, 0x12}, "predblock": {0x061, 0x30},
 }
 
@@ -421,7 +419,7 @@ func runPartitioned(seed uint64, shape uint16, tails uint32, ops []ownerOp) *par
 
 // view is tail k's view of the pair: every upper cache merged from the two
 // partitions, each set from the partition that owns it, with the counters
-// summed and LRU/FIFO stamps ranked within each set (rankStamps), since each
+// summed and LRU stamps ranked within each set (rankStamps), since each
 // partition stamps from its own clock.
 func (p *partitioned) view(k int) view {
 	v := kernelView(p.a, p.tails[k], p.levels[k], p.mem[k])
@@ -455,9 +453,9 @@ func cacheKey(i int) string {
 	return fmt.Sprint("cache ", i)
 }
 
-// rankStamps returns v with the stamps of every LRU or FIFO upper cache
-// replaced by their rank among the valid ways of their set: those policies
-// read only the order of a set's stamps, which is what two partitions with
+// rankStamps returns v with the stamps of every LRU upper cache replaced by
+// their rank among the valid ways of their set: LRU reads only the order of
+// a set's stamps, which is what two partitions with
 // clocks of their own preserve. h supplies the caches' shapes.
 func rankStamps(v view, h *Hierarchy) view {
 	out := maps.Clone(v)
@@ -485,11 +483,11 @@ func rankStamps(v view, h *Hierarchy) view {
 // FuzzHierarchyMatchesReference lets the fuzzer pick the upper shape, four
 // tail shapes, the trace seed and its length.
 func FuzzHierarchyMatchesReference(f *testing.F) {
-	f.Add(uint64(1), uint16(0x001), uint32(0x3f_15_06_00), uint16(900))   // 4 cores; L4 none, 4-way random, DM random + per-PC predictor, FA + block keys
+	f.Add(uint64(1), uint16(0x001), uint32(0x3f_15_06_00), uint16(900))   // 4 cores; L4 none, 4-way DRRIP, DM DRRIP + per-PC predictor, FA + block keys
 	f.Add(uint64(2), uint16(0x11f), uint32(0x52_0a_3e_11), uint16(1200))  // 18 cores, SMT, split L2, 128 B L3 blocks, non-inclusive
 	f.Add(uint64(3), uint16(0x6a6), uint32(0x7f_4e_0d_53), uint16(700))   // 9 cores, SMT, DRRIP, fully-associative L3
-	f.Add(uint64(331), uint16(0x469), uint32(0x0e_03_02_00), uint16(900)) // 4 cores, split L2, SRRIP, L3 AllocWays: split at op 331 mod ops
-	f.Add(uint64(5), uint16(0x035), uint32(0x2e_0a_01_00), uint16(1500))  // 4 cores, SMT, FIFO, 128 B L3 blocks
+	f.Add(uint64(331), uint16(0x469), uint32(0x0e_03_02_00), uint16(900)) // 4 cores, split L2, SRRIP, 3-way L3: split at op 331 mod ops
+	f.Add(uint64(5), uint16(0x035), uint32(0x2e_0a_01_00), uint16(1500))  // 4 cores, SMT, LRU, 128 B L3 blocks
 	f.Fuzz(func(t *testing.T, seed uint64, shape uint16, tails uint32, n uint16) {
 		runReference(t, seed, shape&(1<<11-1), tails, int(n%4096))
 	})

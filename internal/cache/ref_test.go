@@ -16,8 +16,8 @@ import (
 	"searchmem/internal/trace"
 )
 
-// refWay is one way. stamp is the clock at the last touch (LRU) or at the
-// fill (FIFO, Random), or the RRPV under RRIP; reused marks an RRIP hit.
+// refWay is one way. stamp is the clock at the last touch (LRU) or the RRPV
+// under RRIP; reused marks an RRIP hit.
 type refWay struct {
 	block                uint64
 	valid, dirty, reused bool
@@ -77,8 +77,8 @@ func (r *refCache) probe(addr uint64, seg trace.Segment, kind trace.Kind) bool {
 }
 
 // fill installs addr's block: a resident block only takes the dirty bit, an
-// absent one replaces the first free way among the first AllocWays, or else
-// the policy's victim, which fill returns.
+// absent one replaces the first free way, or else the policy's victim, which
+// fill returns.
 func (r *refCache) fill(addr uint64, seg trace.Segment, dirty bool) (refWay, bool) {
 	if w := r.find(addr); w != nil {
 		w.dirty = w.dirty || dirty
@@ -86,7 +86,7 @@ func (r *refCache) fill(addr uint64, seg trace.Segment, dirty bool) (refWay, boo
 	}
 	block := addr >> r.shift
 	s := int(block % uint64(len(r.sets)))
-	ways := r.sets[s][:cmp.Or(r.cfg.AllocWays, len(r.sets[s]))]
+	ways := r.sets[s]
 	v := slices.IndexFunc(ways, func(w refWay) bool { return !w.valid })
 	if v < 0 {
 		v = r.victim(ways)
@@ -107,12 +107,9 @@ func (r *refCache) fill(addr uint64, seg trace.Segment, dirty bool) (refWay, boo
 	return old, old.valid
 }
 
-// victim picks the way a fill into a full set replaces: a random one, the
-// leftmost distant one after aging the set until one is, or the oldest.
+// victim picks the way a fill into a full set replaces: the leftmost
+// distant one after aging the set until one is, or the least recently used.
 func (r *refCache) victim(ways []refWay) int {
-	if r.cfg.Policy == Random {
-		return r.rng.Intn(len(ways))
-	}
 	for r.cfg.Policy.RRIP() {
 		if i := slices.IndexFunc(ways, func(w refWay) bool { return w.stamp == rrpvMax }); i >= 0 {
 			return i

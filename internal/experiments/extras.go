@@ -42,16 +42,12 @@ func init() {
 // share everywhere.
 func runMissClass(c *Context) (Result, error) {
 	o := c.Opts
-	plat := platform.PLT1()
 	// Classify the 16-thread sweep trace against a paper-equivalent L3
 	// (32 MiB-paper at sweep scale): the GiB-scale heap working set is
 	// what produces the paper's capacity misses. Cold/capacity/conflict
 	// proportions are driven by block-level reuse, which upstream L1/L2
 	// filtering preserves (Mattson inclusion).
-	l3 := plat.L3
-	l3.Size = workload.SimUnits(32 << 20)
-	l3.Assoc = 16 // keep blocks/ways divisibility at the scaled size
-	cl := cache.NewClassifier(l3)
+	cl := cache.NewClassifier(platform.PLT1().HierarchyWithL3Size(1, 1, workload.SimUnits(32<<20)).L3)
 	c.Sweep().Run(min(o.Threads, 16), o.Budget*2, o.Seed+41, workload.Sinks{Access: cl.Observe})
 
 	t := &Table{

@@ -150,7 +150,8 @@ func PLT2() Platform {
 
 // Hierarchy builds a cache.HierarchyConfig for running cores on one socket
 // of the platform with the given SMT ways and an optional L3 way partition
-// (CAT; 0 = all ways).
+// (CAT; 0 = all ways): the L3's sets with l3Ways ways each
+// (cache.Config.WayPartition, which panics beyond the L3's ways).
 func (p Platform) Hierarchy(cores, smtWays, l3Ways int) cache.HierarchyConfig {
 	if cores <= 0 || cores > p.CoresPerSocket*p.Sockets {
 		panic(fmt.Sprintf("platform %s: %d cores out of range", p.Name, cores))
@@ -160,10 +161,7 @@ func (p Platform) Hierarchy(cores, smtWays, l3Ways int) cache.HierarchyConfig {
 	}
 	l3 := p.L3
 	if l3Ways > 0 {
-		if l3Ways > l3.Assoc {
-			panic(fmt.Sprintf("platform %s: %d L3 ways > %d", p.Name, l3Ways, l3.Assoc))
-		}
-		l3.AllocWays = l3Ways
+		l3 = l3.WayPartition(l3Ways)
 	}
 	return cache.HierarchyConfig{
 		Cores:          cores,
@@ -183,7 +181,6 @@ func (p Platform) HierarchyWithL3Size(cores, smtWays int, l3Size int64) cache.Hi
 	cfg := p.Hierarchy(cores, smtWays, 0)
 	l3 := cfg.L3
 	l3.Size = l3Size
-	l3.AllocWays = 0
 	if l3Size/int64(l3.BlockSize)%int64(l3.Assoc) != 0 {
 		l3.Assoc = 16
 	}

@@ -3,6 +3,8 @@ package platform
 import (
 	"math"
 	"testing"
+
+	"searchmem/internal/cache"
 )
 
 func TestTableIIAttributes(t *testing.T) {
@@ -50,11 +52,52 @@ func TestHierarchyConstruction(t *testing.T) {
 	}
 	// CAT partition: 6 of 20 ways.
 	cfg = p.Hierarchy(11, 1, 6)
-	if cfg.L3.AllocWays != 6 {
+	if cfg.L3.Assoc != 6 {
 		t.Fatal("CAT ways not set")
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCATPartitioning is the CAT law on both platforms, whole and scaled: a
+// k-way partition's L3 validates, keeps the whole L3's set count with k ways
+// and exactly k/Assoc of its bytes, and is partitionable exactly when the
+// whole L3 is; nothing else of the hierarchy moves. k = 0 and k = Assoc are
+// the whole L3, and k > Assoc panics.
+func TestCATPartitioning(t *testing.T) {
+	for _, p := range []Platform{PLT1(), PLT2(), PLT1().ScaleCaches(64), PLT2().ScaleCaches(7)} {
+		whole := p.Hierarchy(4, 1, 0)
+		n := whole.L3.Assoc
+		sets := whole.L3.Size / int64(whole.L3.BlockSize) / int64(n)
+		for k := 1; k <= n; k++ {
+			cfg := p.Hierarchy(4, 1, k)
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("%s, %d of %d ways: %v", p.Name, k, n, err)
+			}
+			l3 := cfg.L3
+			if l3.Assoc != k || l3.Size/int64(l3.BlockSize)/int64(k) != sets || l3.Size*int64(n) != whole.L3.Size*int64(k) {
+				t.Errorf("%s, %d of %d ways: L3 of %d B in %d ways, want %d sets and %d/%d of %d B",
+					p.Name, k, n, l3.Size, l3.Assoc, sets, k, n, whole.L3.Size)
+			}
+			if cache.Partitionable(cfg) != cache.Partitionable(whole) {
+				t.Errorf("%s, %d of %d ways: Partitionable = %v, whole L3 %v", p.Name, k, n, cache.Partitionable(cfg), cache.Partitionable(whole))
+			}
+			if cfg.L3 = whole.L3; cfg != whole {
+				t.Errorf("%s, %d of %d ways: the partition moved more than the L3", p.Name, k, n)
+			}
+		}
+		if p.Hierarchy(4, 1, n) != whole {
+			t.Errorf("%s: all %d ways differ from the unpartitioned L3", p.Name, n)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: %d of %d ways did not panic", p.Name, n+1, n)
+				}
+			}()
+			p.Hierarchy(4, 1, n+1)
+		}()
 	}
 }
 

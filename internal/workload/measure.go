@@ -66,13 +66,13 @@ type MeasureConfig struct {
 	BranchObserver func(thread uint8, mispredict bool)
 	// L2Policy, L3Policy, and L4Policy select the replacement policy per
 	// level (the zero value, cache.LRU, keeps the platform default; the
-	// L1s always keep it). Stochastic policies (Random, BRRIP, DRRIP) need
+	// L1s always keep it). Stochastic policies (BRRIP, DRRIP) need
 	// a non-zero per-cache seed; hierarchyConfig derives one
 	// deterministically from Seed and a per-level salt, so repeat runs stay
 	// byte-identical.
 	L2Policy, L3Policy, L4Policy cache.Policy
 	// DeadBlock enables dead-block-aware insertion on every level running
-	// an RRIP-family policy (it is a no-op for LRU/FIFO/Random levels).
+	// an RRIP-family policy (it is a no-op for LRU levels).
 	DeadBlock bool
 	// Predictor, when non-nil, attaches a cache-level predictor to the
 	// hierarchy. The config is copied; a zero Predictor.Seed is defaulted

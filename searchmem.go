@@ -10,10 +10,10 @@
 //     traces (the reproduction's stand-in for the paper's Pin traces of
 //     production search);
 //   - a trace-driven functional cache simulator (set-associative /
-//     direct-mapped / fully-associative, LRU/FIFO/random, CAT-style way
-//     partitioning, inclusive hierarchies, and the paper's memory-side
-//     eDRAM L4 victim cache), plus a one-pass LRU stack-distance profiler
-//     for capacity sweeps;
+//     direct-mapped / fully-associative, LRU and the RRIP family, CAT
+//     way partitions as k-way L3s, inclusive hierarchies, and the paper's
+//     memory-side eDRAM L4 victim cache), plus a one-pass LRU
+//     stack-distance profiler for capacity sweeps;
 //   - core-side models: branch predictors, TLBs, hardware prefetchers, a
 //     calibrated Top-Down slot-accounting model, and SMT throughput models;
 //   - the paper's analytical performance models (AMAT, Equation 1, the
