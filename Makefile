@@ -29,11 +29,12 @@ test:
 # The compressed view hands each decode window to a goroutine and back, a
 # serving cluster's drives hand its scratch, cache tier and pending metrics
 # from holder to holder of one mutex, an open loop hands issue batches
-# from its generator goroutine to the serving one and back, and a split
+# from its generator goroutine to the serving one and back, a split
 # measured run hands each window to the helper that runs the upper's second
-# set partition; a single race pass rarely hits a bad interleaving, so the
-# view's, the drives', the pipeline's and the partitions' tests run 20
-# times more. internal/experiments takes 134-138 s under race
+# set partition, and an index build runs each stage's second half on a
+# helper; a single race pass rarely hits a bad interleaving, so the view's,
+# the drives', the pipeline's, the partitions' and the concurrent builds'
+# tests run 20 times more. internal/experiments takes 134-138 s under race
 # instrumentation (2-vCPU amd64 host, go1.24.0); the whole-module pass keeps
 # explicit headroom over the 10m per-package default for slower runners.
 race:
@@ -41,6 +42,7 @@ race:
 	$(GO) test -race -count=20 -run 'Compressed|Spilled|WindowReuse' ./internal/trace
 	$(GO) test -race -count=20 -run 'During|Concurrent|Recount|Pipeline' ./internal/serving
 	$(GO) test -race -count=20 -run 'Partition' ./internal/cache ./internal/workload
+	$(GO) test -race -count=20 -run 'BuildIndexConcurrent' ./internal/search
 
 # alloc-check is the allocation gate (DESIGN.md §17): the AllocsPerRun
 # oracles that pin every replay, cache, memory-tier, top-k and serving
@@ -66,7 +68,10 @@ obs-demo:
 # only with ErrBadTrace; valid streams, every thread id included, round-trip
 # identically through the block codec, in memory and through a trace file,
 # and branch streams through the branch-log codec. FuzzInverter differential-fuzzes the
-# index inverter against its map-based reference; FuzzHierarchyMatchesReference
+# index inverter against its map-based reference, and
+# FuzzBuildIndexMatchesReference the whole index build, section by section,
+# against a one-loop corpus generator, that inverter and an append-based
+# serializer; FuzzHierarchyMatchesReference
 # does the same for the cache kernel — one access at a time, an upper draining
 # into several tails, their replay from its recorded stream, and the upper
 # split into two set partitions whose merged port drains into tails —
@@ -86,6 +91,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzBranchLogRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzInverter$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzBuildIndexMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzTopKMatchesSort$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzHierarchyMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzStackDistMatchesNaive$$' -fuzztime $(FUZZTIME)

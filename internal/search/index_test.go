@@ -136,8 +136,11 @@ func imageDigest(e *Engine) string {
 // same imageDigest from Build's arenas at commit 1686ae1, the last one with
 // the map-based inverter and the single-function Build — so "same bytes at
 // the same addresses" is checked against something older than BuildIndex and
-// NewEngine.
+// NewEngine. The vocabulary past the Zipf table's 2^16 ranks was pinned at
+// fddeaf2, the last commit that built the image on one goroutine.
 func TestImageBytesPinned(t *testing.T) {
+	bigVocab := DefaultConfig()
+	bigVocab.Corpus.VocabSize = 100_000
 	for _, tc := range []struct {
 		name        string
 		cfg         Config
@@ -146,6 +149,7 @@ func TestImageBytesPinned(t *testing.T) {
 	}{
 		{"default", DefaultConfig(), "b4006a2852b487c5c1ddd5cfdd1351718d1ac5406c3635b29f7d46097b70683f", 3724472, 10298272},
 		{"test-engine", testEngineConfig(), "3730679dcd8cf7d658be0260c6c8617a523be6fc568324cb66f5afb61affdd7f", 0, 0},
+		{"vocab-past-the-zipf-table", bigVocab, "70a0bb7179a827459347a2767c34e1760c16a1e6c42765f042fb71fec6597175", 4040997, 12815456},
 	} {
 		eng, err := Build(tc.cfg, memsim.NewSpace(nil), nil)
 		if err != nil {
