@@ -30,6 +30,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -141,8 +143,23 @@ func run() (code int) {
 		return 2
 	}
 	if *verbose {
+		// A step's "done: " line repeats the line that began it, which ends
+		// in "...", with the wall time between the two.
+		var mu sync.Mutex
+		began := map[string]time.Time{}
 		opts.Logf = func(format string, a ...any) {
-			fmt.Fprintf(os.Stderr, "# "+format+"\n", a...)
+			line := fmt.Sprintf(format, a...)
+			mu.Lock()
+			defer mu.Unlock()
+			if step, ok := strings.CutPrefix(line, "done: "); ok {
+				fmt.Fprintf(os.Stderr, "# %s took %v\n", step, time.Since(began[step]).Round(time.Millisecond))
+				delete(began, step)
+				return
+			}
+			if strings.HasSuffix(line, "...") {
+				began[line] = time.Now()
+			}
+			fmt.Fprintf(os.Stderr, "# %s\n", line)
 		}
 	}
 	if *traceOut != "" {

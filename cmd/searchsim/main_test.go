@@ -110,6 +110,22 @@ func TestVerboseTimingLine(t *testing.T) {
 	}
 }
 
+// TestVerboseIndexBuildLine: -v prints an index build's line when it begins
+// and again, with its wall time, when it ends.
+func TestVerboseIndexBuildLine(t *testing.T) {
+	cmd := exec.Command(searchsimBin, "-fast", "-shrink", "64", "-budget", "100000", "-v", "fig6a")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("%v\n%s", err, stderr.Bytes())
+	}
+	pair := regexp.MustCompile(`(?m)^# (building index for S1-leaf \(shrink 64\)\.\.\.)\n(?:# .*\n)*?# (.*) took \d\S*s\n`)
+	m := pair.FindSubmatch(stderr.Bytes())
+	if m == nil || !bytes.Equal(m[1], m[2]) {
+		t.Errorf("-v stderr has no index build line followed by the same line with its wall time:\n%s", stderr.Bytes())
+	}
+}
+
 // TestVerboseStreamFooter pins the -v footer's "# post-L3 streams:" block
 // beside "# trace stores:": figT1 runs its all-near baseline live, records
 // the sweep upper's stream for its grid, and figT2 replays that stream — one

@@ -43,7 +43,9 @@ type Options struct {
 	// FleetClients, when positive, overrides the modeled user population
 	// of the fleet-scale sweeps (figF1/figF2; cmd/searchsim -fleet-clients).
 	FleetClients int
-	// Verbose enables progress output via Logf.
+	// Verbose enables progress output via Logf. A line that starts with
+	// "done: " ends the step the rest of it began, so a logger may time the
+	// step (cmd/searchsim -v prints its wall time).
 	Logf func(format string, args ...any)
 	// Tracer, when non-nil, collects distributed traces from experiments
 	// that drive the serving tree or the sampling profiler (exported via
@@ -249,6 +251,7 @@ func (c *Context) buildRunner(wl workload.SearchWorkload) *workload.SearchRunner
 	b, _ := c.indexes.get(key, func() builtIndex {
 		c.Opts.logf("building index for %s (shrink %d)...", wl.WLName, c.Opts.Shrink)
 		idx, err := search.BuildIndex(wl.Engine)
+		c.Opts.logf("done: building index for %s (shrink %d)...", wl.WLName, c.Opts.Shrink)
 		return builtIndex{idx, err}
 	})
 	if b.err != nil {

@@ -173,92 +173,120 @@ func BuildIndex(cfg Config) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	numDocs, vocab := cfg.Corpus.NumDocs, cfg.Corpus.VocabSize
+	numDocs := cfg.Corpus.NumDocs
 	corpus := GenerateCorpus(cfg.Corpus)
 	lists := buildPostings(corpus)
 	x := &Index{corpus: cfg.Corpus, featureBytes: cfg.FeatureBytes, avgDocLen: corpus.AvgDocLen()}
 
-	// Size the variable-length sections exactly, so each is one allocation
-	// with no slack for a retained image to carry.
-	postingBytes, skipRecs := 0, 0
+	// Size the posting lists exactly, in two halves of the postings, so the
+	// shard, with the content the corpus sized, is one allocation with no
+	// slack for a retained image to carry. The sizing also checks that every
+	// list is doc-sorted.
+	total := 0
 	for _, list := range lists {
-		prev := uint32(0)
-		for _, p := range list {
-			postingBytes += uvarintLen(uint64(p.doc-prev)) + uvarintLen(uint64(p.tf))
-			prev = p.doc
+		total += len(list)
+	}
+	splitTerm := 0
+	for below := 0; below < total/2; splitTerm++ {
+		below += len(lists[splitTerm])
+	}
+	var sized [2]struct{ postingBytes, skipRecs int }
+	size := func(h, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			prev := uint32(0)
+			for _, p := range lists[t] {
+				if p.doc < prev {
+					panic(fmt.Sprintf("search: posting list %d not sorted", t))
+				}
+				sized[h].postingBytes += uvarintLen(uint64(p.doc-prev)) + uvarintLen(uint64(p.tf))
+				prev = p.doc
+			}
+			sized[h].skipRecs += (len(lists[t]) + SkipInterval - 1) / SkipInterval
 		}
-		skipRecs += (len(list) + SkipInterval - 1) / SkipInterval
 	}
-	contentBytes := 0
-	for _, term := range corpus.tokens {
-		contentBytes += uvarintLen(uint64(term))
-	}
-
-	// Serialize posting lists: per list, (docDelta, tf) uvarint pairs,
-	// with a skip entry every SkipInterval postings recording the byte
-	// offset and the restart document (the previous posting's doc, so
-	// delta decoding can resume mid-list).
-	x.shard = make([]byte, 0, postingBytes+contentBytes)
+	inHalves(func() { size(0, 0, splitTerm) }, func() { size(1, splitTerm, len(lists)) })
+	postingBytes, skipRecs := sized[0].postingBytes+sized[1].postingBytes, sized[0].skipRecs+sized[1].skipRecs
+	contentBytes := corpus.contentBytes
+	x.shard = make([]byte, postingBytes+contentBytes)
 	x.postingBytes = postingBytes
-	x.skips = make([]byte, 0, skipRecs*skipRecBytes)
-	x.dict = make([]byte, vocab*dictRecBytes)
+	x.skips = make([]byte, skipRecs*skipRecBytes)
+	x.dict = make([]byte, len(lists)*dictRecBytes)
+	x.meta = make([]byte, numDocs*metaRecBytes)
+	x.norms = make([]byte, numDocs)
+	x.statics = make([]byte, numDocs*staticRecBytes)
+	x.feats = make([]byte, numDocs*cfg.FeatureBytes)
+	// Then the caller writes postings, skips and dictionary and the two
+	// random streams, and the helper content, metadata and norms, whose
+	// term ids take longer to encode than the lists' small deltas.
+	inHalves(func() {
+		x.writeLists(lists)
+		// Static document-rank records (pagerank-class signals): read for
+		// every posting scored. This table is the bulk of the hot shared
+		// heap working set whose reuse the paper finds is only capturable by
+		// GiB-scale caches (§III-B).
+		fillRandom(x.statics, cfg.Corpus.Seed^0x57a71c)
+		// Ranking features: deterministic pseudo-random blobs of whole words.
+		fillRandom(x.feats, cfg.Corpus.Seed^0xfea7)
+	}, func() { x.writeDocs(corpus) })
+	return x, nil
+}
+
+// writeLists serializes the posting lists into the front of the shard: per
+// list, (docDelta, tf) uvarint pairs, with a skip entry every SkipInterval
+// postings recording the byte offset and the restart document (the previous
+// posting's doc, so delta decoding can resume mid-list), and the list's
+// dictionary record.
+func (x *Index) writeLists(lists [][]posting) {
+	pos, skip := 0, 0
 	for t, list := range lists {
-		off := uint64(len(x.shard))
-		skipOff := uint64(len(x.skips))
+		off, skipOff := pos, skip
 		prev := uint32(0)
 		for i, p := range list {
 			if i%SkipInterval == 0 {
-				x.skips = binary.LittleEndian.AppendUint64(x.skips, uint64(len(x.shard))-off)
-				x.skips = binary.LittleEndian.AppendUint32(x.skips, prev)
-				x.skips = binary.LittleEndian.AppendUint32(x.skips, 0)
+				binary.LittleEndian.PutUint64(x.skips[skip:], uint64(pos-off))
+				binary.LittleEndian.PutUint32(x.skips[skip+8:], prev)
+				skip += skipRecBytes
 			}
-			x.shard = binary.AppendUvarint(x.shard, uint64(p.doc-prev))
-			x.shard = binary.AppendUvarint(x.shard, uint64(p.tf))
+			pos += binary.PutUvarint(x.shard[pos:], uint64(p.doc-prev))
+			pos += binary.PutUvarint(x.shard[pos:], uint64(p.tf))
 			prev = p.doc
 		}
 		rec := x.dict[t*dictRecBytes:]
-		binary.LittleEndian.PutUint64(rec, off)
+		binary.LittleEndian.PutUint64(rec, uint64(off))
 		binary.LittleEndian.PutUint32(rec[8:], uint32(len(list)))
-		binary.LittleEndian.PutUint32(rec[12:], uint32(uint64(len(x.shard))-off))
-		binary.LittleEndian.PutUint64(rec[16:], skipOff)
+		binary.LittleEndian.PutUint32(rec[12:], uint32(pos-off))
+		binary.LittleEndian.PutUint64(rec[16:], uint64(skipOff))
 	}
+}
 
-	// Serialize document content (term-id uvarints), metadata, and the
-	// quantized document-length norms: one byte per document, read on
-	// every posting scored (so it must stay cache-resident, as real
-	// engines arrange). dl is reconstructed as norm << 2.
-	x.meta = make([]byte, numDocs*metaRecBytes)
-	x.norms = make([]byte, numDocs)
-	for d := 0; d < numDocs; d++ {
+// writeDocs serializes the document content (term-id uvarints) behind the
+// posting lists, each document's metadata, and the quantized
+// document-length norms: one byte per document, read on every posting
+// scored (so it must stay cache-resident, as real engines arrange). dl is
+// reconstructed as norm << 2.
+func (x *Index) writeDocs(corpus *Corpus) {
+	pos := x.postingBytes
+	for d := range x.norms {
 		doc := corpus.Doc(d)
-		start := len(x.shard)
+		start := pos
 		for _, term := range doc {
-			x.shard = binary.AppendUvarint(x.shard, uint64(term))
+			pos += binary.PutUvarint(x.shard[pos:], uint64(term))
 		}
 		rec := x.meta[d*metaRecBytes:]
-		binary.LittleEndian.PutUint64(rec, uint64(start-postingBytes))
-		binary.LittleEndian.PutUint32(rec[8:], uint32(len(x.shard)-start))
+		binary.LittleEndian.PutUint64(rec, uint64(start-x.postingBytes))
+		binary.LittleEndian.PutUint32(rec[8:], uint32(pos-start))
 		binary.LittleEndian.PutUint32(rec[12:], uint32(len(doc)))
 		x.norms[d] = byte(QuantizedDocLen(len(doc)) >> 2)
 	}
+}
 
-	// Static document-rank records (pagerank-class signals): read for
-	// every posting scored. This table is the bulk of the hot shared heap
-	// working set whose reuse the paper finds is only capturable by
-	// GiB-scale caches (§III-B).
-	srng := stats.NewRNG(cfg.Corpus.Seed ^ 0x57a71c)
-	x.statics = make([]byte, numDocs*staticRecBytes)
-	for i := 0; i < len(x.statics); i += 8 {
-		binary.LittleEndian.PutUint64(x.statics[i:], srng.Uint64())
+// fillRandom fills b, a whole number of words, with the stream seeded by
+// seed.
+func fillRandom(b []byte, seed uint64) {
+	rng := stats.NewRNG(seed)
+	for i := 0; i < len(b); i += 8 {
+		binary.LittleEndian.PutUint64(b[i:], rng.Uint64())
 	}
-
-	// Ranking features: deterministic pseudo-random blobs of whole words.
-	frng := stats.NewRNG(cfg.Corpus.Seed ^ 0xfea7)
-	x.feats = make([]byte, numDocs*cfg.FeatureBytes)
-	for i := 0; i < len(x.feats); i += 8 {
-		binary.LittleEndian.PutUint64(x.feats[i:], frng.Uint64())
-	}
-	return x, nil
 }
 
 // NewEngine lays out an engine's arenas in space. The shard arena lies over

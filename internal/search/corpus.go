@@ -12,6 +12,7 @@ package search
 
 import (
 	"fmt"
+	"sort"
 
 	"searchmem/internal/stats"
 )
@@ -64,34 +65,69 @@ type Corpus struct {
 	// is tokens[offs[d]:offs[d+1]].
 	tokens []uint32
 	offs   []int
+	// contentBytes is the summed uvarint size of every token: the size of
+	// the shard's content section.
+	contentBytes int
 }
 
-// GenerateCorpus synthesizes a corpus from cfg.
+// GenerateCorpus synthesizes a corpus from cfg. Document lengths and terms
+// come from two streams, so every length is drawn first, and the terms are
+// drawn in two halves of the token stream, the second on a helper
+// goroutine. The cut is exact because each term draw consumes exactly one
+// output of the term stream: skew 1.0 is tabulated at every vocabulary, so
+// the sampler's squeeze accepts every draw (stats.TestZipfSkewOneDrawsOnce).
+// The second half therefore starts from a copy of the stream skipped by the
+// first half's length, and the first half must end where the copy began.
 func GenerateCorpus(cfg CorpusConfig) *Corpus {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	termDist := stats.NewZipf(rng.Split(), uint64(cfg.VocabSize), termZipfSkew)
-	c := &Corpus{
-		cfg: cfg,
-		// The truncated bounded-Pareto lengths below average about 0.7 of
-		// AvgDocLen, so this is one allocation that append never regrows.
-		tokens: make([]uint32, 0, cfg.NumDocs*cfg.AvgDocLen),
-		offs:   make([]int, 1, cfg.NumDocs+1),
+	terms := rng.Split()
+	shape := stats.NewZipfShape(uint64(cfg.VocabSize), termZipfSkew)
+	// Bounded Pareto with alpha tuned so the mean lands near AvgDocLen for
+	// these bounds (truncated to whole terms, about 0.7 of it).
+	lengths := stats.NewParetoShape(float64(cfg.AvgDocLen)/3, float64(cfg.AvgDocLen)*12, 1.75)
+	c := &Corpus{cfg: cfg, offs: make([]int, cfg.NumDocs+1)}
+	for d := 1; d <= cfg.NumDocs; d++ {
+		c.offs[d] = c.offs[d-1] + int(lengths.Next(rng))
 	}
-	minLen := float64(cfg.AvgDocLen) / 3
-	maxLen := float64(cfg.AvgDocLen) * 12
-	for d := 0; d < cfg.NumDocs; d++ {
-		// Bounded Pareto with alpha tuned so the mean lands near
-		// AvgDocLen for these bounds.
-		n := int(rng.Pareto(minLen, maxLen, 1.75))
-		for i := 0; i < n; i++ {
-			c.tokens = append(c.tokens, uint32(termDist.Next()))
+	c.tokens = make([]uint32, c.offs[cfg.NumDocs])
+	mid := len(c.tokens) / 2
+	// draw fills dst from rng and returns the tokens' encoded size.
+	draw := func(dst []uint32, rng *stats.RNG) (n int) {
+		for i := range dst {
+			t := shape.Next(rng)
+			dst[i] = uint32(t)
+			n += uvarintLen(t)
 		}
-		c.offs = append(c.offs, len(c.tokens))
+		return n
 	}
+	second := *terms
+	var cut stats.RNG
+	var secondBytes int
+	inHalves(func() { c.contentBytes = draw(c.tokens[:mid], terms) }, func() {
+		second.Skip(mid)
+		cut = second
+		secondBytes = draw(c.tokens[mid:], &second)
+	})
+	if *terms != cut {
+		panic("search: a term draw consumed other than one RNG output, so the corpus cannot be cut in two")
+	}
+	c.contentBytes += secondBytes
 	return c
+}
+
+// inHalves runs first on the caller and second on a helper goroutine, and
+// returns when both have.
+func inHalves(first, second func()) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		second()
+	}()
+	first()
+	<-done
 }
 
 // NumDocs returns the number of documents.
@@ -118,62 +154,63 @@ type posting struct {
 }
 
 // buildPostings inverts the corpus into per-term posting lists sorted by
-// document id. Term frequencies are counted per document in a dense
-// per-term counter, with a list of the terms the document touched so only
-// those are visited and reset. A first pass over the corpus gives each
-// term's exact document frequency, which carves one flat array into per-term
-// lists, and a second pass fills them; documents are visited in id order,
-// so every list comes out doc-sorted.
+// document id, in two halves of the documents split where the token
+// midpoint falls, the second on a helper goroutine. Each half keeps, per
+// term, the last document it saw the term in, so a term's posting for a
+// document is opened by its first occurrence there and counted up by the
+// rest. A first pass gives each half its document frequencies; laid out
+// term by term, first half before second, they carve one flat array into
+// per-term lists, and a second pass fills each half's slots in document
+// order, so every list comes out doc-sorted.
 func buildPostings(c *Corpus) [][]posting {
-	count := make([]uint32, c.cfg.VocabSize)
-	touched := make([]uint32, 0, 12*c.cfg.AvgDocLen)
-	// distinct counts document d's terms into count and returns the
-	// distinct ones; the caller zeroes their counters before the next call.
-	distinct := func(d int) []uint32 {
-		touched = touched[:0]
-		for _, t := range c.Doc(d) {
-			if count[t] == 0 {
-				touched = append(touched, t)
-			}
-			count[t]++
-		}
-		return touched
+	vocab := c.cfg.VocabSize
+	split := sort.SearchInts(c.offs, len(c.tokens)/2)
+	type half struct {
+		lo, hi int
+		seen   []uint32 // per term: 1 + the last document seen, 0 for none
+		next   []int    // per term: the document frequency, then the next slot
 	}
-
-	// Pass 1: document frequencies, then turned in place into each term's
-	// first slot of the flat array.
-	next := make([]int, c.cfg.VocabSize)
-	for d := 0; d < c.NumDocs(); d++ {
-		for _, t := range distinct(d) {
-			next[t]++
-			count[t] = 0
-		}
-	}
-	total := 0
-	for t, df := range next {
-		next[t] = total
-		total += df
-	}
-
-	// Pass 2: fill. Afterwards next[t] is one past term t's last slot.
-	flat := make([]posting, total)
-	for d := 0; d < c.NumDocs(); d++ {
-		for _, t := range distinct(d) {
-			flat[next[t]] = posting{doc: uint32(d), tf: count[t]}
-			next[t]++
-			count[t] = 0
-		}
-	}
-	lists := make([][]posting, c.cfg.VocabSize)
-	begin := 0
-	for t, end := range next {
-		list := flat[begin:end]
-		for i := 1; i < len(list); i++ {
-			if list[i].doc < list[i-1].doc {
-				panic(fmt.Sprintf("search: posting list %d not sorted", t))
+	halves := [2]*half{{lo: 0, hi: split}, {lo: split, hi: c.NumDocs()}}
+	count := func(h *half) {
+		h.seen, h.next = make([]uint32, vocab), make([]int, vocab)
+		for d := h.lo; d < h.hi; d++ {
+			for _, t := range c.Doc(d) {
+				if h.seen[t] != uint32(d+1) {
+					h.seen[t] = uint32(d + 1)
+					h.next[t]++
+				}
 			}
 		}
-		lists[t], begin = list, end
+	}
+	inHalves(func() { count(halves[0]) }, func() { count(halves[1]) })
+
+	first := make([]int, vocab+1)
+	for t := range vocab {
+		df0, df1 := halves[0].next[t], halves[1].next[t]
+		halves[0].next[t], halves[1].next[t] = first[t], first[t]+df0
+		first[t+1] = first[t] + df0 + df1
+	}
+
+	flat := make([]posting, first[vocab])
+	fill := func(h *half) {
+		clear(h.seen)
+		for d := h.lo; d < h.hi; d++ {
+			for _, t := range c.Doc(d) {
+				if h.seen[t] != uint32(d+1) {
+					h.seen[t] = uint32(d + 1)
+					flat[h.next[t]] = posting{doc: uint32(d), tf: 1}
+					h.next[t]++
+				} else {
+					flat[h.next[t]-1].tf++
+				}
+			}
+		}
+	}
+	inHalves(func() { fill(halves[0]) }, func() { fill(halves[1]) })
+
+	lists := make([][]posting, vocab)
+	for t := range lists {
+		lists[t] = flat[first[t]:first[t+1]:first[t+1]]
 	}
 	return lists
 }

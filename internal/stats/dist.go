@@ -242,14 +242,25 @@ func (r *RNG) Exponential(mean float64) float64 {
 	return -mean * math.Log(1-r.Float64())
 }
 
-// Pareto returns a draw from a bounded Pareto distribution on [min, max]
-// with shape alpha. Used for document-length and posting-list-length models,
-// which are heavy-tailed in real corpora.
-func (r *RNG) Pareto(min, max, alpha float64) float64 {
-	if min <= 0 || max <= min || alpha <= 0 {
+// ParetoShape is a bounded Pareto distribution on [min, max] with shape
+// alpha, independent of any RNG. It models document lengths, which are
+// heavy-tailed in real corpora. Its two powers of the bounds are computed
+// once, so a draw costs one math.Pow.
+type ParetoShape struct {
+	la, ha, negInvAlpha float64
+}
+
+// NewParetoShape returns the bounded Pareto shape on [min, max] with shape
+// alpha. It panics unless 0 < min < max and alpha > 0.
+func NewParetoShape(min, max, alpha float64) *ParetoShape {
+	if !(min > 0 && max > min && alpha > 0) {
 		panic("stats: Pareto requires 0 < min < max and alpha > 0")
 	}
-	u := r.Float64()
-	la, ha := math.Pow(min, alpha), math.Pow(max, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
+	return &ParetoShape{la: math.Pow(min, alpha), ha: math.Pow(max, alpha), negInvAlpha: -1 / alpha}
+}
+
+// Next returns a draw from rng by inversion; it consumes one output of rng.
+func (p *ParetoShape) Next(rng *RNG) float64 {
+	u := rng.Float64()
+	return math.Pow(-(u*p.ha-u*p.la-p.ha)/(p.ha*p.la), p.negInvAlpha)
 }

@@ -106,10 +106,51 @@ func TestExponentialMean(t *testing.T) {
 	}
 }
 
+// formulaPareto is the bounded-Pareto inversion written out with both
+// powers of the bounds taken per draw: the definition ParetoShape must
+// reproduce bit for bit.
+func formulaPareto(r *RNG, min, max, alpha float64) float64 {
+	u := r.Float64()
+	la, ha := math.Pow(min, alpha), math.Pow(max, alpha)
+	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
+}
+
+// TestParetoShapeMatchesFormula: a shape draws bit-identically to the
+// formula over several bounds and alphas (the corpus's among them), and
+// consumes exactly one output per draw.
+func TestParetoShapeMatchesFormula(t *testing.T) {
+	for _, c := range []struct{ min, max, alpha float64 }{
+		{64.0 / 3, 64 * 12, 1.75}, {1.0 / 3, 12, 1.75}, {2, 1000, 1.1}, {1, 1e6, 0.8}, {0.5, 0.75, 3},
+	} {
+		p := NewParetoShape(c.min, c.max, c.alpha)
+		got, want := NewRNG(99), NewRNG(99)
+		for i := 0; i < 10000; i++ {
+			g, w := p.Next(got), formulaPareto(want, c.min, c.max, c.alpha)
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%+v draw %d: %v, formula %v", c, i, g, w)
+			}
+		}
+		if *got != *want {
+			t.Fatalf("%+v: the shape consumed a different number of outputs than the formula", c)
+		}
+	}
+	for _, bad := range [][3]float64{{0, 1, 1}, {2, 2, 1}, {1, 2, 0}, {math.NaN(), 2, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewParetoShape%v did not panic", bad)
+				}
+			}()
+			NewParetoShape(bad[0], bad[1], bad[2])
+		}()
+	}
+}
+
 func TestParetoBounds(t *testing.T) {
 	r := NewRNG(7)
+	p := NewParetoShape(2, 1000, 1.1)
 	for i := 0; i < 10000; i++ {
-		v := r.Pareto(2, 1000, 1.1)
+		v := p.Next(r)
 		if v < 2 || v > 1000 {
 			t.Fatalf("Pareto out of bounds: %v", v)
 		}
@@ -120,9 +161,10 @@ func TestParetoHeavyTail(t *testing.T) {
 	// A smaller alpha must give a heavier tail (higher p99).
 	p99 := func(alpha float64) float64 {
 		r := NewRNG(8)
+		p := NewParetoShape(1, 1e6, alpha)
 		sample := make([]float64, 20000)
 		for i := range sample {
-			sample[i] = r.Pareto(1, 1e6, alpha)
+			sample[i] = p.Next(r)
 		}
 		return ExactQuantile(sample, 0.99)
 	}

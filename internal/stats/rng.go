@@ -56,6 +56,19 @@ func (r *RNG) Uint64() uint64 {
 	return x + y
 }
 
+// Skip advances the generator by n outputs, leaving it exactly where n
+// calls of Uint64 would.
+func (r *RNG) Skip(n int) {
+	x, y := r.s0, r.s1
+	for ; n > 0; n-- {
+		x ^= x << 23
+		x ^= x >> 17
+		x ^= y ^ (y >> 26)
+		x, y = y, x
+	}
+	r.s0, r.s1 = x, y
+}
+
 // Split derives a new, independent generator from this one. The parent
 // stream advances by one draw.
 func (r *RNG) Split() *RNG {

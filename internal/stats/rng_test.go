@@ -149,3 +149,28 @@ func TestBoolProbability(t *testing.T) {
 		t.Fatalf("Bool(0.3) frequency = %v", got)
 	}
 }
+
+// TestSkipMatchesUint64Calls: Skip(n) leaves a generator in the very state
+// n calls of Uint64 leave a copy of it in, for n across 0, small counts and
+// counts larger than any period a bug in the loop could hide behind.
+func TestSkipMatchesUint64Calls(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 17, 1000, 1 << 16, 1<<16 + 1} {
+		skipped, called := NewRNG(uint64(n)+41), NewRNG(uint64(n)+41)
+		skipped.Skip(n)
+		for i := 0; i < n; i++ {
+			called.Uint64()
+		}
+		if *skipped != *called {
+			t.Fatalf("Skip(%d) left %+v, %d Uint64 calls %+v", n, *skipped, n, *called)
+		}
+		if skipped.Uint64() != called.Uint64() {
+			t.Fatalf("Skip(%d): the next outputs differ", n)
+		}
+	}
+	r := NewRNG(5)
+	before := *r
+	r.Skip(-3)
+	if *r != before {
+		t.Fatal("Skip of a negative count moved the generator")
+	}
+}

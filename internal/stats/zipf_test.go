@@ -212,3 +212,32 @@ func BenchmarkZipfShapeNext(b *testing.B) {
 		})
 	}
 }
+
+// TestZipfSkewOneDrawsOnce holds the two laws an index build's corpus relies
+// on to cut its term stream in two: skew 1.0 tabulates at every vocabulary
+// (at one rank, two, the table's 2^16, one past it and far past it), and a
+// tabulated shape's n draws advance its RNG exactly as Skip(n) does — the
+// squeeze accepts every draw, in the table and past its last rank alike.
+func TestZipfSkewOneDrawsOnce(t *testing.T) {
+	for _, n := range []uint64{1, 2, 1 << 16, 1<<16 + 1, 1 << 20} {
+		z := NewZipfShape(n, 1.0)
+		if z.bound == nil {
+			t.Fatalf("n=%d: skew 1.0 is not tabulated", n)
+		}
+		drawn, skipped := NewRNG(n), NewRNG(n)
+		const draws = 200_000
+		pastTable := 0
+		for i := 0; i < draws; i++ {
+			if z.Next(drawn) >= zipfTableMax {
+				pastTable++
+			}
+		}
+		skipped.Skip(draws)
+		if *drawn != *skipped {
+			t.Fatalf("n=%d: %d draws moved the RNG %+v, Skip(%d) %+v", n, draws, *drawn, draws, *skipped)
+		}
+		if n > 1<<17 && pastTable == 0 {
+			t.Fatalf("n=%d: no draw fell past the table, so the formula's branch went unchecked", n)
+		}
+	}
+}
